@@ -14,34 +14,19 @@ import sys
 import numpy as np
 
 from polyflow import svg
-from polyflow.polygon import Polygon, eigen_polygon, reconcile_vertex_counts
+from polyflow.polygon import Polygon, eigen_polygon
 from polyflow.spectral_flow import flow_solution
 from polyflow.yau_flow import yau_flow_between
 
 SEED = int(os.environ.get("POLYFLOW_SEED", "20260810"))
-
-SAMPLE = "#6f6f6f"
-INITIAL = "#000000"
-TARGET = "#c02020"
 
 
 def schedule(t0=0.05, ratio=1.6, count=8):
     return [t0 * ratio**j for j in range(count)]
 
 
-def layers_for(samples, initial, target=None):
-    drawn = list(samples) + [initial] + ([target] if target is not None else [])
-    width = svg.default_stroke_width(svg.drawing_extent(drawn))
-    out = []
-    if target is not None:
-        out.append(svg.Layer(target, TARGET, width, dashed=True))
-    out.append(svg.Layer(initial, INITIAL, 1.8 * width))
-    out.extend(svg.Layer(p, SAMPLE, width) for p in samples)
-    return out
-
-
 def save(path, samples, initial, target=None):
-    svg.write(layers_for(samples, initial, target), path)
+    svg.write(svg.figure_layers(samples, initial, target), path)
     print(f"wrote {path}")
 
 

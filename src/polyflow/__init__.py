@@ -57,7 +57,6 @@ from .spectral_flow import (
     reconstruct,
     rescaled_limit,
     solve,
-    solve_planar_complex,
 )
 from .yau_flow import (
     YauProblem,

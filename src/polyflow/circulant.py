@@ -36,11 +36,6 @@ class CirculantMatrix:
             )
         object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
 
-    def to_dense(self) -> np.ndarray:
-        """Dense float64 form, intended for test oracles only."""
-        idx = (np.arange(self.n)[None, :] - np.arange(self.n)[:, None]) % self.n
-        return np.asarray(self.first_row, dtype=float)[idx]
-
     def row_sum(self) -> int:
         return sum(self.first_row)
 
@@ -51,17 +46,17 @@ class EigenSystem:
 
     ``eigenvalues[k]`` is the eigenvalue of ``(-1)^(m+1) M^m`` on the k-th
     eigenpolygon; ``eigenpolygons[:, k]`` is the unit-modulus complex vector
-    ``(1, w^k, ..., w^((n-1)k))`` with ``w = exp(2*pi*i/n)``.
+    ``(1, w^k, ..., w^((n-1)k))`` with ``w = exp(2*pi*i/n)``, built on first
+    access so that the eigenvalues alone never cost an n x n matrix.
     """
 
     n: int
     m: int
     eigenvalues: np.ndarray
-    eigenpolygons: np.ndarray
 
-    def base_eigenvalue(self, k: int) -> float:
-        """Eigenvalue of M itself on mode k, i.e. -4 sin^2(pi k / n)."""
-        return lambda_base(self.n, k)
+    @property
+    def eigenpolygons(self) -> np.ndarray:
+        return fourier_matrix(self.n)
 
 
 def root_of_unity(exponent: int, n: int) -> complex:
@@ -104,10 +99,14 @@ def lambda_base(n: int, k: int) -> float:
     return -4.0 * s2
 
 
+def flow_sign(m: int) -> int:
+    """The sign ``(-1)^(m+1)`` that turns ``M^m`` into the order-m flow matrix."""
+    return 1 if m % 2 else -1
+
+
 def flow_eigenvalue(n: int, m: int, k: int) -> float:
     """Eigenvalue of ``(-1)^(m+1) M^m`` on mode k: zero at k = 0, negative otherwise."""
-    sign = 1.0 if (m + 1) % 2 == 0 else -1.0
-    return sign * lambda_base(n, k) ** m + 0.0  # + 0.0 normalizes -0.0 at k = 0
+    return flow_sign(m) * lambda_base(n, k) ** m + 0.0  # + 0.0 normalizes -0.0 at k = 0
 
 
 def minimal_r(m: int, n: int) -> int:
@@ -188,37 +187,35 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
     return CirculantMatrix(n, tuple(row))
 
 
-def signed_offsets(a: CirculantMatrix) -> list[tuple[int, int]]:
-    """Nonzero (offset, coefficient) pairs, offsets folded to (-n/2, n/2], ascending.
+def stencil(a: CirculantMatrix):
+    """The row map ``values -> a @ values`` with its gathers precomputed.
 
-    Ascending signed order makes the accumulated sum match a centered-stencil
-    evaluation term for term whenever the stencil does not wrap.
+    Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the
+    nonzero entries, offsets folded to (-n/2, n/2] and accumulated in
+    ascending signed order, so the sum matches a centered-stencil evaluation
+    term for term whenever the stencil does not wrap.  The map takes arrays
+    of shape (n,) or (n, p), real or complex.
     """
     n = a.n
-    pairs = []
-    for s, coeff in enumerate(a.first_row):
-        if coeff != 0:
-            s_signed = s if 2 * s <= n else s - n
-            pairs.append((s_signed, coeff))
-    pairs.sort()
-    return pairs
+    base = np.arange(n)
+    offsets = sorted((s if 2 * s <= n else s - n, c) for s, c in enumerate(a.first_row) if c)
+    gathers = [((base + s) % n, float(c)) for s, c in offsets]
+
+    def apply_rows(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(values.shape, dtype=np.promote_types(values.dtype, np.float64))
+        for idx, coeff in gathers:
+            out += coeff * values[idx]
+        return out
+
+    return apply_rows
 
 
 def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
-    """Apply the circulant matrix to a vector or to per-vertex rows.
-
-    ``values`` has shape (n,) or (n, p); row j of the result is
-    ``sum_s b_s * values[(j + s) mod n]``, accumulated over ascending signed
-    offsets.  Works for real and complex data.
-    """
+    """Apply the circulant matrix to a vector or to per-vertex rows (see :func:`stencil`)."""
     values = np.asarray(values)
     if values.shape[0] != a.n:
         raise ValueError(f"size mismatch: matrix is {a.n}, data has {values.shape[0]} rows")
-    base = np.arange(a.n)
-    out = np.zeros(values.shape, dtype=np.result_type(values.dtype, np.float64))
-    for s_signed, coeff in signed_offsets(a):
-        out += float(coeff) * values[(base + s_signed) % a.n]
-    return out
+    return stencil(a)(values)
 
 
 def apply(a: CirculantMatrix, polygon) -> "Polygon":
@@ -235,7 +232,7 @@ def eigen_system(n: int, m: int) -> EigenSystem:
     if m < 1 or n < 3:
         raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
     eigenvalues = np.array([flow_eigenvalue(n, m, k) for k in range(n)])
-    return EigenSystem(n=n, m=m, eigenvalues=eigenvalues, eigenpolygons=fourier_matrix(n))
+    return EigenSystem(n=n, m=m, eigenvalues=eigenvalues)
 
 
 @lru_cache(maxsize=64)

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from . import circulant, spectral_flow, svg, yau_flow
 from .integrate import (
@@ -27,33 +27,9 @@ from .polygon import (
     load_polygon,
 )
 
-SAMPLE_STROKE = "#6f6f6f"
-INITIAL_STROKE = "#000000"
-TARGET_STROKE = "#c02020"
-
 
 class CliArgumentError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one subcommand run needs, resolved from the parsed flags."""
-
-    command: str
-    m: int = 1
-    n: int = 0
-    input_path: str | None = None
-    target_path: str | None = None
-    times: tuple[float, ...] = ()
-    strategy: str = "midpoint"
-    csv_path: str | None = None
-    svg_path: str | None = None
-    json_path: str | None = None
-    dt: float = 1e-3
-    t_final: float = 1.0
-    stroke_width: float | None = None
-    dash_target: bool = True
 
 
 def _positive_int(text: str) -> int:
@@ -65,8 +41,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -135,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
-    if getattr(args, "times", None):
+    if args.times:
         try:
             times = tuple(float(tok) for tok in args.times.split(","))
         except ValueError:
@@ -144,6 +120,8 @@ def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
         times = tuple(args.t0 * args.ratio**j for j in range(args.count))
     if not times:
         raise CliArgumentError("empty time schedule")
+    if not all(math.isfinite(t) for t in times):
+        raise CliArgumentError("time schedule must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise CliArgumentError("time schedule must be strictly increasing")
     return times
@@ -170,68 +148,55 @@ def write_trajectory_csv(path, times, polygons) -> None:
         _write_trajectory_rows(fh, times, polygons)
 
 
-def _figure_layers(samples, initial, target=None, stroke_width=None, dash_target=True):
-    drawn = list(samples) + [initial] + ([target] if target is not None else [])
-    extent = svg.drawing_extent(drawn)
-    width = stroke_width if stroke_width is not None else svg.default_stroke_width(extent)
-    layers = []
-    if target is not None:
-        layers.append(svg.Layer(target, TARGET_STROKE, width, dashed=dash_target))
-    layers.append(svg.Layer(initial, INITIAL_STROKE, 1.8 * width))
-    layers.extend(svg.Layer(p, SAMPLE_STROKE, width) for p in samples)
-    return layers
-
-
-def cmd_matrix(spec: RunSpec) -> int:
+def cmd_matrix(args: argparse.Namespace) -> int:
     try:
-        power = circulant.power_of_m(spec.n, spec.m)
+        power = circulant.power_of_m(args.n, args.m)
     except (ValueError, OverflowError) as exc:
         raise CliArgumentError(str(exc)) from exc
-    sign = 1 if (spec.m + 1) % 2 == 0 else -1
-    eigen = circulant.eigen_system(spec.n, spec.m)
+    sign = circulant.flow_sign(args.m)
+    eigen = circulant.eigen_system(args.n, args.m)
     print(" ".join(str(b) for b in power.first_row))
     print(" ".join(str(sign * b) for b in power.first_row))
     print(" ".join(format_float(v) for v in eigen.eigenvalues))
     return 0
 
 
-def cmd_flow(spec: RunSpec) -> int:
-    x0 = load_flow_polygon(spec.input_path)
-    solution = spectral_flow.flow_solution(x0, spec.m)
-    samples = [solution.polygon_at(t) for t in spec.times]
-    if spec.csv_path:
-        write_trajectory_csv(spec.csv_path, spec.times, samples)
-        print(f"wrote {spec.csv_path}")
-    if spec.svg_path:
-        layers = _figure_layers(samples, x0, stroke_width=spec.stroke_width)
-        svg.write(layers, spec.svg_path)
-        print(f"wrote {spec.svg_path}")
-    if not spec.csv_path and not spec.svg_path:
-        _write_trajectory_rows(sys.stdout, spec.times, samples)
+def _emit_samples(args, times, solution, initial, target=None, dash_target=True):
+    """Sample the solution at ``times``, write the CSV and SVG asked for, and
+    return the samples.  A figure of non-planar polygons is refused before
+    anything is evaluated or written."""
+    if args.svg_path and initial.p != 2:
+        raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {initial.p}")
+    samples = [solution.polygon_at(t) for t in times]
+    if args.csv_path:
+        write_trajectory_csv(args.csv_path, times, samples)
+        print(f"wrote {args.csv_path}")
+    if args.svg_path:
+        layers = svg.figure_layers(samples, initial, target, args.stroke_width, dash_target)
+        svg.write(layers, args.svg_path)
+        print(f"wrote {args.svg_path}")
+    return samples
+
+
+def cmd_flow(args: argparse.Namespace) -> int:
+    times = resolve_schedule(args)
+    x0 = load_flow_polygon(args.input_path)
+    solution = spectral_flow.flow_solution(x0, args.m)
+    samples = _emit_samples(args, times, solution, x0)
+    if not args.csv_path and not args.svg_path:
+        _write_trajectory_rows(sys.stdout, times, samples)
     return 0
 
 
-def cmd_yau(spec: RunSpec) -> int:
-    x0 = load_flow_polygon(spec.input_path)
-    target = load_flow_polygon(spec.target_path)
+def cmd_yau(args: argparse.Namespace) -> int:
+    times = resolve_schedule(args)
+    x0 = load_flow_polygon(args.input_path)
+    target = load_flow_polygon(args.target_path)
     try:
-        problem, solution = yau_flow.yau_flow_between(x0, target, spec.m, spec.strategy)
+        problem, solution = yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
     except ValueError as exc:
         raise PolygonFormatError(str(exc)) from exc
-    samples = [solution.polygon_at(t) for t in spec.times]
-    if spec.csv_path:
-        write_trajectory_csv(spec.csv_path, spec.times, samples)
-        print(f"wrote {spec.csv_path}")
-    if spec.svg_path:
-        layers = _figure_layers(
-            samples,
-            problem.initial,
-            target=problem.target,
-            stroke_width=spec.stroke_width,
-            dash_target=spec.dash_target,
-        )
-        svg.write(layers, spec.svg_path)
-        print(f"wrote {spec.svg_path}")
+    _emit_samples(args, times, solution, problem.initial, problem.target, not args.solid_target)
     return 0
 
 
@@ -239,21 +204,21 @@ def _polygon_doc(poly: Polygon) -> dict:
     return {"dim": poly.p, "vertices": [[float(c) for c in row] for row in poly.vertices]}
 
 
-def cmd_analyze(spec: RunSpec) -> int:
-    x0 = load_flow_polygon(spec.input_path)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    x0 = load_flow_polygon(args.input_path)
     dec = spectral_flow.decompose(x0)
-    verdict = spectral_flow.classify_self_similar(x0, spec.m)
+    verdict = spectral_flow.classify_self_similar(x0, args.m)
     report = {
         "n": x0.n,
         "p": x0.p,
-        "m": spec.m,
-        "energy": energy(x0, spec.m),
+        "m": args.m,
+        "energy": energy(x0, args.m),
         "centroid": [float(c) for c in centroid(x0)],
         "modes": [
             {
                 "k": k,
                 "mass": dec.pair_mass(k),
-                "rate": circulant.flow_eigenvalue(x0.n, spec.m, k),
+                "rate": circulant.flow_eigenvalue(x0.n, args.m, k),
                 "alpha": [float(a) for a in dec.alpha[k]],
                 "beta": [float(b) for b in dec.beta[k]],
             }
@@ -264,8 +229,8 @@ def cmd_analyze(spec: RunSpec) -> int:
         else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
     }
     try:
-        k_fwd, fwd = spectral_flow.rescaled_limit(x0, spec.m, "forward")
-        k_anc, anc = spectral_flow.rescaled_limit(x0, spec.m, "ancient")
+        k_fwd, fwd = spectral_flow.rescaled_limit(x0, args.m, "forward")
+        k_anc, anc = spectral_flow.rescaled_limit(x0, args.m, "ancient")
         report["dominant_mode"] = k_fwd
         report["forward_limit"] = _polygon_doc(fwd)
         report["ancient_mode"] = k_anc
@@ -276,61 +241,39 @@ def cmd_analyze(spec: RunSpec) -> int:
         report["ancient_mode"] = None
         report["ancient_limit"] = None
     text = json.dumps(report, indent=2)
-    if spec.json_path:
-        with open(spec.json_path, "w") as fh:
+    if args.json_path:
+        with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {spec.json_path}")
+        print(f"wrote {args.json_path}")
     else:
         print(text)
     return 0
 
 
-def cmd_integrate(spec: RunSpec) -> int:
-    x0 = load_flow_polygon(spec.input_path)
-    if spec.target_path:
-        target = load_flow_polygon(spec.target_path)
+def cmd_integrate(args: argparse.Namespace) -> int:
+    x0 = load_flow_polygon(args.input_path)
+    if args.target_path:
+        target = load_flow_polygon(args.target_path)
         try:
-            problem, exact = yau_flow.yau_flow_between(x0, target, spec.m, spec.strategy)
+            problem, exact = yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
         except ValueError as exc:
             raise PolygonFormatError(str(exc)) from exc
         x0 = problem.initial
-        kind = YauKind(m=spec.m, target=problem.target)
-        reference = exact.polygon_at(spec.t_final)
+        kind = YauKind(m=args.m, target=problem.target)
+        reference = exact.polygon_at(args.t_final)
     else:
-        kind = PolyharmonicKind(m=spec.m)
-        reference = spectral_flow.solve(x0, spec.m, spec.t_final)
-    config = IntegratorConfig(dt=spec.dt, t_final=spec.t_final, kind=kind)
+        kind = PolyharmonicKind(m=args.m)
+        reference = spectral_flow.solve(x0, args.m, args.t_final)
+    config = IntegratorConfig(dt=args.dt, t_final=args.t_final, kind=kind)
     trajectory = run_rk4(x0, config)
-    if spec.csv_path:
-        write_trajectory_csv(spec.csv_path, trajectory.times, trajectory.polygons)
-        print(f"wrote {spec.csv_path}")
+    if args.csv_path:
+        write_trajectory_csv(args.csv_path, trajectory.times, trajectory.polygons)
+        print(f"wrote {args.csv_path}")
     deviation = float(
         abs(trajectory.final().vertices - reference.vertices).max()
     )
-    print(f"max |rk4 - exact| at T={format_float(spec.t_final)}: {format_float(deviation)}")
+    print(f"max |rk4 - exact| at T={format_float(args.t_final)}: {format_float(deviation)}")
     return 0
-
-
-def spec_from_args(args: argparse.Namespace) -> RunSpec:
-    times = ()
-    if args.command in ("flow", "yau"):
-        times = resolve_schedule(args)
-    return RunSpec(
-        command=args.command,
-        m=getattr(args, "m", 1),
-        n=getattr(args, "n", 0),
-        input_path=getattr(args, "input_path", None),
-        target_path=getattr(args, "target_path", None),
-        times=times,
-        strategy=getattr(args, "strategy", "midpoint"),
-        csv_path=getattr(args, "csv_path", None),
-        svg_path=getattr(args, "svg_path", None),
-        json_path=getattr(args, "json_path", None),
-        dt=getattr(args, "dt", 1e-3),
-        t_final=getattr(args, "t_final", 1.0),
-        stroke_width=getattr(args, "stroke_width", None),
-        dash_target=not getattr(args, "solid_target", False),
-    )
 
 
 _HANDLERS = {
@@ -346,8 +289,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = spec_from_args(args)
-        return _HANDLERS[args.command](spec)
+        return _HANDLERS[args.command](args)
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

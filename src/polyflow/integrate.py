@@ -78,35 +78,20 @@ class Trajectory:
     def m(self) -> int:
         return self.kind.m
 
-    def samples(self) -> list[tuple[float, Polygon]]:
-        return list(zip(self.times, self.polygons))
-
     def final(self) -> Polygon:
         return self.polygons[-1]
 
 
 def _rhs_function(n: int, kind: FlowKind):
     """Build the vectorized right-hand side for vertex arrays of n rows."""
-    matrix = circulant.power_of_m(n, kind.m)
-    sign = 1.0 if (kind.m + 1) % 2 == 0 else -1.0
-    pairs = circulant.signed_offsets(matrix)
-    base = np.arange(n)
-    gathers = [((base + s) % n, float(coeff)) for s, coeff in pairs]
-    target = None
+    apply_m = circulant.stencil(circulant.power_of_m(n, kind.m))
+    sign = circulant.flow_sign(kind.m)
     if isinstance(kind, YauKind):
         if kind.target.n != n:
             raise ValueError(f"target has {kind.target.n} vertices, state has {n}")
         target = kind.target.vertices
-
-    def f(v: np.ndarray) -> np.ndarray:
-        if target is not None:
-            v = v - target
-        out = np.zeros_like(v)
-        for idx, coeff in gathers:
-            out += coeff * v[idx]
-        return sign * out
-
-    return f
+        return lambda v: sign * apply_m(v - target)
+    return lambda v: sign * apply_m(v)
 
 
 def rhs(x: Polygon, kind: FlowKind) -> Polygon:

@@ -219,30 +219,6 @@ def solve(x0: Polygon, m: int, t: float) -> Polygon:
     return flow_solution(x0, m).polygon_at(t)
 
 
-def solve_planar_complex(x0: Polygon, m: int, t: float) -> Polygon:
-    """Planar-only solution through the complex eigenpolygon coefficients.
-
-    Kept as an independent code path; it must agree with :func:`solve` and is
-    used as a cross-check, not a replacement.
-    """
-    if x0.n < 3:
-        raise ValueError(f"flow needs n >= 3, got n = {x0.n}")
-    coeffs = circulant.idft(x0.as_complex())
-    factors = np.empty(x0.n)
-    for k in range(x0.n):
-        exponent = circulant.flow_eigenvalue(x0.n, m, k) * t
-        if exponent > _EXP_LIMIT and abs(coeffs[k]) != 0.0:
-            raise FlowRangeError(
-                f"exp({exponent:.6g}) overflows evaluating mode {k} at t={t!r}"
-            )
-        factors[k] = math.exp(min(exponent, _EXP_LIMIT))
-    z = circulant.dft(coeffs * factors)
-    out = Polygon.from_complex(z)
-    if not np.isfinite(out.vertices).all():
-        raise FlowRangeError(f"evolution left floating range at t={t!r}")
-    return out
-
-
 def rescaled_limit(x0: Polygon, m: int, direction: str = "forward") -> tuple[int, Polygon]:
     """Dominant surviving mode index and the limiting shape polygon.
 

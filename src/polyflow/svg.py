@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 from .polygon import Polygon, format_float
 
+SAMPLE_STROKE = "#6f6f6f"
+INITIAL_STROKE = "#000000"
+TARGET_STROKE = "#c02020"
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -37,6 +41,21 @@ def drawing_extent(polygons: list[Polygon]) -> float:
     layers = [Layer(p, "#000000", 1.0) for p in polygons]
     x0, x1, y0, y1 = _bounds(layers)
     return max(x1 - x0, y1 - y0)
+
+
+def figure_layers(samples, initial, target=None, stroke_width=None, dash_target=True) -> list[Layer]:
+    """Standard figure: target lowest, then the initial polygon in a 1.8x
+    stroke, then the flow samples; the default width scales with the drawing."""
+    width = stroke_width
+    if width is None:
+        drawn = list(samples) + [initial] + ([target] if target is not None else [])
+        width = default_stroke_width(drawing_extent(drawn))
+    layers = []
+    if target is not None:
+        layers.append(Layer(target, TARGET_STROKE, width, dashed=dash_target))
+    layers.append(Layer(initial, INITIAL_STROKE, 1.8 * width))
+    layers.extend(Layer(p, SAMPLE_STROKE, width) for p in samples)
+    return layers
 
 
 def render(layers: list[Layer]) -> str:

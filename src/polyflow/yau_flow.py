@@ -39,10 +39,6 @@ class YauProblem:
     def difference(self) -> Polygon:
         return self.initial - self.target
 
-    def target_at(self, t: float) -> Polygon:
-        """Extension point for time-dependent targets; constant for now."""
-        return self.target
-
 
 @dataclass(frozen=True)
 class YauSolution:

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from polyflow import Polygon
+from polyflow import FlowRangeError, Polygon
+from polyflow.circulant import dft, flow_eigenvalue, fourier_matrix, idft
 
 
 def random_polygon(rng, n, p=2, scale=1.0):
@@ -88,11 +89,30 @@ def rigid_fit_residual(source, target):
 def fourier_sandwich_yau(x0, y, m, t):
     """Direct evaluation of (1/n) F diag(exp(rate_k t)) conj(F) (X0 - Y) + Y,
     coordinate column by coordinate column."""
-    from polyflow.circulant import flow_eigenvalue, fourier_matrix
-
     n = x0.n
     f = fourier_matrix(n)
     rates = np.array([flow_eigenvalue(n, m, k) for k in range(n)])
     propagator = (f * np.exp(rates * t)) @ f.conjugate() / n
     z = x0.vertices - y.vertices
     return Polygon((propagator @ z).real + y.vertices)
+
+
+def solve_planar_complex(x0, m, t):
+    """Planar-only solution through the complex eigenpolygon coefficients:
+    an independent route that must agree with the real-basis ``solve``."""
+    if x0.n < 3:
+        raise ValueError(f"flow needs n >= 3, got n = {x0.n}")
+    exp_limit = math.log(np.finfo(float).max)
+    coeffs = idft(x0.as_complex())
+    factors = np.empty(x0.n)
+    for k in range(x0.n):
+        exponent = flow_eigenvalue(x0.n, m, k) * t
+        if exponent > exp_limit and abs(coeffs[k]) != 0.0:
+            raise FlowRangeError(
+                f"exp({exponent:.6g}) overflows evaluating mode {k} at t={t!r}"
+            )
+        factors[k] = math.exp(min(exponent, exp_limit))
+    out = Polygon.from_complex(dft(coeffs * factors))
+    if not np.isfinite(out.vertices).all():
+        raise FlowRangeError(f"evolution left floating range at t={t!r}")
+    return out

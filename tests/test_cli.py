@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polyflow import circulant
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
@@ -195,6 +196,35 @@ def test_dimension_mismatch_exits_three(tmp_path, rng, pentagon_file, capsys):
 def test_bad_schedule_exits_two(pentagon_file, capsys):
     assert main(["flow", "--input", pentagon_file, "--m", "1", "--times", "0.5,0.2"]) == 2
     assert main(["flow", "--input", pentagon_file, "--m", "1", "--times", "zoom"]) == 2
+    for times in ("nan", "0.1,inf", "-inf,0.1", "0.1,nan"):
+        assert main(["flow", "--input", pentagon_file, "--m", "1", f"--times={times}"]) == 2
+    for flag in ("--dt", "--T"):
+        with pytest.raises(SystemExit) as info:
+            main(["integrate", "--input", pentagon_file, "--m", "1", flag, "inf"])
+        assert info.value.code == 2
+
+
+def test_svg_of_non_planar_input_exits_two_before_writing(tmp_path, rng, capsys):
+    threed = tmp_path / "threed.json"
+    save_polygon_json(helpers.random_polygon(rng, 5, p=3), threed)
+    csv_path = tmp_path / "traj.csv"
+    svg_path = tmp_path / "fig.svg"
+    outputs = ["--csv", str(csv_path), "--svg", str(svg_path)]
+    assert main(["flow", "--input", str(threed), "--m", "1"] + outputs) == 2
+    assert main(["yau", "--input", str(threed), "--target", str(threed), "--m", "1"] + outputs) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: --svg needs planar polygons") == 2
+    assert not csv_path.exists() and not svg_path.exists()
+
+
+def test_matrix_does_not_build_the_fourier_matrix(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"fourier_matrix({n}) built for eigenvalues alone")
+
+    monkeypatch.setattr(circulant, "fourier_matrix", refuse)
+    assert main(["matrix", "--n", "64", "--m", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()[2].split()) == 64
 
 
 def test_ancient_overflow_exits_four(tmp_path, capsys):

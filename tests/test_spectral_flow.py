@@ -18,10 +18,10 @@ from polyflow.spectral_flow import (
     reconstruct,
     rescaled_limit,
     solve,
-    solve_planar_complex,
 )
 
 import helpers
+from helpers import solve_planar_complex
 
 
 def mode_polygon(n, k, coeff=1.0):
