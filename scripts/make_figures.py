@@ -13,16 +13,12 @@ import sys
 
 import numpy as np
 
-from polyflow import svg
+from polyflow import cli, svg
 from polyflow.polygon import Polygon, eigen_polygon
 from polyflow.spectral_flow import flow_solution
 from polyflow.yau_flow import yau_flow_between
 
 SEED = int(os.environ.get("POLYFLOW_SEED", "20260810"))
-
-
-def schedule(t0=0.05, ratio=1.6, count=8):
-    return [t0 * ratio**j for j in range(count)]
 
 
 def save(path, samples, initial, target=None):
@@ -42,7 +38,7 @@ def main():
 
     pentagon = irregular(rng, 5)
     hexagon = irregular(rng, 6)
-    times = schedule()
+    times = cli.geometric_schedule()
 
     # homogeneous flow: same schedule across orders
     for name, poly in (("pentagon", pentagon), ("hexagon", hexagon)):

@@ -236,11 +236,20 @@ def eigen_system(n: int, m: int) -> EigenSystem:
 
 
 @lru_cache(maxsize=64)
+def roots_of_unity(n: int) -> np.ndarray:
+    """Read-only ``root_of_unity(a, n)`` for a = 0..n-1: Fourier matrix and
+    cosine/sine basis entries are lookups at index ``j * k mod n``."""
+    roots = np.array([root_of_unity(a, n) for a in range(n)], dtype=complex)
+    roots.flags.writeable = False
+    return roots
+
+
+@lru_cache(maxsize=64)
 def _fourier_matrix_cached(n: int) -> np.ndarray:
+    roots, k = roots_of_unity(n), np.arange(n)
     f = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            f[j, k] = root_of_unity(j * k, n)
+    for j in range(n):  # row by row: no n x n index temporaries
+        f[j] = roots[j * k % n]
     f.flags.writeable = False
     return f
 

@@ -32,6 +32,14 @@ class CliArgumentError(ValueError):
     """Bad flag combination or value; maps to exit code 2."""
 
 
+T0, RATIO, COUNT = 0.05, 1.6, 8  # the default schedule of flow and yau
+
+
+def geometric_schedule(t0=T0, ratio=RATIO, count=COUNT) -> tuple[float, ...]:
+    """The sample times ``t0 * ratio**j`` for j = 0..count-1."""
+    return tuple(t0 * ratio**j for j in range(count))
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -64,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_schedule(p):
         p.add_argument("--times", help="comma-separated strictly increasing times")
-        p.add_argument("--t0", type=_positive_float, default=0.05, help="first geometric time")
-        p.add_argument("--ratio", type=_positive_float, default=1.6, help="geometric ratio > 1")
-        p.add_argument("--count", type=_positive_int, default=8, help="number of samples")
+        p.add_argument("--t0", type=_positive_float, default=T0, help="first geometric time")
+        p.add_argument("--ratio", type=_positive_float, default=RATIO, help="geometric ratio > 1")
+        p.add_argument("--count", type=_positive_int, default=COUNT, help="number of samples")
 
     def add_render(p):
         p.add_argument("--csv", dest="csv_path", help="write the trajectory table here")
@@ -117,7 +125,7 @@ def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
         except ValueError:
             raise CliArgumentError(f"could not parse --times {args.times!r}") from None
     else:
-        times = tuple(args.t0 * args.ratio**j for j in range(args.count))
+        times = geometric_schedule(args.t0, args.ratio, args.count)
     if not times:
         raise CliArgumentError("empty time schedule")
     if not all(math.isfinite(t) for t in times):
@@ -162,9 +170,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _emit_samples(args, times, solution, initial, target=None, dash_target=True):
-    """Sample the solution at ``times``, write the CSV and SVG asked for, and
-    return the samples.  A figure of non-planar polygons is refused before
-    anything is evaluated or written."""
+    """Sample the solution at ``times`` and write the CSV and SVG asked for,
+    or the CSV table on stdout when neither is.  A figure of non-planar
+    polygons is refused before anything is evaluated or written."""
     if args.svg_path and initial.p != 2:
         raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {initial.p}")
     samples = [solution.polygon_at(t) for t in times]
@@ -175,16 +183,14 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
         layers = svg.figure_layers(samples, initial, target, args.stroke_width, dash_target)
         svg.write(layers, args.svg_path)
         print(f"wrote {args.svg_path}")
-    return samples
+    if not args.csv_path and not args.svg_path:
+        _write_trajectory_rows(sys.stdout, times, samples)
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
     times = resolve_schedule(args)
     x0 = load_flow_polygon(args.input_path)
-    solution = spectral_flow.flow_solution(x0, args.m)
-    samples = _emit_samples(args, times, solution, x0)
-    if not args.csv_path and not args.svg_path:
-        _write_trajectory_rows(sys.stdout, times, samples)
+    _emit_samples(args, times, spectral_flow.flow_solution(x0, args.m), x0)
     return 0
 
 
@@ -208,6 +214,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
     dec = spectral_flow.decompose(x0)
     verdict = spectral_flow.classify_self_similar(x0, args.m)
+    masses = dec.pair_masses()
     report = {
         "n": x0.n,
         "p": x0.p,
@@ -217,7 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "modes": [
             {
                 "k": k,
-                "mass": dec.pair_mass(k),
+                "mass": float(masses[k]),
                 "rate": circulant.flow_eigenvalue(x0.n, args.m, k),
                 "alpha": [float(a) for a in dec.alpha[k]],
                 "beta": [float(b) for b in dec.beta[k]],

@@ -121,11 +121,9 @@ def real_basis(n: int, k: int) -> RealBasisVectors:
     """Mode-k cosine/sine vectors; s is identically zero for k = 0 and k = n/2."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"mode index k={k} outside [0, {n - 1}]")
-    roots = [circulant.root_of_unity(j * k, n) for j in range(n)]
-    c = np.array([w.real for w in roots])
-    s = np.array([w.imag for w in roots])
-    c.flags.writeable = False
-    s.flags.writeable = False
+    roots = circulant.roots_of_unity(n)[np.arange(n) * k % n]
+    c, s = roots.real.copy(), roots.imag.copy()
+    c.flags.writeable = s.flags.writeable = False
     return RealBasisVectors(n=n, k=k, c=c, s=s)
 
 
@@ -208,14 +206,14 @@ def _grow(x: Polygon, target: int, strategy: str) -> Polygon:
         pad = np.repeat(v[-1:], target - x.n, axis=0)
         return Polygon(np.vstack([v, pad]))
     verts = list(v)
+    # squared edge lengths, kept in step with verts: a split renews two entries
+    lengths = [float(np.sum((b - a) ** 2)) for a, b in zip(verts, verts[1:] + verts[:1])]
     while len(verts) < target:
-        lengths = [
-            float(np.sum((verts[(i + 1) % len(verts)] - verts[i]) ** 2))
-            for i in range(len(verts))
-        ]
-        i = int(np.argmax(lengths))  # argmax takes the first maximum: lowest index
-        mid = 0.5 * (verts[i] + verts[(i + 1) % len(verts)])
+        i = lengths.index(max(lengths))  # the first maximum: lowest index
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        mid = 0.5 * (a + b)
         verts.insert(i + 1, mid)
+        lengths[i : i + 1] = [float(np.sum((mid - a) ** 2)), float(np.sum((b - mid) ** 2))]
     return Polygon(np.array(verts))
 
 

@@ -1,10 +1,10 @@
 """Closed-form evolution of polygons under the semi-discrete polyharmonic flow.
 
-The flow is a constant-coefficient linear ODE system, so a spectral
-decomposition solves it exactly: each mode pair evolves by a scalar
-exponential.  The implementation works over the real cosine/sine basis for
-every ambient dimension p >= 2; planar polygons additionally carry the
-complex eigenpolygon coefficients, kept as an independent cross-check path.
+The flow is a linear ODE system diagonalized by the DFT, so each cosine/sine
+mode pair evolves by a scalar exponential.  One real FFT projects a polygon in
+any dimension p >= 2 onto every pair, and one inverse real FFT evaluates the
+solution.  Planar polygons also carry the complex eigenpolygon coefficients
+from the dense inverse DFT, kept as an independent cross-check path.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circulant
-from .polygon import Polygon, RealBasisVectors, centroid, real_basis
+from .polygon import Polygon, centroid, real_basis
 
 # exp() overflows float64 just above this exponent
 _EXP_LIMIT = math.log(np.finfo(float).max)
@@ -57,21 +57,15 @@ class SpectralDecomposition:
     def half(self) -> int:
         return self.n // 2
 
-    def pair_mass(self, k: int) -> float:
-        """Norm of the mode-k component polygon."""
-        c_sq, s_sq = _basis_norms_sq(self.n, k)
-        return math.sqrt(
-            c_sq * float(np.sum(self.alpha[k] ** 2))
-            + s_sq * float(np.sum(self.beta[k] ** 2))
-        )
+    def pair_masses(self) -> np.ndarray:
+        """Norms of the mode-k component polygons, k = 0..floor(n/2)."""
+        c_sq, s_sq = _basis_norms_sq(self.n)
+        return np.sqrt(c_sq * np.sum(self.alpha**2, axis=1) + s_sq * np.sum(self.beta**2, axis=1))
 
     def present_modes(self) -> list[int]:
         """Shape modes (k >= 1) surviving the presence threshold."""
-        return [
-            k
-            for k in range(1, self.half + 1)
-            if np.any(self.alpha[k] != 0.0) or np.any(self.beta[k] != 0.0)
-        ]
+        nonzero = np.any(self.alpha[1:] != 0.0, axis=1) | np.any(self.beta[1:] != 0.0, axis=1)
+        return (np.flatnonzero(nonzero) + 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -84,50 +78,38 @@ class SelfSimilarity:
     is_trivial: bool
 
 
-def _basis_norms_sq(n: int, k: int) -> tuple[float, float]:
-    if k == 0 or 2 * k == n:
-        return float(n), 0.0
-    return n / 2.0, n / 2.0
+def _basis_norms_sq(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms of the cosine and sine vectors for k = 0..floor(n/2)."""
+    k = np.arange(n // 2 + 1)
+    unpaired = (k == 0) | (2 * k == n)  # the sine vector is zero
+    return np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
 
 
 def decompose(x: Polygon) -> SpectralDecomposition:
     """Project a polygon onto the cosine/sine mode basis.
 
-    Coordinates are centered before projecting onto the k >= 1 modes, and
+    One real FFT of the centered coordinates gives every k >= 1 mode, and
     pairs below the presence threshold are flushed to exact zero.
     """
     if x.n < 3:
         raise ValueError(f"decomposition needs n >= 3, got n = {x.n}")
-    n, p, half = x.n, x.p, x.n // 2
     mean = centroid(x)
-    centered = x.vertices - mean[None, :]
-    alpha = np.zeros((half + 1, p))
-    beta = np.zeros((half + 1, p))
+    # rfft sums v_j exp(-2 pi i jk/n): Re projects onto cos, -Im onto sin
+    spectrum = np.fft.rfft(x.vertices - mean[None, :], axis=0)
+    c_sq, s_sq = _basis_norms_sq(x.n)
+    alpha = spectrum.real / c_sq[:, None]
     alpha[0] = mean
-    for k in range(1, half + 1):
-        basis = real_basis(n, k)
-        c_sq, s_sq = _basis_norms_sq(n, k)
-        alpha[k] = centered.T @ basis.c / c_sq
-        if s_sq > 0.0:
-            beta[k] = centered.T @ basis.s / s_sq
+    beta = np.zeros_like(alpha)
+    np.divide(-spectrum.imag, s_sq[:, None], out=beta, where=s_sq[:, None] > 0.0)
 
-    masses = [
-        math.sqrt(
-            _basis_norms_sq(n, k)[0] * float(np.sum(alpha[k] ** 2))
-            + _basis_norms_sq(n, k)[1] * float(np.sum(beta[k] ** 2))
-        )
-        for k in range(half + 1)
-    ]
-    cutoff = PRESENCE_RELATIVE_THRESHOLD * max(masses)
-    for k in range(1, half + 1):
-        if masses[k] <= cutoff:
-            alpha[k] = 0.0
-            beta[k] = 0.0
-
-    planar = None
-    if p == 2:
-        planar = circulant.idft(x.as_complex())
-    return SpectralDecomposition(n=n, p=p, alpha=alpha, beta=beta, planar_coeffs=planar)
+    planar = circulant.idft(x.as_complex()) if x.p == 2 else None
+    dec = SpectralDecomposition(n=x.n, p=x.p, alpha=alpha, beta=beta, planar_coeffs=planar)
+    masses = dec.pair_masses()
+    flushed = masses <= PRESENCE_RELATIVE_THRESHOLD * masses.max()
+    flushed[0] = False
+    alpha[flushed] = 0.0
+    beta[flushed] = 0.0
+    return dec
 
 
 def reconstruct(dec: SpectralDecomposition) -> Polygon:
@@ -155,34 +137,30 @@ class FlowSolution:
     m: int
     decomposition: SpectralDecomposition
     mode_rates: np.ndarray
-    bases: tuple[RealBasisVectors, ...]
 
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
-        rates = np.array(
-            [circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)]
-        )
-        bases = tuple(real_basis(dec.n, k) for k in range(dec.half + 1))
-        return cls(
-            kind="polyharmonic", m=m, decomposition=dec, mode_rates=rates, bases=bases
-        )
+        rates = np.array([circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)])
+        return cls(kind="polyharmonic", m=m, decomposition=dec, mode_rates=rates)
 
     def _accumulate(self, t: float, rate_shift: float, include_mean: bool) -> Polygon:
         dec = self.decomposition
-        out = np.zeros((dec.n, dec.p))
+        present = dec.present_modes()
+        exponents = (self.mode_rates[present] - rate_shift) * t
+        overflows = np.flatnonzero(exponents > _EXP_LIMIT)
+        if overflows.size:
+            i = overflows[0]  # the lowest overflowing k
+            raise FlowRangeError(
+                f"exp({exponents[i]:.6g}) overflows evaluating mode {present[i]} at t={t!r}"
+            )
+        # invert decompose's rfft with factor 0 on the mean, which is added exactly
+        factors = np.zeros((dec.half + 1, 1))
+        factors[present, 0] = np.exp(exponents)
+        c_sq, s_sq = _basis_norms_sq(dec.n)
+        spectrum = factors * (c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta))
+        out = np.fft.irfft(spectrum, n=dec.n, axis=0)
         if include_mean:
             out += dec.alpha[0][None, :]
-        for k in dec.present_modes():
-            exponent = (self.mode_rates[k] - rate_shift) * t
-            if exponent > _EXP_LIMIT:
-                raise FlowRangeError(
-                    f"exp({exponent:.6g}) overflows evaluating mode {k} at t={t!r}"
-                )
-            factor = math.exp(exponent)
-            basis = self.bases[k]
-            out += factor * (
-                np.outer(basis.c, dec.alpha[k]) + np.outer(basis.s, dec.beta[k])
-            )
         if not np.isfinite(out).all():
             raise FlowRangeError(f"evolution left floating range at t={t!r}")
         return Polygon(out)
@@ -245,14 +223,13 @@ def classify_self_similar(x0: Polygon, m: int) -> SelfSimilarity | None:
     constant case).
     """
     dec = decompose(x0)
-    masses = np.array([dec.pair_mass(k) for k in range(dec.half + 1)])
-    total_sq = float(np.sum(masses**2))
+    masses_sq = dec.pair_masses() ** 2
+    total_sq = float(np.sum(masses_sq))
     present = dec.present_modes()
     if not present:
         return SelfSimilarity(mode=0, rate=0.0, is_trivial=True)
     for k in present:
-        leak_sq = total_sq - float(masses[k] ** 2)
-        if leak_sq <= (1e-9**2) * total_sq:
+        if total_sq - masses_sq[k] <= (1e-9**2) * total_sq:
             return SelfSimilarity(
                 mode=k, rate=circulant.flow_eigenvalue(dec.n, m, k), is_trivial=False
             )

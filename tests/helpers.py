@@ -116,3 +116,18 @@ def solve_planar_complex(x0, m, t):
     if not np.isfinite(out.vertices).all():
         raise FlowRangeError(f"evolution left floating range at t={t!r}")
     return out
+
+
+def midpoint_grow(x, target):
+    """Midpoint insertion by a full rescan per vertex: bisect the longest edge,
+    ties to the lowest edge index, recomputing every edge length each time."""
+    verts = list(x.vertices)
+    while len(verts) < target:
+        lengths = [
+            float(np.sum((verts[(i + 1) % len(verts)] - verts[i]) ** 2))
+            for i in range(len(verts))
+        ]
+        i = int(np.argmax(lengths))  # argmax takes the first maximum: lowest index
+        mid = 0.5 * (verts[i] + verts[(i + 1) % len(verts)])
+        verts.insert(i + 1, mid)
+    return Polygon(np.array(verts))

@@ -124,6 +124,16 @@ def test_yau_reconciles_counts(tmp_path, rng, target_file, capsys):
     assert len(rows) == 1 + 8 * 5  # reconciled to five vertices
 
 
+def test_yau_stdout_when_no_outputs(tmp_path, rng, target_file, capsys):
+    quad = tmp_path / "quad.json"
+    save_polygon_json(helpers.random_polygon(rng, 4), quad)
+    argv = ["yau", "--input", str(quad), "--target", target_file, "--m", "2", "--count", "2"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t,vertex_index,x1,x2"
+    assert len(rows) == 1 + 2 * 5
+
+
 def test_analyze_reports_structure(tmp_path, capsys):
     path = tmp_path / "p2.json"
     save_polygon_json(eigen_polygon(5, 2).scaled(2.0), path)

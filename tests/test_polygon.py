@@ -194,6 +194,17 @@ def test_real_basis_matches_eigenpolygon_parts():
         assert np.array_equal(basis.s, col.imag)
 
 
+def test_fourier_matrix_and_real_basis_match_scalar_roots():
+    for n in (3, 5, 8, 12, 97):
+        f = circulant.fourier_matrix(n)
+        for k in range(n):
+            expected = [circulant.root_of_unity(j * k % n, n) for j in range(n)]
+            basis = real_basis(n, k)
+            assert f[:, k].tolist() == expected
+            assert basis.c.tolist() == [w.real for w in expected]
+            assert basis.s.tolist() == [w.imag for w in expected]
+
+
 @given(st.integers(3, 12))
 def test_real_basis_orthogonality(n):
     vectors = []
@@ -249,6 +260,29 @@ def test_reconcile_preserves_drawn_image(n_small, n_big, seed):
         assert rb == big
         for vertex in rs.vertices:
             assert helpers.distance_to_polygon_edges(vertex, small) < 1e-12
+
+
+@given(
+    st.integers(3, 8), st.integers(0, 60), st.integers(2, 3),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_midpoint_matches_full_rescan_oracle(n, extra, p, on_grid, seed):
+    rng = np.random.default_rng(seed)
+    if on_grid:  # small integer coordinates: many tied and zero-length edges
+        x = Polygon(rng.integers(-2, 3, size=(n, p)).astype(float))
+    else:
+        x = helpers.random_polygon(rng, n, p=p)
+    grown, _ = reconcile_vertex_counts(x, helpers.random_polygon(rng, n + extra, p=p))
+    assert grown == helpers.midpoint_grow(x, n + extra)
+
+
+def test_midpoint_ties_split_the_lowest_edge_first():
+    grown, _ = reconcile_vertex_counts(SQUARE, eigen_polygon(11, 1))
+    assert grown == helpers.midpoint_grow(SQUARE, 11)
+    # four equal edges split in index order, then the three lowest halves
+    expected = [[1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [-0.5, 1.0], [-1.0, 1.0], [-1.0, 0.5],
+                [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0], [1.0, -1.0], [1.0, 0.0]]
+    assert np.array_equal(grown.vertices, expected)
 
 
 def test_reconcile_rejects_mismatched_dimensions(rng):

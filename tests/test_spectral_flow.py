@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyflow import circulant
@@ -160,6 +160,26 @@ def test_semigroup_property(n, m, s, t, seed):
     assert helpers.sup_distance(once, twice) < 1e-9
 
 
+@given(
+    st.integers(3, 300), st.integers(2, 5), st.integers(1, 3),
+    st.floats(-0.05, 5.0), st.integers(0, 2**32 - 1),
+)
+@example(3, 2, 1, 0.5, 0)
+@example(7, 3, 2, 0.1, 1)
+@example(97, 2, 3, -0.05, 2)
+@example(257, 5, 1, 2.0, 3)
+@example(4, 2, 3, 0.0, 4)
+@example(64, 4, 2, 0.3, 5)
+@example(256, 2, 1, 5.0, 6)
+@settings(max_examples=40)
+def test_solve_matches_dense_fourier_sandwich(n, p, m, t, seed):
+    x = helpers.random_polygon(np.random.default_rng(seed), n, p=p)
+    zero = Polygon(np.zeros((n, p)))
+    expected = helpers.fourier_sandwich_yau(x, zero, m, t)
+    scale = max(1.0, float(np.abs(expected.vertices).max()))
+    assert helpers.sup_distance(solve(x, m, t), expected) < 1e-12 * scale
+
+
 def test_deviation_matches_solution_minus_centroid(rng):
     x = helpers.random_polygon(rng, 6)
     operator = flow_solution(x, 2)
@@ -174,6 +194,9 @@ def test_ancient_evaluation_overflows_loudly():
         solve(x, 1, -1e6)
     with pytest.raises(FlowRangeError):
         solve_planar_complex(x, 1, -1e6)
+    # the error names the lowest present mode whose exponential overflows
+    with pytest.raises(FlowRangeError, match=r"exp\(900\) overflows evaluating mode 2 "):
+        solve(combination(6, [(1, 1.0), (2, 1.0), (3, 1.0)]), 1, -300.0)
     # far forward in time is fine: everything decays
     assert helpers.sup_distance(solve(x, 1, 1e6), mode_polygon(6, 0, 0.0)) < 1e-12
 
