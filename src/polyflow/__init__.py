@@ -14,10 +14,8 @@ from .circulant import (
     dft,
     eigen_system,
     idft,
-    minimal_r,
     power_of_m,
     second_difference,
-    um_value,
 )
 from .integrate import (
     DivergenceError,

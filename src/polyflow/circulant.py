@@ -109,45 +109,13 @@ def flow_eigenvalue(n: int, m: int, k: int) -> float:
     return flow_sign(m) * lambda_base(n, k) ** m + 0.0  # + 0.0 normalizes -0.0 at k = 0
 
 
-def minimal_r(m: int, n: int) -> int:
-    """Smallest repetition count r with r*n >= 2m + 3.
-
-    That width fits every binomial entry of both the order-m and order-(m+1)
-    coefficient functions on the same cyclic domain.
-    """
-    if m < 1 or n < 3:
-        raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
-    return -((2 * m + 3) // -n)
-
-
-def um_value(m: int, n: int, r: int, k: int) -> int:
-    """Signed binomial coefficient function generating the entries of M^m.
-
-    Over the cyclic index domain Z/(r*n): ``(-1)^(m+k) C(2m, m+k)`` on the
-    leading band ``k <= m``, zero on the middle band, and the mirrored tail
-    ``(-1)^(m+k-rn) C(2m, m+k-rn)`` for ``k >= rn - m``.
-    """
-    if m < 1 or n < 3:
-        raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
-    rn = r * n
-    if rn - (2 * m + 1) < 2:
-        raise ValueError(f"r={r} too small: need r*n - (2m+1) >= 2 for m={m}, n={n}")
-    if not 0 <= k < rn:
-        raise ValueError(f"index k={k} outside [0, {rn})")
-    if k <= m:
-        return (-1) ** (m + k) * math.comb(2 * m, m + k)
-    if k <= rn - m - 1:
-        return 0
-    return (-1) ** (m + k - rn) * math.comb(2 * m, m + k - rn)
-
-
-def power_of_m(n: int, m: int, r: int | None = None) -> CirculantMatrix:
+def power_of_m(n: int, m: int) -> CirculantMatrix:
     """First row of ``M^m`` (the ``(-1)^(m+1)`` flow sign is NOT applied).
 
-    Entry k is the sum of the signed binomial function over the r copies of
-    the size-n window: ``b_k = sum_j u_m(j*n + k)``.  Exact integers; the
-    result is symmetric with zero row sum.  Any admissible ``r`` gives the
-    same matrix; ``None`` picks the smallest.
+    The row holds the Laurent coefficients of ``(z - 2 + 1/z)^m``: the signed
+    binomial ``(-1)^(m+k) C(2m, m+k)`` for |k| <= m is added into entry
+    k mod n, so stencils wider than the polygon wrap around.  Exact integers;
+    the result is symmetric with zero row sum.
     """
     if m < 1 or n < 3:
         raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
@@ -156,12 +124,10 @@ def power_of_m(n: int, m: int, r: int | None = None) -> CirculantMatrix:
             f"m={m} exceeds the exact-entry budget (m <= {M_MAX}): "
             f"C({2 * m}, {m}) would leave the guaranteed-exact float range"
         )
-    if r is None:
-        r = minimal_r(m, n)
-    row = tuple(
-        sum(um_value(m, n, r, j * n + k) for j in range(r)) for k in range(n)
-    )
-    return CirculantMatrix(n, row)
+    row = [0] * n
+    for k in range(-m, m + 1):
+        row[k % n] += (-1) ** (m + k) * math.comb(2 * m, m + k)
+    return CirculantMatrix(n, tuple(row))
 
 
 def second_difference(n: int) -> CirculantMatrix:

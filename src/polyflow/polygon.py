@@ -255,9 +255,11 @@ def load_polygon_json(path) -> Polygon:
     for idx, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise PolygonFormatError(f"vertex {idx} is not a list of {dim} numbers")
+        if any(type(c) not in (int, float) for c in row):  # JSON numbers; bools are not
+            raise PolygonFormatError(f"vertex {idx} has a non-numeric entry")
         try:
             coords = [float(c) for c in row]
-        except (TypeError, ValueError) as exc:
+        except OverflowError as exc:  # an integer beyond float range
             raise PolygonFormatError(f"vertex {idx} has a non-numeric entry") from exc
         if not all(math.isfinite(c) for c in coords):
             raise PolygonFormatError(f"vertex {idx} has a non-finite entry")

@@ -215,7 +215,8 @@ def rescaled_limit(x0: Polygon, m: int, direction: str = "forward") -> tuple[int
 
 
 def classify_self_similar(x0: Polygon, m: int) -> SelfSimilarity | None:
-    """Detect shrinking self-similar polygons: all spectral mass in one mode pair.
+    """Detect shrinking self-similar polygons: all shape mass (k >= 1) in one
+    mode pair, so the polygon scales about its fixed centroid.
 
     Returns the mode and its exponential rate, the trivial verdict for a
     constant polygon, and None for anything whose mass spreads over two or
@@ -223,8 +224,8 @@ def classify_self_similar(x0: Polygon, m: int) -> SelfSimilarity | None:
     constant case).
     """
     dec = decompose(x0)
-    masses_sq = dec.pair_masses() ** 2
-    total_sq = float(np.sum(masses_sq))
+    masses_sq = dec.pair_masses() ** 2  # index 0 is the centroid, not shape
+    total_sq = float(np.sum(masses_sq[1:]))
     present = dec.present_modes()
     if not present:
         return SelfSimilarity(mode=0, rate=0.0, is_trivial=True)

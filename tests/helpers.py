@@ -27,6 +27,44 @@ def dense_circulant(first_row):
     return np.array([[first_row[(j - i) % n] for j in range(n)] for i in range(n)], dtype=float)
 
 
+def minimal_r(m: int, n: int) -> int:
+    """Smallest repetition count r with r*n >= 2m + 3.
+
+    That width fits every binomial entry of both the order-m and order-(m+1)
+    coefficient functions on the same cyclic domain.
+    """
+    if m < 1 or n < 3:
+        raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
+    return -((2 * m + 3) // -n)
+
+
+def um_value(m: int, n: int, r: int, k: int) -> int:
+    """Signed binomial coefficient function generating the entries of M^m.
+
+    Over the cyclic index domain Z/(r*n): ``(-1)^(m+k) C(2m, m+k)`` on the
+    leading band ``k <= m``, zero on the middle band, and the mirrored tail
+    ``(-1)^(m+k-rn) C(2m, m+k-rn)`` for ``k >= rn - m``.
+    """
+    if m < 1 or n < 3:
+        raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
+    rn = r * n
+    if rn - (2 * m + 1) < 2:
+        raise ValueError(f"r={r} too small: need r*n - (2m+1) >= 2 for m={m}, n={n}")
+    if not 0 <= k < rn:
+        raise ValueError(f"index k={k} outside [0, {rn})")
+    if k <= m:
+        return (-1) ** (m + k) * math.comb(2 * m, m + k)
+    if k <= rn - m - 1:
+        return 0
+    return (-1) ** (m + k - rn) * math.comb(2 * m, m + k - rn)
+
+
+def power_from_um(n, m, r):
+    """First row of M^m as the u_m window sum ``b_k = sum_j u_m(j*n + k)``
+    over r copies of the size-n window; any admissible r gives the same row."""
+    return tuple(sum(um_value(m, n, r, j * n + k) for j in range(r)) for k in range(n))
+
+
 def stencil_rhs(x, m):
     """Per-vertex flow velocity: (-1)^(m+1) sum_k (-1)^k C(2m,k) X_(j-m+k)."""
     n, p = x.n, x.p

@@ -13,14 +13,13 @@ from polyflow.circulant import (
     eigen_system,
     idft,
     matvec,
-    minimal_r,
     power_of_m,
     second_difference,
-    um_value,
 )
 from polyflow.polygon import Polygon, eigen_polygon
 
 import helpers
+from helpers import minimal_r, um_value
 
 
 # --- signed binomial coefficient function -----------------------------------
@@ -98,7 +97,16 @@ def test_power_insensitive_to_repetition_count():
     for n in (3, 5, 8):
         for m in (1, 2, 4):
             r = minimal_r(m, n)
-            assert power_of_m(n, m, r=r + 1) == power_of_m(n, m)
+            assert helpers.power_from_um(n, m, r + 1) == power_of_m(n, m).first_row
+
+
+def test_power_matches_um_window_sum_oracle():
+    for n in range(3, 41):
+        for m in range(1, circulant.M_MAX + 1):
+            row = power_of_m(n, m).first_row
+            r = minimal_r(m, n)
+            for extra in range(3):
+                assert row == helpers.power_from_um(n, m, r + extra)
 
 
 def test_power_rejects_out_of_budget_order():

@@ -150,6 +150,19 @@ def test_analyze_reports_structure(tmp_path, capsys):
     assert report["energy"] > 0.0
 
 
+def test_analyze_translated_pentagon_is_self_similar(tmp_path, capsys):
+    path = tmp_path / "shifted.json"
+    save_polygon_json(eigen_polygon(5, 1).translated([1.0, 0.0]), path)
+    assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["centroid"][0] > 0.99
+    assert report["self_similar"] == {
+        "mode": 1,
+        "rate": report["modes"][1]["rate"],
+        "trivial": False,
+    }
+
+
 def test_analyze_constant_polygon(tmp_path, capsys):
     path = tmp_path / "const.json"
     save_polygon_json(helpers.constant_polygon([1.0, -2.0], 5), path)
@@ -189,6 +202,17 @@ def test_malformed_input_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["flow", "--input", str(bad), "--m", "1"]) == 3
+
+
+def test_non_number_coordinates_exit_three(tmp_path, capsys):
+    for name, rows in (
+        ("mixed.json", '[[true, false], ["1.5", "2"], [0, "1e3"]]'),
+        ("huge.json", "[[0, 0], [1, 0], [0, 1" + "0" * 400 + "]]"),
+    ):
+        bad = tmp_path / name
+        bad.write_text('{"dim": 2, "vertices": ' + rows + "}")
+        assert main(["analyze", "--input", str(bad), "--m", "1"]) == 3
+        assert "non-numeric" in capsys.readouterr().err
 
 
 def test_too_small_polygon_exits_three(tmp_path, capsys):

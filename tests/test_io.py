@@ -53,6 +53,10 @@ def test_json_rejects_bad_documents(tmp_path):
         "nonfinite.json": json.dumps({"dim": 2, "vertices": [[0.0, None]]}),
         "infinite.json": '{"dim": 2, "vertices": [[0.0, Infinity]]}',
         "empty.json": json.dumps({"dim": 2, "vertices": []}),
+        "booleans.json": json.dumps({"dim": 2, "vertices": [[True, False], [1.0, 0.0]]}),
+        "strings.json": json.dumps({"dim": 2, "vertices": [["1.5", "2"], [0, "1e3"]]}),
+        "mixed.json": json.dumps({"dim": 2, "vertices": [[True, False], ["1.5", "2"], [0, "1e3"]]}),
+        "huge_int.json": json.dumps({"dim": 2, "vertices": [[0, 10**400], [1, 0]]}),
     }
     for name, text in cases.items():
         path = tmp_path / name

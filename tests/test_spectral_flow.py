@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyflow import circulant
-from polyflow.polygon import Polygon, centroid, eigen_polygon, energy
+from polyflow.polygon import Polygon, centroid, eigen_polygon, energy, real_basis
 from polyflow.spectral_flow import (
     DegenerateModeError,
     FlowRangeError,
@@ -180,6 +180,42 @@ def test_solve_matches_dense_fourier_sandwich(n, p, m, t, seed):
     assert helpers.sup_distance(solve(x, m, t), expected) < 1e-12 * scale
 
 
+@given(
+    st.integers(3, 300), st.integers(2, 5), st.integers(1, 3),
+    st.floats(-0.05, 5.0), st.integers(0, 2**32 - 1),
+)
+@example(3, 2, 1, 0.5, 0)
+@example(4, 3, 2, -0.05, 1)
+@example(97, 2, 3, 0.1, 2)
+@example(128, 4, 1, 2.0, 3)
+@example(257, 5, 2, 0.0, 4)
+@example(1024, 2, 3, 0.3, 5)
+@example(1031, 3, 1, 5.0, 6)
+@settings(max_examples=40)
+def test_exact_invariants_at_every_n(n, p, m, t, seed):
+    rng = np.random.default_rng(seed)
+    const = helpers.constant_polygon(rng.normal(size=p), n)
+    assert solve(const, m, t) == const
+
+    # a pure mode pair embedded in R^p and translated off the origin
+    k = int(rng.integers(1, n // 2 + 1))
+    basis = real_basis(n, k)
+    shift = rng.normal(size=p)
+    pure = Polygon(np.column_stack([basis.c, basis.s]) @ rng.normal(size=(2, p)) + shift)
+    assert decompose(pure).present_modes() == [k]
+    verdict = classify_self_similar(pure, m)
+    assert verdict is not None and verdict.mode == k
+    c = centroid(pure)
+    expected = c + math.exp(verdict.rate * t) * (pure.vertices - c)
+    scale = max(1.0, float(np.abs(pure.vertices).max()))
+    assert np.abs(solve(pure, m, t).vertices - expected).max() < 1e-12 * scale
+
+    x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)) + shift)
+    c = centroid(x)
+    drift = np.abs(centroid(solve(x, m, t)) - c).max()
+    assert drift < 1e-14 * max(1.0, float(np.abs(c).max()))
+
+
 def test_deviation_matches_solution_minus_centroid(rng):
     x = helpers.random_polygon(rng, 6)
     operator = flow_solution(x, 2)
@@ -212,6 +248,24 @@ def test_pure_mode_pair_is_self_similar():
     for t in (-1.0, 0.0, 0.8, 3.0):
         expected = x.scaled(math.exp(verdict.rate * t))
         assert helpers.sup_distance(solve(x, 3, t), expected) < 1e-9
+
+
+def test_translated_pure_mode_pair_is_self_similar():
+    planar = eigen_polygon(5, 1).translated([1.0, 0.0])
+    embedded = affine_pushforward(
+        combination(7, [(2, 2.0), (5, 0.5)]),
+        np.array([[1.0, 0.5, -2.0], [0.0, 3.0, 1.0]]),
+        np.array([4.0, -1.0, 2.5]),
+    )
+    for x, n, k in ((planar, 5, 1), (embedded, 7, 2)):
+        verdict = classify_self_similar(x, 2)
+        assert verdict is not None and not verdict.is_trivial
+        assert verdict.mode == k
+        assert verdict.rate == circulant.flow_eigenvalue(n, 2, k)
+        c = centroid(x)
+        for t in (-0.5, 0.0, 0.7, 3.0):
+            expected = Polygon(c + math.exp(verdict.rate * t) * (x.vertices - c))
+            assert helpers.sup_distance(solve(x, 2, t), expected) < 1e-12
 
 
 def test_constant_polygon_classifies_as_trivial():
