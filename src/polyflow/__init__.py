@@ -11,7 +11,6 @@ from .circulant import (
     CirculantMatrix,
     EigenSystem,
     circulant_multiply,
-    dft,
     eigen_system,
     idft,
     power_of_m,
@@ -52,7 +51,6 @@ from .spectral_flow import (
     classify_self_similar,
     decompose,
     flow_solution,
-    reconstruct,
     rescaled_limit,
     solve,
 )

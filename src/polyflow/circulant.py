@@ -36,27 +36,18 @@ class CirculantMatrix:
             )
         object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
 
-    def row_sum(self) -> int:
-        return sum(self.first_row)
-
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues and eigenpolygons of the order-m flow matrix for size n.
+    """Eigenvalues of the order-m flow matrix for size n.
 
     ``eigenvalues[k]`` is the eigenvalue of ``(-1)^(m+1) M^m`` on the k-th
-    eigenpolygon; ``eigenpolygons[:, k]`` is the unit-modulus complex vector
-    ``(1, w^k, ..., w^((n-1)k))`` with ``w = exp(2*pi*i/n)``, built on first
-    access so that the eigenvalues alone never cost an n x n matrix.
+    eigenpolygon, column k of :func:`fourier_matrix`.
     """
 
     n: int
     m: int
     eigenvalues: np.ndarray
-
-    @property
-    def eigenpolygons(self) -> np.ndarray:
-        return fourier_matrix(self.n)
 
 
 def root_of_unity(exponent: int, n: int) -> complex:
@@ -184,15 +175,6 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     return stencil(a)(values)
 
 
-def apply(a: CirculantMatrix, polygon) -> "Polygon":
-    """Apply the circulant matrix to every coordinate column of a polygon."""
-    from .polygon import Polygon
-
-    if polygon.n != a.n:
-        raise ValueError(f"size mismatch: matrix is {a.n}, polygon has {polygon.n} vertices")
-    return Polygon(matvec(a, polygon.vertices))
-
-
 def eigen_system(n: int, m: int) -> EigenSystem:
     """Spectral data of the order-m flow matrix of size n."""
     if m < 1 or n < 3:
@@ -225,12 +207,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return _fourier_matrix_cached(n)
-
-
-def dft(v: np.ndarray) -> np.ndarray:
-    """Multiply by the Fourier matrix.  Direct O(n^2) summation, any length."""
-    v = np.asarray(v, dtype=complex)
-    return fourier_matrix(v.shape[0]) @ v
 
 
 def idft(v: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .integrate import (
 from .polygon import (
     Polygon,
     PolygonFormatError,
-    centroid,
     energy,
     format_float,
     load_polygon,
@@ -119,15 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
-    if args.times:
+    if args.times is not None:
         try:
             times = tuple(float(tok) for tok in args.times.split(","))
         except ValueError:
             raise CliArgumentError(f"could not parse --times {args.times!r}") from None
     else:
         times = geometric_schedule(args.t0, args.ratio, args.count)
-    if not times:
-        raise CliArgumentError("empty time schedule")
     if not all(math.isfinite(t) for t in times):
         raise CliArgumentError("time schedule must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -156,11 +153,16 @@ def write_trajectory_csv(path, times, polygons) -> None:
         _write_trajectory_rows(fh, times, polygons)
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def _power_of_m(n: int, m: int) -> circulant.CirculantMatrix:
+    """``M^m``, with its size and exact-entry refusals as argument errors."""
     try:
-        power = circulant.power_of_m(args.n, args.m)
+        return circulant.power_of_m(n, m)
     except (ValueError, OverflowError) as exc:
         raise CliArgumentError(str(exc)) from exc
+
+
+def cmd_matrix(args: argparse.Namespace) -> int:
+    power = _power_of_m(args.n, args.m)
     sign = circulant.flow_sign(args.m)
     eigen = circulant.eigen_system(args.n, args.m)
     print(" ".join(str(b) for b in power.first_row))
@@ -213,14 +215,14 @@ def _polygon_doc(poly: Polygon) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
     dec = spectral_flow.decompose(x0)
-    verdict = spectral_flow.classify_self_similar(x0, args.m)
+    verdict = spectral_flow.classify_self_similar(dec, args.m)
     masses = dec.pair_masses()
     report = {
         "n": x0.n,
         "p": x0.p,
         "m": args.m,
         "energy": energy(x0, args.m),
-        "centroid": [float(c) for c in centroid(x0)],
+        "centroid": [float(c) for c in dec.alpha[0]],
         "modes": [
             {
                 "k": k,
@@ -236,8 +238,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
     }
     try:
-        k_fwd, fwd = spectral_flow.rescaled_limit(x0, args.m, "forward")
-        k_anc, anc = spectral_flow.rescaled_limit(x0, args.m, "ancient")
+        k_fwd, fwd = spectral_flow.rescaled_limit(dec, args.m, "forward")
+        k_anc, anc = spectral_flow.rescaled_limit(dec, args.m, "ancient")
         report["dominant_mode"] = k_fwd
         report["forward_limit"] = _polygon_doc(fwd)
         report["ancient_mode"] = k_anc
@@ -259,6 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_integrate(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
+    _power_of_m(x0.n, args.m)  # refuse an order past the exact M^m budget before any work
     if args.target_path:
         target = load_flow_polygon(args.target_path)
         try:

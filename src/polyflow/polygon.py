@@ -62,15 +62,6 @@ class Polygon:
             np.array_equal(self.vertices, other.vertices)
         )
 
-    def isclose(self, other: "Polygon", *, atol: float = 1e-12, rtol: float = 0.0) -> bool:
-        """Tolerance comparison for floating results; exact `==` is separate."""
-        return self.vertices.shape == other.vertices.shape and bool(
-            np.allclose(self.vertices, other.vertices, atol=atol, rtol=rtol)
-        )
-
-    def vertex(self, j: int) -> np.ndarray:
-        return self.vertices[j % self.n]
-
     def as_complex(self) -> np.ndarray:
         """Planar polygons viewed as vectors in C^n (x + iy per vertex)."""
         if self.p != 2:
@@ -167,7 +158,7 @@ def normals(x: Polygon) -> Polygon:
     """Vertex normals N_j = (X_(j+1) - X_j) + (X_(j-1) - X_j), i.e. M applied to X."""
     if x.n < 3:
         raise ValueError(f"normals need n >= 3, got n = {x.n}")
-    return circulant.apply(circulant.second_difference(x.n), x)
+    return Polygon(circulant.matvec(circulant.second_difference(x.n), x.vertices))
 
 
 def centroid(x: Polygon) -> np.ndarray:

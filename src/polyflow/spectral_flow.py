@@ -112,11 +112,6 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     return dec
 
 
-def reconstruct(dec: SpectralDecomposition) -> Polygon:
-    """Sum the mode components back into a polygon."""
-    return FlowSolution.from_decomposition(dec, m=1).polygon_at(0.0)
-
-
 def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
     """The mode-k component polygon (both members of the conjugate pair)."""
     basis = real_basis(dec.n, k)
@@ -133,7 +128,6 @@ class FlowSolution:
     range, which raises :class:`FlowRangeError` instead of returning inf.
     """
 
-    kind: str
     m: int
     decomposition: SpectralDecomposition
     mode_rates: np.ndarray
@@ -141,7 +135,7 @@ class FlowSolution:
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
         rates = np.array([circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)])
-        return cls(kind="polyharmonic", m=m, decomposition=dec, mode_rates=rates)
+        return cls(m=m, decomposition=dec, mode_rates=rates)
 
     def _accumulate(self, t: float, rate_shift: float, include_mean: bool) -> Polygon:
         dec = self.decomposition
@@ -169,20 +163,12 @@ class FlowSolution:
         """The evolved polygon at time t."""
         return self._accumulate(t, rate_shift=0.0, include_mean=True)
 
-    def deviation_at(self, t: float) -> Polygon:
-        """The evolved polygon minus its fixed centroid, summed from the
-        shape modes directly so no cancellation against the centroid occurs."""
-        return self._accumulate(t, rate_shift=0.0, include_mean=False)
-
     def rescaled_deviation_at(self, t: float, k_ref: int) -> Polygon:
         """``exp(-rate_k_ref * t) * (X(t) - centroid)`` evaluated through the
         rate differences, which stay bounded in the convergent direction."""
         return self._accumulate(
             t, rate_shift=float(self.mode_rates[k_ref]), include_mean=False
         )
-
-    def centroid(self) -> np.ndarray:
-        return self.decomposition.alpha[0].copy()
 
 
 def flow_solution(x0: Polygon, m: int) -> FlowSolution:
@@ -197,16 +183,23 @@ def solve(x0: Polygon, m: int, t: float) -> Polygon:
     return flow_solution(x0, m).polygon_at(t)
 
 
-def rescaled_limit(x0: Polygon, m: int, direction: str = "forward") -> tuple[int, Polygon]:
+def _decomposed(x0: Polygon | SpectralDecomposition) -> SpectralDecomposition:
+    return x0 if isinstance(x0, SpectralDecomposition) else decompose(x0)
+
+
+def rescaled_limit(
+    x0: Polygon | SpectralDecomposition, m: int, direction: str = "forward"
+) -> tuple[int, Polygon]:
     """Dominant surviving mode index and the limiting shape polygon.
 
     Forward in time the solution, recentered and rescaled by the dominant
     present rate, converges to the mode component with the smallest present
     k; backward (ancient) the most negative present rate wins, k toward n/2.
+    ``x0`` is a polygon or its decomposition.
     """
     if direction not in ("forward", "ancient"):
         raise ValueError(f"direction must be 'forward' or 'ancient', got {direction!r}")
-    dec = decompose(x0)
+    dec = _decomposed(x0)
     present = dec.present_modes()
     if not present:
         raise DegenerateModeError("constant polygon: no shape mode to rescale toward")
@@ -214,16 +207,16 @@ def rescaled_limit(x0: Polygon, m: int, direction: str = "forward") -> tuple[int
     return k_star, mode_component(dec, k_star)
 
 
-def classify_self_similar(x0: Polygon, m: int) -> SelfSimilarity | None:
+def classify_self_similar(x0: Polygon | SpectralDecomposition, m: int) -> SelfSimilarity | None:
     """Detect shrinking self-similar polygons: all shape mass (k >= 1) in one
     mode pair, so the polygon scales about its fixed centroid.
 
-    Returns the mode and its exponential rate, the trivial verdict for a
-    constant polygon, and None for anything whose mass spreads over two or
-    more pairs (pure rotators and translators only exist in the trivial
-    constant case).
+    ``x0`` is a polygon or its decomposition.  Returns the mode and its
+    exponential rate, the trivial verdict for a constant polygon, and None
+    for anything whose mass spreads over two or more pairs (pure rotators
+    and translators only exist in the trivial constant case).
     """
-    dec = decompose(x0)
+    dec = _decomposed(x0)
     masses_sq = dec.pair_masses() ** 2  # index 0 is the centroid, not shape
     total_sq = float(np.sum(masses_sq[1:]))
     present = dec.present_modes()

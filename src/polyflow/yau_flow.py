@@ -48,18 +48,11 @@ class YauSolution:
     difference_flow: FlowSolution
 
     @property
-    def kind(self) -> str:
-        return "yau"
-
-    @property
     def m(self) -> int:
         return self.problem.m
 
     def polygon_at(self, t: float) -> Polygon:
         return self.difference_flow.polygon_at(t) + self.problem.target
-
-    def limit(self) -> Polygon:
-        return yau_limit(self.problem)
 
 
 def yau_solution(problem: YauProblem) -> YauSolution:

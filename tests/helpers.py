@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from polyflow import FlowRangeError, Polygon
-from polyflow.circulant import dft, flow_eigenvalue, fourier_matrix, idft
+from polyflow.circulant import flow_eigenvalue, fourier_matrix, idft
 
 
 def random_polygon(rng, n, p=2, scale=1.0):
@@ -19,6 +19,12 @@ def random_polygon(rng, n, p=2, scale=1.0):
 def constant_polygon(point, n):
     point = np.asarray(point, dtype=float)
     return Polygon(np.tile(point, (n, 1)))
+
+
+def dft(v):
+    """Multiply by the Fourier matrix.  Direct O(n^2) summation, any length."""
+    v = np.asarray(v, dtype=complex)
+    return fourier_matrix(v.shape[0]) @ v
 
 
 def dense_circulant(first_row):

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from polyflow import circulant
+from polyflow import circulant, spectral_flow
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
@@ -230,7 +231,7 @@ def test_dimension_mismatch_exits_three(tmp_path, rng, pentagon_file, capsys):
 def test_bad_schedule_exits_two(pentagon_file, capsys):
     assert main(["flow", "--input", pentagon_file, "--m", "1", "--times", "0.5,0.2"]) == 2
     assert main(["flow", "--input", pentagon_file, "--m", "1", "--times", "zoom"]) == 2
-    for times in ("nan", "0.1,inf", "-inf,0.1", "0.1,nan"):
+    for times in ("", "nan", "0.1,inf", "-inf,0.1", "0.1,nan"):
         assert main(["flow", "--input", pentagon_file, "--m", "1", f"--times={times}"]) == 2
     for flag in ("--dt", "--T"):
         with pytest.raises(SystemExit) as info:
@@ -252,6 +253,19 @@ def test_svg_of_non_planar_input_exits_two_before_writing(tmp_path, rng, capsys)
     assert not csv_path.exists() and not svg_path.exists()
 
 
+def test_integrate_refuses_orders_beyond_the_budget_like_matrix(pentagon_file, capsys):
+    assert main(["matrix", "--n", "5", "--m", "21"]) == 2
+    refusal = capsys.readouterr().err
+    assert "m=21 exceeds the exact-entry budget" in refusal
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["integrate", "--input", pentagon_file, "--m", "21"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == refusal
+
+
 def test_matrix_does_not_build_the_fourier_matrix(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError(f"fourier_matrix({n}) built for eigenvalues alone")
@@ -259,6 +273,46 @@ def test_matrix_does_not_build_the_fourier_matrix(monkeypatch, capsys):
     monkeypatch.setattr(circulant, "fourier_matrix", refuse)
     assert main(["matrix", "--n", "64", "--m", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()[2].split()) == 64
+    assert main(["matrix", "--n", "4096", "--m", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(line.split()) for line in lines] == [4096, 4096, 4096]
+    assert sum(int(b) for b in lines[0].split()) == 0
+
+
+def test_non_planar_runs_do_not_build_the_fourier_matrix(tmp_path, rng, monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"fourier_matrix({n}) built for a non-planar polygon")
+
+    start, target = tmp_path / "start.json", tmp_path / "target.json"
+    save_polygon_json(helpers.random_polygon(rng, 6, p=3), start)
+    save_polygon_json(helpers.random_polygon(rng, 9, p=3), target)
+    monkeypatch.setattr(circulant, "fourier_matrix", refuse)
+    runs = (
+        ["flow", "--input", str(start), "--m", "2"],
+        ["yau", "--input", str(start), "--target", str(target), "--m", "1"],
+        ["analyze", "--input", str(start), "--m", "3"],
+        ["integrate", "--input", str(start), "--m", "1", "--dt", "0.01", "--T", "0.1"],
+        ["integrate", "--input", str(start), "--target", str(target), "--m", "1", "--T", "0.1"],
+    )
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+def test_analyze_decomposes_once(tmp_path, rng, monkeypatch, capsys):
+    calls = []
+    decompose = spectral_flow.decompose
+
+    def counted(x):
+        calls.append(x.n)
+        return decompose(x)
+
+    path = tmp_path / "heptagon.json"
+    save_polygon_json(helpers.random_polygon(rng, 7), path)
+    monkeypatch.setattr(spectral_flow, "decompose", counted)
+    assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
+    assert calls == [7]
+    assert json.loads(capsys.readouterr().out)["dominant_mode"] == 1
 
 
 def test_ancient_overflow_exits_four(tmp_path, capsys):

@@ -10,12 +10,12 @@ from polyflow.polygon import Polygon, centroid, eigen_polygon, energy, real_basi
 from polyflow.spectral_flow import (
     DegenerateModeError,
     FlowRangeError,
+    FlowSolution,
     affine_pushforward,
     classify_self_similar,
     decompose,
     flow_solution,
     mode_component,
-    reconstruct,
     rescaled_limit,
     solve,
 )
@@ -57,7 +57,8 @@ def test_mode_zero_coefficient_is_centroid(rng):
 @given(st.integers(3, 12), st.integers(2, 4), st.integers(0, 2**32 - 1))
 def test_reconstruction_round_trip(n, p, seed):
     x = helpers.random_polygon(np.random.default_rng(seed), n, p=p)
-    assert helpers.sup_distance(reconstruct(decompose(x)), x) < 1e-10
+    rebuilt = FlowSolution.from_decomposition(decompose(x), 1).polygon_at(0.0)
+    assert helpers.sup_distance(rebuilt, x) < 1e-10
 
 
 def test_decompose_rejects_tiny_polygons():
@@ -216,14 +217,6 @@ def test_exact_invariants_at_every_n(n, p, m, t, seed):
     assert drift < 1e-14 * max(1.0, float(np.abs(c).max()))
 
 
-def test_deviation_matches_solution_minus_centroid(rng):
-    x = helpers.random_polygon(rng, 6)
-    operator = flow_solution(x, 2)
-    for t in (0.0, 0.7, 2.0):
-        direct = operator.polygon_at(t).vertices - operator.centroid()[None, :]
-        assert np.abs(operator.deviation_at(t).vertices - direct).max() < 1e-12
-
-
 def test_ancient_evaluation_overflows_loudly():
     x = eigen_polygon(6, 1)
     with pytest.raises(FlowRangeError):
@@ -266,6 +259,37 @@ def test_translated_pure_mode_pair_is_self_similar():
         for t in (-0.5, 0.0, 0.7, 3.0):
             expected = Polygon(c + math.exp(verdict.rate * t) * (x.vertices - c))
             assert helpers.sup_distance(solve(x, 2, t), expected) < 1e-12
+
+
+@given(
+    st.integers(3, 300), st.integers(2, 5), st.integers(1, 3),
+    st.sampled_from(("random", "pure", "constant")), st.integers(0, 2**32 - 1),
+)
+@example(3, 2, 1, "pure", 0)
+@example(7, 3, 2, "constant", 1)
+@example(256, 5, 3, "random", 2)
+@settings(max_examples=40)
+def test_limits_and_verdict_take_a_polygon_or_its_decomposition(n, p, m, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        x = helpers.constant_polygon(rng.normal(size=p), n)
+    elif shape == "pure":
+        basis = real_basis(n, int(rng.integers(1, n // 2 + 1)))
+        x = Polygon(np.column_stack([basis.c, basis.s]) @ rng.normal(size=(2, p)) + rng.normal(size=p))
+    else:
+        x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)))
+    dec = decompose(x)
+    assert classify_self_similar(dec, m) == classify_self_similar(x, m)
+    for direction in ("forward", "ancient"):
+        if shape == "constant":
+            for source in (x, dec):
+                with pytest.raises(DegenerateModeError):
+                    rescaled_limit(source, m, direction)
+            continue
+        k_poly, limit_poly = rescaled_limit(x, m, direction)
+        k_dec, limit_dec = rescaled_limit(dec, m, direction)
+        assert k_dec == k_poly
+        assert limit_dec.vertices.tobytes() == limit_poly.vertices.tobytes()
 
 
 def test_constant_polygon_classifies_as_trivial():

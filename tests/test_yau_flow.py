@@ -158,7 +158,7 @@ def test_flow_between_reconciles_counts(rng):
     assert np.array_equal(problem.initial.vertices[4], quad.vertices[3])
     assert helpers.sup_distance(evaluator.polygon_at(0.0), problem.initial) < 1e-12
     far = evaluator.polygon_at(40.0 / abs(circulant.flow_eigenvalue(5, 1, 1)))
-    assert helpers.sup_distance(far, evaluator.limit()) < 1e-8
+    assert helpers.sup_distance(far, yau_limit(problem)) < 1e-8
 
 
 def test_flow_between_triangle_targets(rng):
@@ -169,7 +169,7 @@ def test_flow_between_triangle_targets(rng):
         assert problem.target.n == 5
         for vertex in problem.target.vertices:
             assert helpers.distance_to_polygon_edges(vertex, triangle) < 1e-12
-        assert evaluator.m == 3 and evaluator.kind == "yau"
+        assert evaluator.m == 3
     with pytest.raises(ValueError):
         yau_flow_between(pentagon, helpers.random_polygon(rng, 4, p=3), 1)
 
