@@ -4,8 +4,10 @@ The second-difference matrix ``M = circ(-2, 1, 0, ..., 0, 1)`` acts on closed
 n-gons; its powers ``M^m`` drive the higher-order flows.  Everything here is
 built from the first row only: powers are assembled from signed binomial
 coefficients in exact integer arithmetic, products are cyclic convolutions,
-and the eigenstructure comes from the roots of unity.  Dense matrices are
-never materialized outside of test oracles.
+and the eigenstructure comes from the roots of unity.  Only the O(n) root
+table is cached; the one dense matrix outside test oracles is the n x n
+Fourier matrix that :func:`idft` builds for each planar decomposition and
+holds for that one call.
 """
 from __future__ import annotations
 
@@ -192,25 +194,19 @@ def roots_of_unity(n: int) -> np.ndarray:
     return roots
 
 
-@lru_cache(maxsize=64)
-def _fourier_matrix_cached(n: int) -> np.ndarray:
+def fourier_matrix(n: int) -> np.ndarray:
+    """The n x n matrix with columns the eigenpolygons ``(w^(jk))_j``, new per call."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     roots, k = roots_of_unity(n), np.arange(n)
     f = np.empty((n, n), dtype=complex)
     for j in range(n):  # row by row: no n x n index temporaries
         f[j] = roots[j * k % n]
-    f.flags.writeable = False
     return f
 
 
-def fourier_matrix(n: int) -> np.ndarray:
-    """The n x n matrix with columns the eigenpolygons ``(w^(jk))_j``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return _fourier_matrix_cached(n)
-
-
 def idft(v: np.ndarray) -> np.ndarray:
-    """Inverse transform: multiply by the conjugate Fourier matrix over n."""
+    """Inverse transform: the Fourier matrix, conjugated in place, times v over n."""
     v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    return (fourier_matrix(n).conjugate() @ v) / n
+    f = fourier_matrix(v.shape[0])
+    return (np.conjugate(f, out=f) @ v) / v.shape[0]

@@ -24,6 +24,7 @@ from .polygon import (
     energy,
     format_float,
     load_polygon,
+    polygon_doc,
 )
 
 
@@ -124,7 +125,10 @@ def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
         except ValueError:
             raise CliArgumentError(f"could not parse --times {args.times!r}") from None
     else:
-        times = geometric_schedule(args.t0, args.ratio, args.count)
+        try:
+            times = geometric_schedule(args.t0, args.ratio, args.count)
+        except OverflowError:  # float ** raises where float * would give inf
+            raise CliArgumentError("time schedule must be finite") from None
     if not all(math.isfinite(t) for t in times):
         raise CliArgumentError("time schedule must be finite")
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -208,10 +212,6 @@ def cmd_yau(args: argparse.Namespace) -> int:
     return 0
 
 
-def _polygon_doc(poly: Polygon) -> dict:
-    return {"dim": poly.p, "vertices": [[float(c) for c in row] for row in poly.vertices]}
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
     dec = spectral_flow.decompose(x0)
@@ -241,9 +241,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         k_fwd, fwd = spectral_flow.rescaled_limit(dec, args.m, "forward")
         k_anc, anc = spectral_flow.rescaled_limit(dec, args.m, "ancient")
         report["dominant_mode"] = k_fwd
-        report["forward_limit"] = _polygon_doc(fwd)
+        report["forward_limit"] = polygon_doc(fwd)
         report["ancient_mode"] = k_anc
-        report["ancient_limit"] = _polygon_doc(anc)
+        report["ancient_limit"] = polygon_doc(anc)
     except spectral_flow.DegenerateModeError:
         report["dominant_mode"] = None
         report["forward_limit"] = None
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PolygonFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (PolygonFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except (spectral_flow.FlowRangeError, DivergenceError, OverflowError) as exc:

@@ -218,18 +218,19 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def polygon_doc(x: Polygon) -> dict:
+    """The JSON document of a polygon, as saved and as reported by the CLI."""
+    return {"dim": x.p, "vertices": [[float(c) for c in row] for row in x.vertices]}
+
+
 def save_polygon_json(x: Polygon, path) -> None:
-    doc = {
-        "dim": x.p,
-        "vertices": [[float(c) for c in row] for row in x.vertices],
-    }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump(polygon_doc(x), fh)
         fh.write("\n")
 
 
 def load_polygon_json(path) -> Polygon:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -267,7 +268,7 @@ def save_polygon_csv(x: Polygon, path) -> None:
 
 
 def load_polygon_csv(path) -> Polygon:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -301,8 +302,11 @@ def load_polygon_csv(path) -> Polygon:
 def load_polygon(path) -> Polygon:
     """Dispatch on extension: .json or .csv."""
     name = str(path)
-    if name.endswith(".json"):
-        return load_polygon_json(path)
-    if name.endswith(".csv"):
-        return load_polygon_csv(path)
+    try:
+        if name.endswith(".json"):
+            return load_polygon_json(path)
+        if name.endswith(".csv"):
+            return load_polygon_csv(path)
+    except UnicodeDecodeError:
+        raise PolygonFormatError("not UTF-8 text") from None
     raise PolygonFormatError(f"unsupported polygon file extension: {name}")

@@ -243,6 +243,13 @@ def test_dft_round_trip(n, seed):
     assert np.abs(idft(dft(v)) - v).max() < 1e-12 * max(1.0, np.abs(v).max())
 
 
+def test_idft_is_bitwise_the_conjugate_matrix_product(rng):
+    """Conjugating the Fourier matrix in place changes no bit of the transform."""
+    for n in list(range(3, 41)) + [97, 256, 257, 1024]:
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.array_equal(idft(v), (circulant.fourier_matrix(n).conjugate() @ v) / n)
+
+
 def test_diagonalization_rebuilds_flow_matrix():
     for n in (3, 6, 9):
         for m in (1, 2, 3):

@@ -195,14 +195,30 @@ def test_integrate_command_reports_deviation(tmp_path, pentagon_file, target_fil
     assert deviation < 1e-6
 
 
-def test_missing_input_exits_three(capsys):
+def test_missing_input_exits_three(tmp_path, pentagon_file, capsys):
     assert main(["flow", "--input", "does-not-exist.json", "--m", "1"]) == 3
+    through_file = str(tmp_path / "pentagon.json" / "x")  # a path under a regular file
+    for argv in (
+        ["flow", "--input", through_file + ".json", "--m", "1"],
+        ["flow", "--input", pentagon_file, "--m", "1", "--csv", through_file + ".csv"],
+        ["analyze", "--input", pentagon_file, "--m", "1", "--json", through_file + ".json"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and through_file in captured.err
 
 
 def test_malformed_input_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["flow", "--input", str(bad), "--m", "1"]) == 3
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"x1,x2\n\xff\xfe\n")
+    capsys.readouterr()
+    assert main(["flow", "--input", str(binary), "--m", "1"]) == 3
+    assert capsys.readouterr().err == "input error: not UTF-8 text\n"
 
 
 def test_non_number_coordinates_exit_three(tmp_path, capsys):
@@ -233,6 +249,9 @@ def test_bad_schedule_exits_two(pentagon_file, capsys):
     assert main(["flow", "--input", pentagon_file, "--m", "1", "--times", "zoom"]) == 2
     for times in ("", "nan", "0.1,inf", "-inf,0.1", "0.1,nan"):
         assert main(["flow", "--input", pentagon_file, "--m", "1", f"--times={times}"]) == 2
+    capsys.readouterr()
+    assert main(["flow", "--input", pentagon_file, "--m", "1", "--ratio", "1e300"]) == 2
+    assert capsys.readouterr() == ("", "error: time schedule must be finite\n")
     for flag in ("--dt", "--T"):
         with pytest.raises(SystemExit) as info:
             main(["integrate", "--input", pentagon_file, "--m", "1", flag, "inf"])

@@ -92,6 +92,17 @@ def test_csv_rejects_bad_rows(tmp_path):
         load_polygon_csv(empty)
 
 
+def test_non_utf8_input_is_a_format_error(tmp_path):
+    for name, data in (
+        ("binary.json", b'{"dim": 2, "vertices": [[0, "\xff\xfe"]]}'),
+        ("binary.csv", b"x1,x2\n0.0,\xff\xfe\n"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(PolygonFormatError, match="not UTF-8 text"):
+            load_polygon(path)
+
+
 def test_error_carries_line_number(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("x1,x2\n0.0,0.0\nbroken\n")

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +61,24 @@ def test_reconstruction_round_trip(n, p, seed):
     x = helpers.random_polygon(np.random.default_rng(seed), n, p=p)
     rebuilt = FlowSolution.from_decomposition(decompose(x), 1).polygon_at(0.0)
     assert helpers.sup_distance(rebuilt, x) < 1e-10
+
+
+def test_planar_decompose_holds_one_dense_matrix_and_keeps_none(rng):
+    n = 512
+    x = helpers.random_polygon(rng, n)
+    circulant.roots_of_unity(n)  # the cached O(n) root table is not measured
+    dense = n * n * 16  # bytes of one n x n complex matrix
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dec = decompose(x)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.planar_coeffs is not None
+    assert retained < 0.25 * dense
+    assert peak < 1.5 * dense
 
 
 def test_decompose_rejects_tiny_polygons():
