@@ -147,23 +147,26 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
 
 
 def stencil(a: CirculantMatrix):
-    """The row map ``values -> a @ values`` with its gathers precomputed.
+    """The row map ``values -> a @ values`` over a cyclically padded copy.
 
     Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the
     nonzero entries, offsets folded to (-n/2, n/2] and accumulated in
     ascending signed order, so the sum matches a centered-stencil evaluation
-    term for term whenever the stencil does not wrap.  The map takes arrays
-    of shape (n,) or (n, p), real or complex.
+    term for term whenever the stencil does not wrap.  Each call pads
+    ``values`` once by the widest offset w on both sides and reads term s
+    as the contiguous slice ``padded[w + s : w + s + n]``: the same terms
+    in the same order as an index gather, so the same bits.  The map takes
+    arrays of shape (n,) or (n, p), real or complex.
     """
     n = a.n
-    base = np.arange(n)
-    offsets = sorted((s if 2 * s <= n else s - n, c) for s, c in enumerate(a.first_row) if c)
-    gathers = [((base + s) % n, float(c)) for s, c in offsets]
+    offsets = sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(a.first_row) if c)
+    w = max((abs(s) for s, _ in offsets), default=0)
 
     def apply_rows(values: np.ndarray) -> np.ndarray:
+        padded = np.concatenate((values[n - w:], values, values[:w]))
         out = np.zeros(values.shape, dtype=np.promote_types(values.dtype, np.float64))
-        for idx, coeff in gathers:
-            out += coeff * values[idx]
+        for s, coeff in offsets:
+            out += coeff * padded[w + s : w + s + n]
         return out
 
     return apply_rows

@@ -1,13 +1,14 @@
 """Command-line front end: matrix inspection, flow runs, CSV and SVG emission.
 
-Exit codes: 0 success, 2 argument error, 3 input parse error, 4 numeric
-range error.
+Exit codes: 0 success, 2 argument error, 3 input parse error (or an
+unwritable output path), 4 numeric range error or out of memory.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import circulant, spectral_flow, svg, yau_flow
@@ -175,12 +176,26 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_destinations(*paths) -> None:
+    """Refuse an output path that cannot be opened for writing because its
+    folder is missing, is not a directory or is read-only, or because the
+    path is a directory, before any output is written."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise NotADirectoryError(f"cannot write {path}: {folder} is not a directory")
+        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise PermissionError(f"cannot write {path}")
+
+
 def _emit_samples(args, times, solution, initial, target=None, dash_target=True):
     """Sample the solution at ``times`` and write the CSV and SVG asked for,
     or the CSV table on stdout when neither is.  A figure of non-planar
-    polygons is refused before anything is evaluated or written."""
+    polygons and an unwritable destination are refused before anything is
+    evaluated or written."""
     if args.svg_path and initial.p != 2:
         raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {initial.p}")
+    _check_destinations(args.csv_path, args.svg_path)
     samples = [solution.polygon_at(t) for t in times]
     if args.csv_path:
         write_trajectory_csv(args.csv_path, times, samples)
@@ -275,7 +290,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         kind = PolyharmonicKind(m=args.m)
         reference = spectral_flow.solve(x0, args.m, args.t_final)
     config = IntegratorConfig(dt=args.dt, t_final=args.t_final, kind=kind)
-    trajectory = run_rk4(x0, config)
+    trajectory = run_rk4(x0, config, keep_steps=bool(args.csv_path))
     if args.csv_path:
         write_trajectory_csv(args.csv_path, trajectory.times, trajectory.polygons)
         print(f"wrote {args.csv_path}")
@@ -308,6 +323,10 @@ def main(argv=None) -> int:
         return 3
     except (spectral_flow.FlowRangeError, DivergenceError, OverflowError) as exc:
         print(f"numeric range error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource error: out of memory{detail}", file=sys.stderr)
         return 4
 
 

@@ -6,6 +6,9 @@ X - Y), so trajectories it produces validate the spectral solutions.  The
 classical fourth-order scheme with a fixed step keeps the convergence order
 cleanly measurable; stiffness for large m or n is handled by a warning and
 the documented step bound dt <= 0.1 / |lambda_max|, not by adaptivity.
+Steps run on raw vertex arrays; a run keeps every state as a polygon, or
+only the initial and final ones, so its memory need not grow with the step
+count.
 """
 from __future__ import annotations
 
@@ -67,11 +70,16 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states (time, polygon) of one integration run."""
+    """Retained states (time, polygon) of one run of ``steps`` RK4 steps.
+
+    Either every state, ``steps + 1`` of them, or only the initial and the
+    final state; ``final()`` is the same polygon at the same time either way.
+    """
 
     times: tuple[float, ...]
     polygons: tuple[Polygon, ...]
     kind: FlowKind
+    steps: int
     partial_final_step: bool = field(default=False)
 
     @property
@@ -106,12 +114,14 @@ def stability_limit(n: int, m: int) -> float:
     return abs(circulant.flow_eigenvalue(n, m, n // 2))
 
 
-def integrate(x0: Polygon, config: IntegratorConfig) -> Trajectory:
+def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) -> Trajectory:
     """Classical RK4 with fixed step dt from t = 0 to t = t_final.
 
-    Every accepted step is recorded.  If t_final is not a whole number of
-    steps, one shorter final step lands exactly on t_final and the trajectory
-    is flagged.  A non-finite state aborts with step and norm diagnostics.
+    With ``keep_steps`` every accepted state is recorded; without it only
+    the initial and the final state are, so memory stays flat in the step
+    count.  If t_final is not a whole number of steps, one shorter final
+    step lands exactly on t_final and the trajectory is flagged.  A
+    non-finite state aborts with step and norm diagnostics.
     """
     if isinstance(config.kind, YauKind) and config.kind.target.p != x0.p:
         raise ValueError(
@@ -133,14 +143,15 @@ def integrate(x0: Polygon, config: IntegratorConfig) -> Trajectory:
     n_full = int(math.floor(t_final / dt + 1e-9))
     remainder = t_final - n_full * dt
     partial = remainder > 1e-12 * max(1.0, abs(t_final))
+    n_steps = n_full + partial
 
-    steps = [dt] * n_full + ([remainder] if partial else [])
     v = x0.vertices.copy()
     times = [0.0]
     polygons = [x0]
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is detected per step and reported as DivergenceError
-        for step_index, h in enumerate(steps, start=1):
+        for step_index in range(1, n_steps + 1):
+            h = dt if step_index <= n_full else remainder
             k1 = f(v)
             k2 = f(v + (0.5 * h) * k1)
             k3 = f(v + (0.5 * h) * k2)
@@ -151,11 +162,16 @@ def integrate(x0: Polygon, config: IntegratorConfig) -> Trajectory:
                 finite = np.abs(v[np.isfinite(v)])
                 norm = float(finite.max()) if finite.size else math.inf
                 raise DivergenceError(step=step_index, norm=norm)
-            times.append(t)
-            polygons.append(Polygon(v))
+            if keep_steps:
+                times.append(t)
+                polygons.append(Polygon(v))
+    if not keep_steps and n_steps:
+        times.append(t)
+        polygons.append(Polygon(v))
     return Trajectory(
         times=tuple(times),
         polygons=tuple(polygons),
         kind=config.kind,
+        steps=n_steps,
         partial_final_step=partial,
     )

@@ -71,6 +71,24 @@ def power_from_um(n, m, r):
     return tuple(sum(um_value(m, n, r, j * n + k) for j in range(r)) for k in range(n))
 
 
+def gather_stencil(a):
+    """The row map ``values -> a @ values`` as one index gather per nonzero
+    entry, offsets folded to (-n/2, n/2] and accumulated in ascending signed
+    order: the term order :func:`polyflow.circulant.stencil` must reproduce."""
+    n = a.n
+    base = np.arange(n)
+    offsets = sorted((s if 2 * s <= n else s - n, c) for s, c in enumerate(a.first_row) if c)
+    gathers = [((base + s) % n, float(c)) for s, c in offsets]
+
+    def apply_rows(values):
+        out = np.zeros(values.shape, dtype=np.promote_types(values.dtype, np.float64))
+        for idx, coeff in gathers:
+            out += coeff * values[idx]
+        return out
+
+    return apply_rows
+
+
 def stencil_rhs(x, m):
     """Per-vertex flow velocity: (-1)^(m+1) sum_k (-1)^k C(2m,k) X_(j-m+k)."""
     n, p = x.n, x.p

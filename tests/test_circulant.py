@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyflow import circulant
@@ -170,6 +170,37 @@ def test_matvec_matches_dense_oracle(rng):
             dense = helpers.dense_circulant(mat.first_row)
             v = rng.normal(size=(n, 3))
             assert np.allclose(matvec(mat, v), dense @ v, atol=1e-10)
+
+
+
+@given(
+    st.integers(3, 300),
+    st.integers(1, 20),
+    st.sampled_from((None, 2, 3, 4, 5)),
+    st.booleans(),
+    st.sampled_from((0.0, 0.2, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(3, 2, None, False, 0.2, 0)  # n < 2m + 1: offsets wrap and collide
+@example(5, 4, 2, True, 0.2, 1)
+@example(4, 20, 3, False, 0.0, 2)
+@example(6, 3, 5, True, 0.2, 3)  # offset n/2 is the widest fold
+@example(300, 20, 2, False, 0.0, 4)
+@example(64, 1, 2, False, 1.0, 5)  # all signed zeros: the zero start decides their sign
+@example(7, 2, None, True, 1.0, 6)
+def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if p is None else (n, p)
+    values = rng.normal(size=shape)
+    if is_complex:
+        values = values + 1j * rng.normal(size=shape)
+    mask = rng.random(size=shape) < zeros
+    values[mask] = np.copysign(0.0, rng.normal(size=shape))[mask]
+    mat = power_of_m(n, m)
+    expected = helpers.gather_stencil(mat)(values)
+    got = circulant.stencil(mat)(values)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_eigen_relation_on_eigenpolygons():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polyflow import circulant, spectral_flow
+from polyflow import circulant, cli, spectral_flow
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
@@ -338,3 +338,44 @@ def test_ancient_overflow_exits_four(tmp_path, capsys):
     path = tmp_path / "hex.json"
     save_polygon_json(eigen_polygon(6, 1), path)
     assert main(["flow", "--input", str(path), "--m", "1", "--times=-1000000.0"]) == 4
+
+
+def test_unwritable_svg_is_refused_before_the_csv_is_written(tmp_path, pentagon_file, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile.json").write_text("{}")
+    argv = ["flow", "--input", pentagon_file, "--m", "1", "--csv", "ok.csv", "--svg", "afile.json/x.svg"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err.startswith("input error:") and "afile.json/x.svg" in captured.err
+    assert not (tmp_path / "ok.csv").exists()
+
+
+def test_out_of_memory_exits_four(pentagon_file, monkeypatch, capsys):
+    def exhausted(x0, config, keep_steps=True):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_rk4", exhausted)
+    assert main(["integrate", "--input", pentagon_file, "--m", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource error: out of memory\n"
+
+
+def test_integrate_keeps_every_state_only_for_the_csv(tmp_path, pentagon_file, monkeypatch, capsys):
+    runs, run_rk4 = [], cli.run_rk4
+
+    def captured_run(x0, config, keep_steps=True):
+        runs.append(run_rk4(x0, config, keep_steps=keep_steps))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_rk4", captured_run)
+    base = ["integrate", "--input", pentagon_file, "--m", "1", "--dt", "0.01", "--T", "0.505"]
+    assert main(base) == 0
+    assert main(base + ["--csv", str(tmp_path / "rk4.csv")]) == 0
+    lean, full = runs
+    assert lean.steps == full.steps == 51
+    assert len(lean.polygons) == len(lean.times) == 2
+    assert len(full.polygons) == len(full.times) == full.steps + 1
+    deviations = [line for line in capsys.readouterr().out.splitlines() if line.startswith("max")]
+    assert deviations[0] == deviations[1]

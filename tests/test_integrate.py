@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,10 +97,51 @@ def test_trajectory_sampling_and_partial_step(rng):
     assert len(traj.times) == len(traj.polygons) == 7
     assert traj.polygons[0] == x
     assert traj.m == 1
+    assert traj.steps == 6
 
     whole = integrate(x, IntegratorConfig(dt=0.1, t_final=0.5, kind=PolyharmonicKind(1)))
     assert not whole.partial_final_step
     assert len(whole.times) == 6
+    assert whole.steps == 5
+
+
+@pytest.mark.parametrize("t_final", [0.5, 0.55])  # whole and partial last step
+@pytest.mark.parametrize("yau", [False, True])
+def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
+    x = helpers.random_polygon(rng, 7, p=3)
+    kind = YauKind(2, helpers.random_polygon(rng, 7, p=3)) if yau else PolyharmonicKind(2)
+    config = IntegratorConfig(dt=0.02, t_final=t_final, kind=kind)
+    full = integrate(x, config)
+    lean = integrate(x, config, keep_steps=False)
+    assert lean.times == (0.0, full.times[-1])
+    assert lean.polygons[0] == x
+    assert lean.final().vertices.tobytes() == full.final().vertices.tobytes()
+    assert lean.partial_final_step == full.partial_final_step == (t_final == 0.55)
+    assert lean.steps == full.steps == len(full.times) - 1
+
+
+def test_zero_steps_keep_only_the_initial_state(rng):
+    x = helpers.random_polygon(rng, 5)
+    lean = integrate(x, IntegratorConfig(dt=0.1, t_final=0.0, kind=PolyharmonicKind(1)), keep_steps=False)
+    assert lean.times == (0.0,) and lean.polygons == (x,) and lean.steps == 0
+
+
+def test_final_state_only_memory_is_flat_in_the_step_count():
+    x = eigen_polygon(256, 1)
+    dt = 0.1 / stability_limit(256, 1)
+
+    def traced_peak(steps):
+        config = IntegratorConfig(dt=dt, t_final=steps * dt, kind=PolyharmonicKind(1))
+        tracemalloc.start()
+        try:
+            traj = integrate(x, config, keep_steps=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == steps and len(traj.polygons) == 2
+        return peak
+
+    assert traced_peak(4000) <= 1.5 * traced_peak(500)
 
 
 def test_yau_kind_stationary_trajectory(rng):
