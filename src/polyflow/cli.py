@@ -6,6 +6,7 @@ unwritable output path), 4 numeric range error or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -147,10 +148,13 @@ def load_flow_polygon(path) -> Polygon:
 def _write_trajectory_rows(fh, times, polygons) -> None:
     p = polygons[0].p
     fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
+    indices = [f",{j}," for j in range(max(poly.n for poly in polygons))]
     for t, poly in zip(times, polygons):
-        for j, row in enumerate(poly.vertices):
-            cells = [format_float(t), str(j)] + [format_float(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+        # repr of the float64 cells is format_float, taken a whole sample at a time
+        cells = list(map(repr, poly.vertices.ravel().tolist()))
+        rows = map(",".join, zip(*[iter(cells)] * p))
+        stamp = format_float(t)
+        fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, rows)]))
 
 
 def write_trajectory_csv(path, times, polygons) -> None:
@@ -237,14 +241,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "p": x0.p,
         "m": args.m,
         "energy": energy(x0, args.m),
-        "centroid": [float(c) for c in dec.alpha[0]],
+        "centroid": dec.alpha[0].tolist(),
         "modes": [
             {
                 "k": k,
                 "mass": float(masses[k]),
                 "rate": circulant.flow_eigenvalue(x0.n, args.m, k),
-                "alpha": [float(a) for a in dec.alpha[k]],
-                "beta": [float(b) for b in dec.beta[k]],
+                "alpha": dec.alpha[k].tolist(),
+                "beta": dec.beta[k].tolist(),
             }
             for k in range(dec.half + 1)
         ],
@@ -310,9 +314,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first ``main`` call and reused: parsing
+    leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except CliArgumentError as exc:

@@ -220,7 +220,7 @@ def format_float(value: float) -> str:
 
 def polygon_doc(x: Polygon) -> dict:
     """The JSON document of a polygon, as saved and as reported by the CLI."""
-    return {"dim": x.p, "vertices": [[float(c) for c in row] for row in x.vertices]}
+    return {"dim": x.p, "vertices": x.vertices.tolist()}
 
 
 def save_polygon_json(x: Polygon, path) -> None:

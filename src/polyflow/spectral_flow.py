@@ -126,20 +126,33 @@ class FlowSolution:
     Evaluation at any time is independent of any other time; negative times
     (ancient solutions) are allowed until the exponentials leave floating
     range, which raises :class:`FlowRangeError` instead of returning inf.
+    :meth:`from_decomposition` precomputes everything that does not depend on
+    t: ``mode_rates`` (the flow eigenvalue of each mode pair), ``present``
+    (the present shape modes, an int array) and ``spectrum`` (the rfft
+    spectrum that ``decompose`` projected, rebuilt from alpha and beta), so an
+    evaluation only scales ``spectrum`` and runs one ``irfft``.
     """
 
     m: int
     decomposition: SpectralDecomposition
     mode_rates: np.ndarray
+    present: np.ndarray
+    spectrum: np.ndarray
 
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
         rates = np.array([circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)])
-        return cls(m=m, decomposition=dec, mode_rates=rates)
+        c_sq, s_sq = _basis_norms_sq(dec.n)
+        return cls(
+            m=m,
+            decomposition=dec,
+            mode_rates=rates,
+            present=np.array(dec.present_modes(), dtype=np.intp),
+            spectrum=c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta),
+        )
 
     def _accumulate(self, t: float, rate_shift: float, include_mean: bool) -> Polygon:
-        dec = self.decomposition
-        present = dec.present_modes()
+        dec, present = self.decomposition, self.present
         exponents = (self.mode_rates[present] - rate_shift) * t
         overflows = np.flatnonzero(exponents > _EXP_LIMIT)
         if overflows.size:
@@ -150,9 +163,7 @@ class FlowSolution:
         # invert decompose's rfft with factor 0 on the mean, which is added exactly
         factors = np.zeros((dec.half + 1, 1))
         factors[present, 0] = np.exp(exponents)
-        c_sq, s_sq = _basis_norms_sq(dec.n)
-        spectrum = factors * (c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta))
-        out = np.fft.irfft(spectrum, n=dec.n, axis=0)
+        out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=0)
         if include_mean:
             out += dec.alpha[0][None, :]
         if not np.isfinite(out).all():

@@ -79,9 +79,11 @@ def render(layers: list[Layer]) -> str:
         '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
     ]
     for layer in layers:
-        points = " ".join(
-            f"{format_float(x)},{format_float(-y)}" for x, y in layer.polygon.vertices
-        )
+        v = layer.polygon.vertices
+        # repr of the float64 columns is format_float; negation keeps -0.0 exact
+        xs = map(repr, v[:, 0].tolist())
+        ys = map(repr, (-v[:, 1]).tolist())
+        points = " ".join(map(",".join, zip(xs, ys)))
         dash = ""
         if layer.dashed:
             dash = ' stroke-dasharray="{} {}"'.format(

@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 
-from polyflow import FlowRangeError, Polygon
+from polyflow import FlowRangeError, Polygon, spectral_flow
 from polyflow.circulant import flow_eigenvalue, fourier_matrix, idft
+from polyflow.polygon import energy, format_float
 
 
 def random_polygon(rng, n, p=2, scale=1.0):
@@ -193,3 +194,80 @@ def midpoint_grow(x, target):
         mid = 0.5 * (verts[i] + verts[(i + 1) % len(verts)])
         verts.insert(i + 1, mid)
     return Polygon(np.array(verts))
+
+
+def cell_csv_rows(fh, times, polygons):
+    """The trajectory table one cell at a time: ``format_float`` of every
+    time and coordinate, one ``write`` per row."""
+    p = polygons[0].p
+    fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
+    for t, poly in zip(times, polygons):
+        for j, row in enumerate(poly.vertices):
+            cells = [format_float(t), str(j)] + [format_float(c) for c in row]
+            fh.write(",".join(cells) + "\n")
+
+
+def vertex_svg_points(polygon):
+    """An SVG ``points`` attribute one vertex at a time, y flipped."""
+    return " ".join(f"{format_float(x)},{format_float(-y)}" for x, y in polygon.vertices)
+
+
+def recomputed_accumulate(solution, t, rate_shift, include_mean):
+    """One evaluation of a ``FlowSolution`` that recomputes the present modes
+    and the basis norms from the decomposition on every call."""
+    dec = solution.decomposition
+    present = dec.present_modes()
+    exponents = (solution.mode_rates[present] - rate_shift) * t
+    overflows = np.flatnonzero(exponents > math.log(np.finfo(float).max))
+    if overflows.size:
+        i = overflows[0]
+        raise FlowRangeError(
+            f"exp({exponents[i]:.6g}) overflows evaluating mode {present[i]} at t={t!r}"
+        )
+    factors = np.zeros((dec.half + 1, 1))
+    factors[present, 0] = np.exp(exponents)
+    c_sq, s_sq = spectral_flow._basis_norms_sq(dec.n)
+    spectrum = factors * (c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta))
+    out = np.fft.irfft(spectrum, n=dec.n, axis=0)
+    if include_mean:
+        out += dec.alpha[0][None, :]
+    if not np.isfinite(out).all():
+        raise FlowRangeError(f"evolution left floating range at t={t!r}")
+    return Polygon(out)
+
+
+def elementwise_analyze_report(x0, m):
+    """The ``polyflow analyze`` report with every JSON leaf list built one
+    ``float`` at a time."""
+    def doc(x):
+        return {"dim": x.p, "vertices": [[float(c) for c in row] for row in x.vertices]}
+
+    dec = spectral_flow.decompose(x0)
+    verdict = spectral_flow.classify_self_similar(dec, m)
+    masses = dec.pair_masses()
+    report = {
+        "n": x0.n,
+        "p": x0.p,
+        "m": m,
+        "energy": energy(x0, m),
+        "centroid": [float(c) for c in dec.alpha[0]],
+        "modes": [
+            {
+                "k": k,
+                "mass": float(masses[k]),
+                "rate": flow_eigenvalue(x0.n, m, k),
+                "alpha": [float(a) for a in dec.alpha[k]],
+                "beta": [float(b) for b in dec.beta[k]],
+            }
+            for k in range(dec.half + 1)
+        ],
+        "self_similar": None
+        if verdict is None
+        else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
+    }
+    k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
+    k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")
+    report.update(
+        dominant_mode=k_fwd, forward_limit=doc(fwd), ancient_mode=k_anc, ancient_limit=doc(anc)
+    )
+    return report

@@ -379,3 +379,52 @@ def test_integrate_keeps_every_state_only_for_the_csv(tmp_path, pentagon_file, m
     assert len(full.polygons) == len(full.times) == full.steps + 1
     deviations = [line for line in capsys.readouterr().out.splitlines() if line.startswith("max")]
     assert deviations[0] == deviations[1]
+
+
+def test_analyze_report_is_byte_identical_to_the_elementwise_report(tmp_path, rng, capsys):
+    x0 = helpers.random_polygon(rng, 257, p=3)
+    path = tmp_path / "blob.json"
+    save_polygon_json(x0, path)
+    assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
+    expected = json.dumps(helpers.elementwise_analyze_report(x0, 2), indent=2) + "\n"
+    assert capsys.readouterr().out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, pentagon_file, target_file, monkeypatch, capsys):
+    (tmp_path / "bad.json").write_text("{not json")
+    commands = [
+        ["matrix", "--n", "6", "--m", "2"],
+        ["flow", "--input", pentagon_file, "--m", "1", "--count", "2"],
+        ["matrix", "--n", "6"],
+        ["analyze", "--input", pentagon_file, "--m", "3"],
+        ["flow", "--input", str(tmp_path / "bad.json"), "--m", "1"],
+        ["yau", "--input", pentagon_file, "--target", target_file, "--m", "2", "--times", "0.1"],
+        ["integrate", "--input", pentagon_file, "--m", "1", "--dt", "0.01", "--T", "0.05"],
+        ["flow", "--input", pentagon_file, "--m", "2"],
+    ]
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 3, 0, 0, 0]
+
+    builds, build_parser = [], cli.build_parser
+
+    def counted_build():
+        builds.append(None)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    assert [_outcome(argv, capsys) for argv in commands] == fresh
+    assert len(builds) == 1
+    cli._parser.cache_clear()

@@ -237,6 +237,42 @@ def test_exact_invariants_at_every_n(n, p, m, t, seed):
     assert drift < 1e-14 * max(1.0, float(np.abs(c).max()))
 
 
+def _evaluated(evaluate):
+    """The polygon's bytes, or the error's type and message."""
+    try:
+        return evaluate().vertices.tobytes()
+    except FlowRangeError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.integers(3, 300), st.sampled_from([2, 3]), st.integers(1, 3),
+    st.one_of(st.floats(-20.0, 20.0), st.sampled_from([-1e6, -300.0, -0.0, 1e6])),
+    st.sampled_from(["random", "constant", "two modes"]), st.integers(0, 2**32 - 1),
+)
+@example(6, 2, 1, -300.0, "two modes", 0)
+@example(300, 3, 3, -1e6, "random", 1)
+@example(5, 2, 2, 7.5, "constant", 2)
+@settings(max_examples=60)
+def test_hoisted_evaluation_is_bitwise_the_recomputing_one(n, p, m, t, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        x = helpers.constant_polygon(rng.normal(size=p), n)
+    elif shape == "two modes":
+        k1, k2 = (int(k) for k in rng.integers(1, n // 2 + 1, size=2))
+        x = Polygon(real_basis(n, k1).c[:, None] * rng.normal(size=p)
+                    + real_basis(n, k2).s[:, None] * rng.normal(size=p))
+    else:
+        x = helpers.random_polygon(rng, n, p=p)
+    solution = flow_solution(x, m)
+    k_ref = int(rng.integers(0, n // 2 + 1))
+    assert _evaluated(lambda: solution.polygon_at(t)) == _evaluated(
+        lambda: helpers.recomputed_accumulate(solution, t, 0.0, True))
+    assert _evaluated(lambda: solution.rescaled_deviation_at(t, k_ref)) == _evaluated(
+        lambda: helpers.recomputed_accumulate(
+            solution, t, float(solution.mode_rates[k_ref]), False))
+
+
 def test_ancient_evaluation_overflows_loudly():
     x = eigen_polygon(6, 1)
     with pytest.raises(FlowRangeError):
