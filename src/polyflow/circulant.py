@@ -147,37 +147,60 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
 
 
 def stencil(a: CirculantMatrix):
-    """The row map ``values -> a @ values`` over a cyclically padded copy.
+    """The row map ``values -> a @ values`` in three numpy calls per application.
 
-    Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the
+    Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the K
     nonzero entries, offsets folded to (-n/2, n/2] and accumulated in
     ascending signed order, so the sum matches a centered-stencil evaluation
-    term for term whenever the stencil does not wrap.  Each call pads
-    ``values`` once by the widest offset w on both sides and reads term s
-    as the contiguous slice ``padded[w + s : w + s + n]``: the same terms
-    in the same order as an index gather, so the same bits.  The map takes
-    arrays of shape (n,) or (n, p), real or complex.
+    term for term whenever the stencil does not wrap.  The map keeps two
+    buffers for the last input shape and dtype: a padded copy of ``values``
+    and the (K, n[, p]) term products.  Each call fills the padded copy with
+    one ``np.take``, multiplies the coefficient column by a strided view of
+    K windows into it, one per nonzero entry, so zero entries contribute no
+    ``0 * inf``, and returns a new array from one ``np.add.reduce`` over the
+    terms.  That sum starts from +0.0 and adds the terms in order: the same
+    terms in the same order as an index gather, so the same bits.  Windows
+    overlap when the offsets are evenly spaced, as a band of ``M^m`` is, and
+    lie end to end otherwise.  The map takes arrays of shape (n,) or (n, p),
+    real or complex; its buffers make it unsafe to call from two threads at
+    once.
     """
     n = a.n
     offsets = sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(a.first_row) if c)
-    w = max((abs(s) for s, _ in offsets), default=0)
+    shifts = [s for s, _ in offsets]
+    steps = {t - s for s, t in zip(shifts, shifts[1:])}
+    if len(steps) == 1:  # evenly spaced: the windows overlap in one padded run
+        stride = steps.pop()
+        idx = (shifts[0] + np.arange((len(shifts) - 1) * stride + n)) % n
+    else:  # one window after another
+        stride = n
+        idx = ((np.array(shifts, dtype=np.intp)[:, None] + np.arange(n)) % n).ravel()
+    coeffs = np.array([c for _, c in offsets])
+    key = padded = windows = column = prods = None
 
     def apply_rows(values: np.ndarray) -> np.ndarray:
-        padded = np.concatenate((values[n - w:], values, values[:w]))
-        out = np.zeros(values.shape, dtype=np.promote_types(values.dtype, np.float64))
-        for s, coeff in offsets:
-            out += coeff * padded[w + s : w + s + n]
-        return out
+        nonlocal key, padded, windows, column, prods
+        if key != (values.shape, values.dtype):
+            if values.shape[0] != n:  # the windows below must stay inside the padded copy
+                raise ValueError(f"size mismatch: matrix is {n}, data has {values.shape[0]} rows")
+            key = (values.shape, values.dtype)
+            padded = np.empty(idx.shape + values.shape[1:], dtype=values.dtype)
+            windows = np.lib.stride_tricks.as_strided(
+                padded, (len(shifts),) + values.shape, (stride * padded.strides[0],) + padded.strides
+            )
+            # a Python float coefficient times the values, in the values' own precision
+            column = coeffs.astype(np.result_type(values.dtype, 0.0)).reshape((-1,) + (1,) * values.ndim)
+            prods = np.empty(windows.shape, dtype=np.promote_types(values.dtype, np.float64))
+        np.take(values, idx, axis=0, out=padded, mode="clip")  # in range: "clip" skips a copy
+        np.multiply(column, windows, out=prods)
+        return np.add.reduce(prods, axis=0, initial=0.0)
 
     return apply_rows
 
 
 def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     """Apply the circulant matrix to a vector or to per-vertex rows (see :func:`stencil`)."""
-    values = np.asarray(values)
-    if values.shape[0] != a.n:
-        raise ValueError(f"size mismatch: matrix is {a.n}, data has {values.shape[0]} rows")
-    return stencil(a)(values)
+    return stencil(a)(np.asarray(values))
 
 
 def eigen_system(n: int, m: int) -> EigenSystem:

@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import circulant, spectral_flow, svg, yau_flow
 from .integrate import (
     DivergenceError,
@@ -233,42 +235,49 @@ def cmd_yau(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
-    dec = spectral_flow.decompose(x0)
-    verdict = spectral_flow.classify_self_similar(dec, args.m)
-    masses = dec.pair_masses()
-    report = {
-        "n": x0.n,
-        "p": x0.p,
-        "m": args.m,
-        "energy": energy(x0, args.m),
-        "centroid": dec.alpha[0].tolist(),
-        "modes": [
-            {
-                "k": k,
-                "mass": float(masses[k]),
-                "rate": circulant.flow_eigenvalue(x0.n, args.m, k),
-                "alpha": dec.alpha[k].tolist(),
-                "beta": dec.beta[k].tolist(),
-            }
-            for k in range(dec.half + 1)
-        ],
-        "self_similar": None
-        if verdict is None
-        else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
-    }
+    # a number beyond float range is refused when the report is encoded
+    with np.errstate(over="ignore", invalid="ignore"):
+        dec = spectral_flow.decompose(x0)
+        verdict = spectral_flow.classify_self_similar(dec, args.m)
+        masses = dec.pair_masses()
+        report = {
+            "n": x0.n,
+            "p": x0.p,
+            "m": args.m,
+            "energy": energy(x0, args.m),
+            "centroid": dec.alpha[0].tolist(),
+            "modes": [
+                {
+                    "k": k,
+                    "mass": float(masses[k]),
+                    "rate": circulant.flow_eigenvalue(x0.n, args.m, k),
+                    "alpha": dec.alpha[k].tolist(),
+                    "beta": dec.beta[k].tolist(),
+                }
+                for k in range(dec.half + 1)
+            ],
+            "self_similar": None
+            if verdict is None
+            else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
+        }
+        try:
+            k_fwd, fwd = spectral_flow.rescaled_limit(dec, args.m, "forward")
+            k_anc, anc = spectral_flow.rescaled_limit(dec, args.m, "ancient")
+            report["dominant_mode"] = k_fwd
+            report["forward_limit"] = polygon_doc(fwd)
+            report["ancient_mode"] = k_anc
+            report["ancient_limit"] = polygon_doc(anc)
+        except spectral_flow.DegenerateModeError:
+            report["dominant_mode"] = None
+            report["forward_limit"] = None
+            report["ancient_mode"] = None
+            report["ancient_limit"] = None
     try:
-        k_fwd, fwd = spectral_flow.rescaled_limit(dec, args.m, "forward")
-        k_anc, anc = spectral_flow.rescaled_limit(dec, args.m, "ancient")
-        report["dominant_mode"] = k_fwd
-        report["forward_limit"] = polygon_doc(fwd)
-        report["ancient_mode"] = k_anc
-        report["ancient_limit"] = polygon_doc(anc)
-    except spectral_flow.DegenerateModeError:
-        report["dominant_mode"] = None
-        report["forward_limit"] = None
-        report["ancient_mode"] = None
-        report["ancient_limit"] = None
-    text = json.dumps(report, indent=2)
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise spectral_flow.FlowRangeError(
+            f"the analyze report of {args.input_path} holds a number beyond float range"
+        ) from exc
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")

@@ -94,12 +94,14 @@ def _rhs_function(n: int, kind: FlowKind):
     """Build the vectorized right-hand side for vertex arrays of n rows."""
     apply_m = circulant.stencil(circulant.power_of_m(n, kind.m))
     sign = circulant.flow_sign(kind.m)
+    # 1 * x is exact, so odd orders skip the sign pass
+    flow = apply_m if sign == 1 else (lambda d: sign * apply_m(d))
     if isinstance(kind, YauKind):
         if kind.target.n != n:
             raise ValueError(f"target has {kind.target.n} vertices, state has {n}")
         target = kind.target.vertices
-        return lambda v: sign * apply_m(v - target)
-    return lambda v: sign * apply_m(v)
+        return lambda v: flow(v - target)
+    return flow
 
 
 def rhs(x: Polygon, kind: FlowKind) -> Polygon:

@@ -59,8 +59,8 @@ class SpectralDecomposition:
 
     def pair_masses(self) -> np.ndarray:
         """Norms of the mode-k component polygons, k = 0..floor(n/2)."""
-        c_sq, s_sq = _basis_norms_sq(self.n)
-        return np.sqrt(c_sq * np.sum(self.alpha**2, axis=1) + s_sq * np.sum(self.beta**2, axis=1))
+        masses, shift = _shifted_pair_masses(self)
+        return np.ldexp(masses, -shift)
 
     def present_modes(self) -> list[int]:
         """Shape modes (k >= 1) surviving the presence threshold."""
@@ -85,11 +85,28 @@ def _basis_norms_sq(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
 
 
+def _shifted_pair_masses(dec: SpectralDecomposition) -> tuple[np.ndarray, int]:
+    """The pair masses of the coefficients times ``2**shift``, and ``shift``.
+
+    The masses square the coefficients, which overflows above ~1e154 and
+    underflows below ~1e-154.  So when the largest |alpha| or |beta| lies
+    outside [2^-400, 2^400], the coefficients are first brought near one by
+    an exact power of two; inside that band the shift is 0 and every value
+    is as if unshifted.  Ratios of the shifted masses are the true ratios.
+    """
+    exponent = int(np.frexp(max(np.abs(dec.alpha).max(), np.abs(dec.beta).max()))[1])
+    shift = -exponent if abs(exponent) > 400 else 0
+    alpha, beta = np.ldexp(dec.alpha, shift), np.ldexp(dec.beta, shift)
+    c_sq, s_sq = _basis_norms_sq(dec.n)
+    return np.sqrt(c_sq * np.sum(alpha**2, axis=1) + s_sq * np.sum(beta**2, axis=1)), shift
+
+
 def decompose(x: Polygon) -> SpectralDecomposition:
     """Project a polygon onto the cosine/sine mode basis.
 
     One real FFT of the centered coordinates gives every k >= 1 mode, and
-    pairs below the presence threshold are flushed to exact zero.
+    pairs below the presence threshold are flushed to exact zero, at any
+    scale of the polygon.
     """
     if x.n < 3:
         raise ValueError(f"decomposition needs n >= 3, got n = {x.n}")
@@ -104,7 +121,7 @@ def decompose(x: Polygon) -> SpectralDecomposition:
 
     planar = circulant.idft(x.as_complex()) if x.p == 2 else None
     dec = SpectralDecomposition(n=x.n, p=x.p, alpha=alpha, beta=beta, planar_coeffs=planar)
-    masses = dec.pair_masses()
+    masses = _shifted_pair_masses(dec)[0]
     flushed = masses <= PRESENCE_RELATIVE_THRESHOLD * masses.max()
     flushed[0] = False
     alpha[flushed] = 0.0
@@ -228,7 +245,7 @@ def classify_self_similar(x0: Polygon | SpectralDecomposition, m: int) -> SelfSi
     and translators only exist in the trivial constant case).
     """
     dec = _decomposed(x0)
-    masses_sq = dec.pair_masses() ** 2  # index 0 is the centroid, not shape
+    masses_sq = _shifted_pair_masses(dec)[0] ** 2  # index 0 is the centroid, not shape
     total_sq = float(np.sum(masses_sq[1:]))
     present = dec.present_modes()
     if not present:

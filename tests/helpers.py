@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from polyflow import FlowRangeError, Polygon, spectral_flow
-from polyflow.circulant import flow_eigenvalue, fourier_matrix, idft
+from polyflow.circulant import flow_eigenvalue, flow_sign, fourier_matrix, idft, power_of_m
+from polyflow.integrate import YauKind
 from polyflow.polygon import energy, format_float
 
 
@@ -88,6 +89,37 @@ def gather_stencil(a):
         return out
 
     return apply_rows
+
+
+def stagewise_rk4(x0, config):
+    """Every state of the fixed-step RK4 run ``integrate`` makes, as arrays.
+
+    The stage arithmetic is written out once per step on
+    :func:`gather_stencil`, and the flow sign is an explicit ``sign *`` for
+    every order, so a run must reproduce it bit for bit.
+    """
+    kind = config.kind
+    apply_m = gather_stencil(power_of_m(x0.n, kind.m))
+    sign = flow_sign(kind.m)
+    target = kind.target.vertices if isinstance(kind, YauKind) else None
+
+    def f(v):
+        return sign * apply_m(v if target is None else v - target)
+
+    dt, t_final = config.dt, config.t_final
+    n_full = int(math.floor(t_final / dt + 1e-9))
+    remainder = t_final - n_full * dt
+    n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(t_final)))
+    states = [x0.vertices.copy()]
+    for step_index in range(1, n_steps + 1):
+        h = dt if step_index <= n_full else remainder
+        v = states[-1]
+        k1 = f(v)
+        k2 = f(v + (0.5 * h) * k1)
+        k3 = f(v + (0.5 * h) * k2)
+        k4 = f(v + h * k3)
+        states.append(v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    return states
 
 
 def stencil_rhs(x, m):

@@ -179,16 +179,21 @@ def test_matvec_matches_dense_oracle(rng):
     st.sampled_from((None, 2, 3, 4, 5)),
     st.booleans(),
     st.sampled_from((0.0, 0.2, 1.0)),
+    st.sampled_from(("power", "band", "any")),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example(3, 2, None, False, 0.2, 0)  # n < 2m + 1: offsets wrap and collide
-@example(5, 4, 2, True, 0.2, 1)
-@example(4, 20, 3, False, 0.0, 2)
-@example(6, 3, 5, True, 0.2, 3)  # offset n/2 is the widest fold
-@example(300, 20, 2, False, 0.0, 4)
-@example(64, 1, 2, False, 1.0, 5)  # all signed zeros: the zero start decides their sign
-@example(7, 2, None, True, 1.0, 6)
-def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, seed):
+@example(3, 2, None, False, 0.2, "power", False, 0)  # n < 2m + 1: offsets wrap and collide
+@example(5, 4, 2, True, 0.2, "power", False, 1)
+@example(4, 20, 3, False, 0.0, "power", False, 2)
+@example(6, 3, 5, True, 0.2, "power", False, 3)  # offset n/2 is the widest fold
+@example(300, 20, 2, False, 0.0, "power", False, 4)
+@example(64, 1, 2, False, 1.0, "power", False, 5)  # all signed zeros: the zero start decides their sign
+@example(7, 2, None, True, 1.0, "power", False, 6)
+@example(40, 6, 2, False, 0.2, "band", True, 7)  # zeros inside the band meet inf and nan
+@example(9, 1, 3, True, 0.2, "any", True, 8)
+@example(31, 3, None, False, 0.0, "any", False, 9)
+def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, rows, special, seed):
     rng = np.random.default_rng(seed)
     shape = (n,) if p is None else (n, p)
     values = rng.normal(size=shape)
@@ -196,11 +201,25 @@ def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, seed):
         values = values + 1j * rng.normal(size=shape)
     mask = rng.random(size=shape) < zeros
     values[mask] = np.copysign(0.0, rng.normal(size=shape))[mask]
-    mat = power_of_m(n, m)
-    expected = helpers.gather_stencil(mat)(values)
-    got = circulant.stencil(mat)(values)
+    if special:
+        picks = rng.random(size=shape)
+        values[picks < 0.1] = rng.choice([np.inf, -np.inf, np.nan], size=shape)[picks < 0.1]
+    if rows == "power":
+        mat = power_of_m(n, m)
+    else:  # integer rows with zeros among the nonzero entries
+        first_row = [0] * n
+        for s in range(-m, m + 1) if rows == "band" else range(n):
+            first_row[s % n] += int(rng.integers(-9, 10)) * int(rng.random() < 0.6)
+        mat = CirculantMatrix(n, tuple(first_row))
+    with np.errstate(invalid="ignore"):  # inf - inf in both maps
+        expected = helpers.gather_stencil(mat)(values)
+        got = circulant.stencil(mat)(values)
     assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    # compare real and imaginary parts one by one: equal bits, or nan in both
+    got, expected = got.view(np.float64), expected.view(np.float64)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
 
 
 def test_eigen_relation_on_eigenpolygons():

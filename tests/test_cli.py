@@ -340,6 +340,29 @@ def test_ancient_overflow_exits_four(tmp_path, capsys):
     assert main(["flow", "--input", str(path), "--m", "1", "--times=-1000000.0"]) == 4
 
 
+def test_analyze_beyond_float_range_exits_four_and_writes_nothing(tmp_path, capsys):
+    unit, big = tmp_path / "unit.json", tmp_path / "big.json"
+    save_polygon_json(eigen_polygon(5, 2), unit)
+    assert main(["analyze", "--input", str(unit), "--m", "1"]) == 0
+    unit_masses = [mode["mass"] for mode in json.loads(capsys.readouterr().out)["modes"]]
+    # masses square the coefficients, energy squares the edges: only the energy overflows here
+    save_polygon_json(eigen_polygon(5, 2).scaled(1e150), big)
+    assert main(["analyze", "--input", str(big), "--m", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["self_similar"]["mode"] == 2
+    masses = [mode["mass"] for mode in report["modes"]]
+    assert masses[2] == pytest.approx(1e150 * unit_masses[2], rel=1e-15)
+    for scale in (1e160, 1e300):
+        save_polygon_json(eigen_polygon(5, 2).scaled(scale), big)
+        out = tmp_path / "report.json"
+        for argv in ([], ["--json", str(out)]):
+            assert main(["analyze", "--input", str(big), "--m", "1"] + argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("numeric range error: ")
+            assert captured.err.count("\n") == 1
+
+
 def test_unwritable_svg_is_refused_before_the_csv_is_written(tmp_path, pentagon_file, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile.json").write_text("{}")

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyflow import circulant, spectral_flow
 from polyflow.integrate import (
@@ -118,6 +120,37 @@ def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
     assert lean.final().vertices.tobytes() == full.final().vertices.tobytes()
     assert lean.partial_final_step == full.partial_final_step == (t_final == 0.55)
     assert lean.steps == full.steps == len(full.times) - 1
+
+
+@given(
+    st.integers(3, 64), st.sampled_from((2, 3)), st.integers(1, 4), st.booleans(),
+    st.integers(0, 30), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+)
+@example(3, 2, 2, False, 5, True, True, 0)  # n < 2m + 1: the stencil wraps
+@example(8, 3, 1, True, 12, False, True, 1)
+@example(64, 2, 4, True, 30, True, False, 2)
+@example(5, 3, 3, False, 0, True, False, 3)  # only the partial step
+@settings(max_examples=60)
+def test_whole_run_is_bitwise_the_stagewise_oracle(n, p, m, yau, steps, partial, special, seed):
+    rng = np.random.default_rng(seed)
+
+    def vertices():
+        v = rng.normal(size=(n, p))
+        if special:  # signed zeros and a constant column, whose velocity is exactly zero
+            v[rng.random(size=(n, p)) < 0.3] = -0.0
+            v[:, int(rng.integers(p))] = rng.choice([0.0, -0.0, 1.5])
+        return Polygon(v)
+
+    x = vertices()
+    kind = YauKind(m, vertices()) if yau else PolyharmonicKind(m)
+    dt = 0.1 / stability_limit(n, m)
+    config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
+    states = helpers.stagewise_rk4(x, config)
+    full = integrate(x, config)
+    assert full.steps == len(states) - 1 == steps + partial
+    assert [poly.vertices.tobytes() for poly in full.polygons] == [v.tobytes() for v in states]
+    lean = integrate(x, config, keep_steps=False)
+    assert lean.final().vertices.tobytes() == states[-1].tobytes()
 
 
 def test_zero_steps_keep_only_the_initial_state(rng):

@@ -348,6 +348,37 @@ def test_limits_and_verdict_take_a_polygon_or_its_decomposition(n, p, m, shape, 
         assert limit_dec.vertices.tobytes() == limit_poly.vertices.tobytes()
 
 
+@given(
+    st.integers(3, 300), st.integers(2, 3), st.integers(1, 3),
+    st.sampled_from(("random", "pure", "two modes", "constant")), st.integers(0, 2**32 - 1),
+)
+@example(7, 2, 1, "random", 0)  # a 7-gon at 1e155 or 1e-170 used to lose every mode
+@example(7, 2, 2, "pure", 1)
+@example(300, 3, 3, "two modes", 2)
+@example(4, 2, 1, "constant", 3)
+@settings(max_examples=40)
+def test_presence_and_verdict_do_not_depend_on_the_scale(n, p, m, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        x = helpers.constant_polygon(rng.normal(size=p), n)
+    elif shape == "random":
+        x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)))
+    else:
+        modes = rng.choice(np.arange(1, n // 2 + 1), size=1 if shape == "pure" else min(2, n // 2), replace=False)
+        x = Polygon(sum(
+            np.column_stack([basis.c, basis.s]) @ rng.normal(size=(2, p))
+            for basis in (real_basis(n, int(k)) for k in modes)
+        ) + rng.normal(size=p))
+    present, verdict = decompose(x).present_modes(), classify_self_similar(x, m)
+    expected = solve(x, m, 0.05).vertices
+    for scale in (1e200, 1e-200, 1e155, 1e-170):
+        y = x.scaled(scale)
+        assert decompose(y).present_modes() == present
+        assert classify_self_similar(y, m) == verdict
+        gap = np.abs(solve(y, m, 0.05).vertices - scale * expected).max()
+        assert gap <= 1e-15 * scale * np.abs(expected).max()
+
+
 def test_constant_polygon_classifies_as_trivial():
     verdict = classify_self_similar(helpers.constant_polygon([1.0, 2.0], 5), 2)
     assert verdict is not None
