@@ -155,7 +155,7 @@ def stencil(a: CirculantMatrix):
     term for term whenever the stencil does not wrap.  The map keeps two
     buffers for the last input shape and dtype: a padded copy of ``values``
     and the (K, n[, p]) term products.  Each call fills the padded copy with
-    one ``np.take``, multiplies the coefficient column by a strided view of
+    one ``take``, multiplies the coefficient column by a strided view of
     K windows into it, one per nonzero entry, so zero entries contribute no
     ``0 * inf``, and returns a new array from one ``np.add.reduce`` over the
     terms.  That sum starts from +0.0 and adds the terms in order: the same
@@ -191,7 +191,7 @@ def stencil(a: CirculantMatrix):
             # a Python float coefficient times the values, in the values' own precision
             column = coeffs.astype(np.result_type(values.dtype, 0.0)).reshape((-1,) + (1,) * values.ndim)
             prods = np.empty(windows.shape, dtype=np.promote_types(values.dtype, np.float64))
-        np.take(values, idx, axis=0, out=padded, mode="clip")  # in range: "clip" skips a copy
+        values.take(idx, axis=0, out=padded, mode="clip")  # in range: "clip" skips a copy
         np.multiply(column, windows, out=prods)
         return np.add.reduce(prods, axis=0, initial=0.0)
 

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -233,24 +233,92 @@ def cmd_yau(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    x0 = load_flow_polygon(args.input_path)
-    # a number beyond float range is refused when the report is encoded
+def _finite(text: str) -> str:
+    """``text``, numbers written by ``repr``, or the ValueError ``json`` raises
+    under ``allow_nan=False`` when one is nan or infinite: only those reprs
+    hold an "n"."""
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+def _json_floats(values, pad: str) -> str:
+    """A non-empty number list in the indent-2 layout, its items at ``pad``."""
+    items = _finite(f",\n{pad}".join(map(repr, values)))
+    return f"[\n{pad}{items}\n{pad[2:]}]"
+
+
+def _json_polygon(doc) -> str:
+    """A :func:`polygon_doc`, or None, as a member of the report."""
+    if doc is None:
+        return "null"
+    cells = list(map(repr, chain.from_iterable(doc["vertices"])))
+    rows = "\n      ],\n      [\n        ".join(
+        map(",\n        ".join, zip(*[iter(cells)] * doc["dim"]))
+    )
+    return (
+        f'{{\n    "dim": {doc["dim"]},\n    "vertices": [\n      [\n        '
+        f"{_finite(rows)}\n      ]\n    ]\n  }}"
+    )
+
+
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False)`` for the report of
+    :func:`cmd_analyze`, laid out by its schema: ``indent`` sends ``json`` to
+    its pure-Python encoder, which costs twice as much.  Like ``json``, a
+    number beyond float range raises ValueError."""
+    modes = ",\n".join(
+        f'    {{\n      "k": {mode["k"]},\n'
+        f'      "mass": {_finite(repr(mode["mass"]))},\n'
+        f'      "rate": {_finite(repr(mode["rate"]))},\n'
+        f'      "alpha": {_json_floats(mode["alpha"], " " * 8)},\n'
+        f'      "beta": {_json_floats(mode["beta"], " " * 8)}\n    }}'
+        for mode in report["modes"]
+    )
+    verdict = report["self_similar"]
+    if verdict is not None:
+        verdict = (
+            f'{{\n    "mode": {verdict["mode"]},\n'
+            f'    "rate": {_finite(repr(verdict["rate"]))},\n'
+            f'    "trivial": {"true" if verdict["trivial"] else "false"}\n  }}'
+        )
+    members = (
+        ("n", report["n"]),
+        ("p", report["p"]),
+        ("m", report["m"]),
+        ("energy", _finite(repr(report["energy"]))),
+        ("centroid", _json_floats(report["centroid"], "    ")),
+        ("modes", f"[\n{modes}\n  ]"),
+        ("self_similar", verdict),
+        ("dominant_mode", report["dominant_mode"]),
+        ("forward_limit", _json_polygon(report["forward_limit"])),
+        ("ancient_mode", report["ancient_mode"]),
+        ("ancient_limit", _json_polygon(report["ancient_limit"])),
+    )
+    body = ",\n".join(
+        f'  "{key}": {"null" if text is None else text}' for key, text in members
+    )
+    return f"{{\n{body}\n}}"
+
+
+def _analyze_report(x0: Polygon, m: int) -> dict:
+    """The ``analyze`` report of x0, ready for :func:`_report_json`, which
+    refuses a number beyond float range left in it."""
     with np.errstate(over="ignore", invalid="ignore"):
         dec = spectral_flow.decompose(x0)
-        verdict = spectral_flow.classify_self_similar(dec, args.m)
+        verdict = spectral_flow.classify_self_similar(dec, m)
         masses = dec.pair_masses()
         report = {
             "n": x0.n,
             "p": x0.p,
-            "m": args.m,
-            "energy": energy(x0, args.m),
+            "m": m,
+            "energy": energy(x0, m),
             "centroid": dec.alpha[0].tolist(),
             "modes": [
                 {
                     "k": k,
                     "mass": float(masses[k]),
-                    "rate": circulant.flow_eigenvalue(x0.n, args.m, k),
+                    "rate": circulant.flow_eigenvalue(x0.n, m, k),
                     "alpha": dec.alpha[k].tolist(),
                     "beta": dec.beta[k].tolist(),
                 }
@@ -261,8 +329,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
         }
         try:
-            k_fwd, fwd = spectral_flow.rescaled_limit(dec, args.m, "forward")
-            k_anc, anc = spectral_flow.rescaled_limit(dec, args.m, "ancient")
+            k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
+            k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")
             report["dominant_mode"] = k_fwd
             report["forward_limit"] = polygon_doc(fwd)
             report["ancient_mode"] = k_anc
@@ -272,8 +340,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             report["forward_limit"] = None
             report["ancient_mode"] = None
             report["ancient_limit"] = None
+    return report
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    x0 = load_flow_polygon(args.input_path)
+    report = _analyze_report(x0, args.m)
     try:
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = _report_json(report)
     except ValueError as exc:
         raise spectral_flow.FlowRangeError(
             f"the analyze report of {args.input_path} holds a number beyond float range"

@@ -8,9 +8,12 @@ difference matrix.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -179,7 +182,8 @@ def reconcile_vertex_counts(
 
     ``duplicate`` repeats the final vertex of the smaller polygon; ``midpoint``
     repeatedly bisects its currently longest edge (ties to the lowest edge
-    index), so inserted vertices lie on existing segments.
+    index), so inserted vertices lie on existing segments.  Growing n vertices
+    by k midpoints costs O((n + k) log(n + k)).
     """
     if a.p != b.p:
         raise ValueError(f"ambient dimensions differ: {a.p} != {b.p}")
@@ -192,20 +196,58 @@ def reconcile_vertex_counts(
 def _grow(x: Polygon, target: int, strategy: str) -> Polygon:
     if x.n == target:
         return x
-    v = x.vertices.copy()
     if strategy == "duplicate":
-        pad = np.repeat(v[-1:], target - x.n, axis=0)
-        return Polygon(np.vstack([v, pad]))
-    verts = list(v)
-    # squared edge lengths, kept in step with verts: a split renews two entries
-    lengths = [float(np.sum((b - a) ** 2)) for a, b in zip(verts, verts[1:] + verts[:1])]
-    while len(verts) < target:
-        i = lengths.index(max(lengths))  # the first maximum: lowest index
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        mid = 0.5 * (a + b)
-        verts.insert(i + 1, mid)
-        lengths[i : i + 1] = [float(np.sum((mid - a) ** 2)), float(np.sum((b - mid) ** 2))]
-    return Polygon(np.array(verts))
+        pad = np.repeat(x.vertices[-1:], target - x.n, axis=0)
+        return Polygon(np.vstack([x.vertices, pad]))
+    return Polygon(np.array(_bisected(x.vertices.tolist(), target)))
+
+
+def _squared_length(a: list, b: list) -> float:
+    """``float(np.sum((b - a) ** 2))`` for rows of fewer than 8 floats, where
+    numpy's pairwise sum is one loop from 0.0 in index order."""
+    total = 0.0
+    for s, t in zip(a, b):
+        d = t - s
+        total += d * d
+    return total
+
+
+def _numpy_squared_length(a: list, b: list) -> float:
+    """The same sum for wider rows, where numpy's sum is pairwise."""
+    return float(np.sum((np.array(b) - np.array(a)) ** 2))
+
+
+def _bisected(rows: list, target: int) -> list:
+    """The vertex rows after bisecting the longest edge, ties to the lowest
+    current index, until there are ``target`` of them.
+
+    A heap holds every sub-edge keyed on (-squared length, original edge,
+    offset along that edge).  A split keeps both halves on their original
+    edge, so (edge, offset) is the current index order.  Offsets are exact
+    integers in units of ``2**-bits`` of an edge; when a sub-edge one unit wide
+    must split, every offset and width is refined by ``2**bits``, which keeps
+    their order, and ``bits`` doubles.  Midpoints are ``0.5 * (a + b)`` per
+    coordinate and lengths are summed as numpy sums them, so the result is
+    bitwise that of rescanning every edge length per insertion.
+    """
+    length = _squared_length if len(rows[0]) < 8 else _numpy_squared_length
+    bits = 64
+    heap = [
+        (-length(a, b), edge, 0, 1 << bits, a, b)
+        for edge, (a, b) in enumerate(zip(rows, rows[1:] + rows[:1]))
+    ]
+    heapq.heapify(heap)
+    for _ in range(target - len(rows)):
+        if heap[0][3] == 1:
+            heap = [(key, e, o << bits, w << bits, a, b) for key, e, o, w, a, b in heap]
+            bits *= 2
+        _, edge, offset, width, a, b = heap[0]
+        mid = [0.5 * (s + t) for s, t in zip(a, b)]
+        width >>= 1
+        heapq.heapreplace(heap, (-length(a, mid), edge, offset, width, a, mid))
+        heapq.heappush(heap, (-length(mid, b), edge, offset + width, width, mid, b))
+    heap.sort(key=itemgetter(1, 2))
+    return [leaf[4] for leaf in heap]
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +272,12 @@ def save_polygon_json(x: Polygon, path) -> None:
 
 
 def load_polygon_json(path) -> Polygon:
+    """Read a ``{"dim": p, "vertices": [[x1, ..., xp], ...]}`` document.
+
+    One pass over the whole vertex list checks its shape and that every
+    coordinate is a JSON number, and numpy converts it.  Only a document that
+    fails a check is walked row by row, to name its first bad vertex.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -243,6 +291,23 @@ def load_polygon_json(path) -> Polygon:
         raise PolygonFormatError(f'"dim" must be an integer >= 2, got {dim!r}')
     if not isinstance(rows, list) or not rows:
         raise PolygonFormatError('"vertices" must be a non-empty list')
+    if (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {dim}
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}  # bools are not numbers
+    ):
+        try:
+            v = np.array(rows, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(v).all():
+                return Polygon(v)
+    return Polygon(np.array(_checked_rows(rows, dim)))
+
+
+def _checked_rows(rows: list, dim: int) -> list:
+    """The rows as lists of floats, or the error naming the first bad vertex."""
     out = []
     for idx, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -256,7 +321,7 @@ def load_polygon_json(path) -> Polygon:
         if not all(math.isfinite(c) for c in coords):
             raise PolygonFormatError(f"vertex {idx} has a non-finite entry")
         out.append(coords)
-    return Polygon(np.array(out))
+    return out
 
 
 def save_polygon_csv(x: Polygon, path) -> None:

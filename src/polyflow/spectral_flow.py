@@ -106,20 +106,29 @@ def decompose(x: Polygon) -> SpectralDecomposition:
 
     One real FFT of the centered coordinates gives every k >= 1 mode, and
     pairs below the presence threshold are flushed to exact zero, at any
-    scale of the polygon.
+    scale of the polygon.  Raises :class:`FlowRangeError`, without numpy
+    warnings, when the centroid or a coefficient overflows, as it can for
+    coordinates near float max.
     """
     if x.n < 3:
         raise ValueError(f"decomposition needs n >= 3, got n = {x.n}")
-    mean = centroid(x)
-    # rfft sums v_j exp(-2 pi i jk/n): Re projects onto cos, -Im onto sin
-    spectrum = np.fft.rfft(x.vertices - mean[None, :], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        mean = centroid(x)
+        # rfft sums v_j exp(-2 pi i jk/n): Re projects onto cos, -Im onto sin
+        spectrum = np.fft.rfft(x.vertices - mean[None, :], axis=0)
+        planar = circulant.idft(x.as_complex()) if x.p == 2 else None
+    if not (
+        np.isfinite(mean).all()
+        and np.isfinite(spectrum).all()
+        and (planar is None or np.isfinite(planar).all())
+    ):
+        raise FlowRangeError("the mode coefficients of the polygon leave floating range")
     c_sq, s_sq = _basis_norms_sq(x.n)
     alpha = spectrum.real / c_sq[:, None]
     alpha[0] = mean
     beta = np.zeros_like(alpha)
     np.divide(-spectrum.imag, s_sq[:, None], out=beta, where=s_sq[:, None] > 0.0)
 
-    planar = circulant.idft(x.as_complex()) if x.p == 2 else None
     dec = SpectralDecomposition(n=x.n, p=x.p, alpha=alpha, beta=beta, planar_coeffs=planar)
     masses = _shifted_pair_masses(dec)[0]
     flushed = masses <= PRESENCE_RELATIVE_THRESHOLD * masses.max()
@@ -223,7 +232,9 @@ def rescaled_limit(
     Forward in time the solution, recentered and rescaled by the dominant
     present rate, converges to the mode component with the smallest present
     k; backward (ancient) the most negative present rate wins, k toward n/2.
-    ``x0`` is a polygon or its decomposition.
+    ``x0`` is a polygon or its decomposition.  ``m`` is not read: the limit
+    depends only on which modes are present.  It is kept because callers,
+    the acceptance tests among them, pass it positionally.
     """
     if direction not in ("forward", "ancient"):
         raise ValueError(f"direction must be 'forward' or 'ancient', got {direction!r}")

@@ -4,6 +4,7 @@ Everything here deliberately avoids the library's production code paths
 where it serves as an oracle: dense matrices, per-vertex stencils, Procrustes
 fits, and the Fourier-sandwich solution are implemented from scratch.
 """
+import json
 import math
 
 import numpy as np
@@ -215,17 +216,15 @@ def solve_planar_complex(x0, m, t):
 
 def midpoint_grow(x, target):
     """Midpoint insertion by a full rescan per vertex: bisect the longest edge,
-    ties to the lowest edge index, recomputing every edge length each time."""
-    verts = list(x.vertices)
+    ties to the lowest edge index, recomputing every edge length each time
+    (one numpy row sum of squared differences per edge)."""
+    verts = x.vertices
     while len(verts) < target:
-        lengths = [
-            float(np.sum((verts[(i + 1) % len(verts)] - verts[i]) ** 2))
-            for i in range(len(verts))
-        ]
+        lengths = np.sum((np.roll(verts, -1, axis=0) - verts) ** 2, axis=1)
         i = int(np.argmax(lengths))  # argmax takes the first maximum: lowest index
         mid = 0.5 * (verts[i] + verts[(i + 1) % len(verts)])
-        verts.insert(i + 1, mid)
-    return Polygon(np.array(verts))
+        verts = np.insert(verts, i + 1, mid, axis=0)
+    return Polygon(verts)
 
 
 def cell_csv_rows(fh, times, polygons):
@@ -303,3 +302,14 @@ def elementwise_analyze_report(x0, m):
         dominant_mode=k_fwd, forward_limit=doc(fwd), ancient_mode=k_anc, ancient_limit=doc(anc)
     )
     return report
+
+
+def report_json(report):
+    """The ``polyflow analyze`` report as ``json`` encodes it: the byte oracle
+    of the CLI's own writer."""
+    return json.dumps(report, indent=2, allow_nan=False)
+
+
+def rowwise_polygon(rows):
+    """A JSON vertex list converted one ``float`` at a time."""
+    return Polygon(np.array([[float(c) for c in row] for row in rows]))

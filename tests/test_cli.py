@@ -1,8 +1,12 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polyflow import circulant, cli, spectral_flow
 from polyflow.cli import main
@@ -10,6 +14,7 @@ from polyflow.polygon import (
     Polygon,
     eigen_polygon,
     load_polygon_csv,
+    real_basis,
     save_polygon_json,
 )
 
@@ -409,8 +414,72 @@ def test_analyze_report_is_byte_identical_to_the_elementwise_report(tmp_path, rn
     path = tmp_path / "blob.json"
     save_polygon_json(x0, path)
     assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
-    expected = json.dumps(helpers.elementwise_analyze_report(x0, 2), indent=2) + "\n"
+    expected = helpers.report_json(helpers.elementwise_analyze_report(x0, 2)) + "\n"
     assert capsys.readouterr().out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+COORDINATES = st.floats(-1e6, 1e6)  # -0.0 and subnormals among them
+
+
+@given(st.data())
+def test_report_writer_is_byte_identical_to_json(data):
+    n, p, m = data.draw(st.integers(3, 12)), data.draw(st.integers(2, 3)), data.draw(st.integers(1, 4))
+    kind = data.draw(st.sampled_from(("any", "signed_zeros", "constant", "pure")))
+    if kind == "any":
+        x = Polygon(data.draw(arrays(np.float64, (n, p), elements=COORDINATES)))
+    elif kind == "signed_zeros":
+        x = Polygon(data.draw(arrays(np.float64, (n, p), elements=st.sampled_from([0.0, -0.0, 1.5]))))
+    elif kind == "constant":
+        x = helpers.constant_polygon(data.draw(arrays(np.float64, p, elements=COORDINATES)), n)
+    else:
+        basis = real_basis(n, data.draw(st.integers(1, n // 2)))
+        x = Polygon(np.column_stack([basis.c, basis.s, 2.0 * basis.c - basis.s][:p]))
+    report = cli._analyze_report(x, m)
+    if kind == "constant":
+        assert report["forward_limit"] is None and report["self_similar"]["trivial"]
+    if kind == "pure":
+        assert report["self_similar"] is not None and report["ancient_limit"] is not None
+    assert cli._report_json(report) == helpers.report_json(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "slot",
+    [
+        ("energy",), ("centroid", 1), ("modes", 1, "mass"), ("modes", 0, "rate"),
+        ("modes", 2, "alpha", 0), ("modes", 2, "beta", 1), ("self_similar", "rate"),
+        ("forward_limit", "vertices", 3, 1), ("ancient_limit", "vertices", 0, 0),
+    ],
+)
+def test_report_writer_refuses_what_json_refuses(slot, bad):
+    report = cli._analyze_report(eigen_polygon(5, 2).scaled(2.0), 3)  # every block present
+    *path, last = slot
+    holder = report
+    for key in path:
+        holder = holder[key]
+    holder[last] = bad
+    with pytest.raises(ValueError):
+        helpers.report_json(report)
+    with pytest.raises(ValueError):
+        cli._report_json(report)
+
+
+# entries up to 1.7e308: the centroid sum and the spectrum overflow
+NEAR_FLOAT_MAX = [[1.7e308, 1.7e308], [1.6e308, -1.7e308], [-1.7e308, 1.5e308], [1.0e308, 0.5e308], [-1.7e308, -1.7e308]]
+
+
+@pytest.mark.parametrize("p", [2, 3])  # p = 3 has no planar coefficients to overflow
+@pytest.mark.parametrize("argv", [["analyze", "--m", "1"], ["flow", "--m", "1", "--count", "1"]])
+def test_near_float_max_input_exits_four_in_one_line(tmp_path, argv, p, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": p, "vertices": [row + [0.0] * (p - 2) for row in NEAR_FLOAT_MAX]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--input", str(path)]) == 4
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric range error: ") and captured.err.count("\n") == 1
 
 
 def _outcome(argv, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyflow.polygon import (
     Polygon,
@@ -45,24 +47,59 @@ def test_load_dispatches_on_extension(rng, tmp_path):
 
 
 def test_json_rejects_bad_documents(tmp_path):
+    """Each message names the first bad vertex, whichever check of the
+    whole-list pass the document fails."""
     cases = {
-        "not_json.json": "{",
-        "no_dim.json": json.dumps({"vertices": [[0, 0]]}),
-        "bad_dim.json": json.dumps({"dim": 1, "vertices": [[0.0]]}),
-        "ragged.json": json.dumps({"dim": 2, "vertices": [[0.0, 0.0], [1.0]]}),
-        "nonfinite.json": json.dumps({"dim": 2, "vertices": [[0.0, None]]}),
-        "infinite.json": '{"dim": 2, "vertices": [[0.0, Infinity]]}',
-        "empty.json": json.dumps({"dim": 2, "vertices": []}),
-        "booleans.json": json.dumps({"dim": 2, "vertices": [[True, False], [1.0, 0.0]]}),
-        "strings.json": json.dumps({"dim": 2, "vertices": [["1.5", "2"], [0, "1e3"]]}),
-        "mixed.json": json.dumps({"dim": 2, "vertices": [[True, False], ["1.5", "2"], [0, "1e3"]]}),
-        "huge_int.json": json.dumps({"dim": 2, "vertices": [[0, 10**400], [1, 0]]}),
+        "not_json.json": ("{", "line 1: invalid JSON: Expecting property name enclosed in double quotes"),
+        "no_dim.json": ({"vertices": [[0, 0]]}, 'expected an object with "dim" and "vertices"'),
+        "bad_dim.json": ({"dim": 1, "vertices": [[0.0]]}, '"dim" must be an integer >= 2, got 1'),
+        "ragged.json": ({"dim": 2, "vertices": [[0.0, 0.0], [1.0]]}, "vertex 1 is not a list of 2 numbers"),
+        "nonfinite.json": ({"dim": 2, "vertices": [[0.0, None]]}, "vertex 0 has a non-numeric entry"),
+        "infinite.json": ('{"dim": 2, "vertices": [[0.0, Infinity]]}', "vertex 0 has a non-finite entry"),
+        "nan.json": ('{"dim": 2, "vertices": [[0.0, 1.0], [NaN, 0.0]]}', "vertex 1 has a non-finite entry"),
+        "literal.json": ('{"dim": 3, "vertices": [[0, 1, 2], [1e400, 0, 0]]}', "vertex 1 has a non-finite entry"),
+        "empty.json": ({"dim": 2, "vertices": []}, '"vertices" must be a non-empty list'),
+        "booleans.json": ({"dim": 2, "vertices": [[True, False], [1.0, 0.0]]}, "vertex 0 has a non-numeric entry"),
+        "late_booleans.json": ({"dim": 2, "vertices": [[1.0, 0.0], [True, False]]}, "vertex 1 has a non-numeric entry"),
+        "strings.json": ({"dim": 2, "vertices": [["1.5", "2"], [0, "1e3"]]}, "vertex 0 has a non-numeric entry"),
+        "mixed.json": ({"dim": 2, "vertices": [[True, False], ["1.5", "2"], [0, "1e3"]]}, "vertex 0 has a non-numeric entry"),
+        "huge_int.json": ({"dim": 2, "vertices": [[0, 10**400], [1, 0]]}, "vertex 0 has a non-numeric entry"),
+        "past_max.json": ({"dim": 2, "vertices": [[1, 2], [3, 4], [2**1024 - 2**970, 0]]}, "vertex 2 has a non-numeric entry"),
+        "nested.json": ({"dim": 2, "vertices": [[1, 2], [[3], 4]]}, "vertex 1 has a non-numeric entry"),
+        "not_rows.json": ({"dim": 2, "vertices": [[1, 2], 3]}, "vertex 1 is not a list of 2 numbers"),
+        "late.json": ({"dim": 2, "vertices": [[1, 2], [3, 4], [5, 6, 7], [True, 0]]}, "vertex 2 is not a list of 2 numbers"),
+        "string_first.json": ('{"dim": 2, "vertices": [[1, 2], [5, "6"], [1e999, 0]]}', "vertex 1 has a non-numeric entry"),
     }
-    for name, text in cases.items():
+    for name, (doc, message) in cases.items():
         path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(PolygonFormatError):
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(PolygonFormatError) as info:
             load_polygon_json(path)
+        assert str(info.value) == message, name
+
+
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # -0.0, subnormals and float max among them
+    st.integers(-(2**64), 2**64),
+    st.integers(2**53 - 4, 2**53 + 4).flatmap(lambda i: st.sampled_from([i, -i])),
+    # up to the largest integer that still rounds to a finite float
+    st.integers(-(2**1024 - 2**970 - 1), 2**1024 - 2**970 - 1),
+)
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda p: st.tuples(
+            st.just(p), st.lists(st.lists(JSON_NUMBERS, min_size=p, max_size=p), min_size=1, max_size=12)
+        )
+    )
+)
+def test_json_loader_is_bitwise_the_rowwise_conversion(tmp_path_factory, doc):
+    dim, rows = doc
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    path.write_text(json.dumps({"dim": dim, "vertices": rows}))
+    loaded = load_polygon_json(path)
+    assert loaded.vertices.tobytes() == helpers.rowwise_polygon(rows).vertices.tobytes()
 
 
 def test_csv_rejects_bad_rows(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyflow import circulant
@@ -258,9 +258,13 @@ def test_reconcile_preserves_drawn_image(n_small, n_big, seed):
 
 
 @given(
-    st.integers(3, 8), st.integers(0, 60), st.integers(2, 3),
+    st.integers(3, 8), st.integers(0, 60), st.integers(2, 4),
     st.booleans(), st.integers(0, 2**32 - 1),
 )
+@example(6, 4090, 2, False, 1)
+@example(128, 3968, 3, False, 2)
+@example(5, 4091, 4, True, 3)
+@example(7, 40, 9, False, 4)  # p >= 8: numpy's pairwise sum of the squares
 def test_midpoint_matches_full_rescan_oracle(n, extra, p, on_grid, seed):
     rng = np.random.default_rng(seed)
     if on_grid:  # small integer coordinates: many tied and zero-length edges
@@ -278,6 +282,23 @@ def test_midpoint_ties_split_the_lowest_edge_first():
     expected = [[1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [-0.5, 1.0], [-1.0, 1.0], [-1.0, 0.5],
                 [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0], [1.0, -1.0], [1.0, 0.0]]
     assert np.array_equal(grown.vertices, expected)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, -2.0]] * 3,  # constant: every split is a tie at length zero
+        [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],  # one zero-length edge
+        [[1.0, 0.0], [1.0 + 2**-52, 0.0], [1.0, 2**-52]],  # one-ulp edges: a half can keep the length
+        # squares underflow: ties at length zero split one edge ~4000 deep,
+        # its first ~500 midpoints distinct, so offsets must stay exact
+        [[0.0, 0.0], [1e-170, 0.0], [0.0, 1e-170]],
+    ],
+)
+def test_midpoint_degenerate_edges_match_full_rescan_oracle(rows):
+    x = Polygon(np.array(rows))
+    grown, _ = reconcile_vertex_counts(x, eigen_polygon(4096, 1))
+    assert grown == helpers.midpoint_grow(x, 4096)
 
 
 def test_reconcile_rejects_mismatched_dimensions(rng):
