@@ -9,7 +9,6 @@ SVG figures.
 
 from .circulant import (
     CirculantMatrix,
-    EigenSystem,
     circulant_multiply,
     eigen_system,
     idft,
@@ -24,21 +23,16 @@ from .integrate import (
     Trajectory,
     YauKind,
     integrate,
-    rhs,
 )
 from .polygon import (
     Polygon,
     PolygonFormatError,
-    RealBasisVectors,
     centroid,
-    difference,
     eigen_polygon,
     energy,
     load_polygon,
-    normals,
     real_basis,
     reconcile_vertex_counts,
-    save_polygon_csv,
     save_polygon_json,
 )
 from .spectral_flow import (

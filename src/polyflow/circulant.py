@@ -39,19 +39,6 @@ class CirculantMatrix:
         object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues of the order-m flow matrix for size n.
-
-    ``eigenvalues[k]`` is the eigenvalue of ``(-1)^(m+1) M^m`` on the k-th
-    eigenpolygon, column k of :func:`fourier_matrix`.
-    """
-
-    n: int
-    m: int
-    eigenvalues: np.ndarray
-
-
 def root_of_unity(exponent: int, n: int) -> complex:
     """``exp(2*pi*i*exponent/n)`` with exact values on the axes.
 
@@ -98,8 +85,14 @@ def flow_sign(m: int) -> int:
 
 
 def flow_eigenvalue(n: int, m: int, k: int) -> float:
-    """Eigenvalue of ``(-1)^(m+1) M^m`` on mode k: zero at k = 0, negative otherwise."""
-    return flow_sign(m) * lambda_base(n, k) ** m + 0.0  # + 0.0 normalizes -0.0 at k = 0
+    """Eigenvalue of ``(-1)^(m+1) M^m`` on mode k: zero at k = 0, negative
+    otherwise.  Raises OverflowError naming n, m and k beyond float range."""
+    try:
+        return flow_sign(m) * lambda_base(n, k) ** m + 0.0  # + 0.0 normalizes -0.0 at k = 0
+    except OverflowError:
+        raise OverflowError(
+            f"the order-{m} flow eigenvalue of mode {k} for n={n} is beyond float range"
+        ) from None
 
 
 def power_of_m(n: int, m: int) -> CirculantMatrix:
@@ -203,12 +196,12 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     return stencil(a)(np.asarray(values))
 
 
-def eigen_system(n: int, m: int) -> EigenSystem:
-    """Spectral data of the order-m flow matrix of size n."""
+def eigen_system(n: int, m: int) -> np.ndarray:
+    """Eigenvalues of the order-m flow matrix of size n: entry k is the
+    eigenvalue of ``(-1)^(m+1) M^m`` on column k of :func:`fourier_matrix`."""
     if m < 1 or n < 3:
         raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
-    eigenvalues = np.array([flow_eigenvalue(n, m, k) for k in range(n)])
-    return EigenSystem(n=n, m=m, eigenvalues=eigenvalues)
+    return np.array([flow_eigenvalue(n, m, k) for k in range(n)])
 
 
 @lru_cache(maxsize=64)

@@ -175,10 +175,10 @@ def _power_of_m(n: int, m: int) -> circulant.CirculantMatrix:
 def cmd_matrix(args: argparse.Namespace) -> int:
     power = _power_of_m(args.n, args.m)
     sign = circulant.flow_sign(args.m)
-    eigen = circulant.eigen_system(args.n, args.m)
+    eigenvalues = circulant.eigen_system(args.n, args.m)
     print(" ".join(str(b) for b in power.first_row))
     print(" ".join(str(sign * b) for b in power.first_row))
-    print(" ".join(format_float(v) for v in eigen.eigenvalues))
+    print(" ".join(format_float(v) for v in eigenvalues))
     return 0
 
 
@@ -221,14 +221,19 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_yau(args: argparse.Namespace) -> int:
-    times = resolve_schedule(args)
-    x0 = load_flow_polygon(args.input_path)
+def _flow_toward_target(args: argparse.Namespace, x0: Polygon):
+    """Load ``--target`` and reconcile x0 with it: the problem and its exact
+    solution.  Polygons of different dimensions are an input error."""
     target = load_flow_polygon(args.target_path)
     try:
-        problem, solution = yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
+        return yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
     except ValueError as exc:
         raise PolygonFormatError(str(exc)) from exc
+
+
+def cmd_yau(args: argparse.Namespace) -> int:
+    times = resolve_schedule(args)
+    problem, solution = _flow_toward_target(args, load_flow_polygon(args.input_path))
     _emit_samples(args, times, solution, problem.initial, problem.target, not args.solid_target)
     return 0
 
@@ -362,14 +367,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.t_final / args.dt):
+        raise CliArgumentError("the step count --T / --dt must be finite")
     x0 = load_flow_polygon(args.input_path)
     _power_of_m(x0.n, args.m)  # refuse an order past the exact M^m budget before any work
     if args.target_path:
-        target = load_flow_polygon(args.target_path)
-        try:
-            problem, exact = yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
-        except ValueError as exc:
-            raise PolygonFormatError(str(exc)) from exc
+        problem, exact = _flow_toward_target(args, x0)
         x0 = problem.initial
         kind = YauKind(m=args.m, target=problem.target)
         reference = exact.polygon_at(args.t_final)

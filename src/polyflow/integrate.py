@@ -82,10 +82,6 @@ class Trajectory:
     steps: int
     partial_final_step: bool = field(default=False)
 
-    @property
-    def m(self) -> int:
-        return self.kind.m
-
     def final(self) -> Polygon:
         return self.polygons[-1]
 
@@ -102,13 +98,6 @@ def _rhs_function(n: int, kind: FlowKind):
         target = kind.target.vertices
         return lambda v: flow(v - target)
     return flow
-
-
-def rhs(x: Polygon, kind: FlowKind) -> Polygon:
-    """One right-hand side evaluation as a polygon (velocity of every vertex)."""
-    if isinstance(kind, YauKind) and kind.target.p != x.p:
-        raise ValueError(f"target dimension {kind.target.p} != state dimension {x.p}")
-    return Polygon(_rhs_function(x.n, kind)(x.vertices))
 
 
 def stability_limit(n: int, m: int) -> float:

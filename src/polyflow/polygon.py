@@ -100,49 +100,28 @@ class Polygon:
         return Polygon(self.vertices - other.vertices)
 
 
-@dataclass(frozen=True)
-class RealBasisVectors:
-    """Cosine/sine basis pair for mode k: the real and imaginary parts of the
-    k-th eigenpolygon, entrywise cos(2 pi j k / n) and sin(2 pi j k / n)."""
-
-    n: int
-    k: int
-    c: np.ndarray
-    s: np.ndarray
-
-
-def real_basis(n: int, k: int) -> RealBasisVectors:
-    """Mode-k cosine/sine vectors; s is identically zero for k = 0 and k = n/2."""
+def real_basis(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mode-k cosine/sine pair ``(c, s)``: the real and imaginary parts of
+    the k-th eigenpolygon, entrywise cos(2 pi j k / n) and sin(2 pi j k / n).
+    s is identically zero for k = 0 and k = n/2."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"mode index k={k} outside [0, {n - 1}]")
     roots = circulant.roots_of_unity(n)[np.arange(n) * k % n]
     c, s = roots.real.copy(), roots.imag.copy()
     c.flags.writeable = s.flags.writeable = False
-    return RealBasisVectors(n=n, k=k, c=c, s=s)
+    return c, s
 
 
 def eigen_polygon(n: int, k: int) -> Polygon:
     """The planar regular (k = 1), star (1 < k < n/2 coprime cases), point
     (k = 0) or segment (k = n/2, n even) polygon with vertex j at angle
     2 pi j k / n on the unit circle."""
-    basis = real_basis(n, k)
-    return Polygon(np.column_stack([basis.c, basis.s]))
-
-
-def difference(x: Polygon, m: int, j: int) -> np.ndarray:
-    """m-th forward difference at vertex j via the signed binomial form:
-    ``sum_k (-1)^(m+k) C(m, k) X_(j+k)``, indices mod n."""
-    if m < 1:
-        raise ValueError(f"difference order must be >= 1, got {m}")
-    v = x.vertices
-    acc = np.zeros(x.p)
-    for k in range(m + 1):
-        acc += ((-1) ** (m + k) * math.comb(m, k)) * v[(j + k) % x.n]
-    return acc
+    return Polygon(np.column_stack(real_basis(n, k)))
 
 
 def difference_stack(x: Polygon, m: int) -> np.ndarray:
-    """All m-th differences at once, by iterating the order-1 operator."""
+    """All m-th forward differences at once, by iterating the order-1 operator:
+    row j is ``sum_k (-1)^(m+k) C(m, k) X_(j+k)``, indices mod n."""
     if m < 1:
         raise ValueError(f"difference order must be >= 1, got {m}")
     stack = x.vertices
@@ -155,13 +134,6 @@ def energy(x: Polygon, m: int) -> float:
     """Difference energy: half the summed squared norms of all m-th differences."""
     stack = difference_stack(x, m)
     return 0.5 * float(np.sum(stack * stack))
-
-
-def normals(x: Polygon) -> Polygon:
-    """Vertex normals N_j = (X_(j+1) - X_j) + (X_(j-1) - X_j), i.e. M applied to X."""
-    if x.n < 3:
-        raise ValueError(f"normals need n >= 3, got n = {x.n}")
-    return Polygon(circulant.matvec(circulant.second_difference(x.n), x.vertices))
 
 
 def centroid(x: Polygon) -> np.ndarray:
@@ -214,7 +186,8 @@ def _squared_length(a: list, b: list) -> float:
 
 def _numpy_squared_length(a: list, b: list) -> float:
     """The same sum for wider rows, where numpy's sum is pairwise."""
-    return float(np.sum((np.array(b) - np.array(a)) ** 2))
+    with np.errstate(over="ignore"):  # near float max a length is inf, without a warning
+        return float(np.sum((np.array(b) - np.array(a)) ** 2))
 
 
 def _bisected(rows: list, target: int) -> list:
@@ -227,8 +200,9 @@ def _bisected(rows: list, target: int) -> list:
     integers in units of ``2**-bits`` of an edge; when a sub-edge one unit wide
     must split, every offset and width is refined by ``2**bits``, which keeps
     their order, and ``bits`` doubles.  Midpoints are ``0.5 * (a + b)`` per
-    coordinate and lengths are summed as numpy sums them, so the result is
-    bitwise that of rescanning every edge length per insertion.
+    coordinate, or ``0.5 * a + 0.5 * b`` where ``a + b`` overflows, and lengths
+    are summed as numpy sums them, so the result is bitwise that of rescanning
+    every edge length per insertion.
     """
     length = _squared_length if len(rows[0]) < 8 else _numpy_squared_length
     bits = 64
@@ -243,6 +217,8 @@ def _bisected(rows: list, target: int) -> list:
             bits *= 2
         _, edge, offset, width, a, b = heap[0]
         mid = [0.5 * (s + t) for s, t in zip(a, b)]
+        if math.inf in mid or -math.inf in mid:  # s + t overflowed: halve each first
+            mid = [0.5 * (s + t) if math.isfinite(s + t) else 0.5 * s + 0.5 * t for s, t in zip(a, b)]
         width >>= 1
         heapq.heapreplace(heap, (-length(a, mid), edge, offset, width, a, mid))
         heapq.heappush(heap, (-length(mid, b), edge, offset + width, width, mid, b))
@@ -322,14 +298,6 @@ def _checked_rows(rows: list, dim: int) -> list:
             raise PolygonFormatError(f"vertex {idx} has a non-finite entry")
         out.append(coords)
     return out
-
-
-def save_polygon_csv(x: Polygon, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(x.p)])
-        for row in x.vertices:
-            writer.writerow([format_float(c) for c in row])
 
 
 def load_polygon_csv(path) -> Polygon:

@@ -140,9 +140,8 @@ def decompose(x: Polygon) -> SpectralDecomposition:
 
 def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
     """The mode-k component polygon (both members of the conjugate pair)."""
-    basis = real_basis(dec.n, k)
-    v = np.outer(basis.c, dec.alpha[k]) + np.outer(basis.s, dec.beta[k])
-    return Polygon(v)
+    c, s = real_basis(dec.n, k)
+    return Polygon(np.outer(c, dec.alpha[k]) + np.outer(s, dec.beta[k]))
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,10 @@ class FlowSolution:
         # invert decompose's rfft with factor 0 on the mean, which is added exactly
         factors = np.zeros((dec.half + 1, 1))
         factors[present, 0] = np.exp(exponents)
-        out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=0)
-        if include_mean:
-            out += dec.alpha[0][None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=0)
+            if include_mean:
+                out += dec.alpha[0][None, :]
         if not np.isfinite(out).all():
             raise FlowRangeError(f"evolution left floating range at t={t!r}")
         return Polygon(out)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .polygon import Polygon, centroid, reconcile_vertex_counts
-from .spectral_flow import FlowSolution, flow_solution, rescaled_limit
+from .spectral_flow import FlowRangeError, FlowSolution, flow_solution
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,9 @@ class YauProblem:
             raise ValueError(f"flow needs n >= 3, got n = {self.initial.n}")
 
     def difference(self) -> Polygon:
-        return self.initial - self.target
+        """X0 - Y; raises :class:`FlowRangeError` when it overflows."""
+        message = "the initial polygon minus the target leaves floating range"
+        return _combined(np.subtract, self.initial, self.target, message)
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,20 @@ class YauSolution:
     problem: YauProblem
     difference_flow: FlowSolution
 
-    @property
-    def m(self) -> int:
-        return self.problem.m
-
     def polygon_at(self, t: float) -> Polygon:
-        return self.difference_flow.polygon_at(t) + self.problem.target
+        """X(t) = Z(t) + Y; raises :class:`FlowRangeError` when it overflows."""
+        z = self.difference_flow.polygon_at(t)
+        return _combined(np.add, z, self.problem.target, f"evolution left floating range at t={t!r}")
+
+
+def _combined(op, a: Polygon, b: Polygon, message: str) -> Polygon:
+    """``op`` of the two vertex arrays, or :class:`FlowRangeError` with
+    ``message``, without numpy warnings, when it leaves floating range."""
+    with np.errstate(over="ignore"):
+        v = op(a.vertices, b.vertices)
+    if not np.isfinite(v).all():
+        raise FlowRangeError(message)
+    return Polygon(v)
 
 
 def yau_solution(problem: YauProblem) -> YauSolution:
@@ -71,15 +83,6 @@ def yau_solve(problem: YauProblem, t: float) -> Polygon:
 def yau_limit(problem: YauProblem) -> Polygon:
     """Forward limit: the target translated by the centroid of X0 - Y."""
     return problem.target.translated(centroid(problem.difference()))
-
-
-def yau_ancient_limit(problem: YauProblem) -> tuple[int, Polygon]:
-    """Rescaled backward-in-time shape of the difference polygon.
-
-    Rescaling is applied to Z(t) = X(t) - Y about its centroid, the same
-    convention as the homogeneous ancient limit.
-    """
-    return rescaled_limit(problem.difference(), problem.m, direction="ancient")
 
 
 def yau_flow_between(

@@ -137,14 +137,6 @@ def stencil_rhs(x, m):
     return out
 
 
-def iterated_difference(x, m, j):
-    """m-fold application of the order-1 difference at vertex j."""
-    rows = x.vertices
-    for _ in range(m):
-        rows = np.roll(rows, -1, axis=0) - rows
-    return rows[j % x.n]
-
-
 def point_segment_distance(pt, a, b):
     ab = b - a
     denom = float(ab @ ab)

@@ -113,6 +113,12 @@ def test_power_rejects_out_of_budget_order():
         power_of_m(5, circulant.M_MAX + 1)
 
 
+def test_eigenvalue_beyond_float_range_names_its_mode():
+    assert circulant.flow_eigenvalue(5, 1000, 1) == -((4.0 * math.sin(math.pi / 5) ** 2) ** 1000)
+    with pytest.raises(OverflowError, match=r"^the order-1000 flow eigenvalue of mode 2 for n=5 "):
+        circulant.flow_eigenvalue(5, 1000, 2)
+
+
 def test_multiply_reproduces_square_of_m():
     m1 = CirculantMatrix(6, (-2, 1, 0, 0, 0, 1))
     assert circulant_multiply(m1, m1).first_row == (6, -4, 1, 0, 1, -4)
@@ -253,17 +259,17 @@ def test_nullspace_is_constant_vectors(rng):
 
 def test_eigenvalue_examples():
     for m in range(1, circulant.M_MAX + 1):
-        assert eigen_system(6, m).eigenvalues[1] == -1.0
+        assert eigen_system(6, m)[1] == -1.0
     assert circulant.lambda_base(4, 1) == -2.0
     assert circulant.flow_eigenvalue(4, 2, 1) == -4.0
     for n in (3, 4, 9):
-        assert eigen_system(n, 3).eigenvalues[0] == 0.0
+        assert eigen_system(n, 3)[0] == 0.0
 
 
 def test_eigenvalue_structure():
     for n in range(3, 13):
         for m in (1, 2, 4):
-            lam = eigen_system(n, m).eigenvalues
+            lam = eigen_system(n, m)
             assert lam[0] == 0.0
             for k in range(1, n):
                 assert lam[k] == lam[n - k]       # folded index: bitwise pairs
@@ -304,7 +310,7 @@ def test_diagonalization_rebuilds_flow_matrix():
     for n in (3, 6, 9):
         for m in (1, 2, 3):
             f = circulant.fourier_matrix(n)
-            lam = eigen_system(n, m).eigenvalues
+            lam = eigen_system(n, m)
             rebuilt = (f * lam) @ f.conjugate() / n
             sign = 1.0 if (m + 1) % 2 == 0 else -1.0
             dense = sign * helpers.dense_circulant(power_of_m(n, m).first_row)

@@ -418,7 +418,7 @@ def test_analyze_report_is_byte_identical_to_the_elementwise_report(tmp_path, rn
     assert capsys.readouterr().out.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
-COORDINATES = st.floats(-1e6, 1e6)  # -0.0 and subnormals among them
+COORDINATES = st.floats(-1e6, 1e6)  # -0.0 and subnormal values among them
 
 
 @given(st.data())
@@ -432,8 +432,8 @@ def test_report_writer_is_byte_identical_to_json(data):
     elif kind == "constant":
         x = helpers.constant_polygon(data.draw(arrays(np.float64, p, elements=COORDINATES)), n)
     else:
-        basis = real_basis(n, data.draw(st.integers(1, n // 2)))
-        x = Polygon(np.column_stack([basis.c, basis.s, 2.0 * basis.c - basis.s][:p]))
+        c, s = real_basis(n, data.draw(st.integers(1, n // 2)))
+        x = Polygon(np.column_stack([c, s, 2.0 * c - s][:p]))
     report = cli._analyze_report(x, m)
     if kind == "constant":
         assert report["forward_limit"] is None and report["self_similar"]["trivial"]
@@ -480,6 +480,64 @@ def test_near_float_max_input_exits_four_in_one_line(tmp_path, argv, p, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric range error: ") and captured.err.count("\n") == 1
+
+
+def _refusal(argv, capsys):
+    """Exit code and stderr of a run that must print no warning and nothing on stdout."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return code, captured.err
+
+
+def _polygon_file(tmp_path, name, rows):
+    path = tmp_path / name
+    path.write_text(json.dumps({"dim": len(rows[0]), "vertices": rows}))
+    return str(path)
+
+
+def test_overflowing_yau_set_up_exits_four_in_one_line(tmp_path, capsys):
+    """A midpoint whose coordinate sum overflows is finite, and an X0 - Y that
+    overflows is a range error, not an input error (exit 3)."""
+    triangle = _polygon_file(tmp_path, "triangle.json", [[-1e308, 0], [1e308, 0], [0, 1e308]])
+    save_polygon_json(eigen_polygon(64, 1), tmp_path / "gon.json")
+    near = [[1e308, 1e308], [1.1e308, 1e308], [1e308, 1.1e308]]
+    x0 = _polygon_file(tmp_path, "near.json", near)
+    y = _polygon_file(tmp_path, "negated.json", [[-c for c in row] for row in near])
+    runs = [
+        ["yau", "--input", triangle, "--target", str(tmp_path / "gon.json"), "--m", "1"],
+        ["yau", "--input", x0, "--target", y, "--m", "1"],
+        ["integrate", "--input", x0, "--target", y, "--m", "1"],
+    ]
+    for argv in runs:
+        code, err = _refusal(argv, capsys)
+        assert code == 4 and err.startswith("numeric range error: "), (argv, err)
+    assert err == "numeric range error: the initial polygon minus the target leaves floating range\n"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("argv", [["flow", "--count", "1"], ["integrate", "--T", "0.05", "--dt", "0.01"]])
+def test_overflowing_evaluation_exits_four_in_one_line(tmp_path, argv, p, capsys):
+    """The decomposition is finite; evaluating it at t = 0.05 is not."""
+    path = _polygon_file(tmp_path, "spike.json", [[0.0] * p] * 3 + [[1.6e308] + [0.0] * (p - 1)])
+    code, err = _refusal(argv + ["--input", path, "--m", "1"], capsys)
+    assert (code, err) == (4, "numeric range error: evolution left floating range at t=0.05\n")
+
+
+@pytest.mark.parametrize("command", ["flow", "yau", "analyze"])
+def test_order_beyond_float_range_names_the_eigenvalue(pentagon_file, target_file, command, capsys):
+    argv = [command, "--input", pentagon_file, "--m", "1000"]
+    code, err = _refusal(argv + (["--target", target_file] if command == "yau" else []), capsys)
+    assert code == 4
+    assert err == "numeric range error: the order-1000 flow eigenvalue of mode 2 for n=5 is beyond float range\n"
+
+
+def test_step_count_beyond_float_range_exits_two_before_reading_input(tmp_path, capsys):
+    argv = ["integrate", "--input", str(tmp_path / "missing.json"), "--m", "1", "--T", "1e300", "--dt", "1e-300"]
+    assert _refusal(argv, capsys) == (2, "error: the step count --T / --dt must be finite\n")
 
 
 def _outcome(argv, capsys):

@@ -9,11 +9,9 @@ from polyflow import circulant
 from polyflow.polygon import (
     Polygon,
     centroid,
-    difference,
     difference_stack,
     eigen_polygon,
     energy,
-    normals,
     real_basis,
     reconcile_vertex_counts,
 )
@@ -65,62 +63,21 @@ def test_complex_view_round_trip(rng):
 
 def test_first_difference_is_consecutive_gap(rng):
     x = helpers.random_polygon(rng, 6)
+    stack = difference_stack(x, 1)
     for j in range(6):
         expected = x.vertices[(j + 1) % 6] - x.vertices[j]
-        assert np.array_equal(difference(x, 1, j), expected)
+        assert np.array_equal(stack[j], expected)
 
 
 def test_difference_of_constant_polygon_vanishes():
     const = helpers.constant_polygon([2.5, -3.5, 1.0], 5)
     for m in (1, 2, 5):
-        for j in range(5):
-            assert np.array_equal(difference(const, m, j), np.zeros(3))
+        assert np.array_equal(difference_stack(const, m), np.zeros((5, 3)))
 
 
 def test_second_difference_on_square():
     # X_2 - 2 X_1 + X_0 at j = 0
-    assert np.allclose(difference(SQUARE, 2, 0), [2.0, -2.0], atol=0)
-    assert np.allclose(
-        difference(SQUARE, 2, 0),
-        helpers.iterated_difference(SQUARE, 2, 0),
-        atol=1e-15,
-    )
-
-
-@given(st.integers(3, 9), st.integers(1, 8), st.integers(0, 2**32 - 1))
-def test_binomial_form_matches_iterated_operator(n, m, seed):
-    x = helpers.random_polygon(np.random.default_rng(seed), n, p=3)
-    for j in range(n):
-        gap = difference(x, m, j) - helpers.iterated_difference(x, m, j)
-        assert np.abs(gap).max() < 1e-12
-
-
-# --- normals ---------------------------------------------------------------------
-
-def test_normals_equal_matrix_action_exactly(rng):
-    x = helpers.random_polygon(rng, 9, p=3)
-    via_matrix = circulant.matvec(circulant.second_difference(9), x.vertices)
-    assert np.array_equal(normals(x).vertices, via_matrix)
-
-
-def test_normals_match_neighbour_stencil(rng):
-    x = helpers.random_polygon(rng, 7)
-    v = x.vertices
-    for j in range(7):
-        stencil = (v[(j + 1) % 7] - v[j]) + (v[(j - 1) % 7] - v[j])
-        assert np.abs(normals(x).vertices[j] - stencil).max() < 1e-14
-
-
-def test_normals_examples():
-    assert np.allclose(normals(SQUARE).vertices[0], [-2.0, -2.0], atol=0)
-    const = helpers.constant_polygon([4.0, 5.0], 6)
-    assert np.array_equal(normals(const).vertices, np.zeros((6, 2)))
-    # regular polygon: normals scale it by the base eigenvalue
-    pk = eigen_polygon(8, 1)
-    lam = circulant.lambda_base(8, 1)
-    assert np.abs(normals(pk).vertices - lam * pk.vertices).max() < 1e-12
-    with pytest.raises(ValueError):
-        normals(Polygon(np.zeros((2, 2))))
+    assert np.array_equal(difference_stack(SQUARE, 2)[0], [2.0, -2.0])
 
 
 # --- energy ------------------------------------------------------------------------
@@ -175,18 +132,18 @@ def test_eigen_polygon_star_winds_k_times():
 
 
 def test_real_basis_zero_sine_rows():
-    assert np.array_equal(real_basis(5, 0).s, np.zeros(5))
-    assert np.array_equal(real_basis(8, 4).s, np.zeros(8))
+    assert np.array_equal(real_basis(5, 0)[1], np.zeros(5))
+    assert np.array_equal(real_basis(8, 4)[1], np.zeros(8))
     with pytest.raises(ValueError):
         real_basis(5, 5)
 
 
 def test_real_basis_matches_eigenpolygon_parts():
     for n, k in ((5, 2), (6, 3), (9, 4)):
-        basis = real_basis(n, k)
+        c, s = real_basis(n, k)
         col = circulant.fourier_matrix(n)[:, k]
-        assert np.array_equal(basis.c, col.real)
-        assert np.array_equal(basis.s, col.imag)
+        assert np.array_equal(c, col.real)
+        assert np.array_equal(s, col.imag)
 
 
 def test_fourier_matrix_and_real_basis_match_scalar_roots():
@@ -194,20 +151,20 @@ def test_fourier_matrix_and_real_basis_match_scalar_roots():
         f = circulant.fourier_matrix(n)
         for k in range(n):
             expected = [circulant.root_of_unity(j * k % n, n) for j in range(n)]
-            basis = real_basis(n, k)
+            c, s = real_basis(n, k)
             assert f[:, k].tolist() == expected
-            assert basis.c.tolist() == [w.real for w in expected]
-            assert basis.s.tolist() == [w.imag for w in expected]
+            assert c.tolist() == [w.real for w in expected]
+            assert s.tolist() == [w.imag for w in expected]
 
 
 @given(st.integers(3, 12))
 def test_real_basis_orthogonality(n):
     vectors = []
     for k in range(n // 2 + 1):
-        basis = real_basis(n, k)
-        vectors.append(basis.c)
-        if np.any(basis.s != 0.0):
-            vectors.append(basis.s)
+        c, s = real_basis(n, k)
+        vectors.append(c)
+        if np.any(s != 0.0):
+            vectors.append(s)
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             assert abs(float(vectors[i] @ vectors[j])) < 1e-12 * n
@@ -299,6 +256,17 @@ def test_midpoint_degenerate_edges_match_full_rescan_oracle(rows):
     x = Polygon(np.array(rows))
     grown, _ = reconcile_vertex_counts(x, eigen_polygon(4096, 1))
     assert grown == helpers.midpoint_grow(x, 4096)
+
+
+@pytest.mark.parametrize("p", [2, 8])  # p >= 8 sums lengths with numpy
+def test_midpoint_of_an_overflowing_sum_is_halved_first(p):
+    """Two coordinates whose sum overflows have a finite midpoint, and near
+    float max every squared length is inf, so edges split in index order."""
+    rows = [[1.5e308] * p, [1.7e308] * p, [1.6e308] * (p - 1) + [-1.0]]
+    grown, _ = reconcile_vertex_counts(Polygon(np.array(rows)), Polygon(np.zeros((5, p))))
+    mid = 0.5 * 1.5e308 + 0.5 * 1.7e308  # the first split, then edge 0 again
+    expected = [rows[0], [0.5 * 1.5e308 + 0.5 * mid] * p, [mid] * p, rows[1], rows[2]]
+    assert np.isfinite(mid) and np.array_equal(grown.vertices, expected)
 
 
 def test_reconcile_rejects_mismatched_dimensions(rng):

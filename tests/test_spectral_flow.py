@@ -220,9 +220,8 @@ def test_exact_invariants_at_every_n(n, p, m, t, seed):
 
     # a pure mode pair embedded in R^p and translated off the origin
     k = int(rng.integers(1, n // 2 + 1))
-    basis = real_basis(n, k)
     shift = rng.normal(size=p)
-    pure = Polygon(np.column_stack([basis.c, basis.s]) @ rng.normal(size=(2, p)) + shift)
+    pure = Polygon(np.column_stack(real_basis(n, k)) @ rng.normal(size=(2, p)) + shift)
     assert decompose(pure).present_modes() == [k]
     verdict = classify_self_similar(pure, m)
     assert verdict is not None and verdict.mode == k
@@ -260,8 +259,8 @@ def test_hoisted_evaluation_is_bitwise_the_recomputing_one(n, p, m, t, shape, se
         x = helpers.constant_polygon(rng.normal(size=p), n)
     elif shape == "two modes":
         k1, k2 = (int(k) for k in rng.integers(1, n // 2 + 1, size=2))
-        x = Polygon(real_basis(n, k1).c[:, None] * rng.normal(size=p)
-                    + real_basis(n, k2).s[:, None] * rng.normal(size=p))
+        x = Polygon(real_basis(n, k1)[0][:, None] * rng.normal(size=p)
+                    + real_basis(n, k2)[1][:, None] * rng.normal(size=p))
     else:
         x = helpers.random_polygon(rng, n, p=p)
     solution = flow_solution(x, m)
@@ -284,6 +283,16 @@ def test_ancient_evaluation_overflows_loudly():
         solve(combination(6, [(1, 1.0), (2, 1.0), (3, 1.0)]), 1, -300.0)
     # far forward in time is fine: everything decays
     assert helpers.sup_distance(solve(x, 1, 1e6), mode_polygon(6, 0, 0.0)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_overflowing_evaluation_of_a_finite_decomposition_is_refused_quietly(p):
+    """The inverse transform overflows although every coefficient is finite:
+    one FlowRangeError and no numpy warning, which the suite turns into errors."""
+    x = Polygon(np.array([[0.0] * p] * 3 + [[1.6e308] + [0.0] * (p - 1)]))
+    solution = flow_solution(x, 1)
+    with pytest.raises(FlowRangeError, match=r"evolution left floating range at t=0\.05"):
+        solution.polygon_at(0.05)
 
 
 # --- self-similar classification ---------------------------------------------------
@@ -331,7 +340,7 @@ def test_limits_and_verdict_take_a_polygon_or_its_decomposition(n, p, m, shape, 
         x = helpers.constant_polygon(rng.normal(size=p), n)
     elif shape == "pure":
         basis = real_basis(n, int(rng.integers(1, n // 2 + 1)))
-        x = Polygon(np.column_stack([basis.c, basis.s]) @ rng.normal(size=(2, p)) + rng.normal(size=p))
+        x = Polygon(np.column_stack(basis) @ rng.normal(size=(2, p)) + rng.normal(size=p))
     else:
         x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)))
     dec = decompose(x)
@@ -366,8 +375,8 @@ def test_presence_and_verdict_do_not_depend_on_the_scale(n, p, m, shape, seed):
     else:
         modes = rng.choice(np.arange(1, n // 2 + 1), size=1 if shape == "pure" else min(2, n // 2), replace=False)
         x = Polygon(sum(
-            np.column_stack([basis.c, basis.s]) @ rng.normal(size=(2, p))
-            for basis in (real_basis(n, int(k)) for k in modes)
+            np.column_stack(real_basis(n, int(k))) @ rng.normal(size=(2, p))
+            for k in modes
         ) + rng.normal(size=p))
     present, verdict = decompose(x).present_modes(), classify_self_similar(x, m)
     expected = solve(x, m, 0.05).vertices

@@ -5,10 +5,9 @@ import pytest
 
 from polyflow import circulant
 from polyflow.polygon import Polygon, centroid, eigen_polygon, energy
-from polyflow.spectral_flow import FlowRangeError
+from polyflow.spectral_flow import FlowRangeError, rescaled_limit
 from polyflow.yau_flow import (
     YauProblem,
-    yau_ancient_limit,
     yau_flow_between,
     yau_limit,
     yau_solution,
@@ -169,7 +168,6 @@ def test_flow_between_triangle_targets(rng):
         assert problem.target.n == 5
         for vertex in problem.target.vertices:
             assert helpers.distance_to_polygon_edges(vertex, triangle) < 1e-12
-        assert evaluator.m == 3
     with pytest.raises(ValueError):
         yau_flow_between(pentagon, helpers.random_polygon(rng, 4, p=3), 1)
 
@@ -178,7 +176,22 @@ def test_ancient_behaviour(rng):
     x = helpers.random_polygon(rng, 6)
     y = helpers.random_polygon(rng, 6)
     problem = YauProblem(m=1, initial=x, target=y)
-    k, shape = yau_ancient_limit(problem)
+    k, shape = rescaled_limit(problem.difference(), 1, "ancient")
     assert k == 3
     with pytest.raises(FlowRangeError):
         yau_solve(problem, -1e6)
+
+
+def test_overflowing_difference_or_sum_raises_flow_range_error():
+    """X0 - Y, and X(t) = Z(t) + Y, can leave floating range although both
+    polygons are finite: one FlowRangeError, with no numpy warning."""
+    near = Polygon(np.array([[1e308, 1e308], [1.1e308, 1e308], [1e308, 1.1e308]]))
+    with pytest.raises(FlowRangeError, match="initial polygon minus the target"):
+        yau_solution(YauProblem(m=1, initial=near, target=near.scaled(-1.0)))
+    # Z = X0 - Y is finite, but Y_0 + centroid(Z) is not
+    y = Polygon(np.array([[1.6e308, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 3))
+    x0 = Polygon(y.vertices + np.array([[0.0, 0.0, 0.0]] * 3 + [[1.6e308, 0.0, 0.0]]))
+    solution = yau_solution(YauProblem(m=1, initial=x0, target=y))
+    assert np.isfinite(solution.difference_flow.polygon_at(100.0).vertices).all()
+    with pytest.raises(FlowRangeError, match=r"evolution left floating range at t=100\.0"):
+        solution.polygon_at(100.0)
