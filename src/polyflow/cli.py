@@ -1,7 +1,8 @@
 """Command-line front end: matrix inspection, flow runs, CSV and SVG emission.
 
 Exit codes: 0 success, 2 argument error, 3 input parse error (or an
-unwritable output path), 4 numeric range error or out of memory.
+unwritable output path or a closed stdout), 4 numeric range error or out of
+memory.
 """
 from __future__ import annotations
 
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout was closed: the exit-time flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     except (PolygonFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

@@ -78,7 +78,6 @@ class Trajectory:
 
     times: tuple[float, ...]
     polygons: tuple[Polygon, ...]
-    kind: FlowKind
     steps: int
     partial_final_step: bool = field(default=False)
 
@@ -160,9 +159,5 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         times.append(t)
         polygons.append(Polygon(v))
     return Trajectory(
-        times=tuple(times),
-        polygons=tuple(polygons),
-        kind=config.kind,
-        steps=n_steps,
-        partial_final_step=partial,
+        times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
     )

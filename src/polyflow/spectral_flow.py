@@ -44,7 +44,8 @@ class SpectralDecomposition:
     the centroid and ``beta`` rows for the zero sine vectors are zero.  For
     planar polygons ``planar_coeffs`` holds the raw complex coefficients on
     the n eigenpolygons, computed by the inverse transform without
-    thresholding.
+    thresholding.  :func:`decompose` decides ``masses`` (times ``2**shift``)
+    and ``present`` (the shape modes k >= 1) once; every array is read-only.
     """
 
     n: int
@@ -52,6 +53,9 @@ class SpectralDecomposition:
     alpha: np.ndarray
     beta: np.ndarray
     planar_coeffs: np.ndarray | None
+    masses: np.ndarray
+    shift: int
+    present: np.ndarray
 
     @property
     def half(self) -> int:
@@ -59,13 +63,11 @@ class SpectralDecomposition:
 
     def pair_masses(self) -> np.ndarray:
         """Norms of the mode-k component polygons, k = 0..floor(n/2)."""
-        masses, shift = _shifted_pair_masses(self)
-        return np.ldexp(masses, -shift)
+        return np.ldexp(self.masses, -self.shift)
 
     def present_modes(self) -> list[int]:
         """Shape modes (k >= 1) surviving the presence threshold."""
-        nonzero = np.any(self.alpha[1:] != 0.0, axis=1) | np.any(self.beta[1:] != 0.0, axis=1)
-        return (np.flatnonzero(nonzero) + 1).tolist()
+        return self.present.tolist()
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def _basis_norms_sq(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
 
 
-def _shifted_pair_masses(dec: SpectralDecomposition) -> tuple[np.ndarray, int]:
+def _shifted_pair_masses(alpha, beta, c_sq, s_sq) -> tuple[np.ndarray, int]:
     """The pair masses of the coefficients times ``2**shift``, and ``shift``.
 
     The masses square the coefficients, which overflows above ~1e154 and
@@ -94,10 +96,9 @@ def _shifted_pair_masses(dec: SpectralDecomposition) -> tuple[np.ndarray, int]:
     an exact power of two; inside that band the shift is 0 and every value
     is as if unshifted.  Ratios of the shifted masses are the true ratios.
     """
-    exponent = int(np.frexp(max(np.abs(dec.alpha).max(), np.abs(dec.beta).max()))[1])
+    exponent = int(np.frexp(max(np.abs(alpha).max(), np.abs(beta).max()))[1])
     shift = -exponent if abs(exponent) > 400 else 0
-    alpha, beta = np.ldexp(dec.alpha, shift), np.ldexp(dec.beta, shift)
-    c_sq, s_sq = _basis_norms_sq(dec.n)
+    alpha, beta = np.ldexp(alpha, shift), np.ldexp(beta, shift)
     return np.sqrt(c_sq * np.sum(alpha**2, axis=1) + s_sq * np.sum(beta**2, axis=1)), shift
 
 
@@ -129,13 +130,15 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     beta = np.zeros_like(alpha)
     np.divide(-spectrum.imag, s_sq[:, None], out=beta, where=s_sq[:, None] > 0.0)
 
-    dec = SpectralDecomposition(n=x.n, p=x.p, alpha=alpha, beta=beta, planar_coeffs=planar)
-    masses = _shifted_pair_masses(dec)[0]
+    # the flush keeps the pair of the largest coefficient, so ``shift`` holds after it
+    masses, shift = _shifted_pair_masses(alpha, beta, c_sq, s_sq)
     flushed = masses <= PRESENCE_RELATIVE_THRESHOLD * masses.max()
     flushed[0] = False
-    alpha[flushed] = 0.0
-    beta[flushed] = 0.0
-    return dec
+    alpha[flushed] = beta[flushed] = masses[flushed] = 0.0
+    present = np.flatnonzero(~flushed[1:]) + 1
+    for array in [alpha, beta, masses, present] + ([planar] if x.p == 2 else []):
+        array.flags.writeable = False
+    return SpectralDecomposition(x.n, x.p, alpha, beta, planar, masses, shift, present)
 
 
 def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
@@ -152,16 +155,13 @@ class FlowSolution:
     (ancient solutions) are allowed until the exponentials leave floating
     range, which raises :class:`FlowRangeError` instead of returning inf.
     :meth:`from_decomposition` precomputes everything that does not depend on
-    t: ``mode_rates`` (the flow eigenvalue of each mode pair), ``present``
-    (the present shape modes, an int array) and ``spectrum`` (the rfft
-    spectrum that ``decompose`` projected, rebuilt from alpha and beta), so an
-    evaluation only scales ``spectrum`` and runs one ``irfft``.
+    t: ``mode_rates`` (the flow eigenvalue of each mode pair) and ``spectrum``
+    (the rfft spectrum that ``decompose`` projected, rebuilt from alpha and
+    beta), so an evaluation only scales ``spectrum`` and runs one ``irfft``.
     """
 
-    m: int
     decomposition: SpectralDecomposition
     mode_rates: np.ndarray
-    present: np.ndarray
     spectrum: np.ndarray
 
     @classmethod
@@ -169,15 +169,13 @@ class FlowSolution:
         rates = np.array([circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)])
         c_sq, s_sq = _basis_norms_sq(dec.n)
         return cls(
-            m=m,
             decomposition=dec,
             mode_rates=rates,
-            present=np.array(dec.present_modes(), dtype=np.intp),
             spectrum=c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta),
         )
 
     def _accumulate(self, t: float, rate_shift: float, include_mean: bool) -> Polygon:
-        dec, present = self.decomposition, self.present
+        dec, present = self.decomposition, self.decomposition.present
         exponents = (self.mode_rates[present] - rate_shift) * t
         overflows = np.flatnonzero(exponents > _EXP_LIMIT)
         if overflows.size:
@@ -256,7 +254,7 @@ def classify_self_similar(x0: Polygon | SpectralDecomposition, m: int) -> SelfSi
     and translators only exist in the trivial constant case).
     """
     dec = _decomposed(x0)
-    masses_sq = _shifted_pair_masses(dec)[0] ** 2  # index 0 is the centroid, not shape
+    masses_sq = dec.masses**2  # index 0 is the centroid, not shape
     total_sq = float(np.sum(masses_sq[1:]))
     present = dec.present_modes()
     if not present:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .polygon import Polygon, format_float
 
 SAMPLE_STROKE = "#6f6f6f"
@@ -24,23 +26,11 @@ class Layer:
     dashed: bool = False
 
 
-def _bounds(layers: list[Layer]) -> tuple[float, float, float, float]:
-    xs_min = min(float(l.polygon.vertices[:, 0].min()) for l in layers)
-    xs_max = max(float(l.polygon.vertices[:, 0].max()) for l in layers)
-    ys_min = min(float(l.polygon.vertices[:, 1].min()) for l in layers)
-    ys_max = max(float(l.polygon.vertices[:, 1].max()) for l in layers)
-    return xs_min, xs_max, ys_min, ys_max
-
-
-def default_stroke_width(extent: float) -> float:
-    return extent / 150.0 if extent > 0.0 else 0.01
-
-
-def drawing_extent(polygons: list[Polygon]) -> float:
-    """Largest side of the bounding box of everything to be drawn."""
-    layers = [Layer(p, "#000000", 1.0) for p in polygons]
-    x0, x1, y0, y1 = _bounds(layers)
-    return max(x1 - x0, y1 - y0)
+def _bounds(polygons: list[Polygon]) -> tuple[float, float, float, float]:
+    """x min, x max, y min and y max over the vertices of every polygon."""
+    v = np.concatenate([q.vertices for q in polygons])
+    xs, ys = v[:, 0], v[:, 1]
+    return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
 
 
 def figure_layers(samples, initial, target=None, stroke_width=None, dash_target=True) -> list[Layer]:
@@ -48,8 +38,9 @@ def figure_layers(samples, initial, target=None, stroke_width=None, dash_target=
     stroke, then the flow samples; the default width scales with the drawing."""
     width = stroke_width
     if width is None:
-        drawn = list(samples) + [initial] + ([target] if target is not None else [])
-        width = default_stroke_width(drawing_extent(drawn))
+        x0, x1, y0, y1 = _bounds([*samples, initial] + ([target] if target is not None else []))
+        extent = max(x1 - x0, y1 - y0)
+        width = extent / 150.0 if extent > 0.0 else 0.01
     layers = []
     if target is not None:
         layers.append(Layer(target, TARGET_STROKE, width, dashed=dash_target))
@@ -65,7 +56,7 @@ def render(layers: list[Layer]) -> str:
     for layer in layers:
         if layer.polygon.p != 2:
             raise ValueError(f"SVG rendering needs planar polygons, got p = {layer.polygon.p}")
-    x0, x1, y0, y1 = _bounds(layers)
+    x0, x1, y0, y1 = _bounds([layer.polygon for layer in layers])
     extent = max(x1 - x0, y1 - y0)
     pad = 0.05 * extent if extent > 0.0 else 1.0
     # y axis flipped: view spans [-y_max, -y_min]

@@ -235,11 +235,29 @@ def vertex_svg_points(polygon):
     return " ".join(f"{format_float(x)},{format_float(-y)}" for x, y in polygon.vertices)
 
 
+def recomputed_decision(dec):
+    """The shifted pair masses, their shift and the present shape modes (an
+    int array) of a decomposition, worked out from scratch from its alpha and
+    beta: the masses after scaling by the power of two that brings a
+    coefficient beyond [2^-400, 2^400] near one, and the presence by a scan
+    for nonzero coefficients."""
+    exponent = math.frexp(float(max(np.abs(dec.alpha).max(), np.abs(dec.beta).max())))[1]
+    shift = -exponent if abs(exponent) > 400 else 0
+    alpha, beta = np.ldexp(dec.alpha, shift), np.ldexp(dec.beta, shift)
+    k = np.arange(dec.n // 2 + 1)
+    unpaired = (k == 0) | (2 * k == dec.n)
+    c_sq = np.where(unpaired, float(dec.n), dec.n / 2.0)
+    s_sq = np.where(unpaired, 0.0, dec.n / 2.0)
+    masses = np.sqrt(c_sq * np.sum(alpha**2, axis=1) + s_sq * np.sum(beta**2, axis=1))
+    nonzero = np.any(dec.alpha[1:] != 0.0, axis=1) | np.any(dec.beta[1:] != 0.0, axis=1)
+    return masses, shift, np.flatnonzero(nonzero) + 1
+
+
 def recomputed_accumulate(solution, t, rate_shift, include_mean):
     """One evaluation of a ``FlowSolution`` that recomputes the present modes
     and the basis norms from the decomposition on every call."""
     dec = solution.decomposition
-    present = dec.present_modes()
+    present = recomputed_decision(dec)[2]
     exponents = (solution.mode_rates[present] - rate_shift) * t
     overflows = np.flatnonzero(exponents > math.log(np.finfo(float).max))
     if overflows.size:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,12 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polyflow import circulant, cli, spectral_flow
+from polyflow import circulant, cli, spectral_flow, svg
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
     eigen_polygon,
-    load_polygon_csv,
     real_basis,
     save_polygon_json,
 )
@@ -115,6 +118,31 @@ def test_yau_command_renders_dashed_target(tmp_path, rng, pentagon_file, target_
     text = svg_path.read_text()
     assert "stroke-dasharray" in text
     assert text.count("<polygon") == 10  # 8 samples + initial + target
+
+
+def test_yau_solid_target_is_undashed(tmp_path, pentagon_file, target_file, capsys):
+    svg_path = tmp_path / "yau.svg"
+    argv = ["yau", "--input", pentagon_file, "--target", target_file, "--m", "1",
+            "--solid-target", "--svg", str(svg_path)]
+    assert main(argv) == 0
+    text = svg_path.read_text()
+    assert f'stroke="{svg.TARGET_STROKE}"' in text
+    assert "stroke-dasharray" not in text
+
+
+def test_stroke_width_sets_every_stroke(tmp_path, pentagon_file, capsys):
+    svg_path = tmp_path / "fig.svg"
+    argv = ["flow", "--input", pentagon_file, "--m", "1", "--stroke-width", "0.3",
+            "--svg", str(svg_path)]
+    assert main(argv) == 0
+    strokes = re.findall(r'stroke="([^"]*)" stroke-width="([^"]*)"', svg_path.read_text())
+    assert strokes == [(svg.INITIAL_STROKE, "0.54")] + [(svg.SAMPLE_STROKE, "0.3")] * 8
+
+
+def test_t0_starts_the_geometric_schedule(pentagon_file, capsys):
+    assert main(["flow", "--input", pentagon_file, "--m", "1", "--t0", "0.2", "--count", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.2"] * 5 + ["0.32000000000000006"] * 5
 
 
 def test_yau_reconciles_counts(tmp_path, rng, target_file, capsys):
@@ -325,17 +353,22 @@ def test_non_planar_runs_do_not_build_the_fourier_matrix(tmp_path, rng, monkeypa
 
 def test_analyze_decomposes_once(tmp_path, rng, monkeypatch, capsys):
     calls = []
-    decompose = spectral_flow.decompose
+    decompose, shifted_pair_masses = spectral_flow.decompose, spectral_flow._shifted_pair_masses
 
     def counted(x):
         calls.append(x.n)
         return decompose(x)
 
+    def counted_masses(*args):
+        calls.append("masses")
+        return shifted_pair_masses(*args)
+
     path = tmp_path / "heptagon.json"
     save_polygon_json(helpers.random_polygon(rng, 7), path)
     monkeypatch.setattr(spectral_flow, "decompose", counted)
+    monkeypatch.setattr(spectral_flow, "_shifted_pair_masses", counted_masses)
     assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
-    assert calls == [7]
+    assert calls == [7, "masses"]
     assert json.loads(capsys.readouterr().out)["dominant_mode"] == 1
 
 
@@ -377,6 +410,20 @@ def test_unwritable_svg_is_refused_before_the_csv_is_written(tmp_path, pentagon_
     assert "wrote" not in captured.out
     assert captured.err.startswith("input error:") and "afile.json/x.svg" in captured.err
     assert not (tmp_path / "ok.csv").exists()
+
+
+def test_closed_stdout_exits_three_quietly(pentagon_file):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # ~1 MB of rows: far more than a pipe holds, so writing outlives the reader
+    argv = [sys.executable, "-m", "polyflow.cli", "flow", "--input", pentagon_file, "--m", "1",
+            "--count", "4000", "--ratio", "1.001"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src)) as proc:
+        assert proc.stdout.readline() == b"t,vertex_index,x1,x2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3
+    assert err == b""
 
 
 def test_out_of_memory_exits_four(pentagon_file, monkeypatch, capsys):

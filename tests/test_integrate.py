@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import circulant, spectral_flow
+from polyflow import spectral_flow
 from polyflow.integrate import (
     DivergenceError,
     IntegratorConfig,

@@ -1,12 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polyflow.polygon import (
-    Polygon,
     PolygonFormatError,
     load_polygon,
     load_polygon_csv,

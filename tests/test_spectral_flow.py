@@ -86,6 +86,42 @@ def test_decompose_rejects_tiny_polygons():
         decompose(Polygon(np.zeros((2, 2))))
 
 
+@given(
+    st.integers(3, 300), st.integers(2, 5),
+    st.sampled_from(("random", "pure", "constant", "translated")),
+    st.integers(-200, 200), st.integers(0, 2**32 - 1),
+)
+@example(7, 2, "random", 200, 0)
+@example(8, 3, "pure", -200, 1)
+@example(300, 5, "translated", 0, 2)
+@example(3, 4, "constant", -170, 3)
+@settings(max_examples=80)
+def test_decomposition_carries_the_masses_and_modes_it_decided(n, p, shape, exponent, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        x = helpers.constant_polygon(rng.normal(size=p), n)
+    elif shape == "random":
+        x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)))
+    else:
+        basis = real_basis(n, int(rng.integers(1, n // 2 + 1)))
+        x = Polygon(np.column_stack(basis) @ rng.normal(size=(2, p)))
+        if shape == "translated":  # far enough, at times, for the flush to take the pair
+            x = x.translated(rng.normal(scale=10.0 ** int(rng.integers(0, 16)), size=p))
+    dec = decompose(x.scaled(10.0**exponent))
+    masses, shift, present = helpers.recomputed_decision(dec)
+    assert dec.masses.tobytes() == masses.tobytes()
+    assert dec.shift == shift
+    assert dec.present.dtype == np.intp
+    assert dec.present.tolist() == present.tolist()
+
+
+def test_decomposition_arrays_are_read_only(rng):
+    dec = decompose(helpers.random_polygon(rng, 6))
+    for array in (dec.alpha, dec.beta, dec.planar_coeffs, dec.masses, dec.present):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0
+
+
 # --- closed-form evolution ------------------------------------------------------
 
 def test_constant_polygon_is_exactly_stationary():
