@@ -225,7 +225,8 @@ def fourier_matrix(n: int) -> np.ndarray:
 
 
 def idft(v: np.ndarray) -> np.ndarray:
-    """Inverse transform: the Fourier matrix, conjugated in place, times v over n."""
+    """Inverse transform: the Fourier matrix, conjugated in place, times v / n
+    (dividing first keeps the sums finite for entries near float max)."""
     v = np.asarray(v, dtype=complex)
     f = fourier_matrix(v.shape[0])
-    return (np.conjugate(f, out=f) @ v) / v.shape[0]
+    return np.conjugate(f, out=f) @ (v / v.shape[0])

@@ -11,7 +11,6 @@ import functools
 import math
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .polygon import (
     energy,
     format_float,
     load_polygon,
-    polygon_doc,
 )
 
 
@@ -239,125 +237,79 @@ def cmd_yau(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finite(text: str) -> str:
-    """``text``, numbers written by ``repr``, or the ValueError ``json`` raises
-    under ``allow_nan=False`` when one is nan or infinite: only those reprs
-    hold an "n"."""
-    if "n" in text:
-        raise ValueError("Out of range float values are not JSON compliant")
-    return text
-
-
 def _json_floats(values, pad: str) -> str:
     """A non-empty number list in the indent-2 layout, its items at ``pad``."""
-    items = _finite(f",\n{pad}".join(map(repr, values)))
+    items = f",\n{pad}".join(map(repr, values))
     return f"[\n{pad}{items}\n{pad[2:]}]"
 
 
-def _json_polygon(doc) -> str:
-    """A :func:`polygon_doc`, or None, as a member of the report."""
-    if doc is None:
+def _json_polygon(x: Polygon | None) -> str:
+    """A polygon, or None, as a member of the report."""
+    if x is None:
         return "null"
-    cells = list(map(repr, chain.from_iterable(doc["vertices"])))
-    rows = "\n      ],\n      [\n        ".join(
-        map(",\n        ".join, zip(*[iter(cells)] * doc["dim"]))
-    )
-    return (
-        f'{{\n    "dim": {doc["dim"]},\n    "vertices": [\n      [\n        '
-        f"{_finite(rows)}\n      ]\n    ]\n  }}"
-    )
+    cells = list(map(repr, x.vertices.ravel().tolist()))
+    rows = "\n      ],\n      [\n        ".join(map(",\n        ".join, zip(*[iter(cells)] * x.p)))
+    return f'{{\n    "dim": {x.p},\n    "vertices": [\n      [\n        {rows}\n      ]\n    ]\n  }}'
 
 
-def _report_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, allow_nan=False)`` for the report of
-    :func:`cmd_analyze`, laid out by its schema: ``indent`` sends ``json`` to
-    its pure-Python encoder, which costs twice as much.  Like ``json``, a
-    number beyond float range raises ValueError."""
-    modes = ",\n".join(
-        f'    {{\n      "k": {mode["k"]},\n'
-        f'      "mass": {_finite(repr(mode["mass"]))},\n'
-        f'      "rate": {_finite(repr(mode["rate"]))},\n'
-        f'      "alpha": {_json_floats(mode["alpha"], " " * 8)},\n'
-        f'      "beta": {_json_floats(mode["beta"], " " * 8)}\n    }}'
-        for mode in report["modes"]
-    )
-    verdict = report["self_similar"]
-    if verdict is not None:
-        verdict = (
-            f'{{\n    "mode": {verdict["mode"]},\n'
-            f'    "rate": {_finite(repr(verdict["rate"]))},\n'
-            f'    "trivial": {"true" if verdict["trivial"] else "false"}\n  }}'
-        )
-    members = (
-        ("n", report["n"]),
-        ("p", report["p"]),
-        ("m", report["m"]),
-        ("energy", _finite(repr(report["energy"]))),
-        ("centroid", _json_floats(report["centroid"], "    ")),
-        ("modes", f"[\n{modes}\n  ]"),
-        ("self_similar", verdict),
-        ("dominant_mode", report["dominant_mode"]),
-        ("forward_limit", _json_polygon(report["forward_limit"])),
-        ("ancient_mode", report["ancient_mode"]),
-        ("ancient_limit", _json_polygon(report["ancient_limit"])),
-    )
-    body = ",\n".join(
-        f'  "{key}": {"null" if text is None else text}' for key, text in members
-    )
-    return f"{{\n{body}\n}}"
+def _analyze_json(x0: Polygon, m: int, source: str) -> str:
+    """The ``analyze`` report of x0 as ``json.dumps(report, indent=2)`` writes
+    it, laid out by its schema: ``indent`` sends ``json`` to its pure-Python
+    encoder, which costs twice as much.
 
-
-def _analyze_report(x0: Polygon, m: int) -> dict:
-    """The ``analyze`` report of x0, ready for :func:`_report_json`, which
-    refuses a number beyond float range left in it."""
+    After every library error, a number beyond float range raises
+    FlowRangeError, naming the input ``source``.  Only the energy and the
+    mode masses can be one: ``decompose`` refuses a non-finite centroid or
+    spectrum, ``flow_eigenvalue`` raises OverflowError instead of returning
+    inf and ``Polygon`` refuses non-finite vertices.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         dec = spectral_flow.decompose(x0)
         verdict = spectral_flow.classify_self_similar(dec, m)
-        masses = dec.pair_masses()
-        report = {
-            "n": x0.n,
-            "p": x0.p,
-            "m": m,
-            "energy": energy(x0, m),
-            "centroid": dec.alpha[0].tolist(),
-            "modes": [
-                {
-                    "k": k,
-                    "mass": float(masses[k]),
-                    "rate": circulant.flow_eigenvalue(x0.n, m, k),
-                    "alpha": dec.alpha[k].tolist(),
-                    "beta": dec.beta[k].tolist(),
-                }
-                for k in range(dec.half + 1)
-            ],
-            "self_similar": None
-            if verdict is None
-            else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
-        }
+        total = energy(x0, m)
+        masses = dec.pair_masses().tolist()
+        rates = [circulant.flow_eigenvalue(x0.n, m, k) for k in range(dec.half + 1)]
         try:
             k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
             k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")
-            report["dominant_mode"] = k_fwd
-            report["forward_limit"] = polygon_doc(fwd)
-            report["ancient_mode"] = k_anc
-            report["ancient_limit"] = polygon_doc(anc)
         except spectral_flow.DegenerateModeError:
-            report["dominant_mode"] = None
-            report["forward_limit"] = None
-            report["ancient_mode"] = None
-            report["ancient_limit"] = None
-    return report
+            k_fwd = fwd = k_anc = anc = None
+    if not math.isfinite(total) or not all(map(math.isfinite, masses)):
+        raise spectral_flow.FlowRangeError(
+            f"the analyze report of {source} holds a number beyond float range"
+        )
+    modes = ",\n".join(
+        f'    {{\n      "k": {k},\n      "mass": {mass!r},\n      "rate": {rate!r},\n'
+        f'      "alpha": {_json_floats(alpha, " " * 8)},\n'
+        f'      "beta": {_json_floats(beta, " " * 8)}\n    }}'
+        for k, (mass, rate, alpha, beta) in enumerate(
+            zip(masses, rates, dec.alpha.tolist(), dec.beta.tolist())
+        )
+    )
+    if verdict is not None:
+        verdict = (
+            f'{{\n    "mode": {verdict.mode},\n    "rate": {verdict.rate!r},\n'
+            f'    "trivial": {"true" if verdict.is_trivial else "false"}\n  }}'
+        )
+    members = (
+        ("n", x0.n),
+        ("p", x0.p),
+        ("m", m),
+        ("energy", repr(total)),
+        ("centroid", _json_floats(dec.alpha[0].tolist(), "    ")),
+        ("modes", f"[\n{modes}\n  ]"),
+        ("self_similar", verdict),
+        ("dominant_mode", k_fwd),
+        ("forward_limit", _json_polygon(fwd)),
+        ("ancient_mode", k_anc),
+        ("ancient_limit", _json_polygon(anc)),
+    )
+    body = ",\n".join(f'  "{key}": {"null" if text is None else text}' for key, text in members)
+    return f"{{\n{body}\n}}"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    x0 = load_flow_polygon(args.input_path)
-    report = _analyze_report(x0, args.m)
-    try:
-        text = _report_json(report)
-    except ValueError as exc:
-        raise spectral_flow.FlowRangeError(
-            f"the analyze report of {args.input_path} holds a number beyond float range"
-        ) from exc
+    text = _analyze_json(load_flow_polygon(args.input_path), args.m, args.input_path)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")

@@ -174,20 +174,21 @@ def _grow(x: Polygon, target: int, strategy: str) -> Polygon:
     return Polygon(np.array(_bisected(x.vertices.tolist(), target)))
 
 
-def _squared_length(a: list, b: list) -> float:
-    """``float(np.sum((b - a) ** 2))`` for rows of fewer than 8 floats, where
-    numpy's pairwise sum is one loop from 0.0 in index order."""
+def _squared_length(a: list, b: list, scale: float) -> float:
+    """The squared length of the edge from a to b times ``scale**2``, summed
+    in index order from 0.0.  A difference is scaled as ``t*scale - s*scale``
+    when scale < 1, since ``t - s`` can overflow, and as ``(t - s)*scale``
+    otherwise, which at scale 1 is ``t - s`` itself."""
     total = 0.0
-    for s, t in zip(a, b):
-        d = t - s
-        total += d * d
+    if scale < 1.0:
+        for s, t in zip(a, b):
+            d = t * scale - s * scale
+            total += d * d
+    else:
+        for s, t in zip(a, b):
+            d = (t - s) * scale
+            total += d * d
     return total
-
-
-def _numpy_squared_length(a: list, b: list) -> float:
-    """The same sum for wider rows, where numpy's sum is pairwise."""
-    with np.errstate(over="ignore"):  # near float max a length is inf, without a warning
-        return float(np.sum((np.array(b) - np.array(a)) ** 2))
 
 
 def _bisected(rows: list, target: int) -> list:
@@ -200,15 +201,19 @@ def _bisected(rows: list, target: int) -> list:
     integers in units of ``2**-bits`` of an edge; when a sub-edge one unit wide
     must split, every offset and width is refined by ``2**bits``, which keeps
     their order, and ``bits`` doubles.  Midpoints are ``0.5 * (a + b)`` per
-    coordinate, or ``0.5 * a + 0.5 * b`` where ``a + b`` overflows, and lengths
-    are summed as numpy sums them, so the result is bitwise that of rescanning
-    every edge length per insertion.
+    coordinate, or ``0.5 * a + 0.5 * b`` where ``a + b`` overflows.  Lengths
+    are taken of the differences times an exact power of two up to 2^1023,
+    1 unless the widest original edge lies beyond 2^±400, so that squares
+    neither overflow nor underflow; the result is bitwise that of rescanning
+    every edge length per insertion, and scaling by a power of two commutes.
     """
-    length = _squared_length if len(rows[0]) < 8 else _numpy_squared_length
+    edges = list(zip(rows, rows[1:] + rows[:1]))
+    widest = max(abs(0.5 * t - 0.5 * s) for a, b in edges for s, t in zip(a, b))
+    shift = -math.frexp(widest)[1]
+    scale = math.ldexp(1.0, min(shift, 1023)) if abs(shift) > 400 else 1.0
     bits = 64
     heap = [
-        (-length(a, b), edge, 0, 1 << bits, a, b)
-        for edge, (a, b) in enumerate(zip(rows, rows[1:] + rows[:1]))
+        (-_squared_length(a, b, scale), edge, 0, 1 << bits, a, b) for edge, (a, b) in enumerate(edges)
     ]
     heapq.heapify(heap)
     for _ in range(target - len(rows)):
@@ -220,8 +225,8 @@ def _bisected(rows: list, target: int) -> list:
         if math.inf in mid or -math.inf in mid:  # s + t overflowed: halve each first
             mid = [0.5 * (s + t) if math.isfinite(s + t) else 0.5 * s + 0.5 * t for s, t in zip(a, b)]
         width >>= 1
-        heapq.heapreplace(heap, (-length(a, mid), edge, offset, width, a, mid))
-        heapq.heappush(heap, (-length(mid, b), edge, offset + width, width, mid, b))
+        heapq.heapreplace(heap, (-_squared_length(a, mid, scale), edge, offset, width, a, mid))
+        heapq.heappush(heap, (-_squared_length(mid, b, scale), edge, offset + width, width, mid, b))
     heap.sort(key=itemgetter(1, 2))
     return [leaf[4] for leaf in heap]
 
@@ -236,14 +241,9 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def polygon_doc(x: Polygon) -> dict:
-    """The JSON document of a polygon, as saved and as reported by the CLI."""
-    return {"dim": x.p, "vertices": x.vertices.tolist()}
-
-
 def save_polygon_json(x: Polygon, path) -> None:
     with open(path, "w") as fh:
-        json.dump(polygon_doc(x), fh)
+        json.dump({"dim": x.p, "vertices": x.vertices.tolist()}, fh)
         fh.write("\n")
 
 

@@ -168,6 +168,7 @@ class FlowSolution:
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
         rates = np.array([circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)])
         c_sq, s_sq = _basis_norms_sq(dec.n)
+        c_sq[0] = 0.0  # the mean is added exactly, and n * centroid can overflow
         return cls(
             decomposition=dec,
             mode_rates=rates,

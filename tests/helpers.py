@@ -209,10 +209,10 @@ def solve_planar_complex(x0, m, t):
 def midpoint_grow(x, target):
     """Midpoint insertion by a full rescan per vertex: bisect the longest edge,
     ties to the lowest edge index, recomputing every edge length each time
-    (one numpy row sum of squared differences per edge)."""
+    (the squared differences summed column by column, in order)."""
     verts = x.vertices
     while len(verts) < target:
-        lengths = np.sum((np.roll(verts, -1, axis=0) - verts) ** 2, axis=1)
+        lengths = sum(d * d for d in (np.roll(verts, -1, axis=0) - verts).T)
         i = int(np.argmax(lengths))  # argmax takes the first maximum: lowest index
         mid = 0.5 * (verts[i] + verts[(i + 1) % len(verts)])
         verts = np.insert(verts, i + 1, mid, axis=0)
@@ -278,8 +278,8 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
 
 
 def elementwise_analyze_report(x0, m):
-    """The ``polyflow analyze`` report with every JSON leaf list built one
-    ``float`` at a time."""
+    """The ``polyflow analyze`` report as a dict, with every JSON leaf list
+    built one ``float`` at a time and null limits for a constant polygon."""
     def doc(x):
         return {"dim": x.p, "vertices": [[float(c) for c in row] for row in x.vertices]}
 
@@ -306,6 +306,8 @@ def elementwise_analyze_report(x0, m):
         if verdict is None
         else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
     }
+    if not dec.present_modes():  # a constant polygon has no limit to report
+        return dict(report, dominant_mode=None, forward_limit=None, ancient_mode=None, ancient_limit=None)
     k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
     k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")
     report.update(

@@ -303,7 +303,14 @@ def test_idft_is_bitwise_the_conjugate_matrix_product(rng):
     """Conjugating the Fourier matrix in place changes no bit of the transform."""
     for n in list(range(3, 41)) + [97, 256, 257, 1024]:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.array_equal(idft(v), (circulant.fourier_matrix(n).conjugate() @ v) / n)
+        assert np.array_equal(idft(v), circulant.fourier_matrix(n).conjugate() @ (v / n))
+
+
+def test_idft_of_entries_near_float_max_is_finite():
+    """Dividing by n before the sums keeps a constant vector at 1e308 finite."""
+    for n in (3, 5, 8, 97):
+        coeffs = idft(np.full(n, 1e308 + 1e308j))
+        assert np.isfinite(coeffs).all() and np.isclose(coeffs[0], 1e308 + 1e308j, rtol=1e-14, atol=0.0)
 
 
 def test_diagonalization_rebuilds_flow_matrix():

@@ -16,6 +16,7 @@ from polyflow import circulant, cli, spectral_flow, svg
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
+    centroid,
     eigen_polygon,
     real_basis,
     save_polygon_json,
@@ -481,25 +482,73 @@ def test_report_writer_is_byte_identical_to_json(data):
     else:
         c, s = real_basis(n, data.draw(st.integers(1, n // 2)))
         x = Polygon(np.column_stack([c, s, 2.0 * c - s][:p]))
-    report = cli._analyze_report(x, m)
+    report = helpers.elementwise_analyze_report(x, m)
     if kind == "constant":
         assert report["forward_limit"] is None and report["self_similar"]["trivial"]
     if kind == "pure":
         assert report["self_similar"] is not None and report["ancient_limit"] is not None
-    assert cli._report_json(report) == helpers.report_json(report)
+    assert cli._analyze_json(x, m, "drawn.json") == helpers.report_json(report)
+
+
+def _planted(values, index, bad):
+    out = np.array(values)
+    out[index] = bad
+    return out
+
+
+def _plant_at_source(monkeypatch, slot, bad):
+    """Make the library hand the writer ``bad`` for one slot of the report,
+    at the place that slot's number is computed."""
+    if slot == ("energy",):
+        monkeypatch.setattr(cli, "energy", lambda x, m: bad)
+    elif slot == ("centroid", 1):
+        monkeypatch.setattr(spectral_flow, "centroid", lambda x: _planted(centroid(x), 1, bad))
+    elif slot == ("modes", 1, "mass"):
+        masses = spectral_flow.SpectralDecomposition.pair_masses
+        monkeypatch.setattr(spectral_flow.SpectralDecomposition, "pair_masses", lambda dec: _planted(masses(dec), 1, bad))
+    elif slot[2] in ("alpha", "beta"):
+        # alpha is the real part of the centered spectrum, beta minus its imaginary part
+        rfft = np.fft.rfft
+
+        def planted_rfft(values, **kwargs):
+            spectrum = rfft(values, **kwargs)
+            (spectrum.real if slot[2] == "alpha" else spectrum.imag)[slot[1], slot[3]] = bad
+            return spectrum
+
+        monkeypatch.setattr(np.fft, "rfft", planted_rfft)
+    else:
+        direction = slot[0].split("_")[0]
+        limit_of = spectral_flow.rescaled_limit
+
+        def planted_limit(dec, m, towards):
+            k, limit = limit_of(dec, m, towards)
+            if towards == direction:
+                limit = Polygon(_planted(limit.vertices, slot[2:], bad))
+            return k, limit
+
+        monkeypatch.setattr(spectral_flow, "rescaled_limit", planted_limit)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "slot",
+    # ids count the report's number slots in schema order; the two rate slots,
+    # ("modes", 0, "rate") and ("self_similar", "rate"), have no nan or inf
+    # to plant: flow_eigenvalue is a power of a sine and raises OverflowError
+    # beyond float range (test_order_beyond_float_range_names_the_eigenvalue)
     [
-        ("energy",), ("centroid", 1), ("modes", 1, "mass"), ("modes", 0, "rate"),
-        ("modes", 2, "alpha", 0), ("modes", 2, "beta", 1), ("self_similar", "rate"),
-        ("forward_limit", "vertices", 3, 1), ("ancient_limit", "vertices", 0, 0),
+        pytest.param(("energy",), id="slot0"),
+        pytest.param(("centroid", 1), id="slot1"),
+        pytest.param(("modes", 1, "mass"), id="slot2"),
+        pytest.param(("modes", 2, "alpha", 0), id="slot4"),
+        pytest.param(("modes", 2, "beta", 1), id="slot5"),
+        pytest.param(("forward_limit", "vertices", 3, 1), id="slot7"),
+        pytest.param(("ancient_limit", "vertices", 0, 0), id="slot8"),
     ],
 )
-def test_report_writer_refuses_what_json_refuses(slot, bad):
-    report = cli._analyze_report(eigen_polygon(5, 2).scaled(2.0), 3)  # every block present
+def test_report_writer_refuses_what_json_refuses(monkeypatch, slot, bad):
+    x = eigen_polygon(5, 2).scaled(2.0)  # every block present
+    report = helpers.elementwise_analyze_report(x, 3)
     *path, last = slot
     holder = report
     for key in path:
@@ -507,8 +556,9 @@ def test_report_writer_refuses_what_json_refuses(slot, bad):
     holder[last] = bad
     with pytest.raises(ValueError):
         helpers.report_json(report)
-    with pytest.raises(ValueError):
-        cli._report_json(report)
+    _plant_at_source(monkeypatch, slot, bad)
+    with pytest.raises((ValueError, OverflowError)):  # FlowRangeError is an OverflowError
+        cli._analyze_json(x, 3, "planted.json")
 
 
 # entries up to 1.7e308: the centroid sum and the spectrum overflow
@@ -544,6 +594,32 @@ def _polygon_file(tmp_path, name, rows):
     path = tmp_path / name
     path.write_text(json.dumps({"dim": len(rows[0]), "vertices": rows}))
     return str(path)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mode_mass_beyond_float_range_exits_four_and_writes_nothing(tmp_path, p, capsys):
+    """A constant pentagon at 1e308 flows and has zero energy, but its k = 0
+    mass, sqrt(5) * |centroid|, is beyond float range."""
+    path = _polygon_file(tmp_path, "far.json", [[1e308] + [0.0] * (p - 1)] * 5)
+    out = tmp_path / "report.json"
+    for argv in ([], ["--json", str(out)]):
+        code, err = _refusal(["analyze", "--input", path, "--m", "1"] + argv, capsys)
+        assert code == 4 and not out.exists()
+        assert err == f"numeric range error: the analyze report of {path} holds a number beyond float range\n"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_constant_polygon_near_float_max_flows_and_stays_fixed(tmp_path, p, capsys):
+    path = _polygon_file(tmp_path, "far.json", [[1e308] + [0.0] * (p - 1)] * 5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["flow", "--input", path, "--m", "3", "--count", "2"]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    vertex = ",".join(["1e+308"] + ["0.0"] * (p - 1))
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 10 and {row.split(",", 2)[2] for row in rows} == {vertex}
 
 
 def test_overflowing_yau_set_up_exits_four_in_one_line(tmp_path, capsys):

@@ -219,7 +219,7 @@ def test_reconcile_preserves_drawn_image(n_small, n_big, seed):
 @example(6, 4090, 2, False, 1)
 @example(128, 3968, 3, False, 2)
 @example(5, 4091, 4, True, 3)
-@example(7, 40, 9, False, 4)  # p >= 8: numpy's pairwise sum of the squares
+@example(7, 40, 9, False, 4)  # p >= 8, where numpy's own row sum would be pairwise
 def test_midpoint_matches_full_rescan_oracle(n, extra, p, on_grid, seed):
     rng = np.random.default_rng(seed)
     if on_grid:  # small integer coordinates: many tied and zero-length edges
@@ -244,10 +244,12 @@ def test_midpoint_ties_split_the_lowest_edge_first():
     [
         [[1.0, -2.0]] * 3,  # constant: every split is a tie at length zero
         [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],  # one zero-length edge
-        [[1.0, 0.0], [1.0 + 2**-52, 0.0], [1.0, 2**-52]],  # one-ulp edges: a half can keep the length
-        # squares underflow: ties at length zero split one edge ~4000 deep,
-        # its first ~500 midpoints distinct, so offsets must stay exact
-        [[0.0, 0.0], [1e-170, 0.0], [0.0, 1e-170]],
+        # one-ulp edges: a half can keep the length, so one edge splits
+        # thousands deep past distinct midpoints and offsets must stay exact
+        [[1.0, 0.0], [1.0 + 2**-52, 0.0], [1.0, 2**-52]],
+        # the same far from the origin, where edges lie beyond 2^400 and the
+        # lengths are taken of rescaled differences: they order edges alike
+        [[1e155, 1e155], [1e155 * (1 + 2**-52), 1e155], [1e155, 1e155 * (1 + 2**-52)]],
     ],
 )
 def test_midpoint_degenerate_edges_match_full_rescan_oracle(rows):
@@ -256,15 +258,62 @@ def test_midpoint_degenerate_edges_match_full_rescan_oracle(rows):
     assert grown == helpers.midpoint_grow(x, 4096)
 
 
-@pytest.mark.parametrize("p", [2, 8])  # p >= 8 sums lengths with numpy
+@pytest.mark.parametrize(
+    ("rows", "target", "k"),
+    [
+        # squares overflow: every edge used to tie and edge 0 took all five
+        ([[0.0, 0.0], [1e160, 0.0], [0.0, 1e155]], 8, 532),
+        ([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]], 12, 1024),
+        # squares underflow: ties at length zero used to split edge 0 ~4000 deep
+        ([[0.0, 0.0], [1e-170, 0.0], [0.0, 1e-170]], 4096, -565),
+    ],
+)
+def test_midpoint_beyond_the_squared_range_splits_the_longest_edge(rows, target, k):
+    """Squared lengths overflow past ~1.3e154 and underflow below ~1e-162, so
+    lengths are taken of exactly rescaled differences: the polygon grows as
+    the oracle grows it scaled by 2**-k, to near one, and scaled back."""
+    x = Polygon(np.array(rows))
+    grown, _ = reconcile_vertex_counts(x, Polygon(np.zeros((target, 2))))
+    near_one = helpers.midpoint_grow(Polygon(np.ldexp(x.vertices, -k)), target)
+    assert np.array_equal(grown.vertices, np.ldexp(near_one.vertices, k))
+
+
+def test_midpoint_of_subnormal_edges_splits_the_longest_edge():
+    """Two edges two units of 2**-1074 long are scaled by 2**1023, the largest
+    power of two, and split before the zero-length edge."""
+    unit = 2.0**-1074
+    triangle = Polygon(np.array([[0.0, 0.0], [2 * unit, 0.0], [0.0, 0.0]]))
+    grown, _ = reconcile_vertex_counts(triangle, eigen_polygon(5, 1))
+    assert np.array_equal(grown.vertices[:, 0], [0.0, unit, 2 * unit, unit, 0.0])
+
+
+@pytest.mark.parametrize("p", [2, 8])
 def test_midpoint_of_an_overflowing_sum_is_halved_first(p):
     """Two coordinates whose sum overflows have a finite midpoint, and near
-    float max every squared length is inf, so edges split in index order."""
+    float max the lengths still order the edges: edge 1, then edge 2."""
     rows = [[1.5e308] * p, [1.7e308] * p, [1.6e308] * (p - 1) + [-1.0]]
     grown, _ = reconcile_vertex_counts(Polygon(np.array(rows)), Polygon(np.zeros((5, p))))
-    mid = 0.5 * 1.5e308 + 0.5 * 1.7e308  # the first split, then edge 0 again
-    expected = [rows[0], [0.5 * 1.5e308 + 0.5 * mid] * p, [mid] * p, rows[1], rows[2]]
-    assert np.isfinite(mid) and np.array_equal(grown.vertices, expected)
+    split_1 = [0.5 * 1.7e308 + 0.5 * 1.6e308] * (p - 1) + [0.5 * (1.7e308 - 1.0)]
+    split_2 = [0.5 * 1.6e308 + 0.5 * 1.5e308] * (p - 1) + [0.5 * (-1.0 + 1.5e308)]
+    assert np.isfinite(split_1).all() and np.isfinite(split_2).all()
+    assert np.array_equal(grown.vertices, [rows[0], rows[1], split_1, rows[2], split_2])
+
+
+@given(
+    st.integers(3, 8), st.integers(1, 40), st.integers(2, 9),
+    st.sampled_from([-1000, -600, 600, 1000]), st.integers(0, 2**32 - 1),
+)
+@example(3, 40, 2, 1000, 0)
+def test_midpoint_commutes_with_powers_of_two(n, extra, p, k, seed):
+    """``grow(x * 2**k) == 2**k * grow(x)`` bit for bit, far outside the band
+    where squared lengths stay in float range.  Coordinates are multiples of
+    1/8, so neither the scaled input nor a midpoint is rounded."""
+    rng = np.random.default_rng(seed)
+    x = Polygon(rng.integers(-64, 65, size=(n, p)) / 8.0)
+    other = Polygon(np.zeros((n + extra, p)))
+    grown, _ = reconcile_vertex_counts(x, other)
+    scaled, _ = reconcile_vertex_counts(x.scaled(2.0**k), other)
+    assert np.array_equal(scaled.vertices, np.ldexp(grown.vertices, k))
 
 
 def test_reconcile_rejects_mismatched_dimensions(rng):

@@ -401,6 +401,7 @@ def test_limits_and_verdict_take_a_polygon_or_its_decomposition(n, p, m, shape, 
 @example(7, 2, 2, "pure", 1)
 @example(300, 3, 3, "two modes", 2)
 @example(4, 2, 1, "constant", 3)
+@example(106, 2, 1, "pure", 387911659)  # at 1e-200 the rounded input moved the flow by 1.06e-15
 @settings(max_examples=40)
 def test_presence_and_verdict_do_not_depend_on_the_scale(n, p, m, shape, seed):
     rng = np.random.default_rng(seed)
@@ -415,13 +416,15 @@ def test_presence_and_verdict_do_not_depend_on_the_scale(n, p, m, shape, seed):
             for k in modes
         ) + rng.normal(size=p))
     present, verdict = decompose(x).present_modes(), classify_self_similar(x, m)
-    expected = solve(x, m, 0.05).vertices
     for scale in (1e200, 1e-200, 1e155, 1e-170):
         y = x.scaled(scale)
         assert decompose(y).present_modes() == present
         assert classify_self_similar(y, m) == verdict
-        gap = np.abs(solve(y, m, 0.05).vertices - scale * expected).max()
-        assert gap <= 1e-15 * scale * np.abs(expected).max()
+    # a decimal scale rounds the input; a power of two scales the flow exactly
+    expected = solve(x, m, 0.05).vertices
+    for k in (664, -664, 515, -565):
+        flowed = solve(x.scaled(2.0**k), m, 0.05).vertices
+        assert np.array_equal(flowed, np.ldexp(expected, k))
 
 
 def test_constant_polygon_classifies_as_trivial():
