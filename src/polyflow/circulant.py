@@ -150,13 +150,15 @@ def stencil(a: CirculantMatrix):
     and the (K, n[, p]) term products.  Each call fills the padded copy with
     one ``take``, multiplies the coefficient column by a strided view of
     K windows into it, one per nonzero entry, so zero entries contribute no
-    ``0 * inf``, and returns a new array from one ``np.add.reduce`` over the
-    terms.  That sum starts from +0.0 and adds the terms in order: the same
-    terms in the same order as an index gather, so the same bits.  Windows
-    overlap when the offsets are evenly spaced, as a band of ``M^m`` is, and
-    lie end to end otherwise.  The map takes arrays of shape (n,) or (n, p),
-    real or complex; its buffers make it unsafe to call from two threads at
-    once.
+    ``0 * inf``, and sums the terms with one ``np.add.reduce``.  That sum
+    starts from +0.0 and adds the terms in order: the same terms in the same
+    order as an index gather, so the same bits.  Windows overlap when the
+    offsets are evenly spaced, as a band of ``M^m`` is, and lie end to end
+    otherwise.  The map takes arrays of shape (n,) or (n, p), real or
+    complex, and returns a new array, or writes into ``out`` and returns it
+    when one of the result's shape and dtype is given; ``out`` may be
+    ``values`` itself, which is copied before the sum is written.  Its
+    buffers make the map unsafe to call from two threads at once.
     """
     n = a.n
     offsets = sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(a.first_row) if c)
@@ -171,7 +173,7 @@ def stencil(a: CirculantMatrix):
     coeffs = np.array([c for _, c in offsets])
     key = padded = windows = column = prods = None
 
-    def apply_rows(values: np.ndarray) -> np.ndarray:
+    def apply_rows(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         nonlocal key, padded, windows, column, prods
         if key != (values.shape, values.dtype):
             if values.shape[0] != n:  # the windows below must stay inside the padded copy
@@ -184,9 +186,9 @@ def stencil(a: CirculantMatrix):
             # a Python float coefficient times the values, in the values' own precision
             column = coeffs.astype(np.result_type(values.dtype, 0.0)).reshape((-1,) + (1,) * values.ndim)
             prods = np.empty(windows.shape, dtype=np.promote_types(values.dtype, np.float64))
-        values.take(idx, axis=0, out=padded, mode="clip")  # in range: "clip" skips a copy
-        np.multiply(column, windows, out=prods)
-        return np.add.reduce(prods, axis=0, initial=0.0)
+        values.take(idx, 0, padded, "clip")  # in range: "clip" skips a copy
+        np.multiply(column, windows, prods)
+        return np.add.reduce(prods, axis=0, initial=0.0, out=out)
 
     return apply_rows
 

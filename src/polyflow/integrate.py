@@ -6,13 +6,14 @@ X - Y), so trajectories it produces validate the spectral solutions.  The
 classical fourth-order scheme with a fixed step keeps the convergence order
 cleanly measurable; stiffness for large m or n is handled by a warning and
 the documented step bound dt <= 0.1 / |lambda_max|, not by adaptivity.
-Steps run on raw vertex arrays; a run keeps every state as a polygon, or
-only the initial and final ones, so its memory need not grow with the step
-count.
+Steps run in place on vertex arrays allocated once per run; a run keeps
+every state as a polygon, or only the initial and final ones, so its memory
+need not grow with the step count.
 """
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,12 +23,18 @@ from . import circulant
 from .polygon import Polygon
 
 
+# Steps between range checks when only the final state is kept; a check costs
+# about a tenth of a step at small n.
+_CHECK_BLOCK = 64
+
+
 class StiffnessWarning(UserWarning):
     """The chosen step is at or beyond the RK4 stability bound."""
 
 
 class DivergenceError(RuntimeError):
-    """The integration state left floating range."""
+    """The integration state left floating range at ``step``; ``norm`` is the
+    sup norm of the state one step earlier, the last one within range."""
 
     def __init__(self, step: int, norm: float):
         self.step = step
@@ -85,18 +92,30 @@ class Trajectory:
         return self.polygons[-1]
 
 
-def _rhs_function(n: int, kind: FlowKind):
-    """Build the vectorized right-hand side for vertex arrays of n rows."""
+def _rhs_function(n: int, kind: FlowKind, shift: int = 0):
+    """Build the vectorized right-hand side for vertex arrays of n rows.
+
+    The map returns a new velocity array, or writes it into ``out`` (which
+    may be the input itself) and returns that.  A Yau target is taken times
+    ``2**shift``, the scale at which :func:`integrate` runs the state.
+    """
     apply_m = circulant.stencil(circulant.power_of_m(n, kind.m))
     sign = circulant.flow_sign(kind.m)
-    # 1 * x is exact, so odd orders skip the sign pass
-    flow = apply_m if sign == 1 else (lambda d: sign * apply_m(d))
+    target = None
     if isinstance(kind, YauKind):
         if kind.target.n != n:
             raise ValueError(f"target has {kind.target.n} vertices, state has {n}")
-        target = kind.target.vertices
-        return lambda v: flow(v - target)
-    return flow
+        target = np.ldexp(kind.target.vertices, shift) if shift else kind.target.vertices
+
+    def velocity(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if target is not None:
+            v = np.subtract(v, target, out)
+        out = apply_m(v, out)
+        if sign != 1:  # 1 * x is exact, so odd orders skip the sign pass
+            np.multiply(out, sign, out)
+        return out
+
+    return velocity
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -110,8 +129,21 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     With ``keep_steps`` every accepted state is recorded; without it only
     the initial and the final state are, so memory stays flat in the step
     count.  If t_final is not a whole number of steps, one shorter final
-    step lands exactly on t_final and the trajectory is flagged.  A
-    non-finite state aborts with step and norm diagnostics.
+    step lands exactly on t_final and the trajectory is flagged.  The state
+    advances in place, in the operations and order of the textbook stages.
+    When the largest |coordinate| of the state or the Yau target lies
+    outside [2^-400, 2^400], both run times an exact power of two that
+    brings it near one, and retained states are scaled back; scaling
+    commutes with every operation, so only over- and underflow change.
+    A state whose coordinates leave float range (in the caller's units)
+    aborts with :class:`DivergenceError`, naming the first such step and
+    the sup norm of the state before it.  Without ``keep_steps`` the range
+    is checked once per block of steps and after the last one, and a failed
+    block is replayed from its first state one checked step at a time; a
+    non-finite state stays non-finite, so the step named is the one a check
+    per step names.  (A scaled-down run whose state passes float max in the
+    caller's units and comes back between two checks is not reported: only
+    kept states must be representable.)
     """
     if isinstance(config.kind, YauKind) and config.kind.target.p != x0.p:
         raise ValueError(
@@ -128,36 +160,71 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
             stacklevel=2,
         )
 
-    f = _rhs_function(x0.n, config.kind)
     dt, t_final = config.dt, config.t_final
     n_full = int(math.floor(t_final / dt + 1e-9))
     remainder = t_final - n_full * dt
     partial = remainder > 1e-12 * max(1.0, abs(t_final))
     n_steps = n_full + partial
 
-    v = x0.vertices.copy()
+    # the stencil's terms (-2 * 1e308 for m = 1) must not overflow before they cancel
+    largest = np.abs(x0.vertices).max()
+    if isinstance(config.kind, YauKind):
+        largest = max(largest, np.abs(config.kind.target.vertices).max())
+    exponent = int(np.frexp(largest)[1])
+    shift = -exponent if abs(exponent) > 400 else 0
+    limit = math.ldexp(sys.float_info.max, min(shift, 0))  # largest |state| that scales back finite
+
+    f = _rhs_function(x0.n, config.kind, shift)
+    v = np.ldexp(x0.vertices, shift) if shift else x0.vertices.copy()
+    start, u, k1, k2, k3, k4 = (np.empty_like(v) for _ in range(6))
+
+    def advance(h: float, half: float, sixth: float) -> None:
+        """One RK4 step of v in place: v + (h/6) (k1 + 2 (k2 + k3) + k4)."""
+        f(v, k1)
+        f(np.add(v, np.multiply(k1, half, u), u), k2)
+        f(np.add(v, np.multiply(k2, half, u), u), k3)
+        f(np.add(v, np.multiply(k3, h, u), u), k4)
+        np.add(k2, k3, u)
+        np.multiply(u, 2.0, u)
+        np.add(k1, u, u)
+        np.add(u, k4, u)
+        np.add(v, np.multiply(u, sixth, u), v)
+
+    def in_range() -> bool:
+        return np.abs(v, u).max() <= limit  # False on nan
+
+    def kept(w: np.ndarray) -> Polygon:
+        return Polygon(np.ldexp(w, -shift) if shift else w)
+
     times = [0.0]
     polygons = [x0]
+    block = 1 if keep_steps else _CHECK_BLOCK
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # blowup is detected per step and reported as DivergenceError
-        for step_index in range(1, n_steps + 1):
-            h = dt if step_index <= n_full else remainder
-            k1 = f(v)
-            k2 = f(v + (0.5 * h) * k1)
-            k3 = f(v + (0.5 * h) * k2)
-            k4 = f(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            t = step_index * dt if step_index <= n_full else t_final
-            if not np.isfinite(v).all():
-                finite = np.abs(v[np.isfinite(v)])
-                norm = float(finite.max()) if finite.size else math.inf
-                raise DivergenceError(step=step_index, norm=norm)
-            if keep_steps:
-                times.append(t)
-                polygons.append(Polygon(v))
+        # blowup is found by the range checks and reported as DivergenceError
+        for count, h in ((n_full, dt), (int(partial), remainder)):
+            half, sixth = 0.5 * h, h / 6.0
+            for first in range(done, done + count, block):
+                last = min(first + block, done + count)
+                np.copyto(start, v)
+                for _ in range(first, last):
+                    advance(h, half, sixth)
+                if not in_range():
+                    # the replay repeats the block bit for bit, checking each step
+                    np.copyto(v, start)
+                    for step_index in range(first + 1, last + 1):
+                        np.copyto(start, v)
+                        advance(h, half, sixth)
+                        if not in_range():
+                            norm = math.ldexp(float(np.abs(start).max()), -shift)
+                            raise DivergenceError(step=step_index, norm=norm)
+                if keep_steps:
+                    times.append(last * dt if last <= n_full else t_final)
+                    polygons.append(kept(v))
+            done += count
     if not keep_steps and n_steps:
-        times.append(t)
-        polygons.append(Polygon(v))
+        times.append(n_steps * dt if n_steps <= n_full else t_final)
+        polygons.append(kept(v))
     return Trajectory(
         times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
     )

@@ -217,15 +217,21 @@ def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, rows, 
         for s in range(-m, m + 1) if rows == "band" else range(n):
             first_row[s % n] += int(rng.integers(-9, 10)) * int(rng.random() < 0.6)
         mat = CirculantMatrix(n, tuple(first_row))
+    apply_rows = circulant.stencil(mat)
+    buffer, in_place = np.empty_like(values), values.copy()
     with np.errstate(invalid="ignore"):  # inf - inf in both maps
         expected = helpers.gather_stencil(mat)(values)
-        got = circulant.stencil(mat)(values)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
+        got = apply_rows(values)
+        assert apply_rows(values, buffer) is buffer
+        assert apply_rows(in_place, in_place) is in_place  # out is values
     # compare real and imaginary parts one by one: equal bits, or nan in both
-    got, expected = got.view(np.float64), expected.view(np.float64)
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == expected[~nan].tobytes()
+    bits = expected.view(np.float64)
+    nan = np.isnan(bits)
+    for result in (got, buffer, in_place):
+        assert result.dtype == expected.dtype and result.shape == expected.shape
+        result = result.view(np.float64)
+        assert np.array_equal(np.isnan(result), nan)
+        assert result[~nan].tobytes() == bits[~nan].tobytes()
 
 
 def test_eigen_relation_on_eigenpolygons():

@@ -622,6 +622,24 @@ def test_constant_polygon_near_float_max_flows_and_stays_fixed(tmp_path, p, caps
     assert len(rows) == 10 and {row.split(",", 2)[2] for row in rows} == {vertex}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_constant_polygon_near_float_max_integrates_and_stays_fixed(tmp_path, p, capsys):
+    """The RK4 run is scaled near one, so the stencil's -2 * 1e308 does not overflow."""
+    path = _polygon_file(tmp_path, "far.json", [[1e308] + [0.0] * (p - 1)] * 5)
+    csv = tmp_path / "rk4.csv"
+    for extra in ([], ["--csv", str(csv)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["integrate", "--input", path, "--m", "1", "--T", "0.01", "--dt", "0.005"] + extra) == 0
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "max |rk4 - exact| at T=0.01: 0.0"
+    vertex = ",".join(["1e+308"] + ["0.0"] * (p - 1))
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 15 and {row.split(",", 2)[2] for row in rows} == {vertex}
+
+
 def test_overflowing_yau_set_up_exits_four_in_one_line(tmp_path, capsys):
     """A midpoint whose coordinate sum overflows is finite, and an X0 - Y that
     overflows is a range error, not an input error (exit 3)."""

@@ -130,6 +130,11 @@ def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
 @example(8, 3, 1, True, 12, False, True, 1)
 @example(64, 2, 4, True, 30, True, False, 2)
 @example(5, 3, 3, False, 0, True, False, 3)  # only the partial step
+@example(6, 2, 1, False, 63, False, False, 4)  # around the first range-check block of 64 steps
+@example(7, 3, 2, True, 64, False, True, 5)
+@example(5, 2, 3, True, 65, False, False, 6)
+@example(9, 2, 1, False, 128, False, True, 7)
+@example(8, 3, 2, False, 64, True, False, 8)  # a partial step just after a block
 @settings(max_examples=60)
 def test_whole_run_is_bitwise_the_stagewise_oracle(n, p, m, yau, steps, partial, special, seed):
     rng = np.random.default_rng(seed)
@@ -151,6 +156,100 @@ def test_whole_run_is_bitwise_the_stagewise_oracle(n, p, m, yau, steps, partial,
     assert [poly.vertices.tobytes() for poly in full.polygons] == [v.tobytes() for v in states]
     lean = integrate(x, config, keep_steps=False)
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
+
+
+def _diverging_run(rng, dt, steps, partial):
+    """A random octagon scaled by the largest 2**e (|e| < 400, so the run is
+    unscaled) whose stagewise RK4 run stays finite for ``steps - 1`` steps,
+    its config, and the oracle's states; the oracle goes non-finite at step
+    ``steps``, the last step when ``partial``."""
+    shape = rng.normal(size=(8, 2))
+    t_final = (steps - 0.625 if partial else steps + 5) * dt
+    config = IntegratorConfig(dt=dt, t_final=t_final, kind=PolyharmonicKind(1))
+
+    def oracle(e):
+        x = Polygon(np.ldexp(shape, e))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x, helpers.stagewise_rk4(x, config)
+
+    low, high = -398, 398  # finite through step - 1 at low, not at high
+    assert all(np.isfinite(v).all() for v in oracle(low)[1][:steps])
+    while high - low > 1:
+        mid = (low + high) // 2
+        if all(np.isfinite(v).all() for v in oracle(mid)[1][:steps]):
+            low = mid
+        else:
+            high = mid
+    x, states = oracle(low)
+    assert not np.isfinite(states[steps]).all()
+    return x, config, states
+
+
+@pytest.mark.parametrize(
+    "dt, steps, partial",
+    [
+        (1e60, 1, False),  # the first step
+        (9.0, 64, False),  # the last step of the first check block
+        (9.0, 50, False),  # mid-block
+        (9.0, 80, False),  # mid second block
+        (9.0, 70, True),  # the partial step
+    ],
+)
+@pytest.mark.parametrize("keep_steps", [True, False])
+def test_divergence_names_the_oracles_step_and_the_last_finite_norm(rng, dt, steps, partial, keep_steps):
+    x, config, states = _diverging_run(rng, dt, steps, partial)
+    with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError) as info:
+        integrate(x, config, keep_steps=keep_steps)
+    assert info.value.step == steps
+    assert info.value.norm == float(np.abs(states[steps - 1]).max())
+    assert str(info.value) == f"non-finite state at step {steps} (sup norm {info.value.norm!r})"
+
+
+@pytest.mark.parametrize("k", [-600, -1000, 600, 1000])
+@pytest.mark.parametrize("keep_steps", [True, False])
+def test_divergence_is_named_in_the_callers_units(rng, k, keep_steps):
+    """For k < 0 the input times 2^k runs as the input itself: the same step,
+    and the norm times 2^k.  For k > 0 a state past float max in the caller's
+    units is a divergence, never a polygon refused for inf coordinates."""
+    x = Polygon(rng.uniform(0.5, 1.0, size=(8, 2)) * rng.choice([-1.0, 1.0], size=(8, 2)))
+    config = IntegratorConfig(dt=9.0, t_final=200 * 9.0, kind=PolyharmonicKind(1))
+    with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError) as base:
+        integrate(x, config, keep_steps)
+    with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError) as scaled:
+        integrate(Polygon(np.ldexp(x.vertices, k)), config, keep_steps)
+    if k < 0:
+        assert scaled.value.step == base.value.step
+        assert scaled.value.norm == math.ldexp(base.value.norm, k)
+    else:
+        assert 1 <= scaled.value.step < base.value.step
+        assert math.ldexp(1.0, k - 1) <= scaled.value.norm < math.inf
+
+
+@pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+@pytest.mark.parametrize("yau", [False, True])
+@pytest.mark.parametrize("keep_steps", [True, False])
+def test_a_power_of_two_scale_commutes_with_the_run(rng, k, yau, keep_steps):
+    """Inputs beyond 2^±400 run scaled near one, so integrate(x 2^k) is
+    2^k integrate(x) bit for bit; magnitudes in [1/4, 1) keep x 2^k exact."""
+
+    def vertices():
+        return rng.uniform(0.25, 1.0, size=(7, 3)) * rng.choice([-1.0, 1.0], size=(7, 3))
+
+    x, y = vertices(), vertices()
+    if yau:
+        kind, scaled_kind = YauKind(2, Polygon(y)), YauKind(2, Polygon(np.ldexp(y, k)))
+    else:
+        kind = scaled_kind = PolyharmonicKind(2)
+    dt = 0.1 / stability_limit(7, 2)
+
+    def run(vertices, kind):
+        return integrate(Polygon(vertices), IntegratorConfig(dt=dt, t_final=20.375 * dt, kind=kind), keep_steps)
+
+    base, scaled = run(x, kind), run(np.ldexp(x, k), scaled_kind)
+    assert scaled.times == base.times and scaled.steps == base.steps == 21
+    assert [poly.vertices.tobytes() for poly in scaled.polygons] == [
+        np.ldexp(poly.vertices, k).tobytes() for poly in base.polygons
+    ]
 
 
 def test_zero_steps_keep_only_the_initial_state(rng):
@@ -196,7 +295,7 @@ def test_divergence_reports_step_and_norm():
         with pytest.raises(DivergenceError) as info:
             integrate(x, IntegratorConfig(dt=1.0, t_final=100.0, kind=PolyharmonicKind(3)))
     assert info.value.step > 0
-    assert info.value.norm > 0.0
+    assert 0.0 < info.value.norm < math.inf  # the last finite state's
     assert "step" in str(info.value)
 
 
