@@ -44,7 +44,7 @@ def main():
     for name, poly in (("pentagon", pentagon), ("hexagon", hexagon)):
         for m in (1, 2, 3):
             operator = flow_solution(poly, m)
-            samples = [operator.polygon_at(t) for t in times]
+            samples = operator.polygon_at(times)
             save(f"{outdir}/{name}_m{m}.svg", samples, poly)
 
     # difference flow: pentagon cases
@@ -67,7 +67,7 @@ def main():
 
     for name, start, target, m, strategy in yau_cases:
         problem, evaluator = yau_flow_between(start, target, m, strategy)
-        samples = [evaluator.polygon_at(t) for t in times]
+        samples = evaluator.polygon_at(times)
         save(f"{outdir}/{name}.svg", samples, problem.initial, problem.target)
 
 

@@ -33,7 +33,6 @@ from .polygon import (
     load_polygon,
     real_basis,
     reconcile_vertex_counts,
-    save_polygon_json,
 )
 from .spectral_flow import (
     DegenerateModeError,

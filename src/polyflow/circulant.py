@@ -5,9 +5,9 @@ n-gons; its powers ``M^m`` drive the higher-order flows.  Everything here is
 built from the first row only: powers are assembled from signed binomial
 coefficients in exact integer arithmetic, products are cyclic convolutions,
 and the eigenstructure comes from the roots of unity.  Only the O(n) root
-table is cached; the one dense matrix outside test oracles is the n x n
-Fourier matrix that :func:`idft` builds for each planar decomposition and
-holds for that one call.
+table and the O(n) table of flow rates are cached; the one dense matrix
+outside test oracles is the n x n Fourier matrix that :func:`idft` builds for
+each planar decomposition and holds for that one call.
 """
 from __future__ import annotations
 
@@ -198,12 +198,26 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     return stencil(a)(np.asarray(values))
 
 
-def eigen_system(n: int, m: int) -> np.ndarray:
-    """Eigenvalues of the order-m flow matrix of size n: entry k is the
-    eigenvalue of ``(-1)^(m+1) M^m`` on column k of :func:`fourier_matrix`."""
+@lru_cache(maxsize=64)
+def flow_eigenvalues(n: int, m: int) -> np.ndarray:
+    """Read-only ``flow_eigenvalue(n, m, k)`` for k = 0..n//2, the rate of
+    each cosine/sine mode pair; raises its OverflowError for the lowest k
+    beyond float range."""
     if m < 1 or n < 3:
         raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
-    return np.array([flow_eigenvalue(n, m, k) for k in range(n)])
+    rates = np.array([flow_eigenvalue(n, m, k) for k in range(n // 2 + 1)])
+    rates.flags.writeable = False
+    return rates
+
+
+def eigen_system(n: int, m: int) -> np.ndarray:
+    """Eigenvalues of the order-m flow matrix of size n, read-only: entry k is
+    the eigenvalue of ``(-1)^(m+1) M^m`` on column k of :func:`fourier_matrix`,
+    the rate of mode min(k, n - k) (:func:`lambda_base` folds k the same way)."""
+    rates = flow_eigenvalues(n, m)
+    mirrored = np.concatenate([rates, rates[(n + 1) // 2 - 1 : 0 : -1]])
+    mirrored.flags.writeable = False
+    return mirrored
 
 
 @lru_cache(maxsize=64)
@@ -215,14 +229,22 @@ def roots_of_unity(n: int) -> np.ndarray:
     return roots
 
 
+_ROW_BLOCK = 64  # Fourier matrix rows gathered per index block
+
+
 def fourier_matrix(n: int) -> np.ndarray:
     """The n x n matrix with columns the eigenpolygons ``(w^(jk))_j``, new per call."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     roots, k = roots_of_unity(n), np.arange(n)
     f = np.empty((n, n), dtype=complex)
-    for j in range(n):  # row by row: no n x n index temporaries
-        f[j] = roots[j * k % n]
+    index = np.empty((min(n, _ROW_BLOCK), n), dtype=np.intp)  # no n x n index temporary
+    for j0 in range(0, n, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, n)
+        rows = index[: j1 - j0]
+        np.multiply.outer(np.arange(j0, j1), k, out=rows)
+        np.remainder(rows, n, out=rows)
+        roots.take(rows, out=f[j0:j1], mode="clip")  # in range: "clip" skips a copy
     return f
 
 

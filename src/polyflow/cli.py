@@ -201,7 +201,7 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
     if args.svg_path and initial.p != 2:
         raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {initial.p}")
     _check_destinations(args.csv_path, args.svg_path)
-    samples = [solution.polygon_at(t) for t in times]
+    samples = solution.polygon_at(times)
     if args.csv_path:
         write_trajectory_csv(args.csv_path, times, samples)
         print(f"wrote {args.csv_path}")
@@ -260,7 +260,7 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
     After every library error, a number beyond float range raises
     FlowRangeError, naming the input ``source``.  Only the energy and the
     mode masses can be one: ``decompose`` refuses a non-finite centroid or
-    spectrum, ``flow_eigenvalue`` raises OverflowError instead of returning
+    spectrum, ``flow_eigenvalues`` raises OverflowError instead of returning
     inf and ``Polygon`` refuses non-finite vertices.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,7 +268,7 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         verdict = spectral_flow.classify_self_similar(dec, m)
         total = energy(x0, m)
         masses = dec.pair_masses().tolist()
-        rates = [circulant.flow_eigenvalue(x0.n, m, k) for k in range(dec.half + 1)]
+        rates = circulant.flow_eigenvalues(x0.n, m).tolist()
         try:
             k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
             k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")

@@ -241,12 +241,6 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def save_polygon_json(x: Polygon, path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"dim": x.p, "vertices": x.vertices.tolist()}, fh)
-        fh.write("\n")
-
-
 def load_polygon_json(path) -> Polygon:
     """Read a ``{"dim": p, "vertices": [[x1, ..., xp], ...]}`` document.
 

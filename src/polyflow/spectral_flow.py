@@ -3,8 +3,10 @@
 The flow is a linear ODE system diagonalized by the DFT, so each cosine/sine
 mode pair evolves by a scalar exponential.  One real FFT projects a polygon in
 any dimension p >= 2 onto every pair, and one inverse real FFT evaluates the
-solution.  Planar polygons also carry the complex eigenpolygon coefficients
-from the dense inverse DFT, kept as an independent cross-check path.
+solution at a block of up to 64 times, each sample bitwise what evaluating
+its time alone gives.  Planar polygons also carry the complex eigenpolygon
+coefficients from the dense inverse DFT, kept as an independent cross-check
+path.
 """
 from __future__ import annotations
 
@@ -18,6 +20,9 @@ from .polygon import Polygon, centroid, real_basis
 
 # exp() overflows float64 just above this exponent
 _EXP_LIMIT = math.log(np.finfo(float).max)
+
+# times evaluated by one inverse transform: bounds the (times, n, p) temporaries
+_TIMES_PER_TRANSFORM = 64
 
 # A mode pair counts as present when its coefficient norm exceeds this
 # fraction of the largest pair norm.  Decomposition flushes sub-threshold
@@ -157,7 +162,10 @@ class FlowSolution:
     :meth:`from_decomposition` precomputes everything that does not depend on
     t: ``mode_rates`` (the flow eigenvalue of each mode pair) and ``spectrum``
     (the rfft spectrum that ``decompose`` projected, rebuilt from alpha and
-    beta), so an evaluation only scales ``spectrum`` and runs one ``irfft``.
+    beta).  The evaluators take one time or a 1-D sequence of times: each
+    block of up to 64 times costs one ``exp`` over a (times x modes) array
+    and one ``irfft`` over a (times, n//2+1, p) spectrum, and every sample
+    has the bits that evaluating its time alone gives.
     """
 
     decomposition: SpectralDecomposition
@@ -166,43 +174,67 @@ class FlowSolution:
 
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
-        rates = np.array([circulant.flow_eigenvalue(dec.n, m, k) for k in range(dec.half + 1)])
         c_sq, s_sq = _basis_norms_sq(dec.n)
         c_sq[0] = 0.0  # the mean is added exactly, and n * centroid can overflow
         return cls(
             decomposition=dec,
-            mode_rates=rates,
+            mode_rates=circulant.flow_eigenvalues(dec.n, m),
             spectrum=c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta),
         )
 
-    def _accumulate(self, t: float, rate_shift: float, include_mean: bool) -> Polygon:
+    def _evaluate(self, t, rate_shift: float, include_mean: bool, offset=None):
+        """The samples at one time t (a Polygon) or at each time of a 1-D
+        sequence t (a tuple of Polygons), plus the (n, p) array ``offset`` if
+        one is given.  A failing schedule raises the error of its earliest
+        failing time, the error a loop over its times would raise first."""
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValueError(f"times must be one number or a 1-D sequence, got shape {times.shape}")
+        scalar = times.ndim == 0
+        given = [t] if scalar else list(t)  # the times as passed, named in errors
+        times = times.reshape(-1)
         dec, present = self.decomposition, self.decomposition.present
-        exponents = (self.mode_rates[present] - rate_shift) * t
-        overflows = np.flatnonzero(exponents > _EXP_LIMIT)
-        if overflows.size:
-            i = overflows[0]  # the lowest overflowing k
-            raise FlowRangeError(
-                f"exp({exponents[i]:.6g}) overflows evaluating mode {present[i]} at t={t!r}"
-            )
-        # invert decompose's rfft with factor 0 on the mean, which is added exactly
-        factors = np.zeros((dec.half + 1, 1))
-        factors[present, 0] = np.exp(exponents)
+        rates = self.mode_rates[present] - rate_shift
+        samples = []
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-            out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=0)
-            if include_mean:
-                out += dec.alpha[0][None, :]
-        if not np.isfinite(out).all():
-            raise FlowRangeError(f"evolution left floating range at t={t!r}")
-        return Polygon(out)
+            for start in range(0, len(times), _TIMES_PER_TRANSFORM):
+                exponents = np.multiply.outer(times[start : start + _TIMES_PER_TRANSFORM], rates)
+                # only the times before the first overflowing exponent are evaluated:
+                # an evaluation failing among them comes first
+                overflowing = np.flatnonzero((exponents > _EXP_LIMIT).any(axis=1))
+                good = overflowing[0] if overflowing.size else len(exponents)
+                # invert decompose's rfft with factor 0 on the mean, which is added exactly
+                factors = np.zeros((good, dec.half + 1, 1))
+                factors[:, present, 0] = np.exp(exponents[:good])
+                out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=1)
+                if include_mean:
+                    out += dec.alpha[0]
+                if offset is not None:
+                    out += offset
+                failed = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+                if failed.size:
+                    t_bad = given[start + failed[0]]
+                    raise FlowRangeError(f"evolution left floating range at t={t_bad!r}")
+                if good < len(exponents):
+                    i = np.flatnonzero(exponents[good] > _EXP_LIMIT)[0]  # the lowest overflowing k
+                    raise FlowRangeError(
+                        f"exp({exponents[good, i]:.6g}) overflows evaluating mode {present[i]} "
+                        f"at t={given[start + good]!r}"
+                    )
+                samples.extend(map(Polygon, out))
+        return samples[0] if scalar else tuple(samples)
 
-    def polygon_at(self, t: float) -> Polygon:
-        """The evolved polygon at time t."""
-        return self._accumulate(t, rate_shift=0.0, include_mean=True)
+    def polygon_at(self, t, *, offset=None):
+        """The evolved polygon at time t, or the tuple of them at each time of
+        a 1-D sequence t.  An (n, p) array ``offset`` is added to every sample
+        before its finiteness check; the Yau flow adds its target so."""
+        return self._evaluate(t, rate_shift=0.0, include_mean=True, offset=offset)
 
-    def rescaled_deviation_at(self, t: float, k_ref: int) -> Polygon:
+    def rescaled_deviation_at(self, t, k_ref: int):
         """``exp(-rate_k_ref * t) * (X(t) - centroid)`` evaluated through the
-        rate differences, which stay bounded in the convergent direction."""
-        return self._accumulate(
+        rate differences, which stay bounded in the convergent direction; a
+        tuple of them for a 1-D sequence t."""
+        return self._evaluate(
             t, rate_shift=float(self.mode_rates[k_ref]), include_mean=False
         )
 

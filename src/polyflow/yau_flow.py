@@ -40,8 +40,11 @@ class YauProblem:
 
     def difference(self) -> Polygon:
         """X0 - Y; raises :class:`FlowRangeError` when it overflows."""
-        message = "the initial polygon minus the target leaves floating range"
-        return _combined(np.subtract, self.initial, self.target, message)
+        with np.errstate(over="ignore"):
+            v = self.initial.vertices - self.target.vertices
+        if not np.isfinite(v).all():
+            raise FlowRangeError("the initial polygon minus the target leaves floating range")
+        return Polygon(v)
 
 
 @dataclass(frozen=True)
@@ -51,20 +54,10 @@ class YauSolution:
     problem: YauProblem
     difference_flow: FlowSolution
 
-    def polygon_at(self, t: float) -> Polygon:
-        """X(t) = Z(t) + Y; raises :class:`FlowRangeError` when it overflows."""
-        z = self.difference_flow.polygon_at(t)
-        return _combined(np.add, z, self.problem.target, f"evolution left floating range at t={t!r}")
-
-
-def _combined(op, a: Polygon, b: Polygon, message: str) -> Polygon:
-    """``op`` of the two vertex arrays, or :class:`FlowRangeError` with
-    ``message``, without numpy warnings, when it leaves floating range."""
-    with np.errstate(over="ignore"):
-        v = op(a.vertices, b.vertices)
-    if not np.isfinite(v).all():
-        raise FlowRangeError(message)
-    return Polygon(v)
+    def polygon_at(self, t):
+        """X(t) = Z(t) + Y, or the tuple of them at each time of a 1-D
+        sequence t; raises :class:`FlowRangeError` when one overflows."""
+        return self.difference_flow.polygon_at(t, offset=self.problem.target.vertices)
 
 
 def yau_solution(problem: YauProblem) -> YauSolution:

@@ -15,6 +15,14 @@ from polyflow.integrate import YauKind
 from polyflow.polygon import energy, format_float
 
 
+def save_polygon_json(x, path):
+    """Write a polygon as the ``{"dim": p, "vertices": [...]}`` document that
+    ``load_polygon`` reads back exactly."""
+    with open(path, "w") as fh:
+        json.dump({"dim": x.p, "vertices": x.vertices.tolist()}, fh)
+        fh.write("\n")
+
+
 def random_polygon(rng, n, p=2, scale=1.0):
     return Polygon(rng.uniform(-scale, scale, size=(n, p)))
 
@@ -268,13 +276,25 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
     factors = np.zeros((dec.half + 1, 1))
     factors[present, 0] = np.exp(exponents)
     c_sq, s_sq = spectral_flow._basis_norms_sq(dec.n)
-    spectrum = factors * (c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta))
-    out = np.fft.irfft(spectrum, n=dec.n, axis=0)
-    if include_mean:
-        out += dec.alpha[0][None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        spectrum = factors * (c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta))
+        out = np.fft.irfft(spectrum, n=dec.n, axis=0)
+        if include_mean:
+            out += dec.alpha[0][None, :]
     if not np.isfinite(out).all():
         raise FlowRangeError(f"evolution left floating range at t={t!r}")
     return Polygon(out)
+
+
+def summed_yau_sample(solution, t):
+    """One evaluation of a ``YauSolution`` as X(t) = Z(t) + Y: the difference
+    flow evaluated alone, then the target added and checked."""
+    z = solution.difference_flow.polygon_at(t)
+    with np.errstate(over="ignore"):
+        v = z.vertices + solution.problem.target.vertices
+    if not np.isfinite(v).all():
+        raise FlowRangeError(f"evolution left floating range at t={t!r}")
+    return Polygon(v)
 
 
 def elementwise_analyze_report(x0, m):

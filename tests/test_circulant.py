@@ -117,6 +117,19 @@ def test_eigenvalue_beyond_float_range_names_its_mode():
     assert circulant.flow_eigenvalue(5, 1000, 1) == -((4.0 * math.sin(math.pi / 5) ** 2) ** 1000)
     with pytest.raises(OverflowError, match=r"^the order-1000 flow eigenvalue of mode 2 for n=5 "):
         circulant.flow_eigenvalue(5, 1000, 2)
+    for table in (circulant.flow_eigenvalues, eigen_system):
+        with pytest.raises(OverflowError, match=r"^the order-1000 flow eigenvalue of mode 2 for n=5 "):
+            table(5, 1000)
+
+
+def test_rate_tables_are_bitwise_the_scalar_eigenvalues():
+    for n in range(3, 201):
+        for m in range(1, 6):
+            scalar = [circulant.flow_eigenvalue(n, m, k) for k in range(n)]
+            rates, table = circulant.flow_eigenvalues(n, m), eigen_system(n, m)
+            assert rates.tobytes() == np.array(scalar[: n // 2 + 1]).tobytes()
+            assert table.tobytes() == np.array(scalar).tobytes()
+            assert not rates.flags.writeable and not table.flags.writeable
 
 
 def test_multiply_reproduces_square_of_m():

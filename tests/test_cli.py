@@ -19,7 +19,6 @@ from polyflow.polygon import (
     centroid,
     eigen_polygon,
     real_basis,
-    save_polygon_json,
 )
 
 import helpers
@@ -28,14 +27,14 @@ import helpers
 @pytest.fixture
 def pentagon_file(tmp_path, rng):
     path = tmp_path / "pentagon.json"
-    save_polygon_json(helpers.random_polygon(rng, 5), path)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 5), path)
     return str(path)
 
 
 @pytest.fixture
 def target_file(tmp_path):
     path = tmp_path / "target.json"
-    save_polygon_json(eigen_polygon(5, 1), path)
+    helpers.save_polygon_json(eigen_polygon(5, 1), path)
     return str(path)
 
 
@@ -148,7 +147,7 @@ def test_t0_starts_the_geometric_schedule(pentagon_file, capsys):
 
 def test_yau_reconciles_counts(tmp_path, rng, target_file, capsys):
     quad = tmp_path / "quad.json"
-    save_polygon_json(helpers.random_polygon(rng, 4), quad)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 4), quad)
     csv_path = tmp_path / "yau.csv"
     code = main(
         ["yau", "--input", str(quad), "--target", target_file, "--m", "1",
@@ -161,7 +160,7 @@ def test_yau_reconciles_counts(tmp_path, rng, target_file, capsys):
 
 def test_yau_stdout_when_no_outputs(tmp_path, rng, target_file, capsys):
     quad = tmp_path / "quad.json"
-    save_polygon_json(helpers.random_polygon(rng, 4), quad)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 4), quad)
     argv = ["yau", "--input", str(quad), "--target", target_file, "--m", "2", "--count", "2"]
     assert main(argv) == 0
     rows = capsys.readouterr().out.splitlines()
@@ -171,7 +170,7 @@ def test_yau_stdout_when_no_outputs(tmp_path, rng, target_file, capsys):
 
 def test_analyze_reports_structure(tmp_path, capsys):
     path = tmp_path / "p2.json"
-    save_polygon_json(eigen_polygon(5, 2).scaled(2.0), path)
+    helpers.save_polygon_json(eigen_polygon(5, 2).scaled(2.0), path)
     assert main(["analyze", "--input", str(path), "--m", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n"] == 5 and report["p"] == 2 and report["m"] == 3
@@ -187,7 +186,7 @@ def test_analyze_reports_structure(tmp_path, capsys):
 
 def test_analyze_translated_pentagon_is_self_similar(tmp_path, capsys):
     path = tmp_path / "shifted.json"
-    save_polygon_json(eigen_polygon(5, 1).translated([1.0, 0.0]), path)
+    helpers.save_polygon_json(eigen_polygon(5, 1).translated([1.0, 0.0]), path)
     assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["centroid"][0] > 0.99
@@ -200,7 +199,7 @@ def test_analyze_translated_pentagon_is_self_similar(tmp_path, capsys):
 
 def test_analyze_constant_polygon(tmp_path, capsys):
     path = tmp_path / "const.json"
-    save_polygon_json(helpers.constant_polygon([1.0, -2.0], 5), path)
+    helpers.save_polygon_json(helpers.constant_polygon([1.0, -2.0], 5), path)
     assert main(["analyze", "--input", str(path), "--m", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["self_similar"]["trivial"] is True
@@ -268,13 +267,13 @@ def test_non_number_coordinates_exit_three(tmp_path, capsys):
 
 def test_too_small_polygon_exits_three(tmp_path, capsys):
     tiny = tmp_path / "tiny.json"
-    save_polygon_json(Polygon(np.zeros((2, 2))), tiny)
+    helpers.save_polygon_json(Polygon(np.zeros((2, 2))), tiny)
     assert main(["flow", "--input", str(tiny), "--m", "1"]) == 3
 
 
 def test_dimension_mismatch_exits_three(tmp_path, rng, pentagon_file, capsys):
     threed = tmp_path / "threed.json"
-    save_polygon_json(helpers.random_polygon(rng, 5, p=3), threed)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 5, p=3), threed)
     assert main(["yau", "--input", pentagon_file, "--target", str(threed), "--m", "1"]) == 3
 
 
@@ -294,7 +293,7 @@ def test_bad_schedule_exits_two(pentagon_file, capsys):
 
 def test_svg_of_non_planar_input_exits_two_before_writing(tmp_path, rng, capsys):
     threed = tmp_path / "threed.json"
-    save_polygon_json(helpers.random_polygon(rng, 5, p=3), threed)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 5, p=3), threed)
     csv_path = tmp_path / "traj.csv"
     svg_path = tmp_path / "fig.svg"
     outputs = ["--csv", str(csv_path), "--svg", str(svg_path)]
@@ -337,8 +336,8 @@ def test_non_planar_runs_do_not_build_the_fourier_matrix(tmp_path, rng, monkeypa
         raise AssertionError(f"fourier_matrix({n}) built for a non-planar polygon")
 
     start, target = tmp_path / "start.json", tmp_path / "target.json"
-    save_polygon_json(helpers.random_polygon(rng, 6, p=3), start)
-    save_polygon_json(helpers.random_polygon(rng, 9, p=3), target)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 6, p=3), start)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 9, p=3), target)
     monkeypatch.setattr(circulant, "fourier_matrix", refuse)
     runs = (
         ["flow", "--input", str(start), "--m", "2"],
@@ -365,7 +364,7 @@ def test_analyze_decomposes_once(tmp_path, rng, monkeypatch, capsys):
         return shifted_pair_masses(*args)
 
     path = tmp_path / "heptagon.json"
-    save_polygon_json(helpers.random_polygon(rng, 7), path)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 7), path)
     monkeypatch.setattr(spectral_flow, "decompose", counted)
     monkeypatch.setattr(spectral_flow, "_shifted_pair_masses", counted_masses)
     assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
@@ -375,24 +374,24 @@ def test_analyze_decomposes_once(tmp_path, rng, monkeypatch, capsys):
 
 def test_ancient_overflow_exits_four(tmp_path, capsys):
     path = tmp_path / "hex.json"
-    save_polygon_json(eigen_polygon(6, 1), path)
+    helpers.save_polygon_json(eigen_polygon(6, 1), path)
     assert main(["flow", "--input", str(path), "--m", "1", "--times=-1000000.0"]) == 4
 
 
 def test_analyze_beyond_float_range_exits_four_and_writes_nothing(tmp_path, capsys):
     unit, big = tmp_path / "unit.json", tmp_path / "big.json"
-    save_polygon_json(eigen_polygon(5, 2), unit)
+    helpers.save_polygon_json(eigen_polygon(5, 2), unit)
     assert main(["analyze", "--input", str(unit), "--m", "1"]) == 0
     unit_masses = [mode["mass"] for mode in json.loads(capsys.readouterr().out)["modes"]]
     # masses square the coefficients, energy squares the edges: only the energy overflows here
-    save_polygon_json(eigen_polygon(5, 2).scaled(1e150), big)
+    helpers.save_polygon_json(eigen_polygon(5, 2).scaled(1e150), big)
     assert main(["analyze", "--input", str(big), "--m", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["self_similar"]["mode"] == 2
     masses = [mode["mass"] for mode in report["modes"]]
     assert masses[2] == pytest.approx(1e150 * unit_masses[2], rel=1e-15)
     for scale in (1e160, 1e300):
-        save_polygon_json(eigen_polygon(5, 2).scaled(scale), big)
+        helpers.save_polygon_json(eigen_polygon(5, 2).scaled(scale), big)
         out = tmp_path / "report.json"
         for argv in ([], ["--json", str(out)]):
             assert main(["analyze", "--input", str(big), "--m", "1"] + argv) == 4
@@ -460,7 +459,7 @@ def test_integrate_keeps_every_state_only_for_the_csv(tmp_path, pentagon_file, m
 def test_analyze_report_is_byte_identical_to_the_elementwise_report(tmp_path, rng, capsys):
     x0 = helpers.random_polygon(rng, 257, p=3)
     path = tmp_path / "blob.json"
-    save_polygon_json(x0, path)
+    helpers.save_polygon_json(x0, path)
     assert main(["analyze", "--input", str(path), "--m", "2"]) == 0
     expected = helpers.report_json(helpers.elementwise_analyze_report(x0, 2)) + "\n"
     assert capsys.readouterr().out.splitlines(keepends=True) == expected.splitlines(keepends=True)
@@ -644,7 +643,7 @@ def test_overflowing_yau_set_up_exits_four_in_one_line(tmp_path, capsys):
     """A midpoint whose coordinate sum overflows is finite, and an X0 - Y that
     overflows is a range error, not an input error (exit 3)."""
     triangle = _polygon_file(tmp_path, "triangle.json", [[-1e308, 0], [1e308, 0], [0, 1e308]])
-    save_polygon_json(eigen_polygon(64, 1), tmp_path / "gon.json")
+    helpers.save_polygon_json(eigen_polygon(64, 1), tmp_path / "gon.json")
     near = [[1e308, 1e308], [1.1e308, 1e308], [1e308, 1.1e308]]
     x0 = _polygon_file(tmp_path, "near.json", near)
     y = _polygon_file(tmp_path, "negated.json", [[-c for c in row] for row in near])

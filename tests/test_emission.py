@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polyflow import svg
 from polyflow.cli import _write_trajectory_rows, main
 from polyflow.integrate import IntegratorConfig, PolyharmonicKind, integrate
-from polyflow.polygon import Polygon, load_polygon, save_polygon_json
+from polyflow.polygon import Polygon, load_polygon
 
 import helpers
 
@@ -56,7 +56,7 @@ def test_trajectory_rows_match_the_per_cell_writer(seed, n, p, times, as_numpy):
 
 def test_integrate_csv_with_a_partial_last_step_matches_the_per_cell_writer(tmp_path, capsys):
     path = tmp_path / "x0.json"
-    save_polygon_json(Polygon(awkward_vertices(3, 7, 3) * 1e-12), path)
+    helpers.save_polygon_json(Polygon(awkward_vertices(3, 7, 3) * 1e-12), path)
     csv_path = tmp_path / "rk4.csv"
     argv = ["integrate", "--input", str(path), "--m", "2", "--dt", "0.03", "--T", "0.1",
             "--csv", str(csv_path)]

@@ -9,7 +9,6 @@ from polyflow.polygon import (
     load_polygon,
     load_polygon_csv,
     load_polygon_json,
-    save_polygon_json,
 )
 
 import helpers
@@ -18,13 +17,13 @@ import helpers
 def test_json_round_trip_exact(rng, tmp_path):
     x = helpers.random_polygon(rng, 6, p=3)
     path = tmp_path / "poly.json"
-    save_polygon_json(x, path)
+    helpers.save_polygon_json(x, path)
     assert load_polygon_json(path) == x
 
 
 def test_load_dispatches_on_extension(rng, tmp_path):
     x = helpers.random_polygon(rng, 4)
-    save_polygon_json(x, tmp_path / "p.json")
+    helpers.save_polygon_json(x, tmp_path / "p.json")
     rows = "".join(f"{a!r},{b!r}\n" for a, b in x.vertices.tolist())
     (tmp_path / "p.csv").write_text("x1,x2\n" + rows)  # shortest round-trip floats
     assert load_polygon(tmp_path / "p.json") == x

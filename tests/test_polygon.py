@@ -145,7 +145,7 @@ def test_real_basis_matches_eigenpolygon_parts():
 
 
 def test_fourier_matrix_and_real_basis_match_scalar_roots():
-    for n in (3, 5, 8, 12, 97):
+    for n in (3, 5, 8, 12, 63, 64, 65, 97, 129):  # 64-row gather blocks and their edges
         f = circulant.fourier_matrix(n)
         for k in range(n):
             expected = [circulant.root_of_unity(j * k % n, n) for j in range(n)]

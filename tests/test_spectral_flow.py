@@ -21,6 +21,7 @@ from polyflow.spectral_flow import (
     rescaled_limit,
     solve,
 )
+from polyflow.yau_flow import YauProblem, yau_solution
 
 import helpers
 from helpers import solve_planar_complex
@@ -306,6 +307,86 @@ def test_hoisted_evaluation_is_bitwise_the_recomputing_one(n, p, m, t, shape, se
     assert _evaluated(lambda: solution.rescaled_deviation_at(t, k_ref)) == _evaluated(
         lambda: helpers.recomputed_accumulate(
             solution, t, float(solution.mode_rates[k_ref]), False))
+
+
+def _each(evaluate, times):
+    """``evaluate`` at one time after another: every sample's bytes, or the
+    type and message of the first error."""
+    try:
+        return [evaluate(t).vertices.tobytes() for t in times]
+    except FlowRangeError as exc:
+        return type(exc), str(exc)
+
+
+def _scheduled(evaluate, times):
+    """``evaluate`` at the whole schedule in one call, in the form of ``_each``."""
+    try:
+        samples = evaluate(times)
+    except FlowRangeError as exc:
+        return type(exc), str(exc)
+    assert type(samples) is tuple and len(samples) == len(times)
+    return [x.vertices.tobytes() for x in samples]
+
+
+@st.composite
+def schedules(draw):
+    """1 to 200 times: geometric as the CLI makes them, random over both signs,
+    or geometric into the past, where the exponentials overflow at last."""
+    count = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["geometric", "random", "negative"]))
+    if kind == "random":
+        return draw(st.lists(st.floats(-30.0, 30.0), min_size=count, max_size=count))
+    t0, ratio = draw(st.floats(1e-3, 1.0)), draw(st.floats(1.001, 2.0))
+    return [(1.0 if kind == "geometric" else -1.0) * t0 * ratio**j for j in range(count)]
+
+
+@given(
+    st.integers(3, 1100), st.sampled_from([2, 3]), st.integers(1, 3), schedules(),
+    st.sampled_from([1.0, 1e300]), st.integers(0, 2**32 - 1),
+)
+@example(1100, 2, 3, [-0.05 * 1.05**j for j in range(200)], 1.0, 0)
+@example(1024, 3, 1, [0.05 * 1.6**j for j in range(8)], 1.0, 1)
+@example(7, 2, 2, [-0.5 * 1.02**j for j in range(150)], 1e300, 2)
+@example(3, 3, 1, [0.0], 1.0, 3)
+@settings(max_examples=30)
+def test_schedule_evaluation_is_bitwise_the_per_time_loop(n, p, m, times, scale, seed):
+    """The schedule form of every evaluator gives each time's bits, or the
+    error of the earliest failing time, as a loop over the times does."""
+    rng = np.random.default_rng(seed)
+    x = helpers.random_polygon(rng, n, p=p, scale=scale)
+    solution = flow_solution(x, m)
+    looped = _each(lambda t: helpers.recomputed_accumulate(solution, t, 0.0, True), times)
+    assert _scheduled(solution.polygon_at, times) == looped == _each(solution.polygon_at, times)
+    k_ref = int(rng.integers(0, n // 2 + 1))
+    shift = float(solution.mode_rates[k_ref])
+    assert _scheduled(lambda ts: solution.rescaled_deviation_at(ts, k_ref), times) == _each(
+        lambda t: helpers.recomputed_accumulate(solution, t, shift, False), times)
+    yau = yau_solution(YauProblem(m, x, helpers.random_polygon(rng, n, p=p, scale=scale)))
+    assert _scheduled(yau.polygon_at, times) == _each(
+        lambda t: helpers.summed_yau_sample(yau, t), times) == _each(yau.polygon_at, times)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([-10.0, -300.0], r"evolution left floating range at t=-10\.0$"),
+    ([-300.0, -10.0], r"exp\(900\) overflows evaluating mode 2 at t=-300\.0$"),
+    ([0.0] * 70 + [-10.0, -300.0], r"evolution left floating range at t=-10\.0$"),
+    ([0.0] * 63 + [-300.0, -10.0], r"exp\(900\) overflows evaluating mode 2 at t=-300\.0$"),
+])
+def test_schedule_raises_the_error_of_its_earliest_failing_time(times, message):
+    """At t = -10 the output overflows, at t = -300 the exponential of modes
+    2 and 3 does: the earlier time's error wins, in any transform block."""
+    solution = flow_solution(combination(6, [(1, 1e300), (2, 1e300), (3, 1e300)]), 1)
+    with pytest.raises(FlowRangeError, match=message):
+        solution.polygon_at(times)
+    assert _scheduled(solution.polygon_at, times) == _each(solution.polygon_at, times)
+
+
+def test_times_are_one_number_or_a_flat_sequence():
+    solution = flow_solution(eigen_polygon(5, 1), 1)
+    assert type(solution.polygon_at(0.5)) is Polygon
+    assert solution.polygon_at(np.array([0.5])) == (solution.polygon_at(0.5),)
+    with pytest.raises(ValueError, match=r"got shape \(2, 1\)"):
+        solution.polygon_at([[0.5], [1.0]])
 
 
 def test_ancient_evaluation_overflows_loudly():

@@ -195,3 +195,8 @@ def test_overflowing_difference_or_sum_raises_flow_range_error():
     assert np.isfinite(solution.difference_flow.polygon_at(100.0).vertices).all()
     with pytest.raises(FlowRangeError, match=r"evolution left floating range at t=100\.0"):
         solution.polygon_at(100.0)
+    # in a schedule the sum's overflow at t = 100 comes before the exponential's at t = -1e6
+    with pytest.raises(FlowRangeError, match=r"evolution left floating range at t=100\.0$"):
+        solution.polygon_at([100.0, -1e6])
+    with pytest.raises(FlowRangeError, match=r"^exp\(2e\+06\) overflows evaluating mode 1 at t=-1000000\.0$"):
+        solution.polygon_at([-1e6, 100.0])
