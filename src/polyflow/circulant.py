@@ -39,6 +39,9 @@ class CirculantMatrix:
         object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
 
 
+_AXES = (1 + 0j, 1j, -1 + 0j, -1j)  # the roots at quarter turns, exact
+
+
 def root_of_unity(exponent: int, n: int) -> complex:
     """``exp(2*pi*i*exponent/n)`` with exact values on the axes.
 
@@ -48,12 +51,22 @@ def root_of_unity(exponent: int, n: int) -> complex:
     """
     a = exponent % n
     if 4 * a % n == 0:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * a // n]
+        return _AXES[4 * a // n]
     if 2 * a > n:
         w = root_of_unity(n - a, n)
         return w.conjugate()
     theta = 2.0 * math.pi * a / n
     return complex(math.cos(theta), math.sin(theta))
+
+
+def _exact_sin_squared(n: int) -> dict[int, float]:
+    """``sin^2(pi kk / n)`` at the folded indices kk where it has an exact
+    binary value: 0 at kk = 0, and 1, 3/4, 1/2, 1/4 at kk = n/2, n/3, n/4, n/6."""
+    exact = {0: 0.0}
+    for divisor, value in ((2, 1.0), (3, 0.75), (4, 0.5), (6, 0.25)):
+        if n % divisor == 0:
+            exact[n // divisor] = value
+    return exact
 
 
 def lambda_base(n: int, k: int) -> float:
@@ -64,17 +77,8 @@ def lambda_base(n: int, k: int) -> float:
     3/4, 1) so that e.g. the dominant eigenvalue for n = 6 is exactly -1.
     """
     kk = min(k % n, (n - k) % n)
-    if kk == 0:
-        s2 = 0.0
-    elif 2 * kk == n:
-        s2 = 1.0
-    elif 3 * kk == n:
-        s2 = 0.75
-    elif 4 * kk == n:
-        s2 = 0.5
-    elif 6 * kk == n:
-        s2 = 0.25
-    else:
+    s2 = _exact_sin_squared(n).get(kk)
+    if s2 is None:
         s2 = math.sin(math.pi * kk / n) ** 2
     return -4.0 * s2
 
@@ -139,63 +143,59 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
     return CirculantMatrix(n, tuple(row))
 
 
-def stencil(a: CirculantMatrix):
-    """The row map ``values -> a @ values`` in three numpy calls per application.
+def stencil(a: CirculantMatrix, like: np.ndarray):
+    """The row map ``values -> a @ values`` for operands of the shape and
+    dtype of ``like``, in three numpy calls per application.
 
     Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the K
     nonzero entries, offsets folded to (-n/2, n/2] and accumulated in
     ascending signed order, so the sum matches a centered-stencil evaluation
-    term for term whenever the stencil does not wrap.  The map keeps two
-    buffers for the last input shape and dtype: a padded copy of ``values``
-    and the (K, n[, p]) term products.  Each call fills the padded copy with
-    one ``take``, multiplies the coefficient column by a strided view of
-    K windows into it, one per nonzero entry, so zero entries contribute no
-    ``0 * inf``, and sums the terms with one ``np.add.reduce``.  That sum
-    starts from +0.0 and adds the terms in order: the same terms in the same
-    order as an index gather, so the same bits.  Windows overlap when the
-    offsets are evenly spaced, as a band of ``M^m`` is, and lie end to end
-    otherwise.  The map takes arrays of shape (n,) or (n, p), real or
-    complex, and returns a new array, or writes into ``out`` and returns it
-    when one of the result's shape and dtype is given; ``out`` may be
-    ``values`` itself, which is copied before the sum is written.  Its
-    buffers make the map unsafe to call from two threads at once.
+    term for term whenever the stencil does not wrap.  The map is bound to
+    one operand shape, (n,) or (n, p), and one dtype, real or complex, when
+    it is built: the (K, n) row index, the (K, n[, p]) buffers of the terms
+    and of their products, and the coefficients laid out as the terms are
+    all exist from then on; nothing is rebuilt per call.  Each call gathers
+    the terms, one shifted copy of ``values`` per nonzero entry, with one
+    ``take``, multiplies them by the coefficients elementwise, so zero
+    entries contribute no ``0 * inf``, and sums them with one
+    ``np.add.reduce``.  That sum starts from +0.0 and adds the terms in
+    order: the same terms in the same order as an index gather per entry,
+    so the same bits.  ``like`` with other than n rows is a ValueError
+    here, and an operand of another shape or dtype than ``like`` is a
+    ValueError at the call.  The map returns a new array, or writes into
+    ``out`` and returns it when one of the result's shape and dtype is
+    given; ``out`` may be ``values`` itself, which is gathered before the
+    sum is written.  Its buffers make the map unsafe to call from two
+    threads at once.
     """
-    n = a.n
+    n, shape, dtype = a.n, like.shape, like.dtype
+    if shape[0] != n:  # the row index below covers exactly n rows
+        raise ValueError(f"size mismatch: matrix is {n}, data has {shape[0]} rows")
     offsets = sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(a.first_row) if c)
-    shifts = [s for s, _ in offsets]
-    steps = {t - s for s, t in zip(shifts, shifts[1:])}
-    if len(steps) == 1:  # evenly spaced: the windows overlap in one padded run
-        stride = steps.pop()
-        idx = (shifts[0] + np.arange((len(shifts) - 1) * stride + n)) % n
-    else:  # one window after another
-        stride = n
-        idx = ((np.array(shifts, dtype=np.intp)[:, None] + np.arange(n)) % n).ravel()
-    coeffs = np.array([c for _, c in offsets])
-    key = padded = windows = column = prods = None
+    idx = (np.array([s for s, _ in offsets], dtype=np.intp)[:, None] + np.arange(n)) % n
+    terms = np.empty(idx.shape + shape[1:], dtype=dtype)
+    # a Python float coefficient times the values, in the values' own precision;
+    # an array shaped as the terms makes the multiply an elementwise one, its cheapest form
+    column = np.array([c for _, c in offsets]).reshape((-1,) + (1,) * len(shape))
+    coefficients = np.broadcast_to(column, terms.shape).astype(np.result_type(dtype, 0.0))
+    prods = np.empty(terms.shape, dtype=np.promote_types(dtype, np.float64))
+    multiply, add_up = np.multiply, np.add.reduce  # looked up once: an RK4 step calls the map four times
 
     def apply_rows(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        nonlocal key, padded, windows, column, prods
-        if key != (values.shape, values.dtype):
-            if values.shape[0] != n:  # the windows below must stay inside the padded copy
-                raise ValueError(f"size mismatch: matrix is {n}, data has {values.shape[0]} rows")
-            key = (values.shape, values.dtype)
-            padded = np.empty(idx.shape + values.shape[1:], dtype=values.dtype)
-            windows = np.lib.stride_tricks.as_strided(
-                padded, (len(shifts),) + values.shape, (stride * padded.strides[0],) + padded.strides
-            )
-            # a Python float coefficient times the values, in the values' own precision
-            column = coeffs.astype(np.result_type(values.dtype, 0.0)).reshape((-1,) + (1,) * values.ndim)
-            prods = np.empty(windows.shape, dtype=np.promote_types(values.dtype, np.float64))
-        values.take(idx, 0, padded, "clip")  # in range: "clip" skips a copy
-        np.multiply(column, windows, prods)
-        return np.add.reduce(prods, axis=0, initial=0.0, out=out)
+        if values.shape != shape or values.dtype != dtype:
+            raise ValueError(f"the map is bound to {dtype} operands of shape {shape}, "
+                             f"got {values.dtype} of shape {values.shape}")
+        values.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
+        multiply(coefficients, terms, prods)
+        return add_up(prods, axis=0, initial=0.0, out=out)
 
     return apply_rows
 
 
 def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     """Apply the circulant matrix to a vector or to per-vertex rows (see :func:`stencil`)."""
-    return stencil(a)(np.asarray(values))
+    values = np.asarray(values)
+    return stencil(a, values)(values)
 
 
 @lru_cache(maxsize=64)
@@ -205,7 +205,16 @@ def flow_eigenvalues(n: int, m: int) -> np.ndarray:
     beyond float range."""
     if m < 1 or n < 3:
         raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
-    rates = np.array([flow_eigenvalue(n, m, k) for k in range(n // 2 + 1)])
+    exact, sign = _exact_sin_squared(n), flow_sign(m)
+    try:  # the operations of flow_eigenvalue and lambda_base, without a call per mode
+        rates = np.array([
+            sign * (-4.0 * (exact[k] if k in exact else math.sin(math.pi * k / n) ** 2)) ** m + 0.0
+            for k in range(n // 2 + 1)
+        ])
+    except OverflowError:
+        for k in range(n // 2 + 1):
+            flow_eigenvalue(n, m, k)  # raises the error that names the lowest such mode
+        raise
     rates.flags.writeable = False
     return rates
 
@@ -224,7 +233,16 @@ def eigen_system(n: int, m: int) -> np.ndarray:
 def roots_of_unity(n: int) -> np.ndarray:
     """Read-only ``root_of_unity(a, n)`` for a = 0..n-1: Fourier matrix and
     cosine/sine basis entries are lookups at index ``j * k mod n``."""
-    roots = np.array([root_of_unity(a, n) for a in range(n)], dtype=complex)
+    # the operations of root_of_unity, without a call per root: exact axes, the
+    # upper half from cos and sin, the lower half the conjugate of its mirror
+    upper = [complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * a / n for a in range(n // 2 + 1))]
+    roots = np.array(
+        [
+            _AXES[4 * a // n] if 4 * a % n == 0 else upper[a] if 2 * a < n else upper[n - a].conjugate()
+            for a in range(n)
+        ],
+        dtype=complex,
+    )
     roots.flags.writeable = False
     return roots
 

@@ -122,6 +122,13 @@ def test_eigenvalue_beyond_float_range_names_its_mode():
             table(5, 1000)
 
 
+def test_rate_table_names_the_lowest_overflowing_mode():
+    # n = 9, m = 700: mode 2 is finite (1.65^700), modes 3 (3^700) and 4 (3.88^700) are not
+    assert math.isfinite(circulant.flow_eigenvalue(9, 700, 2))
+    with pytest.raises(OverflowError, match=r"^the order-700 flow eigenvalue of mode 3 for n=9 "):
+        circulant.flow_eigenvalues(9, 700)
+
+
 def test_rate_tables_are_bitwise_the_scalar_eigenvalues():
     for n in range(3, 201):
         for m in range(1, 6):
@@ -230,7 +237,7 @@ def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, rows, 
         for s in range(-m, m + 1) if rows == "band" else range(n):
             first_row[s % n] += int(rng.integers(-9, 10)) * int(rng.random() < 0.6)
         mat = CirculantMatrix(n, tuple(first_row))
-    apply_rows = circulant.stencil(mat)
+    apply_rows = circulant.stencil(mat, values)
     buffer, in_place = np.empty_like(values), values.copy()
     with np.errstate(invalid="ignore"):  # inf - inf in both maps
         expected = helpers.gather_stencil(mat)(values)
@@ -245,6 +252,27 @@ def test_stencil_is_bitwise_the_gather_oracle(n, m, p, is_complex, zeros, rows, 
         result = result.view(np.float64)
         assert np.array_equal(np.isnan(result), nan)
         assert result[~nan].tobytes() == bits[~nan].tobytes()
+
+
+def test_bound_stencil_refuses_another_shape_or_dtype(rng):
+    mat = power_of_m(9, 2)
+    with pytest.raises(ValueError, match="size mismatch"):
+        circulant.stencil(mat, np.zeros((8, 2)))
+    for like in (rng.normal(size=(9, 2)), rng.normal(size=9) + 1j * rng.normal(size=9)):
+        apply_rows = circulant.stencil(mat, like)
+        others = [
+            np.zeros((8,) + like.shape[1:], like.dtype),  # fewer rows: a clipped take would repeat the last
+            np.zeros((10,) + like.shape[1:], like.dtype),  # more rows: a take would drop the extra
+            np.zeros(like.shape + (1,), like.dtype),
+            np.zeros(like.shape, np.float32),
+            np.zeros(like.shape, np.int64),
+            np.zeros(like.shape, complex if like.dtype == np.float64 else np.float64),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="bound to"):
+                apply_rows(other)
+        # a refused operand leaves the bound buffers as good as before
+        assert apply_rows(like).tobytes() == helpers.gather_stencil(mat)(like).tobytes()
 
 
 def test_eigen_relation_on_eigenpolygons():

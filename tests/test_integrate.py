@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import spectral_flow
+from polyflow import circulant, spectral_flow
 from polyflow.integrate import (
     DivergenceError,
     IntegratorConfig,
@@ -42,21 +42,21 @@ def test_config_validation(rng):
 
 def test_rhs_examples(rng):
     const = helpers.constant_polygon([0.4, -2.0], 6)
-    assert np.array_equal(_rhs_function(6, PolyharmonicKind(1))(const.vertices), np.zeros((6, 2)))
-    assert np.abs(_rhs_function(6, PolyharmonicKind(3))(const.vertices)).max() < 1e-13
+    assert np.array_equal(_rhs_function(const.vertices, PolyharmonicKind(1))(const.vertices), np.zeros((6, 2)))
+    assert np.abs(_rhs_function(const.vertices, PolyharmonicKind(3))(const.vertices)).max() < 1e-13
 
     p1 = eigen_polygon(6, 1)
-    assert np.abs(_rhs_function(6, PolyharmonicKind(1))(p1.vertices) + p1.vertices).max() < 1e-14
+    assert np.abs(_rhs_function(p1.vertices, PolyharmonicKind(1))(p1.vertices) + p1.vertices).max() < 1e-14
 
     y = helpers.random_polygon(rng, 6)
-    assert np.array_equal(_rhs_function(6, YauKind(2, y))(y.vertices), np.zeros((6, 2)))
+    assert np.array_equal(_rhs_function(y.vertices, YauKind(2, y))(y.vertices), np.zeros((6, 2)))
 
 
 def test_rhs_matches_stencil_bitwise_when_unwrapped(rng):
     # offsets are collision-free when n >= 2m + 3: same terms, same order
     for n, m in ((5, 1), (7, 2), (9, 3)):
         x = helpers.random_polygon(rng, n, p=3)
-        velocity = _rhs_function(x.n, PolyharmonicKind(m))(x.vertices)
+        velocity = _rhs_function(x.vertices, PolyharmonicKind(m))(x.vertices)
         assert np.array_equal(velocity, helpers.stencil_rhs(x, m))
 
 
@@ -64,8 +64,31 @@ def test_rhs_matches_stencil_with_wrapping(rng):
     # wrapped offsets accumulate coefficients first, so only value equality holds
     for n, m in ((3, 2), (4, 3), (5, 4)):
         x = helpers.random_polygon(rng, n)
-        gap = np.abs(_rhs_function(x.n, PolyharmonicKind(m))(x.vertices) - helpers.stencil_rhs(x, m))
+        gap = np.abs(_rhs_function(x.vertices, PolyharmonicKind(m))(x.vertices) - helpers.stencil_rhs(x, m))
         assert gap.max() < 1e-11
+
+
+@pytest.mark.parametrize("run", ["odd", "even", "yau", "scaled", "replay"])
+def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
+    """One bound stencil serves every stage, step, block and replay of a run."""
+    bound, built = circulant.stencil, []
+
+    def counted(a, like):
+        built.append(like.shape)
+        return bound(a, like)
+
+    monkeypatch.setattr(circulant, "stencil", counted)
+    x = helpers.random_polygon(rng, 7)
+    kind = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, 7))}.get(run, PolyharmonicKind(1))
+    if run == "replay":  # a check block fails, is replayed step by step and names its step
+        with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError):
+            integrate(x, IntegratorConfig(dt=9.0, t_final=900.0, kind=kind), keep_steps=False)
+    else:
+        if run == "scaled":
+            x = Polygon(np.ldexp(x.vertices, 700))
+        traj = integrate(x, IntegratorConfig(dt=0.01, t_final=1.5, kind=kind), keep_steps=False)
+        assert traj.steps == 150
+    assert built == [(7, 2)]
 
 
 def test_rk4_converges_at_order_four():
