@@ -27,6 +27,7 @@ from .polygon import (
     PolygonFormatError,
     energy,
     format_float,
+    format_vertices,
     load_polygon,
 )
 
@@ -146,21 +147,23 @@ def load_flow_polygon(path) -> Polygon:
     return poly
 
 
-def _write_trajectory_rows(fh, times, polygons) -> None:
+def _write_trajectory_rows(fh, times, polygons, kept=None) -> None:
+    """The trajectory table, one ``write`` per sample.  Each sample's vertex
+    rows are formatted once; given a list ``kept``, they are appended to it."""
     p = polygons[0].p
     fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
     indices = [f",{j}," for j in range(max(poly.n for poly in polygons))]
     for t, poly in zip(times, polygons):
-        # repr of the float64 cells is format_float, taken a whole sample at a time
-        cells = list(map(repr, poly.vertices.ravel().tolist()))
-        rows = map(",".join, zip(*[iter(cells)] * p))
+        rows = format_vertices(poly)
         stamp = format_float(t)
         fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, rows)]))
+        if kept is not None:
+            kept.append(rows)
 
 
-def write_trajectory_csv(path, times, polygons) -> None:
+def write_trajectory_csv(path, times, polygons, kept=None) -> None:
     with open(path, "w", newline="\n") as fh:
-        _write_trajectory_rows(fh, times, polygons)
+        _write_trajectory_rows(fh, times, polygons, kept)
 
 
 def _power_of_m(n: int, m: int) -> circulant.CirculantMatrix:
@@ -197,16 +200,19 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
     """Sample the solution at ``times`` and write the CSV and SVG asked for,
     or the CSV table on stdout when neither is.  A figure of non-planar
     polygons and an unwritable destination are refused before anything is
-    evaluated or written."""
+    evaluated or written.  Each sample is formatted once: the figure reuses
+    the vertex rows of the CSV."""
     if args.svg_path and initial.p != 2:
         raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {initial.p}")
     _check_destinations(args.csv_path, args.svg_path)
     samples = solution.polygon_at(times)
+    kept = [] if args.svg_path else None  # each sample's vertex rows, for the figure
     if args.csv_path:
-        write_trajectory_csv(args.csv_path, times, samples)
+        write_trajectory_csv(args.csv_path, times, samples, kept)
         print(f"wrote {args.csv_path}")
     if args.svg_path:
-        layers = svg.figure_layers(samples, initial, target, args.stroke_width, dash_target)
+        rows = kept if args.csv_path else list(map(format_vertices, samples))
+        layers = svg.figure_layers(samples, initial, target, args.stroke_width, dash_target, rows)
         svg.write(layers, args.svg_path)
         print(f"wrote {args.svg_path}")
     if not args.csv_path and not args.svg_path:
@@ -247,8 +253,7 @@ def _json_polygon(x: Polygon | None) -> str:
     """A polygon, or None, as a member of the report."""
     if x is None:
         return "null"
-    cells = list(map(repr, x.vertices.ravel().tolist()))
-    rows = "\n      ],\n      [\n        ".join(map(",\n        ".join, zip(*[iter(cells)] * x.p)))
+    rows = "\n      ],\n      [\n        ".join(format_vertices(x, ",\n        "))
     return f'{{\n    "dim": {x.p},\n    "vertices": [\n      [\n        {rows}\n      ]\n    ]\n  }}'
 
 

@@ -206,7 +206,8 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         return np.abs(v, u).max() <= limit  # False on nan
 
     def kept(w: np.ndarray) -> Polygon:
-        return Polygon(np.ldexp(w, -shift) if shift else w)
+        """A copy of the state w, which ``in_range`` has checked, as a polygon."""
+        return Polygon._checked(np.ldexp(w, -shift) if shift else w.copy())
 
     times = [0.0]
     polygons = [x0]

@@ -4,6 +4,11 @@ A polygon is an ordered n x p array of vertices with indices mod n.  It may
 be non-embedded (edges may cross, vertices may repeat); n = 1 and n = 2 are
 accepted here and rejected only by the flow solvers, which need the size-n
 difference matrix.
+
+Every vertex coordinate written as text, to the trajectory CSV, the SVG
+``points`` and the ``analyze`` JSON alike, goes through one formatter,
+:func:`format_vertices`: the ``repr`` of each float64, the shortest string
+that reads back to the same double, joined per vertex.
 """
 from __future__ import annotations
 
@@ -49,6 +54,17 @@ class Polygon:
             raise ValueError("polygon coordinates must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
+
+    @classmethod
+    def _checked(cls, v: np.ndarray) -> "Polygon":
+        """A polygon on ``v`` itself: an n x p float64 array, n >= 1 and
+        p >= 2, whose finiteness the caller has checked.  ``v`` is made
+        read-only; nothing is copied or scanned again, and ``__init__`` is
+        not run."""
+        v.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "vertices", v)
+        return x
 
     @property
     def n(self) -> int:
@@ -239,6 +255,13 @@ def _bisected(rows: list, target: int) -> list:
 
 def format_float(value: float) -> str:
     return repr(float(value))
+
+
+def format_vertices(x: Polygon, sep: str = ",") -> list[str]:
+    """One string per vertex: the ``format_float`` of its coordinates joined
+    by ``sep``, taken with one ``tolist`` over the whole array."""
+    cells = map(repr, x.vertices.ravel().tolist())
+    return list(map(sep.join, zip(*[cells] * x.p)))
 
 
 def load_polygon_json(path) -> Polygon:

@@ -165,7 +165,8 @@ class FlowSolution:
     beta).  The evaluators take one time or a 1-D sequence of times: each
     block of up to 64 times costs one ``exp`` over a (times x modes) array
     and one ``irfft`` over a (times, n//2+1, p) spectrum, and every sample
-    has the bits that evaluating its time alone gives.
+    has the bits that evaluating its time alone gives.  The block is checked
+    once and made read-only, and its samples are views of it.
     """
 
     decomposition: SpectralDecomposition
@@ -221,7 +222,8 @@ class FlowSolution:
                         f"exp({exponents[good, i]:.6g}) overflows evaluating mode {present[i]} "
                         f"at t={given[start + good]!r}"
                     )
-                samples.extend(map(Polygon, out))
+                out.flags.writeable = False  # checked: each sample is a view of the block
+                samples.extend(map(Polygon._checked, out))
         return samples[0] if scalar else tuple(samples)
 
     def polygon_at(self, t, *, offset=None):

@@ -4,6 +4,13 @@ Pure string assembly: same layers in, same bytes out.  The viewBox is fitted
 once to the union of everything drawn (5% margin), so successive flow samples
 visibly shrink instead of being rescaled per frame.  The y axis is flipped to
 the usual mathematical orientation.
+
+Vertex coordinates are the ``x,y`` rows of :func:`polygon.format_vertices`,
+the one coordinate formatter; a layer may carry rows already made, as the
+CLI's flow samples carry those of the trajectory CSV.  The y flip is made on
+that text, by toggling the sign after each comma.  This is exact: for every
+finite double y, ``repr(-y)`` is ``repr(y)`` with a leading ``-`` added or
+removed, ±0.0 included.
 """
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polygon import Polygon, format_float
+from .polygon import Polygon, format_float, format_vertices
 
 SAMPLE_STROKE = "#6f6f6f"
 INITIAL_STROKE = "#000000"
@@ -20,10 +27,14 @@ TARGET_STROKE = "#c02020"
 
 @dataclass(frozen=True)
 class Layer:
+    """One polygon to draw; ``rows`` is its ``format_vertices`` text when
+    that has been made already."""
+
     polygon: Polygon
     stroke: str
     width: float
     dashed: bool = False
+    rows: list[str] | None = None
 
 
 def _bounds(polygons: list[Polygon]) -> tuple[float, float, float, float]:
@@ -33,9 +44,18 @@ def _bounds(polygons: list[Polygon]) -> tuple[float, float, float, float]:
     return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
 
 
-def figure_layers(samples, initial, target=None, stroke_width=None, dash_target=True) -> list[Layer]:
+def _flip_y(points: str) -> str:
+    """Space-separated ``x,y`` text as the ``x,-y`` text of the same doubles."""
+    return points.replace(",", ",-").replace(",--", ",")
+
+
+def figure_layers(
+    samples, initial, target=None, stroke_width=None, dash_target=True, sample_rows=None
+) -> list[Layer]:
     """Standard figure: target lowest, then the initial polygon in a 1.8x
-    stroke, then the flow samples; the default width scales with the drawing."""
+    stroke, then the flow samples; the default width scales with the drawing.
+    ``sample_rows`` holds the ``format_vertices`` text of each sample, if
+    it has been made already."""
     width = stroke_width
     if width is None:
         x0, x1, y0, y1 = _bounds([*samples, initial] + ([target] if target is not None else []))
@@ -45,7 +65,9 @@ def figure_layers(samples, initial, target=None, stroke_width=None, dash_target=
     if target is not None:
         layers.append(Layer(target, TARGET_STROKE, width, dashed=dash_target))
     layers.append(Layer(initial, INITIAL_STROKE, 1.8 * width))
-    layers.extend(Layer(p, SAMPLE_STROKE, width) for p in samples)
+    if sample_rows is None:
+        sample_rows = [None] * len(samples)
+    layers.extend(Layer(p, SAMPLE_STROKE, width, rows=r) for p, r in zip(samples, sample_rows))
     return layers
 
 
@@ -70,11 +92,8 @@ def render(layers: list[Layer]) -> str:
         '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
     ]
     for layer in layers:
-        v = layer.polygon.vertices
-        # repr of the float64 columns is format_float; negation keeps -0.0 exact
-        xs = map(repr, v[:, 0].tolist())
-        ys = map(repr, (-v[:, 1]).tolist())
-        points = " ".join(map(",".join, zip(xs, ys)))
+        rows = layer.rows if layer.rows is not None else format_vertices(layer.polygon)
+        points = _flip_y(" ".join(rows))
         dash = ""
         if layer.dashed:
             dash = ' stroke-dasharray="{} {}"'.format(

@@ -1,13 +1,18 @@
 """Byte identity of the column-wise CSV and SVG writers with the per-cell
 and per-vertex formatters in ``helpers``."""
+import contextlib
 import io
+import os
 import re
+import sys
+import tempfile
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import svg
+from polyflow import cli, polygon, spectral_flow, svg, yau_flow
 from polyflow.cli import _write_trajectory_rows, main
 from polyflow.integrate import IntegratorConfig, PolyharmonicKind, integrate
 from polyflow.polygon import Polygon, load_polygon
@@ -16,6 +21,7 @@ import helpers
 
 # zeros of both signs, the smallest subnormal, exponent switch points of repr
 SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, 123456789.0, -2.5])
+FAR = np.array([sys.float_info.max, -sys.float_info.max])
 
 
 def awkward_vertices(seed, n, p):
@@ -81,3 +87,99 @@ def test_svg_points_match_the_per_vertex_formatter(seed, n, count, dashed):
     layers = [svg.Layer(q, svg.SAMPLE_STROKE, 0.5, dashed) for q in polygons]
     points = re.findall(r'points="([^"]*)"', svg.render(layers))
     assert points == [helpers.vertex_svg_points(q) for q in polygons]
+
+
+def test_the_text_flip_is_the_negation():
+    """For every finite double y, ``repr(-y)`` is ``repr(y)`` with its
+    leading sign toggled, so flipping the text of a row flips its y."""
+    rng = np.random.default_rng(18)
+    drawn = rng.normal(size=20000) * 10.0 ** rng.integers(-300, 300, size=20000)
+    ys = np.concatenate([SPECIAL, FAR, drawn, drawn * 1e-24]).tolist()  # 600 decades and subnormals
+    xs = rng.permutation(ys)
+    for x, y in zip(xs, ys):
+        assert svg._flip_y(f"{x!r},{y!r}") == f"{x!r},{-y!r}"
+    points = " ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys))
+    assert svg._flip_y(points) == " ".join(f"{x!r},{-y!r}" for x, y in zip(xs, ys))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_the_text_flip_of_any_double(y):
+    assert svg._flip_y(f"0.0,{y!r}") == f"0.0,{-y!r}"
+
+
+def _count_formatting(patch):
+    """Count every polygon the CLI and the SVG writer format, by its bytes."""
+    formatted = []
+
+    def counted(x, *args):
+        formatted.append(x.vertices.tobytes())
+        return polygon.format_vertices(x, *args)
+
+    patch.setattr(cli, "format_vertices", counted)
+    patch.setattr(svg, "format_vertices", counted)
+    return formatted
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 40),
+    st.integers(3, 40),
+    st.integers(1, 3),
+    st.sampled_from([None, "duplicate", "midpoint"]),
+    st.integers(1, 10),
+    st.sampled_from([None, *SPECIAL.tolist(), *FAR.tolist()]),
+    st.integers(0, 1),
+)
+@example(0, 5, 9, 2, None, 8, FAR[0], 1)
+@example(1, 7, 4, 1, "midpoint", 8, FAR[1], 1)
+@example(2, 3, 6, 3, "duplicate", 3, -0.0, 0)
+@settings(max_examples=40)
+def test_flow_and_yau_files_match_the_per_cell_and_per_vertex_writers(
+    seed, n, n_target, m, strategy, count, constant, axis
+):
+    """``flow`` (strategy None) and ``yau`` with ``--csv --svg`` write the
+    per-cell table and the per-vertex points of every layer, the same CSV
+    as without ``--svg``, and format each sample once.  A constant column
+    (here ±float max among others) flows without overflow."""
+    def drawn(draw_seed, vertex_count):
+        v = awkward_vertices(draw_seed, vertex_count, 2)
+        if constant is not None:
+            v[:, axis] = constant
+        return Polygon(v)
+
+    x0, y = drawn(seed, n), drawn(seed + 1, n_target)
+    times = cli.geometric_schedule(count=count)
+    if strategy is None:
+        initial, target = x0, None
+        samples = spectral_flow.flow_solution(x0, m).polygon_at(times)
+    else:
+        problem, solution = yau_flow.yau_flow_between(x0, y, m, strategy)
+        initial, target = problem.initial, problem.target
+        samples = solution.polygon_at(times)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        x_path, y_path = os.path.join(tmp, "x0.json"), os.path.join(tmp, "y.json")
+        helpers.save_polygon_json(x0, x_path)
+        helpers.save_polygon_json(y, y_path)
+        argv = ["flow", "--input", x_path]
+        if strategy is not None:
+            argv = ["yau", "--input", x_path, "--target", y_path, "--strategy", strategy]
+        argv += ["--m", str(m), "--count", str(count)]
+        formatted = _count_formatting(patch)
+        paths = {name: os.path.join(tmp, name) for name in ("both.csv", "both.svg", "alone.csv")}
+        with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+            assert main(argv + ["--csv", paths["both.csv"], "--svg", paths["both.svg"]]) == 0
+            figure_and_table = sorted(formatted)
+            formatted.clear()
+            assert main(argv + ["--csv", paths["alone.csv"]]) == 0
+        with open(paths["both.csv"]) as fh:
+            table = fh.read()
+        with open(paths["alone.csv"]) as fh:
+            assert fh.read() == table
+        with open(paths["both.svg"]) as fh:
+            points = re.findall(r'points="([^"]*)"', fh.read())
+    assert table.splitlines(keepends=True) == cell_table(times, samples)
+    layers = ([target] if target is not None else []) + [initial, *samples]
+    assert points == [helpers.vertex_svg_points(q) for q in layers]
+    sample_bytes = [q.vertices.tobytes() for q in samples]
+    assert sorted(formatted) == sorted(sample_bytes)
+    assert figure_and_table == sorted(sample_bytes + [q.vertices.tobytes() for q in layers[:-count]])

@@ -275,6 +275,26 @@ def test_a_power_of_two_scale_commutes_with_the_run(rng, k, yau, keep_steps):
     ]
 
 
+@pytest.mark.parametrize("exponent", [0, 500, -500])  # unscaled, and run times 2**-+500
+def test_kept_states_are_read_only_copies_of_the_oracles_states(rng, exponent):
+    """A run advances one state buffer in place; each kept state is a copy
+    of it taken after its range check, so after the run every kept state
+    still holds the stagewise oracle's bits and no two share memory."""
+    x = Polygon(np.ldexp(rng.normal(size=(7, 2)), exponent))
+    config = IntegratorConfig(dt=0.01, t_final=0.205, kind=PolyharmonicKind(2))
+    full = integrate(x, config)
+    lean = integrate(x, config, keep_steps=False)
+    states = helpers.stagewise_rk4(x, config)
+    assert [q.vertices.tobytes() for q in full.polygons] == [v.tobytes() for v in states]
+    assert lean.final().vertices.tobytes() == states[-1].tobytes()
+    kept = full.polygons + lean.polygons[1:]
+    for i, q in enumerate(kept):
+        assert not q.vertices.flags.writeable
+        assert not any(np.shares_memory(q.vertices, r.vertices) for r in kept[i + 1:])
+    with pytest.raises(ValueError, match="read-only"):
+        full.polygons[1].vertices[0, 0] = 1.0
+
+
 def test_zero_steps_keep_only_the_initial_state(rng):
     x = helpers.random_polygon(rng, 5)
     lean = integrate(x, IntegratorConfig(dt=0.1, t_final=0.0, kind=PolyharmonicKind(1)), keep_steps=False)

@@ -389,6 +389,19 @@ def test_times_are_one_number_or_a_flat_sequence():
         solution.polygon_at([[0.5], [1.0]])
 
 
+def test_samples_are_read_only_views_of_one_checked_block(rng):
+    """The samples of a schedule share the block their inverse transform
+    filled, which no one can write through a sample or its base."""
+    x = helpers.random_polygon(rng, 9)
+    samples = flow_solution(x, 2).polygon_at([0.1, 0.2, 0.4])
+    assert samples == tuple(Polygon(q.vertices.copy()) for q in samples)
+    for q in samples:
+        assert not q.vertices.flags.writeable and not q.vertices.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            q.vertices[0, 0] = 1.0
+    assert np.shares_memory(samples[0].vertices.base, samples[2].vertices)
+
+
 def test_ancient_evaluation_overflows_loudly():
     x = eigen_polygon(6, 1)
     with pytest.raises(FlowRangeError):
