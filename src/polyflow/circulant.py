@@ -39,64 +39,39 @@ class CirculantMatrix:
         object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
 
 
-_AXES = (1 + 0j, 1j, -1 + 0j, -1j)  # the roots at quarter turns, exact
-
-
-def root_of_unity(exponent: int, n: int) -> complex:
-    """``exp(2*pi*i*exponent/n)`` with exact values on the axes.
-
-    Quarter-turn multiples return exact (+-1, +-i) and the lower half plane is
-    the bitwise conjugate of the upper half, so real/imaginary-part bases keep
-    their zero and symmetry identities exactly.
-    """
-    a = exponent % n
-    if 4 * a % n == 0:
-        return _AXES[4 * a // n]
-    if 2 * a > n:
-        w = root_of_unity(n - a, n)
-        return w.conjugate()
-    theta = 2.0 * math.pi * a / n
-    return complex(math.cos(theta), math.sin(theta))
-
-
-def _exact_sin_squared(n: int) -> dict[int, float]:
-    """``sin^2(pi kk / n)`` at the folded indices kk where it has an exact
-    binary value: 0 at kk = 0, and 1, 3/4, 1/2, 1/4 at kk = n/2, n/3, n/4, n/6."""
-    exact = {0: 0.0}
-    for divisor, value in ((2, 1.0), (3, 0.75), (4, 0.5), (6, 0.25)):
-        if n % divisor == 0:
-            exact[n // divisor] = value
-    return exact
-
-
-def lambda_base(n: int, k: int) -> float:
-    """Eigenvalue ``-4 sin^2(pi k / n)`` of M on mode k, exact in the pairs.
-
-    The index is folded to min(k, n-k) so paired modes share one float, and
-    sin^2 is special-cased where it has an exact binary value (0, 1/4, 1/2,
-    3/4, 1) so that e.g. the dominant eigenvalue for n = 6 is exactly -1.
-    """
-    kk = min(k % n, (n - k) % n)
-    s2 = _exact_sin_squared(n).get(kk)
-    if s2 is None:
-        s2 = math.sin(math.pi * kk / n) ** 2
-    return -4.0 * s2
-
-
 def flow_sign(m: int) -> int:
     """The sign ``(-1)^(m+1)`` that turns ``M^m`` into the order-m flow matrix."""
     return 1 if m % 2 else -1
 
 
-def flow_eigenvalue(n: int, m: int, k: int) -> float:
-    """Eigenvalue of ``(-1)^(m+1) M^m`` on mode k: zero at k = 0, negative
-    otherwise.  Raises OverflowError naming n, m and k beyond float range."""
+def _flow_rates(n: int, m: int, modes) -> list[float]:
+    """``(-1)^(m+1) (-4 sin^2(pi kk / n))^m`` for each pair (k, kk) of
+    ``modes``, kk the index of mode k folded to min(k, n - k) mod n, so that
+    paired modes share one float.
+
+    sin^2 is special-cased where it has an exact binary value (1, 3/4, 1/2,
+    1/4 at kk = n/2, n/3, n/4, n/6) so that e.g. the dominant eigenvalue for
+    n = 6 is exactly -1.  Raises OverflowError naming n, m and the k of the
+    first rate beyond float range.
+    """
+    sign = flow_sign(m)
+    exact = {n // d: s2 for d, s2 in ((2, 1.0), (3, 0.75), (4, 0.5), (6, 0.25)) if n % d == 0}
+    rates = []
     try:
-        return flow_sign(m) * lambda_base(n, k) ** m + 0.0  # + 0.0 normalizes -0.0 at k = 0
+        for k, kk in modes:
+            s2 = exact[kk] if kk in exact else math.sin(math.pi * kk / n) ** 2
+            rates.append(sign * (-4.0 * s2) ** m + 0.0)  # + 0.0 normalizes -0.0 at kk = 0
     except OverflowError:
         raise OverflowError(
             f"the order-{m} flow eigenvalue of mode {k} for n={n} is beyond float range"
         ) from None
+    return rates
+
+
+def flow_eigenvalue(n: int, m: int, k: int) -> float:
+    """Eigenvalue of ``(-1)^(m+1) M^m`` on mode k: zero at k = 0, negative
+    otherwise.  Raises OverflowError naming n, m and k beyond float range."""
+    return _flow_rates(n, m, [(k, min(k % n, (n - k) % n))])[0]
 
 
 def power_of_m(n: int, m: int) -> CirculantMatrix:
@@ -205,16 +180,8 @@ def flow_eigenvalues(n: int, m: int) -> np.ndarray:
     beyond float range."""
     if m < 1 or n < 3:
         raise ValueError(f"need m >= 1 and n >= 3, got m={m}, n={n}")
-    exact, sign = _exact_sin_squared(n), flow_sign(m)
-    try:  # the operations of flow_eigenvalue and lambda_base, without a call per mode
-        rates = np.array([
-            sign * (-4.0 * (exact[k] if k in exact else math.sin(math.pi * k / n) ** 2)) ** m + 0.0
-            for k in range(n // 2 + 1)
-        ])
-    except OverflowError:
-        for k in range(n // 2 + 1):
-            flow_eigenvalue(n, m, k)  # raises the error that names the lowest such mode
-        raise
+    modes = range(n // 2 + 1)  # already folded
+    rates = np.array(_flow_rates(n, m, zip(modes, modes)))
     rates.flags.writeable = False
     return rates
 
@@ -222,19 +189,25 @@ def flow_eigenvalues(n: int, m: int) -> np.ndarray:
 def eigen_system(n: int, m: int) -> np.ndarray:
     """Eigenvalues of the order-m flow matrix of size n, read-only: entry k is
     the eigenvalue of ``(-1)^(m+1) M^m`` on column k of :func:`fourier_matrix`,
-    the rate of mode min(k, n - k) (:func:`lambda_base` folds k the same way)."""
+    the rate of mode min(k, n - k) (:func:`flow_eigenvalue` folds k the same way)."""
     rates = flow_eigenvalues(n, m)
     mirrored = np.concatenate([rates, rates[(n + 1) // 2 - 1 : 0 : -1]])
     mirrored.flags.writeable = False
     return mirrored
 
 
+_AXES = (1 + 0j, 1j, -1 + 0j, -1j)  # the roots at quarter turns, exact
+
+
 @lru_cache(maxsize=64)
 def roots_of_unity(n: int) -> np.ndarray:
-    """Read-only ``root_of_unity(a, n)`` for a = 0..n-1: Fourier matrix and
-    cosine/sine basis entries are lookups at index ``j * k mod n``."""
-    # the operations of root_of_unity, without a call per root: exact axes, the
-    # upper half from cos and sin, the lower half the conjugate of its mirror
+    """Read-only ``exp(2*pi*i*a/n)`` for a = 0..n-1: Fourier matrix and
+    cosine/sine basis entries are lookups at index ``j * k mod n``.
+
+    Quarter-turn multiples are exact (+-1, +-i) and the lower half plane is
+    the bitwise conjugate of the upper half, so real/imaginary-part bases
+    keep their zero and symmetry identities exactly.
+    """
     upper = [complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * a / n for a in range(n // 2 + 1))]
     roots = np.array(
         [

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circulant
-from .polygon import Polygon
+from .polygon import Polygon, _shift_near_one
 
 
 # Steps between range checks when only the final state is kept; a check and
@@ -141,9 +141,10 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     step lands exactly on t_final and the trajectory is flagged.  The state
     advances in place, in the operations and order of the textbook stages.
     When the largest |coordinate| of the state or the Yau target lies
-    outside [2^-400, 2^400], both run times an exact power of two that
-    brings it near one, and retained states are scaled back; scaling
-    commutes with every operation, so only over- and underflow change.
+    outside the band of :func:`~polyflow.polygon._shift_near_one`, about
+    [2^-400, 2^400], both run times the exact power of two that brings it
+    near one, and retained states are scaled back; scaling commutes with
+    every operation, so only over- and underflow change.
     A state whose coordinates leave float range (in the caller's units)
     aborts with :class:`DivergenceError`, naming the first such step and
     the sup norm of the state before it.  Without ``keep_steps`` the range
@@ -179,8 +180,7 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     largest = np.abs(x0.vertices).max()
     if isinstance(config.kind, YauKind):
         largest = max(largest, np.abs(config.kind.target.vertices).max())
-    exponent = int(np.frexp(largest)[1])
-    shift = -exponent if abs(exponent) > 400 else 0
+    shift = _shift_near_one(largest)
     limit = math.ldexp(sys.float_info.max, min(shift, 0))  # largest |state| that scales back finite
 
     v = np.ldexp(x0.vertices, shift) if shift else x0.vertices.copy()

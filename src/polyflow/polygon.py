@@ -190,6 +190,15 @@ def _grow(x: Polygon, target: int, strategy: str) -> Polygon:
     return Polygon(np.array(_bisected(x.vertices.tolist(), target)))
 
 
+def _shift_near_one(largest: float) -> int:
+    """The exponent e that brings ``largest * 2**e`` into [1/2, 1) when the
+    binary exponent of ``largest`` (``math.frexp``) lies beyond +-400,
+    roughly outside [2^-400, 2^400]; else 0.  Scaling by ``2**e`` is exact,
+    so squares and sums taken after it neither overflow nor underflow."""
+    exponent = math.frexp(largest)[1]
+    return -exponent if abs(exponent) > 400 else 0
+
+
 def _squared_length(a: list, b: list, scale: float) -> float:
     """The squared length of the edge from a to b times ``scale**2``, summed
     in index order from 0.0.  A difference is scaled as ``t*scale - s*scale``
@@ -218,15 +227,15 @@ def _bisected(rows: list, target: int) -> list:
     must split, every offset and width is refined by ``2**bits``, which keeps
     their order, and ``bits`` doubles.  Midpoints are ``0.5 * (a + b)`` per
     coordinate, or ``0.5 * a + 0.5 * b`` where ``a + b`` overflows.  Lengths
-    are taken of the differences times an exact power of two up to 2^1023,
-    1 unless the widest original edge lies beyond 2^±400, so that squares
-    neither overflow nor underflow; the result is bitwise that of rescanning
-    every edge length per insertion, and scaling by a power of two commutes.
+    are taken of the differences times the exact power of two of
+    :func:`_shift_near_one` for the widest original edge, at most 2^1023,
+    so that squares neither overflow nor underflow; the result is bitwise
+    that of rescanning every edge length per insertion, and scaling by a
+    power of two commutes.
     """
     edges = list(zip(rows, rows[1:] + rows[:1]))
     widest = max(abs(0.5 * t - 0.5 * s) for a, b in edges for s, t in zip(a, b))
-    shift = -math.frexp(widest)[1]
-    scale = math.ldexp(1.0, min(shift, 1023)) if abs(shift) > 400 else 1.0
+    scale = math.ldexp(1.0, min(_shift_near_one(widest), 1023))
     bits = 64
     heap = [
         (-_squared_length(a, b, scale), edge, 0, 1 << bits, a, b) for edge, (a, b) in enumerate(edges)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circulant
-from .polygon import Polygon, centroid, real_basis
+from .polygon import Polygon, _shift_near_one, centroid, real_basis
 
 # exp() overflows float64 just above this exponent
 _EXP_LIMIT = math.log(np.finfo(float).max)
@@ -96,13 +96,12 @@ def _shifted_pair_masses(alpha, beta, c_sq, s_sq) -> tuple[np.ndarray, int]:
     """The pair masses of the coefficients times ``2**shift``, and ``shift``.
 
     The masses square the coefficients, which overflows above ~1e154 and
-    underflows below ~1e-154.  So when the largest |alpha| or |beta| lies
-    outside [2^-400, 2^400], the coefficients are first brought near one by
-    an exact power of two; inside that band the shift is 0 and every value
-    is as if unshifted.  Ratios of the shifted masses are the true ratios.
+    underflows below ~1e-154.  So the coefficients are first brought near
+    one by the exact power of two of :func:`_shift_near_one` for the largest
+    |alpha| or |beta|; inside its band the shift is 0 and every value is as
+    if unshifted.  Ratios of the shifted masses are the true ratios.
     """
-    exponent = int(np.frexp(max(np.abs(alpha).max(), np.abs(beta).max()))[1])
-    shift = -exponent if abs(exponent) > 400 else 0
+    shift = _shift_near_one(max(np.abs(alpha).max(), np.abs(beta).max()))
     alpha, beta = np.ldexp(alpha, shift), np.ldexp(beta, shift)
     return np.sqrt(c_sq * np.sum(alpha**2, axis=1) + s_sq * np.sum(beta**2, axis=1)), shift
 

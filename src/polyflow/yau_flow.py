@@ -44,7 +44,7 @@ class YauProblem:
             v = self.initial.vertices - self.target.vertices
         if not np.isfinite(v).all():
             raise FlowRangeError("the initial polygon minus the target leaves floating range")
-        return Polygon(v)
+        return Polygon._checked(v)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,19 @@ def dft(v):
     return fourier_matrix(v.shape[0]) @ v
 
 
+def root_of_unity(exponent: int, n: int) -> complex:
+    """``exp(2*pi*i*exponent/n)`` one root at a time: exact (+-1, +-i) at
+    quarter turns, ``cos`` and ``sin`` in the upper half plane and the
+    conjugate of the mirrored root in the lower half."""
+    a = exponent % n
+    if 4 * a % n == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * a // n]
+    if 2 * a > n:
+        return root_of_unity(n - a, n).conjugate()
+    theta = 2.0 * math.pi * a / n
+    return complex(math.cos(theta), math.sin(theta))
+
+
 def dense_circulant(first_row):
     """Dense matrix from a first row, built independently of the library."""
     n = len(first_row)

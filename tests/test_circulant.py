@@ -120,6 +120,9 @@ def test_eigenvalue_beyond_float_range_names_its_mode():
     for table in (circulant.flow_eigenvalues, eigen_system):
         with pytest.raises(OverflowError, match=r"^the order-1000 flow eigenvalue of mode 2 for n=5 "):
             table(5, 1000)
+    # mode 3 folds onto mode 2; the error names the k the caller passed
+    with pytest.raises(OverflowError, match=r"^the order-1000 flow eigenvalue of mode 3 for n=5 "):
+        circulant.flow_eigenvalue(5, 1000, 3)
 
 
 def test_rate_table_names_the_lowest_overflowing_mode():
@@ -307,7 +310,7 @@ def test_nullspace_is_constant_vectors(rng):
 def test_eigenvalue_examples():
     for m in range(1, circulant.M_MAX + 1):
         assert eigen_system(6, m)[1] == -1.0
-    assert circulant.lambda_base(4, 1) == -2.0
+    assert circulant.flow_eigenvalue(4, 1, 1) == -2.0
     assert circulant.flow_eigenvalue(4, 2, 1) == -4.0
     for n in (3, 4, 9):
         assert eigen_system(n, 3)[0] == 0.0

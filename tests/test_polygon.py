@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from polyflow import circulant
 from polyflow.polygon import (
     Polygon,
+    _shift_near_one,
     centroid,
     difference_stack,
     eigen_polygon,
@@ -148,7 +152,7 @@ def test_fourier_matrix_and_real_basis_match_scalar_roots():
     for n in (3, 5, 8, 12, 63, 64, 65, 97, 129):  # 64-row gather blocks and their edges
         f = circulant.fourier_matrix(n)
         for k in range(n):
-            expected = [circulant.root_of_unity(j * k % n, n) for j in range(n)]
+            expected = [helpers.root_of_unity(j * k % n, n) for j in range(n)]
             c, s = real_basis(n, k)
             assert f[:, k].tolist() == expected
             assert c.tolist() == [w.real for w in expected]
@@ -166,6 +170,26 @@ def test_real_basis_orthogonality(n):
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
             assert abs(float(vectors[i] @ vectors[j])) < 1e-12 * n
+
+
+# --- the power-of-two rescale -------------------------------------------------------
+
+def test_shift_near_one_band_edges():
+    # the binary exponent of frexp decides: 2^400 = 0.5 * 2^401 is beyond the band,
+    # 2^-401 = 0.5 * 2^-400 is inside it
+    cases = {
+        0.0: 0,
+        5e-324: 1073,
+        2.0**-401: 0,
+        2.0**-400: 0,
+        2.0**400: -401,
+        2.0**401: -402,
+        sys.float_info.max: -1024,
+    }
+    for largest, shift in cases.items():
+        assert _shift_near_one(largest) == shift
+        if shift:
+            assert 0.5 <= math.ldexp(largest, shift) < 1.0
 
 
 # --- vertex count reconciliation ---------------------------------------------------
