@@ -11,6 +11,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .integrate import (
     DivergenceError,
     IntegratorConfig,
     PolyharmonicKind,
+    StiffnessWarning,
     YauKind,
     integrate as run_rk4,
 )
@@ -314,7 +316,9 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    text = _analyze_json(load_flow_polygon(args.input_path), args.m, args.input_path)
+    x0 = load_flow_polygon(args.input_path)
+    _check_destinations(args.json_path)
+    text = _analyze_json(x0, args.m, args.input_path)
     if args.json_path:
         with open(args.json_path, "w") as fh:
             fh.write(text + "\n")
@@ -324,12 +328,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as the one line ``warning: <message>`` on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_integrate(args: argparse.Namespace) -> int:
     if not math.isfinite(args.t_final / args.dt):
         raise CliArgumentError("the step count --T / --dt must be finite")
     x0 = load_flow_polygon(args.input_path)
     if args.m > circulant.M_MAX:  # refused as `matrix` refuses it, before any work; run_rk4 builds M^m
         _power_of_m(x0.n, args.m)
+    _check_destinations(args.csv_path)
     if args.target_path:
         problem, exact = _flow_toward_target(args, x0)
         x0 = problem.initial
@@ -339,7 +349,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         kind = PolyharmonicKind(m=args.m)
         reference = spectral_flow.solve(x0, args.m, args.t_final)
     config = IntegratorConfig(dt=args.dt, t_final=args.t_final, kind=kind)
-    trajectory = run_rk4(x0, config, keep_steps=bool(args.csv_path))
+    with warnings.catch_warnings():  # restores the filters and the display on the way out
+        warnings.simplefilter("always", StiffnessWarning)
+        warnings.showwarning = _warning_line
+        trajectory = run_rk4(x0, config, keep_steps=bool(args.csv_path))
     if args.csv_path:
         write_trajectory_csv(args.csv_path, trajectory.times, trajectory.polygons)
         print(f"wrote {args.csv_path}")

@@ -102,27 +102,25 @@ def _rhs_function(state: np.ndarray, kind: FlowKind, shift: int = 0):
 
     The map returns a new velocity array, or writes it into ``out`` (which
     may be the input itself) and returns that.  A Yau target is taken times
-    ``2**shift``, the scale at which :func:`integrate` runs the state.  The
-    subtraction of a target and the sign pass of an even order are chosen
-    here, once; for an odd order without a target the map is the stencil.
+    ``2**shift``, the scale at which :func:`integrate` runs the state.  One
+    closure subtracts the target, if any, applies the stencil and negates for
+    an even order; for an odd order without a target the map is the stencil.
     """
     n = state.shape[0]
-    apply_m = flow = circulant.stencil(circulant.power_of_m(n, kind.m), state)
+    apply_m = circulant.stencil(circulant.power_of_m(n, kind.m), state)
+    target = None
     if isinstance(kind, YauKind):
         if kind.target.n != n:
             raise ValueError(f"target has {kind.target.n} vertices, state has {n}")
         target = np.ldexp(kind.target.vertices, shift) if shift else kind.target.vertices
-
-        def flow(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            return apply_m(np.subtract(v, target, out), out)
-
-    if circulant.flow_sign(kind.m) == 1:  # 1 * x is exact, so odd orders skip the sign pass
-        return flow
+    negate = circulant.flow_sign(kind.m) == -1  # 1 * x is exact, so odd orders skip the sign pass
+    if target is None and not negate:
+        return apply_m
     sign = np.array(-1.0)
 
     def velocity(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        w = flow(v, out)
-        return np.multiply(w, sign, w)
+        w = apply_m(v if target is None else np.subtract(v, target, out), out)
+        return np.multiply(w, sign, w) if negate else w
 
     return velocity
 
@@ -147,13 +145,15 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     every operation, so only over- and underflow change.
     A state whose coordinates leave float range (in the caller's units)
     aborts with :class:`DivergenceError`, naming the first such step and
-    the sup norm of the state before it.  Without ``keep_steps`` the range
-    is checked once per block of steps and after the last one, and a failed
-    block is replayed from its first state one checked step at a time; a
-    non-finite state stays non-finite, so the step named is the one a check
-    per step names.  (A scaled-down run whose state passes float max in the
-    caller's units and comes back between two checks is not reported: only
-    kept states must be representable.)
+    the sup norm of the state before it.  With ``keep_steps`` every state is
+    checked as it is kept, and the norm is the last kept polygon's.  Without
+    it the range is checked once per block of steps, the shorter final step
+    riding in the last block, and a failed block is replayed from its first
+    state one checked step at a time; a non-finite state stays non-finite,
+    so the step named is the one a check per step names.  (A scaled-down run
+    whose state passes float max in the caller's units and comes back
+    between two checks is not reported: only kept states must be
+    representable.)
     """
     if isinstance(config.kind, YauKind) and config.kind.target.p != x0.p:
         raise ValueError(
@@ -212,32 +212,31 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     times = [0.0]
     polygons = [x0]
     block = 1 if keep_steps else _CHECK_BLOCK
-    done = 0
+    whole = np.array(dt), np.array(0.5 * dt), np.array(dt / 6.0)
+    short = np.array(remainder), np.array(0.5 * remainder), np.array(remainder / 6.0)
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is found by the range checks and reported as DivergenceError
-        for count, h in ((n_full, dt), (int(partial), remainder)):
-            coefficients = np.array(h), np.array(0.5 * h), np.array(h / 6.0)
-            for first in range(done, done + count, block):
-                last = min(first + block, done + count)
+        for first in range(0, n_steps, block):
+            last = min(first + block, n_steps)
+            if not keep_steps:
                 np.copyto(start, v)
-                for _ in range(first, last):
-                    advance(*coefficients)
-                if not in_range():
-                    # the replay repeats the block bit for bit, checking each step
-                    np.copyto(v, start)
-                    for step_index in range(first + 1, last + 1):
-                        np.copyto(start, v)
-                        advance(*coefficients)
-                        if not in_range():
-                            norm = math.ldexp(float(np.abs(start).max()), -shift)
-                            raise DivergenceError(step=step_index, norm=norm)
-                if keep_steps:
-                    times.append(last * dt if last <= n_full else t_final)
-                    polygons.append(kept(v))
-            done += count
-    if not keep_steps and n_steps:
-        times.append(n_steps * dt if n_steps <= n_full else t_final)
-        polygons.append(kept(v))
+            for step in range(first, last):
+                advance(*(whole if step < n_full else short))
+            if not in_range():
+                if keep_steps:  # the last kept polygon: max commutes with the exact 2**-shift
+                    norm = float(np.abs(polygons[-1].vertices).max())
+                    raise DivergenceError(step=last, norm=norm)
+                # the replay repeats the block bit for bit, checking each step
+                np.copyto(v, start)
+                for step in range(first, last):
+                    np.copyto(start, v)
+                    advance(*(whole if step < n_full else short))
+                    if not in_range():
+                        norm = math.ldexp(float(np.abs(start).max()), -shift)
+                        raise DivergenceError(step=step + 1, norm=norm)
+            if keep_steps or last == n_steps:
+                times.append(last * dt if last <= n_full else t_final)
+                polygons.append(kept(v))
     return Trajectory(
         times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
     )

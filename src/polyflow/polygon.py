@@ -221,39 +221,32 @@ def _bisected(rows: list, target: int) -> list:
     current index, until there are ``target`` of them.
 
     A heap holds every sub-edge keyed on (-squared length, original edge,
-    offset along that edge).  A split keeps both halves on their original
-    edge, so (edge, offset) is the current index order.  Offsets are exact
-    integers in units of ``2**-bits`` of an edge; when a sub-edge one unit wide
-    must split, every offset and width is refined by ``2**bits``, which keeps
-    their order, and ``bits`` doubles.  Midpoints are ``0.5 * (a + b)`` per
-    coordinate, or ``0.5 * a + 0.5 * b`` where ``a + b`` overflows.  Lengths
-    are taken of the differences times the exact power of two of
-    :func:`_shift_near_one` for the widest original edge, at most 2^1023,
-    so that squares neither overflow nor underflow; the result is bitwise
-    that of rescanning every edge length per insertion, and scaling by a
-    power of two commutes.
+    path), where the path is the byte string of left (0) and right (1)
+    halvings that made it from its edge.  No leaf's path is a prefix of
+    another's, so (edge, path) in tuple order is the current index order;
+    bytes compare in one ``memcmp``, which keeps a deep run of ties to the
+    lowest index (a constant polygon) fast.  Midpoints are
+    ``0.5 * (a + b)`` per coordinate, or ``0.5 * a + 0.5 * b`` where
+    ``a + b`` overflows.  Lengths are taken of the differences times the
+    exact power of two of :func:`_shift_near_one` for the widest original
+    edge, at most 2^1023, so that squares neither overflow nor underflow;
+    the result is bitwise that of rescanning every edge length per
+    insertion, and scaling by a power of two commutes.
     """
     edges = list(zip(rows, rows[1:] + rows[:1]))
     widest = max(abs(0.5 * t - 0.5 * s) for a, b in edges for s, t in zip(a, b))
     scale = math.ldexp(1.0, min(_shift_near_one(widest), 1023))
-    bits = 64
-    heap = [
-        (-_squared_length(a, b, scale), edge, 0, 1 << bits, a, b) for edge, (a, b) in enumerate(edges)
-    ]
+    heap = [(-_squared_length(a, b, scale), edge, b"", a, b) for edge, (a, b) in enumerate(edges)]
     heapq.heapify(heap)
     for _ in range(target - len(rows)):
-        if heap[0][3] == 1:
-            heap = [(key, e, o << bits, w << bits, a, b) for key, e, o, w, a, b in heap]
-            bits *= 2
-        _, edge, offset, width, a, b = heap[0]
+        _, edge, path, a, b = heap[0]
         mid = [0.5 * (s + t) for s, t in zip(a, b)]
         if math.inf in mid or -math.inf in mid:  # s + t overflowed: halve each first
             mid = [0.5 * (s + t) if math.isfinite(s + t) else 0.5 * s + 0.5 * t for s, t in zip(a, b)]
-        width >>= 1
-        heapq.heapreplace(heap, (-_squared_length(a, mid, scale), edge, offset, width, a, mid))
-        heapq.heappush(heap, (-_squared_length(mid, b, scale), edge, offset + width, width, mid, b))
+        heapq.heapreplace(heap, (-_squared_length(a, mid, scale), edge, path + b"\0", a, mid))
+        heapq.heappush(heap, (-_squared_length(mid, b, scale), edge, path + b"\1", mid, b))
     heap.sort(key=itemgetter(1, 2))
-    return [leaf[4] for leaf in heap]
+    return [leaf[3] for leaf in heap]
 
 
 # ---------------------------------------------------------------------------

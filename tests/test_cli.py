@@ -680,6 +680,41 @@ def test_step_count_beyond_float_range_exits_two_before_reading_input(tmp_path, 
     assert _refusal(argv, capsys) == (2, "error: the step count --T / --dt must be finite\n")
 
 
+def test_stiff_integrate_warns_in_one_line_before_the_range_error(tmp_path, capsys):
+    """The stiffness warning is one plain line on every run, with no source
+    location, and the process's warning display is left as it was."""
+    pentagon = [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]
+    argv = ["integrate", "--input", _polygon_file(tmp_path, "pentagon.json", pentagon),
+            "--m", "3", "--dt", "1", "--T", "100"]
+    shown = warnings.showwarning
+    for _ in range(2):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: dt=1.0 exceeds the RK4 stability bound")
+        assert lines[1].startswith("numeric range error: non-finite state at step 59 ")
+        assert ".py:" not in captured.err
+    assert warnings.showwarning is shown
+
+
+def test_unwritable_destinations_are_refused_before_any_work(tmp_path, pentagon_file, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for an unwritable destination")
+
+    monkeypatch.setattr(cli, "run_rk4", refuse)
+    monkeypatch.setattr(spectral_flow, "decompose", refuse)
+    through_file = pentagon_file + "/x"  # a path under a regular file
+    for argv in (
+        ["integrate", "--input", pentagon_file, "--m", "1", "--csv", through_file + ".csv"],
+        ["analyze", "--input", pentagon_file, "--m", "1", "--json", through_file + ".json"],
+    ):
+        code, err = _refusal(argv, capsys)
+        assert code == 3
+        assert err.startswith("input error:") and through_file in err
+
+
 def _outcome(argv, capsys):
     try:
         code = main(argv)
