@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 argument error, 3 input parse error (or an
 unwritable output path or a closed stdout), 4 numeric range error or out of
-memory.
+memory.  ``main`` refuses every output destination right after parsing,
+before any input is read; ``flow`` and ``yau`` refuse ``--svg`` on a
+non-planar input right after loading it.
 """
 from __future__ import annotations
 
@@ -189,7 +191,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 def _check_destinations(*paths) -> None:
     """Refuse an output path that cannot be opened for writing because its
     folder is missing, is not a directory or is read-only, or because the
-    path is a directory, before any output is written."""
+    path is a directory."""
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
@@ -200,13 +202,9 @@ def _check_destinations(*paths) -> None:
 
 def _emit_samples(args, times, solution, initial, target=None, dash_target=True):
     """Sample the solution at ``times`` and write the CSV and SVG asked for,
-    or the CSV table on stdout when neither is.  A figure of non-planar
-    polygons and an unwritable destination are refused before anything is
-    evaluated or written.  Each sample is formatted once: the figure reuses
-    the vertex rows of the CSV."""
-    if args.svg_path and initial.p != 2:
-        raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {initial.p}")
-    _check_destinations(args.csv_path, args.svg_path)
+    or the CSV table on stdout when neither is; ``main`` has checked both
+    destinations and ``cmd_flow`` that a figure's polygons are planar.  Each
+    sample is formatted once: the figure reuses the vertex rows of the CSV."""
     samples = solution.polygon_at(times)
     kept = [] if args.svg_path else None  # each sample's vertex rows, for the figure
     if args.csv_path:
@@ -222,9 +220,16 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
+    """``flow``, and ``yau`` toward its ``--target``."""
     times = resolve_schedule(args)
     x0 = load_flow_polygon(args.input_path)
-    _emit_samples(args, times, spectral_flow.flow_solution(x0, args.m), x0)
+    if args.svg_path and x0.p != 2:
+        raise CliArgumentError(f"--svg needs planar polygons (p = 2), got p = {x0.p}")
+    if args.command == "flow":
+        _emit_samples(args, times, spectral_flow.flow_solution(x0, args.m), x0)
+    else:
+        problem, solution = _flow_toward_target(args, x0)
+        _emit_samples(args, times, solution, problem.initial, problem.target, not args.solid_target)
     return 0
 
 
@@ -236,13 +241,6 @@ def _flow_toward_target(args: argparse.Namespace, x0: Polygon):
         return yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
     except ValueError as exc:
         raise PolygonFormatError(str(exc)) from exc
-
-
-def cmd_yau(args: argparse.Namespace) -> int:
-    times = resolve_schedule(args)
-    problem, solution = _flow_toward_target(args, load_flow_polygon(args.input_path))
-    _emit_samples(args, times, solution, problem.initial, problem.target, not args.solid_target)
-    return 0
 
 
 def _json_floats(values, pad: str) -> str:
@@ -317,7 +315,6 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
-    _check_destinations(args.json_path)
     text = _analyze_json(x0, args.m, args.input_path)
     if args.json_path:
         with open(args.json_path, "w") as fh:
@@ -339,7 +336,6 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
     if args.m > circulant.M_MAX:  # refused as `matrix` refuses it, before any work; run_rk4 builds M^m
         _power_of_m(x0.n, args.m)
-    _check_destinations(args.csv_path)
     if args.target_path:
         problem, exact = _flow_toward_target(args, x0)
         x0 = problem.initial
@@ -366,7 +362,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 _HANDLERS = {
     "matrix": cmd_matrix,
     "flow": cmd_flow,
-    "yau": cmd_yau,
+    "yau": cmd_flow,
     "analyze": cmd_analyze,
     "integrate": cmd_integrate,
 }
@@ -382,6 +378,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_destinations(*(vars(args).get(dest) for dest in ("csv_path", "svg_path", "json_path")))
         return _HANDLERS[args.command](args)
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

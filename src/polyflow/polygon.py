@@ -216,6 +216,11 @@ def _squared_length(a: list, b: list, scale: float) -> float:
     return total
 
 
+def _same_bits(u: list, v: list) -> bool:
+    """Whether two rows are bitwise equal: equal, with zeros of one sign."""
+    return u == v and all(math.copysign(1.0, s) == math.copysign(1.0, t) for s, t in zip(u, v))
+
+
 def _bisected(rows: list, target: int) -> list:
     """The vertex rows after bisecting the longest edge, ties to the lowest
     current index, until there are ``target`` of them.
@@ -223,30 +228,43 @@ def _bisected(rows: list, target: int) -> list:
     A heap holds every sub-edge keyed on (-squared length, original edge,
     path), where the path is the byte string of left (0) and right (1)
     halvings that made it from its edge.  No leaf's path is a prefix of
-    another's, so (edge, path) in tuple order is the current index order;
-    bytes compare in one ``memcmp``, which keeps a deep run of ties to the
-    lowest index (a constant polygon) fast.  Midpoints are
-    ``0.5 * (a + b)`` per coordinate, or ``0.5 * a + 0.5 * b`` where
-    ``a + b`` overflows.  Lengths are taken of the differences times the
+    another's, so (edge, path) in tuple order is the current index order.
+    Midpoints are ``0.5 * (a + b)`` per coordinate, or ``0.5 * a + 0.5 * b``
+    where ``a + b`` overflows.  Lengths are taken of the differences times the
     exact power of two of :func:`_shift_near_one` for the widest original
     edge, at most 2^1023, so that squares neither overflow nor underflow;
     the result is bitwise that of rescanning every edge length per
     insertion, and scaling by a power of two commutes.
+
+    A midpoint bitwise equal to an end of its sub-edge (a constant polygon,
+    or ends one float apart) leaves a sub-edge as long as the one split, and
+    still the lowest of the longest: it is split again, into the same
+    midpoint, for every remaining insertion.  Those copies are placed at once,
+    so paths stay short and memory linear in ``target``.
     """
     edges = list(zip(rows, rows[1:] + rows[:1]))
     widest = max(abs(0.5 * t - 0.5 * s) for a, b in edges for s, t in zip(a, b))
     scale = math.ldexp(1.0, min(_shift_near_one(widest), 1023))
     heap = [(-_squared_length(a, b, scale), edge, b"", a, b) for edge, (a, b) in enumerate(edges)]
     heapq.heapify(heap)
-    for _ in range(target - len(rows)):
-        _, edge, path, a, b = heap[0]
+    copies = []
+    for count in range(len(rows), target):
+        leaf = heap[0]
+        _, edge, path, a, b = leaf
         mid = [0.5 * (s + t) for s, t in zip(a, b)]
         if math.inf in mid or -math.inf in mid:  # s + t overflowed: halve each first
             mid = [0.5 * (s + t) if math.isfinite(s + t) else 0.5 * s + 0.5 * t for s, t in zip(a, b)]
+        if _same_bits(mid, a) or _same_bits(mid, b):
+            copies = [mid] * (target - count)
+            break
         heapq.heapreplace(heap, (-_squared_length(a, mid, scale), edge, path + b"\0", a, mid))
         heapq.heappush(heap, (-_squared_length(mid, b, scale), edge, path + b"\1", mid, b))
     heap.sort(key=itemgetter(1, 2))
-    return [leaf[3] for leaf in heap]
+    grown = [start for _, _, _, start, _ in heap]
+    if copies:
+        at = heap.index(leaf) + 1
+        grown[at:at] = copies
+    return grown
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polyflow import circulant, cli, spectral_flow, svg
+from polyflow import circulant, cli, spectral_flow, svg, yau_flow
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
@@ -699,20 +699,58 @@ def test_stiff_integrate_warns_in_one_line_before_the_range_error(tmp_path, caps
     assert warnings.showwarning is shown
 
 
-def test_unwritable_destinations_are_refused_before_any_work(tmp_path, pentagon_file, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("work done for an unwritable destination")
+def _refuse(*args, **kwargs):
+    raise AssertionError("work done for a request that must be refused first")
 
-    monkeypatch.setattr(cli, "run_rk4", refuse)
-    monkeypatch.setattr(spectral_flow, "decompose", refuse)
-    through_file = pentagon_file + "/x"  # a path under a regular file
-    for argv in (
-        ["integrate", "--input", pentagon_file, "--m", "1", "--csv", through_file + ".csv"],
-        ["analyze", "--input", pentagon_file, "--m", "1", "--json", through_file + ".json"],
-    ):
-        code, err = _refusal(argv, capsys)
-        assert code == 3
-        assert err.startswith("input error:") and through_file in err
+
+def _refuse_work(monkeypatch, *, load=True):
+    """Make decomposing, reconciling, stepping and, with ``load``, reading an input raise."""
+    if load:
+        monkeypatch.setattr(cli, "load_polygon", _refuse)
+    monkeypatch.setattr(cli, "run_rk4", _refuse)
+    monkeypatch.setattr(spectral_flow, "decompose", _refuse)
+    monkeypatch.setattr(yau_flow, "reconcile_vertex_counts", _refuse)
+
+
+def test_unwritable_destinations_are_refused_before_any_work(tmp_path, pentagon_file, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    for ext in ("csv", "svg", "json"):
+        (tmp_path / f"folder.{ext}").mkdir()
+    requests = [
+        ["flow", "--input", pentagon_file, "--m", "1", "--csv", "{}.csv"],
+        ["flow", "--input", pentagon_file, "--m", "1", "--svg", "{}.svg"],
+        ["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--csv", "{}.csv"],
+        ["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--svg", "{}.svg"],
+        ["analyze", "--input", pentagon_file, "--m", "1", "--json", "{}.json"],
+        ["integrate", "--input", pentagon_file, "--m", "1", "--csv", "{}.csv"],
+    ]
+    # a path under a regular file, a path in a missing folder, and a folder
+    for dest in (pentagon_file + "/x", str(tmp_path / "missing" / "x"), str(tmp_path / "folder")):
+        for argv in requests:
+            before = sorted(os.listdir(tmp_path))
+            code, err = _refusal([arg.format(dest) for arg in argv], capsys)
+            assert code == 3 and err.startswith("input error:") and dest in err, (argv, err)
+            assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", ["flow", "yau"])
+def test_non_planar_figure_is_refused_before_any_work(command, tmp_path, monkeypatch, capsys):
+    path = _polygon_file(tmp_path, "spatial.json", [[0.0, 0.0, 0.0], [2.0, 0.0, 1.0], [1.0, 1.6, 0.0]])
+    _refuse_work(monkeypatch, load=False)
+    argv = [command, "--input", path, "--m", "1", "--svg", str(tmp_path / "x.svg")]
+    if command == "yau":
+        argv += ["--target", path]
+    code, err = _refusal(argv, capsys)
+    assert (code, err) == (2, "error: --svg needs planar polygons (p = 2), got p = 3\n")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_destination_is_refused_before_the_schedule(pentagon_file, monkeypatch, capsys):
+    """A request bad in two ways reports its destination first."""
+    _refuse_work(monkeypatch)
+    dest = pentagon_file + "/x.csv"
+    code, err = _refusal(["flow", "--input", pentagon_file, "--m", "1", "--csv", dest, "--times", "0.2,0.1"], capsys)
+    assert code == 3 and err == f"input error: cannot write {dest}: {pentagon_file} is not a directory\n"
 
 
 def _outcome(argv, capsys):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,12 +275,40 @@ def test_midpoint_ties_split_the_lowest_edge_first():
         # the same far from the origin, where edges lie beyond 2^400 and the
         # lengths are taken of rescaled differences: they order edges alike
         [[1e155, 1e155], [1e155 * (1 + 2**-52), 1e155], [1e155, 1e155 * (1 + 2**-52)]],
+        # constant up to signed zeros and steps of 2**-1074, compared bit for bit
+        [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]],
+        [[-0.0, 0.0], [0.0, -(2.0**-1074)], [0.0, -0.0]],
+        [[-(2.0**-1074), 0.0], [2.0**-1074, -0.0], [-0.0, 0.0]],
+        # the positive edges split first, down to ends one float apart
+        [[1.0, -0.0], [1.0 + 2**-50, 0.0], [1.0, 0.0], [1.0, 0.0]],
     ],
 )
 def test_midpoint_degenerate_edges_match_full_rescan_oracle(rows):
     x = Polygon(np.array(rows))
     grown, _ = reconcile_vertex_counts(x, eigen_polygon(4096, 1))
-    assert grown == helpers.midpoint_grow(x, 4096)
+    assert grown.vertices.tobytes() == helpers.midpoint_grow(x, 4096).vertices.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("rows", "copy"),
+    [
+        ([[1.0, -2.0]] * 3, [1.0, -2.0]),  # constant: every split is a tie at length zero
+        ([[1.0, 0.0], [1.0 + 2**-52, 0.0], [1.0, 0.0]], [1.0, 0.0]),  # a one-float edge stays the longest
+    ],
+)
+def test_midpoint_growth_that_repeats_one_vertex_takes_linear_memory(rows, copy):
+    """Once a midpoint equals an end of its edge, each later insertion repeats
+    it; the paths the splits would leave grew the memory with the square of
+    the target (53 MB for the constant triangle at 10 000 vertices)."""
+    x, target = Polygon(np.array(rows)), Polygon(np.zeros((10_000, 2)))
+    tracemalloc.start()
+    try:
+        grown, _ = reconcile_vertex_counts(x, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert np.array_equal(grown.vertices[1:9_998], np.repeat([copy], 9_997, axis=0))
 
 
 @pytest.mark.parametrize(
