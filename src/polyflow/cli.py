@@ -189,10 +189,14 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _check_destinations(*paths) -> None:
-    """Refuse an output path that cannot be opened for writing because its
-    folder is missing, is not a directory or is read-only, or because the
-    path is a directory."""
-    for path in filter(None, paths):
+    """Refuse an output path (None when not asked for) that cannot be opened
+    for writing because it is empty, its folder is missing, is not a
+    directory or is read-only, or because the path is a directory."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise FileNotFoundError("cannot write to an empty path")
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise NotADirectoryError(f"cannot write {path}: {folder} is not a directory")

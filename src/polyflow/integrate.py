@@ -145,15 +145,14 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     every operation, so only over- and underflow change.
     A state whose coordinates leave float range (in the caller's units)
     aborts with :class:`DivergenceError`, naming the first such step and
-    the sup norm of the state before it.  With ``keep_steps`` every state is
-    checked as it is kept, and the norm is the last kept polygon's.  Without
-    it the range is checked once per block of steps, the shorter final step
-    riding in the last block, and a failed block is replayed from its first
-    state one checked step at a time; a non-finite state stays non-finite,
-    so the step named is the one a check per step names.  (A scaled-down run
-    whose state passes float max in the caller's units and comes back
-    between two checks is not reported: only kept states must be
-    representable.)
+    the sup norm of the state before it.  The range is checked once per
+    block of steps, one step when every state is kept and 64 otherwise, the
+    shorter final step riding in the last block.  A failed block is replayed
+    from its first state one checked step at a time; a non-finite state
+    stays non-finite, so the step named is the one a check per step names,
+    in either retention mode.  (A scaled-down run whose state passes float
+    max in the caller's units and comes back between two checks is not
+    reported: only kept states must be representable.)
     """
     if isinstance(config.kind, YauKind) and config.kind.target.p != x0.p:
         raise ValueError(
@@ -218,14 +217,10 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         # blowup is found by the range checks and reported as DivergenceError
         for first in range(0, n_steps, block):
             last = min(first + block, n_steps)
-            if not keep_steps:
-                np.copyto(start, v)
+            np.copyto(start, v)
             for step in range(first, last):
                 advance(*(whole if step < n_full else short))
             if not in_range():
-                if keep_steps:  # the last kept polygon: max commutes with the exact 2**-shift
-                    norm = float(np.abs(polygons[-1].vertices).max())
-                    raise DivergenceError(step=last, norm=norm)
                 # the replay repeats the block bit for bit, checking each step
                 np.copyto(v, start)
                 for step in range(first, last):

@@ -291,7 +291,7 @@ def load_polygon_json(path) -> Polygon:
     coordinate is a JSON number, and numpy converts it.  Only a document that
     fails a check is walked row by row, to name its first bad vertex.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -338,7 +338,7 @@ def _checked_rows(rows: list, dim: int) -> list:
 
 
 def load_polygon_csv(path) -> Polygon:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

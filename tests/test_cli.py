@@ -254,6 +254,22 @@ def test_malformed_input_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: not UTF-8 text\n"
 
 
+def test_byte_order_mark_input_runs_as_without_it(tmp_path, capsys):
+    pentagon = [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]
+    text = "x1,x2\n" + "".join(f"{a},{b}\n" for a, b in pentagon)
+    plain, marked, wide = tmp_path / "plain.csv", tmp_path / "marked.csv", tmp_path / "wide.csv"
+    plain.write_text(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    wide.write_bytes(text.encode("utf-16"))
+    capsys.readouterr()
+    assert main(["flow", "--input", str(plain), "--m", "1"]) == 0
+    expected = capsys.readouterr()
+    assert main(["flow", "--input", str(marked), "--m", "1"]) == 0
+    assert capsys.readouterr() == expected
+    assert main(["flow", "--input", str(wide), "--m", "1"]) == 3
+    assert capsys.readouterr().err == "input error: not UTF-8 text\n"
+
+
 def test_non_number_coordinates_exit_three(tmp_path, capsys):
     for name, rows in (
         ("mixed.json", '[[true, false], ["1.5", "2"], [0, "1e3"]]'),
@@ -717,19 +733,20 @@ def test_unwritable_destinations_are_refused_before_any_work(tmp_path, pentagon_
     for ext in ("csv", "svg", "json"):
         (tmp_path / f"folder.{ext}").mkdir()
     requests = [
-        ["flow", "--input", pentagon_file, "--m", "1", "--csv", "{}.csv"],
-        ["flow", "--input", pentagon_file, "--m", "1", "--svg", "{}.svg"],
-        ["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--csv", "{}.csv"],
-        ["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--svg", "{}.svg"],
-        ["analyze", "--input", pentagon_file, "--m", "1", "--json", "{}.json"],
-        ["integrate", "--input", pentagon_file, "--m", "1", "--csv", "{}.csv"],
+        (["flow", "--input", pentagon_file, "--m", "1", "--csv"], "csv"),
+        (["flow", "--input", pentagon_file, "--m", "1", "--svg"], "svg"),
+        (["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--csv"], "csv"),
+        (["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--svg"], "svg"),
+        (["analyze", "--input", pentagon_file, "--m", "1", "--json"], "json"),
+        (["integrate", "--input", pentagon_file, "--m", "1", "--csv"], "csv"),
     ]
-    # a path under a regular file, a path in a missing folder, and a folder
-    for dest in (pentagon_file + "/x", str(tmp_path / "missing" / "x"), str(tmp_path / "folder")):
-        for argv in requests:
+    # a path under a regular file, a path in a missing folder, a folder, and the empty path
+    for dest in (pentagon_file + "/x", str(tmp_path / "missing" / "x"), str(tmp_path / "folder"), ""):
+        for argv, ext in requests:
+            path = f"{dest}.{ext}" if dest else ""
             before = sorted(os.listdir(tmp_path))
-            code, err = _refusal([arg.format(dest) for arg in argv], capsys)
-            assert code == 3 and err.startswith("input error:") and dest in err, (argv, err)
+            code, err = _refusal(argv + [path], capsys)
+            assert code == 3 and err.startswith("input error:") and path in err, (argv, err)
             assert sorted(os.listdir(tmp_path)) == before
 
 

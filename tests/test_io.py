@@ -126,6 +126,25 @@ def test_non_utf8_input_is_a_format_error(tmp_path):
             load_polygon(path)
 
 
+def test_utf8_byte_order_mark_is_skipped(rng, tmp_path):
+    """Both formats read a UTF-8 file that starts with a byte-order mark as the
+    same file without it; a UTF-16 file, mark and all, is still not UTF-8."""
+    x = helpers.random_polygon(rng, 5)
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in x.vertices.tolist())
+    texts = {
+        "json": json.dumps({"dim": 2, "vertices": x.vertices.tolist()}),
+        "csv": "x1,x2\n" + rows,
+    }
+    for ext, text in texts.items():
+        marked = tmp_path / f"marked.{ext}"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_polygon(marked) == x
+        wide = tmp_path / f"wide.{ext}"
+        wide.write_bytes(text.encode("utf-16"))
+        with pytest.raises(PolygonFormatError, match="not UTF-8 text"):
+            load_polygon(wide)
+
+
 def test_error_carries_line_number(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("x1,x2\n0.0,0.0\nbroken\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polyflow import circulant
 from polyflow.polygon import Polygon, centroid, eigen_polygon, energy, real_basis
 from polyflow.spectral_flow import (
+    CENTERING_NOISE_EPS,
     DegenerateModeError,
     FlowRangeError,
     FlowSolution,
@@ -519,6 +520,47 @@ def test_presence_and_verdict_do_not_depend_on_the_scale(n, p, m, shape, seed):
     for k in (664, -664, 515, -565):
         flowed = solve(x.scaled(2.0**k), m, 0.05).vertices
         assert np.array_equal(flowed, np.ldexp(expected, k))
+
+
+@given(
+    st.integers(3, 300), st.integers(2, 3), st.integers(1, 3), st.sampled_from(("pure", "random")),
+    st.one_of(st.just(0.0), st.floats(0.0, 14.0).map(lambda e: 10.0**e)), st.integers(0, 2**32 - 1),
+)
+@example(7, 2, 1, "random", 1e12, 3)  # a 7-gon 1e12 away from the origin used to lose every mode
+@example(7, 2, 1, "pure", 1e14, 0)
+@settings(max_examples=40)
+def test_presence_and_verdict_do_not_depend_on_the_translation(n, p, m, shape, factor, seed):
+    """Moved by up to 1e14 times its size, a pure pair keeps its mode and its
+    verdict, and a polygon keeps every mode standing above twice the
+    centering noise floor; while all do, the flow commutes with the
+    translation to within that floor."""
+    rng = np.random.default_rng(seed)
+    if shape == "pure":
+        k = int(rng.integers(1, n // 2 + 1))
+        x = Polygon(np.column_stack(real_basis(n, k)) @ rng.normal(size=(2, p)))
+    else:
+        x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)))
+    direction = rng.normal(size=p)
+    offset = factor * np.abs(x.vertices - centroid(x)).max() * direction / np.linalg.norm(direction)
+    y = Polygon(x.vertices + offset)
+    dec_x, dec_y = decompose(x), decompose(y)
+    floor = CENTERING_NOISE_EPS * np.finfo(float).eps * math.sqrt(n) * np.linalg.norm(centroid(y))
+    present = dec_x.present_modes()
+    standing = [k for k in present if dec_x.pair_masses()[k] > 2.0 * floor]
+    assert set(standing) <= set(dec_y.present_modes()) <= set(present)
+    if shape == "pure":
+        assert dec_y.present_modes() == present == [k]
+        assert classify_self_similar(dec_y, m) == classify_self_similar(dec_x, m)
+    if standing == present:
+        for t in (0.05, 1.0):
+            gap = solve(y, m, t).vertices - (solve(x, m, t).vertices + offset)
+            assert np.linalg.norm(gap) <= floor
+
+
+@pytest.mark.parametrize("offset", [1e12, 1e13, 1e14])
+def test_far_translated_polygon_keeps_its_modes(offset):
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 2))
+    assert decompose(Polygon(x + offset)).present_modes() == [1, 2, 3]
 
 
 def test_constant_polygon_classifies_as_trivial():
