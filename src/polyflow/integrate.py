@@ -11,7 +11,8 @@ every state as a polygon, or only the initial and final ones, so its memory
 need not grow with the step count.  A step is ~24 numpy calls on arrays of a
 few KB, so the fixed cost of a call, not the arithmetic, sets its time: the
 right-hand side and its ``M^m`` stencil are bound to the state's shape once
-per run, and the stage coefficients are 0-d float64 arrays.
+per run, and the stage coefficients are 0-d float64 arrays.  A diverging run
+is replayed from its start, checking each step, to name the first bad one.
 """
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ from . import circulant
 from .polygon import Polygon, _shift_near_one
 
 
-# Steps between range checks when only the final state is kept; a check and
-# the copy of the block's first state cost about a seventh of a step at n = 24
-# and a tenth at n = 256.
+# Steps between range checks when only the final state is kept; a check costs
+# about a ninth of a step at n = 24 and an eleventh at n = 256.
 _CHECK_BLOCK = 64
 
 
@@ -147,12 +147,12 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     aborts with :class:`DivergenceError`, naming the first such step and
     the sup norm of the state before it.  The range is checked once per
     block of steps, one step when every state is kept and 64 otherwise, the
-    shorter final step riding in the last block.  A failed block is replayed
-    from its first state one checked step at a time; a non-finite state
-    stays non-finite, so the step named is the one a check per step names,
-    in either retention mode.  (A scaled-down run whose state passes float
-    max in the caller's units and comes back between two checks is not
-    reported: only kept states must be representable.)
+    shorter final step riding in the last block.  A failed check replays
+    the run bit for bit from its start, checking every step, so either
+    retention mode names the first out-of-range step; a diverging run
+    costs up to twice its steps.  (A scaled-down run that does not fail
+    may pass float max in the caller's units between two checks: only
+    kept states must be representable.)
     """
     if isinstance(config.kind, YauKind) and config.kind.target.p != x0.p:
         raise ValueError(
@@ -182,9 +182,9 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     shift = _shift_near_one(largest)
     limit = math.ldexp(sys.float_info.max, min(shift, 0))  # largest |state| that scales back finite
 
-    v = np.ldexp(x0.vertices, shift) if shift else x0.vertices.copy()
+    v = np.ldexp(x0.vertices, shift)  # a new array; exact, shift 0 included
     f = _rhs_function(v, config.kind, shift)
-    start, u, k1, k2, k3, k4 = (np.empty_like(v) for _ in range(6))
+    u, k1, k2, k3, k4 = (np.empty_like(v) for _ in range(5))
     # ufuncs looked up once and 0-d float64 coefficients: the same products as
     # with Python floats, at a lower fixed cost per call
     add, multiply, two = np.add, np.multiply, np.array(2.0)
@@ -217,17 +217,15 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         # blowup is found by the range checks and reported as DivergenceError
         for first in range(0, n_steps, block):
             last = min(first + block, n_steps)
-            np.copyto(start, v)
             for step in range(first, last):
                 advance(*(whole if step < n_full else short))
             if not in_range():
-                # the replay repeats the block bit for bit, checking each step
-                np.copyto(v, start)
-                for step in range(first, last):
-                    np.copyto(start, v)
+                # the replay repeats the run from its start bit for bit, checking each step
+                np.ldexp(x0.vertices, shift, v)
+                for step in range(last):
+                    norm = math.ldexp(float(np.abs(v, u).max()), -shift)
                     advance(*(whole if step < n_full else short))
                     if not in_range():
-                        norm = math.ldexp(float(np.abs(start).max()), -shift)
                         raise DivergenceError(step=step + 1, norm=norm)
             if keep_steps or last == n_steps:
                 times.append(last * dt if last <= n_full else t_final)

@@ -292,10 +292,15 @@ def load_polygon_json(path) -> Polygon:
     fails a check is walked row by row, to name its first bad vertex.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PolygonFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PolygonFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise PolygonFormatError("invalid JSON: an integer with too many digits") from None
+    except RecursionError:
+        raise PolygonFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or "dim" not in doc or "vertices" not in doc:
         raise PolygonFormatError('expected an object with "dim" and "vertices"')
     dim = doc["dim"]
@@ -337,11 +342,20 @@ def _checked_rows(rows: list, dim: int) -> list:
     return out
 
 
+def _csv_records(reader):
+    """The reader's records; a malformed one, such as a field past the csv
+    module's size limit, is a PolygonFormatError at the reader's line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise PolygonFormatError(str(exc), line=reader.line_num) from None
+
+
 def load_polygon_csv(path) -> Polygon:
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        records = _csv_records(csv.reader(fh))
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise PolygonFormatError("empty file", line=1) from None
         p = len(header)
@@ -350,7 +364,7 @@ def load_polygon_csv(path) -> Polygon:
                 f"expected header x1,...,xp with p >= 2, got {','.join(header)}", line=1
             )
         out = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(records, start=2):
             if not row:
                 continue
             if len(row) != p:

@@ -254,6 +254,13 @@ def test_malformed_input_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: not UTF-8 text\n"
 
 
+def test_deeply_nested_json_exits_three(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["flow", "--input", str(deep), "--m", "1"]) == 3
+    assert capsys.readouterr().err == "input error: invalid JSON: nested too deeply\n"
+
+
 def test_byte_order_mark_input_runs_as_without_it(tmp_path, capsys):
     pentagon = [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]
     text = "x1,x2\n" + "".join(f"{a},{b}\n" for a, b in pentagon)

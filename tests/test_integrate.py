@@ -216,6 +216,8 @@ def _diverging_run(rng, dt, steps, partial):
         (9.0, 50, False),  # mid-block
         (9.0, 80, False),  # mid second block
         (9.0, 70, True),  # the partial step
+        (1.5, 200, False),  # mid fourth block: the replay re-runs three blocks
+        (1.5, 230, True),  # the partial step in the fourth block
     ],
 )
 @pytest.mark.parametrize("keep_steps", [True, False])

@@ -55,6 +55,9 @@ def test_json_rejects_bad_documents(tmp_path):
         "not_rows.json": ({"dim": 2, "vertices": [[1, 2], 3]}, "vertex 1 is not a list of 2 numbers"),
         "late.json": ({"dim": 2, "vertices": [[1, 2], [3, 4], [5, 6, 7], [True, 0]]}, "vertex 2 is not a list of 2 numbers"),
         "string_first.json": ('{"dim": 2, "vertices": [[1, 2], [5, "6"], [1e999, 0]]}', "vertex 1 has a non-numeric entry"),
+        # past the parser's recursion limit and Python's int-to-str digit limit
+        "deep.json": ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+        "digits.json": ('{"dim": 2, "vertices": [[' + "1" * 5000 + ", 0]]}", "invalid JSON: an integer with too many digits"),
     }
     for name, (doc, message) in cases.items():
         path = tmp_path / name
@@ -113,6 +116,12 @@ def test_csv_rejects_bad_rows(tmp_path):
     empty.write_text("")
     with pytest.raises(PolygonFormatError):
         load_polygon_csv(empty)
+
+    long_field = tmp_path / "f.csv"  # past the csv module's field size limit
+    long_field.write_text("x1,x2\n0,0\n1," + "1" * 140_000 + "\n0,1\n")
+    with pytest.raises(PolygonFormatError) as info:
+        load_polygon_csv(long_field)
+    assert str(info.value) == "line 3: field larger than field limit (131072)"
 
 
 def test_non_utf8_input_is_a_format_error(tmp_path):
