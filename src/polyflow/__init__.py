@@ -49,7 +49,6 @@ from .spectral_flow import (
 )
 from .yau_flow import (
     YauProblem,
-    YauSolution,
     yau_flow_between,
     yau_limit,
     yau_solution,

@@ -353,7 +353,8 @@ def _csv_records(reader):
 
 def load_polygon_csv(path) -> Polygon:
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = _csv_records(csv.reader(fh))
+        reader = csv.reader(fh)
+        records = _csv_records(reader)
         try:
             header = next(records)
         except StopIteration:
@@ -364,19 +365,19 @@ def load_polygon_csv(path) -> Polygon:
                 f"expected header x1,...,xp with p >= 2, got {','.join(header)}", line=1
             )
         out = []
-        for line_no, row in enumerate(records, start=2):
+        for row in records:  # a record's line is its last: a quoted field may hold newlines
             if not row:
                 continue
             if len(row) != p:
                 raise PolygonFormatError(
-                    f"expected {p} columns, got {len(row)}", line=line_no
+                    f"expected {p} columns, got {len(row)}", line=reader.line_num
                 )
             try:
                 coords = [float(c) for c in row]
             except ValueError:
-                raise PolygonFormatError("non-numeric entry", line=line_no) from None
+                raise PolygonFormatError("non-numeric entry", line=reader.line_num) from None
             if not all(math.isfinite(c) for c in coords):
-                raise PolygonFormatError("non-finite entry", line=line_no)
+                raise PolygonFormatError("non-finite entry", line=reader.line_num)
             out.append(coords)
     if not out:
         raise PolygonFormatError("no vertices found")

@@ -176,12 +176,15 @@ class FlowSolution:
     block of up to 64 times costs one ``exp`` over a (times x modes) array
     and one ``irfft`` over a (times, n//2+1, p) spectrum, and every sample
     has the bits that evaluating its time alone gives.  The block is checked
-    once and made read-only, and its samples are views of it.
+    once and made read-only, and its samples are views of it.  ``offset``, an
+    (n, p) array or None, is added to every sample of :meth:`polygon_at`: the
+    Yau flow is the flow of X0 - Y offset by its target Y.
     """
 
     decomposition: SpectralDecomposition
     mode_rates: np.ndarray
     spectrum: np.ndarray
+    offset: np.ndarray | None = None
 
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
@@ -193,11 +196,11 @@ class FlowSolution:
             spectrum=c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta),
         )
 
-    def _evaluate(self, t, rate_shift: float, include_mean: bool, offset=None):
+    def _evaluate(self, t, rate_shift: float, include_mean: bool):
         """The samples at one time t (a Polygon) or at each time of a 1-D
-        sequence t (a tuple of Polygons), plus the (n, p) array ``offset`` if
-        one is given.  A failing schedule raises the error of its earliest
-        failing time, the error a loop over its times would raise first."""
+        sequence t (a tuple of Polygons); ``offset`` is added with the mean.
+        A failing schedule raises the error of its earliest failing time, the
+        error a loop over its times would raise first."""
         times = np.asarray(t, dtype=float)
         if times.ndim > 1:
             raise ValueError(f"times must be one number or a 1-D sequence, got shape {times.shape}")
@@ -216,8 +219,8 @@ class FlowSolution:
                 out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=1)
                 if include_mean:
                     out += dec.alpha[0]
-                if offset is not None:
-                    out += offset
+                    if self.offset is not None:
+                        out += self.offset
                 overflowing = exponents > _EXP_LIMIT
                 failed = np.flatnonzero(overflowing.any(axis=1) | ~np.isfinite(out).all(axis=(1, 2)))
                 if failed.size:
@@ -233,16 +236,16 @@ class FlowSolution:
                 samples.extend(map(Polygon._checked, out))
         return samples[0] if scalar else tuple(samples)
 
-    def polygon_at(self, t, *, offset=None):
+    def polygon_at(self, t):
         """The evolved polygon at time t, or the tuple of them at each time of
-        a 1-D sequence t.  An (n, p) array ``offset`` is added to every sample
-        before its finiteness check; the Yau flow adds its target so."""
-        return self._evaluate(t, rate_shift=0.0, include_mean=True, offset=offset)
+        a 1-D sequence t, each plus ``offset`` before its finiteness check."""
+        return self._evaluate(t, rate_shift=0.0, include_mean=True)
 
     def rescaled_deviation_at(self, t, k_ref: int):
         """``exp(-rate_k_ref * t) * (X(t) - centroid)`` evaluated through the
         rate differences, which stay bounded in the convergent direction; a
-        tuple of them for a 1-D sequence t."""
+        tuple of them for a 1-D sequence t.  No offset is added: on a Yau
+        solution this is ``exp(-rate_k_ref * t) * (X(t) - yau_limit)``."""
         return self._evaluate(
             t, rate_shift=float(self.mode_rates[k_ref]), include_mean=False
         )

@@ -3,11 +3,14 @@
 The difference polygon Z(t) = X(t) - Y evolves by the homogeneous flow, so
 the solution is the homogeneous evolution of X0 - Y translated back by the
 target.  As t grows, X(t) converges exponentially to Y translated by the
-centroid of the initial difference.
+centroid of the initial difference.  The exact evaluator is therefore the
+:class:`FlowSolution` of X0 - Y with ``offset`` Y: its ``polygon_at`` gives
+X(t), and its ``rescaled_deviation_at(t, k)``, which adds no offset, gives
+exp(-rate_k t) (X(t) - yau_limit).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,24 +50,10 @@ class YauProblem:
         return Polygon._checked(v)
 
 
-@dataclass(frozen=True)
-class YauSolution:
-    """Evaluator closed over the spectral data of the difference polygon."""
-
-    problem: YauProblem
-    difference_flow: FlowSolution
-
-    def polygon_at(self, t):
-        """X(t) = Z(t) + Y, or the tuple of them at each time of a 1-D
-        sequence t; raises :class:`FlowRangeError` when one overflows."""
-        return self.difference_flow.polygon_at(t, offset=self.problem.target.vertices)
-
-
-def yau_solution(problem: YauProblem) -> YauSolution:
-    """Prepare the exact evaluator: homogeneous flow on X0 - Y, plus Y."""
-    return YauSolution(
-        problem=problem,
-        difference_flow=flow_solution(problem.difference(), problem.m),
+def yau_solution(problem: YauProblem) -> FlowSolution:
+    """Prepare the exact evaluator: homogeneous flow on X0 - Y, offset by Y."""
+    return replace(
+        flow_solution(problem.difference(), problem.m), offset=problem.target.vertices
     )
 
 
@@ -80,7 +69,7 @@ def yau_limit(problem: YauProblem) -> Polygon:
 
 def yau_flow_between(
     x0: Polygon, y: Polygon, m: int, strategy: str = "midpoint"
-) -> tuple[YauProblem, YauSolution]:
+) -> tuple[YauProblem, FlowSolution]:
     """Flow between polygons with possibly different vertex counts.
 
     Vertex counts are reconciled first (default: midpoint insertion, which

@@ -4,6 +4,7 @@ Everything here deliberately avoids the library's production code paths
 where it serves as an oracle: dense matrices, per-vertex stencils, Procrustes
 fits, and the Fourier-sandwich solution are implemented from scratch.
 """
+import dataclasses
 import json
 import math
 
@@ -300,11 +301,11 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
 
 
 def summed_yau_sample(solution, t):
-    """One evaluation of a ``YauSolution`` as X(t) = Z(t) + Y: the difference
-    flow evaluated alone, then the target added and checked."""
-    z = solution.difference_flow.polygon_at(t)
+    """One evaluation of a Yau solution as X(t) = Z(t) + Y: the difference
+    flow evaluated alone, then the target (the offset) added and checked."""
+    z = dataclasses.replace(solution, offset=None).polygon_at(t)
     with np.errstate(over="ignore"):
-        v = z.vertices + solution.problem.target.vertices
+        v = z.vertices + solution.offset
     if not np.isfinite(v).all():
         raise FlowRangeError(f"evolution left floating range at t={t!r}")
     return Polygon(v)

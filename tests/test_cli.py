@@ -197,6 +197,15 @@ def test_analyze_translated_pentagon_is_self_similar(tmp_path, capsys):
     }
 
 
+def test_analyze_json_writes_the_stdout_report(tmp_path, pentagon_file, capsys):
+    assert main(["analyze", "--input", pentagon_file, "--m", "2"]) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--input", pentagon_file, "--m", "2", "--json", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == report
+
+
 def test_analyze_constant_polygon(tmp_path, capsys):
     path = tmp_path / "const.json"
     helpers.save_polygon_json(helpers.constant_polygon([1.0, -2.0], 5), path)
@@ -286,6 +295,13 @@ def test_non_number_coordinates_exit_three(tmp_path, capsys):
         bad.write_text('{"dim": 2, "vertices": ' + rows + "}")
         assert main(["analyze", "--input", str(bad), "--m", "1"]) == 3
         assert "non-numeric" in capsys.readouterr().err
+
+
+def test_header_only_csv_exits_three(tmp_path, capsys):
+    header = tmp_path / "header.csv"
+    header.write_text("x1,x2\n")
+    assert main(["flow", "--input", str(header), "--m", "1"]) == 3
+    assert capsys.readouterr().err == "input error: no vertices found\n"
 
 
 def test_too_small_polygon_exits_three(tmp_path, capsys):
@@ -447,6 +463,20 @@ def test_closed_stdout_exits_three_quietly(pentagon_file):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 3
     assert err == b""
+
+
+def test_stdout_closed_before_the_first_write_exits_three_quietly(pentagon_file):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [sys.executable, "-m", "polyflow.cli", "flow", "--input", pentagon_file, "--m", "1"]
+    reader, writer = os.pipe()
+    os.close(reader)  # no reader from the start: the first write fails
+    try:
+        run = subprocess.run(argv, stdout=writer, stderr=subprocess.PIPE, timeout=60,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(writer)
+    assert run.returncode == 3
+    assert run.stderr == b""
 
 
 def test_out_of_memory_exits_four(pentagon_file, monkeypatch, capsys):

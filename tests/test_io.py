@@ -124,6 +124,29 @@ def test_csv_rejects_bad_rows(tmp_path):
     assert str(info.value) == "line 3: field larger than field limit (131072)"
 
 
+def test_csv_errors_name_the_line_after_a_multi_line_field(tmp_path):
+    """A quoted field may hold a newline: the error names the line the bad
+    row is on, not its record number."""
+    for bad_row, message in (
+        ("1,west", "non-numeric entry"),
+        ("1,inf", "non-finite entry"),
+        ("1", "expected 2 columns, got 1"),
+    ):
+        path = tmp_path / "multi.csv"
+        path.write_text('x1,x2\n"0\n",0\n' + bad_row + "\n")
+        with pytest.raises(PolygonFormatError) as info:
+            load_polygon_csv(path)
+        assert str(info.value) == f"line 4: {message}"
+
+
+def test_blank_lines_between_csv_rows_are_skipped(rng, tmp_path):
+    x = helpers.random_polygon(rng, 4)
+    rows = [f"{a!r},{b!r}\n" for a, b in x.vertices.tolist()]
+    path = tmp_path / "blank.csv"
+    path.write_text("x1,x2\n\n" + "\n".join(rows) + "\n")
+    assert load_polygon_csv(path) == x
+
+
 def test_non_utf8_input_is_a_format_error(tmp_path):
     for name, data in (
         ("binary.json", b'{"dim": 2, "vertices": [[0, "\xff\xfe"]]}'),
