@@ -383,7 +383,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_destinations(*(vars(args).get(dest) for dest in ("csv_path", "svg_path", "json_path")))
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, whatever its buffering, not at exit
+        return code
     except CliArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -453,30 +453,28 @@ def test_unwritable_svg_is_refused_before_the_csv_is_written(tmp_path, pentagon_
 
 def test_closed_stdout_exits_three_quietly(pentagon_file):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    # ~1 MB of rows: far more than a pipe holds, so writing outlives the reader
-    argv = [sys.executable, "-m", "polyflow.cli", "flow", "--input", pentagon_file, "--m", "1",
-            "--count", "4000", "--ratio", "1.001"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=dict(os.environ, PYTHONPATH=src)) as proc:
-        assert proc.stdout.readline() == b"t,vertex_index,x1,x2\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 3
-    assert err == b""
-
-
-def test_stdout_closed_before_the_first_write_exits_three_quietly(pentagon_file):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    argv = [sys.executable, "-m", "polyflow.cli", "flow", "--input", pentagon_file, "--m", "1"]
-    reader, writer = os.pipe()
-    os.close(reader)  # no reader from the start: the first write fails
-    try:
-        run = subprocess.run(argv, stdout=writer, stderr=subprocess.PIPE, timeout=60,
-                             env=dict(os.environ, PYTHONPATH=src))
-    finally:
-        os.close(writer)
-    assert run.returncode == 3
-    assert run.stderr == b""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}  # block-buffered
+    for count, read_header in (
+        ("8", False),  # ~2 KB of rows, held in the stdout buffer until main flushes it; no reader ever
+        ("4000", True),  # ~1 MB of rows: far more than a pipe holds, so writing outlives the reader
+    ):
+        argv = [sys.executable, "-m", "polyflow.cli", "flow", "--input", pentagon_file, "--m", "1",
+                "--count", count, "--ratio", "1.001"]
+        reader, writer = os.pipe()
+        out = os.fdopen(reader, "rb")
+        if not read_header:
+            out.close()
+        try:
+            proc = subprocess.Popen(argv, stdout=writer, stderr=subprocess.PIPE, env=dict(env, PYTHONPATH=src))
+        finally:
+            os.close(writer)
+        with proc:
+            if read_header:
+                assert out.readline() == b"t,vertex_index,x1,x2\n"
+                out.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 3, count
+        assert err == b"", count
 
 
 def test_out_of_memory_exits_four(pentagon_file, monkeypatch, capsys):

@@ -123,19 +123,16 @@ def test_csv_rejects_bad_rows(tmp_path):
         load_polygon_csv(long_field)
     assert str(info.value) == "line 3: field larger than field limit (131072)"
 
-
-def test_csv_errors_name_the_line_after_a_multi_line_field(tmp_path):
-    """A quoted field may hold a newline: the error names the line the bad
-    row is on, not its record number."""
+    # a quoted field may hold a newline: the error names the bad row's line, not its record number
     for bad_row, message in (
         ("1,west", "non-numeric entry"),
         ("1,inf", "non-finite entry"),
         ("1", "expected 2 columns, got 1"),
     ):
-        path = tmp_path / "multi.csv"
-        path.write_text('x1,x2\n"0\n",0\n' + bad_row + "\n")
+        multi_line = tmp_path / "m.csv"
+        multi_line.write_text('x1,x2\n"0\n",0\n' + bad_row + "\n")
         with pytest.raises(PolygonFormatError) as info:
-            load_polygon_csv(path)
+            load_polygon_csv(multi_line)
         assert str(info.value) == f"line 4: {message}"
 
 
