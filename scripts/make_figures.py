@@ -22,7 +22,7 @@ SEED = int(os.environ.get("POLYFLOW_SEED", "20260810"))
 
 
 def save(path, samples, initial, target=None):
-    svg.write(svg.figure_layers(samples, initial, target), path)
+    svg.write(svg.render(samples, initial, target), path)
     print(f"wrote {path}")
 
 

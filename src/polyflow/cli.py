@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 argument error, 3 input parse error (or an
 unwritable output path or a closed stdout), 4 numeric range error or out of
 memory.  ``main`` refuses every output destination right after parsing,
-before any input is read; ``flow`` and ``yau`` refuse ``--svg`` on a
+before any input is read, and then one that names an input or another
+destination (exit 2); ``flow`` and ``yau`` refuse ``--svg`` on a
 non-planar input right after loading it.
 """
 from __future__ import annotations
@@ -151,23 +152,23 @@ def load_flow_polygon(path) -> Polygon:
     return poly
 
 
-def _write_trajectory_rows(fh, times, polygons, kept=None) -> None:
-    """The trajectory table, one ``write`` per sample.  Each sample's vertex
-    rows are formatted once; given a list ``kept``, they are appended to it."""
+def _write_trajectory_rows(fh, times, polygons, rows=None) -> None:
+    """The trajectory table, one ``write`` per sample.  ``rows`` holds each
+    sample's ``format_vertices`` text when it has been made already; without
+    it each sample is formatted as it is written."""
     p = polygons[0].p
     fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
     indices = [f",{j}," for j in range(max(poly.n for poly in polygons))]
-    for t, poly in zip(times, polygons):
-        rows = format_vertices(poly)
+    if rows is None:
+        rows = map(format_vertices, polygons)
+    for t, sample in zip(times, rows):
         stamp = format_float(t)
-        fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, rows)]))
-        if kept is not None:
-            kept.append(rows)
+        fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, sample)]))
 
 
-def write_trajectory_csv(path, times, polygons, kept=None) -> None:
+def write_trajectory_csv(path, times, polygons, rows=None) -> None:
     with open(path, "w", newline="\n") as fh:
-        _write_trajectory_rows(fh, times, polygons, kept)
+        _write_trajectory_rows(fh, times, polygons, rows)
 
 
 def _power_of_m(n: int, m: int) -> circulant.CirculantMatrix:
@@ -204,20 +205,60 @@ def _check_destinations(*paths) -> None:
             raise PermissionError(f"cannot write {path}")
 
 
+_INPUT_FLAGS = (("--input", "input_path"), ("--target", "target_path"))
+_OUTPUT_FLAGS = (("--csv", "csv_path"), ("--svg", "svg_path"), ("--json", "json_path"))
+
+
+def _file_key(path) -> tuple:
+    """What names the file ``path`` opens: its device and inode when it
+    exists, as ``os.path.samefile`` compares them; else its folder's device
+    and inode and its own name, after a dangling link is followed.  A path
+    in a missing folder, which only an input can be, is its own key."""
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:
+        pass
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    try:
+        folder = os.stat(os.path.dirname(path) or ".")
+    except OSError:
+        return (path,)
+    return folder.st_dev, folder.st_ino, os.path.basename(path)
+
+
+def _check_distinct(args: argparse.Namespace) -> None:
+    """Refuse a destination that names an input or another destination.
+    Each path is looked up once: a real path costs a system call per folder
+    level, a noticeable share of a small job."""
+    named = {}  # file key -> the first flag and path naming that file
+    for flags in (_INPUT_FLAGS, _OUTPUT_FLAGS):
+        for flag, dest in flags:
+            path = vars(args).get(dest)
+            if not path:
+                continue
+            key = _file_key(path)
+            if key in named and flags is _OUTPUT_FLAGS:
+                raise CliArgumentError(f"{flag} {path} names the same file as {' '.join(named[key])}")
+            named.setdefault(key, (flag, path))
+
+
 def _emit_samples(args, times, solution, initial, target=None, dash_target=True):
     """Sample the solution at ``times`` and write the CSV and SVG asked for,
     or the CSV table on stdout when neither is; ``main`` has checked both
     destinations and ``cmd_flow`` that a figure's polygons are planar.  Each
-    sample is formatted once: the figure reuses the vertex rows of the CSV."""
+    sample is formatted once: with a figure, its vertex rows are made first
+    and go into both writers; without one, the table formats a sample at a
+    time."""
     samples = solution.polygon_at(times)
-    kept = [] if args.svg_path else None  # each sample's vertex rows, for the figure
+    rows = list(map(format_vertices, samples)) if args.svg_path else None
     if args.csv_path:
-        write_trajectory_csv(args.csv_path, times, samples, kept)
+        write_trajectory_csv(args.csv_path, times, samples, rows)
         print(f"wrote {args.csv_path}")
     if args.svg_path:
-        rows = kept if args.csv_path else list(map(format_vertices, samples))
-        layers = svg.figure_layers(samples, initial, target, args.stroke_width, dash_target, rows)
-        svg.write(layers, args.svg_path)
+        document = svg.render(samples, initial, target, args.stroke_width, dash_target, rows)
+        svg.write(document, args.svg_path)
         print(f"wrote {args.svg_path}")
     if not args.csv_path and not args.svg_path:
         _write_trajectory_rows(sys.stdout, times, samples)
@@ -382,7 +423,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_destinations(*(vars(args).get(dest) for dest in ("csv_path", "svg_path", "json_path")))
+        _check_destinations(*(vars(args).get(dest) for _, dest in _OUTPUT_FLAGS))
+        _check_distinct(args)
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, whatever its buffering, not at exit
         return code

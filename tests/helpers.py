@@ -257,6 +257,39 @@ def vertex_svg_points(polygon):
     return " ".join(f"{format_float(x)},{format_float(-y)}" for x, y in polygon.vertices)
 
 
+def figure_svg(samples, initial, target, stroke_width, dash_target):
+    """The standard figure's SVG document one element at a time: the bounds
+    by Python's ``min`` and ``max`` over every coordinate, each number by
+    ``format_float`` and each ``points`` by ``vertex_svg_points``."""
+    drawn = ([] if target is None else [target]) + [initial, *samples]
+    xs = [x for q in drawn for x in q.vertices[:, 0].tolist()]
+    ys = [y for q in drawn for y in q.vertices[:, 1].tolist()]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    extent = max(x1 - x0, y1 - y0)
+    width = stroke_width
+    if width is None:
+        width = extent / 150.0 if extent > 0.0 else 0.01
+    pad = 0.05 * extent if extent > 0.0 else 1.0
+    view = (x0 - pad, -y1 - pad, x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)
+
+    def element(q, stroke, w, dash=""):
+        return (f'<polygon points="{vertex_svg_points(q)}" stroke="{stroke}" '
+                f'stroke-width="{format_float(w)}"{dash}/>\n')
+
+    doc = '<?xml version="1.0" encoding="UTF-8"?>\n'
+    doc += f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{" ".join(map(format_float, view))}">\n'
+    doc += '<g fill="none" stroke-linejoin="round" stroke-linecap="round">\n'
+    if target is not None:
+        dash = ""
+        if dash_target:
+            dash = f' stroke-dasharray="{format_float(4.0 * width)} {format_float(3.0 * width)}"'
+        doc += element(target, "#c02020", width, dash)
+    doc += element(initial, "#000000", 1.8 * width)
+    for q in samples:
+        doc += element(q, "#6f6f6f", width)
+    return doc + "</g>\n</svg>\n"
+
+
 def recomputed_decision(dec):
     """The shifted pair masses, their shift and the present shape modes (an
     int array) of a decomposition, worked out from scratch from its alpha and

@@ -805,6 +805,47 @@ def test_destination_is_refused_before_the_schedule(pentagon_file, monkeypatch, 
     assert code == 3 and err == f"input error: cannot write {dest}: {pentagon_file} is not a directory\n"
 
 
+@pytest.mark.parametrize("argv, clash", [
+    (["flow", "--input", "p.json", "--m", "1", "--csv", "out.csv", "--svg", "out.csv"],
+     "--svg out.csv names the same file as --csv out.csv"),
+    (["flow", "--input", "q.json", "--m", "1", "--csv", "q.json"],
+     "--csv q.json names the same file as --input q.json"),
+    (["yau", "--input", "p.json", "--target", "tri.json", "--m", "1", "--csv", "tri.json"],
+     "--csv tri.json names the same file as --target tri.json"),
+    (["integrate", "--input", "p.json", "--m", "1", "--csv", "p.json"],
+     "--csv p.json names the same file as --input p.json"),
+    (["analyze", "--input", "p.json", "--m", "1", "--json", "p.json"],
+     "--json p.json names the same file as --input p.json"),
+    (["flow", "--input", "p.json", "--m", "1", "--svg", "./p.json"],
+     "--svg ./p.json names the same file as --input p.json"),
+    (["flow", "--input", "p.json", "--m", "1", "--csv", "link.json"],
+     "--csv link.json names the same file as --input p.json"),
+    (["flow", "--input", "p.json", "--m", "1", "--csv", "dangling.csv", "--svg", "sub/../out.svg"],
+     "--svg sub/../out.svg names the same file as --csv dangling.csv"),
+], ids=["csv-svg", "flow-input", "yau-target", "integrate-input", "analyze-input", "svg-input-spelled-apart",
+        "link-to-input", "dangling-link-to-svg"])
+def test_destination_naming_an_input_or_another_destination_exits_two(
+    argv, clash, tmp_path, rng, monkeypatch, capsys
+):
+    """Refused before any input is read: every input keeps its bytes and no
+    output is made, also through a link to an input or a dangling link."""
+    monkeypatch.chdir(tmp_path)
+    helpers.save_polygon_json(helpers.random_polygon(rng, 5), "p.json")
+    helpers.save_polygon_json(helpers.random_polygon(rng, 4), "q.json")
+    _polygon_file(tmp_path, "tri.json", [[0.0, 0.0], [2.0, 0.0], [1.0, 1.6]])
+    os.mkdir("sub")
+    os.symlink("p.json", "link.json")
+    os.symlink("out.svg", "dangling.csv")
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
+    _refuse_work(monkeypatch)
+    assert _refusal(argv, capsys) == (2, f"error: {clash}\n")
+    assert files() == before and not os.path.lexists("out.csv") and not os.path.lexists("out.svg")
+
+
 def _outcome(argv, capsys):
     try:
         code = main(argv)

@@ -84,9 +84,48 @@ def test_integrate_csv_with_a_partial_last_step_matches_the_per_cell_writer(tmp_
 @example(0, 3, 1, True)
 def test_svg_points_match_the_per_vertex_formatter(seed, n, count, dashed):
     polygons = [Polygon(awkward_vertices(seed + i, n, 2)) for i in range(count)]
-    layers = [svg.Layer(q, svg.SAMPLE_STROKE, 0.5, dashed) for q in polygons]
-    points = re.findall(r'points="([^"]*)"', svg.render(layers))
-    assert points == [helpers.vertex_svg_points(q) for q in polygons]
+    document = svg.render(polygons, polygons[0], polygons[-1], 0.5, dashed)
+    points = re.findall(r'points="([^"]*)"', document)
+    assert points == [helpers.vertex_svg_points(q) for q in [polygons[-1], polygons[0], *polygons]]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 60),
+    st.integers(1, 8),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(1e-300, 1e300)),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@example(0, 3, 1, True, None, True, True, True)
+@example(1, 60, 8, True, 0.25, False, False, True)
+def test_svg_document_matches_the_element_wise_writer(
+    seed, n, count, with_target, stroke_width, dash_target, with_rows, constant
+):
+    """The whole document, viewBox, strokes, dashes and element order, with
+    or without a target and the samples' rows; a constant figure has extent 0."""
+    if constant:
+        point = awkward_vertices(seed, 1, 2)[0]
+        initial, *samples = [helpers.constant_polygon(point, n) for _ in range(count + 1)]
+        target = helpers.constant_polygon(point, n + 1) if with_target else None
+    else:
+        initial, *samples = [Polygon(awkward_vertices(seed + i, n, 2)) for i in range(count + 1)]
+        target = Polygon(awkward_vertices(seed + count + 1, n + 1, 2)) if with_target else None
+    rows = [polygon.format_vertices(q) for q in samples] if with_rows else None
+    document = svg.render(samples, initial, target, stroke_width, dash_target, rows)
+    assert document == helpers.figure_svg(samples, initial, target, stroke_width, dash_target)
+
+
+@pytest.mark.parametrize("slot", ["sample", "initial", "target"])
+def test_svg_render_refuses_a_non_planar_polygon(slot):
+    planar, spatial = Polygon(awkward_vertices(0, 4, 2)), Polygon(awkward_vertices(1, 4, 3))
+    figure = {"sample": ([planar, spatial], planar, planar),
+              "initial": ([planar], spatial, None),
+              "target": ([planar], planar, spatial)}[slot]
+    with pytest.raises(ValueError, match="^SVG rendering needs planar polygons, got p = 3$"):
+        svg.render(*figure)
 
 
 def test_the_text_flip_is_the_negation():
