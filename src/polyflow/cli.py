@@ -2,17 +2,20 @@
 
 Exit codes: 0 success, 2 argument error, 3 input parse error (or an
 unwritable output path or a closed stdout), 4 numeric range error or out of
-memory.  ``main`` refuses every output destination right after parsing,
-before any input is read, and then one that names an input or another
-destination (exit 2); ``flow`` and ``yau`` refuse ``--svg`` on a
-non-planar input right after loading it.
+memory.  Right after parsing, before any input is read, ``main`` refuses
+an unwritable destination, a link that leads into a missing folder or to
+itself among them, and then one that names an input or another destination
+(exit 2); ``flow`` and ``yau`` refuse ``--svg`` on a non-planar input right
+after loading it.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
+import stat
 import sys
 import warnings
 
@@ -189,59 +192,53 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_destinations(*paths) -> None:
-    """Refuse an output path (None when not asked for) that cannot be opened
-    for writing because it is empty, its folder is missing, is not a
-    directory or is read-only, or because the path is a directory."""
-    for path in paths:
-        if path is None:
-            continue
-        if not path:
-            raise FileNotFoundError("cannot write to an empty path")
-        folder = os.path.dirname(path) or "."
-        if not os.path.isdir(folder):
-            raise NotADirectoryError(f"cannot write {path}: {folder} is not a directory")
-        if os.path.isdir(path) or not os.access(path if os.path.exists(path) else folder, os.W_OK):
-            raise PermissionError(f"cannot write {path}")
-
-
 _INPUT_FLAGS = (("--input", "input_path"), ("--target", "target_path"))
 _OUTPUT_FLAGS = (("--csv", "csv_path"), ("--svg", "svg_path"), ("--json", "json_path"))
 
 
-def _file_key(path) -> tuple:
-    """What names the file ``path`` opens: its device and inode when it
-    exists, as ``os.path.samefile`` compares them; else its folder's device
-    and inode and its own name, after a dangling link is followed.  A path
-    in a missing folder, which only an input can be, is its own key."""
-    try:
-        st = os.stat(path)
-        return st.st_dev, st.st_ino
-    except OSError:
-        pass
-    if os.path.islink(path):
-        path = os.path.realpath(path)
-    try:
-        folder = os.stat(os.path.dirname(path) or ".")
-    except OSError:
-        return (path,)
-    return folder.st_dev, folder.st_ino, os.path.basename(path)
-
-
-def _check_distinct(args: argparse.Namespace) -> None:
-    """Refuse a destination that names an input or another destination.
-    Each path is looked up once: a real path costs a system call per folder
-    level, a noticeable share of a small job."""
-    named = {}  # file key -> the first flag and path naming that file
-    for flags in (_INPUT_FLAGS, _OUTPUT_FLAGS):
-        for flag, dest in flags:
-            path = vars(args).get(dest)
-            if not path:
-                continue
-            key = _file_key(path)
-            if key in named and flags is _OUTPUT_FLAGS:
-                raise CliArgumentError(f"{flag} {path} names the same file as {' '.join(named[key])}")
-            named.setdefault(key, (flag, path))
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse an output path that cannot be opened for writing (exit 3),
+    then one that names an input or another output (exit 2).  One lookup
+    per path: ``lstat``, ``stat`` where a link leads, the folder's ``stat``
+    only for a file not made yet, and ``access`` for an output.  A file is
+    keyed by its device and inode, one not made yet by its folder's and its
+    own name, and a dangling link by the file that writing through it makes."""
+    named, clash = {}, None  # file key -> the first flag and path naming that file
+    for flag, dest in _INPUT_FLAGS + _OUTPUT_FLAGS:
+        path, writes = vars(args).get(dest), (flag, dest) in _OUTPUT_FLAGS
+        if path == "" and writes:
+            raise FileNotFoundError("cannot write to an empty path")
+        if not path:
+            continue
+        made, st = path, None  # the name a new file is made under; the file
+        try:
+            st = os.lstat(path)
+            if stat.S_ISLNK(st.st_mode):
+                st = os.stat(path)
+        except OSError as exc:
+            if st is not None:  # a link that leads nowhere, or in a loop to no name at all
+                made = None if exc.errno == errno.ELOOP else os.path.realpath(path)
+            st = None
+        key = checked = None  # the file's key; the path ``access`` checks, None if unwritable
+        if st is not None:
+            key, checked = (st.st_dev, st.st_ino), None if stat.S_ISDIR(st.st_mode) else path
+        elif made:
+            folder = os.path.dirname(made) or "."
+            try:
+                st = os.stat(folder)
+            except OSError:
+                pass
+            if st is not None and stat.S_ISDIR(st.st_mode):
+                key, checked = (st.st_dev, st.st_ino, os.path.basename(made)), folder
+            elif writes:
+                raise NotADirectoryError(f"cannot write {path}: {folder} is not a directory")
+        if writes and not (checked and os.access(checked, os.W_OK)):
+            raise PermissionError(f"cannot write {path}")
+        if writes and key in named:
+            clash = clash or f"{flag} {path} names the same file as {' '.join(named[key])}"
+        named.setdefault(key, (flag, path))
+    if clash:
+        raise CliArgumentError(clash)
 
 
 def _emit_samples(args, times, solution, initial, target=None, dash_target=True):
@@ -423,8 +420,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_destinations(*(vars(args).get(dest) for _, dest in _OUTPUT_FLAGS))
-        _check_distinct(args)
+        _check_paths(args)
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, whatever its buffering, not at exit
         return code

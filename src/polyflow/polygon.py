@@ -155,11 +155,13 @@ def energy(x: Polygon, m: int) -> float:
 def centroid(x: Polygon) -> np.ndarray:
     """Vertex average.  Columns with all-equal entries return that value
     exactly, so constant polygons stay bitwise fixed under the flows."""
-    v = x.vertices
-    out = np.empty(x.p)
-    for i in range(x.p):
-        col = v[:, i]
-        out[i] = col[0] if np.all(col == col[0]) else col.mean()
+    v = np.ascontiguousarray(x.vertices.T)  # a row per coordinate sums as a column's mean does
+    first = v[:, 0]
+    varies = (v != first[:, None]).any(axis=1)
+    if varies.all():
+        return np.add.reduce(v, axis=1) / x.n
+    out = first.copy()  # a constant column is not summed: its sum may overflow
+    out[varies] = np.add.reduce(v[varies], axis=1) / x.n
     return out
 
 

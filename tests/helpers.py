@@ -228,6 +228,16 @@ def solve_planar_complex(x0, m, t):
     return out
 
 
+def columnwise_centroid(x):
+    """The vertex average one column at a time: a column of equal entries
+    gives that entry, any other its ``mean``."""
+    out = np.empty(x.p)
+    for i in range(x.p):
+        col = x.vertices[:, i]
+        out[i] = col[0] if np.all(col == col[0]) else col.mean()
+    return out
+
+
 def midpoint_grow(x, target):
     """Midpoint insertion by a full rescan per vertex: bisect the longest edge,
     ties to the lowest edge index, recomputing every edge length each time

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -767,16 +771,22 @@ def test_unwritable_destinations_are_refused_before_any_work(tmp_path, pentagon_
     _refuse_work(monkeypatch)
     for ext in ("csv", "svg", "json"):
         (tmp_path / f"folder.{ext}").mkdir()
+        os.symlink(f"missing/out.{ext}", tmp_path / f"dangling.{ext}")
+        os.symlink(f"loop.{ext}", tmp_path / f"loop.{ext}")
     requests = [
         (["flow", "--input", pentagon_file, "--m", "1", "--csv"], "csv"),
         (["flow", "--input", pentagon_file, "--m", "1", "--svg"], "svg"),
+        (["flow", "--input", pentagon_file, "--m", "1", "--csv", str(tmp_path / "ok.csv"), "--svg"], "svg"),
+        (["flow", "--input", pentagon_file, "--m", "1", "--csv", pentagon_file, "--svg"], "svg"),  # not exit 2
         (["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--csv"], "csv"),
         (["yau", "--input", pentagon_file, "--target", pentagon_file, "--m", "1", "--svg"], "svg"),
         (["analyze", "--input", pentagon_file, "--m", "1", "--json"], "json"),
         (["integrate", "--input", pentagon_file, "--m", "1", "--csv"], "csv"),
     ]
-    # a path under a regular file, a path in a missing folder, a folder, and the empty path
-    for dest in (pentagon_file + "/x", str(tmp_path / "missing" / "x"), str(tmp_path / "folder"), ""):
+    # a path under a regular file, a path in a missing folder, a folder, the empty path,
+    # a link into a missing folder and a link to itself
+    for dest in (pentagon_file + "/x", str(tmp_path / "missing" / "x"), str(tmp_path / "folder"), "",
+                 str(tmp_path / "dangling"), str(tmp_path / "loop")):
         for argv, ext in requests:
             path = f"{dest}.{ext}" if dest else ""
             before = sorted(os.listdir(tmp_path))
@@ -884,3 +894,144 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, pentagon_file, target_
     assert [_outcome(argv, capsys) for argv in commands] == fresh
     assert len(builds) == 1
     cli._parser.cache_clear()
+
+
+# --- fuzz of main ---------------------------------------------------------------------
+
+EXTREME_NUMBERS = ["1e-320", "5e-324", "1e308", "1.7976931348623157e308", "0", "-1", "inf", "nan", "x"]
+EXTENSIONS = {"--csv": "csv", "--svg": "svg", "--json": "json"}
+WRITABLE = {  # what an output flag names, by kind; {ext} is the flag's extension
+    "new file": "new.{ext}",
+    "existing file": "old.{ext}",
+    "link to a new file": "link.{ext}",
+}
+REFUSED = {
+    "folder": "folder",
+    "missing folder": "missing/x.{ext}",
+    "path through a file": "old.{ext}/x",
+    "dangling link": "dangling.{ext}",
+    "link loop": "loop.{ext}",
+    "an input's own path": "{input}",
+}
+MUTATION_BYTES = list(b'{}[],:"0123456789.-eE \n') + [0x00, 0x80, 0xEF, 0xBB, 0xBF, ord("a")]
+
+
+def _usually(draw, usual, extreme):
+    """One of ``usual`` five times in six, else one of ``extreme``."""
+    return draw(st.sampled_from(usual if draw(st.integers(0, 5)) else extreme))
+
+
+@st.composite
+def polygon_documents(draw):
+    """A JSON or CSV polygon file's name and bytes; one in four holds coordinates near
+    float max or zero, and one in four has up to three bytes deleted, inserted or replaced."""
+    p, n = _usually(draw, [2], [3, 4]), _usually(draw, [3, 4, 5, 7], [1, 2])
+    coordinate = st.floats(-10.0, 10.0)
+    if not draw(st.integers(0, 3)):
+        coordinate |= st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e308, -1e308])
+    rows = draw(st.lists(st.lists(coordinate, min_size=p, max_size=p), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        name = "in.json"
+        data = json.dumps({"dim": p, "vertices": rows}).encode()
+    else:
+        name = "in.csv"
+        header = ",".join(f"x{i + 1}" for i in range(p))
+        data = "\n".join([header] + [",".join(map(repr, row)) for row in rows]).encode() + b"\n"
+    edits = draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.sampled_from("dir"), st.sampled_from(MUTATION_BYTES)), max_size=3
+    )) if not draw(st.integers(0, 3)) else []
+    for where, edit, byte in edits:
+        i = min(int(where * len(data)), len(data) - 1)
+        data = data[:i] + (b"" if edit == "d" else bytes([byte])) + data[i + (edit != "i"):]
+    return name, data
+
+
+@st.composite
+def cli_requests(draw):
+    """An argv of any subcommand.  A path is written ``@`` and its name in the run's folder,
+    where {input} and {target} stand for the input files; each output flag names one kind
+    of destination."""
+    command = draw(st.sampled_from(["matrix", "flow", "yau", "analyze", "integrate"]))
+    order = _usually(draw, ["1", "2", "3"], ["20", "21", "0", "x"])
+    if command == "matrix":
+        return ["matrix", "--n", _usually(draw, ["3", "6", "64"], ["1", "0", "x"]), "--m", order]
+    argv = [command, "--input", "@{input}", "--m", order]
+    outputs = {"flow": ["--csv", "--svg"], "yau": ["--csv", "--svg"], "analyze": ["--json"],
+               "integrate": ["--csv"]}[command]
+    if command == "yau" or command == "integrate" and draw(st.booleans()):
+        argv += ["--target", _usually(draw, ["@{target}"], ["@{input}"]),
+                 "--strategy", draw(st.sampled_from(["midpoint", "duplicate"]))]
+    if command in ("flow", "yau"):
+        if draw(st.booleans()):
+            argv += ["--times", ",".join(_usually(draw, ["0.1", "0.3", "1"], EXTREME_NUMBERS)
+                                         for _ in range(draw(st.integers(1, 4))))]
+        for flag, usual in (("--t0", ["0.01", "0.1"]), ("--ratio", ["1.6", "3"]), ("--count", ["1", "3"]),
+                            ("--stroke-width", ["0.5", "2"])):
+            if draw(st.booleans()):
+                argv += [flag, _usually(draw, usual, ["0", "-1"] if flag == "--count" else EXTREME_NUMBERS)]
+        if command == "yau" and draw(st.booleans()):
+            argv.append("--solid-target")
+    if command == "integrate":
+        dt = _usually(draw, ["0.1", "0.01"], ["1", "1e308", "1e-300", "0", "inf", "x"])
+        t_final = _usually(draw, ["0.1", "1"], ["1e-300", "1e308", "inf"])
+        try:
+            steps = float(t_final) / float(dt)
+        except (ValueError, ZeroDivisionError):
+            steps = 0.0
+        argv += ["--dt", dt, "--T", dt if 1000.0 < steps < math.inf else t_final]  # at most 1000 steps
+    for flag in outputs:
+        if draw(st.booleans()):
+            path = _usually(draw, list(WRITABLE.values()), list(REFUSED.values()))
+            argv += [flag, "@" + path.replace("{ext}", EXTENSIONS[flag])]
+    return argv
+
+
+def _tree(folder):
+    """Every entry under ``folder``: a link's target, a file's bytes, None for a folder."""
+    found = {}
+    for root, dirs, files in os.walk(folder):
+        for name in dirs + files:
+            path = os.path.join(root, name)
+            if os.path.islink(path):
+                found[path] = os.readlink(path)
+            else:
+                found[path] = None if os.path.isdir(path) else pathlib.Path(path).read_bytes()
+    return found
+
+
+@settings(max_examples=300)
+@given(cli_requests(), polygon_documents())
+@example(  # a figure through a link into a missing folder: refused before the table is written
+    ["flow", "--input", "@{input}", "--m", "1", "--csv", "@new.csv", "--svg", "@dangling.svg"],
+    ("in.json", b'{"dim": 2, "vertices": [[0, 0], [2, 0], [1, 1.6]]}'),
+)
+def test_main_answers_any_request_with_a_documented_exit_code(argv, document):
+    """Exit 0, 2, 3 or 4 with no traceback, and a refused request changes no file."""
+    with tempfile.TemporaryDirectory() as folder:
+        name, data = document
+        with open(os.path.join(folder, name), "wb") as fh:
+            fh.write(data)
+        _polygon_file(pathlib.Path(folder), "tri.json", [[0.0, 0.0], [2.0, 0.0], [1.0, 1.6]])
+        os.mkdir(os.path.join(folder, "folder"))
+        for ext in EXTENSIONS.values():
+            with open(os.path.join(folder, f"old.{ext}"), "w") as fh:
+                fh.write("old\n")
+            os.symlink(f"missing/out.{ext}", os.path.join(folder, f"dangling.{ext}"))
+            os.symlink(f"made.{ext}", os.path.join(folder, f"link.{ext}"))
+            os.symlink(f"loop.{ext}", os.path.join(folder, f"loop.{ext}"))
+        argv = [
+            os.path.join(folder, arg[1:].replace("{input}", name).replace("{target}", "tri.json"))
+            if arg.startswith("@") else arg
+            for arg in argv
+        ]
+        before = _tree(folder)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's refusal
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert _tree(folder) == before, argv

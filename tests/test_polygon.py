@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,38 @@ def test_centroid_of_constant_polygon_is_exact():
     point = np.array([0.1, -0.7, 2.3])
     const = helpers.constant_polygon(point, 7)
     assert np.array_equal(centroid(const), point)
+
+
+def _warnings_of(fn, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(x)
+    return value, {(w.category, str(w.message)) for w in caught}
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 1500),
+    st.lists(st.sampled_from([None, None, "zeros", 0.0, -0.0, 2.5, -1.7e308, 1.7e308]), min_size=2, max_size=4),
+    st.sampled_from([1e-300, 1.0, 1e300, 1e307]),
+)
+@example(1, 5, ["zeros", 1.7e308], 1.0)  # signed zeros, and a constant column whose sum overflows
+@example(2, 7, [None, None], 1e307)  # the sums overflow in both columns
+@example(3, 20000, [None, -0.0, None], 1.0)  # columns longer than numpy's 8192-element buffer
+def test_centroid_matches_the_per_column_mean(seed, n, columns, scale):
+    """Bit for bit, with no numpy warning the column loop does not raise."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, len(columns))) * scale
+    for i, column in enumerate(columns):
+        if column == "zeros":
+            v[:, i] = rng.choice([0.0, -0.0], size=n)
+        elif column is not None:
+            v[:, i] = column
+    x = Polygon(v)
+    got, raised = _warnings_of(centroid, x)
+    expected, oracle_raised = _warnings_of(helpers.columnwise_centroid, x)
+    assert got.tobytes() == expected.tobytes()
+    assert raised <= oracle_raised
 
 
 # --- eigen polygons and the real basis --------------------------------------------
