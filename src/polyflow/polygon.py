@@ -9,6 +9,10 @@ Every vertex coordinate written as text, to the trajectory CSV, the SVG
 ``points`` and the ``analyze`` JSON alike, goes through one formatter,
 :func:`format_vertices`: the ``repr`` of each float64, the shortest string
 that reads back to the same double, joined per vertex.
+
+``Polygon(...)`` copies and checks its data; an array that a check has just
+passed (a loaded file, a flow sample, an RK4 state) is made a polygon by
+``Polygon._checked``, which does neither.
 """
 from __future__ import annotations
 
@@ -322,26 +326,24 @@ def load_polygon_json(path) -> Polygon:
             pass
         else:
             if np.isfinite(v).all():
-                return Polygon(v)
-    return Polygon(np.array(_checked_rows(rows, dim)))
+                return Polygon._checked(v)
+    raise _first_bad_vertex(rows, dim)
 
 
-def _checked_rows(rows: list, dim: int) -> list:
-    """The rows as lists of floats, or the error naming the first bad vertex."""
-    out = []
+def _first_bad_vertex(rows: list, dim: int) -> PolygonFormatError:
+    """The error naming the first bad vertex.  A list with none passes the
+    one-pass check too: ``float`` and numpy convert JSON numbers alike."""
     for idx, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
-            raise PolygonFormatError(f"vertex {idx} is not a list of {dim} numbers")
+            return PolygonFormatError(f"vertex {idx} is not a list of {dim} numbers")
         if any(type(c) not in (int, float) for c in row):  # JSON numbers; bools are not
-            raise PolygonFormatError(f"vertex {idx} has a non-numeric entry")
+            return PolygonFormatError(f"vertex {idx} has a non-numeric entry")
         try:
             coords = [float(c) for c in row]
-        except OverflowError as exc:  # an integer beyond float range
-            raise PolygonFormatError(f"vertex {idx} has a non-numeric entry") from exc
+        except OverflowError:  # an integer beyond float range
+            return PolygonFormatError(f"vertex {idx} has a non-numeric entry")
         if not all(math.isfinite(c) for c in coords):
-            raise PolygonFormatError(f"vertex {idx} has a non-finite entry")
-        out.append(coords)
-    return out
+            return PolygonFormatError(f"vertex {idx} has a non-finite entry")
 
 
 def _csv_records(reader):
@@ -383,7 +385,7 @@ def load_polygon_csv(path) -> Polygon:
             out.append(coords)
     if not out:
         raise PolygonFormatError("no vertices found")
-    return Polygon(np.array(out))
+    return Polygon._checked(np.array(out))
 
 
 def load_polygon(path) -> Polygon:

@@ -7,13 +7,14 @@ fits, and the Fourier-sandwich solution are implemented from scratch.
 import dataclasses
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
 from polyflow import FlowRangeError, Polygon, spectral_flow
 from polyflow.circulant import flow_eigenvalue, flow_sign, fourier_matrix, idft, power_of_m
 from polyflow.integrate import YauKind
-from polyflow.polygon import energy, format_float
+from polyflow.polygon import PolygonFormatError, energy, format_float
 
 
 def save_polygon_json(x, path):
@@ -402,3 +403,58 @@ def report_json(report):
 def rowwise_polygon(rows):
     """A JSON vertex list converted one ``float`` at a time."""
     return Polygon(np.array([[float(c) for c in row] for row in rows]))
+
+
+def two_pass_load_polygon_json(path):
+    """The JSON loader that converts and scans a valid vertex list twice: once
+    in one numpy pass and again in ``Polygon(...)``, and converts a list that
+    fails the pass once more, row by row, to name its first bad vertex."""
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PolygonFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        raise PolygonFormatError("invalid JSON: an integer with too many digits") from None
+    except RecursionError:
+        raise PolygonFormatError("invalid JSON: nested too deeply") from None
+    if not isinstance(doc, dict) or "dim" not in doc or "vertices" not in doc:
+        raise PolygonFormatError('expected an object with "dim" and "vertices"')
+    dim = doc["dim"]
+    rows = doc["vertices"]
+    if not isinstance(dim, int) or dim < 2:
+        raise PolygonFormatError(f'"dim" must be an integer >= 2, got {dim!r}')
+    if not isinstance(rows, list) or not rows:
+        raise PolygonFormatError('"vertices" must be a non-empty list')
+    if (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {dim}
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}  # bools are not numbers
+    ):
+        try:
+            v = np.array(rows, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(v).all():
+                return Polygon(v)
+    return Polygon(np.array(checked_rows(rows, dim)))
+
+
+def checked_rows(rows, dim):
+    """The rows as lists of floats, or the error naming the first bad vertex."""
+    out = []
+    for idx, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise PolygonFormatError(f"vertex {idx} is not a list of {dim} numbers")
+        if any(type(c) not in (int, float) for c in row):  # JSON numbers; bools are not
+            raise PolygonFormatError(f"vertex {idx} has a non-numeric entry")
+        try:
+            coords = [float(c) for c in row]
+        except OverflowError as exc:  # an integer beyond float range
+            raise PolygonFormatError(f"vertex {idx} has a non-numeric entry") from exc
+        if not all(math.isfinite(c) for c in coords):
+            raise PolygonFormatError(f"vertex {idx} has a non-finite entry")
+        out.append(coords)
+    return out

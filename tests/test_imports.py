@@ -1,7 +1,9 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and every module parses as
+Python 3.10, the oldest version ``pyproject.toml`` allows.
 
 Package ``__init__`` modules import in order to re-export, and
-``test_acceptance.py`` is kept exactly as written, so both are exempt.
+``test_acceptance.py`` is kept exactly as written, so both are exempt from
+the import check.
 """
 import ast
 import pathlib
@@ -10,12 +12,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXEMPT = {ROOT / "tests" / "test_acceptance.py"}
-MODULES = sorted(
-    path
-    for folder in ("src", "scripts", "tests")
-    for path in (ROOT / folder).rglob("*.py")
-    if path.name != "__init__.py" and path not in EXEMPT
-)
+SOURCES = sorted(path for folder in ("src", "scripts", "tests") for path in (ROOT / folder).rglob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py" and path not in EXEMPT]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +37,9 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+# ids without ".py": the acceptance summary picks up every id naming test_acceptance.py
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).with_suffix("").as_posix())
+def test_every_module_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

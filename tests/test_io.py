@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyflow.polygon import (
+    Polygon,
     PolygonFormatError,
     load_polygon,
     load_polygon_csv,
@@ -89,6 +91,75 @@ def test_json_loader_is_bitwise_the_rowwise_conversion(tmp_path_factory, doc):
     path.write_text(json.dumps({"dim": dim, "vertices": rows}))
     loaded = load_polygon_json(path)
     assert loaded.vertices.tobytes() == helpers.rowwise_polygon(rows).vertices.tobytes()
+
+
+def test_loaders_check_and_convert_a_valid_file_once(rng, tmp_path, monkeypatch):
+    """A valid JSON or CSV file becomes a read-only polygon, bitwise
+    ``Polygon`` of its rows, without a run of ``Polygon.__post_init__``."""
+    polygons = [helpers.random_polygon(rng, 7), helpers.random_polygon(rng, 5, p=3, scale=1e300)]
+    calls = []
+    post_init = Polygon.__post_init__
+
+    def counted(x):
+        calls.append(x)
+        post_init(x)
+
+    monkeypatch.setattr(Polygon, "__post_init__", counted)
+    for i, x in enumerate(polygons):
+        helpers.save_polygon_json(x, tmp_path / f"{i}.json")
+        rows = [[f"x{j + 1}" for j in range(x.p)]] + [list(map(repr, row)) for row in x.vertices.tolist()]
+        (tmp_path / f"{i}.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        for loaded in (load_polygon_json(tmp_path / f"{i}.json"), load_polygon_csv(tmp_path / f"{i}.csv")):
+            assert calls == []
+            assert loaded.vertices.dtype == x.vertices.dtype and loaded.vertices.shape == x.vertices.shape
+            assert loaded.vertices.tobytes() == x.vertices.tobytes()
+            assert not loaded.vertices.flags.writeable
+    Polygon(polygons[0].vertices)
+    assert len(calls) == 1  # the count sees a construction
+
+
+# entries no JSON vertex list may hold, and rows that are not a list of dim numbers
+BAD_ENTRIES = st.sampled_from([
+    True, False, "1.5", "", None, [1.0], [], {},
+    2**1024 - 2**970, -(2**1024), 10**400, math.nan, math.inf, -math.inf,
+])
+BAD_ROWS = st.one_of(st.sampled_from([3, 1.5, "0,0", None, {}]), st.lists(st.floats(-1e3, 1e3), max_size=5))
+
+
+@st.composite
+def mutated_vertex_lists(draw):
+    """A valid vertex list with up to three entries or rows replaced."""
+    dim = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(JSON_NUMBERS, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[i] = draw(BAD_ROWS)
+        elif isinstance(rows[i], list) and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(BAD_ENTRIES)
+    return dim, rows
+
+
+@given(mutated_vertex_lists())
+@example((2, [[0.0, 1.0], [math.inf, 2**1024]]))  # converting the row fails before its finiteness check
+@example((3, [[1, 2, 3], [4, [5], 6], [7, 8]]))
+def test_json_loader_matches_the_two_pass_loader(tmp_path_factory, doc):
+    """The loader returns the polygon of the loader that checked a valid list
+    twice, or raises its message word for word."""
+    dim, rows = doc
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps({"dim": dim, "vertices": rows}))
+    try:
+        expected = helpers.two_pass_load_polygon_json(path)
+    except PolygonFormatError as exc:
+        with pytest.raises(PolygonFormatError) as info:
+            load_polygon_json(path)
+        assert str(info.value) == str(exc)
+    else:
+        loaded = load_polygon_json(path)
+        assert loaded.vertices.shape == expected.vertices.shape
+        assert loaded.vertices.tobytes() == expected.vertices.tobytes()
+        assert not loaded.vertices.flags.writeable
 
 
 def test_csv_rejects_bad_rows(tmp_path):

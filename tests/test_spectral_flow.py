@@ -88,6 +88,38 @@ def test_decompose_rejects_tiny_polygons():
         decompose(Polygon(np.zeros((2, 2))))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("column", [
+    [1.7e308, 1.7e308, 1.0, 0.0],  # the centroid is inf
+    [-1.7e308, -1.7e308, 1.0, 0.0],  # -inf
+    [1.7e308, -1.7e308] * 8,  # pairwise summation adds inf to -inf: nan
+])
+def test_decompose_refuses_a_non_finite_centroid(p, column):
+    """The spectrum check covers the centroid: a non-finite centroid makes its
+    whole centered column non-finite.  One FlowRangeError, no numpy warning."""
+    v = np.zeros((len(column), p))
+    v[:, 0], v[:, 1] = column, np.arange(len(column))
+    x = Polygon(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(centroid(x)[0])
+    with pytest.raises(FlowRangeError, match="the mode coefficients of the polygon leave floating range"):
+        decompose(x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 16, 17, 31, 64, 100, 127, 256, 257, 509, 512, 1021, 1024, 2039, 2048])
+def test_planar_coeffs_are_the_fft_of_z_over_n(rng, n):
+    """``planar_coeffs`` agrees with ``np.fft.fft(z / n)``, z = x + iy, within
+    4 eps sqrt(n) max|z| at scales 1e-200 to 1e200, and both stay finite for
+    entries at 1e308 + 1e308j."""
+    eps = np.finfo(float).eps
+    polygons = [helpers.random_polygon(rng, n, scale=scale) for scale in (1e-200, 1.0, 1e200)]
+    for x in polygons + [helpers.constant_polygon([1e308, 1e308], n)]:
+        z = x.as_complex()
+        coeffs, fft = decompose(x).planar_coeffs, np.fft.fft(z / n)
+        assert np.isfinite(coeffs).all() and np.isfinite(fft).all()
+        assert np.abs(coeffs - fft).max() <= 4 * eps * math.sqrt(n) * np.abs(z).max()
+
+
 @given(
     st.integers(3, 300), st.integers(2, 5),
     st.sampled_from(("random", "pure", "constant", "translated")),
