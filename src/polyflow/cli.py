@@ -314,7 +314,7 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         dec = spectral_flow.decompose(x0)
         verdict = spectral_flow.classify_self_similar(dec, m)
         total = energy(x0, m)
-        masses = dec.pair_masses().tolist()
+        masses = dec.masses.tolist()
         rates = circulant.flow_eigenvalues(x0.n, m).tolist()
         try:
             k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")

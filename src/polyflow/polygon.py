@@ -162,8 +162,6 @@ def centroid(x: Polygon) -> np.ndarray:
     v = np.ascontiguousarray(x.vertices.T)  # a row per coordinate sums as a column's mean does
     first = v[:, 0]
     varies = (v != first[:, None]).any(axis=1)
-    if varies.all():
-        return np.add.reduce(v, axis=1) / x.n
     out = first.copy()  # a constant column is not summed: its sum may overflow
     out[varies] = np.add.reduce(v[varies], axis=1) / x.n
     return out

@@ -55,8 +55,10 @@ class SpectralDecomposition:
     the centroid and ``beta`` rows for the zero sine vectors are zero.  For
     planar polygons ``planar_coeffs`` holds the raw complex coefficients on
     the n eigenpolygons, computed by the inverse transform without
-    thresholding.  :func:`decompose` decides ``masses`` (times ``2**shift``)
-    and ``present`` (the shape modes k >= 1) once; every array is read-only.
+    thresholding.  :func:`decompose` decides ``present`` (the shape modes
+    k >= 1) once, and ``masses`` holds the norms of the mode-k component
+    polygons, k = 0..floor(n/2), in the polygon's own units: 0 for a flushed
+    pair, inf for a norm beyond float range.  Every array is read-only.
     """
 
     n: int
@@ -65,16 +67,11 @@ class SpectralDecomposition:
     beta: np.ndarray
     planar_coeffs: np.ndarray | None
     masses: np.ndarray
-    shift: int
     present: np.ndarray
 
     @property
     def half(self) -> int:
         return self.n // 2
-
-    def pair_masses(self) -> np.ndarray:
-        """Norms of the mode-k component polygons, k = 0..floor(n/2)."""
-        return np.ldexp(self.masses, -self.shift)
 
     def present_modes(self) -> list[int]:
         """Shape modes (k >= 1) surviving the presence threshold."""
@@ -138,19 +135,20 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     beta = np.zeros_like(alpha)
     np.divide(-spectrum.imag, s_sq[:, None], out=beta, where=s_sq[:, None] > 0.0)
 
-    # the flush keeps the pair of the largest coefficient, so ``shift`` holds after it
-    masses, shift = _shifted_pair_masses(alpha, beta, c_sq, s_sq)
+    shifted, shift = _shifted_pair_masses(alpha, beta, c_sq, s_sq)
     floor = max(
-        PRESENCE_RELATIVE_THRESHOLD * masses[1:].max(),
-        CENTERING_NOISE_EPS * np.finfo(float).eps * masses[0],
+        PRESENCE_RELATIVE_THRESHOLD * shifted[1:].max(),
+        CENTERING_NOISE_EPS * np.finfo(float).eps * shifted[0],
     )
-    flushed = masses <= floor
+    flushed = shifted <= floor
     flushed[0] = False
-    alpha[flushed] = beta[flushed] = masses[flushed] = 0.0
+    alpha[flushed] = beta[flushed] = shifted[flushed] = 0.0
     present = np.flatnonzero(~flushed[1:]) + 1
+    with np.errstate(over="ignore"):  # a norm beyond float range is inf
+        masses = np.ldexp(shifted, -shift)
     for array in [alpha, beta, masses, present] + ([planar] if x.p == 2 else []):
         array.flags.writeable = False
-    return SpectralDecomposition(x.n, x.p, alpha, beta, planar, masses, shift, present)
+    return SpectralDecomposition(x.n, x.p, alpha, beta, planar, masses, present)
 
 
 def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
@@ -202,7 +200,7 @@ class FlowSolution:
         if times.ndim > 1:
             raise ValueError(f"times must be one number or a 1-D sequence, got shape {times.shape}")
         scalar = times.ndim == 0
-        given = [t] if scalar else list(t)  # the times as passed, named in errors
+        given = [t] if scalar else list(t)  # a Python int is named in errors as passed
         times = times.reshape(-1)
         dec, present = self.decomposition, self.decomposition.present
         rates = self.mode_rates[present] - rate_shift
@@ -221,7 +219,10 @@ class FlowSolution:
                 overflowing = exponents > _EXP_LIMIT
                 failed = np.flatnonzero(overflowing.any(axis=1) | ~np.isfinite(out).all(axis=(1, 2)))
                 if failed.size:
-                    i, t_bad = failed[0], given[start + failed[0]]
+                    i = failed[0]
+                    t_bad = given[start + i]
+                    if type(t_bad) is not int:  # numpy scalars too: named as the float held
+                        t_bad = float(times[start + i])
                     if overflowing[i].any():  # named before the non-finite sample it makes
                         k = np.argmax(overflowing[i])  # the lowest overflowing mode
                         raise FlowRangeError(
@@ -287,23 +288,22 @@ def rescaled_limit(
 
 
 def classify_self_similar(x0: Polygon | SpectralDecomposition, m: int) -> SelfSimilarity | None:
-    """Detect shrinking self-similar polygons: all shape mass (k >= 1) in one
-    mode pair, so the polygon scales about its fixed centroid.
+    """Detect shrinking self-similar polygons: exactly one present shape
+    mode pair (k >= 1), so the polygon scales about its fixed centroid.
 
-    ``x0`` is a polygon or its decomposition.  Returns the mode and its
-    exponential rate, the trivial verdict for a constant polygon, and None
-    for anything whose mass spreads over two or more pairs (pure rotators
-    and translators only exist in the trivial constant case).
+    ``x0`` is a polygon or its decomposition, whose ``present`` modes alone
+    decide the verdict.  Returns that pair's mode and its exponential rate,
+    the trivial verdict for a constant polygon (no present pair), and None
+    when two or more pairs are present (pure rotators and translators only
+    exist in the trivial constant case).
     """
     dec = _decomposed(x0)
-    masses_sq = dec.masses**2  # index 0 is the centroid, not shape
-    total_sq = float(np.sum(masses_sq[1:]))
     if not dec.present.size:
         return SelfSimilarity(mode=0, rate=0.0, is_trivial=True)
-    k = int(np.argmax(masses_sq[1:])) + 1  # only the heaviest pair can hold all but 1e-18
-    if total_sq - masses_sq[k] <= (1e-9**2) * total_sq:
-        return SelfSimilarity(mode=k, rate=circulant.flow_eigenvalue(dec.n, m, k), is_trivial=False)
-    return None
+    if dec.present.size > 1:
+        return None
+    k = int(dec.present[0])
+    return SelfSimilarity(mode=k, rate=circulant.flow_eigenvalue(dec.n, m, k), is_trivial=False)
 
 
 def affine_pushforward(x: Polygon, e: np.ndarray, a: np.ndarray) -> Polygon:

@@ -26,7 +26,8 @@ def pytest_terminal_summary(terminalreporter):
     for outcome in ("passed", "failed", "error"):
         for rep in terminalreporter.stats.get(outcome, []):
             nodeid = getattr(rep, "nodeid", "")
-            if "test_acceptance.py" in nodeid and getattr(rep, "when", "call") == "call":
+            in_file = nodeid.split("::")[0] == "tests/test_acceptance.py"  # not a parameter naming it
+            if in_file and getattr(rep, "when", "call") == "call":
                 rows.append((nodeid.split("::")[-1], outcome == "passed"))
     if not rows:
         return

@@ -363,7 +363,6 @@ def elementwise_analyze_report(x0, m):
 
     dec = spectral_flow.decompose(x0)
     verdict = spectral_flow.classify_self_similar(dec, m)
-    masses = dec.pair_masses()
     report = {
         "n": x0.n,
         "p": x0.p,
@@ -373,7 +372,7 @@ def elementwise_analyze_report(x0, m):
         "modes": [
             {
                 "k": k,
-                "mass": float(masses[k]),
+                "mass": float(dec.masses[k]),
                 "rate": flow_eigenvalue(x0.n, m, k),
                 "alpha": [float(a) for a in dec.alpha[k]],
                 "beta": [float(b) for b in dec.beta[k]],

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -558,8 +559,13 @@ def _plant_at_source(monkeypatch, slot, bad):
     elif slot == ("centroid", 1):
         monkeypatch.setattr(spectral_flow, "centroid", lambda x: _planted(centroid(x), 1, bad))
     elif slot == ("modes", 1, "mass"):
-        masses = spectral_flow.SpectralDecomposition.pair_masses
-        monkeypatch.setattr(spectral_flow.SpectralDecomposition, "pair_masses", lambda dec: _planted(masses(dec), 1, bad))
+        decompose = spectral_flow.decompose
+
+        def planted_decompose(x):
+            dec = decompose(x)
+            return dataclasses.replace(dec, masses=_planted(dec.masses, 1, bad))
+
+        monkeypatch.setattr(spectral_flow, "decompose", planted_decompose)
     elif slot[2] in ("alpha", "beta"):
         # alpha is the real part of the centered spectrum, beta minus its imaginary part
         rfft = np.fft.rfft

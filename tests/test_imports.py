@@ -39,7 +39,6 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-# ids without ".py": the acceptance summary picks up every id naming test_acceptance.py
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).with_suffix("").as_posix())
 def test_every_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import circulant
+from polyflow import circulant, cli
 from polyflow.polygon import Polygon, centroid, eigen_polygon, energy, real_basis
 from polyflow.spectral_flow import (
     CENTERING_NOISE_EPS,
     DegenerateModeError,
     FlowRangeError,
     FlowSolution,
+    SelfSimilarity,
     affine_pushforward,
     classify_self_similar,
     decompose,
@@ -143,10 +146,25 @@ def test_decomposition_carries_the_masses_and_modes_it_decided(n, p, shape, expo
             x = x.translated(rng.normal(scale=10.0 ** int(rng.integers(0, 16)), size=p))
     dec = decompose(x.scaled(10.0**exponent))
     masses, shift, present = helpers.recomputed_decision(dec)
-    assert dec.masses.tobytes() == masses.tobytes()
-    assert dec.shift == shift
+    assert dec.masses.tobytes() == np.ldexp(masses, -shift).tobytes()  # exact: no norm leaves 1e-308..1e308
     assert dec.present.dtype == np.intp
     assert dec.present.tolist() == present.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_masses_beyond_float_range_are_inf(p):
+    """Near float max a mode's norm leaves float range while its
+    coefficients do not: ``masses`` holds inf there, and every entry is the
+    recomputed shifted mass scaled back bit for bit.  The triangle's mode-1
+    norm is 2 * 1.1e308; in p = 3 a constant coordinate at 1.5e308 puts the
+    centroid's norm at sqrt(3) * 1.5e308 as well."""
+    a = 1.1e308
+    columns = [[a, 0.0, -a], [a, -a, 0.0], [1.5e308] * 3][:p]
+    dec = decompose(Polygon(np.array(columns).T))
+    masses, shift, _ = helpers.recomputed_decision(dec)
+    with np.errstate(over="ignore"):
+        assert dec.masses.tobytes() == np.ldexp(masses, -shift).tobytes()
+    assert np.isinf(dec.masses).tolist() == [p == 3, True]
 
 
 def test_decomposition_arrays_are_read_only(rng):
@@ -414,6 +432,22 @@ def test_schedule_raises_the_error_of_its_earliest_failing_time(times, message):
     assert _scheduled(solution.polygon_at, times) == _each(solution.polygon_at, times)
 
 
+@pytest.mark.parametrize("t, named", [
+    (np.array([0.5, -1000.0]), "-1000.0"),
+    (np.float64(-1000.0), "-1000.0"),
+    ([0.5, np.float64(-1000.0)], "-1000.0"),
+    (np.array(-1000.0), "-1000.0"),
+    (-1000.0, "-1000.0"),
+    ([0.5, -1e3], "-1000.0"),
+    ([0.5, -1000], "-1000"),
+], ids=["array", "float64", "float64_in_list", "0d_array", "float", "floats", "ints"])
+def test_a_failing_time_is_named_as_a_python_number(t, named):
+    """A numpy time is named as the Python float it holds, not as
+    ``np.float64(-1000.0)``; a Python float or int keeps its text."""
+    with pytest.raises(FlowRangeError, match=rf"overflows evaluating mode 1 at t={re.escape(named)}$"):
+        flow_solution(eigen_polygon(5, 1), 1).polygon_at(t)
+
+
 def test_times_are_one_number_or_a_flat_sequence():
     solution = flow_solution(eigen_polygon(5, 1), 1)
     assert type(solution.polygon_at(0.5)) is Polygon
@@ -578,7 +612,7 @@ def test_presence_and_verdict_do_not_depend_on_the_translation(n, p, m, shape, f
     dec_x, dec_y = decompose(x), decompose(y)
     floor = CENTERING_NOISE_EPS * np.finfo(float).eps * math.sqrt(n) * np.linalg.norm(centroid(y))
     present = dec_x.present_modes()
-    standing = [k for k in present if dec_x.pair_masses()[k] > 2.0 * floor]
+    standing = [k for k in present if dec_x.masses[k] > 2.0 * floor]
     assert set(standing) <= set(dec_y.present_modes()) <= set(present)
     if shape == "pure":
         assert dec_y.present_modes() == present == [k]
@@ -610,6 +644,60 @@ def test_generic_polygon_is_not_self_similar(rng):
 def test_small_contamination_blocks_classification():
     x = combination(7, [(2, 1.0), (3, 1e-7)])
     assert classify_self_similar(x, 1) is None
+
+
+@given(
+    st.integers(3, 300), st.integers(2, 3), st.integers(1, 3),
+    st.sampled_from(("pure", "contaminated", "random", "constant")),
+    st.integers(1, 150), st.integers(1, 150), st.floats(-11.0, -7.0).map(lambda e: 10.0**e),
+    st.one_of(st.just(0.0), st.floats(0.0, 14.0).map(lambda e: 10.0**e)),
+    st.sampled_from((1.0, 1e200, 1e-200)), st.integers(0, 2**32 - 1),
+)
+@example(8, 2, 1, "contaminated", 3, 1, 1e-10, 0.0, 1.0, 0)  # once "self-similar" in mode 3, dominant mode 1
+@example(8, 2, 1, "contaminated", 3, 4, 1e-11, 0.0, 1e-200, 1)
+@example(5, 3, 3, "pure", 2, 1, 1e-7, 1e14, 1e200, 2)
+@example(300, 3, 2, "contaminated", 150, 1, 1e-7, 1e3, 1.0, 3)
+@settings(max_examples=60)
+def test_verdict_is_the_single_present_pair(n, p, m, shape, k, j, contamination, factor, scale, seed):
+    """The self-similar verdict reads ``present`` alone: trivial with no
+    present pair, that pair's mode and its bitwise ``flow_eigenvalue`` with
+    exactly one, and None with two or more, however small the second.  The
+    ``analyze`` report then names the same mode as both limits.  Shapes: a
+    pure pair k, that pair plus a pair j != k of the given relative mass,
+    random and constant polygons, translated up to 1e14 times their size
+    and scaled by 1e+-200."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    k, j = 1 + (k - 1) % half, 1 + (j - 1) % half
+    if shape == "constant":
+        x = helpers.constant_polygon(rng.normal(size=p), n)
+    elif shape == "random":
+        x = Polygon(rng.uniform(-1.0, 1.0, size=(n, p)))
+    else:
+        v = np.column_stack(real_basis(n, k)) @ rng.normal(size=(2, p))
+        if shape == "contaminated" and j != k:
+            w = np.column_stack(real_basis(n, j)) @ rng.normal(size=(2, p))
+            v = v + (contamination * np.linalg.norm(v) / np.linalg.norm(w)) * w
+        x = Polygon(v)
+    direction = rng.normal(size=p)
+    offset = factor * np.abs(x.vertices - centroid(x)).max() * direction / np.linalg.norm(direction)
+    y = Polygon(x.vertices + offset).scaled(scale)
+    dec = decompose(y)
+    present = dec.present.tolist()
+    verdict = classify_self_similar(dec, m)
+    assert (verdict is None) == (len(present) >= 2)
+    if not present:
+        assert verdict == SelfSimilarity(mode=0, rate=0.0, is_trivial=True)
+    elif len(present) == 1:
+        assert verdict == SelfSimilarity(mode=present[0], rate=circulant.flow_eigenvalue(n, m, present[0]), is_trivial=False)
+    try:
+        report = json.loads(cli._analyze_json(y, m, "drawn.json"))
+    except FlowRangeError:  # at 1e200 the energy, which squares the edges, can leave float range
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(energy(y, m))
+        return
+    if verdict is not None and not verdict.is_trivial:
+        assert report["self_similar"]["mode"] == report["dominant_mode"] == report["ancient_mode"] == verdict.mode
 
 
 # --- rescaled limits ------------------------------------------------------------------
