@@ -104,17 +104,18 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
     """Product of circulant matrices via cyclic convolution of first rows.
 
     Pure Python integers throughout: entries of high powers overflow int64
-    during convolution.
+    during convolution.  Only pairs of nonzero entries are visited, so a
+    product of banded rows costs O(nnz(a) * nnz(b)), not O(n^2).
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} != {b.n}")
     n = a.n
     row = [0] * n
+    entries_b = [(j, bj) for j, bj in enumerate(b.first_row) if bj]
     for i, ai in enumerate(a.first_row):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.first_row):
-            row[(i + j) % n] += ai * bj
+        if ai:
+            for j, bj in entries_b:
+                row[(i + j) % n] += ai * bj
     return CirculantMatrix(n, tuple(row))
 
 
@@ -154,7 +155,7 @@ def stencil(a: CirculantMatrix, like: np.ndarray):
     column = np.array([c for _, c in offsets]).reshape((-1,) + (1,) * len(shape))
     coefficients = np.broadcast_to(column, terms.shape).astype(np.result_type(dtype, 0.0))
     prods = np.empty(terms.shape, dtype=np.promote_types(dtype, np.float64))
-    multiply, add_up = np.multiply, np.add.reduce  # looked up once: an RK4 step calls the map four times
+    multiply, add_up = np.multiply, np.add.reduce  # looked up once, not on every call
 
     def apply_rows(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if values.shape != shape or values.dtype != dtype:

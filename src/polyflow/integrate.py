@@ -1,18 +1,21 @@
 """Fixed-step RK4 oracle for the polygon flows.
 
 This integrator is deliberately independent of the closed-form solvers: it
-sees only the right-hand side ``(-1)^(m+1) M^m X`` (or the same applied to
-X - Y), so trajectories it produces validate the spectral solutions.  The
-classical fourth-order scheme with a fixed step keeps the convergence order
-cleanly measurable; stiffness for large m or n is handled by a warning and
-the documented step bound dt <= 0.1 / |lambda_max|, not by adaptivity.
-Steps run in place on vertex arrays allocated once per run; a run keeps
-every state as a polygon, or only the initial and final ones, so its memory
-need not grow with the step count.  A step is ~24 numpy calls on arrays of a
-few KB, so the fixed cost of a call, not the arithmetic, sets its time: the
-right-hand side and its ``M^m`` stencil are bound to the state's shape once
-per run, and the stage coefficients are 0-d float64 arrays.  A diverging run
-is replayed from its start, checking each step, to name the first bad one.
+sees only the exact integer rows of the flow matrix ``A = (-1)^(m+1) M^m``
+(applied to X - Y for the Yau flow), so trajectories it produces validate
+the spectral solutions.  The classical fourth-order scheme with a fixed step
+keeps the convergence order cleanly measurable; stiffness for large m or n
+is handled by a warning and the documented step bound
+dt <= 0.1 / |lambda_max|, not by adaptivity.  The flows are linear with
+constant coefficients, so one RK4 step of size h is exactly the circulant
+``R(hA)``, R the RK4 stability function: its row is built once per step size
+from the exact powers A .. A^4, each entry rounded once, and a step applies
+it as one stencil of five numpy calls.  The results differ from a
+stage-by-stage evaluation only at rounding level.  Steps run in place on
+vertex arrays allocated once per run; a run keeps every state as a polygon,
+or only the initial and final ones, so its memory need not grow with the
+step count.  A diverging run is replayed from its start, checking each step,
+to name the first bad one.
 """
 from __future__ import annotations
 
@@ -28,8 +31,14 @@ from .polygon import Polygon, _shift_near_one
 
 
 # Steps between range checks when only the final state is kept; a check costs
-# about a ninth of a step at n = 24 and an eleventh at n = 256.
+# about a third of a step at n = 24, and a fifth (m = 1) to a tenth (m = 3) at
+# n = 256, so a block spends under 1% of its time on its check.
 _CHECK_BLOCK = 64
+
+# |R(-x)| = 1 for the RK4 stability function R at x = 2.78529356340528...;
+# this float lies just above that root, so a step with dt * |rate| at or
+# beyond it does not damp the fastest mode, and one below it does.
+RK4_STABILITY_BOUND = 2.785293563405282
 
 
 class StiffnessWarning(UserWarning):
@@ -96,37 +105,77 @@ class Trajectory:
         return self.polygons[-1]
 
 
-def _rhs_function(state: np.ndarray, kind: FlowKind, shift: int = 0):
-    """Build the vectorized right-hand side for vertex arrays of the shape
-    and dtype of ``state``.
+def _flow_powers(n: int, m: int) -> tuple[circulant.CirculantMatrix, ...]:
+    """The exact integer rows of A, A^2, A^3 and A^4 for the flow matrix
+    ``A = (-1)^(m+1) M^m`` of size n."""
+    sign = circulant.flow_sign(m)
+    a = circulant.CirculantMatrix(n, tuple(sign * b for b in circulant.power_of_m(n, m).first_row))
+    a2 = circulant.circulant_multiply(a, a)
+    return a, a2, circulant.circulant_multiply(a2, a), circulant.circulant_multiply(a2, a2)
 
-    The map returns a new velocity array, or writes it into ``out`` (which
-    may be the input itself) and returns that.  A Yau target is taken times
-    ``2**shift``, the scale at which :func:`integrate` runs the state.  One
-    closure subtracts the target, if any, applies the stencil and negates for
-    an even order; for an odd order without a target the map is the stencil.
+
+def _step_row(powers: tuple[circulant.CirculantMatrix, ...], h: float) -> list[tuple[int, float]]:
+    """The nonzero off-centre entries of ``R(hA) - I`` as ascending (offset,
+    coefficient) pairs, offsets folded to (-n/2, n/2].
+
+    ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` is the RK4 stability function:
+    one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.  Entry
+    s of ``R(hA) - I`` is the rational ``sum_k h^k (A^k)_s / k!`` with h
+    taken exactly as ``h.as_integer_ratio()``; Python's int true division
+    rounds it correctly.  An entry beyond float range, first reached near
+    dt * |rate_max| = 1e77, is an OverflowError: its step would turn even
+    a constant state into nan.  Rows of A^k have zero sum, so the centre
+    entry is minus the sum of the others and the step needs only the
+    off-centre ones.
     """
-    n = state.shape[0]
-    apply_m = circulant.stencil(circulant.power_of_m(n, kind.m), state)
-    target = None
-    if isinstance(kind, YauKind):
-        if kind.target.n != n:
-            raise ValueError(f"target has {kind.target.n} vertices, state has {n}")
-        target = np.ldexp(kind.target.vertices, shift) if shift else kind.target.vertices
-    negate = circulant.flow_sign(kind.m) == -1  # 1 * x is exact, so odd orders skip the sign pass
-    if target is None and not negate:
-        return apply_m
-    sign = np.array(-1.0)
+    num, den = h.as_integer_ratio()
+    weights = [num**k * den ** (4 - k) * (24 // math.factorial(k)) for k in range(1, 5)]
+    denominator = 24 * den**4
+    n = powers[0].n
+    row = []
+    for s in range(1, n):
+        exact = sum(w * a.first_row[s] for w, a in zip(weights, powers))
+        try:
+            q = exact / denominator
+        except OverflowError:
+            raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
+        if q:
+            row.append((s if 2 * s <= n else s - n, q))
+    return sorted(row)
 
-    def velocity(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        w = apply_m(v if target is None else np.subtract(v, target, out), out)
-        return np.multiply(w, sign, w) if negate else w
 
-    return velocity
+def _step_map(powers: tuple[circulant.CirculantMatrix, ...], h: float, like: np.ndarray):
+    """One RK4 step of size h for states of the shape of ``like``, in place:
+    ``d <- d + sum_s q_s (d[j+s] - d[j])`` over :func:`_step_row`'s entries
+    in ascending s, the sum started from +0.0.
+
+    Five numpy calls a step: the shifted copies of d gathered with one
+    ``take``, the differences, the products, one ``np.add.reduce`` and the
+    update.  A constant state has zero differences, so it stays bitwise
+    fixed.  The map's buffers are bound to ``like``'s shape once.
+    """
+    row = _step_row(powers, h)
+    n = like.shape[0]
+    idx = (np.array([s for s, _ in row], dtype=np.intp)[:, None] + np.arange(n)) % n
+    terms = np.empty(idx.shape + like.shape[1:])
+    # coefficients laid out as the terms make the multiply an elementwise one, its cheapest form
+    column = np.array([q for _, q in row]).reshape((-1,) + (1,) * like.ndim)
+    coefficients = np.broadcast_to(column, terms.shape).copy()
+    total = np.empty_like(like)
+    subtract, multiply, add, add_up = np.subtract, np.multiply, np.add, np.add.reduce
+
+    def step(d: np.ndarray) -> None:
+        d.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
+        subtract(terms, d, terms)
+        multiply(coefficients, terms, terms)
+        add(d, add_up(terms, axis=0, initial=0.0, out=total), d)
+
+    return step
 
 
 def stability_limit(n: int, m: int) -> float:
-    """Magnitude of the fastest eigenvalue; RK4 needs dt * this < 2.785."""
+    """Magnitude of the fastest eigenvalue; RK4 needs dt * this below
+    :data:`RK4_STABILITY_BOUND`."""
     return abs(circulant.flow_eigenvalue(n, m, n // 2))
 
 
@@ -136,8 +185,11 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     With ``keep_steps`` every accepted state is recorded; without it only
     the initial and the final state are, so memory stays flat in the step
     count.  If t_final is not a whole number of steps, one shorter final
-    step lands exactly on t_final and the trajectory is flagged.  The state
-    advances in place, in the operations and order of the textbook stages.
+    step lands exactly on t_final and the trajectory is flagged.  The flow
+    is linear with constant coefficients, so an RK4 step of size h is the
+    circulant ``R(hA)`` (:func:`_step_row`); the run builds one step map
+    per step size and advances the state in place with it.  A Yau run
+    advances the difference d = X - Y and its state is Y + d.
     When the largest |coordinate| of the state or the Yau target lies
     outside the band of :func:`~polyflow.polygon._shift_near_one`, about
     [2^-400, 2^400], both run times the exact power of two that brings it
@@ -154,14 +206,16 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     may pass float max in the caller's units between two checks: only
     kept states must be representable.)
     """
-    if isinstance(config.kind, YauKind) and config.kind.target.p != x0.p:
-        raise ValueError(
-            f"target dimension {config.kind.target.p} != state dimension {x0.p}"
-        )
+    kind = config.kind
+    if isinstance(kind, YauKind):
+        if kind.target.p != x0.p:
+            raise ValueError(f"target dimension {kind.target.p} != state dimension {x0.p}")
+        if kind.target.n != x0.n:
+            raise ValueError(f"target has {kind.target.n} vertices, state has {x0.n}")
     if x0.n < 3:
         raise ValueError(f"flow needs n >= 3, got n = {x0.n}")
-    rate = stability_limit(x0.n, config.kind.m)
-    if config.dt * rate > 2.8:
+    rate = stability_limit(x0.n, kind.m)
+    if config.dt * rate >= RK4_STABILITY_BOUND:
         warnings.warn(
             f"dt={config.dt} exceeds the RK4 stability bound for the fastest "
             f"mode (|rate|={rate:.6g}); use dt <= {0.1 / rate:.3g}",
@@ -175,61 +229,62 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     partial = remainder > 1e-12 * max(1.0, abs(t_final))
     n_steps = n_full + partial
 
-    # the stencil's terms (-2 * 1e308 for m = 1) must not overflow before they cancel
+    # differences of coordinates near float max must not overflow before they are weighted
     largest = np.abs(x0.vertices).max()
-    if isinstance(config.kind, YauKind):
-        largest = max(largest, np.abs(config.kind.target.vertices).max())
+    target = kind.target.vertices if isinstance(kind, YauKind) else None
+    if target is not None:
+        largest = max(largest, np.abs(target).max())
     shift = _shift_near_one(largest)
     limit = math.ldexp(sys.float_info.max, min(shift, 0))  # largest |state| that scales back finite
+    if target is not None and shift:
+        target = np.ldexp(target, shift)
 
-    v = np.ldexp(x0.vertices, shift)  # a new array; exact, shift 0 included
-    f = _rhs_function(v, config.kind, shift)
-    u, k1, k2, k3, k4 = (np.empty_like(v) for _ in range(5))
-    # ufuncs looked up once and 0-d float64 coefficients: the same products as
-    # with Python floats, at a lower fixed cost per call
-    add, multiply, two = np.add, np.multiply, np.array(2.0)
+    d, u = np.empty_like(x0.vertices), np.empty_like(x0.vertices)
 
-    def advance(h: np.ndarray, half: np.ndarray, sixth: np.ndarray) -> None:
-        """One RK4 step of v in place: v + (h/6) (k1 + 2 (k2 + k3) + k4)."""
-        f(v, k1)
-        f(add(v, multiply(k1, half, u), u), k2)
-        f(add(v, multiply(k2, half, u), u), k3)
-        f(add(v, multiply(k3, h, u), u), k4)
-        add(k2, k3, u)
-        multiply(u, two, u)
-        add(k1, u, u)
-        add(u, k4, u)
-        add(v, multiply(u, sixth, u), v)
+    def begin() -> None:
+        """d <- the initial state, or its difference from the target, at the run's scale."""
+        np.ldexp(x0.vertices, shift, d)  # exact, shift 0 included
+        if target is not None:
+            np.subtract(d, target, d)
 
-    def in_range() -> bool:
-        return np.abs(v, u).max() <= limit  # False on nan
+    begin()
+    powers = _flow_powers(x0.n, kind.m)
+    whole = _step_map(powers, dt, d)
+    short = _step_map(powers, remainder, d) if partial else whole
 
-    def kept(w: np.ndarray) -> Polygon:
-        """A copy of the state w, which ``in_range`` has checked, as a polygon."""
-        return Polygon._checked(np.ldexp(w, -shift) if shift else w.copy())
+    def state() -> np.ndarray:
+        return d if target is None else np.add(target, d, u)
+
+    def sup() -> float:
+        return float(np.abs(state(), u).max())  # nan for a nan state
+
+    def kept() -> Polygon:
+        """A copy of the state, which a range check has passed, as a polygon."""
+        v = state()
+        return Polygon._checked(np.ldexp(v, -shift) if shift else v.copy())
 
     times = [0.0]
     polygons = [x0]
     block = 1 if keep_steps else _CHECK_BLOCK
-    whole = np.array(dt), np.array(0.5 * dt), np.array(dt / 6.0)
-    short = np.array(remainder), np.array(0.5 * remainder), np.array(remainder / 6.0)
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is found by the range checks and reported as DivergenceError
         for first in range(0, n_steps, block):
             last = min(first + block, n_steps)
             for step in range(first, last):
-                advance(*(whole if step < n_full else short))
-            if not in_range():
+                (whole if step < n_full else short)(d)
+            if not sup() <= limit:
                 # the replay repeats the run from its start bit for bit, checking each step
-                np.ldexp(x0.vertices, shift, v)
+                begin()
+                norm = float(np.abs(x0.vertices).max())
                 for step in range(last):
-                    norm = math.ldexp(float(np.abs(v, u).max()), -shift)
-                    advance(*(whole if step < n_full else short))
-                    if not in_range():
+                    (whole if step < n_full else short)(d)
+                    size = sup()
+                    if not size <= limit:
                         raise DivergenceError(step=step + 1, norm=norm)
+                    norm = math.ldexp(size, -shift)
             if keep_steps or last == n_steps:
                 times.append(last * dt if last <= n_full else t_final)
-                polygons.append(kept(v))
+                polygons.append(kept())
     return Trajectory(
         times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
     )

@@ -7,6 +7,7 @@ fits, and the Fourier-sandwich solution are implemented from scratch.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -116,12 +117,10 @@ def gather_stencil(a):
 
 
 def stagewise_rk4(x0, config):
-    """Every state of the fixed-step RK4 run ``integrate`` makes, as arrays.
-
-    The stage arithmetic is written out once per step on
-    :func:`gather_stencil`, and the flow sign is an explicit ``sign *`` for
-    every order, so a run must reproduce it bit for bit.
-    """
+    """Every state of the textbook fixed-step RK4 run, as arrays: the four
+    stages written out once per step on :func:`gather_stencil`, the flow sign
+    an explicit ``sign *`` for every order.  ``integrate`` applies the step
+    polynomial instead, so its states agree with these to rounding level."""
     kind = config.kind
     apply_m = gather_stencil(power_of_m(x0.n, kind.m))
     sign = flow_sign(kind.m)
@@ -146,18 +145,58 @@ def stagewise_rk4(x0, config):
     return states
 
 
-def stencil_rhs(x, m):
-    """Per-vertex flow velocity: (-1)^(m+1) sum_k (-1)^k C(2m,k) X_(j-m+k)."""
-    n, p = x.n, x.p
-    v = x.vertices
-    sign = 1.0 if (m + 1) % 2 == 0 else -1.0
-    out = np.zeros((n, p))
-    for j in range(n):
-        acc = np.zeros(p)
-        for k in range(2 * m + 1):
-            acc += ((-1) ** k * math.comb(2 * m, k)) * v[(j - m + k) % n]
-        out[j] = sign * acc
-    return out
+def rk4_step_row(n, m, h):
+    """The nonzero off-centre entries of ``R(hA) - I`` as ascending (offset,
+    float) pairs, offsets folded to (-n/2, n/2]: ``R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24`` and ``A = (-1)^(m+1) M^m``, its first row's powers taken
+    as row vector times the dense Python-int matrix, each entry summed as a
+    ``Fraction`` and rounded once."""
+    row = power_of_m(n, m).first_row
+    a = [[(-1) ** (m + 1) * row[(j - i) % n] for j in range(n)] for i in range(n)]
+    power, exact, hh = list(a[0]), [Fraction(0)] * n, Fraction(h)
+    for k in range(1, 5):
+        exact = [e + hh**k / math.factorial(k) * c for e, c in zip(exact, power)]
+        power = [sum(power[i] * a[i][j] for i in range(n)) for j in range(n)]
+    entries = [(s if 2 * s <= n else s - n, float(exact[s])) for s in range(1, n)]
+    return sorted((s, q) for s, q in entries if q)
+
+
+def polynomial_rk4(x0, config):
+    """Every state of the fixed-step RK4 run ``integrate`` makes, as arrays.
+
+    A step applies :func:`rk4_step_row` as one index gather per offset, as
+    :func:`gather_stencil` does: ``d + sum_s q_s (d[j+s] - d[j])`` summed in
+    ascending s from +0.0, d the state or, for the Yau kind, the state
+    minus the target, which is added back to each state.  A run must
+    reproduce it bit for bit.
+    """
+    kind = config.kind
+    n, base = x0.n, np.arange(x0.n)
+    target = kind.target.vertices if isinstance(kind, YauKind) else None
+
+    def step_map(h):
+        gathers = [((base + s) % n, q) for s, q in rk4_step_row(n, kind.m, h)]
+
+        def step(d):
+            acc = np.zeros(d.shape)
+            for idx, q in gathers:
+                acc += q * (d[idx] - d)
+            return d + acc
+
+        return step
+
+    dt, t_final = config.dt, config.t_final
+    n_full = int(math.floor(t_final / dt + 1e-9))
+    remainder = t_final - n_full * dt
+    n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(t_final)))
+    whole = step_map(dt)
+    short = step_map(remainder) if n_steps > n_full else whole
+    d = x0.vertices.copy() if target is None else x0.vertices - target
+    states = [x0.vertices.copy()]
+    for step_index in range(1, n_steps + 1):
+        d = (whole if step_index <= n_full else short)(d)
+        states.append(d if target is None else d + target)  # each step makes a new d
+    return states
 
 
 def point_segment_distance(pt, a, b):

@@ -168,6 +168,24 @@ def test_power_equals_iterated_multiplication(n, m):
     assert acc == power_of_m(n, m)
 
 
+def _integer_rows(n):
+    entry = st.just(0) | st.integers(-10**30, 10**30)
+    return st.tuples(*[st.lists(entry, min_size=n, max_size=n)] * 2)
+
+
+@given(st.integers(3, 24).flatmap(_integer_rows))
+@example(([6, -4, 1, 1, -4], [0, 1, 0, 0, 1]))  # nonzero entries around zeros, wrapping
+@example(([0, 0, 0], [1, -2, 1]))
+def test_multiply_is_the_dense_integer_product(rows):
+    """Zeros among the nonzero entries of either row, and sums i + j that
+    wrap past n: the first row of the dense Python-int matrix product."""
+    a, b = rows
+    n = len(a)
+    dense_a, dense_b = ([[row[(j - i) % n] for j in range(n)] for i in range(n)] for row in rows)
+    product = [sum(dense_a[0][i] * dense_b[i][j] for i in range(n)) for j in range(n)]
+    assert circulant_multiply(CirculantMatrix(n, tuple(a)), CirculantMatrix(n, tuple(b))).first_row == tuple(product)
+
+
 def test_multiply_rejects_size_mismatch():
     with pytest.raises(ValueError):
         circulant_multiply(second_difference(5), second_difference(6))

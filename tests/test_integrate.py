@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import circulant, spectral_flow
+from polyflow import spectral_flow
+from polyflow.circulant import M_MAX, flow_eigenvalue
 from polyflow.integrate import (
+    RK4_STABILITY_BOUND,
     DivergenceError,
     IntegratorConfig,
     PolyharmonicKind,
     StiffnessWarning,
     YauKind,
-    _rhs_function,
+    _flow_powers,
+    _step_row,
     integrate,
     stability_limit,
 )
@@ -21,6 +25,8 @@ from polyflow.polygon import Polygon, eigen_polygon
 from polyflow.yau_flow import YauProblem, yau_solve
 
 import helpers
+
+integrate_module = importlib.import_module("polyflow.integrate")  # the package's `integrate` is the function
 
 
 def test_config_validation(rng):
@@ -40,55 +46,97 @@ def test_config_validation(rng):
         )
 
 
-def test_rhs_examples(rng):
-    const = helpers.constant_polygon([0.4, -2.0], 6)
-    assert np.array_equal(_rhs_function(const.vertices, PolyharmonicKind(1))(const.vertices), np.zeros((6, 2)))
-    assert np.abs(_rhs_function(const.vertices, PolyharmonicKind(3))(const.vertices)).max() < 1e-13
-
-    p1 = eigen_polygon(6, 1)
-    assert np.abs(_rhs_function(p1.vertices, PolyharmonicKind(1))(p1.vertices) + p1.vertices).max() < 1e-14
-
-    y = helpers.random_polygon(rng, 6)
-    assert np.array_equal(_rhs_function(y.vertices, YauKind(2, y))(y.vertices), np.zeros((6, 2)))
-
-
-def test_rhs_matches_stencil_bitwise_when_unwrapped(rng):
-    # offsets are collision-free when n >= 2m + 3: same terms, same order
-    for n, m in ((5, 1), (7, 2), (9, 3)):
-        x = helpers.random_polygon(rng, n, p=3)
-        velocity = _rhs_function(x.vertices, PolyharmonicKind(m))(x.vertices)
-        assert np.array_equal(velocity, helpers.stencil_rhs(x, m))
+@pytest.mark.parametrize("m", range(1, M_MAX + 1))
+def test_constant_polygons_and_yau_runs_at_their_target_stay_bitwise_fixed(rng, m):
+    """Rows of A^k sum to zero, so the step's differences vanish on a constant
+    state and on a Yau difference of zero, whether the band of R(hA), 8m + 1
+    wide, fits the polygon or wraps (n <= 8m)."""
+    for n in (3, 4, 2 * m + 1, 8 * m, 8 * m + 1, 8 * m + 6):
+        dt = 0.1 / stability_limit(n, m)
+        for point in (rng.normal(size=3), [1e308, -3e307, 2e306]):  # the last runs scaled near one
+            x = helpers.constant_polygon(point, n)
+            traj = integrate(x, IntegratorConfig(dt=dt, t_final=5.5 * dt, kind=PolyharmonicKind(m)))
+            assert all(q.vertices.tobytes() == x.vertices.tobytes() for q in traj.polygons)
+        y = helpers.random_polygon(rng, n, p=3)
+        traj = integrate(y, IntegratorConfig(dt=dt, t_final=5.5 * dt, kind=YauKind(m, y)))
+        assert all(q.vertices.tobytes() == y.vertices.tobytes() for q in traj.polygons)
 
 
-def test_rhs_matches_stencil_with_wrapping(rng):
-    # wrapped offsets accumulate coefficients first, so only value equality holds
-    for n, m in ((3, 2), (4, 3), (5, 4)):
-        x = helpers.random_polygon(rng, n)
-        gap = np.abs(_rhs_function(x.vertices, PolyharmonicKind(m))(x.vertices) - helpers.stencil_rhs(x, m))
-        assert gap.max() < 1e-11
+@given(st.integers(3, 40), st.integers(1, 4), st.floats(1e-4, 2.7), st.booleans())
+@example(3, 4, 2.7, False)  # a band of 33 entries folded onto 3
+@example(8, 1, 2.5, False)  # 8m + 1 = n + 1: offsets +-4 meet at n/2
+@example(7, 2, 1e-4, True)
+@example(5, 1, 1e60, False)  # a step far past the stability bound
+def test_the_step_row_is_the_oracles_row_bitwise(n, m, ratio, tiny):
+    """The library's exact row of R(hA) - I, rounded once per entry, is the
+    row the dense Fraction oracle builds, bit for bit."""
+    h = (1e-300 if tiny else ratio) / stability_limit(n, m)
+    row = _step_row(_flow_powers(n, m), h)
+    expected = helpers.rk4_step_row(n, m, h)
+    assert [(s, q.hex()) for s, q in row] == [(s, q.hex()) for s, q in expected]
+    assert [s for s, _ in row] == sorted({s for s, _ in row})
+    assert all(-n < 2 * s <= n and s != 0 for s, _ in row)
 
 
-@pytest.mark.parametrize("run", ["odd", "even", "yau", "scaled", "replay"])
+@pytest.mark.parametrize("m", [1, M_MAX])
+def test_a_step_with_coefficients_beyond_float_range_is_refused(m):
+    """Near dt * |rate_max| = 1e77 an entry of R(hA) leaves float range, and
+    inf * 0 would turn even a constant polygon into nan."""
+    x = helpers.constant_polygon([3.0, 1.0], 5)
+    dt = 1e80 / stability_limit(5, m)
+    with pytest.warns(StiffnessWarning), pytest.raises(OverflowError, match="beyond float range"):
+        integrate(x, IntegratorConfig(dt=dt, t_final=dt, kind=PolyharmonicKind(m)))
+    with pytest.warns(StiffnessWarning):  # far past the bound, yet within float range
+        traj = integrate(x, IntegratorConfig(dt=1e10, t_final=1e11, kind=PolyharmonicKind(m)))
+    assert all(q == x for q in traj.polygons)
+
+
+@pytest.mark.parametrize("n, m, k", [(6, 1, 3), (7, 1, 2), (8, 2, 1), (9, 3, 4), (12, 2, 5), (16, 3, 8), (5, 4, 2)])
+@pytest.mark.parametrize("ratio", [0.05, 1.0, 2.7])
+def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, ratio):
+    """Eigenpolygon k of A is an eigenvector of R(hA) with eigenvalue
+    R(h lambda_k).  Each of the K coefficients and differences is rounded
+    once and the sum K - 1 times, and lambda_k itself carries a few
+    rounding errors, so the step lies within
+    eps * max|X0| * (2 + 2 (K + 3) sum|q_s| + 4 m h |lambda_k| |R'(h lambda_k)|)
+    of R(h lambda_k) X0."""
+    x0 = eigen_polygon(n, k)
+    h = ratio / stability_limit(n, m)
+    z = h * flow_eigenvalue(n, m, k)
+    r, slope = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, 1 + z + z**2 / 2 + z**3 / 6
+    row = _step_row(_flow_powers(n, m), h)
+    scale = float(np.abs(x0.vertices).max())
+    bound = np.finfo(float).eps * scale * (
+        2 + 2 * (len(row) + 3) * sum(abs(q) for _, q in row) + 4 * m * abs(z) * abs(slope)
+    )
+    stepped = integrate(x0, IntegratorConfig(dt=h, t_final=h, kind=PolyharmonicKind(m))).final()
+    assert np.abs(stepped.vertices - r * x0.vertices).max() <= bound
+
+
+@pytest.mark.parametrize("run", ["odd", "even", "yau", "scaled", "replay", "partial"])
 def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
-    """One bound stencil serves every stage, step, block and replay of a run."""
-    bound, built = circulant.stencil, []
+    """One step map per step size serves every step, block and replay of a
+    run: the whole step's, and the shorter final step's when there is one."""
+    bound, built = integrate_module._step_map, []
 
-    def counted(a, like):
-        built.append(like.shape)
-        return bound(a, like)
+    def counted(powers, h, like):
+        built.append((h, like.shape))
+        return bound(powers, h, like)
 
-    monkeypatch.setattr(circulant, "stencil", counted)
+    monkeypatch.setattr(integrate_module, "_step_map", counted)
     x = helpers.random_polygon(rng, 7)
     kind = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, 7))}.get(run, PolyharmonicKind(1))
     if run == "replay":  # a check block fails, is replayed step by step and names its step
         with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError):
-            integrate(x, IntegratorConfig(dt=9.0, t_final=900.0, kind=kind), keep_steps=False)
-    else:
-        if run == "scaled":
-            x = Polygon(np.ldexp(x.vertices, 700))
-        traj = integrate(x, IntegratorConfig(dt=0.01, t_final=1.5, kind=kind), keep_steps=False)
-        assert traj.steps == 150
-    assert built == [(7, 2)]
+            integrate(x, IntegratorConfig(dt=9.0, t_final=900.5, kind=kind), keep_steps=False)
+        assert built == [(9.0, (7, 2)), (0.5, (7, 2))]
+        return
+    if run == "scaled":
+        x = Polygon(np.ldexp(x.vertices, 700))
+    t_final = 1.505 if run == "partial" else 1.5
+    traj = integrate(x, IntegratorConfig(dt=0.01, t_final=t_final, kind=kind), keep_steps=False)
+    assert traj.steps == 150 + (run == "partial")
+    assert built == [(0.01, (7, 2))] + ([(t_final - 150 * 0.01, (7, 2))] if run == "partial" else [])
 
 
 def test_rk4_converges_at_order_four():
@@ -149,7 +197,7 @@ def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
     st.integers(3, 64), st.sampled_from((2, 3)), st.integers(1, 4), st.booleans(),
     st.integers(0, 30), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
 )
-@example(3, 2, 2, False, 5, True, True, 0)  # n < 2m + 1: the stencil wraps
+@example(3, 2, 2, False, 5, True, True, 0)  # n < 8m + 1: the step's band wraps
 @example(8, 3, 1, True, 12, False, True, 1)
 @example(64, 2, 4, True, 30, True, False, 2)
 @example(5, 3, 3, False, 0, True, False, 3)  # only the partial step
@@ -159,12 +207,12 @@ def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
 @example(9, 2, 1, False, 128, False, True, 7)
 @example(8, 3, 2, False, 64, True, False, 8)  # a partial step just after a block
 @settings(max_examples=60)
-def test_whole_run_is_bitwise_the_stagewise_oracle(n, p, m, yau, steps, partial, special, seed):
+def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial, special, seed):
     rng = np.random.default_rng(seed)
 
     def vertices():
         v = rng.normal(size=(n, p))
-        if special:  # signed zeros and a constant column, whose velocity is exactly zero
+        if special:  # signed zeros and a constant column, whose differences are exactly zero
             v[rng.random(size=(n, p)) < 0.3] = -0.0
             v[:, int(rng.integers(p))] = rng.choice([0.0, -0.0, 1.5])
         return Polygon(v)
@@ -173,7 +221,7 @@ def test_whole_run_is_bitwise_the_stagewise_oracle(n, p, m, yau, steps, partial,
     kind = YauKind(m, vertices()) if yau else PolyharmonicKind(m)
     dt = 0.1 / stability_limit(n, m)
     config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
-    states = helpers.stagewise_rk4(x, config)
+    states = helpers.polynomial_rk4(x, config)
     full = integrate(x, config)
     assert full.steps == len(states) - 1 == steps + partial
     assert [poly.vertices.tobytes() for poly in full.polygons] == [v.tobytes() for v in states]
@@ -181,9 +229,34 @@ def test_whole_run_is_bitwise_the_stagewise_oracle(n, p, m, yau, steps, partial,
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
 
 
+@given(
+    st.integers(3, 64), st.sampled_from((2, 3)), st.integers(1, 3), st.floats(0.01, 2.7),
+    st.integers(0, 40), st.booleans(), st.booleans(), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1),
+)
+@example(3, 2, 3, 2.7, 40, True, True, 0.0, 0)  # a wrapped band near the stability bound
+@example(64, 3, 1, 2.7, 40, False, True, -1e3, 1)
+@example(16, 2, 3, 0.01, 7, True, False, 500.0, 2)
+@settings(max_examples=100)
+def test_a_run_is_within_rounding_of_the_stagewise_rk4(n, p, m, ratio, steps, yau, partial, shift, seed):
+    """The step polynomial and the four textbook stages are the same map in
+    exact arithmetic; state k of the two runs differ by at most
+    8 k eps (max|X0| + max|Y|), Y = 0 without a target."""
+    rng = np.random.default_rng(seed)
+    x = Polygon(rng.normal(size=(n, p)) + shift)
+    y = Polygon(rng.normal(size=(n, p)) - shift) if yau else None
+    kind = YauKind(m, y) if yau else PolyharmonicKind(m)
+    dt = ratio / stability_limit(n, m)
+    config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
+    scale = float(np.abs(x.vertices).max()) + (float(np.abs(y.vertices).max()) if yau else 0.0)
+    eps = np.finfo(float).eps
+    stagewise = helpers.stagewise_rk4(x, config)
+    for k, (q, v) in enumerate(zip(integrate(x, config).polygons, stagewise, strict=True)):
+        assert np.abs(q.vertices - v).max() <= 8 * k * eps * scale
+
+
 def _diverging_run(rng, dt, steps, partial):
     """A random octagon scaled by the largest 2**e (|e| < 400, so the run is
-    unscaled) whose stagewise RK4 run stays finite for ``steps - 1`` steps,
+    unscaled) whose RK4 run by the polynomial oracle stays finite for ``steps - 1`` steps,
     its config, and the oracle's states; the oracle goes non-finite at step
     ``steps``, the last step when ``partial``."""
     shape = rng.normal(size=(8, 2))
@@ -193,7 +266,7 @@ def _diverging_run(rng, dt, steps, partial):
     def oracle(e):
         x = Polygon(np.ldexp(shape, e))
         with np.errstate(over="ignore", invalid="ignore"):
-            return x, helpers.stagewise_rk4(x, config)
+            return x, helpers.polynomial_rk4(x, config)
 
     low, high = -398, 398  # finite through step - 1 at low, not at high
     assert all(np.isfinite(v).all() for v in oracle(low)[1][:steps])
@@ -281,12 +354,12 @@ def test_a_power_of_two_scale_commutes_with_the_run(rng, k, yau, keep_steps):
 def test_kept_states_are_read_only_copies_of_the_oracles_states(rng, exponent):
     """A run advances one state buffer in place; each kept state is a copy
     of it taken after its range check, so after the run every kept state
-    still holds the stagewise oracle's bits and no two share memory."""
+    still holds the polynomial oracle's bits and no two share memory."""
     x = Polygon(np.ldexp(rng.normal(size=(7, 2)), exponent))
     config = IntegratorConfig(dt=0.01, t_final=0.205, kind=PolyharmonicKind(2))
     full = integrate(x, config)
     lean = integrate(x, config, keep_steps=False)
-    states = helpers.stagewise_rk4(x, config)
+    states = helpers.polynomial_rk4(x, config)
     assert [q.vertices.tobytes() for q in full.polygons] == [v.tobytes() for v in states]
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
     kept = full.polygons + lean.polygons[1:]
@@ -332,6 +405,20 @@ def test_stiffness_warning():
     assert stability_limit(6, 2) == 16.0
     with pytest.warns(StiffnessWarning):
         integrate(x, IntegratorConfig(dt=0.2, t_final=0.4, kind=PolyharmonicKind(2)))
+
+
+def test_the_stiffness_warning_starts_at_the_real_axis_bound():
+    """|R(-x)| = 1 at x = 2.785293563405282...: mode 3 of a hexagon (rate
+    exactly -4) decays over 700 steps just below the bound and, unwarned
+    before, grew 143-fold at dt * |rate| = 2.79."""
+    x = eigen_polygon(6, 3)
+    assert stability_limit(6, 1) == 4.0
+    for ratio in (2.79, RK4_STABILITY_BOUND):
+        with pytest.warns(StiffnessWarning):
+            traj = integrate(x, IntegratorConfig(dt=ratio / 4, t_final=700 * ratio / 4, kind=PolyharmonicKind(1)))
+        assert ratio > 2.785 or np.abs(traj.final().vertices).max() > 100.0
+    traj = integrate(x, IntegratorConfig(dt=2.785 / 4, t_final=700 * 2.785 / 4, kind=PolyharmonicKind(1)))
+    assert np.abs(traj.final().vertices).max() < 1.0
 
 
 def test_divergence_reports_step_and_norm():
