@@ -11,11 +11,15 @@ constant coefficients, so one RK4 step of size h is exactly the circulant
 ``R(hA)``, R the RK4 stability function: its row is built once per step size
 from the exact powers A .. A^4, each entry rounded once, and a step applies
 it as one stencil of five numpy calls.  The results differ from a
-stage-by-stage evaluation only at rounding level.  Steps run in place on
-vertex arrays allocated once per run; a run keeps every state as a polygon,
-or only the initial and final ones, so its memory need not grow with the
-step count.  A diverging run is replayed from its start, checking each step,
-to name the first bad one.
+stage-by-stage evaluation only at rounding level.  Whole steps go in blocks
+of 64 when that pays: the last state of each block is one circulant B, the
+float step map to the 64th power read off a stepped unit impulse, applied
+to the block's first state by the same stencil, so 64 steps cost five numpy
+calls instead of 320.  B differs from its 64 steps only at rounding level.
+Steps run in place on vertex arrays allocated once per run; a run keeps
+every state as a polygon, or only the initial and final ones, so its memory
+need not grow with the step count.  A diverging block is replayed from its
+first state, checking each step, to name the first bad one.
 """
 from __future__ import annotations
 
@@ -30,10 +34,18 @@ from . import circulant
 from .polygon import Polygon, _shift_near_one
 
 
-# Steps between range checks when only the final state is kept; a check costs
-# about a third of a step at n = 24, and a fifth (m = 1) to a tenth (m = 3) at
-# n = 256, so a block spends under 1% of its time on its check.
+# Steps in a block: the power of the step map that the block map B applies, and
+# the steps between range checks when only the final state is kept.  A check
+# costs about a third of a step at n = 24, and a fifth (m = 1) to a tenth
+# (m = 3) at n = 256, so a stepped block spends under 1% of its time on it.
 _CHECK_BLOCK = 64
+
+# B is built only when its at most n - 1 off-centre entries times the n * p
+# state entries fit in this many floats: B's terms and coefficients then take
+# at most 4 MiB, its row index at most half that, and at larger n, where
+# elementwise work already dominates the per-call overhead that B saves, runs
+# keep stepping.
+_BLOCK_FLOATS = 2**18
 
 # |R(-x)| = 1 for the RK4 stability function R at x = 2.78529356340528...;
 # this float lies just above that root, so a step with dt * |rate| at or
@@ -144,17 +156,16 @@ def _step_row(powers: tuple[circulant.CirculantMatrix, ...], h: float) -> list[t
     return sorted(row)
 
 
-def _step_map(powers: tuple[circulant.CirculantMatrix, ...], h: float, like: np.ndarray):
-    """One RK4 step of size h for states of the shape of ``like``, in place:
-    ``d <- d + sum_s q_s (d[j+s] - d[j])`` over :func:`_step_row`'s entries
+def _row_map(row: list[tuple[int, float]], like: np.ndarray):
+    """The circulant map of ``row``'s (offset, coefficient) pairs for states
+    of the shape of ``like``, in place: ``d <- d + sum_s q_s (d[j+s] - d[j])``
     in ascending s, the sum started from +0.0.
 
-    Five numpy calls a step: the shifted copies of d gathered with one
-    ``take``, the differences, the products, one ``np.add.reduce`` and the
-    update.  A constant state has zero differences, so it stays bitwise
+    Five numpy calls an application: the shifted copies of d gathered with
+    one ``take``, the differences, the products, one ``np.add.reduce`` and
+    the update.  A constant state has zero differences, so it stays bitwise
     fixed.  The map's buffers are bound to ``like``'s shape once.
     """
-    row = _step_row(powers, h)
     n = like.shape[0]
     idx = (np.array([s for s, _ in row], dtype=np.intp)[:, None] + np.arange(n)) % n
     terms = np.empty(idx.shape + like.shape[1:])
@@ -164,13 +175,40 @@ def _step_map(powers: tuple[circulant.CirculantMatrix, ...], h: float, like: np.
     total = np.empty_like(like)
     subtract, multiply, add, add_up = np.subtract, np.multiply, np.add, np.add.reduce
 
-    def step(d: np.ndarray) -> None:
+    def apply(d: np.ndarray) -> None:
         d.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
         subtract(terms, d, terms)
         multiply(coefficients, terms, terms)
         add(d, add_up(terms, axis=0, initial=0.0, out=total), d)
 
-    return step
+    return apply
+
+
+def _step_map(powers: tuple[circulant.CirculantMatrix, ...], h: float, like: np.ndarray):
+    """One RK4 step of size h for states of the shape of ``like``, in place:
+    the :func:`_row_map` of :func:`_step_row`'s entries."""
+    return _row_map(_step_row(powers, h), like)
+
+
+def _block_map(step, like: np.ndarray):
+    """The block map B, in place: :data:`_CHECK_BLOCK` applications of the
+    float step map ``step`` (bound to ``like``'s shape) as one circulant.
+
+    The unit impulse e_0 stepped that many times by ``step`` itself is
+    column 0 of the float step map to that power, so the circulant's row
+    entry at offset s is the impulse's entry (-s) mod n.  Its nonzero
+    off-centre entries, offsets folded to (-n/2, n/2] in ascending order,
+    are applied by :func:`_row_map` as the step's are, so a constant state
+    stays bitwise fixed under B too.
+    """
+    n = like.shape[0]
+    impulse = np.zeros_like(like)
+    impulse[0] = 1.0
+    for _ in range(_CHECK_BLOCK):
+        step(impulse)
+    column = impulse[:, 0].tolist()
+    row = [(s, column[-s % n]) for s in range(-((n - 1) // 2), n // 2 + 1) if s and column[-s % n]]
+    return _row_map(row, like)
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -190,21 +228,36 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     circulant ``R(hA)`` (:func:`_step_row`); the run builds one step map
     per step size and advances the state in place with it.  A Yau run
     advances the difference d = X - Y and its state is Y + d.
-    When the largest |coordinate| of the state or the Yau target lies
-    outside the band of :func:`~polyflow.polygon._shift_near_one`, about
-    [2^-400, 2^400], both run times the exact power of two that brings it
-    near one, and retained states are scaled back; scaling commutes with
-    every operation, so only over- and underflow change.
+
+    Steps are grouped in blocks of 64 from step 0.  A run of at least 64
+    whole steps with dt * |rate_max| below :data:`RK4_STABILITY_BOUND` and
+    (n - 1) * n * p at most 2^18 (B has at most n - 1 off-centre entries,
+    each applied to all n * p coordinates) also builds the block map B
+    (:func:`_block_map`) once.  Then the last state of every full block of
+    64 whole steps is B applied to the block's first state; the states in
+    between are stepped one at a time from that first state when they are
+    kept or replayed, and skipped otherwise.  Leftover whole steps and the
+    partial step go one at a time, as every step of any other run does.
+    Both retention modes follow this one definition, so their final states
+    are the same bits.
+
+    Each coordinate column whose largest |coordinate|, in the state or the
+    Yau target, lies outside the band of
+    :func:`~polyflow.polygon._shift_near_one`, about [2^-400, 2^400], runs
+    times the exact power of two that brings that largest one near one, in
+    both, and retained states are scaled back.  No map mixes columns and
+    scaling commutes with every operation, so only over- and underflow
+    change, and a column near one keeps its bits beside one near float max.
     A state whose coordinates leave float range (in the caller's units)
     aborts with :class:`DivergenceError`, naming the first such step and
-    the sup norm of the state before it.  The range is checked once per
-    block of steps, one step when every state is kept and 64 otherwise, the
-    shorter final step riding in the last block.  A failed check replays
-    the run bit for bit from its start, checking every step, so either
+    the sup norm, in the caller's units, of the state before it.  The range
+    is checked after every step when every state is kept, and otherwise
+    once per block.  A failed check replays its block bit for bit from a
+    copy of the block's first state, checking every step, so either
     retention mode names the first out-of-range step; a diverging run
-    costs up to twice its steps.  (A scaled-down run that does not fail
-    may pass float max in the caller's units between two checks: only
-    kept states must be representable.)
+    costs up to 64 more steps.  (A scaled-down run that does not fail may
+    pass float max in the caller's units between two checks: only kept
+    states must be representable.)
     """
     kind = config.kind
     if isinstance(kind, YauKind):
@@ -229,62 +282,92 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     partial = remainder > 1e-12 * max(1.0, abs(t_final))
     n_steps = n_full + partial
 
-    # differences of coordinates near float max must not overflow before they are weighted
-    largest = np.abs(x0.vertices).max()
+    # each column runs times its own exact power of two: differences of coordinates near
+    # float max must not overflow before they are weighted, and no map mixes columns
+    largest = np.abs(x0.vertices).max(axis=0)
     target = kind.target.vertices if isinstance(kind, YauKind) else None
     if target is not None:
-        largest = max(largest, np.abs(target).max())
-    shift = _shift_near_one(largest)
-    limit = math.ldexp(sys.float_info.max, min(shift, 0))  # largest |state| that scales back finite
-    if target is not None and shift:
-        target = np.ldexp(target, shift)
+        largest = np.maximum(largest, np.abs(target).max(axis=0))
+    shifts = np.array([_shift_near_one(c) for c in largest.tolist()])
+    shifted = bool(shifts.any())
+    unshifts = -shifts
+    if target is not None and shifted:
+        target = np.ldexp(target, shifts)
 
-    d, u = np.empty_like(x0.vertices), np.empty_like(x0.vertices)
-
-    def begin() -> None:
-        """d <- the initial state, or its difference from the target, at the run's scale."""
-        np.ldexp(x0.vertices, shift, d)  # exact, shift 0 included
-        if target is not None:
-            np.subtract(d, target, d)
-
-    begin()
+    d, u, start = np.empty_like(x0.vertices), np.empty_like(x0.vertices), np.empty_like(x0.vertices)
+    np.ldexp(x0.vertices, shifts, d)  # exact, shift 0 included
+    if target is not None:
+        np.subtract(d, target, d)
     powers = _flow_powers(x0.n, kind.m)
     whole = _step_map(powers, dt, d)
     short = _step_map(powers, remainder, d) if partial else whole
+    blocked = 0  # steps [0, blocked) go in full blocks whose last state is B of their first
+    if n_full >= _CHECK_BLOCK and dt * rate < RK4_STABILITY_BOUND and (x0.n - 1) * d.size <= _BLOCK_FLOATS:
+        block = _block_map(whole, d)
+        blocked = n_full - n_full % _CHECK_BLOCK
 
     def state() -> np.ndarray:
         return d if target is None else np.add(target, d, u)
 
     def sup() -> float:
-        return float(np.abs(state(), u).max())  # nan for a nan state
+        """The state's sup norm in the caller's units: inf past float max there, nan for a nan state."""
+        v = np.abs(state(), u)
+        return float((np.ldexp(v, unshifts, v) if shifted else v).max())
 
     def kept() -> Polygon:
         """A copy of the state, which a range check has passed, as a polygon."""
         v = state()
-        return Polygon._checked(np.ldexp(v, -shift) if shift else v.copy())
+        return Polygon._checked(np.ldexp(v, unshifts) if shifted else v.copy())
+
+    def advance(step: int) -> None:
+        """d <- state step + 1 from state step, or, at the last step of a full
+        block, from the block's first state (in ``start``) by B."""
+        if step < blocked and step % _CHECK_BLOCK == _CHECK_BLOCK - 1:
+            np.copyto(d, start)
+            block(d)
+        else:
+            (whole if step < n_full else short)(d)
+
+    def replay(first: int, last: int) -> None:
+        """Repeats steps first + 1 .. last of the block from its first state bit
+        for bit, checking each, and raises at the first out-of-range state."""
+        np.copyto(d, start)
+        norm = sup() if first else float(np.abs(x0.vertices).max())
+        for step in range(first, last):
+            advance(step)
+            size = sup()
+            if not size <= sys.float_info.max:
+                raise DivergenceError(step=step + 1, norm=norm)
+            norm = size
 
     times = [0.0]
     polygons = [x0]
-    block = 1 if keep_steps else _CHECK_BLOCK
+
+    def keep(step: int) -> None:
+        times.append(step * dt if step <= n_full else t_final)
+        polygons.append(kept())
+
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is found by the range checks and reported as DivergenceError
-        for first in range(0, n_steps, block):
-            last = min(first + block, n_steps)
-            for step in range(first, last):
-                (whole if step < n_full else short)(d)
-            if not sup() <= limit:
-                # the replay repeats the run from its start bit for bit, checking each step
-                begin()
-                norm = float(np.abs(x0.vertices).max())
-                for step in range(last):
-                    (whole if step < n_full else short)(d)
-                    size = sup()
-                    if not size <= limit:
-                        raise DivergenceError(step=step + 1, norm=norm)
-                    norm = math.ldexp(size, -shift)
-            if keep_steps or last == n_steps:
-                times.append(last * dt if last <= n_full else t_final)
-                polygons.append(kept())
+        for first in range(0, n_steps, _CHECK_BLOCK):
+            last = min(first + _CHECK_BLOCK, n_steps)
+            np.copyto(start, d)
+            if keep_steps:
+                for step in range(first, last):
+                    advance(step)
+                    if not sup() <= sys.float_info.max:
+                        replay(first, step + 1)
+                    keep(step + 1)
+            else:
+                if last <= blocked:
+                    block(d)  # d holds the block's first state
+                else:
+                    for step in range(first, last):
+                        advance(step)
+                if not sup() <= sys.float_info.max:
+                    replay(first, last)
+        if n_steps and not keep_steps:
+            keep(n_steps)
     return Trajectory(
         times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from polyflow import FlowRangeError, Polygon, spectral_flow
 from polyflow.circulant import flow_eigenvalue, flow_sign, fourier_matrix, idft, power_of_m
-from polyflow.integrate import YauKind
+from polyflow.integrate import RK4_STABILITY_BOUND, YauKind
 from polyflow.polygon import PolygonFormatError, energy, format_float
 
 
@@ -161,21 +161,29 @@ def rk4_step_row(n, m, h):
     return sorted((s, q) for s, q in entries if q)
 
 
-def polynomial_rk4(x0, config):
+def polynomial_rk4(x0, config, blocks=True):
     """Every state of the fixed-step RK4 run ``integrate`` makes, as arrays.
 
     A step applies :func:`rk4_step_row` as one index gather per offset, as
     :func:`gather_stencil` does: ``d + sum_s q_s (d[j+s] - d[j])`` summed in
     ascending s from +0.0, d the state or, for the Yau kind, the state
-    minus the target, which is added back to each state.  A run must
-    reproduce it bit for bit.
+    minus the target, which is added back to each state.
+
+    With ``blocks`` (a run of ``integrate``), a run of at least 64 whole
+    steps with dt * |rate_max| below the RK4 stability bound and
+    (n - 1) * n * p <= 2**18 goes in blocks of 64 steps from step 0: the last
+    state of each full block of whole steps is the 64-step circulant B of
+    the block's first state, the others are stepped.  B's entry at offset s
+    is entry -s mod n of the unit impulse e_0 after 64 steps, applied by
+    gathers in the same difference form.  Other steps go one at a time.
+    Without ``blocks`` every step does.  A run must reproduce it bit for bit.
     """
     kind = config.kind
-    n, base = x0.n, np.arange(x0.n)
+    n, p, base = x0.n, x0.p, np.arange(x0.n)
     target = kind.target.vertices if isinstance(kind, YauKind) else None
 
-    def step_map(h):
-        gathers = [((base + s) % n, q) for s, q in rk4_step_row(n, kind.m, h)]
+    def row_map(row):
+        gathers = [((base + s) % n, q) for s, q in row]
 
         def step(d):
             acc = np.zeros(d.shape)
@@ -189,12 +197,28 @@ def polynomial_rk4(x0, config):
     n_full = int(math.floor(t_final / dt + 1e-9))
     remainder = t_final - n_full * dt
     n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(t_final)))
-    whole = step_map(dt)
-    short = step_map(remainder) if n_steps > n_full else whole
+    whole = row_map(rk4_step_row(n, kind.m, dt))
+    short = row_map(rk4_step_row(n, kind.m, remainder)) if n_steps > n_full else whole
+    stable = dt * abs(flow_eigenvalue(n, kind.m, n // 2)) < RK4_STABILITY_BOUND
+    blocked = 0
+    if blocks and n_full >= 64 and stable and (n - 1) * n * p <= 2**18:
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        for _ in range(64):
+            impulse = whole(impulse)
+        offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
+        block = row_map(sorted((s, float(impulse[-s % n])) for s in offsets if impulse[-s % n]))
+        blocked = n_full - n_full % 64
     d = x0.vertices.copy() if target is None else x0.vertices - target
     states = [x0.vertices.copy()]
+    first = d
     for step_index in range(1, n_steps + 1):
-        d = (whole if step_index <= n_full else short)(d)
+        if step_index <= blocked and step_index % 64 == 0:
+            d = block(first)
+        else:
+            d = (whole if step_index <= n_full else short)(d)
+        if step_index % 64 == 0:
+            first = d
         states.append(d if target is None else d + target)  # each step makes a new d
     return states
 

@@ -1,6 +1,9 @@
 import importlib
+import itertools
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,30 +116,41 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
     assert np.abs(stepped.vertices - r * x0.vertices).max() <= bound
 
 
-@pytest.mark.parametrize("run", ["odd", "even", "yau", "scaled", "replay", "partial"])
+@pytest.mark.parametrize("run", ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap"])
 def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     """One step map per step size serves every step, block and replay of a
-    run: the whole step's, and the shorter final step's when there is one."""
-    bound, built = integrate_module._step_map, []
+    run: the whole step's, and the shorter final step's when there is one.
+    A run of 64 or more whole steps that is neither stiff nor past the size
+    cap also builds exactly one block map, from the whole step's map."""
+    step_map, block_map, built, blocks = integrate_module._step_map, integrate_module._block_map, [], []
 
-    def counted(powers, h, like):
+    def counted_step(powers, h, like):
         built.append((h, like.shape))
-        return bound(powers, h, like)
+        return step_map(powers, h, like)
 
-    monkeypatch.setattr(integrate_module, "_step_map", counted)
-    x = helpers.random_polygon(rng, 7)
-    kind = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, 7))}.get(run, PolyharmonicKind(1))
-    if run == "replay":  # a check block fails, is replayed step by step and names its step
+    def counted_block(step, like):
+        blocks.append(like.shape)
+        return block_map(step, like)
+
+    monkeypatch.setattr(integrate_module, "_step_map", counted_step)
+    monkeypatch.setattr(integrate_module, "_block_map", counted_block)
+    n, p = (16, 1093) if run == "past-cap" else (7, 2)  # 15 * 16 * 1093 floats exceed 2**18
+    x = helpers.random_polygon(rng, n, p)
+    kinds = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, n, p))}
+    kind = kinds.get(run, PolyharmonicKind(1))
+    if run in ("replay", "stiff"):  # a failed check is replayed step by step and names its step
         with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError):
-            integrate(x, IntegratorConfig(dt=9.0, t_final=900.5, kind=kind), keep_steps=False)
-        assert built == [(9.0, (7, 2)), (0.5, (7, 2))]
+            integrate(x, IntegratorConfig(dt=9.0, t_final=900.5, kind=kind), keep_steps=run == "stiff")
+        assert built == [(9.0, (7, 2)), (0.5, (7, 2))] and blocks == []
         return
     if run == "scaled":
         x = Polygon(np.ldexp(x.vertices, 700))
-    t_final = 1.505 if run == "partial" else 1.5
+    steps = {"short": 63, "past-cap": 64}.get(run, 150)
+    t_final = steps * 0.01 + 0.005 * (run == "partial")
     traj = integrate(x, IntegratorConfig(dt=0.01, t_final=t_final, kind=kind), keep_steps=False)
-    assert traj.steps == 150 + (run == "partial")
-    assert built == [(0.01, (7, 2))] + ([(t_final - 150 * 0.01, (7, 2))] if run == "partial" else [])
+    assert traj.steps == steps + (run == "partial")
+    assert built == [(0.01, (n, p))] + ([(t_final - steps * 0.01, (n, p))] if run == "partial" else [])
+    assert blocks == ([] if run in ("short", "past-cap") else [(n, p)])
 
 
 def test_rk4_converges_at_order_four():
@@ -178,7 +192,7 @@ def test_trajectory_sampling_and_partial_step(rng):
     assert whole.steps == 5
 
 
-@pytest.mark.parametrize("t_final", [0.5, 0.55])  # whole and partial last step
+@pytest.mark.parametrize("t_final", [0.5, 0.55, 3.0, 3.01])  # whole and partial last step, 25 and 150 whole steps
 @pytest.mark.parametrize("yau", [False, True])
 def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
     x = helpers.random_polygon(rng, 7, p=3)
@@ -189,23 +203,29 @@ def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
     assert lean.times == (0.0, full.times[-1])
     assert lean.polygons[0] == x
     assert lean.final().vertices.tobytes() == full.final().vertices.tobytes()
-    assert lean.partial_final_step == full.partial_final_step == (t_final == 0.55)
+    assert lean.partial_final_step == full.partial_final_step == (t_final in (0.55, 3.01))
     assert lean.steps == full.steps == len(full.times) - 1
+
+
+def _around_the_blocks(test):
+    """Hypothesis examples on each side of the first and second block of 64
+    whole steps, with and without a partial step, for flow and Yau."""
+    cases = itertools.product((63, 64, 65, 128, 129), (False, True), (False, True))
+    for i, (steps, partial, yau) in enumerate(cases):
+        test = example(3 + i, 2 + i % 2, 1 + i % 4, yau, steps, partial, i % 3 == 0, 100 + i)(test)
+    return test
 
 
 @given(
     st.integers(3, 64), st.sampled_from((2, 3)), st.integers(1, 4), st.booleans(),
-    st.integers(0, 30), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+    st.integers(0, 200), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
 )
 @example(3, 2, 2, False, 5, True, True, 0)  # n < 8m + 1: the step's band wraps
 @example(8, 3, 1, True, 12, False, True, 1)
 @example(64, 2, 4, True, 30, True, False, 2)
 @example(5, 3, 3, False, 0, True, False, 3)  # only the partial step
-@example(6, 2, 1, False, 63, False, False, 4)  # around the first range-check block of 64 steps
-@example(7, 3, 2, True, 64, False, True, 5)
-@example(5, 2, 3, True, 65, False, False, 6)
-@example(9, 2, 1, False, 128, False, True, 7)
-@example(8, 3, 2, False, 64, True, False, 8)  # a partial step just after a block
+@example(64, 3, 1, True, 200, True, True, 4)  # three blocks at the largest n
+@_around_the_blocks
 @settings(max_examples=60)
 def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial, special, seed):
     rng = np.random.default_rng(seed)
@@ -227,6 +247,52 @@ def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial
     assert [poly.vertices.tobytes() for poly in full.polygons] == [v.tobytes() for v in states]
     lean = integrate(x, config, keep_steps=False)
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
+
+
+@pytest.mark.parametrize("case", ["stiff", "past-cap", "at-cap"])
+def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case):
+    """A stiff step, or (n - 1) n p past 2**18, keeps a run of 130 whole steps
+    and a partial one purely stepwise; at the cap the run goes in blocks, and
+    its states then differ from the stepwise ones."""
+    n, p = {"past-cap": (16, 1093), "at-cap": (16, 1092)}.get(case, (9, 2))
+    x = Polygon(rng.normal(size=(n, p)))
+    dt = (RK4_STABILITY_BOUND if case == "stiff" else 0.1) / stability_limit(n, 1)
+    config = IntegratorConfig(dt=dt, t_final=130.5 * dt, kind=PolyharmonicKind(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if case == "stiff" else "error", StiffnessWarning)
+        states = [poly.vertices.tobytes() for poly in integrate(x, config).polygons]
+    assert states == [v.tobytes() for v in helpers.polynomial_rk4(x, config)]
+    stepwise = [v.tobytes() for v in helpers.polynomial_rk4(x, config, blocks=False)]
+    assert (states == stepwise) == (case != "at-cap")
+
+
+@given(
+    st.integers(3, 256), st.sampled_from((2, 3)), st.integers(1, 3), st.floats(0.01, 2.78),
+    st.integers(64, 1000), st.booleans(), st.booleans(), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1),
+)
+@example(256, 3, 3, 0.1, 1000, True, True, 1e3, 0)
+@example(3, 2, 1, 2.78, 129, False, True, 0.0, 1)
+@settings(max_examples=40)
+def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, steps, yau, partial, shift, seed):
+    """Each block's last state is B = (the float step map)^64 of its first,
+    which the 64 steps give only up to rounding.  State k of a blocked run
+    lies within 0.5 k eps (max|X0| + max|Y|) of the run stepped one step at a
+    time (Y = 0 without a target).  Over 1300 random draws (n 3-256, p 2-3,
+    m 1-3, dt |rate_max| 0.01-2.78, 1-1000 steps, offsets to 1e3) the largest
+    gap was 0.11 k eps (max|X0| + max|Y|)."""
+    rng = np.random.default_rng(seed)
+    x = Polygon(rng.normal(size=(n, p)) + shift)
+    y = Polygon(rng.normal(size=(n, p)) - shift) if yau else None
+    kind = YauKind(m, y) if yau else PolyharmonicKind(m)
+    dt = ratio / stability_limit(n, m)
+    config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
+    scale = float(np.abs(x.vertices).max()) + (float(np.abs(y.vertices).max()) if yau else 0.0)
+    blocked = integrate(x, config)
+    with mock.patch.object(integrate_module, "_BLOCK_FLOATS", 0):  # no run fits: every step is stepped
+        stepped = integrate(x, config)
+    eps = np.finfo(float).eps
+    for k, (a, b) in enumerate(zip(blocked.polygons, stepped.polygons, strict=True)):
+        assert np.abs(a.vertices - b.vertices).max() <= 0.5 * k * eps * scale
 
 
 @given(
@@ -303,6 +369,21 @@ def test_divergence_names_the_oracles_step_and_the_last_finite_norm(rng, dt, ste
     assert str(info.value) == f"non-finite state at step {steps} (sup norm {info.value.norm!r})"
 
 
+@pytest.mark.parametrize("steps", [2, 130])  # stepwise, and in blocks
+@pytest.mark.parametrize("keep_steps", [True, False])
+def test_each_column_runs_at_its_own_scale(keep_steps, steps):
+    """A coordinate near one beside one near float max keeps its bits: each
+    column runs times its own power of two, so 0.7 is not made subnormal by
+    the 2^-1024 that 1e308 needs.  The Yau target's columns take the same
+    shifts: X0 - Y is constant here, so the state stays the input."""
+    x = helpers.constant_polygon([1e308, 0.7], 5)
+    far = helpers.constant_polygon([-1e308, 0.7], 5)
+    for kind in (PolyharmonicKind(1), YauKind(1, far)):
+        traj = integrate(x, IntegratorConfig(dt=0.005, t_final=steps * 0.005, kind=kind), keep_steps)
+        assert traj.steps == steps
+        assert all(q.vertices.tobytes() == x.vertices.tobytes() for q in traj.polygons)
+
+
 @pytest.mark.parametrize("k", [-600, -1000, 600, 1000])
 @pytest.mark.parametrize("keep_steps", [True, False])
 def test_divergence_is_named_in_the_callers_units(rng, k, keep_steps):
@@ -321,6 +402,26 @@ def test_divergence_is_named_in_the_callers_units(rng, k, keep_steps):
     else:
         assert 1 <= scaled.value.step < base.value.step
         assert math.ldexp(1.0, k - 1) <= scaled.value.norm < math.inf
+
+
+@pytest.mark.parametrize("column, k", [(0, 600), (1, -600)])
+@pytest.mark.parametrize("keep_steps", [True, False])
+def test_divergence_is_named_column_by_column_in_the_callers_units(rng, column, k, keep_steps):
+    """With one column times 2^k, each column runs at its own scale as the
+    unscaled run does, bit for bit: the run stops at the first state with a
+    column past float max in the caller's units and names the largest of
+    the previous state's column norms, each scaled back by its own shift."""
+    x = rng.uniform(0.5, 1.0, size=(8, 2)) * rng.choice([-1.0, 1.0], size=(8, 2))
+    config = IntegratorConfig(dt=9.0, t_final=200 * 9.0, kind=PolyharmonicKind(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = helpers.polynomial_rk4(Polygon(x), config)
+        for v in states:
+            v[:, column] = np.ldexp(v[:, column], k)
+    step = next(i for i, v in enumerate(states) if not np.isfinite(v).all())
+    with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError) as info:
+        integrate(Polygon(states[0]), config, keep_steps)
+    assert info.value.step == step
+    assert info.value.norm == float(np.abs(states[step - 1]).max())
 
 
 @pytest.mark.parametrize("k", [600, -600, 1000, -1000])
@@ -376,22 +477,41 @@ def test_zero_steps_keep_only_the_initial_state(rng):
     assert lean.times == (0.0,) and lean.polygons == (x,) and lean.steps == 0
 
 
+def _lean_peak(x, m, steps):
+    """tracemalloc's peak over a final-state-only run of ``steps`` whole steps
+    at dt |rate_max| = 0.1."""
+    dt = 0.1 / stability_limit(x.n, m)
+    config = IntegratorConfig(dt=dt, t_final=steps * dt, kind=PolyharmonicKind(m))
+    tracemalloc.start()
+    try:
+        traj = integrate(x, config, keep_steps=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps == steps and len(traj.polygons) == 2
+    return peak
+
+
 def test_final_state_only_memory_is_flat_in_the_step_count():
     x = eigen_polygon(256, 1)
-    dt = 0.1 / stability_limit(256, 1)
+    assert _lean_peak(x, 1, 4000) <= 1.5 * _lean_peak(x, 1, 500)
 
-    def traced_peak(steps):
-        config = IntegratorConfig(dt=dt, t_final=steps * dt, kind=PolyharmonicKind(1))
-        tracemalloc.start()
-        try:
-            traj = integrate(x, config, keep_steps=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traj.steps == steps and len(traj.polygons) == 2
-        return peak
 
-    assert traced_peak(4000) <= 1.5 * traced_peak(500)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_block_map_fits_in_four_mib(rng, m):
+    """At n = 256, p = 3 the block map's terms, coefficients and row index
+    take (n - 1) n (2 p + 1) 8 bytes, 3.7 MB; with the step map the run's peak
+    measured 3.9-4.1 MB for m = 1-3, against 0.2-0.4 MB stepwise."""
+    assert _lean_peak(Polygon(rng.normal(size=(256, 3))), m, 200) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("n, p", [(297, 3), (16, 1093)])
+def test_a_run_past_the_cap_allocates_as_a_stepwise_run(rng, n, p):
+    """Past (n - 1) n p = 2**18 no block map is built: a run of 200 steps
+    allocates what one of 63, too short for a block, does (to 5%; a block
+    map would add over 4 MB)."""
+    x = Polygon(rng.normal(size=(n, p)))
+    assert _lean_peak(x, 1, 200) <= 1.05 * _lean_peak(x, 1, 63)
 
 
 def test_yau_kind_stationary_trajectory(rng):
