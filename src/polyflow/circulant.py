@@ -119,59 +119,32 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
     return CirculantMatrix(n, tuple(row))
 
 
-def stencil(a: CirculantMatrix, like: np.ndarray):
-    """The row map ``values -> a @ values`` for operands of the shape and
-    dtype of ``like``, in three numpy calls per application.
-
-    Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the K
-    nonzero entries, offsets folded to (-n/2, n/2] and accumulated in
-    ascending signed order, so the sum matches a centered-stencil evaluation
-    term for term whenever the stencil does not wrap.  The map is bound to
-    one operand shape, (n,) or (n, p), and one dtype, real or complex, when
-    it is built: the (K, n) row index, the (K, n[, p]) buffers of the terms
-    and of their products, and the coefficients laid out as the terms are
-    all exist from then on; nothing is rebuilt per call.  Each call gathers
-    the terms, one shifted copy of ``values`` per nonzero entry, with one
-    ``take``, multiplies them by the coefficients elementwise, so zero
-    entries contribute no ``0 * inf``, and sums them with one
-    ``np.add.reduce``.  That sum starts from +0.0 and adds the terms in
-    order: the same terms in the same order as an index gather per entry,
-    so the same bits.  ``like`` with other than n rows is a ValueError
-    here, and an operand of another shape or dtype than ``like`` is a
-    ValueError at the call.  The map returns a new array, or writes into
-    ``out`` and returns it when one of the result's shape and dtype is
-    given; ``out`` may be ``values`` itself, which is gathered before the
-    sum is written.  Its buffers make the map unsafe to call from two
-    threads at once.
-    """
-    n, shape, dtype = a.n, like.shape, like.dtype
-    if shape[0] != n:  # the row index below covers exactly n rows
-        raise ValueError(f"size mismatch: matrix is {n}, data has {shape[0]} rows")
-    offsets = sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(a.first_row) if c)
-    idx = (np.array([s for s, _ in offsets], dtype=np.intp)[:, None] + np.arange(n)) % n
-    terms = np.empty(idx.shape + shape[1:], dtype=dtype)
-    # a Python float coefficient times the values, in the values' own precision;
-    # an array shaped as the terms makes the multiply an elementwise one, its cheapest form
-    column = np.array([c for _, c in offsets]).reshape((-1,) + (1,) * len(shape))
-    coefficients = np.broadcast_to(column, terms.shape).astype(np.result_type(dtype, 0.0))
-    prods = np.empty(terms.shape, dtype=np.promote_types(dtype, np.float64))
-    multiply, add_up = np.multiply, np.add.reduce  # looked up once, not on every call
-
-    def apply_rows(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if values.shape != shape or values.dtype != dtype:
-            raise ValueError(f"the map is bound to {dtype} operands of shape {shape}, "
-                             f"got {values.dtype} of shape {values.shape}")
-        values.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
-        multiply(coefficients, terms, prods)
-        return add_up(prods, axis=0, initial=0.0, out=out)
-
-    return apply_rows
+def folded(first_row) -> list[tuple[int, float]]:
+    """The nonzero entries of a circulant's first row as (offset, float value)
+    pairs in ascending offset, entry s at offset s folded to (-n/2, n/2]."""
+    n = len(first_row)
+    return sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(first_row) if c)
 
 
 def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
-    """Apply the circulant matrix to a vector or to per-vertex rows (see :func:`stencil`)."""
+    """Apply the circulant matrix to a vector or to per-vertex rows.
+
+    Row j of the result is ``sum_s b_s * values[(j + s) mod n]`` over the
+    :func:`folded` entries, summed from +0.0 in ascending signed offset, so
+    it matches a centered-stencil evaluation term for term whenever the
+    stencil does not wrap.  One gather makes a shifted copy of ``values``
+    per nonzero entry, one elementwise multiply weights them, so zero
+    entries contribute no ``0 * inf``, and one ``np.add.reduce`` sums them.
+    ``values`` with other than n rows is a ValueError.
+    """
     values = np.asarray(values)
-    return stencil(a, values)(values)
+    n = a.n
+    if values.shape[0] != n:  # a gather would drop extra rows silently
+        raise ValueError(f"size mismatch: matrix is {n}, data has {values.shape[0]} rows")
+    entries = folded(a.first_row)
+    idx = (np.array([s for s, _ in entries], dtype=np.intp)[:, None] + np.arange(n)) % n
+    column = np.array([c for _, c in entries]).reshape((-1,) + (1,) * values.ndim)
+    return np.add.reduce(column * values[idx], axis=0, initial=0.0)
 
 
 @lru_cache(maxsize=64)

@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--m", type=_positive_int, required=True, help="flow order")
 
     def add_schedule(p):
-        p.add_argument("--times", help="comma-separated strictly increasing times")
+        p.add_argument("--times", help="comma-separated strictly increasing times; "
+                       "a negative first time needs the = form, --times=-0.2,0.1")
         p.add_argument("--t0", type=_positive_float, default=T0, help="first geometric time")
         p.add_argument("--ratio", type=_positive_float, default=RATIO, help="geometric ratio > 1")
         p.add_argument("--count", type=_positive_int, default=COUNT, help="number of samples")

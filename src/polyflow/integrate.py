@@ -127,8 +127,8 @@ def _flow_powers(n: int, m: int) -> tuple[circulant.CirculantMatrix, ...]:
 
 
 def _step_row(powers: tuple[circulant.CirculantMatrix, ...], h: float) -> list[tuple[int, float]]:
-    """The nonzero off-centre entries of ``R(hA) - I`` as ascending (offset,
-    coefficient) pairs, offsets folded to (-n/2, n/2].
+    """The nonzero off-centre entries of ``R(hA) - I`` as
+    :func:`~polyflow.circulant.folded` (offset, coefficient) pairs.
 
     ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` is the RK4 stability function:
     one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.  Entry
@@ -143,17 +143,14 @@ def _step_row(powers: tuple[circulant.CirculantMatrix, ...], h: float) -> list[t
     num, den = h.as_integer_ratio()
     weights = [num**k * den ** (4 - k) * (24 // math.factorial(k)) for k in range(1, 5)]
     denominator = 24 * den**4
-    n = powers[0].n
-    row = []
-    for s in range(1, n):
+    row = [0.0]  # the centre entry, left out
+    for s in range(1, powers[0].n):
         exact = sum(w * a.first_row[s] for w, a in zip(weights, powers))
         try:
-            q = exact / denominator
+            row.append(exact / denominator)
         except OverflowError:
             raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
-        if q:
-            row.append((s if 2 * s <= n else s - n, q))
-    return sorted(row)
+    return circulant.folded(row)
 
 
 def _row_map(row: list[tuple[int, float]], like: np.ndarray):
@@ -197,18 +194,16 @@ def _block_map(step, like: np.ndarray):
     The unit impulse e_0 stepped that many times by ``step`` itself is
     column 0 of the float step map to that power, so the circulant's row
     entry at offset s is the impulse's entry (-s) mod n.  Its nonzero
-    off-centre entries, offsets folded to (-n/2, n/2] in ascending order,
-    are applied by :func:`_row_map` as the step's are, so a constant state
-    stays bitwise fixed under B too.
+    off-centre entries, :func:`~polyflow.circulant.folded`, are applied by
+    :func:`_row_map` as the step's are, so a constant state stays bitwise
+    fixed under B too.
     """
-    n = like.shape[0]
     impulse = np.zeros_like(like)
     impulse[0] = 1.0
     for _ in range(_CHECK_BLOCK):
         step(impulse)
     column = impulse[:, 0].tolist()
-    row = [(s, column[-s % n]) for s in range(-((n - 1) // 2), n // 2 + 1) if s and column[-s % n]]
-    return _row_map(row, like)
+    return _row_map(circulant.folded([0.0] + column[:0:-1]), like)
 
 
 def stability_limit(n: int, m: int) -> float:

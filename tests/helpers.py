@@ -101,7 +101,7 @@ def power_from_um(n, m, r):
 def gather_stencil(a):
     """The row map ``values -> a @ values`` as one index gather per nonzero
     entry, offsets folded to (-n/2, n/2] and accumulated in ascending signed
-    order: the term order :func:`polyflow.circulant.stencil` must reproduce."""
+    order: the term order :func:`polyflow.circulant.matvec` must reproduce."""
     n = a.n
     base = np.arange(n)
     offsets = sorted((s if 2 * s <= n else s - n, c) for s, c in enumerate(a.first_row) if c)

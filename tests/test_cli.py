@@ -95,6 +95,17 @@ def test_flow_stdout_when_no_outputs(pentagon_file, capsys):
     assert out.splitlines()[0] == "t,vertex_index,x1,x2"
 
 
+def test_a_negative_first_time_needs_the_equals_form(tmp_path, pentagon_file, capsys):
+    assert main(["flow", "--input", pentagon_file, "--m", "1", "--times=-0.2,0.1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sorted({float(r.split(",")[0]) for r in rows}) == [-0.2, 0.1]
+    csv_path = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as info:  # argparse reads -0.2,0.1 as a flag
+        main(["flow", "--input", pentagon_file, "--m", "1", "--times", "-0.2,0.1", "--csv", str(csv_path)])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == "" and not csv_path.exists()
+
+
 def test_svg_output_is_deterministic(tmp_path, pentagon_file, capsys):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
