@@ -13,9 +13,10 @@ from the exact powers A .. A^4, each entry rounded once, and a step applies
 it as one stencil of five numpy calls.  The results differ from a
 stage-by-stage evaluation only at rounding level.  Whole steps go in blocks
 of 64 when that pays: the last state of each block is one circulant B, the
-float step map to the 64th power read off a stepped unit impulse, applied
-to the block's first state by the same stencil, so 64 steps cost five numpy
-calls instead of 320.  B differs from its 64 steps only at rounding level.
+float step map to the 64th power built from the step's row by six cyclic
+self-convolutions, applied to the block's first state by the same stencil,
+so 64 steps cost five numpy calls instead of 320.  B differs from its 64
+steps only at rounding level.
 Steps run in place on vertex arrays allocated once per run; a run keeps
 every state as a polygon, or only the initial and final ones, so its memory
 need not grow with the step count.  A diverging block is replayed from its
@@ -38,7 +39,9 @@ from .polygon import Polygon, _shift_near_one
 # the steps between range checks when only the final state is kept.  A check
 # costs about a third of a step at n = 24, and a fifth (m = 1) to a tenth
 # (m = 3) at n = 256, so a stepped block spends under 1% of its time on it.
-_CHECK_BLOCK = 64
+# B is the step map squared six times.
+_SQUARINGS = 6
+_CHECK_BLOCK = 2**_SQUARINGS
 
 # B is built only when its at most n - 1 off-centre entries times the n * p
 # state entries fit in this many floats: B's terms and coefficients then take
@@ -134,20 +137,24 @@ def _step_row(powers: tuple[circulant.CirculantMatrix, ...], h: float) -> list[t
     one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.  Entry
     s of ``R(hA) - I`` is the rational ``sum_k h^k (A^k)_s / k!`` with h
     taken exactly as ``h.as_integer_ratio()``; Python's int true division
-    rounds it correctly.  An entry beyond float range, first reached near
-    dt * |rate_max| = 1e77, is an OverflowError: its step would turn even
-    a constant state into nan.  Rows of A^k have zero sum, so the centre
-    entry is minus the sum of the others and the step needs only the
-    off-centre ones.
+    rounds it correctly.  A's nonzero entries lie within ``reach`` of the
+    centre, cyclically, so those of A^k lie within k * reach and only the
+    band of offsets within 4 * reach is visited.  An entry beyond float
+    range, first reached near dt * |rate_max| = 1e77, is an OverflowError:
+    its step would turn even a constant state into nan.  Rows of A^k have
+    zero sum, so the centre entry is minus the sum of the others and the
+    step needs only the off-centre ones.
     """
+    n = powers[0].n
+    reach = max(min(s, n - s) for s, a in enumerate(powers[0].first_row) if a)
     num, den = h.as_integer_ratio()
     weights = [num**k * den ** (4 - k) * (24 // math.factorial(k)) for k in range(1, 5)]
     denominator = 24 * den**4
-    row = [0.0]  # the centre entry, left out
-    for s in range(1, powers[0].n):
+    row = [0.0] * n  # the centre entry stays 0.0, left out
+    for s in {s % n for s in range(-4 * reach, 4 * reach + 1)} - {0}:
         exact = sum(w * a.first_row[s] for w, a in zip(weights, powers))
         try:
-            row.append(exact / denominator)
+            row[s] = exact / denominator
         except OverflowError:
             raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
     return circulant.folded(row)
@@ -181,29 +188,30 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     return apply
 
 
-def _step_map(powers: tuple[circulant.CirculantMatrix, ...], h: float, like: np.ndarray):
-    """One RK4 step of size h for states of the shape of ``like``, in place:
-    the :func:`_row_map` of :func:`_step_row`'s entries."""
-    return _row_map(_step_row(powers, h), like)
+def _block_map(row: list[tuple[int, float]], like: np.ndarray):
+    """The block map B, in place: :data:`_CHECK_BLOCK` = 2^6 applications
+    of the float step map of ``row``, the step's :func:`_step_row`, as one
+    circulant for states of the shape of ``like``.
 
-
-def _block_map(step, like: np.ndarray):
-    """The block map B, in place: :data:`_CHECK_BLOCK` applications of the
-    float step map ``step`` (bound to ``like``'s shape) as one circulant.
-
-    The unit impulse e_0 stepped that many times by ``step`` itself is
-    column 0 of the float step map to that power, so the circulant's row
-    entry at offset s is the impulse's entry (-s) mod n.  Its nonzero
-    off-centre entries, :func:`~polyflow.circulant.folded`, are applied by
-    :func:`_row_map` as the step's are, so a constant state stays bitwise
-    fixed under B too.
+    The float step map is I + E, E the circulant whose row holds ``row``'s
+    entries off the centre and, at the centre, minus their correctly rounded
+    sum.  Squaring gives (I + E)^2 = I + (2E + E E), so six rounds of
+    E <- 2E + E E make the 64th power I + E.  Each product E E is the
+    cyclic self-convolution of E's row: one ``np.convolve`` of two length-n
+    rows, entry k + n folded onto entry k.  No Fourier transform is used.
+    E's nonzero off-centre entries, :func:`~polyflow.circulant.folded`, are
+    applied by :func:`_row_map` as the step's are, so a constant state stays
+    bitwise fixed under B too.
     """
-    impulse = np.zeros_like(like)
-    impulse[0] = 1.0
-    for _ in range(_CHECK_BLOCK):
-        step(impulse)
-    column = impulse[:, 0].tolist()
-    return _row_map(circulant.folded([0.0] + column[:0:-1]), like)
+    n = like.shape[0]
+    e = np.zeros(n)
+    e[[s % n for s, _ in row]] = [q for _, q in row]
+    e[0] = -math.fsum(q for _, q in row)
+    for _ in range(_SQUARINGS):
+        square = np.convolve(e, e)
+        square[: n - 1] += square[n:]
+        e = 2.0 * e + square[:n]
+    return _row_map(circulant.folded([0.0] + e[1:].tolist()), like)
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -294,11 +302,12 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     if target is not None:
         np.subtract(d, target, d)
     powers = _flow_powers(x0.n, kind.m)
-    whole = _step_map(powers, dt, d)
-    short = _step_map(powers, remainder, d) if partial else whole
+    row = _step_row(powers, dt)
+    whole = _row_map(row, d)
+    short = _row_map(_step_row(powers, remainder), d) if partial else whole
     blocked = 0  # steps [0, blocked) go in full blocks whose last state is B of their first
     if n_full >= _CHECK_BLOCK and dt * rate < RK4_STABILITY_BOUND and (x0.n - 1) * d.size <= _BLOCK_FLOATS:
-        block = _block_map(whole, d)
+        block = _block_map(row, d)
         blocked = n_full - n_full % _CHECK_BLOCK
 
     def state() -> np.ndarray:

@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from polyflow import FlowRangeError, Polygon, spectral_flow
-from polyflow.circulant import flow_eigenvalue, flow_sign, fourier_matrix, idft, power_of_m
+from polyflow.circulant import flow_eigenvalue, flow_eigenvalues, flow_sign, fourier_matrix, idft, power_of_m
 from polyflow.integrate import RK4_STABILITY_BOUND, YauKind
 from polyflow.polygon import PolygonFormatError, energy, format_float
 
@@ -149,14 +149,15 @@ def rk4_step_row(n, m, h):
     """The nonzero off-centre entries of ``R(hA) - I`` as ascending (offset,
     float) pairs, offsets folded to (-n/2, n/2]: ``R(z) = 1 + z + z^2/2 +
     z^3/6 + z^4/24`` and ``A = (-1)^(m+1) M^m``, its first row's powers taken
-    as row vector times the dense Python-int matrix, each entry summed as a
-    ``Fraction`` and rounded once."""
+    as row vector times the dense Python-int matrix (over the vector's
+    nonzero entries), each entry summed as a ``Fraction`` and rounded once."""
     row = power_of_m(n, m).first_row
     a = [[(-1) ** (m + 1) * row[(j - i) % n] for j in range(n)] for i in range(n)]
     power, exact, hh = list(a[0]), [Fraction(0)] * n, Fraction(h)
     for k in range(1, 5):
         exact = [e + hh**k / math.factorial(k) * c for e, c in zip(exact, power)]
-        power = [sum(power[i] * a[i][j] for i in range(n)) for j in range(n)]
+        nonzero = [i for i in range(n) if power[i]]
+        power = [sum(power[i] * a[i][j] for i in nonzero) for j in range(n)]
     entries = [(s if 2 * s <= n else s - n, float(exact[s])) for s in range(1, n)]
     return sorted((s, q) for s, q in entries if q)
 
@@ -173,10 +174,13 @@ def polynomial_rk4(x0, config, blocks=True):
     steps with dt * |rate_max| below the RK4 stability bound and
     (n - 1) * n * p <= 2**18 goes in blocks of 64 steps from step 0: the last
     state of each full block of whole steps is the 64-step circulant B of
-    the block's first state, the others are stepped.  B's entry at offset s
-    is entry -s mod n of the unit impulse e_0 after 64 steps, applied by
-    gathers in the same difference form.  Other steps go one at a time.
-    Without ``blocks`` every step does.  A run must reproduce it bit for bit.
+    the block's first state, the others are stepped.  E starts as the step
+    row with the centre entry minus the off-centre entries' exact sum,
+    rounded once, and each of six rounds E <- 2E + E E squares I + E: E E
+    is the row's ``np.convolve`` with itself, entry k + n added onto entry
+    k.  Then B = I + E, and its off-centre entries are applied by gathers
+    in the same difference form.  Other steps go one at a time.  Without
+    ``blocks`` every step does.  A run must reproduce it bit for bit.
     """
     kind = config.kind
     n, p, base = x0.n, x0.p, np.arange(x0.n)
@@ -197,17 +201,22 @@ def polynomial_rk4(x0, config, blocks=True):
     n_full = int(math.floor(t_final / dt + 1e-9))
     remainder = t_final - n_full * dt
     n_steps = n_full + (remainder > 1e-12 * max(1.0, abs(t_final)))
-    whole = row_map(rk4_step_row(n, kind.m, dt))
+    whole_row = rk4_step_row(n, kind.m, dt)
+    whole = row_map(whole_row)
     short = row_map(rk4_step_row(n, kind.m, remainder)) if n_steps > n_full else whole
     stable = dt * abs(flow_eigenvalue(n, kind.m, n // 2)) < RK4_STABILITY_BOUND
     blocked = 0
     if blocks and n_full >= 64 and stable and (n - 1) * n * p <= 2**18:
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        for _ in range(64):
-            impulse = whole(impulse)
+        e = np.zeros(n)
+        for s, q in whole_row:
+            e[s % n] = q
+        e[0] = float(-sum((Fraction(q) for _, q in whole_row), Fraction(0)))
+        for _ in range(6):
+            full = np.convolve(e, e)  # 2n - 1 entries
+            wrapped = [full[k] + full[k + n] for k in range(n - 1)] + [full[n - 1]]
+            e = np.array([a + a + b for a, b in zip(e.tolist(), wrapped)])
         offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
-        block = row_map(sorted((s, float(impulse[-s % n])) for s in offsets if impulse[-s % n]))
+        block = row_map(sorted((s, float(e[s % n])) for s in offsets if e[s % n]))
         blocked = n_full - n_full % 64
     d = x0.vertices.copy() if target is None else x0.vertices - target
     states = [x0.vertices.copy()]
@@ -221,6 +230,59 @@ def polynomial_rk4(x0, config, blocks=True):
             first = d
         states.append(d if target is None else d + target)  # each step makes a new d
     return states
+
+
+def exact_step_power(row, n, squarings=6):
+    """The first row of ``(I + E)^(2^squarings) - I`` in exact arithmetic, as
+    Fractions: E is the circulant whose row holds ``row``'s (offset, float)
+    entries off the centre and, at the centre, minus their exact sum, so
+    I + E is the float step map of ``row``.  Entries are Python ints over a
+    common power of two, squared by (I + E)^2 = I + (2E + E E), E E the
+    cyclic convolution of the row with itself."""
+    scale = max((q.as_integer_ratio()[1] for _, q in row), default=1).bit_length() - 1
+    e = [0] * n
+    for s, q in row:
+        num, den = q.as_integer_ratio()
+        e[s % n] = num << (scale - den.bit_length() + 1)
+    e[0] = -sum(e)
+    for _ in range(squarings):
+        square = [0] * n
+        nonzero = [(i, a) for i, a in enumerate(e) if a]
+        for i, a in nonzero:
+            for j, b in nonzero:
+                square[(i + j) % n] += a * b
+        e = [(a << (scale + 1)) + b for a, b in zip(e, square)]
+        scale *= 2
+    return [Fraction(a, 1 << scale) for a in e]
+
+
+def rk4_spectral_image(x0, config):
+    """The final state of the RK4 run of ``config`` from x0, through the
+    Fourier modes: with d = X0 - Y (Y the Yau target, or 0 for the flow),
+    the rfft of d minus its mean, mode k times R(h lambda_k)^N for N whole
+    steps of size h and times R(r lambda_k) for a partial step of size r,
+    transformed back and plus Y and the mean.  R is the RK4 stability
+    function and lambda_k the rate of mode k from ``flow_eigenvalues``; the
+    mean is mode 0, whose rate is 0 and R(0) = 1, so it is added back
+    untransformed.  The image shares the rates with the library but not the
+    integer rows of M^m that ``integrate`` steps by."""
+    kind = config.kind
+    target = kind.target.vertices if isinstance(kind, YauKind) else 0.0
+    d = x0.vertices - target
+    mean = d.mean(axis=0)
+    dt, t_final = config.dt, config.t_final
+    n_full = int(math.floor(t_final / dt + 1e-9))
+    remainder = t_final - n_full * dt
+    rates = flow_eigenvalues(x0.n, kind.m)
+
+    def stability(z):
+        return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+    factors = stability(dt * rates) ** n_full
+    if remainder > 1e-12 * max(1.0, abs(t_final)):
+        factors = factors * stability(remainder * rates)
+    modes = np.fft.rfft(d - mean, axis=0)
+    return target + (mean + np.fft.irfft(modes * factors[:, None], n=x0.n, axis=0))
 
 
 def point_segment_distance(pt, a, b):

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,18 @@ from polyflow.yau_flow import YauProblem, yau_solve
 import helpers
 
 integrate_module = importlib.import_module("polyflow.integrate")  # the package's `integrate` is the function
+
+# B's entries against the exact 64th power of the float step row, in eps: the
+# largest error over 4000 draws (n 3-33, m 1-3, dt |rate_max| 0.01-2.78, half
+# of them above 2.5) was 6.5 eps.
+C_BLOCK = 16
+
+# A run's final state against its spectral image, per step: the largest gap
+# over 5000 draws (n 3-199, p 2-3, m 1-3, dt |rate_max| 0.01-2.78, 1-400
+# steps, 3000 of them with 1-8 steps, half with a partial step, scales and
+# offsets 1e+-3) was 2.65 N eps (max|X0| + max|Y|), at N = 1, where the
+# transforms' own rounding dominates; the median was 0.03.
+C_IMAGE = 4.0
 
 
 def test_config_validation(rng):
@@ -70,6 +83,7 @@ def test_constant_polygons_and_yau_runs_at_their_target_stay_bitwise_fixed(rng, 
 @example(8, 1, 2.5, False)  # 8m + 1 = n + 1: offsets +-4 meet at n/2
 @example(7, 2, 1e-4, True)
 @example(5, 1, 1e60, False)  # a step far past the stability bound
+@example(256, 3, 0.1, False)  # a band of 25 offsets in a row of 256
 def test_the_step_row_is_the_oracles_row_bitwise(n, m, ratio, tiny):
     """The library's exact row of R(hA) - I, rounded once per entry, is the
     row the dense Fraction oracle builds, bit for bit."""
@@ -121,18 +135,24 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     """One step map per step size serves every step, block and replay of a
     run: the whole step's, and the shorter final step's when there is one.
     A run of 64 or more whole steps that is neither stiff nor past the size
-    cap also builds exactly one block map, from the whole step's map."""
-    step_map, block_map, built, blocks = integrate_module._step_map, integrate_module._block_map, [], []
+    cap also builds exactly one block map, from the whole step's row."""
+    step_row, row_map, block_map = integrate_module._step_row, integrate_module._row_map, integrate_module._block_map
+    rows, maps, blocks = [], [], []
 
-    def counted_step(powers, h, like):
-        built.append((h, like.shape))
-        return step_map(powers, h, like)
+    def counted_row(powers, h):
+        rows.append((h, step_row(powers, h)))
+        return rows[-1][1]
 
-    def counted_block(step, like):
-        blocks.append(like.shape)
-        return block_map(step, like)
+    def counted_map(row, like):
+        maps.append(like.shape)
+        return row_map(row, like)
 
-    monkeypatch.setattr(integrate_module, "_step_map", counted_step)
+    def counted_block(row, like):
+        blocks.append((row, like.shape))
+        return block_map(row, like)
+
+    monkeypatch.setattr(integrate_module, "_step_row", counted_row)
+    monkeypatch.setattr(integrate_module, "_row_map", counted_map)
     monkeypatch.setattr(integrate_module, "_block_map", counted_block)
     n, p = (16, 1093) if run == "past-cap" else (7, 2)  # 15 * 16 * 1093 floats exceed 2**18
     x = helpers.random_polygon(rng, n, p)
@@ -141,7 +161,7 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     if run in ("replay", "stiff"):  # a failed check is replayed step by step and names its step
         with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError):
             integrate(x, IntegratorConfig(dt=9.0, t_final=900.5, kind=kind), keep_steps=run == "stiff")
-        assert built == [(9.0, (7, 2)), (0.5, (7, 2))] and blocks == []
+        assert [h for h, _ in rows] == [9.0, 0.5] and maps == [(7, 2)] * 2 and blocks == []
         return
     if run == "scaled":
         x = Polygon(np.ldexp(x.vertices, 700))
@@ -149,8 +169,9 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     t_final = steps * 0.01 + 0.005 * (run == "partial")
     traj = integrate(x, IntegratorConfig(dt=0.01, t_final=t_final, kind=kind), keep_steps=False)
     assert traj.steps == steps + (run == "partial")
-    assert built == [(0.01, (n, p))] + ([(t_final - steps * 0.01, (n, p))] if run == "partial" else [])
-    assert blocks == ([] if run in ("short", "past-cap") else [(n, p)])
+    assert [h for h, _ in rows] == [0.01] + ([t_final - steps * 0.01] if run == "partial" else [])
+    assert blocks == ([] if run in ("short", "past-cap") else [(rows[0][1], (n, p))])
+    assert maps == [(n, p)] * (len(rows) + len(blocks))
 
 
 def test_rk4_converges_at_order_four():
@@ -249,6 +270,37 @@ def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
 
 
+@given(st.integers(3, 33), st.integers(1, 3), st.floats(0.01, 2.78), st.booleans(), st.integers(0, 2**32 - 1))
+@example(33, 3, 2.78, True, 0)
+@example(3, 3, 2.78, False, 1)  # a band of 25 offsets folded onto 3
+@example(32, 1, 0.01, False, 2)  # B's entries far from the centre near 1e-26
+@settings(max_examples=40)
+def test_the_block_map_is_within_rounding_of_the_exact_64th_power(n, m, ratio, yau, seed):
+    """A run builds B from its whole step's float row by six squarings in
+    floats.  B's off-centre entries lie within C_BLOCK eps of the exact 64th
+    power of the float step map, I + E with E's centre entry minus the exact
+    sum of the off-centre ones, computed from the oracle's row."""
+    rng = np.random.default_rng(seed)
+    x = Polygon(rng.normal(size=(n, 2)))
+    kind = YauKind(m, Polygon(rng.normal(size=(n, 2)))) if yau else PolyharmonicKind(m)
+    dt = ratio / stability_limit(n, m)
+    block_map, built = integrate_module._block_map, []
+
+    def capture(row, like):
+        built.append(block_map(row, like))
+        return built[-1]
+
+    with mock.patch.object(integrate_module, "_block_map", capture):
+        integrate(x, IntegratorConfig(dt=dt, t_final=64 * dt, kind=kind), keep_steps=False)
+    (block,) = built
+    column = np.zeros((n, 2))
+    column[0] = 1.0
+    block(column)  # entry j of B e_0 is B's row entry at offset -j, exactly: one nonzero term
+    exact = helpers.exact_step_power(helpers.rk4_step_row(n, m, dt), n)
+    eps = Fraction(np.finfo(float).eps)
+    assert all(abs(Fraction(column[j, 0]) - exact[-j % n]) <= C_BLOCK * eps for j in range(1, n))
+
+
 @pytest.mark.parametrize("case", ["stiff", "past-cap", "at-cap"])
 def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case):
     """A stiff step, or (n - 1) n p past 2**18, keeps a run of 130 whole steps
@@ -277,9 +329,9 @@ def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, st
     """Each block's last state is B = (the float step map)^64 of its first,
     which the 64 steps give only up to rounding.  State k of a blocked run
     lies within 0.5 k eps (max|X0| + max|Y|) of the run stepped one step at a
-    time (Y = 0 without a target).  Over 1300 random draws (n 3-256, p 2-3,
-    m 1-3, dt |rate_max| 0.01-2.78, 1-1000 steps, offsets to 1e3) the largest
-    gap was 0.11 k eps (max|X0| + max|Y|)."""
+    time (Y = 0 without a target).  Over 2600 random draws (n 3-256, p 2-3,
+    m 1-3, dt |rate_max| 0.01-2.78, 64-1000 steps, offsets to 1e3) the
+    largest gap was 0.18 k eps (max|X0| + max|Y|)."""
     rng = np.random.default_rng(seed)
     x = Polygon(rng.normal(size=(n, p)) + shift)
     y = Polygon(rng.normal(size=(n, p)) - shift) if yau else None
@@ -318,6 +370,34 @@ def test_a_run_is_within_rounding_of_the_stagewise_rk4(n, p, m, ratio, steps, ya
     stagewise = helpers.stagewise_rk4(x, config)
     for k, (q, v) in enumerate(zip(integrate(x, config).polygons, stagewise, strict=True)):
         assert np.abs(q.vertices - v).max() <= 8 * k * eps * scale
+
+
+@given(
+    st.integers(3, 128), st.sampled_from((2, 3)), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(1, 300),
+    st.booleans(), st.booleans(), st.floats(-3, 3), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1),
+)
+@example(256, 3, 3, 0.1, 200, True, True, 0.0, 1e3, 0)  # three blocks at the largest n
+@example(3, 2, 3, 2.78, 129, False, True, -3.0, 0.0, 1)  # a wrapped band near the stability bound
+@example(64, 2, 1, 2.78, 64, True, False, 3.0, -1e3, 2)  # exactly one block
+@example(5, 3, 2, 0.5, 1, False, True, 0.0, 0.0, 3)  # one partial step
+@settings(max_examples=60)
+def test_a_run_is_within_rounding_of_its_spectral_image(n, p, m, ratio, steps, yau, partial, exponent, shift, seed):
+    """The run is the circulant R(hA)^N (times R(rA) for a partial step r),
+    so its final state is the Fourier image of X0 with each mode k scaled by
+    R(h lambda_k)^N (and R(r lambda_k)), which shares no code with the step
+    rows or B.  The two lie within C_IMAGE N eps (max|X0| + max|Y|), N the
+    number of steps, Y = 0 without a target."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    x = Polygon(rng.normal(size=(n, p)) * scale + shift)
+    y = Polygon(rng.normal(size=(n, p)) * scale - shift) if yau else None
+    kind = YauKind(m, y) if yau else PolyharmonicKind(m)
+    dt = ratio / stability_limit(n, m)
+    config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
+    final = integrate(x, config, keep_steps=False).final().vertices
+    size = float(np.abs(x.vertices).max()) + (float(np.abs(y.vertices).max()) if yau else 0.0)
+    gap = np.abs(final - helpers.rk4_spectral_image(x, config)).max()
+    assert gap <= C_IMAGE * (steps + partial) * np.finfo(float).eps * size
 
 
 def _diverging_run(rng, dt, steps, partial):
