@@ -126,6 +126,14 @@ def folded(first_row) -> list[tuple[int, float]]:
     return sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(first_row) if c)
 
 
+def gather_index(entries, n: int) -> np.ndarray:
+    """Row k holds (j + s) mod n for j = 0 .. n - 1, s the offset of entry k
+    of the :func:`folded` ``entries``: one conditional subtract of n, not an
+    int64 modulo of all K * n entries."""
+    idx = np.array([s % n for s, _ in entries], dtype=np.intp)[:, None] + np.arange(n)
+    return np.subtract(idx, n, out=idx, where=idx >= n)
+
+
 def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     """Apply the circulant matrix to a vector or to per-vertex rows.
 
@@ -142,7 +150,7 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     if values.shape[0] != n:  # a gather would drop extra rows silently
         raise ValueError(f"size mismatch: matrix is {n}, data has {values.shape[0]} rows")
     entries = folded(a.first_row)
-    idx = (np.array([s for s, _ in entries], dtype=np.intp)[:, None] + np.arange(n)) % n
+    idx = gather_index(entries, n)
     column = np.array([c for _, c in entries]).reshape((-1,) + (1,) * values.ndim)
     return np.add.reduce(column * values[idx], axis=0, initial=0.0)
 

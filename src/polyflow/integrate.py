@@ -17,10 +17,12 @@ float step map to the 64th power built from the step's row by six cyclic
 self-convolutions, applied to the block's first state by the same stencil,
 so 64 steps cost five numpy calls instead of 320.  B differs from its 64
 steps only at rounding level.
-Steps run in place on vertex arrays allocated once per run; a run keeps
-every state as a polygon, or only the initial and final ones, so its memory
-need not grow with the step count.  A diverging block is replayed from its
-first state, checking each step, to name the first bad one.
+Steps run in place on vertex arrays allocated once per run.  A run keeps
+every state, or only the initial and final ones, so its memory need not grow
+with the step count.  Each block writes the states it keeps into one array,
+range-checked once in the caller's units, and keeps them as read-only views
+of it.  A block that fails the check is replayed from its first state,
+checking each step, to name the first bad one.
 """
 from __future__ import annotations
 
@@ -35,11 +37,8 @@ from . import circulant
 from .polygon import Polygon, _shift_near_one
 
 
-# Steps in a block: the power of the step map that the block map B applies, and
-# the steps between range checks when only the final state is kept.  A check
-# costs about a third of a step at n = 24, and a fifth (m = 1) to a tenth
-# (m = 3) at n = 256, so a stepped block spends under 1% of its time on it.
-# B is the step map squared six times.
+# Steps in a block, between two range checks: the power of the step map that
+# the block map B, the step map squared six times, applies.
 _SQUARINGS = 6
 _CHECK_BLOCK = 2**_SQUARINGS
 
@@ -170,8 +169,7 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     the update.  A constant state has zero differences, so it stays bitwise
     fixed.  The map's buffers are bound to ``like``'s shape once.
     """
-    n = like.shape[0]
-    idx = (np.array([s for s, _ in row], dtype=np.intp)[:, None] + np.arange(n)) % n
+    idx = circulant.gather_index(row, like.shape[0])
     terms = np.empty(idx.shape + like.shape[1:])
     # coefficients laid out as the terms make the multiply an elementwise one, its cheapest form
     column = np.array([q for _, q in row]).reshape((-1,) + (1,) * like.ndim)
@@ -253,14 +251,17 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     change, and a column near one keeps its bits beside one near float max.
     A state whose coordinates leave float range (in the caller's units)
     aborts with :class:`DivergenceError`, naming the first such step and
-    the sup norm, in the caller's units, of the state before it.  The range
-    is checked after every step when every state is kept, and otherwise
-    once per block.  A failed check replays its block bit for bit from a
+    the sup norm, in the caller's units, of the state before it.  Each
+    block writes the states it keeps, all of them with ``keep_steps`` and
+    otherwise its last, into one array, scales it back to the caller's
+    units and checks it once, in both retention modes, with
+    ``np.isfinite``; its rows are then read-only polygons, views that
+    share no memory with each other.  A failed check replays its block bit for bit from a
     copy of the block's first state, checking every step, so either
     retention mode names the first out-of-range step; a diverging run
-    costs up to 64 more steps.  (A scaled-down run that does not fail may
-    pass float max in the caller's units between two checks: only kept
-    states must be representable.)
+    costs up to 64 more steps.  (A scaled-down lean run that does not fail
+    may pass float max in the caller's units between two checks: only
+    kept states must be representable.)
     """
     kind = config.kind
     if isinstance(kind, YauKind):
@@ -297,7 +298,7 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     if target is not None and shifted:
         target = np.ldexp(target, shifts)
 
-    d, u, start = np.empty_like(x0.vertices), np.empty_like(x0.vertices), np.empty_like(x0.vertices)
+    d, start = np.empty_like(x0.vertices), np.empty_like(x0.vertices)
     np.ldexp(x0.vertices, shifts, d)  # exact, shift 0 included
     if target is not None:
         np.subtract(d, target, d)
@@ -310,18 +311,10 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         block = _block_map(row, d)
         blocked = n_full - n_full % _CHECK_BLOCK
 
-    def state() -> np.ndarray:
-        return d if target is None else np.add(target, d, u)
-
-    def sup() -> float:
-        """The state's sup norm in the caller's units: inf past float max there, nan for a nan state."""
-        v = np.abs(state(), u)
-        return float((np.ldexp(v, unshifts, v) if shifted else v).max())
-
-    def kept() -> Polygon:
-        """A copy of the state, which a range check has passed, as a polygon."""
-        v = state()
-        return Polygon._checked(np.ldexp(v, unshifts) if shifted else v.copy())
+    def state(out: np.ndarray) -> np.ndarray:
+        """``out`` <- the state, still at the run's scale."""
+        np.copyto(out, d) if target is None else np.add(target, d, out)
+        return out
 
     def advance(step: int) -> None:
         """d <- state step + 1 from state step, or, at the last step of a full
@@ -332,46 +325,44 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         else:
             (whole if step < n_full else short)(d)
 
-    def replay(first: int, last: int) -> None:
-        """Repeats steps first + 1 .. last of the block from its first state bit
-        for bit, checking each, and raises at the first out-of-range state."""
+    def replay(first: int, last: int, checked: np.ndarray) -> None:
+        """Repeats steps first + 1 .. last of the block bit for bit from its
+        first state, ``checked`` in the caller's units, and raises at the
+        first state whose sup norm there is past float max (inf, or nan for a
+        nan state)."""
         np.copyto(d, start)
-        norm = sup() if first else float(np.abs(x0.vertices).max())
+        norm, v = float(np.abs(checked).max()), np.empty_like(d)
         for step in range(first, last):
             advance(step)
-            size = sup()
+            np.abs(state(v), v)
+            size = float((np.ldexp(v, unshifts, v) if shifted else v).max())
             if not size <= sys.float_info.max:
                 raise DivergenceError(step=step + 1, norm=norm)
             norm = size
 
-    times = [0.0]
-    polygons = [x0]
-
-    def keep(step: int) -> None:
-        times.append(step * dt if step <= n_full else t_final)
-        polygons.append(kept())
-
+    times, polygons = [0.0], [x0]
+    checked = x0.vertices  # the last state that passed the range check
     with np.errstate(over="ignore", invalid="ignore"):
-        # blowup is found by the range checks and reported as DivergenceError
+        # blowup is found by the range check and reported as DivergenceError
         for first in range(0, n_steps, _CHECK_BLOCK):
             last = min(first + _CHECK_BLOCK, n_steps)
             np.copyto(start, d)
-            if keep_steps:
-                for step in range(first, last):
-                    advance(step)
-                    if not sup() <= sys.float_info.max:
-                        replay(first, step + 1)
-                    keep(step + 1)
-            else:
-                if last <= blocked:
-                    block(d)  # d holds the block's first state
-                else:
-                    for step in range(first, last):
-                        advance(step)
-                if not sup() <= sys.float_info.max:
-                    replay(first, last)
-        if n_steps and not keep_steps:
-            keep(n_steps)
+            kept = range(first + 1 if keep_steps else last, last + 1)
+            states = np.empty((len(kept),) + d.shape)
+            # a lean full block goes to its last state by B alone
+            for step in range(first if keep_steps or last > blocked else last - 1, last):
+                advance(step)
+                if step + 1 in kept:
+                    state(states[step - last])  # row -1 holds state last
+            if shifted:
+                np.ldexp(states, unshifts, states)
+            if not np.isfinite(states).all():
+                replay(first, last, checked)
+            states.flags.writeable = False  # checked: each kept state is a view of the block
+            checked = states[-1]
+            if keep_steps or last == n_steps:
+                times.extend(step * dt if step <= n_full else t_final for step in kept)
+                polygons.extend(map(Polygon._checked, states))
     return Trajectory(
         times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
     )

@@ -44,6 +44,12 @@ C_BLOCK = 16
 # transforms' own rounding dominates; the median was 0.03.
 C_IMAGE = 4.0
 
+# A run of the reversed X0 and Y against the reversed run, per step of the
+# run: the largest gap over 2600 draws (n 3-64, p 2-3, m 1-3, dt |rate_max|
+# 0.01-2.78, 0-200 steps, half of them at most 8, half with a partial step)
+# was 0.93 N eps (max|X0| + max|Y|), at N = 1.
+C_REVERSAL = 2.0
+
 
 def test_config_validation(rng):
     kind = PolyharmonicKind(1)
@@ -398,6 +404,62 @@ def test_a_run_is_within_rounding_of_its_spectral_image(n, p, m, ratio, steps, y
     size = float(np.abs(x.vertices).max()) + (float(np.abs(y.vertices).max()) if yau else 0.0)
     gap = np.abs(final - helpers.rk4_spectral_image(x, config)).max()
     assert gap <= C_IMAGE * (steps + partial) * np.finfo(float).eps * size
+
+
+def test_c13_runs_lie_within_rounding_of_their_spectral_image():
+    """c13's runs of the pure rate -4 mode, through the image: at each step
+    size the run's error against e^{-4} X0 is the image's within
+    C_IMAGE N eps max|X0| (measured errors 4.05e-11, 2.52e-12 and
+    1.57e-13, gaps at most 1e-15), and the image's error ratios are
+    fourth order to within rounding (measured 16.10 and 16.00)."""
+    x0 = Polygon(np.array([[1.0, 0.0], [-1.0, 0.0]] * 3))
+    exact = x0.scaled(math.exp(-4.0)).vertices
+    errors = []
+    for dt, steps in ((4e-3, 250), (2e-3, 500), (1e-3, 1000)):
+        config = IntegratorConfig(dt=dt, t_final=1.0, kind=PolyharmonicKind(1))
+        run = integrate(x0, config, keep_steps=False)
+        assert run.steps == steps and not run.partial_final_step
+        error = float(np.abs(helpers.rk4_spectral_image(x0, config) - exact).max())
+        gap = abs(float(np.abs(run.final().vertices - exact).max()) - error)
+        assert gap <= C_IMAGE * steps * np.finfo(float).eps * float(np.abs(x0.vertices).max())
+        errors.append(error)
+    assert all(15.5 < a / b < 16.5 for a, b in zip(errors, errors[1:]))
+
+
+@given(
+    st.integers(3, 64), st.sampled_from((2, 3)), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(0, 200),
+    st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+)
+@example(5, 2, 1, 0.1, 130, True, True, True, 0)  # two kept blocks, two leftover steps and a partial one
+@example(64, 3, 3, 2.78, 129, False, True, False, 1)  # lean blocks at the largest n, near the stability bound
+@example(3, 2, 3, 2.7, 40, True, False, True, 2)  # stepwise, a band of 25 offsets folded onto 3
+@example(7, 3, 2, 0.5, 0, False, True, True, 3)  # only the partial step
+@settings(max_examples=40)
+def test_a_run_commutes_with_relabelling_the_vertices(n, p, m, ratio, steps, yau, partial, keep_steps, seed):
+    """Relabelling X0 and Y cyclically relabels every kept state bit for
+    bit: each output vertex sums the same products in the same order.
+    Reversing them reverses the sums' order, so the reversed run lies within
+    C_REVERSAL N eps (max|X0| + max|Y|) of the reversed states, N the
+    number of steps, Y = 0 without a target."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    y = rng.normal(size=(n, p)) if yau else None
+    shift = int(rng.integers(1, n))
+    dt = ratio / stability_limit(n, m)
+
+    def run(relabel):
+        kind = YauKind(m, Polygon(relabel(y))) if yau else PolyharmonicKind(m)
+        config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
+        return [q.vertices for q in integrate(Polygon(relabel(x)), config, keep_steps=keep_steps).polygons]
+
+    states = run(lambda v: v)
+    assert len(states) == (steps + partial + 1 if keep_steps else 1 + (steps + partial > 0))
+    rolled = run(lambda v: np.roll(v, shift, axis=0))
+    assert [np.roll(v, shift, axis=0).tobytes() for v in states] == [v.tobytes() for v in rolled]
+    size = float(np.abs(x).max()) + (float(np.abs(y).max()) if yau else 0.0)
+    bound = C_REVERSAL * (steps + partial) * np.finfo(float).eps * size
+    for v, w in zip(states, run(lambda v: v[::-1]), strict=True):
+        assert np.abs(v[::-1] - w).max() <= bound
 
 
 def _diverging_run(rng, dt, steps, partial):
