@@ -15,8 +15,14 @@ stage-by-stage evaluation only at rounding level.  Whole steps go in blocks
 of 64 when that pays: the last state of each block is one circulant B, the
 float step map to the 64th power built from the step's row by six cyclic
 self-convolutions, applied to the block's first state by the same stencil,
-so 64 steps cost five numpy calls instead of 320.  B differs from its 64
-steps only at rounding level.
+so 64 steps cost five numpy calls instead of 320.  The r < 64 whole steps
+left after the full blocks go the same way by L, the step map to the r-th
+power, the product of the squarings' rungs over the set bits of r.  Both
+are smoothing kernels: each drops its off-centre entries of at most
+2^-60 / n, which moves a state by less than eps / 128 of its size, and
+applies only the band of offsets left, 48-76 of 255 at n = 256 and
+dt * |rate_max| = 0.1.  B and L differ from their steps only at rounding
+level.
 Steps run in place on vertex arrays allocated once per run.  A run keeps
 every state, or only the initial and final ones, so its memory need not grow
 with the step count.  Each block writes the states it keeps into one array,
@@ -42,11 +48,13 @@ from .polygon import Polygon, _shift_near_one
 _SQUARINGS = 6
 _CHECK_BLOCK = 2**_SQUARINGS
 
-# B is built only when its at most n - 1 off-centre entries times the n * p
-# state entries fit in this many floats: B's terms and coefficients then take
-# at most 4 MiB, its row index at most half that, and at larger n, where
-# elementwise work already dominates the per-call overhead that B saves, runs
-# keep stepping.
+# B and L are built only when their at most n - 1 off-centre entries times
+# the n * p state entries fit in this many floats, so each map's terms and
+# coefficients take at most 4 MiB and its row index at most half that; at
+# larger n, where elementwise work already dominates the per-call overhead
+# that B saves, runs keep stepping.  Banded, a map's buffers take only
+# band * n * p floats, its kept offsets times the state entries, but the
+# cap stays on n - 1: whether a run blocks depends on its size alone.
 _BLOCK_FLOATS = 2**18
 
 # |R(-x)| = 1 for the RK4 stability function R at x = 2.78529356340528...;
@@ -186,30 +194,51 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     return apply
 
 
-def _block_map(row: list[tuple[int, float]], like: np.ndarray):
-    """The block map B, in place: :data:`_CHECK_BLOCK` = 2^6 applications
-    of the float step map of ``row``, the step's :func:`_step_row`, as one
-    circulant for states of the shape of ``like``.
+def _cyclic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The first row of the product of the circulants with rows ``a`` and
+    ``b``: one ``np.convolve`` of the two length-n rows, entry k + n folded
+    onto entry k.  No Fourier transform is used."""
+    n = a.shape[0]
+    full = np.convolve(a, b)
+    full[: n - 1] += full[n:]
+    return full[:n]
+
+
+def _power_rows(row: list[tuple[int, float]], n: int, leftover: int):
+    """The rows of the block map B, :data:`_CHECK_BLOCK` = 2^6 applications
+    of the float step map of ``row``, the step's :func:`_step_row`, and of
+    the leftover map L, ``leftover`` < 2^6 applications of it (None when
+    ``leftover`` is 0), as banded :func:`~polyflow.circulant.folded` pairs
+    for :func:`_row_map`.
 
     The float step map is I + E, E the circulant whose row holds ``row``'s
     entries off the centre and, at the centre, minus their correctly rounded
     sum.  Squaring gives (I + E)^2 = I + (2E + E E), so six rounds of
-    E <- 2E + E E make the 64th power I + E.  Each product E E is the
-    cyclic self-convolution of E's row: one ``np.convolve`` of two length-n
-    rows, entry k + n folded onto entry k.  No Fourier transform is used.
-    E's nonzero off-centre entries, :func:`~polyflow.circulant.folded`, are
-    applied by :func:`_row_map` as the step's are, so a constant state stays
-    bitwise fixed under B too.
+    E <- 2E + E E make the 64th power I + E, each product E E one
+    :func:`_cyclic_product`.  L is the product of the rungs I + E_i of that
+    ladder over the set bits i of ``leftover``, taken in ascending i as
+    (I + P)(I + E_i) = I + (P + E_i + P E_i).  Both maps smooth: an
+    off-centre entry of magnitude at most eps / 256 / n = 2^-60 / n is
+    dropped, and those dropped weight differences |d[j+s] - d[j]| <=
+    2 max|d|, so together they move a coordinate by less than
+    eps / 128 max|d|.  At dt * |rate_max| = 0.1 and n = 256, B keeps 48, 64
+    and 76 of its 255 off-centre entries for m = 1, 2, 3.
     """
-    n = like.shape[0]
     e = np.zeros(n)
     e[[s % n for s, _ in row]] = [q for _, q in row]
     e[0] = -math.fsum(q for _, q in row)
-    for _ in range(_SQUARINGS):
-        square = np.convolve(e, e)
-        square[: n - 1] += square[n:]
-        e = 2.0 * e + square[:n]
-    return _row_map(circulant.folded([0.0] + e[1:].tolist()), like)
+    power = None  # I + power is the float step map to the set bits of leftover below the rung
+    for rung in range(_SQUARINGS):
+        if leftover >> rung & 1:
+            power = e if power is None else power + e + _cyclic_product(power, e)
+        e = 2.0 * e + _cyclic_product(e, e)
+    cut = sys.float_info.epsilon / 256 / n
+
+    def banded(p: np.ndarray) -> list[tuple[int, float]]:
+        p[np.abs(p) <= cut] = 0.0
+        return circulant.folded([0.0] + p[1:].tolist())  # the difference form leaves the centre out
+
+    return banded(e), None if power is None else banded(power)
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -234,13 +263,15 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     whole steps with dt * |rate_max| below :data:`RK4_STABILITY_BOUND` and
     (n - 1) * n * p at most 2^18 (B has at most n - 1 off-centre entries,
     each applied to all n * p coordinates) also builds the block map B
-    (:func:`_block_map`) once.  Then the last state of every full block of
-    64 whole steps is B applied to the block's first state; the states in
-    between are stepped one at a time from that first state when they are
-    kept or replayed, and skipped otherwise.  Leftover whole steps and the
-    partial step go one at a time, as every step of any other run does.
-    Both retention modes follow this one definition, so their final states
-    are the same bits.
+    and, when the whole steps leave r = n_full mod 64 > 0 after the full
+    blocks, the leftover map L, each once (:func:`_power_rows`).  Then the
+    last state of every full block of 64 whole steps is B applied to the
+    block's first state, and the last whole state is L applied to the first
+    state of its block; the states in between are stepped one at a time
+    from that first state when they are kept or replayed, and skipped
+    otherwise.  The partial step goes alone, as every step of any other run
+    does.  Both retention modes follow this one definition, so their final
+    states are the same bits.
 
     Each coordinate column whose largest |coordinate|, in the state or the
     Yau target, lies outside the band of
@@ -255,9 +286,11 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     block writes the states it keeps, all of them with ``keep_steps`` and
     otherwise its last, into one array, scales it back to the caller's
     units and checks it once, in both retention modes, with
-    ``np.isfinite``; its rows are then read-only polygons, views that
-    share no memory with each other.  A failed check replays its block bit for bit from a
-    copy of the block's first state, checking every step, so either
+    ``np.isfinite``; a kept block's rows are then read-only polygons,
+    views that share no memory with each other.  A lean block before the
+    last writes its state into one of two rows of a run-level buffer, so
+    the previous block's checked state stays.  A failed check replays its
+    block bit for bit from a copy of the block's first state, checking every step, so either
     retention mode names the first out-of-range step; a diverging run
     costs up to 64 more steps.  (A scaled-down lean run that does not fail
     may pass float max in the caller's units between two checks: only
@@ -306,22 +339,32 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     row = _step_row(powers, dt)
     whole = _row_map(row, d)
     short = _row_map(_step_row(powers, remainder), d) if partial else whole
-    blocked = 0  # steps [0, blocked) go in full blocks whose last state is B of their first
+    # steps [0, blocked) go in full blocks whose last state is B of their first, the rest's last whole one by L
+    blocked, block, leftover = 0, None, None
     if n_full >= _CHECK_BLOCK and dt * rate < RK4_STABILITY_BOUND and (x0.n - 1) * d.size <= _BLOCK_FLOATS:
-        block = _block_map(row, d)
         blocked = n_full - n_full % _CHECK_BLOCK
+        rows = _power_rows(row, x0.n, n_full - blocked)
+        block, leftover = (None if r is None else _row_map(r, d) for r in rows)
+
+    def power_map(first: int):
+        """(jump, map): state jump + 1 of the block from step ``first`` is
+        ``map`` of the block's first state, B for a full block and L for the
+        leftover whole steps after them; map is None when the block has none."""
+        if first < blocked:
+            return first + _CHECK_BLOCK - 1, block
+        return n_full - 1, leftover
 
     def state(out: np.ndarray) -> np.ndarray:
         """``out`` <- the state, still at the run's scale."""
         np.copyto(out, d) if target is None else np.add(target, d, out)
         return out
 
-    def advance(step: int) -> None:
-        """d <- state step + 1 from state step, or, at the last step of a full
-        block, from the block's first state (in ``start``) by B."""
-        if step < blocked and step % _CHECK_BLOCK == _CHECK_BLOCK - 1:
+    def advance(step: int, jump: int, power) -> None:
+        """d <- state step + 1 from state step, or, at step ``jump``, from the
+        block's first state (in ``start``) by its power map ``power``."""
+        if step == jump and power is not None:
             np.copyto(d, start)
-            block(d)
+            power(d)
         else:
             (whole if step < n_full else short)(d)
 
@@ -333,7 +376,7 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         np.copyto(d, start)
         norm, v = float(np.abs(checked).max()), np.empty_like(d)
         for step in range(first, last):
-            advance(step)
+            advance(step, *power_map(first))
             np.abs(state(v), v)
             size = float((np.ldexp(v, unshifts, v) if shifted else v).max())
             if not size <= sys.float_info.max:
@@ -342,25 +385,33 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
 
     times, polygons = [0.0], [x0]
     checked = x0.vertices  # the last state that passed the range check
+    lean = np.empty((2, 1) + d.shape)  # a lean block's last state, rows alternating so the previous one stays
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is found by the range check and reported as DivergenceError
         for first in range(0, n_steps, _CHECK_BLOCK):
             last = min(first + _CHECK_BLOCK, n_steps)
+            jump, power = power_map(first)
             np.copyto(start, d)
             kept = range(first + 1 if keep_steps else last, last + 1)
-            states = np.empty((len(kept),) + d.shape)
-            # a lean full block goes to its last state by B alone
-            for step in range(first if keep_steps or last > blocked else last - 1, last):
-                advance(step)
-                if step + 1 in kept:
-                    state(states[step - last])  # row -1 holds state last
+            retained = keep_steps or last == n_steps
+            states = np.empty((len(kept),) + d.shape) if retained else lean[first // _CHECK_BLOCK % 2]
+            begin = first
+            if not keep_steps and power is not None:  # d holds the block's first state: map it in place
+                power(d)
+                begin = jump + 1
+            for step in range(begin, last):
+                advance(step, jump, power)
+                if keep_steps:
+                    state(states[step - first])
+            if not keep_steps:
+                state(states[0])
             if shifted:
                 np.ldexp(states, unshifts, states)
             if not np.isfinite(states).all():
                 replay(first, last, checked)
-            states.flags.writeable = False  # checked: each kept state is a view of the block
             checked = states[-1]
-            if keep_steps or last == n_steps:
+            if retained:
+                states.flags.writeable = False  # checked: each kept state is a view of the block
                 times.extend(step * dt if step <= n_full else t_final for step in kept)
                 polygons.extend(map(Polygon._checked, states))
     return Trajectory(

@@ -174,12 +174,17 @@ def polynomial_rk4(x0, config, blocks=True):
     steps with dt * |rate_max| below the RK4 stability bound and
     (n - 1) * n * p <= 2**18 goes in blocks of 64 steps from step 0: the last
     state of each full block of whole steps is the 64-step circulant B of
-    the block's first state, the others are stepped.  E starts as the step
-    row with the centre entry minus the off-centre entries' exact sum,
-    rounded once, and each of six rounds E <- 2E + E E squares I + E: E E
-    is the row's ``np.convolve`` with itself, entry k + n added onto entry
-    k.  Then B = I + E, and its off-centre entries are applied by gathers
-    in the same difference form.  Other steps go one at a time.  Without
+    the block's first state, and the last whole state, when r = (whole
+    steps mod 64) > 0, is the r-step circulant L of the first state of its
+    block; the others are stepped.  E starts as the step row with the centre
+    entry minus the off-centre entries' exact sum, rounded once, and each of
+    six rounds E <- 2E + E E squares I + E: E E is the row's
+    ``np.convolve`` with itself, entry k + n added onto entry k.  Before
+    round i, when bit i of r is set, P becomes P + E + P E (P E the
+    ``np.convolve`` of P's row with E's, folded the same way), or E for the
+    lowest set bit.  Then B = I + E and L = I + P, and the off-centre
+    entries of each above 2**-60 / n in magnitude are applied by gathers in
+    the same difference form.  Other steps go one at a time.  Without
     ``blocks`` every step does.  A run must reproduce it bit for bit.
     """
     kind = config.kind
@@ -205,25 +210,40 @@ def polynomial_rk4(x0, config, blocks=True):
     whole = row_map(whole_row)
     short = row_map(rk4_step_row(n, kind.m, remainder)) if n_steps > n_full else whole
     stable = dt * abs(flow_eigenvalue(n, kind.m, n // 2)) < RK4_STABILITY_BOUND
-    blocked = 0
+    blocked, leftover = 0, None
     if blocks and n_full >= 64 and stable and (n - 1) * n * p <= 2**18:
+
+        def product(a, b):  # the first row of the circulant product
+            full = np.convolve(a, b)  # 2n - 1 entries
+            return [full[k] + full[k + n] for k in range(n - 1)] + [full[n - 1]]
+
+        def banded(e):
+            offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
+            return row_map(sorted((s, float(e[s % n])) for s in offsets if abs(e[s % n]) > 2.0**-60 / n))
+
         e = np.zeros(n)
         for s, q in whole_row:
             e[s % n] = q
         e[0] = float(-sum((Fraction(q) for _, q in whole_row), Fraction(0)))
-        for _ in range(6):
-            full = np.convolve(e, e)  # 2n - 1 entries
-            wrapped = [full[k] + full[k + n] for k in range(n - 1)] + [full[n - 1]]
-            e = np.array([a + a + b for a, b in zip(e.tolist(), wrapped)])
-        offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
-        block = row_map(sorted((s, float(e[s % n])) for s in offsets if e[s % n]))
         blocked = n_full - n_full % 64
+        power = None
+        for i in range(6):
+            if (n_full - blocked) >> i & 1:
+                if power is None:
+                    power = e
+                else:
+                    power = np.array([a + b + c for a, b, c in zip(power.tolist(), e.tolist(), product(power, e))])
+            e = np.array([a + a + b for a, b in zip(e.tolist(), product(e, e))])
+        block = banded(e)
+        leftover = None if power is None else banded(power)
     d = x0.vertices.copy() if target is None else x0.vertices - target
     states = [x0.vertices.copy()]
     first = d
     for step_index in range(1, n_steps + 1):
         if step_index <= blocked and step_index % 64 == 0:
             d = block(first)
+        elif leftover is not None and step_index == n_full:
+            d = leftover(first)
         else:
             d = (whole if step_index <= n_full else short)(d)
         if step_index % 64 == 0:
@@ -232,28 +252,38 @@ def polynomial_rk4(x0, config, blocks=True):
     return states
 
 
-def exact_step_power(row, n, squarings=6):
-    """The first row of ``(I + E)^(2^squarings) - I`` in exact arithmetic, as
+def exact_step_power(row, n, exponent=64):
+    """The first row of ``(I + E)^exponent - I`` in exact arithmetic, as
     Fractions: E is the circulant whose row holds ``row``'s (offset, float)
     entries off the centre and, at the centre, minus their exact sum, so
     I + E is the float step map of ``row``.  Entries are Python ints over a
-    common power of two, squared by (I + E)^2 = I + (2E + E E), E E the
-    cyclic convolution of the row with itself."""
+    common power of two, multiplied as cyclic convolutions by binary
+    powering."""
     scale = max((q.as_integer_ratio()[1] for _, q in row), default=1).bit_length() - 1
-    e = [0] * n
+    base = [0] * n
     for s, q in row:
         num, den = q.as_integer_ratio()
-        e[s % n] = num << (scale - den.bit_length() + 1)
-    e[0] = -sum(e)
-    for _ in range(squarings):
-        square = [0] * n
-        nonzero = [(i, a) for i, a in enumerate(e) if a]
-        for i, a in nonzero:
-            for j, b in nonzero:
-                square[(i + j) % n] += a * b
-        e = [(a << (scale + 1)) + b for a, b in zip(e, square)]
-        scale *= 2
-    return [Fraction(a, 1 << scale) for a in e]
+        base[s % n] = num << (scale - den.bit_length() + 1)
+    base[0] = (1 << scale) - sum(base)
+
+    def product(a, b):
+        out = [0] * n
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    out[(i + j) % n] += x * y
+        return out
+
+    power, power_scale = [1] + [0] * (n - 1), 0
+    while exponent:
+        if exponent & 1:
+            power, power_scale = product(power, base), power_scale + scale
+        exponent >>= 1
+        if exponent:
+            base, scale = product(base, base), 2 * scale
+    power[0] -= 1 << power_scale
+    return [Fraction(a, 1 << power_scale) for a in power]
 
 
 def rk4_spectral_image(x0, config):

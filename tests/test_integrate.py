@@ -34,7 +34,9 @@ integrate_module = importlib.import_module("polyflow.integrate")  # the package'
 
 # B's entries against the exact 64th power of the float step row, in eps: the
 # largest error over 4000 draws (n 3-33, m 1-3, dt |rate_max| 0.01-2.78, half
-# of them above 2.5) was 6.5 eps.
+# of them above 2.5) was 6.5 eps.  Banded, B's and the leftover map L's
+# entries against their exact powers measured at most 6.3 and 4.1 eps over
+# 2000 such draws, L's exponent 1-63.
 C_BLOCK = 16
 
 # A run's final state against its spectral image, per step: the largest gap
@@ -136,14 +138,19 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
     assert np.abs(stepped.vertices - r * x0.vertices).max() <= bound
 
 
-@pytest.mark.parametrize("run", ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap"])
+@pytest.mark.parametrize(
+    "run", ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap", "whole-blocks"]
+)
 def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     """One step map per step size serves every step, block and replay of a
     run: the whole step's, and the shorter final step's when there is one.
     A run of 64 or more whole steps that is neither stiff nor past the size
-    cap also builds exactly one block map, from the whole step's row."""
-    step_row, row_map, block_map = integrate_module._step_row, integrate_module._row_map, integrate_module._block_map
-    rows, maps, blocks = [], [], []
+    cap also builds the rows of its power maps once, from the whole step's
+    row: the block map B, and the leftover map L when the whole steps are
+    not a multiple of 64, each then one more step map."""
+    step_row, row_map = integrate_module._step_row, integrate_module._row_map
+    power_rows = integrate_module._power_rows
+    rows, maps, powers = [], [], []
 
     def counted_row(powers, h):
         rows.append((h, step_row(powers, h)))
@@ -153,13 +160,13 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
         maps.append(like.shape)
         return row_map(row, like)
 
-    def counted_block(row, like):
-        blocks.append((row, like.shape))
-        return block_map(row, like)
+    def counted_powers(row, n, leftover):
+        powers.append((row, n, leftover))
+        return power_rows(row, n, leftover)
 
     monkeypatch.setattr(integrate_module, "_step_row", counted_row)
     monkeypatch.setattr(integrate_module, "_row_map", counted_map)
-    monkeypatch.setattr(integrate_module, "_block_map", counted_block)
+    monkeypatch.setattr(integrate_module, "_power_rows", counted_powers)
     n, p = (16, 1093) if run == "past-cap" else (7, 2)  # 15 * 16 * 1093 floats exceed 2**18
     x = helpers.random_polygon(rng, n, p)
     kinds = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, n, p))}
@@ -167,17 +174,17 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     if run in ("replay", "stiff"):  # a failed check is replayed step by step and names its step
         with pytest.warns(StiffnessWarning), pytest.raises(DivergenceError):
             integrate(x, IntegratorConfig(dt=9.0, t_final=900.5, kind=kind), keep_steps=run == "stiff")
-        assert [h for h, _ in rows] == [9.0, 0.5] and maps == [(7, 2)] * 2 and blocks == []
+        assert [h for h, _ in rows] == [9.0, 0.5] and maps == [(7, 2)] * 2 and powers == []
         return
     if run == "scaled":
         x = Polygon(np.ldexp(x.vertices, 700))
-    steps = {"short": 63, "past-cap": 64}.get(run, 150)
+    steps = {"short": 63, "past-cap": 64, "whole-blocks": 128}.get(run, 150)  # 150 leaves 22 whole steps
     t_final = steps * 0.01 + 0.005 * (run == "partial")
     traj = integrate(x, IntegratorConfig(dt=0.01, t_final=t_final, kind=kind), keep_steps=False)
     assert traj.steps == steps + (run == "partial")
     assert [h for h, _ in rows] == [0.01] + ([t_final - steps * 0.01] if run == "partial" else [])
-    assert blocks == ([] if run in ("short", "past-cap") else [(rows[0][1], (n, p))])
-    assert maps == [(n, p)] * (len(rows) + len(blocks))
+    assert powers == ([] if run in ("short", "past-cap") else [(rows[0][1], n, steps % 64)])
+    assert maps == [(n, p)] * (len(rows) + len(powers) * (1 + (steps % 64 > 0)))
 
 
 def test_rk4_converges_at_order_four():
@@ -276,35 +283,41 @@ def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
 
 
-@given(st.integers(3, 33), st.integers(1, 3), st.floats(0.01, 2.78), st.booleans(), st.integers(0, 2**32 - 1))
-@example(33, 3, 2.78, True, 0)
-@example(3, 3, 2.78, False, 1)  # a band of 25 offsets folded onto 3
-@example(32, 1, 0.01, False, 2)  # B's entries far from the centre near 1e-26
+@given(st.integers(3, 33), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(1, 63))
+@example(33, 3, 2.78, 63)
+@example(3, 3, 2.78, 1)  # a band of 25 offsets folded onto 3
+@example(32, 1, 0.01, 32)  # B's entries far from the centre near 1e-26
+@example(128, 2, 0.1, 37)  # entries dropped from both maps
+@example(256, 3, 0.1, 58)
 @settings(max_examples=40)
-def test_the_block_map_is_within_rounding_of_the_exact_64th_power(n, m, ratio, yau, seed):
-    """A run builds B from its whole step's float row by six squarings in
-    floats.  B's off-centre entries lie within C_BLOCK eps of the exact 64th
-    power of the float step map, I + E with E's centre entry minus the exact
-    sum of the off-centre ones, computed from the oracle's row."""
-    rng = np.random.default_rng(seed)
-    x = Polygon(rng.normal(size=(n, 2)))
-    kind = YauKind(m, Polygon(rng.normal(size=(n, 2)))) if yau else PolyharmonicKind(m)
+def test_the_block_map_is_within_rounding_of_the_exact_64th_power(n, m, ratio, leftover):
+    """A run builds B and the leftover map L from its whole step's float row
+    by six squarings and the products of their set bits in floats, then
+    drops the off-centre entries of at most 2^-60 / n.  The off-centre
+    entries that B and L keep or drop lie within C_BLOCK eps of the exact
+    64th and ``leftover``-th powers of the float step map, I + E with E's
+    centre entry minus the exact sum of the off-centre ones, computed from
+    the oracle's row."""
     dt = ratio / stability_limit(n, m)
-    block_map, built = integrate_module._block_map, []
-
-    def capture(row, like):
-        built.append(block_map(row, like))
-        return built[-1]
-
-    with mock.patch.object(integrate_module, "_block_map", capture):
-        integrate(x, IntegratorConfig(dt=dt, t_final=64 * dt, kind=kind), keep_steps=False)
-    (block,) = built
-    column = np.zeros((n, 2))
-    column[0] = 1.0
-    block(column)  # entry j of B e_0 is B's row entry at offset -j, exactly: one nonzero term
-    exact = helpers.exact_step_power(helpers.rk4_step_row(n, m, dt), n)
+    maps = integrate_module._power_rows(_step_row(_flow_powers(n, m), dt), n, leftover)
+    row = helpers.rk4_step_row(n, m, dt)
     eps = Fraction(np.finfo(float).eps)
-    assert all(abs(Fraction(column[j, 0]) - exact[-j % n]) <= C_BLOCK * eps for j in range(1, n))
+    for entries, exponent in zip(maps, (64, leftover), strict=True):
+        exact = helpers.exact_step_power(row, n, exponent)
+        entry = dict(entries)
+        floats = [entry.get(s if 2 * s <= n else s - n, 0.0) for s in range(n)]
+        assert all(abs(Fraction(floats[s]) - exact[s]) <= C_BLOCK * eps for s in range(1, n))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_block_map_is_banded(m):
+    """At n = 256 and dt |rate_max| = 0.1, B's entries decay fast away from
+    the centre: it keeps at most 80 of its 255 off-centre entries (48, 64
+    and 76 for m = 1, 2, 3), so one application costs a fraction of the
+    full circulant's."""
+    dt = 0.1 / stability_limit(256, m)
+    block, leftover = integrate_module._power_rows(_step_row(_flow_powers(256, m), dt), 256, 0)
+    assert leftover is None and len(block) <= 80
 
 
 @pytest.mark.parametrize("case", ["stiff", "past-cap", "at-cap"])
@@ -337,7 +350,8 @@ def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, st
     lies within 0.5 k eps (max|X0| + max|Y|) of the run stepped one step at a
     time (Y = 0 without a target).  Over 2600 random draws (n 3-256, p 2-3,
     m 1-3, dt |rate_max| 0.01-2.78, 64-1000 steps, offsets to 1e3) the
-    largest gap was 0.18 k eps (max|X0| + max|Y|)."""
+    largest gap was 0.18 k eps (max|X0| + max|Y|); with the banded B and
+    the leftover map L it was 0.08 over 600 such draws."""
     rng = np.random.default_rng(seed)
     x = Polygon(rng.normal(size=(n, p)) + shift)
     y = Polygon(rng.normal(size=(n, p)) - shift) if yau else None
@@ -595,9 +609,11 @@ def test_a_power_of_two_scale_commutes_with_the_run(rng, k, yau, keep_steps):
 
 @pytest.mark.parametrize("exponent", [0, 500, -500])  # unscaled, and run times 2**-+500
 def test_kept_states_are_read_only_copies_of_the_oracles_states(rng, exponent):
-    """A run advances one state buffer in place; each kept state is a copy
-    of it taken after its range check, so after the run every kept state
-    still holds the polynomial oracle's bits and no two share memory."""
+    """A run advances one state buffer in place; each block writes the
+    states it keeps into one array of its own, and after its range check
+    each kept state is a read-only row view of that array, so after the run
+    every kept state still holds the polynomial oracle's bits and no two
+    share memory."""
     x = Polygon(np.ldexp(rng.normal(size=(7, 2)), exponent))
     config = IntegratorConfig(dt=0.01, t_final=0.205, kind=PolyharmonicKind(2))
     full = integrate(x, config)
@@ -645,6 +661,14 @@ def test_the_block_map_fits_in_four_mib(rng, m):
     take (n - 1) n (2 p + 1) 8 bytes, 3.7 MB; with the step map the run's peak
     measured 3.9-4.1 MB for m = 1-3, against 0.2-0.4 MB stepwise."""
     assert _lean_peak(Polygon(rng.normal(size=(256, 3))), m, 200) <= 4 * 2**20
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_banded_power_maps_fit_in_three_mib(rng, m):
+    """At n = 256, p = 3 a lean run of 250 steps builds B and the leftover
+    map L of 58 steps, each applying only its band of offsets; the run's
+    peak stays under 3 MiB, where B alone at all 255 offsets took 3.7 MB."""
+    assert _lean_peak(Polygon(rng.normal(size=(256, 3))), m, 250) <= 3 * 2**20
 
 
 @pytest.mark.parametrize("n, p", [(297, 3), (16, 1093)])
