@@ -8,27 +8,23 @@ keeps the convergence order cleanly measurable; stiffness for large m or n
 is handled by a warning and the documented step bound
 dt <= 0.1 / |lambda_max|, not by adaptivity.  The flows are linear with
 constant coefficients, so one RK4 step of size h is exactly the circulant
-``R(hA)``, R the RK4 stability function: its row is built once per step size
-from the exact powers A .. A^4, each entry rounded once, and a step applies
-it as one stencil of five numpy calls.  The results differ from a
-stage-by-stage evaluation only at rounding level.  Whole steps go in blocks
-of 64 when that pays: the last state of each block is one circulant B, the
-float step map to the 64th power built from the step's row by six cyclic
-self-convolutions, applied to the block's first state by the same stencil,
-so 64 steps cost five numpy calls instead of 320.  The r < 64 whole steps
-left after the full blocks go the same way by L, the step map to the r-th
-power, the product of the squarings' rungs over the set bits of r.  Both
-are smoothing kernels: each drops its off-centre entries of at most
-2^-60 / n, which moves a state by less than eps / 128 of its size, and
-applies only the band of offsets left, 48-76 of 255 at n = 256 and
-dt * |rate_max| = 0.1.  B and L differ from their steps only at rounding
-level.
-Steps run in place on vertex arrays allocated once per run.  A run keeps
-every state, or only the initial and final ones, so its memory need not grow
-with the step count.  Each block writes the states it keeps into one array,
-range-checked once in the caller's units, and keeps them as read-only views
-of it.  A block that fails the check is replayed from its first state,
-checking each step, to name the first bad one.
+S = ``R(hA)``, R the RK4 stability function: its row is built once per step
+size from the exact powers A .. A^4 on their band of at most 8m + 1
+offsets, each entry rounded once, and a step applies it as one stencil of
+five numpy calls.  The results differ from a stage-by-stage evaluation only
+at rounding level.  N whole steps are S^N, which a non-stiff run whose
+steps cost more builds once by squaring the float step map over the bits
+of N, each product one ``np.convolve`` of two rows' nonzero bands.  S^N
+drops its entries of at most 2^-60 / n and applies the band left, in
+passes of at most 64 offsets.  A run that keeps only its final state takes
+all its whole steps as one application of S^N; one that keeps every state
+steps them and ends them on S^N of the first state, so both end on the
+same bits.  Steps run in place on vertex arrays allocated once per run.
+States are range-checked in blocks, 64 steps or all of a final-state-only
+run that takes S^N, each block's states written into one array, checked
+once in the caller's units and kept as read-only views of it.  A block
+that fails the check is replayed from its first state, checking each step,
+to name the first bad one.
 """
 from __future__ import annotations
 
@@ -43,19 +39,11 @@ from . import circulant
 from .polygon import Polygon, _shift_near_one
 
 
-# Steps in a block, between two range checks: the power of the step map that
-# the block map B, the step map squared six times, applies.
-_SQUARINGS = 6
-_CHECK_BLOCK = 2**_SQUARINGS
+# Steps between two range checks of a run that steps its states.
+_CHECK_BLOCK = 64
 
-# B and L are built only when their at most n - 1 off-centre entries times
-# the n * p state entries fit in this many floats, so each map's terms and
-# coefficients take at most 4 MiB and its row index at most half that; at
-# larger n, where elementwise work already dominates the per-call overhead
-# that B saves, runs keep stepping.  Banded, a map's buffers take only
-# band * n * p floats, its kept offsets times the state entries, but the
-# cap stays on n - 1: whether a run blocks depends on its size alone.
-_BLOCK_FLOATS = 2**18
+# Offsets a map applies per pass, so its buffers hold about this many states.
+_CHUNK = 64
 
 # |R(-x)| = 1 for the RK4 stability function R at x = 2.78529356340528...;
 # this float lies just above that root, so a step with dt * |rate| at or
@@ -127,44 +115,41 @@ class Trajectory:
         return self.polygons[-1]
 
 
-def _flow_powers(n: int, m: int) -> tuple[circulant.CirculantMatrix, ...]:
-    """The exact integer rows of A, A^2, A^3 and A^4 for the flow matrix
-    ``A = (-1)^(m+1) M^m`` of size n."""
-    sign = circulant.flow_sign(m)
-    a = circulant.CirculantMatrix(n, tuple(sign * b for b in circulant.power_of_m(n, m).first_row))
-    a2 = circulant.circulant_multiply(a, a)
-    return a, a2, circulant.circulant_multiply(a2, a), circulant.circulant_multiply(a2, a2)
-
-
-def _step_row(powers: tuple[circulant.CirculantMatrix, ...], h: float) -> list[tuple[int, float]]:
+def _step_row(n: int, m: int, h: float) -> list[tuple[int, float]]:
     """The nonzero off-centre entries of ``R(hA) - I`` as
-    :func:`~polyflow.circulant.folded` (offset, coefficient) pairs.
+    :func:`~polyflow.circulant.folded` (offset, coefficient) pairs, for the
+    flow matrix ``A = (-1)^(m+1) M^m`` of size n.
 
     ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` is the RK4 stability function:
-    one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.  Entry
-    s of ``R(hA) - I`` is the rational ``sum_k h^k (A^k)_s / k!`` with h
-    taken exactly as ``h.as_integer_ratio()``; Python's int true division
-    rounds it correctly.  A's nonzero entries lie within ``reach`` of the
-    centre, cyclically, so those of A^k lie within k * reach and only the
-    band of offsets within 4 * reach is visited.  An entry beyond float
-    range, first reached near dt * |rate_max| = 1e77, is an OverflowError:
-    its step would turn even a constant state into nan.  Rows of A^k have
-    zero sum, so the centre entry is minus the sum of the others and the
-    step needs only the off-centre ones.
+    one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.
+    A's row, from :func:`~polyflow.circulant.power_of_m`, is nonzero only
+    within m of the centre; read as a polynomial in the shift on those
+    offsets, its powers are exact integer ``np.convolve`` products on at
+    most 8m + 1 offsets, folded mod n at the end.  Entry s is the rational
+    ``sum_k h^k (A^k)_s / k!`` with h taken exactly as
+    ``h.as_integer_ratio()``, rounded correctly by Python's int true
+    division.  An entry beyond float range, first reached near
+    dt * |rate_max| = 1e77, is an OverflowError: its step would turn even a
+    constant state into nan.  Rows of A^k have zero sum, so the step needs
+    only the off-centre entries.
     """
-    n = powers[0].n
-    reach = max(min(s, n - s) for s, a in enumerate(powers[0].first_row) if a)
+    first_row, sign = circulant.power_of_m(n, m).first_row, circulant.flow_sign(m)
+    lo, hi = max(-m, -((n - 1) // 2)), min(m, n // 2)  # A's band, each entry once
+    a = np.array([sign * first_row[s] for s in range(lo, hi + 1)], dtype=object)
+    square = np.convolve(a, a)
     num, den = h.as_integer_ratio()
-    weights = [num**k * den ** (4 - k) * (24 // math.factorial(k)) for k in range(1, 5)]
-    denominator = 24 * den**4
-    row = [0.0] * n  # the centre entry stays 0.0, left out
-    for s in {s % n for s in range(-4 * reach, 4 * reach + 1)} - {0}:
-        exact = sum(w * a.first_row[s] for w, a in zip(weights, powers))
-        try:
-            row[s] = exact / denominator
-        except OverflowError:
-            raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
-    return circulant.folded(row)
+    exact = np.zeros(4 * (hi - lo) + 1, dtype=object)  # on offsets 4 lo .. 4 hi
+    for k, power in enumerate((a, square, np.convolve(square, a), np.convolve(square, square)), 1):
+        weight = num**k * den ** (4 - k) * (24 // math.factorial(k))  # h^k / k! times 24 den^4
+        exact[(k - 4) * lo : (k - 4) * lo + power.size] += weight * power
+    row = [0] * n
+    for s, v in zip(range(4 * lo, 4 * hi + 1), exact.tolist()):
+        row[s % n] += v
+    row[0], denominator = 0, 24 * den**4  # the centre entry is left out
+    try:
+        return circulant.folded([v and v / denominator for v in row])
+    except OverflowError:
+        raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
 
 
 def _row_map(row: list[tuple[int, float]], like: np.ndarray):
@@ -172,73 +157,128 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     of the shape of ``like``, in place: ``d <- d + sum_s q_s (d[j+s] - d[j])``
     in ascending s, the sum started from +0.0.
 
-    Five numpy calls an application: the shifted copies of d gathered with
-    one ``take``, the differences, the products, one ``np.add.reduce`` and
-    the update.  A constant state has zero differences, so it stays bitwise
-    fixed.  The map's buffers are bound to ``like``'s shape once.
+    Each application gathers the shifted copies of d, takes the differences
+    and the products, and adds them in order with one ``np.add.reduce``.  A
+    map of at most :data:`_CHUNK` offsets, as every step map for m <= 8 is,
+    keeps its gather index and its coefficients laid out as the terms, so
+    the multiply is elementwise, its cheapest form: five numpy calls an
+    application.  A wider one, S^N applied once a run, goes in passes of
+    :data:`_CHUNK` offsets, each gathered from d written out twice and
+    summed after the running sum, so its buffers hold about that many
+    states however wide its band.  A constant state has zero differences,
+    so it stays bitwise fixed.
     """
-    idx = circulant.gather_index(row, like.shape[0])
-    terms = np.empty(idx.shape + like.shape[1:])
-    # coefficients laid out as the terms make the multiply an elementwise one, its cheapest form
-    column = np.array([q for _, q in row]).reshape((-1,) + (1,) * like.ndim)
-    coefficients = np.broadcast_to(column, terms.shape).copy()
-    total = np.empty_like(like)
+    n, shape = like.shape[0], (-1,) + (1,) * like.ndim
     subtract, multiply, add, add_up = np.subtract, np.multiply, np.add, np.add.reduce
+    total = np.empty_like(like)
+    if len(row) <= _CHUNK:
+        idx, (terms, coefficients) = circulant.gather_index(row, n), np.empty((2, len(row)) + like.shape)
+        coefficients[...] = np.array([q for _, q in row]).reshape(shape)
+
+        def apply(d: np.ndarray) -> None:
+            d.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
+            subtract(terms, d, terms)
+            multiply(coefficients, terms, terms)
+            add(d, add_up(terms, axis=0, initial=0.0, out=total), d)
+
+        return apply
+
+    parts = [row[i : i + _CHUNK] for i in range(0, len(row), _CHUNK)]
+    passes = [(np.array([[s % n] for s, _ in p]), np.array([q for _, q in p]).reshape(shape)) for p in parts]
+    span, idx, terms = np.arange(n), np.empty((_CHUNK, n), dtype=np.intp), np.empty((_CHUNK + 1,) + like.shape)
 
     def apply(d: np.ndarray) -> None:
-        d.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
-        subtract(terms, d, terms)
-        multiply(coefficients, terms, terms)
-        add(d, add_up(terms, axis=0, initial=0.0, out=total), d)
+        doubled = np.concatenate((d, d))  # row s + j is d[(s + j) mod n]
+        total.fill(0.0)
+        for offsets, column in passes:
+            k = offsets.shape[0]
+            gathered = terms[1 : k + 1]
+            doubled.take(np.add(offsets, span, out=idx[:k]), 0, gathered, "clip")
+            terms[0] = total  # the sum so far, then this pass's terms
+            subtract(gathered, d, gathered)
+            multiply(column, gathered, gathered)
+            add_up(terms[: k + 1], axis=0, initial=0.0, out=total)
+        add(d, total, d)
 
     return apply
 
 
-def _cyclic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The first row of the product of the circulants with rows ``a`` and
-    ``b``: one ``np.convolve`` of the two length-n rows, entry k + n folded
-    onto entry k.  No Fourier transform is used."""
-    n = a.shape[0]
-    full = np.convolve(a, b)
-    full[: n - 1] += full[n:]
-    return full[:n]
+def _power_row(row: list[tuple[int, float]], n: int, steps: int, budget: float = math.inf):
+    """The off-centre entries of S^steps, S the float step map of ``row``
+    (a :func:`_step_row`), as banded :func:`~polyflow.circulant.folded`
+    pairs; None as soon as its products would cost ``budget`` or more.
 
-
-def _power_rows(row: list[tuple[int, float]], n: int, leftover: int):
-    """The rows of the block map B, :data:`_CHECK_BLOCK` = 2^6 applications
-    of the float step map of ``row``, the step's :func:`_step_row`, and of
-    the leftover map L, ``leftover`` < 2^6 applications of it (None when
-    ``leftover`` is 0), as banded :func:`~polyflow.circulant.folded` pairs
-    for :func:`_row_map`.
-
-    The float step map is I + E, E the circulant whose row holds ``row``'s
-    entries off the centre and, at the centre, minus their correctly rounded
-    sum.  Squaring gives (I + E)^2 = I + (2E + E E), so six rounds of
-    E <- 2E + E E make the 64th power I + E, each product E E one
-    :func:`_cyclic_product`.  L is the product of the rungs I + E_i of that
-    ladder over the set bits i of ``leftover``, taken in ascending i as
-    (I + P)(I + E_i) = I + (P + E_i + P E_i).  Both maps smooth: an
-    off-centre entry of magnitude at most eps / 256 / n = 2^-60 / n is
-    dropped, and those dropped weight differences |d[j+s] - d[j]| <=
-    2 max|d|, so together they move a coordinate by less than
-    eps / 128 max|d|.  At dt * |rate_max| = 0.1 and n = 256, B keeps 48, 64
-    and 76 of its 255 off-centre entries for m = 1, 2, 3.
+    S is I + E, E's row ``row``'s entries off the centre and, at the centre,
+    minus their correctly rounded sum.  (I + E)^2 = I + (2E + E E), so the
+    rungs E_0 = E, E_(i+1) = 2 E_i + E_i E_i make I + E_i = S^(2^i), and
+    S^steps is their product over the set bits i of ``steps``, in ascending
+    i as (I + P)(I + E_i) = I + ((P + E_i) + P E_i).  No Fourier transform
+    is used.  A row is held as its band, the entries at offsets -w .. w, or
+    whole, all n of them, once that band would not be shorter.  A product
+    is one ``np.convolve`` of the two rows' entries, cut to the band of its
+    nonzero ones or folded mod n, and costs the product of their lengths in
+    multiply-adds: a short run's rungs are narrow, a long run's far entries
+    underflow to zero.  A sum takes the wider band.  Entries of at most
+    eps / 256 / n = 2^-60 / n are dropped; they weight differences
+    |d[j+s] - d[j]| <= 2 max|d|, so together they move a coordinate by less
+    than eps / 128 max|d|.
     """
-    e = np.zeros(n)
-    e[[s % n for s, _ in row]] = [q for _, q in row]
-    e[0] = -math.fsum(q for _, q in row)
-    power = None  # I + power is the float step map to the set bits of leftover below the rung
-    for rung in range(_SQUARINGS):
-        if leftover >> rung & 1:
-            power = e if power is None else power + e + _cyclic_product(power, e)
-        e = 2.0 * e + _cyclic_product(e, e)
-    cut = sys.float_info.epsilon / 256 / n
+    spent = 0
 
-    def banded(p: np.ndarray) -> list[tuple[int, float]]:
-        p[np.abs(p) <= cut] = 0.0
-        return circulant.folded([0.0] + p[1:].tolist())  # the difference form leaves the centre out
+    def whole(a):  # all n entries of row a, entry s at index s mod n
+        w, c = a
+        return c if w is None else np.bincount(np.arange(-w, w + 1) % n, c, n)
 
-    return banded(e), None if power is None else banded(power)
+    def band(w: int, c: np.ndarray):
+        """(w, c), c's entries at offsets -w .. w, cut to its nonzero ones' band."""
+        nonzero = np.flatnonzero(c)
+        v = max(w - nonzero[0], nonzero[-1] - w) if nonzero.size else 0
+        c = c[w - v : w + v + 1]
+        return (int(v), c) if 2 * v + 1 < n else (None, whole((v, c)))
+
+    def product(a, b):  # None past the budget
+        nonlocal spent
+        (wa, x), (wb, y) = a, b
+        spent += x.size * y.size
+        if spent >= budget:
+            return None
+        full = np.convolve(x, y)
+        if wa is None and wb is None:  # entries on offsets 0 .. 2n - 2
+            full[: n - 1] += full[n:]
+            return None, full[:n]
+        if wa is None or wb is None:
+            return None, np.bincount((np.arange(full.size) - (wa or 0) - (wb or 0)) % n, full, n)
+        return band(wa + wb, full)
+
+    def plus(a, b):
+        if a[0] is None or b[0] is None:
+            return None, whole(a) + whole(b)
+        (wa, x), (wb, y) = (a, b) if a[0] <= b[0] else (b, a)
+        out = y.copy()
+        out[wb - wa : wb + wa + 1] += x
+        return wb, out
+
+    w = max((abs(s) for s, _ in row), default=0)
+    c = np.zeros(2 * w + 1)
+    c[[w + s for s, _ in row]] = [q for _, q in row]
+    c[w] = -math.fsum(q for _, q in row)
+    e = band(w, c)
+    power = None  # I + power is S to the set bits of steps below the rung
+    for rung in range(steps.bit_length()):
+        if steps >> rung & 1:
+            if power is None:
+                power = e
+            elif (cross := product(power, e)) is None:
+                return None
+            else:
+                power = plus(plus(power, e), cross)
+        if steps >> rung + 1:
+            if (square := product(e, e)) is None:
+                return None
+            e = plus((e[0], 2.0 * e[1]), square)
+    p = whole(power)
+    p[np.abs(p) <= sys.float_info.epsilon / 256 / n] = 0.0
+    return circulant.folded([0.0] + p[1:].tolist())  # the difference form leaves the centre out
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -252,26 +292,23 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
 
     With ``keep_steps`` every accepted state is recorded; without it only
     the initial and the final state are, so memory stays flat in the step
-    count.  If t_final is not a whole number of steps, one shorter final
-    step lands exactly on t_final and the trajectory is flagged.  The flow
-    is linear with constant coefficients, so an RK4 step of size h is the
-    circulant ``R(hA)`` (:func:`_step_row`); the run builds one step map
+    count.  N = floor(t_final / dt + 1e-9) whole steps are taken; if the
+    remainder is more than 1e-12 max(1, t_final), one shorter final step
+    lands exactly on t_final and the trajectory is flagged.  State k is
+    stamped k dt, and the last one t_final.  An RK4 step of size h is the
+    circulant S = ``R(hA)`` (:func:`_step_row`); the run builds one step map
     per step size and advances the state in place with it.  A Yau run
     advances the difference d = X - Y and its state is Y + d.
 
-    Steps are grouped in blocks of 64 from step 0.  A run of at least 64
-    whole steps with dt * |rate_max| below :data:`RK4_STABILITY_BOUND` and
-    (n - 1) * n * p at most 2^18 (B has at most n - 1 off-centre entries,
-    each applied to all n * p coordinates) also builds the block map B
-    and, when the whole steps leave r = n_full mod 64 > 0 after the full
-    blocks, the leftover map L, each once (:func:`_power_rows`).  Then the
-    last state of every full block of 64 whole steps is B applied to the
-    block's first state, and the last whole state is L applied to the first
-    state of its block; the states in between are stepped one at a time
-    from that first state when they are kept or replayed, and skipped
-    otherwise.  The partial step goes alone, as every step of any other run
-    does.  Both retention modes follow this one definition, so their final
-    states are the same bits.
+    Cost rule: N steps of the K offsets of S cost N K n p multiply-adds,
+    and S^N one application of at most n - 1 offsets plus its ladder.  So a
+    run with dt * |rate_max| below :data:`RK4_STABILITY_BOUND` gives the
+    ladder (N K - (n - 1)) n p as its budget and takes S^N when its
+    products cost less (:func:`_power_row`).  Its last whole state is then
+    S^N of the first state: without ``keep_steps`` that is all its whole
+    steps cost, with it the states before are stepped.  The partial step
+    follows.  Both retention modes follow this one definition, so their
+    final states are the same bits.
 
     Each coordinate column whose largest |coordinate|, in the state or the
     Yau target, lies outside the band of
@@ -282,19 +319,17 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     change, and a column near one keeps its bits beside one near float max.
     A state whose coordinates leave float range (in the caller's units)
     aborts with :class:`DivergenceError`, naming the first such step and
-    the sup norm, in the caller's units, of the state before it.  Each
-    block writes the states it keeps, all of them with ``keep_steps`` and
-    otherwise its last, into one array, scales it back to the caller's
-    units and checks it once, in both retention modes, with
-    ``np.isfinite``; a kept block's rows are then read-only polygons,
-    views that share no memory with each other.  A lean block before the
-    last writes its state into one of two rows of a run-level buffer, so
-    the previous block's checked state stays.  A failed check replays its
-    block bit for bit from a copy of the block's first state, checking every step, so either
-    retention mode names the first out-of-range step; a diverging run
-    costs up to 64 more steps.  (A scaled-down lean run that does not fail
-    may pass float max in the caller's units between two checks: only
-    kept states must be representable.)
+    the sup norm, in the caller's units, of the state before it.  States
+    are checked in blocks of 64 steps from step 0, or all at once in a
+    final-state-only run that takes S^N: each block writes the states it
+    keeps, all with ``keep_steps`` and otherwise its last, into one array,
+    scales it back and checks it once with ``np.isfinite``; kept rows are
+    then read-only polygons, views that share no memory.  A failed check
+    replays its block bit for bit from a copy of its first state, checking
+    every step, so either retention mode names the first out-of-range step.
+    (A scaled-down lean run that does not fail may pass float max in the
+    caller's units between two checks: only kept states must be
+    representable.)
     """
     kind = config.kind
     if isinstance(kind, YauKind):
@@ -335,35 +370,26 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     np.ldexp(x0.vertices, shifts, d)  # exact, shift 0 included
     if target is not None:
         np.subtract(d, target, d)
-    powers = _flow_powers(x0.n, kind.m)
-    row = _step_row(powers, dt)
+    origin = d.copy()  # the first state, which S^N maps to the last whole one
+    row = _step_row(x0.n, kind.m, dt)
     whole = _row_map(row, d)
-    short = _row_map(_step_row(powers, remainder), d) if partial else whole
-    # steps [0, blocked) go in full blocks whose last state is B of their first, the rest's last whole one by L
-    blocked, block, leftover = 0, None, None
-    if n_full >= _CHECK_BLOCK and dt * rate < RK4_STABILITY_BOUND and (x0.n - 1) * d.size <= _BLOCK_FLOATS:
-        blocked = n_full - n_full % _CHECK_BLOCK
-        rows = _power_rows(row, x0.n, n_full - blocked)
-        block, leftover = (None if r is None else _row_map(r, d) for r in rows)
-
-    def power_map(first: int):
-        """(jump, map): state jump + 1 of the block from step ``first`` is
-        ``map`` of the block's first state, B for a full block and L for the
-        leftover whole steps after them; map is None when the block has none."""
-        if first < blocked:
-            return first + _CHECK_BLOCK - 1, block
-        return n_full - 1, leftover
+    short = _row_map(_step_row(x0.n, kind.m, remainder), d) if partial else whole
+    budget = (n_full * len(row) - (x0.n - 1)) * d.size  # stepping's cost less S^N's widest application
+    stable = dt * rate < RK4_STABILITY_BOUND
+    power_row = _power_row(row, x0.n, n_full, budget) if budget > 0 and stable else None
+    power = None if power_row is None else _row_map(power_row, d)  # S^N
+    mapped = power is not None and not keep_steps  # the whole steps go as one application of S^N
 
     def state(out: np.ndarray) -> np.ndarray:
         """``out`` <- the state, still at the run's scale."""
         np.copyto(out, d) if target is None else np.add(target, d, out)
         return out
 
-    def advance(step: int, jump: int, power) -> None:
-        """d <- state step + 1 from state step, or, at step ``jump``, from the
-        block's first state (in ``start``) by its power map ``power``."""
-        if step == jump and power is not None:
-            np.copyto(d, start)
+    def advance(step: int) -> None:
+        """d <- state step + 1: one step from state step, or, for the last
+        whole state, S^N of the first state."""
+        if step == n_full - 1 and power is not None:
+            np.copyto(d, origin)
             power(d)
         else:
             (whole if step < n_full else short)(d)
@@ -376,7 +402,7 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         np.copyto(d, start)
         norm, v = float(np.abs(checked).max()), np.empty_like(d)
         for step in range(first, last):
-            advance(step, *power_map(first))
+            advance(step)
             np.abs(state(v), v)
             size = float((np.ldexp(v, unshifts, v) if shifted else v).max())
             if not size <= sys.float_info.max:
@@ -385,22 +411,16 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
 
     times, polygons = [0.0], [x0]
     checked = x0.vertices  # the last state that passed the range check
-    lean = np.empty((2, 1) + d.shape)  # a lean block's last state, rows alternating so the previous one stays
+    block = n_steps if mapped else _CHECK_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is found by the range check and reported as DivergenceError
-        for first in range(0, n_steps, _CHECK_BLOCK):
-            last = min(first + _CHECK_BLOCK, n_steps)
-            jump, power = power_map(first)
+        for first in range(0, n_steps, block):
+            last = min(first + block, n_steps)
             np.copyto(start, d)
             kept = range(first + 1 if keep_steps else last, last + 1)
-            retained = keep_steps or last == n_steps
-            states = np.empty((len(kept),) + d.shape) if retained else lean[first // _CHECK_BLOCK % 2]
-            begin = first
-            if not keep_steps and power is not None:  # d holds the block's first state: map it in place
-                power(d)
-                begin = jump + 1
-            for step in range(begin, last):
-                advance(step, jump, power)
+            states = np.empty((len(kept),) + d.shape)
+            for step in range(n_full - 1 if mapped else first, last):  # mapped: S^N, then the partial step
+                advance(step)
                 if keep_steps:
                     state(states[step - first])
             if not keep_steps:
@@ -410,9 +430,9 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
             if not np.isfinite(states).all():
                 replay(first, last, checked)
             checked = states[-1]
-            if retained:
+            if keep_steps or last == n_steps:
                 states.flags.writeable = False  # checked: each kept state is a view of the block
-                times.extend(step * dt if step <= n_full else t_final for step in kept)
+                times.extend(step * dt if step < n_steps else t_final for step in kept)
                 polygons.extend(map(Polygon._checked, states))
     return Trajectory(
         times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial

@@ -162,7 +162,87 @@ def rk4_step_row(n, m, h):
     return sorted((s, q) for s, q in entries if q)
 
 
-def polynomial_rk4(x0, config, blocks=True):
+def float_step_power(row, n, steps, budget=math.inf):
+    """The off-centre entries above 2**-60 / n in magnitude of S^steps, S the
+    float step map of ``row`` (an :func:`rk4_step_row`), as ascending (offset,
+    float) pairs, offsets folded to (-n/2, n/2]; None once the ladder's
+    products cost ``budget`` or more.
+
+    S = I + E, E's row ``row``'s entries off the centre and, at the centre,
+    minus their exact sum, rounded once.  Over the bits i of ``steps`` in
+    ascending order: when bit i is set, P becomes (P + E) + P E, or E for
+    the lowest set bit; when a higher bit is left, E becomes 2E + E E.  Then
+    S^steps = I + P.  A row is (w, entries at offsets -w .. w), or (None,
+    all n entries by offset mod n) once 2w + 1 >= n.  A product is the
+    ``np.convolve`` of the two entry lists and costs the product of their
+    lengths; of two banded rows it keeps the entries within the largest
+    |offset| of a nonzero one, and it is whole, each entry added onto its
+    offset mod n, when either row is or that band reaches n entries.  A sum
+    of banded rows takes the wider band, and is whole when either row is."""
+    spent = 0
+
+    def fold(first, entries):
+        out = [0.0] * n
+        for k, v in enumerate(entries):
+            out[(first + k) % n] += v
+        return out
+
+    def whole(r):
+        w, c = r
+        return list(c) if w is None else fold(-w, c)
+
+    def band(w, c):
+        nonzero = [k for k, v in enumerate(c) if v != 0.0]
+        v = max(w - nonzero[0], nonzero[-1] - w) if nonzero else 0
+        c = c[w - v : w + v + 1]
+        return (v, c) if 2 * v + 1 < n else (None, fold(-v, c))
+
+    def product(a, b):
+        nonlocal spent
+        (wa, x), (wb, y) = a, b
+        spent += len(x) * len(y)
+        if spent >= budget:
+            return None
+        full = np.convolve(x, y).tolist()
+        if wa is None or wb is None:
+            return None, fold(-(wa or 0) - (wb or 0), full)
+        return band(wa + wb, full)
+
+    def plus(a, b):
+        if a[0] is None or b[0] is None:
+            return None, [x + y for x, y in zip(whole(a), whole(b))]
+        (wa, x), (wb, y) = sorted((a, b), key=lambda r: r[0])
+        out = list(y)
+        for k, v in enumerate(x):
+            out[wb - wa + k] += v
+        return wb, out
+
+    w = max((abs(s) for s, _ in row), default=0)
+    c = [0.0] * (2 * w + 1)
+    for s, q in row:
+        c[w + s] = q
+    c[w] = float(-sum((Fraction(q) for _, q in row), Fraction(0)))
+    e, power = band(w, c), None
+    for i in range(steps.bit_length()):
+        if steps >> i & 1:
+            if power is None:
+                power = e
+            else:
+                cross = product(power, e)
+                if cross is None:
+                    return None
+                power = plus(plus(power, e), cross)
+        if steps >> i + 1:
+            square = product(e, e)
+            if square is None:
+                return None
+            e = plus((e[0], [2.0 * v for v in e[1]]), square)
+    p = whole(power)
+    offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
+    return sorted((s, p[s % n]) for s in offsets if abs(p[s % n]) > 2.0**-60 / n)
+
+
+def polynomial_rk4(x0, config, power=True):
     """Every state of the fixed-step RK4 run ``integrate`` makes, as arrays.
 
     A step applies :func:`rk4_step_row` as one index gather per offset, as
@@ -170,22 +250,14 @@ def polynomial_rk4(x0, config, blocks=True):
     ascending s from +0.0, d the state or, for the Yau kind, the state
     minus the target, which is added back to each state.
 
-    With ``blocks`` (a run of ``integrate``), a run of at least 64 whole
-    steps with dt * |rate_max| below the RK4 stability bound and
-    (n - 1) * n * p <= 2**18 goes in blocks of 64 steps from step 0: the last
-    state of each full block of whole steps is the 64-step circulant B of
-    the block's first state, and the last whole state, when r = (whole
-    steps mod 64) > 0, is the r-step circulant L of the first state of its
-    block; the others are stepped.  E starts as the step row with the centre
-    entry minus the off-centre entries' exact sum, rounded once, and each of
-    six rounds E <- 2E + E E squares I + E: E E is the row's
-    ``np.convolve`` with itself, entry k + n added onto entry k.  Before
-    round i, when bit i of r is set, P becomes P + E + P E (P E the
-    ``np.convolve`` of P's row with E's, folded the same way), or E for the
-    lowest set bit.  Then B = I + E and L = I + P, and the off-centre
-    entries of each above 2**-60 / n in magnitude are applied by gathers in
-    the same difference form.  Other steps go one at a time.  Without
-    ``blocks`` every step does.  A run must reproduce it bit for bit.
+    With ``power`` (a run of ``integrate``), a run of N whole steps of K
+    offsets each, with dt * |rate_max| below the RK4 stability bound, takes
+    its last whole state as S^N of the first state when the ladder's
+    products cost less than the (N K - (n - 1)) n p multiply-adds left of
+    stepping after S^N's widest application (:func:`float_step_power`); S^N
+    is applied by gathers in the same difference form.  Other steps go one
+    at a time.  Without ``power`` every step does.  A run must reproduce it
+    bit for bit.
     """
     kind = config.kind
     n, p, base = x0.n, x0.p, np.arange(x0.n)
@@ -210,44 +282,18 @@ def polynomial_rk4(x0, config, blocks=True):
     whole = row_map(whole_row)
     short = row_map(rk4_step_row(n, kind.m, remainder)) if n_steps > n_full else whole
     stable = dt * abs(flow_eigenvalue(n, kind.m, n // 2)) < RK4_STABILITY_BOUND
-    blocked, leftover = 0, None
-    if blocks and n_full >= 64 and stable and (n - 1) * n * p <= 2**18:
-
-        def product(a, b):  # the first row of the circulant product
-            full = np.convolve(a, b)  # 2n - 1 entries
-            return [full[k] + full[k + n] for k in range(n - 1)] + [full[n - 1]]
-
-        def banded(e):
-            offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
-            return row_map(sorted((s, float(e[s % n])) for s in offsets if abs(e[s % n]) > 2.0**-60 / n))
-
-        e = np.zeros(n)
-        for s, q in whole_row:
-            e[s % n] = q
-        e[0] = float(-sum((Fraction(q) for _, q in whole_row), Fraction(0)))
-        blocked = n_full - n_full % 64
-        power = None
-        for i in range(6):
-            if (n_full - blocked) >> i & 1:
-                if power is None:
-                    power = e
-                else:
-                    power = np.array([a + b + c for a, b, c in zip(power.tolist(), e.tolist(), product(power, e))])
-            e = np.array([a + a + b for a, b in zip(e.tolist(), product(e, e))])
-        block = banded(e)
-        leftover = None if power is None else banded(power)
+    budget = (n_full * len(whole_row) - (n - 1)) * n * p
+    final = None
+    if power and stable and budget > 0:
+        final_row = float_step_power(whole_row, n, n_full, budget)
+        final = None if final_row is None else row_map(final_row)
     d = x0.vertices.copy() if target is None else x0.vertices - target
-    states = [x0.vertices.copy()]
-    first = d
+    first, states = d, [x0.vertices.copy()]
     for step_index in range(1, n_steps + 1):
-        if step_index <= blocked and step_index % 64 == 0:
-            d = block(first)
-        elif leftover is not None and step_index == n_full:
-            d = leftover(first)
+        if final is not None and step_index == n_full:
+            d = final(first)
         else:
             d = (whole if step_index <= n_full else short)(d)
-        if step_index % 64 == 0:
-            first = d
         states.append(d if target is None else d + target)  # each step makes a new d
     return states
 

@@ -523,6 +523,16 @@ def test_integrate_keeps_every_state_only_for_the_csv(tmp_path, pentagon_file, m
     assert deviations[0] == deviations[1]
 
 
+def test_integrate_csv_stamps_the_last_state_with_the_final_time(tmp_path, pentagon_file, capsys):
+    """Three steps of 0.1 end at --T 0.3, not at 3 * 0.1 = 0.30000000000000004."""
+    out = tmp_path / "r.csv"
+    argv = ["integrate", "--input", pentagon_file, "--m", "1", "--dt", "0.1", "--T", "0.3", "--csv", str(out)]
+    assert main(argv) == 0
+    stamps = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert stamps == [s for s in ("0.0", "0.1", "0.2", "0.3") for _ in range(5)]
+    assert capsys.readouterr().out.splitlines()[-1].startswith("max |rk4 - exact| at T=0.3: ")
+
+
 def test_analyze_report_is_byte_identical_to_the_elementwise_report(tmp_path, rng, capsys):
     x0 = helpers.random_polygon(rng, 257, p=3)
     path = tmp_path / "blob.json"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import spectral_flow
+from polyflow import circulant, spectral_flow
 from polyflow.circulant import M_MAX, flow_eigenvalue
 from polyflow.integrate import (
     RK4_STABILITY_BOUND,
@@ -20,7 +20,7 @@ from polyflow.integrate import (
     PolyharmonicKind,
     StiffnessWarning,
     YauKind,
-    _flow_powers,
+    _power_row,
     _step_row,
     integrate,
     stability_limit,
@@ -32,12 +32,11 @@ import helpers
 
 integrate_module = importlib.import_module("polyflow.integrate")  # the package's `integrate` is the function
 
-# B's entries against the exact 64th power of the float step row, in eps: the
-# largest error over 4000 draws (n 3-33, m 1-3, dt |rate_max| 0.01-2.78, half
-# of them above 2.5) was 6.5 eps.  Banded, B's and the leftover map L's
-# entries against their exact powers measured at most 6.3 and 4.1 eps over
-# 2000 such draws, L's exponent 1-63.
-C_BLOCK = 16
+# The entries of S^N, the power map, against the exact N-th power of the
+# float step map, in eps: the largest error over 4300 draws (n 3-33, m 1-3,
+# dt |rate_max| 0.01-2.78, half of them above 2.5, N 1-256) was 18.0 eps,
+# at N = 220.
+C_POWER = 32
 
 # A run's final state against its spectral image, per step: the largest gap
 # over 5000 draws (n 3-199, p 2-3, m 1-3, dt |rate_max| 0.01-2.78, 1-400
@@ -86,17 +85,22 @@ def test_constant_polygons_and_yau_runs_at_their_target_stay_bitwise_fixed(rng, 
         assert all(q.vertices.tobytes() == y.vertices.tobytes() for q in traj.polygons)
 
 
-@given(st.integers(3, 40), st.integers(1, 4), st.floats(1e-4, 2.7), st.booleans())
+@given(st.integers(3, 40), st.integers(1, M_MAX), st.floats(1e-4, 2.7), st.booleans())
 @example(3, 4, 2.7, False)  # a band of 33 entries folded onto 3
 @example(8, 1, 2.5, False)  # 8m + 1 = n + 1: offsets +-4 meet at n/2
 @example(7, 2, 1e-4, True)
 @example(5, 1, 1e60, False)  # a step far past the stability bound
+@example(40, M_MAX, 2.7, False)  # a band of 161 entries folded onto 40
+@example(39, 5, 0.5, False)  # 8m + 1 = n + 2
 @example(256, 3, 0.1, False)  # a band of 25 offsets in a row of 256
+@settings(max_examples=60)
 def test_the_step_row_is_the_oracles_row_bitwise(n, m, ratio, tiny):
-    """The library's exact row of R(hA) - I, rounded once per entry, is the
-    row the dense Fraction oracle builds, bit for bit."""
+    """The library's exact row of R(hA) - I, formed from A's nonzero band
+    alone and rounded once per entry, is the row the dense Fraction oracle
+    builds, bit for bit, whether the band of 8m + 1 offsets fits the
+    polygon or wraps."""
     h = (1e-300 if tiny else ratio) / stability_limit(n, m)
-    row = _step_row(_flow_powers(n, m), h)
+    row = _step_row(n, m, h)
     expected = helpers.rk4_step_row(n, m, h)
     assert [(s, q.hex()) for s, q in row] == [(s, q.hex()) for s, q in expected]
     assert [s for s, _ in row] == sorted({s for s, _ in row})
@@ -116,6 +120,16 @@ def test_a_step_with_coefficients_beyond_float_range_is_refused(m):
     assert all(q == x for q in traj.polygons)
 
 
+def test_an_order_beyond_the_exact_entry_budget_is_refused():
+    """The step row reads A from ``power_of_m``, so an order past M_MAX is
+    its OverflowError, as for ``polyflow matrix``."""
+    x = helpers.constant_polygon([3.0, 1.0], 5)
+    dt = 0.1 / stability_limit(5, M_MAX + 1)
+    config = IntegratorConfig(dt=dt, t_final=10 * dt, kind=PolyharmonicKind(M_MAX + 1))
+    with pytest.raises(OverflowError, match="exact-entry budget"):
+        integrate(x, config)
+
+
 @pytest.mark.parametrize("n, m, k", [(6, 1, 3), (7, 1, 2), (8, 2, 1), (9, 3, 4), (12, 2, 5), (16, 3, 8), (5, 4, 2)])
 @pytest.mark.parametrize("ratio", [0.05, 1.0, 2.7])
 def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, ratio):
@@ -129,7 +143,7 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
     h = ratio / stability_limit(n, m)
     z = h * flow_eigenvalue(n, m, k)
     r, slope = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, 1 + z + z**2 / 2 + z**3 / 6
-    row = _step_row(_flow_powers(n, m), h)
+    row = _step_row(n, m, h)
     scale = float(np.abs(x0.vertices).max())
     bound = np.finfo(float).eps * scale * (
         2 + 2 * (len(row) + 3) * sum(abs(q) for _, q in row) + 4 * m * abs(z) * abs(slope)
@@ -142,32 +156,33 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
     "run", ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap", "whole-blocks"]
 )
 def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
-    """One step map per step size serves every step, block and replay of a
-    run: the whole step's, and the shorter final step's when there is one.
-    A run of 64 or more whole steps that is neither stiff nor past the size
-    cap also builds the rows of its power maps once, from the whole step's
-    row: the block map B, and the leftover map L when the whole steps are
-    not a multiple of 64, each then one more step map."""
-    step_row, row_map = integrate_module._step_row, integrate_module._row_map
-    power_rows = integrate_module._power_rows
+    """One step map per step size serves every step and replay of a run: the
+    whole step's, and the shorter final step's when there is one.  A
+    non-stiff run whose whole steps leave the ladder a budget also builds
+    the row of S^N once, from the whole step's row, and, unless the
+    ladder's products outrun the budget, one more map from it.  One whole
+    step leaves none; at n = 64, p = 22, 8 whole steps leave 1408
+    multiply-adds, which the ladder's 1459 exceed; 128 whole steps make
+    S^128 a rung of the ladder itself."""
+    step_row, row_map, power_row = integrate_module._step_row, integrate_module._row_map, integrate_module._power_row
     rows, maps, powers = [], [], []
 
-    def counted_row(powers, h):
-        rows.append((h, step_row(powers, h)))
+    def counted_row(n, m, h):
+        rows.append((h, step_row(n, m, h)))
         return rows[-1][1]
 
     def counted_map(row, like):
         maps.append(like.shape)
         return row_map(row, like)
 
-    def counted_powers(row, n, leftover):
-        powers.append((row, n, leftover))
-        return power_rows(row, n, leftover)
+    def counted_power(row, n, steps, budget):
+        powers.append((row, n, steps))
+        return power_row(row, n, steps, budget)
 
     monkeypatch.setattr(integrate_module, "_step_row", counted_row)
     monkeypatch.setattr(integrate_module, "_row_map", counted_map)
-    monkeypatch.setattr(integrate_module, "_power_rows", counted_powers)
-    n, p = (16, 1093) if run == "past-cap" else (7, 2)  # 15 * 16 * 1093 floats exceed 2**18
+    monkeypatch.setattr(integrate_module, "_power_row", counted_power)
+    n, p = (64, 22) if run == "past-cap" else (7, 2)
     x = helpers.random_polygon(rng, n, p)
     kinds = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, n, p))}
     kind = kinds.get(run, PolyharmonicKind(1))
@@ -178,13 +193,13 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
         return
     if run == "scaled":
         x = Polygon(np.ldexp(x.vertices, 700))
-    steps = {"short": 63, "past-cap": 64, "whole-blocks": 128}.get(run, 150)  # 150 leaves 22 whole steps
+    steps = {"short": 1, "past-cap": 8, "whole-blocks": 128}.get(run, 150)
     t_final = steps * 0.01 + 0.005 * (run == "partial")
     traj = integrate(x, IntegratorConfig(dt=0.01, t_final=t_final, kind=kind), keep_steps=False)
     assert traj.steps == steps + (run == "partial")
     assert [h for h, _ in rows] == [0.01] + ([t_final - steps * 0.01] if run == "partial" else [])
-    assert powers == ([] if run in ("short", "past-cap") else [(rows[0][1], n, steps % 64)])
-    assert maps == [(n, p)] * (len(rows) + len(powers) * (1 + (steps % 64 > 0)))
+    assert powers == ([] if run == "short" else [(rows[0][1], n, steps)])
+    assert maps == [(n, p)] * (len(rows) + (run not in ("short", "past-cap")))
 
 
 def test_rk4_converges_at_order_four():
@@ -241,9 +256,10 @@ def test_final_state_only_is_bitwise_the_full_run(rng, t_final, yau):
     assert lean.steps == full.steps == len(full.times) - 1
 
 
-def _around_the_blocks(test):
-    """Hypothesis examples on each side of the first and second block of 64
-    whole steps, with and without a partial step, for flow and Yau."""
+def _around_powers_of_two(test):
+    """Hypothesis examples on each side of 64 and 128 whole steps, where S^N
+    is one rung of the ladder or a product of rungs, with and without a
+    partial step, for flow and Yau."""
     cases = itertools.product((63, 64, 65, 128, 129), (False, True), (False, True))
     for i, (steps, partial, yau) in enumerate(cases):
         test = example(3 + i, 2 + i % 2, 1 + i % 4, yau, steps, partial, i % 3 == 0, 100 + i)(test)
@@ -258,8 +274,10 @@ def _around_the_blocks(test):
 @example(8, 3, 1, True, 12, False, True, 1)
 @example(64, 2, 4, True, 30, True, False, 2)
 @example(5, 3, 3, False, 0, True, False, 3)  # only the partial step
-@example(64, 3, 1, True, 200, True, True, 4)  # three blocks at the largest n
-@_around_the_blocks
+@example(64, 3, 1, True, 200, True, True, 4)  # S^200 at the largest n
+@example(64, 2, 1, False, 8, True, False, 5)  # the ladder outruns its budget
+@example(200, 3, 1, True, 300, True, True, 6)  # S^300 applied in passes of _CHUNK offsets
+@_around_powers_of_two
 @settings(max_examples=60)
 def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial, special, seed):
     rng = np.random.default_rng(seed)
@@ -283,57 +301,60 @@ def test_whole_run_is_bitwise_the_polynomial_oracle(n, p, m, yau, steps, partial
     assert lean.final().vertices.tobytes() == states[-1].tobytes()
 
 
-@given(st.integers(3, 33), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(1, 63))
-@example(33, 3, 2.78, 63)
+@given(st.integers(3, 33), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(1, 256))
+@example(33, 3, 2.78, 256)
 @example(3, 3, 2.78, 1)  # a band of 25 offsets folded onto 3
-@example(32, 1, 0.01, 32)  # B's entries far from the centre near 1e-26
-@example(128, 2, 0.1, 37)  # entries dropped from both maps
+@example(32, 1, 0.01, 64)  # entries far from the centre near 1e-26
+@example(26, 3, 2.6541682609437913, 220)  # the largest error measured
+@example(128, 2, 0.1, 37)  # entries dropped
 @example(256, 3, 0.1, 58)
 @settings(max_examples=40)
-def test_the_block_map_is_within_rounding_of_the_exact_64th_power(n, m, ratio, leftover):
-    """A run builds B and the leftover map L from its whole step's float row
-    by six squarings and the products of their set bits in floats, then
-    drops the off-centre entries of at most 2^-60 / n.  The off-centre
-    entries that B and L keep or drop lie within C_BLOCK eps of the exact
-    64th and ``leftover``-th powers of the float step map, I + E with E's
-    centre entry minus the exact sum of the off-centre ones, computed from
-    the oracle's row."""
+def test_the_power_map_is_within_rounding_of_the_exact_power(n, m, ratio, steps):
+    """A run builds S^N from its whole step's float row by squarings and the
+    products of their set bits in floats, then drops the off-centre entries
+    of at most 2^-60 / n.  The off-centre entries that S^N keeps or drops
+    lie within C_POWER eps of the exact N-th power of the float step map,
+    I + E with E's centre entry minus the exact sum of the off-centre ones,
+    computed from the oracle's row."""
     dt = ratio / stability_limit(n, m)
-    maps = integrate_module._power_rows(_step_row(_flow_powers(n, m), dt), n, leftover)
-    row = helpers.rk4_step_row(n, m, dt)
+    entry = dict(_power_row(_step_row(n, m, dt), n, steps))
+    exact = helpers.exact_step_power(helpers.rk4_step_row(n, m, dt), n, steps)
+    floats = [entry.get(s if 2 * s <= n else s - n, 0.0) for s in range(n)]
     eps = Fraction(np.finfo(float).eps)
-    for entries, exponent in zip(maps, (64, leftover), strict=True):
-        exact = helpers.exact_step_power(row, n, exponent)
-        entry = dict(entries)
-        floats = [entry.get(s if 2 * s <= n else s - n, 0.0) for s in range(n)]
-        assert all(abs(Fraction(floats[s]) - exact[s]) <= C_BLOCK * eps for s in range(1, n))
+    assert all(abs(Fraction(floats[s]) - exact[s]) <= C_POWER * eps for s in range(1, n))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_the_block_map_is_banded(m):
-    """At n = 256 and dt |rate_max| = 0.1, B's entries decay fast away from
-    the centre: it keeps at most 80 of its 255 off-centre entries (48, 64
-    and 76 for m = 1, 2, 3), so one application costs a fraction of the
-    full circulant's."""
-    dt = 0.1 / stability_limit(256, m)
-    block, leftover = integrate_module._power_rows(_step_row(_flow_powers(256, m), dt), 256, 0)
-    assert leftover is None and len(block) <= 80
+    """The block map S^N, which takes all the whole steps of a lean run at
+    once, drops its entries of at most 2^-60 / n and applies only the band
+    left.  At n = 256 and dt |rate_max| = 0.1, S^64 keeps 48, 64 and 76 of
+    its 255 off-centre entries for m = 1, 2, 3, and S^800 126, 128 and 142,
+    where 800 steps apply 6400 m offsets."""
+    row = _step_row(256, m, 0.1 / stability_limit(256, m))
+    assert len(_power_row(row, 256, 64)) <= 80 and len(_power_row(row, 256, 800)) <= 150
 
 
 @pytest.mark.parametrize("case", ["stiff", "past-cap", "at-cap"])
 def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case):
-    """A stiff step, or (n - 1) n p past 2**18, keeps a run of 130 whole steps
-    and a partial one purely stepwise; at the cap the run goes in blocks, and
-    its states then differ from the stepwise ones."""
-    n, p = {"past-cap": (16, 1093), "at-cap": (16, 1092)}.get(case, (9, 2))
+    """S^N is built only for a non-stiff run whose ladder costs less than the
+    steps it replaces.  At n = 64, p = 22, 8 whole steps of 8 offsets leave
+    the ladder (8 * 8 - 63) * 64 * 22 = 1408 multiply-adds after S^8's
+    widest application, and its three squarings cost 81 + 289 + 1089 =
+    1459, so the run, with a partial step, goes purely stepwise; at p = 23
+    the 1472 left suffice, the last whole state is S^8 of the first, and
+    the states then differ from the stepwise ones.  A stiff step keeps a run
+    of 130 whole steps stepwise."""
+    n, p = {"past-cap": (64, 22), "at-cap": (64, 23)}.get(case, (9, 2))
+    steps = 130 if case == "stiff" else 8
     x = Polygon(rng.normal(size=(n, p)))
     dt = (RK4_STABILITY_BOUND if case == "stiff" else 0.1) / stability_limit(n, 1)
-    config = IntegratorConfig(dt=dt, t_final=130.5 * dt, kind=PolyharmonicKind(1))
+    config = IntegratorConfig(dt=dt, t_final=(steps + 0.5) * dt, kind=PolyharmonicKind(1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore" if case == "stiff" else "error", StiffnessWarning)
         states = [poly.vertices.tobytes() for poly in integrate(x, config).polygons]
     assert states == [v.tobytes() for v in helpers.polynomial_rk4(x, config)]
-    stepwise = [v.tobytes() for v in helpers.polynomial_rk4(x, config, blocks=False)]
+    stepwise = [v.tobytes() for v in helpers.polynomial_rk4(x, config, power=False)]
     assert (states == stepwise) == (case != "at-cap")
 
 
@@ -345,13 +366,13 @@ def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case)
 @example(3, 2, 1, 2.78, 129, False, True, 0.0, 1)
 @settings(max_examples=40)
 def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, steps, yau, partial, shift, seed):
-    """Each block's last state is B = (the float step map)^64 of its first,
-    which the 64 steps give only up to rounding.  State k of a blocked run
-    lies within 0.5 k eps (max|X0| + max|Y|) of the run stepped one step at a
-    time (Y = 0 without a target).  Over 2600 random draws (n 3-256, p 2-3,
+    """A run's last whole state is S^N of its first, which the N steps give
+    only up to rounding.  State k of such a run lies within
+    0.5 k eps (max|X0| + max|Y|) of the run stepped one step at a time
+    (Y = 0 without a target).  Over 3000 random draws (n 3-256, p 2-3,
     m 1-3, dt |rate_max| 0.01-2.78, 64-1000 steps, offsets to 1e3) the
-    largest gap was 0.18 k eps (max|X0| + max|Y|); with the banded B and
-    the leftover map L it was 0.08 over 600 such draws."""
+    largest gap was 0.24 k eps (max|X0| + max|Y|), at k = 64 near the
+    stability bound."""
     rng = np.random.default_rng(seed)
     x = Polygon(rng.normal(size=(n, p)) + shift)
     y = Polygon(rng.normal(size=(n, p)) - shift) if yau else None
@@ -360,7 +381,7 @@ def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, st
     config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
     scale = float(np.abs(x.vertices).max()) + (float(np.abs(y.vertices).max()) if yau else 0.0)
     blocked = integrate(x, config)
-    with mock.patch.object(integrate_module, "_BLOCK_FLOATS", 0):  # no run fits: every step is stepped
+    with mock.patch.object(integrate_module, "_power_row", lambda *args: None):  # every step is stepped
         stepped = integrate(x, config)
     eps = np.finfo(float).eps
     for k, (a, b) in enumerate(zip(blocked.polygons, stepped.polygons, strict=True)):
@@ -635,6 +656,75 @@ def test_zero_steps_keep_only_the_initial_state(rng):
     assert lean.times == (0.0,) and lean.polygons == (x,) and lean.steps == 0
 
 
+@pytest.mark.parametrize("dt, t_final, steps", [(0.1, 0.3, 3), (0.1, 0.55, 6), (0.01, 2.0, 200)])
+@pytest.mark.parametrize("keep_steps", [True, False])
+def test_the_last_state_is_stamped_the_final_time(rng, dt, t_final, steps, keep_steps):
+    """floor(0.3 / 0.1 + 1e-9) = 3 whole steps end the run at T = 0.3, though
+    3 * 0.1 is 0.30000000000000004: the last state is stamped t_final in
+    either retention mode, with or without a partial step or S^N, and
+    state k before it k dt."""
+    x = helpers.random_polygon(rng, 5)
+    traj = integrate(x, IntegratorConfig(dt=dt, t_final=t_final, kind=PolyharmonicKind(1)), keep_steps)
+    assert traj.steps == steps and traj.times[-1] == t_final
+    assert traj.times[:-1] == (tuple(k * dt for k in range(steps)) if keep_steps else (0.0,))
+
+
+@pytest.mark.parametrize("run", ["lean", "kept", "yau", "partial"])
+def test_the_oracle_shares_no_code_with_the_spectral_solvers(rng, monkeypatch, run):
+    """With every ``numpy.fft`` function, every function and class of
+    ``polyflow.spectral_flow`` and the Fourier matrix and transform of
+    ``polyflow.circulant`` patched to raise, runs that take S^N, keep every
+    state, follow the Yau flow or end on a partial step give the same bits
+    as unpatched: the oracle's independence is checked, not only claimed."""
+    x = helpers.random_polygon(rng, 9, p=3)
+    kind = YauKind(2, helpers.random_polygon(rng, 9, p=3)) if run == "yau" else PolyharmonicKind(2)
+    dt = 0.1 / stability_limit(9, 2)
+    config = IntegratorConfig(dt=dt, t_final=(150 + 0.375 * (run == "partial")) * dt, kind=kind)
+    keep_steps = run == "kept"
+    expected = [q.vertices.tobytes() for q in integrate(x, config, keep_steps).polygons]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the RK4 oracle used a spectral path")
+
+    for name in dir(np.fft):
+        if not name.startswith("_") and callable(getattr(np.fft, name)):
+            monkeypatch.setattr(np.fft, name, refuse)
+    for name, value in vars(spectral_flow).items():
+        if callable(value) and getattr(value, "__module__", None) == spectral_flow.__name__:
+            monkeypatch.setattr(spectral_flow, name, refuse)
+    monkeypatch.setattr(circulant, "fourier_matrix", refuse)
+    monkeypatch.setattr(circulant, "idft", refuse)
+    with pytest.raises(AssertionError, match="spectral path"):
+        spectral_flow.solve(x, 2, 1.0)
+    assert [q.vertices.tobytes() for q in integrate(x, config, keep_steps).polygons] == expected
+
+
+def test_a_lean_run_of_a_million_steps_applies_two_maps(rng, monkeypatch):
+    """A lean run at n = 128, m = 3 takes its 10^6 whole steps as one
+    application of S^N and its partial step as one more, and ends within
+    C_IMAGE N eps max|X0| of its spectral image (at most 0.055 N eps over
+    60 such runs, m = 1-3)."""
+    applied, row_map = [], integrate_module._row_map
+
+    def counted_map(row, like):
+        apply = row_map(row, like)
+
+        def counted(d):
+            applied.append(len(row))
+            apply(d)
+
+        return counted
+
+    monkeypatch.setattr(integrate_module, "_row_map", counted_map)
+    x = Polygon(rng.normal(size=(128, 2)))
+    dt = 0.1 / stability_limit(128, 3)
+    config = IntegratorConfig(dt=dt, t_final=(10**6 + 0.375) * dt, kind=PolyharmonicKind(3))
+    run = integrate(x, config, keep_steps=False)
+    assert run.steps == 10**6 + 1 and run.partial_final_step and len(applied) == 2
+    gap = np.abs(run.final().vertices - helpers.rk4_spectral_image(x, config)).max()
+    assert gap <= C_IMAGE * run.steps * np.finfo(float).eps * float(np.abs(x.vertices).max())
+
+
 def _lean_peak(x, m, steps):
     """tracemalloc's peak over a final-state-only run of ``steps`` whole steps
     at dt |rate_max| = 0.1."""
@@ -657,27 +747,41 @@ def test_final_state_only_memory_is_flat_in_the_step_count():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_the_block_map_fits_in_four_mib(rng, m):
-    """At n = 256, p = 3 the block map's terms, coefficients and row index
-    take (n - 1) n (2 p + 1) 8 bytes, 3.7 MB; with the step map the run's peak
-    measured 3.9-4.1 MB for m = 1-3, against 0.2-0.4 MB stepwise."""
+    """At n = 256, p = 3 a lean run of 200 steps builds S^200, 72-100
+    offsets for m = 1-3; its buffers hold at most _CHUNK + 1 states and
+    one pass's gather index, and with the step map the run's peak measured
+    0.83-1.07 MB, where one map at all 255 offsets, laid out whole, takes
+    3.7 MB."""
     assert _lean_peak(Polygon(rng.normal(size=(256, 3))), m, 200) <= 4 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_banded_power_maps_fit_in_three_mib(rng, m):
-    """At n = 256, p = 3 a lean run of 250 steps builds B and the leftover
-    map L of 58 steps, each applying only its band of offsets; the run's
-    peak stays under 3 MiB, where B alone at all 255 offsets took 3.7 MB."""
+    """At n = 256, p = 3 a lean run of 250 steps builds S^250 and applies
+    only its band of offsets, at most _CHUNK of them a pass; the run's peak
+    stays under 3 MiB (measured 0.83-1.07 MB), where a map at all 255
+    offsets, laid out whole, would take 3.7 MB."""
     assert _lean_peak(Polygon(rng.normal(size=(256, 3))), m, 250) <= 3 * 2**20
 
 
-@pytest.mark.parametrize("n, p", [(297, 3), (16, 1093)])
-def test_a_run_past_the_cap_allocates_as_a_stepwise_run(rng, n, p):
-    """Past (n - 1) n p = 2**18 no block map is built: a run of 200 steps
-    allocates what one of 63, too short for a block, does (to 5%; a block
-    map would add over 4 MB)."""
+def test_the_power_maps_buffers_hold_a_chunk_of_states(rng):
+    """At n = 1024, p = 2, S^20000 keeps 596 of its 1023 offsets, whose
+    terms would take 9.8 MB applied at once, and S^2000 196; in passes of
+    _CHUNK offsets a run of 20000 steps peaks where one of 2000 does
+    (measured 2.24 and 2.19 MB)."""
+    x = Polygon(rng.normal(size=(1024, 2)))
+    assert _lean_peak(x, 1, 20000) <= min(1.1 * _lean_peak(x, 1, 2000), 3 * 2**20)
+
+
+@pytest.mark.parametrize("n, p, steps", [(297, 3, 37), (64, 22, 8)])
+def test_a_run_the_cost_rule_refuses_allocates_as_a_stepwise_run(rng, n, p, steps):
+    """No power map is built when it would not pay: 37 steps of 8 offsets at
+    n = 297 leave the ladder nothing after S^N's widest application of 296
+    offsets, and at n = 64, p = 22 the 8 steps' budget is outrun by the
+    ladder.  Each run allocates what one of 2 steps does (to 5%; the map's
+    buffers would add 0.7-1 MB)."""
     x = Polygon(rng.normal(size=(n, p)))
-    assert _lean_peak(x, 1, 200) <= 1.05 * _lean_peak(x, 1, 63)
+    assert _lean_peak(x, 1, steps) <= 1.05 * _lean_peak(x, 1, 2)
 
 
 def test_yau_kind_stationary_trajectory(rng):
