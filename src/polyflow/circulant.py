@@ -119,11 +119,16 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
     return CirculantMatrix(n, tuple(row))
 
 
-def folded(first_row) -> list[tuple[int, float]]:
-    """The nonzero entries of a circulant's first row as (offset, float value)
-    pairs in ascending offset, entry s at offset s folded to (-n/2, n/2]."""
-    n = len(first_row)
-    return sorted((s if 2 * s <= n else s - n, float(c)) for s, c in enumerate(first_row) if c)
+def folded(entries, n: int) -> list[tuple[int, int | float]]:
+    """Sparse (offset, value) ``entries`` of a size-n circulant's first row,
+    at any integer offsets, as (offset, value) pairs in ascending offset:
+    values at offsets equal mod n summed (exactly, for ints), each offset
+    folded to (-n/2, n/2], and zero sums dropped."""
+    sums = {}
+    for s, c in entries:
+        s %= n
+        sums[s] = sums.get(s, 0) + c
+    return sorted((s if 2 * s <= n else s - n, c) for s, c in sums.items() if c)
 
 
 def gather_index(entries, n: int) -> np.ndarray:
@@ -149,9 +154,9 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     n = a.n
     if values.shape[0] != n:  # a gather would drop extra rows silently
         raise ValueError(f"size mismatch: matrix is {n}, data has {values.shape[0]} rows")
-    entries = folded(a.first_row)
+    entries = folded(enumerate(a.first_row), n)
     idx = gather_index(entries, n)
-    column = np.array([c for _, c in entries]).reshape((-1,) + (1,) * values.ndim)
+    column = np.array([float(c) for _, c in entries]).reshape((-1,) + (1,) * values.ndim)
     return np.add.reduce(column * values[idx], axis=0, initial=0.0)
 
 

@@ -12,19 +12,20 @@ S = ``R(hA)``, R the RK4 stability function: its row is built once per step
 size from the exact powers A .. A^4 on their band of at most 8m + 1
 offsets, each entry rounded once, and a step applies it as one stencil of
 five numpy calls.  The results differ from a stage-by-stage evaluation only
-at rounding level.  N whole steps are S^N, which a non-stiff run whose
-steps cost more builds once by squaring the float step map over the bits
-of N, each product one ``np.convolve`` of two rows' nonzero bands.  S^N
-drops its entries of at most 2^-60 / n and applies the band left, in
-passes of at most 64 offsets.  A run that keeps only its final state takes
-all its whole steps as one application of S^N; one that keeps every state
-steps them and ends them on S^N of the first state, so both end on the
-same bits.  Steps run in place on vertex arrays allocated once per run.
-States are range-checked in blocks, 64 steps or all of a final-state-only
-run that takes S^N, each block's states written into one array, checked
-once in the caller's units and kept as read-only views of it.  A block
-that fails the check is replayed from its first state, checking each step,
-to name the first bad one.
+at rounding level.  N whole steps are S^N, which a non-stiff run whose N
+steps of K offsets apply more than n - 1 offsets, N K > n - 1, builds once
+by squaring the float step map over the bits of N, each product one
+``np.convolve`` of two rows' nonzero bands.  S^N drops its entries of at
+most 2^-60 / n and applies the band left, in passes of at most 64
+offsets.  A run that keeps only its final state takes all its whole steps
+as one application of S^N; one that keeps every state steps them and ends
+them on S^N of the first state, so both end on the same bits.  Steps run
+in place on vertex arrays allocated once per run.  States are
+range-checked in blocks, 64 steps or all of a final-state-only run that
+takes S^N, each block's states written into one array, checked once in
+the caller's units and kept as read-only views of it.  A block that fails
+the check is replayed from its first state, checking each step, to name
+the first bad one.
 """
 from __future__ import annotations
 
@@ -127,10 +128,11 @@ def _step_row(n: int, m: int, h: float) -> list[tuple[int, float]]:
     offsets, its powers are exact integer ``np.convolve`` products on at
     most 8m + 1 offsets, folded mod n at the end.  Entry s is the rational
     ``sum_k h^k (A^k)_s / k!`` with h taken exactly as
-    ``h.as_integer_ratio()``, rounded correctly by Python's int true
-    division.  An entry beyond float range, first reached near
-    dt * |rate_max| = 1e77, is an OverflowError: its step would turn even a
-    constant state into nan.  Rows of A^k have zero sum, so the step needs
+    ``h.as_integer_ratio()``, its numerator summed exactly over the offsets
+    that fold onto s and divided by Python's correctly rounded int true
+    division; entries that round to 0.0 are dropped.  An entry beyond float
+    range, first reached near dt * |rate_max| = 1e77, is an OverflowError:
+    its step would turn even a constant state into nan.  Rows of A^k have zero sum, so the step needs
     only the off-centre entries.
     """
     first_row, sign = circulant.power_of_m(n, m).first_row, circulant.flow_sign(m)
@@ -142,14 +144,13 @@ def _step_row(n: int, m: int, h: float) -> list[tuple[int, float]]:
     for k, power in enumerate((a, square, np.convolve(square, a), np.convolve(square, square)), 1):
         weight = num**k * den ** (4 - k) * (24 // math.factorial(k))  # h^k / k! times 24 den^4
         exact[(k - 4) * lo : (k - 4) * lo + power.size] += weight * power
-    row = [0] * n
-    for s, v in zip(range(4 * lo, 4 * hi + 1), exact.tolist()):
-        row[s % n] += v
-    row[0], denominator = 0, 24 * den**4  # the centre entry is left out
+    entries = circulant.folded(zip(range(4 * lo, 4 * hi + 1), exact), n)
+    denominator = 24 * den**4
     try:
-        return circulant.folded([v and v / denominator for v in row])
+        row = [(s, v / denominator) for s, v in entries if s]  # the centre entry is left out
     except OverflowError:
         raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
+    return [(s, q) for s, q in row if q]
 
 
 def _row_map(row: list[tuple[int, float]], like: np.ndarray):
@@ -203,10 +204,10 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     return apply
 
 
-def _power_row(row: list[tuple[int, float]], n: int, steps: int, budget: float = math.inf):
-    """The off-centre entries of S^steps, S the float step map of ``row``
-    (a :func:`_step_row`), as banded :func:`~polyflow.circulant.folded`
-    pairs; None as soon as its products would cost ``budget`` or more.
+def _power_row(row: list[tuple[int, float]], n: int, steps: int) -> list[tuple[int, float]]:
+    """The off-centre entries of S^steps, steps >= 1, S the float step map of
+    ``row`` (a :func:`_step_row`), as banded
+    :func:`~polyflow.circulant.folded` pairs.
 
     S is I + E, E's row ``row``'s entries off the centre and, at the centre,
     minus their correctly rounded sum.  (I + E)^2 = I + (2E + E E), so the
@@ -216,14 +217,12 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int, budget: float =
     is used.  A row is held as its band, the entries at offsets -w .. w, or
     whole, all n of them, once that band would not be shorter.  A product
     is one ``np.convolve`` of the two rows' entries, cut to the band of its
-    nonzero ones or folded mod n, and costs the product of their lengths in
-    multiply-adds: a short run's rungs are narrow, a long run's far entries
-    underflow to zero.  A sum takes the wider band.  Entries of at most
-    eps / 256 / n = 2^-60 / n are dropped; they weight differences
-    |d[j+s] - d[j]| <= 2 max|d|, so together they move a coordinate by less
-    than eps / 128 max|d|.
+    nonzero ones or folded mod n: a short run's rungs are narrow, a long
+    run's far entries underflow to zero.  A sum takes the wider band.
+    Entries of at most eps / 256 / n = 2^-60 / n are dropped; they weight
+    differences |d[j+s] - d[j]| <= 2 max|d|, so together they move a
+    coordinate by less than eps / 128 max|d|.
     """
-    spent = 0
 
     def whole(a):  # all n entries of row a, entry s at index s mod n
         w, c = a
@@ -236,12 +235,8 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int, budget: float =
         c = c[w - v : w + v + 1]
         return (int(v), c) if 2 * v + 1 < n else (None, whole((v, c)))
 
-    def product(a, b):  # None past the budget
-        nonlocal spent
+    def product(a, b):
         (wa, x), (wb, y) = a, b
-        spent += x.size * y.size
-        if spent >= budget:
-            return None
         full = np.convolve(x, y)
         if wa is None and wb is None:  # entries on offsets 0 .. 2n - 2
             full[: n - 1] += full[n:]
@@ -266,19 +261,13 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int, budget: float =
     power = None  # I + power is S to the set bits of steps below the rung
     for rung in range(steps.bit_length()):
         if steps >> rung & 1:
-            if power is None:
-                power = e
-            elif (cross := product(power, e)) is None:
-                return None
-            else:
-                power = plus(plus(power, e), cross)
+            power = e if power is None else plus(plus(power, e), product(power, e))
         if steps >> rung + 1:
-            if (square := product(e, e)) is None:
-                return None
-            e = plus((e[0], 2.0 * e[1]), square)
-    p = whole(power)
-    p[np.abs(p) <= sys.float_info.epsilon / 256 / n] = 0.0
-    return circulant.folded([0.0] + p[1:].tolist())  # the difference form leaves the centre out
+            e = plus((e[0], 2.0 * e[1]), product(e, e))
+    w, c = power  # entry s at index s + w, or at s mod n for a whole row
+    c[w or 0] = 0.0  # the difference form leaves the centre out
+    kept = np.flatnonzero(np.abs(c) > sys.float_info.epsilon / 256 / n)
+    return circulant.folded(zip((kept - (w or 0)).tolist(), c[kept].tolist()), n)
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -300,15 +289,14 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     per step size and advances the state in place with it.  A Yau run
     advances the difference d = X - Y and its state is Y + d.
 
-    Cost rule: N steps of the K offsets of S cost N K n p multiply-adds,
-    and S^N one application of at most n - 1 offsets plus its ladder.  So a
-    run with dt * |rate_max| below :data:`RK4_STABILITY_BOUND` gives the
-    ladder (N K - (n - 1)) n p as its budget and takes S^N when its
-    products cost less (:func:`_power_row`).  Its last whole state is then
-    S^N of the first state: without ``keep_steps`` that is all its whole
-    steps cost, with it the states before are stepped.  The partial step
-    follows.  Both retention modes follow this one definition, so their
-    final states are the same bits.
+    One rule: a run with dt * |rate_max| below :data:`RK4_STABILITY_BOUND`
+    whose N whole steps of the K offsets of S apply more offsets than S^N
+    can, N K > n - 1, builds S^N (:func:`_power_row`); every other run
+    steps.  The last whole state of a run that builds it is S^N of the
+    first state: without ``keep_steps`` that is all its whole steps cost,
+    with it the states before are stepped.  The partial step follows.
+    Both retention modes follow this one definition, so their final states
+    are the same bits.
 
     Each coordinate column whose largest |coordinate|, in the state or the
     Yau target, lies outside the band of
@@ -374,10 +362,9 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     row = _step_row(x0.n, kind.m, dt)
     whole = _row_map(row, d)
     short = _row_map(_step_row(x0.n, kind.m, remainder), d) if partial else whole
-    budget = (n_full * len(row) - (x0.n - 1)) * d.size  # stepping's cost less S^N's widest application
-    stable = dt * rate < RK4_STABILITY_BOUND
-    power_row = _power_row(row, x0.n, n_full, budget) if budget > 0 and stable else None
-    power = None if power_row is None else _row_map(power_row, d)  # S^N
+    # S^N applies at most n - 1 offsets, so it serves a non-stiff run whose steps apply more
+    powered = dt * rate < RK4_STABILITY_BOUND and n_full * len(row) > x0.n - 1
+    power = _row_map(_power_row(row, x0.n, n_full), d) if powered else None  # S^N
     mapped = power is not None and not keep_steps  # the whole steps go as one application of S^N
 
     def state(out: np.ndarray) -> np.ndarray:

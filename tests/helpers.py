@@ -162,11 +162,10 @@ def rk4_step_row(n, m, h):
     return sorted((s, q) for s, q in entries if q)
 
 
-def float_step_power(row, n, steps, budget=math.inf):
+def float_step_power(row, n, steps):
     """The off-centre entries above 2**-60 / n in magnitude of S^steps, S the
     float step map of ``row`` (an :func:`rk4_step_row`), as ascending (offset,
-    float) pairs, offsets folded to (-n/2, n/2]; None once the ladder's
-    products cost ``budget`` or more.
+    float) pairs, offsets folded to (-n/2, n/2].
 
     S = I + E, E's row ``row``'s entries off the centre and, at the centre,
     minus their exact sum, rounded once.  Over the bits i of ``steps`` in
@@ -174,12 +173,11 @@ def float_step_power(row, n, steps, budget=math.inf):
     the lowest set bit; when a higher bit is left, E becomes 2E + E E.  Then
     S^steps = I + P.  A row is (w, entries at offsets -w .. w), or (None,
     all n entries by offset mod n) once 2w + 1 >= n.  A product is the
-    ``np.convolve`` of the two entry lists and costs the product of their
-    lengths; of two banded rows it keeps the entries within the largest
-    |offset| of a nonzero one, and it is whole, each entry added onto its
-    offset mod n, when either row is or that band reaches n entries.  A sum
-    of banded rows takes the wider band, and is whole when either row is."""
-    spent = 0
+    ``np.convolve`` of the two entry lists; of two banded rows it keeps the
+    entries within the largest |offset| of a nonzero one, and it is whole,
+    each entry added onto its offset mod n, when either row is or that band
+    reaches n entries.  A sum of banded rows takes the wider band, and is
+    whole when either row is."""
 
     def fold(first, entries):
         out = [0.0] * n
@@ -198,11 +196,7 @@ def float_step_power(row, n, steps, budget=math.inf):
         return (v, c) if 2 * v + 1 < n else (None, fold(-v, c))
 
     def product(a, b):
-        nonlocal spent
         (wa, x), (wb, y) = a, b
-        spent += len(x) * len(y)
-        if spent >= budget:
-            return None
         full = np.convolve(x, y).tolist()
         if wa is None or wb is None:
             return None, fold(-(wa or 0) - (wb or 0), full)
@@ -225,18 +219,9 @@ def float_step_power(row, n, steps, budget=math.inf):
     e, power = band(w, c), None
     for i in range(steps.bit_length()):
         if steps >> i & 1:
-            if power is None:
-                power = e
-            else:
-                cross = product(power, e)
-                if cross is None:
-                    return None
-                power = plus(plus(power, e), cross)
+            power = e if power is None else plus(plus(power, e), product(power, e))
         if steps >> i + 1:
-            square = product(e, e)
-            if square is None:
-                return None
-            e = plus((e[0], [2.0 * v for v in e[1]]), square)
+            e = plus((e[0], [2.0 * v for v in e[1]]), product(e, e))
     p = whole(power)
     offsets = [s if 2 * s <= n else s - n for s in range(1, n)]
     return sorted((s, p[s % n]) for s in offsets if abs(p[s % n]) > 2.0**-60 / n)
@@ -251,16 +236,14 @@ def polynomial_rk4(x0, config, power=True):
     minus the target, which is added back to each state.
 
     With ``power`` (a run of ``integrate``), a run of N whole steps of K
-    offsets each, with dt * |rate_max| below the RK4 stability bound, takes
-    its last whole state as S^N of the first state when the ladder's
-    products cost less than the (N K - (n - 1)) n p multiply-adds left of
-    stepping after S^N's widest application (:func:`float_step_power`); S^N
-    is applied by gathers in the same difference form.  Other steps go one
-    at a time.  Without ``power`` every step does.  A run must reproduce it
-    bit for bit.
+    offsets each, with dt * |rate_max| below the RK4 stability bound and
+    N K > n - 1, takes its last whole state as S^N of the first state
+    (:func:`float_step_power`); S^N is applied by gathers in the same
+    difference form.  Other steps go one at a time.  Without ``power``
+    every step does.  A run must reproduce it bit for bit.
     """
     kind = config.kind
-    n, p, base = x0.n, x0.p, np.arange(x0.n)
+    n, base = x0.n, np.arange(x0.n)
     target = kind.target.vertices if isinstance(kind, YauKind) else None
 
     def row_map(row):
@@ -282,11 +265,8 @@ def polynomial_rk4(x0, config, power=True):
     whole = row_map(whole_row)
     short = row_map(rk4_step_row(n, kind.m, remainder)) if n_steps > n_full else whole
     stable = dt * abs(flow_eigenvalue(n, kind.m, n // 2)) < RK4_STABILITY_BOUND
-    budget = (n_full * len(whole_row) - (n - 1)) * n * p
-    final = None
-    if power and stable and budget > 0:
-        final_row = float_step_power(whole_row, n, n_full, budget)
-        final = None if final_row is None else row_map(final_row)
+    powered = power and stable and n_full * len(whole_row) > n - 1
+    final = row_map(float_step_power(whole_row, n, n_full)) if powered else None
     d = x0.vertices.copy() if target is None else x0.vertices - target
     first, states = d, [x0.vertices.copy()]
     for step_index in range(1, n_steps + 1):

@@ -375,6 +375,15 @@ def test_diagonalization_rebuilds_flow_matrix():
 
 # --- construction validation ----------------------------------------------------
 
+def test_spectral_tables_refuse_bad_sizes():
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 3"):
+        circulant.flow_eigenvalues(2, 1)
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 3"):
+        circulant.flow_eigenvalues(5, 0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        circulant.fourier_matrix(0)
+
+
 def test_circulant_matrix_validation():
     with pytest.raises(ValueError):
         CirculantMatrix(2, (1, 1))

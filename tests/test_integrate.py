@@ -4,7 +4,6 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,17 +152,17 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
 
 
 @pytest.mark.parametrize(
-    "run", ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap", "whole-blocks"]
+    "run",
+    ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap", "few-offsets", "power-of-two"],
 )
 def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     """One step map per step size serves every step and replay of a run: the
     whole step's, and the shorter final step's when there is one.  A
-    non-stiff run whose whole steps leave the ladder a budget also builds
-    the row of S^N once, from the whole step's row, and, unless the
-    ladder's products outrun the budget, one more map from it.  One whole
-    step leaves none; at n = 64, p = 22, 8 whole steps leave 1408
-    multiply-adds, which the ladder's 1459 exceed; 128 whole steps make
-    S^128 a rung of the ladder itself."""
+    non-stiff run whose N whole steps of K offsets apply more than n - 1
+    offsets also builds the row of S^N once, from the whole step's row, and
+    one more map from it.  At n = 7 one whole step applies 6; at n = 64, 8
+    whole steps apply 64 (S^8, at any p) and 7 apply 56 (no S^N); 128 whole
+    steps make S^128 a rung of the ladder itself."""
     step_row, row_map, power_row = integrate_module._step_row, integrate_module._row_map, integrate_module._power_row
     rows, maps, powers = [], [], []
 
@@ -175,14 +174,14 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
         maps.append(like.shape)
         return row_map(row, like)
 
-    def counted_power(row, n, steps, budget):
+    def counted_power(row, n, steps):
         powers.append((row, n, steps))
-        return power_row(row, n, steps, budget)
+        return power_row(row, n, steps)
 
     monkeypatch.setattr(integrate_module, "_step_row", counted_row)
     monkeypatch.setattr(integrate_module, "_row_map", counted_map)
     monkeypatch.setattr(integrate_module, "_power_row", counted_power)
-    n, p = (64, 22) if run == "past-cap" else (7, 2)
+    n, p = {"past-cap": (64, 22), "few-offsets": (64, 2)}.get(run, (7, 2))
     x = helpers.random_polygon(rng, n, p)
     kinds = {"even": PolyharmonicKind(2), "yau": YauKind(1, helpers.random_polygon(rng, n, p))}
     kind = kinds.get(run, PolyharmonicKind(1))
@@ -193,13 +192,14 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
         return
     if run == "scaled":
         x = Polygon(np.ldexp(x.vertices, 700))
-    steps = {"short": 1, "past-cap": 8, "whole-blocks": 128}.get(run, 150)
+    steps = {"short": 1, "past-cap": 8, "few-offsets": 7, "power-of-two": 128}.get(run, 150)
     t_final = steps * 0.01 + 0.005 * (run == "partial")
     traj = integrate(x, IntegratorConfig(dt=0.01, t_final=t_final, kind=kind), keep_steps=False)
     assert traj.steps == steps + (run == "partial")
     assert [h for h, _ in rows] == [0.01] + ([t_final - steps * 0.01] if run == "partial" else [])
-    assert powers == ([] if run == "short" else [(rows[0][1], n, steps)])
-    assert maps == [(n, p)] * (len(rows) + (run not in ("short", "past-cap")))
+    stepped = run in ("short", "few-offsets")
+    assert powers == ([] if stepped else [(rows[0][1], n, steps)])
+    assert maps == [(n, p)] * (len(rows) + (not stepped))
 
 
 def test_rk4_converges_at_order_four():
@@ -275,7 +275,8 @@ def _around_powers_of_two(test):
 @example(64, 2, 4, True, 30, True, False, 2)
 @example(5, 3, 3, False, 0, True, False, 3)  # only the partial step
 @example(64, 3, 1, True, 200, True, True, 4)  # S^200 at the largest n
-@example(64, 2, 1, False, 8, True, False, 5)  # the ladder outruns its budget
+@example(64, 2, 1, False, 8, True, False, 5)  # S^8: 8 steps of 8 offsets apply more than 63
+@example(64, 2, 1, False, 7, True, False, 5)  # 7 steps of 8 offsets apply 56: stepped
 @example(200, 3, 1, True, 300, True, True, 6)  # S^300 applied in passes of _CHUNK offsets
 @_around_powers_of_two
 @settings(max_examples=60)
@@ -325,8 +326,8 @@ def test_the_power_map_is_within_rounding_of_the_exact_power(n, m, ratio, steps)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_the_block_map_is_banded(m):
-    """The block map S^N, which takes all the whole steps of a lean run at
+def test_the_power_map_is_banded(m):
+    """The power map S^N, which takes all the whole steps of a lean run at
     once, drops its entries of at most 2^-60 / n and applies only the band
     left.  At n = 256 and dt |rate_max| = 0.1, S^64 keeps 48, 64 and 76 of
     its 255 off-centre entries for m = 1, 2, 3, and S^800 126, 128 and 142,
@@ -335,18 +336,17 @@ def test_the_block_map_is_banded(m):
     assert len(_power_row(row, 256, 64)) <= 80 and len(_power_row(row, 256, 800)) <= 150
 
 
-@pytest.mark.parametrize("case", ["stiff", "past-cap", "at-cap"])
-def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case):
-    """S^N is built only for a non-stiff run whose ladder costs less than the
-    steps it replaces.  At n = 64, p = 22, 8 whole steps of 8 offsets leave
-    the ladder (8 * 8 - 63) * 64 * 22 = 1408 multiply-adds after S^8's
-    widest application, and its three squarings cost 81 + 289 + 1089 =
-    1459, so the run, with a partial step, goes purely stepwise; at p = 23
-    the 1472 left suffice, the last whole state is S^8 of the first, and
-    the states then differ from the stepwise ones.  A stiff step keeps a run
-    of 130 whole steps stepwise."""
-    n, p = {"past-cap": (64, 22), "at-cap": (64, 23)}.get(case, (9, 2))
-    steps = 130 if case == "stiff" else 8
+@pytest.mark.parametrize("case", ["stiff", "few-offsets", "many-offsets"])
+def test_the_power_map_is_taken_only_within_the_stability_bound_past_n_offsets(rng, case):
+    """S^N is built only for a non-stiff run whose N whole steps of K
+    offsets apply more than the n - 1 offsets S^N can.  At n = 64, m = 1,
+    K = 8: 7 whole steps apply 56, so the run, with a partial step, goes
+    purely stepwise; 8 apply 64, the last whole state is S^8 of the first,
+    and the states then differ from the stepwise ones.  A stiff step keeps
+    a run of 130 whole steps stepwise.  Each run is the oracle's bit for
+    bit."""
+    n, p = (9, 2) if case == "stiff" else (64, 3)
+    steps = {"stiff": 130, "few-offsets": 7}.get(case, 8)
     x = Polygon(rng.normal(size=(n, p)))
     dt = (RK4_STABILITY_BOUND if case == "stiff" else 0.1) / stability_limit(n, 1)
     config = IntegratorConfig(dt=dt, t_final=(steps + 0.5) * dt, kind=PolyharmonicKind(1))
@@ -355,7 +355,7 @@ def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case)
         states = [poly.vertices.tobytes() for poly in integrate(x, config).polygons]
     assert states == [v.tobytes() for v in helpers.polynomial_rk4(x, config)]
     stepwise = [v.tobytes() for v in helpers.polynomial_rk4(x, config, power=False)]
-    assert (states == stepwise) == (case != "at-cap")
+    assert (states == stepwise) == (case != "many-offsets")
 
 
 @given(
@@ -365,11 +365,11 @@ def test_blocks_are_taken_only_within_the_stability_bound_and_the_cap(rng, case)
 @example(256, 3, 3, 0.1, 1000, True, True, 1e3, 0)
 @example(3, 2, 1, 2.78, 129, False, True, 0.0, 1)
 @settings(max_examples=40)
-def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, steps, yau, partial, shift, seed):
+def test_a_power_mapped_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, steps, yau, partial, shift, seed):
     """A run's last whole state is S^N of its first, which the N steps give
     only up to rounding.  State k of such a run lies within
-    0.5 k eps (max|X0| + max|Y|) of the run stepped one step at a time
-    (Y = 0 without a target).  Over 3000 random draws (n 3-256, p 2-3,
+    0.5 k eps (max|X0| + max|Y|) of the oracle's run stepped one step at a
+    time (Y = 0 without a target).  Over 3000 random draws (n 3-256, p 2-3,
     m 1-3, dt |rate_max| 0.01-2.78, 64-1000 steps, offsets to 1e3) the
     largest gap was 0.24 k eps (max|X0| + max|Y|), at k = 64 near the
     stability bound."""
@@ -380,12 +380,11 @@ def test_a_blocked_run_is_within_rounding_of_the_stepwise_run(n, p, m, ratio, st
     dt = ratio / stability_limit(n, m)
     config = IntegratorConfig(dt=dt, t_final=(steps + 0.375 * partial) * dt, kind=kind)
     scale = float(np.abs(x.vertices).max()) + (float(np.abs(y.vertices).max()) if yau else 0.0)
-    blocked = integrate(x, config)
-    with mock.patch.object(integrate_module, "_power_row", lambda *args: None):  # every step is stepped
-        stepped = integrate(x, config)
+    mapped = integrate(x, config)
+    stepped = helpers.polynomial_rk4(x, config, power=False)
     eps = np.finfo(float).eps
-    for k, (a, b) in enumerate(zip(blocked.polygons, stepped.polygons, strict=True)):
-        assert np.abs(a.vertices - b.vertices).max() <= 0.5 * k * eps * scale
+    for k, (a, b) in enumerate(zip(mapped.polygons, stepped, strict=True)):
+        assert np.abs(a.vertices - b).max() <= 0.5 * k * eps * scale
 
 
 @given(
@@ -426,7 +425,7 @@ def test_a_run_is_within_rounding_of_its_spectral_image(n, p, m, ratio, steps, y
     """The run is the circulant R(hA)^N (times R(rA) for a partial step r),
     so its final state is the Fourier image of X0 with each mode k scaled by
     R(h lambda_k)^N (and R(r lambda_k)), which shares no code with the step
-    rows or B.  The two lie within C_IMAGE N eps (max|X0| + max|Y|), N the
+    rows or S^N.  The two lie within C_IMAGE N eps (max|X0| + max|Y|), N the
     number of steps, Y = 0 without a target."""
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
@@ -465,7 +464,7 @@ def test_c13_runs_lie_within_rounding_of_their_spectral_image():
     st.integers(3, 64), st.sampled_from((2, 3)), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(0, 200),
     st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
 )
-@example(5, 2, 1, 0.1, 130, True, True, True, 0)  # two kept blocks, two leftover steps and a partial one
+@example(5, 2, 1, 0.1, 130, True, True, True, 0)  # 130 kept steps ending on S^130, and a partial one
 @example(64, 3, 3, 2.78, 129, False, True, False, 1)  # lean blocks at the largest n, near the stability bound
 @example(3, 2, 3, 2.7, 40, True, False, True, 2)  # stepwise, a band of 25 offsets folded onto 3
 @example(7, 3, 2, 0.5, 0, False, True, True, 3)  # only the partial step
@@ -773,13 +772,12 @@ def test_the_power_maps_buffers_hold_a_chunk_of_states(rng):
     assert _lean_peak(x, 1, 20000) <= min(1.1 * _lean_peak(x, 1, 2000), 3 * 2**20)
 
 
-@pytest.mark.parametrize("n, p, steps", [(297, 3, 37), (64, 22, 8)])
+@pytest.mark.parametrize("n, p, steps", [(297, 3, 37)])
 def test_a_run_the_cost_rule_refuses_allocates_as_a_stepwise_run(rng, n, p, steps):
-    """No power map is built when it would not pay: 37 steps of 8 offsets at
-    n = 297 leave the ladder nothing after S^N's widest application of 296
-    offsets, and at n = 64, p = 22 the 8 steps' budget is outrun by the
-    ladder.  Each run allocates what one of 2 steps does (to 5%; the map's
-    buffers would add 0.7-1 MB)."""
+    """No power map is built for a run whose steps apply no more offsets
+    than S^N could: 37 steps of 8 offsets at n = 297 apply 296 = n - 1.
+    The run allocates what one of 2 steps does (to 5%; the map's buffers
+    would add 0.7-1 MB)."""
     x = Polygon(rng.normal(size=(n, p)))
     assert _lean_peak(x, 1, steps) <= 1.05 * _lean_peak(x, 1, 2)
 
@@ -819,6 +817,12 @@ def test_divergence_reports_step_and_norm():
     assert info.value.step > 0
     assert 0.0 < info.value.norm < math.inf  # the last finite state's
     assert "step" in str(info.value)
+
+
+def test_a_target_of_another_dimension_is_refused(rng):
+    kind = YauKind(1, helpers.random_polygon(rng, 5, p=3))
+    with pytest.raises(ValueError, match="target dimension 3 != state dimension 2"):
+        integrate(helpers.random_polygon(rng, 5), IntegratorConfig(dt=0.1, t_final=1.0, kind=kind))
 
 
 def test_small_polygon_rejected(rng):

@@ -56,6 +56,19 @@ def test_polygon_value_semantics():
         a.vertices[0, 0] = 5.0  # immutable storage
 
 
+def test_arithmetic_refuses_mismatched_operands(rng):
+    x = helpers.random_polygon(rng, 5)
+    with pytest.raises(ValueError, match="shift must have shape"):
+        x.translated([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="polygon shapes differ"):
+        x + helpers.random_polygon(rng, 6)
+    with pytest.raises(ValueError, match="polygon shapes differ"):
+        x - helpers.random_polygon(rng, 5, p=3)
+    with pytest.raises(TypeError):
+        x + 1
+    assert (x == 1) is False
+
+
 def test_complex_view_round_trip(rng):
     x = helpers.random_polygon(rng, 7)
     assert Polygon.from_complex(x.as_complex()) == x
@@ -64,6 +77,11 @@ def test_complex_view_round_trip(rng):
 
 
 # --- difference operator ---------------------------------------------------------
+
+def test_difference_order_zero_is_refused(rng):
+    with pytest.raises(ValueError, match="difference order must be >= 1"):
+        difference_stack(helpers.random_polygon(rng, 5), 0)
+
 
 def test_first_difference_is_consecutive_gap(rng):
     x = helpers.random_polygon(rng, 6)

@@ -91,6 +91,11 @@ def test_decompose_rejects_tiny_polygons():
         decompose(Polygon(np.zeros((2, 2))))
 
 
+def test_flow_order_zero_is_refused():
+    with pytest.raises(ValueError, match="flow order must be >= 1"):
+        flow_solution(eigen_polygon(5, 1), 0)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("column", [
     [1.7e308, 1.7e308, 1.0, 0.0],  # the centroid is inf
