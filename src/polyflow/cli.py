@@ -35,6 +35,8 @@ from .polygon import (
     PolygonFormatError,
     energy,
     format_float,
+    format_floats,
+    format_samples,
     format_vertices,
     load_polygon,
 )
@@ -158,13 +160,14 @@ def load_flow_polygon(path) -> Polygon:
 
 def _write_trajectory_rows(fh, times, polygons, rows=None) -> None:
     """The trajectory table, one ``write`` per sample.  ``rows`` holds each
-    sample's ``format_vertices`` text when it has been made already; without
-    it each sample is formatted as it is written."""
+    sample's ``format_samples`` rows when they have been made already;
+    without it ``format_samples`` formats the samples a block at a time as
+    they are written."""
     p = polygons[0].p
     fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
     indices = [f",{j}," for j in range(max(poly.n for poly in polygons))]
     if rows is None:
-        rows = map(format_vertices, polygons)
+        rows = format_samples(polygons)
     for t, sample in zip(times, rows):
         stamp = format_float(t)
         fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, sample)]))
@@ -189,7 +192,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     eigenvalues = circulant.eigen_system(args.n, args.m)
     print(" ".join(str(b) for b in power.first_row))
     print(" ".join(str(sign * b) for b in power.first_row))
-    print(" ".join(format_float(v) for v in eigenvalues))
+    print(" ".join(format_floats(eigenvalues)))
     return 0
 
 
@@ -247,10 +250,10 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
     or the CSV table on stdout when neither is; ``main`` has checked both
     destinations and ``cmd_flow`` that a figure's polygons are planar.  Each
     sample is formatted once: with a figure, its vertex rows are made first
-    and go into both writers; without one, the table formats a sample at a
-    time."""
+    and go into both writers; without one, the table formats a block of
+    samples at a time."""
     samples = solution.polygon_at(times)
-    rows = list(map(format_vertices, samples)) if args.svg_path else None
+    rows = list(format_samples(samples)) if args.svg_path else None
     if args.csv_path:
         write_trajectory_csv(args.csv_path, times, samples, rows)
         print(f"wrote {args.csv_path}")
@@ -286,9 +289,10 @@ def _flow_toward_target(args: argparse.Namespace, x0: Polygon):
         raise PolygonFormatError(str(exc)) from exc
 
 
-def _json_floats(values, pad: str) -> str:
-    """A non-empty number list in the indent-2 layout, its items at ``pad``."""
-    items = f",\n{pad}".join(map(repr, values))
+def _json_floats(cells, pad: str) -> str:
+    """A non-empty list of formatted numbers in the indent-2 layout, its
+    items at ``pad``."""
+    items = f",\n{pad}".join(cells)
     return f"[\n{pad}{items}\n{pad[2:]}]"
 
 
@@ -315,23 +319,23 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         dec = spectral_flow.decompose(x0)
         verdict = spectral_flow.classify_self_similar(dec, m)
         total = energy(x0, m)
-        masses = dec.masses.tolist()
-        rates = circulant.flow_eigenvalues(x0.n, m).tolist()
+        rates = circulant.flow_eigenvalues(x0.n, m)
         try:
             k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
             k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")
         except spectral_flow.DegenerateModeError:
             k_fwd = fwd = k_anc = anc = None
-    if not math.isfinite(total) or not all(map(math.isfinite, masses)):
+    if not (math.isfinite(total) and np.isfinite(dec.masses).all()):
         raise spectral_flow.FlowRangeError(
             f"the analyze report of {source} holds a number beyond float range"
         )
+    alphas, betas = (zip(*[iter(format_floats(c))] * x0.p) for c in (dec.alpha, dec.beta))
     modes = ",\n".join(
-        f'    {{\n      "k": {k},\n      "mass": {mass!r},\n      "rate": {rate!r},\n'
+        f'    {{\n      "k": {k},\n      "mass": {mass},\n      "rate": {rate},\n'
         f'      "alpha": {_json_floats(alpha, " " * 8)},\n'
         f'      "beta": {_json_floats(beta, " " * 8)}\n    }}'
         for k, (mass, rate, alpha, beta) in enumerate(
-            zip(masses, rates, dec.alpha.tolist(), dec.beta.tolist())
+            zip(format_floats(dec.masses), format_floats(rates), alphas, betas)
         )
     )
     if verdict is not None:
@@ -344,7 +348,7 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         ("p", x0.p),
         ("m", m),
         ("energy", repr(total)),
-        ("centroid", _json_floats(dec.alpha[0].tolist(), "    ")),
+        ("centroid", _json_floats(format_floats(dec.alpha[0]), "    ")),
         ("modes", f"[\n{modes}\n  ]"),
         ("self_similar", verdict),
         ("dominant_mode", k_fwd),

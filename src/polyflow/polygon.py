@@ -5,10 +5,13 @@ be non-embedded (edges may cross, vertices may repeat); n = 1 and n = 2 are
 accepted here and rejected only by the flow solvers, which need the size-n
 difference matrix.
 
-Every vertex coordinate written as text, to the trajectory CSV, the SVG
-``points`` and the ``analyze`` JSON alike, goes through one formatter,
-:func:`format_vertices`: the ``repr`` of each float64, the shortest string
-that reads back to the same double, joined per vertex.
+Every float array written as text, the trajectory CSV, the SVG ``points``,
+the ``analyze`` JSON and the ``matrix`` eigenvalues alike, goes through one
+formatter, :func:`format_floats`: the ``repr`` of each float64, the shortest
+string that reads back to the same double, made for a whole array at once.
+:func:`format_vertices` joins its cells per vertex, and
+:func:`format_samples` does so for a sequence of polygons a bounded block at
+a time.
 
 ``Polygon(...)`` copies and checks its data; an array that a check has just
 passed (a loaded file, a flow sample, an RK4 state) is made a polygon by
@@ -21,7 +24,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -281,11 +284,53 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def format_floats(values) -> list[str]:
+    """``repr`` of every float64 of ``values``, in C order, byte for byte.
+
+    One orjson call writes the shortest round-trip digits of them all.  Its
+    text differs from ``repr``'s only where ``repr`` leaves fixed notation,
+    outside 1e-4 <= |x| < 1e16, and for nan and ±inf (``null``): those cells,
+    zeros excepted, are made again by ``repr``.
+
+    orjson is imported here, at the first call: its import loads ``uuid``
+    and ``zoneinfo``, about 5 ms, which a run that writes no float array
+    (``integrate`` without ``--csv``) need not pay."""
+    import orjson
+
+    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not a.size:
+        return []
+    cells = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(a)
+    (odd,) = np.nonzero((a != 0.0) & ~((size >= 1e-4) & (size < 1e16)))
+    for i, value in zip(odd.tolist(), a[odd].tolist()):
+        cells[i] = repr(value)
+    return cells
+
+
 def format_vertices(x: Polygon, sep: str = ",") -> list[str]:
-    """One string per vertex: the ``format_float`` of its coordinates joined
-    by ``sep``, taken with one ``tolist`` over the whole array."""
-    cells = map(repr, x.vertices.ravel().tolist())
+    """One string per vertex: the ``format_floats`` cells of its coordinates
+    joined by ``sep``."""
+    cells = iter(format_floats(x.vertices))
     return list(map(sep.join, zip(*[cells] * x.p)))
+
+
+FORMAT_BLOCK = 2**12  # the most coordinates format_samples formats at once
+
+
+def format_samples(polygons):
+    """Yield the ``format_vertices`` rows of each polygon of a sequence of
+    polygons of one dimension, in turn.  Whole polygons are formatted
+    together, as many as fit in FORMAT_BLOCK coordinates by the largest of
+    them and at least one, so the text made ahead of the reader is at most
+    one block's."""
+    per_block = max(1, FORMAT_BLOCK // max((x.vertices.size for x in polygons), default=1))
+    for start in range(0, len(polygons), per_block):
+        block = polygons[start : start + per_block]
+        cells = iter(format_floats(np.concatenate([x.vertices for x in block])))
+        rows = map(",".join, zip(*[cells] * block[0].p))
+        for x in block:
+            yield list(islice(rows, x.n))
 
 
 def load_polygon_json(path) -> Polygon:

@@ -7,18 +7,19 @@ everything drawn (5% margin), so successive flow samples visibly shrink
 instead of being rescaled per frame.  The y axis is flipped to the usual
 mathematical orientation.  :func:`write` only writes the document.
 
-Vertex coordinates are the ``x,y`` rows of :func:`polygon.format_vertices`,
-the one coordinate formatter; the samples may come with rows already made,
-as the CLI's flow samples carry those of the trajectory CSV.  The y flip is
-made on that text, by toggling the sign after each comma.  This is exact:
-for every finite double y, ``repr(-y)`` is ``repr(y)`` with a leading ``-``
-added or removed, ±0.0 included.
+Vertex coordinates are the ``x,y`` rows that :func:`polygon.format_samples`
+makes a block of polygons at a time from :func:`polygon.format_floats`, the
+one float formatter: the ``repr`` of each coordinate.  The samples may come
+with rows already made, as the CLI's flow samples carry those of the
+trajectory CSV.  The y flip is made on that text, by toggling the sign after
+each comma.  This is exact: for every finite double y, ``repr(-y)`` is
+``repr(y)`` with a leading ``-`` added or removed, ±0.0 included.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .polygon import format_float, format_vertices
+from .polygon import format_float, format_samples
 
 SAMPLE_STROKE = "#6f6f6f"
 INITIAL_STROKE = "#000000"
@@ -31,7 +32,7 @@ def _flip_y(points: str) -> str:
 
 
 def _element(rows, stroke: str, width: float, dash: str = "") -> str:
-    """One ``<polygon>`` from its ``format_vertices`` rows."""
+    """One ``<polygon>`` from its ``format_samples`` rows."""
     points = _flip_y(" ".join(rows))
     return f'<polygon points="{points}" stroke="{stroke}" stroke-width="{format_float(width)}"{dash}/>'
 
@@ -42,7 +43,7 @@ def render(
     """The standard figure as an SVG document: the target lowest, dashed when
     ``dash_target``, then the initial polygon in a 1.8x stroke, then the flow
     samples.  The default width scales with the drawing.  ``sample_rows``
-    holds the ``format_vertices`` text of each sample, if it has been made
+    holds the ``format_samples`` rows of each sample, if they have been made
     already.  Every polygon must be planar."""
     drawn = ([] if target is None else [target]) + [initial, *samples]
     for q in drawn:
@@ -66,16 +67,17 @@ def render(
         ),
         '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
     ]
+    fixed = format_samples(drawn[: len(drawn) - len(samples)])  # the target and initial rows
     if target is not None:
         dash = ""
         if dash_target:
             dash = ' stroke-dasharray="{} {}"'.format(
                 format_float(4.0 * width), format_float(3.0 * width)
             )
-        lines.append(_element(format_vertices(target), TARGET_STROKE, width, dash))
-    lines.append(_element(format_vertices(initial), INITIAL_STROKE, 1.8 * width))
+        lines.append(_element(next(fixed), TARGET_STROKE, width, dash))
+    lines.append(_element(next(fixed), INITIAL_STROKE, 1.8 * width))
     if sample_rows is None:
-        sample_rows = map(format_vertices, samples)
+        sample_rows = format_samples(samples)
     lines.extend(_element(rows, SAMPLE_STROKE, width) for rows in sample_rows)
     lines.append("</g>")
     lines.append("</svg>")

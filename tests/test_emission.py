@@ -6,11 +6,13 @@ import os
 import re
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from polyflow import cli, polygon, spectral_flow, svg, yau_flow
 from polyflow.cli import _write_trajectory_rows, main
@@ -146,16 +148,135 @@ def test_the_text_flip_of_any_double(y):
     assert svg._flip_y(f"0.0,{y!r}") == f"0.0,{-y!r}"
 
 
+def _repr_cells(a):
+    return list(map(repr, np.asarray(a).ravel().tolist()))
+
+
+@given(
+    st.one_of(
+        arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=12)),
+        arrays(np.float64, array_shapes(max_dims=1, max_side=64), elements=st.floats(-1e20, 1e20)),
+        arrays(np.uint64, array_shapes(min_dims=1, max_dims=3, max_side=12)).map(
+            lambda bits: bits.view(np.float64)
+        ),
+    ),
+    st.booleans(),
+)
+@example(np.array([1e-4, 1e16, -0.0, np.nan, -np.inf]), False)
+def test_format_floats_is_repr_of_every_cell(a, transposed):
+    """Drawn values, raw 64-bit patterns and (k, n, p) stacks, in C order,
+    also of a transposed view."""
+    if transposed:
+        a = a.T
+    assert polygon.format_floats(a) == _repr_cells(a)
+
+
+def test_format_floats_at_the_edges_of_the_fixed_notation():
+    """±0.0, the smallest subnormal, the largest double, ±inf, nan, and every
+    power of ten from 1e-6 to 1e18 (1e-4 and 1e16 bound ``repr``'s fixed
+    notation) with its neighbours on both sides, of both signs."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+             np.inf, -np.inf, np.nan]
+    for decade in range(-6, 19):
+        power = float(f"1e{decade}")
+        for x in (power, -power):
+            edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x)]
+    a = np.array(edges)
+    assert polygon.format_floats(a) == _repr_cells(a)
+    assert polygon.format_floats(a[:0]) == []
+
+
+def test_format_samples_formats_whole_polygons_in_bounded_blocks(monkeypatch):
+    """Each polygon's rows are its per-vertex text, and each ``format_floats``
+    call covers whole polygons: as many as fit in FORMAT_BLOCK coordinates by
+    the largest of them, or one where the largest is past that size."""
+    sizes, format_floats = [], polygon.format_floats
+
+    def recorded(values):
+        sizes.append(np.size(values))
+        return format_floats(values)
+
+    def call_sizes(polygons):
+        sizes.clear()
+        rows = list(polygon.format_samples(polygons))
+        assert rows == [[",".join(map(repr, v)) for v in q.vertices.tolist()] for q in polygons]
+        return sizes
+
+    monkeypatch.setattr(polygon, "format_floats", recorded)
+    small = [Polygon(awkward_vertices(i, 100 + 37 * (i % 3), 3)) for i in range(90)]
+    per_block = polygon.FORMAT_BLOCK // small[2].vertices.size  # by the largest, 522 coordinates
+    blocks = [small[i : i + per_block] for i in range(0, 90, per_block)]
+    assert call_sizes(small) == [sum(q.vertices.size for q in block) for block in blocks]
+    mixed = [*small[:5], Polygon(awkward_vertices(90, 3000, 3)), *small[5:9]]
+    assert call_sizes(mixed) == [q.vertices.size for q in mixed]
+
+
+def _writer_peak(times, polygons):
+    tracemalloc.start()
+    try:
+        cli.write_trajectory_csv(os.devnull, times, polygons)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_trajectory_writer_keeps_at_most_a_block_of_text():
+    """The writer's peak allocation over 1024 samples of n = 256, p = 2 (128
+    blocks) is within 128 KiB of its peak over 64 of them (8 blocks), where a
+    table made whole would hold about 70 MB of text."""
+    base = awkward_vertices(5, 1024 * 256, 2).reshape(1024, 256, 2)
+    polygons = [Polygon(v) for v in base]
+    times = [0.001 * i for i in range(1024)]
+    short, long = _writer_peak(times[:64], polygons[:64]), _writer_peak(times, polygons)
+    assert long <= short + 2**17
+
+
+def test_a_kept_integrate_csv_of_several_blocks_matches_the_per_cell_writer(tmp_path, capsys):
+    """201 states of 50 vertices in R^3: eight blocks of at most 27 states."""
+    path = tmp_path / "x0.json"
+    helpers.save_polygon_json(Polygon(awkward_vertices(7, 50, 3)), path)
+    csv_path = tmp_path / "rk4.csv"
+    argv = ["integrate", "--input", str(path), "--m", "1", "--dt", "0.01", "--T", "2.0",
+            "--csv", str(csv_path)]
+    assert main(argv) == 0
+    config = IntegratorConfig(dt=0.01, t_final=2.0, kind=PolyharmonicKind(m=1))
+    trajectory = integrate(load_polygon(path), config)
+    assert len(trajectory.polygons) == 201
+    assert csv_path.read_text().splitlines(keepends=True) == cell_table(
+        trajectory.times, trajectory.polygons
+    )
+
+
+@pytest.mark.parametrize("p, with_svg", [(3, False), (2, True)])
+def test_a_flow_csv_of_several_blocks_matches_the_per_cell_writer(tmp_path, capsys, p, with_svg):
+    """``flow --count 200`` of a 100-gon: 200 samples in blocks of 13 (p = 3)
+    or 20 (p = 2, the rows made first and shared with the figure)."""
+    x0 = Polygon(awkward_vertices(8, 100, p))
+    path, csv_path, svg_path = tmp_path / "x0.json", tmp_path / "flow.csv", tmp_path / "flow.svg"
+    helpers.save_polygon_json(x0, path)
+    argv = ["flow", "--input", str(path), "--m", "1", "--count", "200", "--ratio", "1.01",
+            "--csv", str(csv_path)]
+    assert main(argv + (["--svg", str(svg_path)] if with_svg else [])) == 0
+    times = cli.geometric_schedule(ratio=1.01, count=200)
+    samples = spectral_flow.flow_solution(x0, 1).polygon_at(times)
+    assert csv_path.read_text().splitlines(keepends=True) == cell_table(times, samples)
+    if with_svg:
+        points = re.findall(r'points="([^"]*)"', svg_path.read_text())
+        assert points == [helpers.vertex_svg_points(q) for q in [x0, *samples]]
+
+
 def _count_formatting(patch):
-    """Count every polygon the CLI and the SVG writer format, by its bytes."""
+    """Count every polygon the CLI and the SVG writer format, by its bytes,
+    as the block formatter yields its rows."""
     formatted = []
 
-    def counted(x, *args):
-        formatted.append(x.vertices.tobytes())
-        return polygon.format_vertices(x, *args)
+    def counted(polygons):
+        for x, rows in zip(polygons, polygon.format_samples(polygons)):
+            formatted.append(x.vertices.tobytes())
+            yield rows
 
-    patch.setattr(cli, "format_vertices", counted)
-    patch.setattr(svg, "format_vertices", counted)
+    patch.setattr(cli, "format_samples", counted)
+    patch.setattr(svg, "format_samples", counted)
     return formatted
 
 

@@ -416,9 +416,9 @@ def test_a_run_is_within_rounding_of_the_stagewise_rk4(n, p, m, ratio, steps, ya
     st.integers(3, 128), st.sampled_from((2, 3)), st.integers(1, 3), st.floats(0.01, 2.78), st.integers(1, 300),
     st.booleans(), st.booleans(), st.floats(-3, 3), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1),
 )
-@example(256, 3, 3, 0.1, 200, True, True, 0.0, 1e3, 0)  # three blocks at the largest n
+@example(256, 3, 3, 0.1, 200, True, True, 0.0, 1e3, 0)  # S^200 at n = 256, past the drawn sizes, and a partial step
 @example(3, 2, 3, 2.78, 129, False, True, -3.0, 0.0, 1)  # a wrapped band near the stability bound
-@example(64, 2, 1, 2.78, 64, True, False, 3.0, -1e3, 2)  # exactly one block
+@example(64, 2, 1, 2.78, 64, True, False, 3.0, -1e3, 2)  # S^64 near the stability bound, no partial step
 @example(5, 3, 2, 0.5, 1, False, True, 0.0, 0.0, 3)  # one partial step
 @settings(max_examples=60)
 def test_a_run_is_within_rounding_of_its_spectral_image(n, p, m, ratio, steps, yau, partial, exponent, shift, seed):
@@ -465,7 +465,7 @@ def test_c13_runs_lie_within_rounding_of_their_spectral_image():
     st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
 )
 @example(5, 2, 1, 0.1, 130, True, True, True, 0)  # 130 kept steps ending on S^130, and a partial one
-@example(64, 3, 3, 2.78, 129, False, True, False, 1)  # lean blocks at the largest n, near the stability bound
+@example(64, 3, 3, 2.78, 129, False, True, False, 1)  # a lean run of one S^129 at the largest n, near the stability bound
 @example(3, 2, 3, 2.7, 40, True, False, True, 2)  # stepwise, a band of 25 offsets folded onto 3
 @example(7, 3, 2, 0.5, 0, False, True, True, 3)  # only the partial step
 @settings(max_examples=40)
