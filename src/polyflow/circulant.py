@@ -5,9 +5,11 @@ n-gons; its powers ``M^m`` drive the higher-order flows.  Everything here is
 built from the first row only: powers are assembled from signed binomial
 coefficients in exact integer arithmetic, products are cyclic convolutions,
 and the eigenstructure comes from the roots of unity.  Only the O(n) root
-table and the O(n) table of flow rates are cached; the one dense matrix
-outside test oracles is the n x n Fourier matrix that :func:`idft` builds for
-each planar decomposition and holds for that one call.
+table and the O(n) table of flow rates are cached, and no production path
+holds an n x n array: :func:`idft`, the dense inverse transform behind the
+planar coefficients, builds and applies the Fourier matrix one block of at
+most ``_IDFT_BLOCK`` entries at a time, so it takes O(n^2) time but O(n)
+memory.  The whole matrix is built only for the test oracles.
 """
 from __future__ import annotations
 
@@ -37,6 +39,16 @@ class CirculantMatrix:
                 f"first row has {len(self.first_row)} entries, expected {self.n}"
             )
         object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
+
+    @classmethod
+    def _checked(cls, n: int, first_row: tuple[int, ...]) -> "CirculantMatrix":
+        """A matrix on ``first_row`` itself: n >= 3 entries, each already an
+        exact Python int, as the caller built them.  Nothing is converted or
+        checked again, and ``__post_init__`` is not run."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "n", n)
+        object.__setattr__(a, "first_row", first_row)
+        return a
 
 
 def flow_sign(m: int) -> int:
@@ -92,7 +104,7 @@ def power_of_m(n: int, m: int) -> CirculantMatrix:
     row = [0] * n
     for k in range(-m, m + 1):
         row[k % n] += (-1) ** (m + k) * math.comb(2 * m, m + k)
-    return CirculantMatrix(n, tuple(row))
+    return CirculantMatrix._checked(n, tuple(row))
 
 
 def second_difference(n: int) -> CirculantMatrix:
@@ -116,7 +128,7 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
         if ai:
             for j, bj in entries_b:
                 row[(i + j) % n] += ai * bj
-    return CirculantMatrix(n, tuple(row))
+    return CirculantMatrix._checked(n, tuple(row))
 
 
 def folded(entries, n: int) -> list[tuple[int, int | float]]:
@@ -208,27 +220,50 @@ def roots_of_unity(n: int) -> np.ndarray:
 
 
 _ROW_BLOCK = 64  # Fourier matrix rows gathered per index block
+_IDFT_BLOCK = 2**16  # entries of the Fourier matrix idft holds at a time: 1 MiB of complex128
 
 
-def fourier_matrix(n: int) -> np.ndarray:
-    """The n x n matrix with columns the eigenpolygons ``(w^(jk))_j``, new per call."""
+def fourier_matrix(n: int, rows: range | None = None) -> np.ndarray:
+    """The n x n matrix with columns the eigenpolygons ``(w^(jk))_j``, new per
+    call, or only its rows j in ``rows``, a step-1 range inside [0, n).  Each
+    row is the same gather from :func:`roots_of_unity` whichever rows are
+    asked for, so a row block is bitwise the whole matrix's rows."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if rows is None:
+        rows = range(n)
+    elif rows.step != 1 or not 0 <= rows.start <= rows.stop <= n:
+        raise ValueError(f"rows must be a step-1 range inside [0, {n}), got {rows}")
     roots, k = roots_of_unity(n), np.arange(n)
-    f = np.empty((n, n), dtype=complex)
-    index = np.empty((min(n, _ROW_BLOCK), n), dtype=np.intp)  # no n x n index temporary
-    for j0 in range(0, n, _ROW_BLOCK):
-        j1 = min(j0 + _ROW_BLOCK, n)
-        rows = index[: j1 - j0]
-        np.multiply.outer(np.arange(j0, j1), k, out=rows)
-        np.remainder(rows, n, out=rows)
-        roots.take(rows, out=f[j0:j1], mode="clip")  # in range: "clip" skips a copy
+    f = np.empty((len(rows), n), dtype=complex)
+    index = np.empty((min(len(rows), _ROW_BLOCK), n), dtype=np.intp)  # no n x n index temporary
+    for j0 in range(rows.start, rows.stop, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, rows.stop)
+        block = index[: j1 - j0]
+        np.multiply.outer(np.arange(j0, j1), k, out=block)
+        np.remainder(block, n, out=block)
+        roots.take(block, out=f[j0 - rows.start : j1 - rows.start], mode="clip")  # in range: "clip" skips a copy
     return f
 
 
 def idft(v: np.ndarray) -> np.ndarray:
-    """Inverse transform: the Fourier matrix, conjugated in place, times v / n
-    (dividing first keeps the sums finite for entries near float max)."""
+    """Inverse transform: the Fourier matrix, conjugated, times v / n
+    (dividing first keeps the sums finite for entries near float max).
+
+    The rows are built and applied in blocks of at most ``_IDFT_BLOCK``
+    entries, at least one row a block, each conjugated in place: every
+    output entry is the same row times the same vector, so the result is
+    bitwise the whole product, in O(n) memory beside the output.
+    """
     v = np.asarray(v, dtype=complex)
-    f = fourier_matrix(v.shape[0])
-    return np.conjugate(f, out=f) @ (v / v.shape[0])
+    n = v.shape[0]
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    scaled, out = v / n, np.empty(n, dtype=complex)
+    step = max(1, _IDFT_BLOCK // n)
+    for j0 in range(0, n, step):
+        rows = range(j0, min(j0 + step, n))
+        f = fourier_matrix(n, rows)
+        out[j0 : rows.stop] = np.conjugate(f, out=f) @ scaled
+        del f  # freed before the next block is built, which then reuses its pages
+    return out

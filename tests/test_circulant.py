@@ -349,10 +349,36 @@ def test_dft_round_trip(n, seed):
 
 
 def test_idft_is_bitwise_the_conjugate_matrix_product(rng):
-    """Conjugating the Fourier matrix in place changes no bit of the transform."""
-    for n in list(range(3, 41)) + [97, 256, 257, 1024]:
+    """Conjugating the Fourier matrix in place and applying it a block of rows
+    at a time change no bit of the transform: n <= 256 is one block, 300 two
+    and 521 five, 1031 17, each with a short last block, and 1024, 2048 and
+    4096 16, 64 and 256 whole blocks."""
+    for n in list(range(3, 41)) + [97, 256, 257, 300, 521, 1024, 1031, 2048, 4096]:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.array_equal(idft(v), circulant.fourier_matrix(n).conjugate() @ (v / n))
+
+
+@pytest.mark.parametrize("n", list(range(1, 71)) + [257, 1031])
+def test_fourier_matrix_rows_are_bitwise_the_whole_matrixs_rows(n):
+    whole = circulant.fourier_matrix(n)
+    ranges = {range(0, n), range(0, 1), range(n - 1, n), range(n // 3, n // 2 + 1), range(n // 2, n)}
+    if n > 128:  # index blocks of 64 rows that start inside the range
+        ranges |= {range(1, 66), range(n - 65, n), range(n // 2 - 40, n // 2 + 40)}
+    for rows in ranges:
+        block = circulant.fourier_matrix(n, rows)
+        assert block.shape == (len(rows), n)
+        assert np.array_equal(block, whole[rows.start : rows.stop])
+
+
+@pytest.mark.parametrize("rows", [range(-1, 3), range(0, 6), range(4, 6), range(3, 1), range(0, 4, 2)])
+def test_fourier_matrix_refuses_rows_outside_the_matrix(rows):
+    with pytest.raises(ValueError, match="rows must be a step-1 range inside"):
+        circulant.fourier_matrix(5, rows)
+
+
+def test_idft_of_an_empty_vector_is_refused():
+    with pytest.raises(ValueError, match="need n >= 1"):
+        idft(np.zeros(0, dtype=complex))
 
 
 def test_idft_of_entries_near_float_max_is_finite():
@@ -382,6 +408,16 @@ def test_spectral_tables_refuse_bad_sizes():
         circulant.flow_eigenvalues(5, 0)
     with pytest.raises(ValueError, match="need n >= 1"):
         circulant.fourier_matrix(0)
+
+
+def test_built_rows_are_exact_ints_and_outside_rows_are_still_converted():
+    """power_of_m and circulant_multiply skip the conversion their own ints
+    need not; rows given from outside are still checked and converted."""
+    for a in (power_of_m(9, 3), circulant_multiply(power_of_m(9, 1), power_of_m(9, 2)), power_of_m(4, 5)):
+        assert all(type(b) is int for b in a.first_row)
+        assert a == CirculantMatrix(a.n, a.first_row) and hash(a) == hash(CirculantMatrix(a.n, a.first_row))
+    given_row = CirculantMatrix(5, np.array([-2, 1, 0, 0, 1]))
+    assert given_row.first_row == (-2, 1, 0, 0, 1) and all(type(b) is int for b in given_row.first_row)
 
 
 def test_circulant_matrix_validation():
