@@ -9,7 +9,9 @@ table and the O(n) table of flow rates are cached, and no production path
 holds an n x n array: :func:`idft`, the dense inverse transform behind the
 planar coefficients, builds and applies the Fourier matrix one block of at
 most ``_IDFT_BLOCK`` entries at a time, so it takes O(n^2) time but O(n)
-memory.  The whole matrix is built only for the test oracles.
+memory; that loop is the only blocking there is.  Only the tests ask
+:func:`fourier_matrix` for the whole matrix, which builds an n x n index
+beside it.
 """
 from __future__ import annotations
 
@@ -219,31 +221,24 @@ def roots_of_unity(n: int) -> np.ndarray:
     return roots
 
 
-_ROW_BLOCK = 64  # Fourier matrix rows gathered per index block
 _IDFT_BLOCK = 2**16  # entries of the Fourier matrix idft holds at a time: 1 MiB of complex128
 
 
 def fourier_matrix(n: int, rows: range | None = None) -> np.ndarray:
     """The n x n matrix with columns the eigenpolygons ``(w^(jk))_j``, new per
-    call, or only its rows j in ``rows``, a step-1 range inside [0, n).  Each
-    row is the same gather from :func:`roots_of_unity` whichever rows are
-    asked for, so a row block is bitwise the whole matrix's rows."""
+    call, or only its rows j in ``rows``, a step-1 range inside [0, n).  The
+    rows are one gather from :func:`roots_of_unity` at ``j * k mod n``,
+    whichever rows are asked for, so a row block is bitwise the whole
+    matrix's rows.  The index of that gather is as large as the result: a
+    whole-matrix call, which only the tests make, holds an n x n index."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if rows is None:
         rows = range(n)
     elif rows.step != 1 or not 0 <= rows.start <= rows.stop <= n:
         raise ValueError(f"rows must be a step-1 range inside [0, {n}), got {rows}")
-    roots, k = roots_of_unity(n), np.arange(n)
-    f = np.empty((len(rows), n), dtype=complex)
-    index = np.empty((min(len(rows), _ROW_BLOCK), n), dtype=np.intp)  # no n x n index temporary
-    for j0 in range(rows.start, rows.stop, _ROW_BLOCK):
-        j1 = min(j0 + _ROW_BLOCK, rows.stop)
-        block = index[: j1 - j0]
-        np.multiply.outer(np.arange(j0, j1), k, out=block)
-        np.remainder(block, n, out=block)
-        roots.take(block, out=f[j0 - rows.start : j1 - rows.start], mode="clip")  # in range: "clip" skips a copy
-    return f
+    index = np.multiply.outer(np.arange(rows.start, rows.stop), np.arange(n))
+    return roots_of_unity(n).take(np.remainder(index, n, out=index))
 
 
 def idft(v: np.ndarray) -> np.ndarray:
@@ -253,7 +248,9 @@ def idft(v: np.ndarray) -> np.ndarray:
     The rows are built and applied in blocks of at most ``_IDFT_BLOCK``
     entries, at least one row a block, each conjugated in place: every
     output entry is the same row times the same vector, so the result is
-    bitwise the whole product, in O(n) memory beside the output.
+    bitwise the whole product, in O(n) memory beside the output.  This loop
+    bounds every temporary of the transform: a block's gather index and the
+    block itself.
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]

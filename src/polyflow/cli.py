@@ -37,7 +37,6 @@ from .polygon import (
     format_float,
     format_floats,
     format_samples,
-    format_vertices,
     load_polygon,
 )
 
@@ -300,7 +299,8 @@ def _json_polygon(x: Polygon | None) -> str:
     """A polygon, or None, as a member of the report."""
     if x is None:
         return "null"
-    rows = "\n      ],\n      [\n        ".join(format_vertices(x, ",\n        "))
+    vertices = map(",\n        ".join, zip(*[iter(format_floats(x.vertices))] * x.p))
+    rows = "\n      ],\n      [\n        ".join(vertices)
     return f'{{\n    "dim": {x.p},\n    "vertices": [\n      [\n        {rows}\n      ]\n    ]\n  }}'
 
 

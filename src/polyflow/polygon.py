@@ -9,9 +9,8 @@ Every float array written as text, the trajectory CSV, the SVG ``points``,
 the ``analyze`` JSON and the ``matrix`` eigenvalues alike, goes through one
 formatter, :func:`format_floats`: the ``repr`` of each float64, the shortest
 string that reads back to the same double, made for a whole array at once.
-:func:`format_vertices` joins its cells per vertex, and
-:func:`format_samples` does so for a sequence of polygons a bounded block at
-a time.
+:func:`format_samples` joins its cells per vertex for a sequence of polygons
+a bounded block at a time.
 
 ``Polygon(...)`` copies and checks its data; an array that a check has just
 passed (a loaded file, a flow sample, an RK4 state) is made a polygon by
@@ -308,19 +307,13 @@ def format_floats(values) -> list[str]:
     return cells
 
 
-def format_vertices(x: Polygon, sep: str = ",") -> list[str]:
-    """One string per vertex: the ``format_floats`` cells of its coordinates
-    joined by ``sep``."""
-    cells = iter(format_floats(x.vertices))
-    return list(map(sep.join, zip(*[cells] * x.p)))
-
-
 FORMAT_BLOCK = 2**12  # the most coordinates format_samples formats at once
 
 
 def format_samples(polygons):
-    """Yield the ``format_vertices`` rows of each polygon of a sequence of
-    polygons of one dimension, in turn.  Whole polygons are formatted
+    """Yield the rows of each polygon of a sequence of polygons of one
+    dimension, in turn: one string per vertex, the ``format_floats`` cells
+    of its coordinates joined by commas.  Whole polygons are formatted
     together, as many as fit in FORMAT_BLOCK coordinates by the largest of
     them and at least one, so the text made ahead of the reader is at most
     one block's."""

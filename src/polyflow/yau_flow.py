@@ -63,8 +63,13 @@ def yau_solve(problem: YauProblem, t: float) -> Polygon:
 
 
 def yau_limit(problem: YauProblem) -> Polygon:
-    """Forward limit: the target translated by the centroid of X0 - Y."""
-    return problem.target.translated(centroid(problem.difference()))
+    """Forward limit: the target translated by the centroid of X0 - Y;
+    raises :class:`FlowRangeError` when it leaves floating range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        v = problem.target.vertices + centroid(problem.difference())
+    if not np.isfinite(v).all():
+        raise FlowRangeError("the limit of the Yau flow leaves floating range")
+    return Polygon._checked(v)
 
 
 def yau_flow_between(

@@ -115,7 +115,7 @@ def test_svg_document_matches_the_element_wise_writer(
     else:
         initial, *samples = [Polygon(awkward_vertices(seed + i, n, 2)) for i in range(count + 1)]
         target = Polygon(awkward_vertices(seed + count + 1, n + 1, 2)) if with_target else None
-    rows = [polygon.format_vertices(q) for q in samples] if with_rows else None
+    rows = list(polygon.format_samples(samples)) if with_rows else None
     document = svg.render(samples, initial, target, stroke_width, dash_target, rows)
     assert document == helpers.figure_svg(samples, initial, target, stroke_width, dash_target)
 

@@ -4,9 +4,16 @@ Python 3.10, the oldest version ``pyproject.toml`` allows.
 Package ``__init__`` modules import in order to re-export, and
 ``test_acceptance.py`` is kept exactly as written, so both are exempt from
 the import check.
+
+orjson is imported only by the first float array written as text: a run
+that writes none, such as ``integrate`` without ``--csv``, does not load it.
 """
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +49,28 @@ def test_every_imported_name_is_used(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.relative_to(ROOT).with_suffix("").as_posix())
 def test_every_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+ORJSON_PROBE = """
+import json, sys
+from polyflow.cli import main
+pentagon, table = sys.argv[1:]
+loaded = ["orjson" in sys.modules]
+assert main(["integrate", "--input", pentagon, "--m", "1", "--dt", "0.01", "--T", "0.1"]) == 0
+loaded.append("orjson" in sys.modules)
+assert main(["flow", "--input", pentagon, "--m", "1", "--csv", table]) == 0
+loaded.append("orjson" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_orjson_is_loaded_by_the_first_table_only(tmp_path):
+    """In a fresh interpreter: importing the CLI and a CSV-less ``integrate``
+    leave orjson unloaded, and ``flow --csv`` loads it."""
+    pentagon = tmp_path / "pentagon.json"
+    vertices = [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]
+    pentagon.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-c", ORJSON_PROBE, str(pentagon), str(tmp_path / "flow.csv")]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [False, False, True]

@@ -206,6 +206,25 @@ def test_overflowing_difference_or_sum_raises_flow_range_error():
         solution.polygon_at([-1e6, 100.0])
 
 
+@pytest.mark.parametrize(
+    "start, target",
+    [
+        # X0 - Y is finite, the limit is not
+        ([[1.7e308, 0.0], [1e308, 0.0], [1e308, 1.0]], [[1.7e308, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+        # the limit is finite, but the centroid of X0 - Y that reaches it is not
+        ([[0.5e308, 0.0], [0.0, 0.0], [0.0, 1.0]], [[-1e308, 0.0], [-1e308, 0.0], [-1e308, 1.0]]),
+    ],
+)
+def test_limit_beyond_float_range_raises_flow_range_error(start, target):
+    """A Yau limit that leaves floating range is one FlowRangeError, with
+    no numpy warning, as the evolution of X0 - Y is."""
+    problem = YauProblem(m=1, initial=Polygon(np.array(start)), target=Polygon(np.array(target)))
+    with pytest.raises(FlowRangeError, match="^the limit of the Yau flow leaves floating range$"):
+        yau_limit(problem)
+    with pytest.raises(FlowRangeError, match="^the mode coefficients of the polygon leave floating range$"):
+        yau_solution(problem)
+
+
 @given(
     st.integers(3, 39), st.integers(2, 3), st.integers(1, 3), st.floats(0.0, 5.0),
     st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2**32 - 1), st.data(),
