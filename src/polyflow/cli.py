@@ -7,6 +7,11 @@ an unwritable destination, a link that leads into a missing folder or to
 itself among them, and then one that names an input or another destination
 (exit 2); ``flow`` and ``yau`` refuse ``--svg`` on a non-planar input right
 after loading it.
+
+Every number written in a table, a figure or a report is a
+:func:`polygon.format_floats` cell, made once; only the one-line
+``integrate`` summary uses ``repr``, so that a run without ``--csv`` never
+imports orjson.
 """
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ from .polygon import (
     Polygon,
     PolygonFormatError,
     energy,
-    format_float,
     format_floats,
     format_samples,
     load_polygon,
@@ -167,8 +171,7 @@ def _write_trajectory_rows(fh, times, polygons, rows=None) -> None:
     indices = [f",{j}," for j in range(max(poly.n for poly in polygons))]
     if rows is None:
         rows = format_samples(polygons)
-    for t, sample in zip(times, rows):
-        stamp = format_float(t)
+    for stamp, sample in zip(format_floats(times), rows):
         fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, sample)]))
 
 
@@ -314,6 +317,10 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
     mode masses can be one: ``decompose`` refuses a non-finite centroid or
     spectrum, ``flow_eigenvalues`` raises OverflowError instead of returning
     inf and ``Polygon`` refuses non-finite vertices.
+
+    Each array is formatted once: the centroid is the first p cells of
+    alpha, and the verdict's rate is its mode's rate cell, which is bitwise
+    ``flow_eigenvalue``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         dec = spectral_flow.decompose(x0)
@@ -329,26 +336,27 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         raise spectral_flow.FlowRangeError(
             f"the analyze report of {source} holds a number beyond float range"
         )
-    alphas, betas = (zip(*[iter(format_floats(c))] * x0.p) for c in (dec.alpha, dec.beta))
+    alpha_cells, rate_cells = format_floats(dec.alpha), format_floats(rates)
+    alphas, betas = (zip(*[iter(c)] * x0.p) for c in (alpha_cells, format_floats(dec.beta)))
     modes = ",\n".join(
         f'    {{\n      "k": {k},\n      "mass": {mass},\n      "rate": {rate},\n'
         f'      "alpha": {_json_floats(alpha, " " * 8)},\n'
         f'      "beta": {_json_floats(beta, " " * 8)}\n    }}'
         for k, (mass, rate, alpha, beta) in enumerate(
-            zip(format_floats(dec.masses), format_floats(rates), alphas, betas)
+            zip(format_floats(dec.masses), rate_cells, alphas, betas)
         )
     )
     if verdict is not None:
         verdict = (
-            f'{{\n    "mode": {verdict.mode},\n    "rate": {verdict.rate!r},\n'
+            f'{{\n    "mode": {verdict.mode},\n    "rate": {rate_cells[verdict.mode]},\n'
             f'    "trivial": {"true" if verdict.is_trivial else "false"}\n  }}'
         )
     members = (
         ("n", x0.n),
         ("p", x0.p),
         ("m", m),
-        ("energy", repr(total)),
-        ("centroid", _json_floats(format_floats(dec.alpha[0]), "    ")),
+        ("energy", format_floats(total)[0]),
+        ("centroid", _json_floats(alpha_cells[: x0.p], "    ")),
         ("modes", f"[\n{modes}\n  ]"),
         ("self_similar", verdict),
         ("dominant_mode", k_fwd),
@@ -402,7 +410,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     deviation = float(
         abs(trajectory.final().vertices - reference.vertices).max()
     )
-    print(f"max |rk4 - exact| at T={format_float(args.t_final)}: {format_float(deviation)}")
+    print(f"max |rk4 - exact| at T={args.t_final!r}: {deviation!r}")
     return 0
 
 

@@ -5,10 +5,12 @@ be non-embedded (edges may cross, vertices may repeat); n = 1 and n = 2 are
 accepted here and rejected only by the flow solvers, which need the size-n
 difference matrix.
 
-Every float array written as text, the trajectory CSV, the SVG ``points``,
-the ``analyze`` JSON and the ``matrix`` eigenvalues alike, goes through one
-formatter, :func:`format_floats`: the ``repr`` of each float64, the shortest
-string that reads back to the same double, made for a whole array at once.
+Every number written in a table, a figure or a report (the trajectory CSV,
+the SVG, the ``analyze`` JSON and the ``matrix`` eigenvalues alike) is a cell
+of one formatter, :func:`format_floats`, made once: the ``repr`` of each
+float64, the shortest string that reads back to the same double, made for a
+whole array at once.  Only the one-line ``integrate`` summary uses ``repr``,
+so that a run without ``--csv`` never imports orjson.
 :func:`format_samples` joins its cells per vertex for a sequence of polygons
 a bounded block at a time.
 
@@ -160,12 +162,22 @@ def energy(x: Polygon, m: int) -> float:
 
 def centroid(x: Polygon) -> np.ndarray:
     """Vertex average.  Columns with all-equal entries return that value
-    exactly, so constant polygons stay bitwise fixed under the flows."""
+    exactly, so constant polygons stay bitwise fixed under the flows.  A
+    column whose sum passes float max is summed again at 2^-e, e the binary
+    exponent of its largest |entry|, and scaled back after dividing by n, so
+    a finite mean is not lost to an overflowing sum; every other column
+    keeps the bits of its plain mean.  No numpy warning escapes."""
     v = np.ascontiguousarray(x.vertices.T)  # a row per coordinate sums as a column's mean does
     first = v[:, 0]
     varies = (v != first[:, None]).any(axis=1)
     out = first.copy()  # a constant column is not summed: its sum may overflow
-    out[varies] = np.add.reduce(v[varies], axis=1) / x.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[varies] = np.add.reduce(v[varies], axis=1) / x.n
+        overflowed = ~np.isfinite(out)
+        if overflowed.any():
+            e = np.frexp(np.abs(v[overflowed]).max(axis=1))[1]
+            sums = np.add.reduce(np.ldexp(v[overflowed], -e[:, None]), axis=1)
+            out[overflowed] = np.ldexp(sums / x.n, e)
     return out
 
 
@@ -277,10 +289,6 @@ def _bisected(rows: list, target: int) -> list:
 # File formats.  JSON: {"dim": p, "vertices": [[x1, ..., xp], ...]}.
 # CSV: header x1,...,xp then one vertex per row.  Both reject non-finite
 # values and ragged rows; floats are written in shortest round-trip form.
-
-
-def format_float(value: float) -> str:
-    return repr(float(value))
 
 
 def format_floats(values) -> list[str]:

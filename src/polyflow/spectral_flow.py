@@ -56,9 +56,10 @@ class SpectralDecomposition:
     planar polygons ``planar_coeffs`` holds the raw complex coefficients on
     the n eigenpolygons, computed by the inverse transform without
     thresholding.  :func:`decompose` decides ``present`` (the shape modes
-    k >= 1) once, and ``masses`` holds the norms of the mode-k component
-    polygons, k = 0..floor(n/2), in the polygon's own units: 0 for a flushed
-    pair, inf for a norm beyond float range.  Every array is read-only.
+    k >= 1, ascending) once, and ``masses`` holds the norms of the mode-k
+    component polygons, k = 0..floor(n/2), in the polygon's own units: 0 for
+    a flushed pair, inf for a norm beyond float range.  Every array is
+    read-only.
     """
 
     n: int
@@ -68,14 +69,6 @@ class SpectralDecomposition:
     planar_coeffs: np.ndarray | None
     masses: np.ndarray
     present: np.ndarray
-
-    @property
-    def half(self) -> int:
-        return self.n // 2
-
-    def present_modes(self) -> list[int]:
-        """Shape modes (k >= 1) surviving the presence threshold."""
-        return self.present.tolist()
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,12 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     One real FFT of the centered coordinates gives every k >= 1 mode, and
     pairs below the presence threshold or the centering noise floor are
     flushed to exact zero, at any scale and translation of the polygon.
-    Raises :class:`FlowRangeError`, without numpy warnings, when the
-    centroid or a coefficient overflows, as it can for coordinates near
-    float max.  The spectrum check covers the centroid: a non-finite
-    centroid makes its whole centered column, so the spectrum, non-finite.
+    Raises :class:`FlowRangeError`, without numpy warnings, when a
+    coefficient overflows, as it can for coordinates near float max; a
+    coordinate sum past float max alone is not refused, since
+    :func:`centroid` sums such a column again near one.  The spectrum check
+    covers the centroid too: a non-finite centroid makes its whole centered
+    column, so the spectrum, non-finite.
     """
     if x.n < 3:
         raise ValueError(f"decomposition needs n >= 3, got n = {x.n}")
@@ -209,7 +204,7 @@ class FlowSolution:
             for start in range(0, len(times), _TIMES_PER_TRANSFORM):
                 exponents = np.multiply.outer(times[start : start + _TIMES_PER_TRANSFORM], rates)
                 # invert decompose's rfft with factor 0 on the mean, which is added exactly
-                factors = np.zeros((len(exponents), dec.half + 1, 1))
+                factors = np.zeros((len(exponents), dec.n // 2 + 1, 1))
                 factors[:, present, 0] = np.exp(exponents)
                 out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=1)
                 if include_mean:
@@ -280,10 +275,9 @@ def rescaled_limit(
     if direction not in ("forward", "ancient"):
         raise ValueError(f"direction must be 'forward' or 'ancient', got {direction!r}")
     dec = _decomposed(x0)
-    present = dec.present_modes()
-    if not present:
+    if not dec.present.size:
         raise DegenerateModeError("constant polygon: no shape mode to rescale toward")
-    k_star = min(present) if direction == "forward" else max(present)
+    k_star = int(dec.present[0 if direction == "forward" else -1])
     return k_star, mode_component(dec, k_star)
 
 

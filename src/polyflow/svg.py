@@ -7,19 +7,22 @@ everything drawn (5% margin), so successive flow samples visibly shrink
 instead of being rescaled per frame.  The y axis is flipped to the usual
 mathematical orientation.  :func:`write` only writes the document.
 
-Vertex coordinates are the ``x,y`` rows that :func:`polygon.format_samples`
-makes a block of polygons at a time from :func:`polygon.format_floats`, the
-one float formatter: the ``repr`` of each coordinate.  The samples may come
-with rows already made, as the CLI's flow samples carry those of the
-trajectory CSV.  The y flip is made on that text, by toggling the sign after
-each comma.  This is exact: for every finite double y, ``repr(-y)`` is
-``repr(y)`` with a leading ``-`` added or removed, ±0.0 included.
+Every number in the document is a :func:`polygon.format_floats` cell, the
+``repr`` of its float64, made once: the viewBox in one call, the four stroke
+numbers (the width, the initial polygon's 1.8x width and the target's dash
+lengths) in another, and the vertex coordinates as the ``x,y`` rows that
+:func:`polygon.format_samples` makes a block of polygons at a time.  The
+samples may come with rows already made, as the CLI's flow samples carry
+those of the trajectory CSV.  The y flip is made on that text, by toggling
+the sign after each comma.  This is exact: for every finite double y,
+``repr(-y)`` is ``repr(y)`` with a leading ``-`` added or removed, ±0.0
+included.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .polygon import format_float, format_samples
+from .polygon import format_floats, format_samples
 
 SAMPLE_STROKE = "#6f6f6f"
 INITIAL_STROKE = "#000000"
@@ -31,10 +34,10 @@ def _flip_y(points: str) -> str:
     return points.replace(",", ",-").replace(",--", ",")
 
 
-def _element(rows, stroke: str, width: float, dash: str = "") -> str:
-    """One ``<polygon>`` from its ``format_samples`` rows."""
+def _element(rows, stroke: str, width: str, dash: str = "") -> str:
+    """One ``<polygon>`` from its ``format_samples`` rows and its stroke width's text."""
     points = _flip_y(" ".join(rows))
-    return f'<polygon points="{points}" stroke="{stroke}" stroke-width="{format_float(width)}"{dash}/>'
+    return f'<polygon points="{points}" stroke="{stroke}" stroke-width="{width}"{dash}/>'
 
 
 def render(
@@ -58,27 +61,22 @@ def render(
         width = extent / 150.0 if extent > 0.0 else 0.01
     pad = 0.05 * extent if extent > 0.0 else 1.0
     # y axis flipped: view spans [-y_max, -y_min]
-    view = (x0 - pad, -y1 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
+    view = format_floats([x0 - pad, -y1 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad])
+    thin, thick, dash_on, dash_off = format_floats([width, 1.8 * width, 4.0 * width, 3.0 * width])
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="{} {} {} {}">'.format(
-            *(format_float(c) for c in view)
-        ),
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{" ".join(view)}">',
         '<g fill="none" stroke-linejoin="round" stroke-linecap="round">',
     ]
     fixed = format_samples(drawn[: len(drawn) - len(samples)])  # the target and initial rows
     if target is not None:
-        dash = ""
-        if dash_target:
-            dash = ' stroke-dasharray="{} {}"'.format(
-                format_float(4.0 * width), format_float(3.0 * width)
-            )
-        lines.append(_element(next(fixed), TARGET_STROKE, width, dash))
-    lines.append(_element(next(fixed), INITIAL_STROKE, 1.8 * width))
+        dash = f' stroke-dasharray="{dash_on} {dash_off}"' if dash_target else ""
+        lines.append(_element(next(fixed), TARGET_STROKE, thin, dash))
+    lines.append(_element(next(fixed), INITIAL_STROKE, thick))
     if sample_rows is None:
         sample_rows = format_samples(samples)
-    lines.extend(_element(rows, SAMPLE_STROKE, width) for rows in sample_rows)
+    lines.extend(_element(rows, SAMPLE_STROKE, thin) for rows in sample_rows)
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

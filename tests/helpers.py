@@ -15,7 +15,7 @@ import numpy as np
 from polyflow import FlowRangeError, Polygon, spectral_flow
 from polyflow.circulant import flow_eigenvalue, flow_eigenvalues, flow_sign, fourier_matrix, idft, power_of_m
 from polyflow.integrate import RK4_STABILITY_BOUND, YauKind
-from polyflow.polygon import PolygonFormatError, energy, format_float
+from polyflow.polygon import PolygonFormatError, energy
 
 
 def save_polygon_json(x, path):
@@ -434,25 +434,25 @@ def midpoint_grow(x, target):
 
 
 def cell_csv_rows(fh, times, polygons):
-    """The trajectory table one cell at a time: ``format_float`` of every
+    """The trajectory table one cell at a time: ``repr(float(x))`` of every
     time and coordinate, one ``write`` per row."""
     p = polygons[0].p
     fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
     for t, poly in zip(times, polygons):
         for j, row in enumerate(poly.vertices):
-            cells = [format_float(t), str(j)] + [format_float(c) for c in row]
+            cells = [repr(float(t)), str(j)] + [repr(float(c)) for c in row]
             fh.write(",".join(cells) + "\n")
 
 
 def vertex_svg_points(polygon):
     """An SVG ``points`` attribute one vertex at a time, y flipped."""
-    return " ".join(f"{format_float(x)},{format_float(-y)}" for x, y in polygon.vertices)
+    return " ".join(f"{repr(float(x))},{repr(float(-y))}" for x, y in polygon.vertices)
 
 
 def figure_svg(samples, initial, target, stroke_width, dash_target):
     """The standard figure's SVG document one element at a time: the bounds
     by Python's ``min`` and ``max`` over every coordinate, each number by
-    ``format_float`` and each ``points`` by ``vertex_svg_points``."""
+    ``repr(float(x))`` and each ``points`` by ``vertex_svg_points``."""
     drawn = ([] if target is None else [target]) + [initial, *samples]
     xs = [x for q in drawn for x in q.vertices[:, 0].tolist()]
     ys = [y for q in drawn for y in q.vertices[:, 1].tolist()]
@@ -466,15 +466,15 @@ def figure_svg(samples, initial, target, stroke_width, dash_target):
 
     def element(q, stroke, w, dash=""):
         return (f'<polygon points="{vertex_svg_points(q)}" stroke="{stroke}" '
-                f'stroke-width="{format_float(w)}"{dash}/>\n')
+                f'stroke-width="{repr(float(w))}"{dash}/>\n')
 
     doc = '<?xml version="1.0" encoding="UTF-8"?>\n'
-    doc += f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{" ".join(map(format_float, view))}">\n'
+    doc += f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{" ".join(repr(float(c)) for c in view)}">\n'
     doc += '<g fill="none" stroke-linejoin="round" stroke-linecap="round">\n'
     if target is not None:
         dash = ""
         if dash_target:
-            dash = f' stroke-dasharray="{format_float(4.0 * width)} {format_float(3.0 * width)}"'
+            dash = f' stroke-dasharray="{repr(float(4.0 * width))} {repr(float(3.0 * width))}"'
         doc += element(target, "#c02020", width, dash)
     doc += element(initial, "#000000", 1.8 * width)
     for q in samples:
@@ -512,7 +512,7 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
         raise FlowRangeError(
             f"exp({exponents[i]:.6g}) overflows evaluating mode {present[i]} at t={t!r}"
         )
-    factors = np.zeros((dec.half + 1, 1))
+    factors = np.zeros((dec.n // 2 + 1, 1))
     factors[present, 0] = np.exp(exponents)
     c_sq, s_sq = spectral_flow._basis_norms_sq(dec.n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
@@ -558,13 +558,13 @@ def elementwise_analyze_report(x0, m):
                 "alpha": [float(a) for a in dec.alpha[k]],
                 "beta": [float(b) for b in dec.beta[k]],
             }
-            for k in range(dec.half + 1)
+            for k in range(dec.n // 2 + 1)
         ],
         "self_similar": None
         if verdict is None
         else {"mode": verdict.mode, "rate": verdict.rate, "trivial": verdict.is_trivial},
     }
-    if not dec.present_modes():  # a constant polygon has no limit to report
+    if not dec.present.size:  # a constant polygon has no limit to report
         return dict(report, dominant_mode=None, forward_limit=None, ancient_mode=None, ancient_limit=None)
     k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
     k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")

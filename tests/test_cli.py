@@ -677,6 +677,25 @@ def _polygon_file(tmp_path, name, rows):
     return str(path)
 
 
+def test_coordinate_sum_past_float_max_flows_and_integrates(tmp_path, capsys):
+    """The triangle's x column sums past float max, but its mean is finite:
+    ``flow`` and ``integrate`` run, and only ``analyze`` is refused, because
+    its energy and its k = 0 mass leave float range."""
+    path = _polygon_file(tmp_path, "triangle.json", [[1.5e308, 0.0], [1e308, 0.0], [1e308, 1.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["flow", "--input", path, "--m", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 8 * 3
+        assert main(["integrate", "--input", path, "--m", "1", "--T", "0.1", "--dt", "0.01"]) == 0
+    assert caught == []
+    summary = capsys.readouterr().out
+    assert summary.startswith("max |rk4 - exact| at T=0.1: ")
+    assert float(summary.split(": ")[1]) <= 1e-8 * 1.5e308
+    code, err = _refusal(["analyze", "--input", path, "--m", "1"], capsys)
+    assert code == 4
+    assert err == f"numeric range error: the analyze report of {path} holds a number beyond float range\n"
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_mode_mass_beyond_float_range_exits_four_and_writes_nothing(tmp_path, p, capsys):
     """A constant pentagon at 1e308 flows and has zero energy, but its k = 0

@@ -50,7 +50,7 @@ def test_basis_element_decomposes_to_single_coefficient():
     coeffs = dec.planar_coeffs
     assert abs(coeffs[3] - 1.0) < 1e-14
     assert max(abs(coeffs[k]) for k in range(7) if k != 3) < 1e-14
-    assert dec.present_modes() == [3]
+    assert dec.present.tolist() == [3]
 
 
 def test_mode_zero_coefficient_is_centroid(rng):
@@ -104,15 +104,43 @@ def test_flow_order_zero_is_refused():
     [1.7e308, -1.7e308] * 8,  # pairwise summation adds inf to -inf: nan
 ])
 def test_decompose_refuses_a_non_finite_centroid(p, column):
-    """The spectrum check covers the centroid: a non-finite centroid makes its
-    whole centered column non-finite.  One FlowRangeError, no numpy warning."""
+    """Columns whose plain mean is not finite: their centroid is finite, and
+    ``decompose`` carries it as alpha[0].  The 4-vertex columns decompose.
+    The alternating column is refused, because its k = n/2 coefficient,
+    16 * 1.7e308, overflows.  One FlowRangeError, no numpy warning."""
     v = np.zeros((len(column), p))
     v[:, 0], v[:, 1] = column, np.arange(len(column))
     x = Polygon(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(centroid(x)[0])
-    with pytest.raises(FlowRangeError, match="the mode coefficients of the polygon leave floating range"):
-        decompose(x)
+        assert not np.isfinite(np.mean(v[:, 0]))
+    mean = centroid(x)
+    assert np.isfinite(mean).all()
+    if len(column) == 4:
+        dec = decompose(x)
+        assert dec.alpha[0].tobytes() == mean.tobytes()
+        assert dec.present.tolist() == [1]
+    else:
+        with pytest.raises(FlowRangeError, match="the mode coefficients of the polygon leave floating range"):
+            decompose(x)
+
+
+# its x column sums to 3.5e308, past float max, though its mean is finite
+NEAR_MAX_TRIANGLE = Polygon(np.array([[1.5e308, 0.0], [1e308, 0.0], [1e308, 1.0]]))
+
+
+def test_a_coordinate_sum_past_float_max_decomposes_and_flows_as_rk4_does():
+    """The triangle decomposes, with no numpy warning, and its closed form
+    at t = 0.1 agrees with RK4 at dt = 0.01 within 1e-8 of each column's
+    largest |entry| (3.4e-10 and 1.0e-9 measured)."""
+    from polyflow.integrate import IntegratorConfig, PolyharmonicKind, integrate
+
+    dec = decompose(NEAR_MAX_TRIANGLE)
+    assert dec.alpha[0].tobytes() == centroid(NEAR_MAX_TRIANGLE).tobytes()
+    assert dec.present.tolist() == [1]
+    exact = solve(NEAR_MAX_TRIANGLE, 1, 0.1).vertices
+    rk4 = integrate(NEAR_MAX_TRIANGLE, IntegratorConfig(dt=0.01, t_final=0.1, kind=PolyharmonicKind(1)))
+    error = np.abs(exact - rk4.final().vertices).max(axis=0)
+    assert (error <= 1e-8 * np.abs(NEAR_MAX_TRIANGLE.vertices).max(axis=0)).all()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 16, 17, 31, 64, 100, 127, 256, 257, 509, 512, 1021, 1024, 2039, 2048])
@@ -267,12 +295,21 @@ def test_energy_decreases_along_flow(rng):
     st.floats(0.0, 2.0),
     st.integers(0, 2**32 - 1),
 )
+@example(9, 3, -1.0, 0.0, 156)  # X(-1) reaches 1.4e25
 @settings(max_examples=40)
 def test_semigroup_property(n, m, s, t, seed):
+    """X(s + t) from X0 against X(t) from X(s), ancient s included, within
+    10 000 eps max(max|X0|, max|X(s)|).  A pair that crosses the presence
+    floor between the two decompositions is kept by one side and flushed
+    by the other, which is worth up to ~1e-12 of the larger polygon: over
+    20 000 draws of this strategy the gap reached 4 295 eps of it (median
+    0.26)."""
     x = helpers.random_polygon(np.random.default_rng(seed), n, p=3)
     once = solve(x, m, s + t)
-    twice = solve(solve(x, m, s), m, t)
-    assert helpers.sup_distance(once, twice) < 1e-9
+    at_s = solve(x, m, s)
+    twice = solve(at_s, m, t)
+    size = max(np.abs(x.vertices).max(), np.abs(at_s.vertices).max())
+    assert helpers.sup_distance(once, twice) <= 10_000 * np.finfo(float).eps * size
 
 
 @given(
@@ -316,7 +353,7 @@ def test_exact_invariants_at_every_n(n, p, m, t, seed):
     k = int(rng.integers(1, n // 2 + 1))
     shift = rng.normal(size=p)
     pure = Polygon(np.column_stack(real_basis(n, k)) @ rng.normal(size=(2, p)) + shift)
-    assert decompose(pure).present_modes() == [k]
+    assert decompose(pure).present.tolist() == [k]
     verdict = classify_self_similar(pure, m)
     assert verdict is not None and verdict.mode == k
     c = centroid(pure)
@@ -582,10 +619,10 @@ def test_presence_and_verdict_do_not_depend_on_the_scale(n, p, m, shape, seed):
             np.column_stack(real_basis(n, int(k))) @ rng.normal(size=(2, p))
             for k in modes
         ) + rng.normal(size=p))
-    present, verdict = decompose(x).present_modes(), classify_self_similar(x, m)
+    present, verdict = decompose(x).present.tolist(), classify_self_similar(x, m)
     for scale in (1e200, 1e-200, 1e155, 1e-170):
         y = x.scaled(scale)
-        assert decompose(y).present_modes() == present
+        assert decompose(y).present.tolist() == present
         assert classify_self_similar(y, m) == verdict
     # a decimal scale rounds the input; a power of two scales the flow exactly
     expected = solve(x, m, 0.05).vertices
@@ -617,11 +654,11 @@ def test_presence_and_verdict_do_not_depend_on_the_translation(n, p, m, shape, f
     y = Polygon(x.vertices + offset)
     dec_x, dec_y = decompose(x), decompose(y)
     floor = CENTERING_NOISE_EPS * np.finfo(float).eps * math.sqrt(n) * np.linalg.norm(centroid(y))
-    present = dec_x.present_modes()
+    present = dec_x.present.tolist()
     standing = [k for k in present if dec_x.masses[k] > 2.0 * floor]
-    assert set(standing) <= set(dec_y.present_modes()) <= set(present)
+    assert set(standing) <= set(dec_y.present.tolist()) <= set(present)
     if shape == "pure":
-        assert dec_y.present_modes() == present == [k]
+        assert dec_y.present.tolist() == present == [k]
         assert classify_self_similar(dec_y, m) == classify_self_similar(dec_x, m)
     if standing == present:
         for t in (0.05, 1.0):
@@ -632,7 +669,7 @@ def test_presence_and_verdict_do_not_depend_on_the_translation(n, p, m, shape, f
 @pytest.mark.parametrize("offset", [1e12, 1e13, 1e14])
 def test_far_translated_polygon_keeps_its_modes(offset):
     x = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 2))
-    assert decompose(Polygon(x + offset)).present_modes() == [1, 2, 3]
+    assert decompose(Polygon(x + offset)).present.tolist() == [1, 2, 3]
 
 
 def test_constant_polygon_classifies_as_trivial():
