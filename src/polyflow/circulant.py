@@ -28,7 +28,14 @@ M_MAX = 20
 
 @dataclass(frozen=True)
 class CirculantMatrix:
-    """An n x n circulant matrix stored as its first row of exact integers."""
+    """An n x n circulant matrix stored as its first row of exact integers.
+
+    This is the one constructor, and every matrix passes its checks: a
+    tuple of Python ints is kept as given, and any other row is converted
+    entry by entry, each integral float, numpy int or bool to its Python
+    int.  An entry that ``int()`` would change or cannot convert (0.5, nan,
+    inf, "3") is a ValueError, never silently truncated.
+    """
 
     n: int
     first_row: tuple[int, ...]
@@ -36,21 +43,22 @@ class CirculantMatrix:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"circulant size must be >= 3, got {self.n}")
-        if len(self.first_row) != self.n:
-            raise ValueError(
-                f"first row has {len(self.first_row)} entries, expected {self.n}"
-            )
-        object.__setattr__(self, "first_row", tuple(int(b) for b in self.first_row))
+        row = self.first_row
+        if len(row) != self.n:
+            raise ValueError(f"first row has {len(row)} entries, expected {self.n}")
+        if type(row) is not tuple or set(map(type, row)) != {int}:
+            object.__setattr__(self, "first_row", tuple(map(_exact_int, row)))
 
-    @classmethod
-    def _checked(cls, n: int, first_row: tuple[int, ...]) -> "CirculantMatrix":
-        """A matrix on ``first_row`` itself: n >= 3 entries, each already an
-        exact Python int, as the caller built them.  Nothing is converted or
-        checked again, and ``__post_init__`` is not run."""
-        a = object.__new__(cls)
-        object.__setattr__(a, "n", n)
-        object.__setattr__(a, "first_row", first_row)
-        return a
+
+def _exact_int(b) -> int:
+    """``int(b)``, or a ValueError when that changes b or cannot convert it."""
+    try:
+        i = int(b)
+        if i == b:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"circulant entries must be integers, got {b!r}")
 
 
 def flow_sign(m: int) -> int:
@@ -106,7 +114,7 @@ def power_of_m(n: int, m: int) -> CirculantMatrix:
     row = [0] * n
     for k in range(-m, m + 1):
         row[k % n] += (-1) ** (m + k) * math.comb(2 * m, m + k)
-    return CirculantMatrix._checked(n, tuple(row))
+    return CirculantMatrix(n, tuple(row))
 
 
 def second_difference(n: int) -> CirculantMatrix:
@@ -130,7 +138,7 @@ def circulant_multiply(a: CirculantMatrix, b: CirculantMatrix) -> CirculantMatri
         if ai:
             for j, bj in entries_b:
                 row[(i + j) % n] += ai * bj
-    return CirculantMatrix._checked(n, tuple(row))
+    return CirculantMatrix(n, tuple(row))
 
 
 def folded(entries, n: int) -> list[tuple[int, int | float]]:

@@ -40,10 +40,8 @@ from . import circulant
 from .polygon import Polygon, _shift_near_one
 
 
-# Steps between two range checks of a run that steps its states.
-_CHECK_BLOCK = 64
-
-# Offsets a map applies per pass, so its buffers hold about this many states.
+# States a buffer holds: the offsets a map applies per pass, and the steps
+# between two range checks of a run that steps its states.
 _CHUNK = 64
 
 # |R(-x)| = 1 for the RK4 stability function R at x = 2.78529356340528...;
@@ -398,7 +396,7 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
 
     times, polygons = [0.0], [x0]
     checked = x0.vertices  # the last state that passed the range check
-    block = n_steps if mapped else _CHECK_BLOCK
+    block = n_steps if mapped else _CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
         # blowup is found by the range check and reported as DivergenceError
         for first in range(0, n_steps, block):
@@ -408,10 +406,8 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
             states = np.empty((len(kept),) + d.shape)
             for step in range(n_full - 1 if mapped else first, last):  # mapped: S^N, then the partial step
                 advance(step)
-                if keep_steps:
-                    state(states[step - first])
-            if not keep_steps:
-                state(states[0])
+                if step + 1 in kept:
+                    state(states[step + 1 - kept.start])
             if shifted:
                 np.ldexp(states, unshifts, states)
             if not np.isfinite(states).all():

@@ -163,10 +163,11 @@ def energy(x: Polygon, m: int) -> float:
 def centroid(x: Polygon) -> np.ndarray:
     """Vertex average.  Columns with all-equal entries return that value
     exactly, so constant polygons stay bitwise fixed under the flows.  A
-    column whose sum passes float max is summed again at 2^-e, e the binary
-    exponent of its largest |entry|, and scaled back after dividing by n, so
-    a finite mean is not lost to an overflowing sum; every other column
-    keeps the bits of its plain mean.  No numpy warning escapes."""
+    column whose sum passes float max is summed again times the exact power
+    of two of :func:`_shift_near_one` for its largest |entry|, and scaled
+    back after dividing by n, so a finite mean is not lost to an
+    overflowing sum; every other column keeps the bits of its plain mean.
+    No numpy warning escapes."""
     v = np.ascontiguousarray(x.vertices.T)  # a row per coordinate sums as a column's mean does
     first = v[:, 0]
     varies = (v != first[:, None]).any(axis=1)
@@ -175,9 +176,9 @@ def centroid(x: Polygon) -> np.ndarray:
         out[varies] = np.add.reduce(v[varies], axis=1) / x.n
         overflowed = ~np.isfinite(out)
         if overflowed.any():
-            e = np.frexp(np.abs(v[overflowed]).max(axis=1))[1]
-            sums = np.add.reduce(np.ldexp(v[overflowed], -e[:, None]), axis=1)
-            out[overflowed] = np.ldexp(sums / x.n, e)
+            shifts = np.array([[_shift_near_one(c)] for c in np.abs(v[overflowed]).max(axis=1).tolist()])
+            sums = np.add.reduce(np.ldexp(v[overflowed], shifts), axis=1)
+            out[overflowed] = np.ldexp(sums / x.n, -shifts[:, 0])
     return out
 
 

@@ -152,6 +152,14 @@ def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
     return Polygon(np.outer(c, dec.alpha[k]) + np.outer(s, dec.beta[k]))
 
 
+def _shape_spectrum(n: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The rfft spectrum of the shape modes of coefficients alpha and beta,
+    0 at k = 0: the mean is added exactly, and n * centroid can overflow."""
+    c_sq, s_sq = _basis_norms_sq(n)
+    c_sq[0] = 0.0
+    return c_sq[:, None] * alpha - 1j * (s_sq[:, None] * beta)
+
+
 @dataclass(frozen=True)
 class FlowSolution:
     """Exact solution operator for one initial polygon and one order m.
@@ -166,9 +174,17 @@ class FlowSolution:
     block of up to 64 times costs one ``exp`` over a (times x modes) array
     and one ``irfft`` over a (times, n//2+1, p) spectrum, and every sample
     has the bits that evaluating its time alone gives.  The block is checked
-    once and made read-only, and its samples are views of it.  ``offset``, an
-    (n, p) array or None, is added to every sample of :meth:`polygon_at`: the
-    Yau flow is the flow of X0 - Y offset by its target Y.
+    once and made read-only, and its samples are views of it.  A sample that
+    is not finite, as (n/2) alpha summed by ``irfft`` before its division by
+    n can be for a column near float max even at t = 0, is evaluated again
+    with each coordinate column times the exact power of two of
+    :func:`~polyflow.polygon._shift_near_one` for its largest shape
+    coefficient, scaled back, and only then refused if still not finite; so
+    a polygon that decomposes is evaluated at every time whose sample is
+    finite, and every other sample keeps the bits of the plain transform.
+    ``offset``, an (n, p) array or None, is added to every sample of
+    :meth:`polygon_at`: the Yau flow is the flow of X0 - Y offset by its
+    target Y.
     """
 
     decomposition: SpectralDecomposition
@@ -178,12 +194,10 @@ class FlowSolution:
 
     @classmethod
     def from_decomposition(cls, dec: SpectralDecomposition, m: int) -> "FlowSolution":
-        c_sq, s_sq = _basis_norms_sq(dec.n)
-        c_sq[0] = 0.0  # the mean is added exactly, and n * centroid can overflow
         return cls(
             decomposition=dec,
             mode_rates=circulant.flow_eigenvalues(dec.n, m),
-            spectrum=c_sq[:, None] * dec.alpha - 1j * (s_sq[:, None] * dec.beta),
+            spectrum=_shape_spectrum(dec.n, dec.alpha, dec.beta),
         )
 
     def _evaluate(self, t, rate_shift: float, include_mean: bool):
@@ -200,19 +214,32 @@ class FlowSolution:
         dec, present = self.decomposition, self.decomposition.present
         rates = self.mode_rates[present] - rate_shift
         samples = []
+
+        def sampled(factors, spectrum, unshifts=None):
+            # invert decompose's rfft with factor 0 on the mean, which is added exactly
+            out = np.fft.irfft(factors * spectrum, n=dec.n, axis=1)
+            if unshifts is not None:
+                np.ldexp(out, unshifts, out)
+            if include_mean:
+                out += dec.alpha[0]
+                if self.offset is not None:
+                    out += self.offset
+            return out
+
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             for start in range(0, len(times), _TIMES_PER_TRANSFORM):
                 exponents = np.multiply.outer(times[start : start + _TIMES_PER_TRANSFORM], rates)
-                # invert decompose's rfft with factor 0 on the mean, which is added exactly
                 factors = np.zeros((len(exponents), dec.n // 2 + 1, 1))
                 factors[:, present, 0] = np.exp(exponents)
-                out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=1)
-                if include_mean:
-                    out += dec.alpha[0]
-                    if self.offset is not None:
-                        out += self.offset
+                out = sampled(factors, self.spectrum)
                 overflowing = exponents > _EXP_LIMIT
                 failed = np.flatnonzero(overflowing.any(axis=1) | ~np.isfinite(out).all(axis=(1, 2)))
+                if failed.size:  # each failed sample again, every column near one, then scaled back
+                    largest = np.maximum(np.abs(dec.alpha[1:]).max(axis=0), np.abs(dec.beta).max(axis=0))
+                    shifts = np.array([_shift_near_one(c) for c in largest.tolist()])
+                    shifted = _shape_spectrum(dec.n, np.ldexp(dec.alpha, shifts), np.ldexp(dec.beta, shifts))
+                    out[failed] = redone = sampled(factors[failed], shifted, -shifts)
+                    failed = failed[overflowing[failed].any(axis=1) | ~np.isfinite(redone).all(axis=(1, 2))]
                 if failed.size:
                     i = failed[0]
                     t_bad = given[start + i]

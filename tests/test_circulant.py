@@ -425,3 +425,21 @@ def test_circulant_matrix_validation():
         CirculantMatrix(2, (1, 1))
     with pytest.raises(ValueError):
         CirculantMatrix(4, (1, 1, 1))
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.9, -0.25, math.nan, math.inf, -math.inf, "3", b"3", 1 + 0j],
+                         ids=["0.5", "1.9", "-0.25", "nan", "inf", "-inf", "str", "bytes", "complex"])
+def test_an_entry_that_int_changes_or_cannot_convert_is_refused(entry):
+    """The one constructor never truncates: (0.5, 0.25, 0, 0.25) used to be
+    the zero matrix, and inf an OverflowError."""
+    with pytest.raises(ValueError, match=r"circulant entries must be integers, got "):
+        CirculantMatrix(5, (0, 0, entry, 0, 0))
+    with pytest.raises(ValueError, match=r"circulant entries must be integers"):
+        CirculantMatrix(4, (0.5, 0.25, 0, 0.25))
+
+
+def test_integral_floats_numpy_ints_and_bools_still_convert():
+    a = CirculantMatrix(5, (np.int64(-2), 1.0, False, np.float64(0.0), True))
+    assert a.first_row == (-2, 1, 0, 0, 1) and all(type(b) is int for b in a.first_row)
+    assert a == power_of_m(5, 1) and hash(a) == hash(power_of_m(5, 1))
+    assert CirculantMatrix(3, [2**80, 0, -(2**80)]).first_row == (2**80, 0, -(2**80))

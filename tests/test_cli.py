@@ -762,10 +762,45 @@ def test_overflowing_yau_set_up_exits_four_in_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("argv", [["flow", "--count", "1"], ["integrate", "--T", "0.05", "--dt", "0.01"]])
 def test_overflowing_evaluation_exits_four_in_one_line(tmp_path, argv, p, capsys):
-    """The decomposition is finite; evaluating it at t = 0.05 is not."""
+    """The decomposition is finite.  At t = 0.05 the plain inverse transform
+    overflows, so the sample is evaluated again with its x column near one:
+    ``flow`` writes it (largest 1.45e308) and ``integrate`` reports a finite
+    deviation.  At t = -1 no scale helps: one line, exit 4."""
     path = _polygon_file(tmp_path, "spike.json", [[0.0] * p] * 3 + [[1.6e308] + [0.0] * (p - 1)])
-    code, err = _refusal(argv + ["--input", path, "--m", "1"], capsys)
-    assert (code, err) == (4, "numeric range error: evolution left floating range at t=0.05\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--input", path, "--m", "1"]) == 0
+    assert caught == []
+    out = capsys.readouterr().out.splitlines()
+    if argv[0] == "flow":
+        cells = [float(c) for row in out[1:] for c in row.split(",")[2:]]
+        assert len(out) == 5 and 1e308 < max(cells) <= sys.float_info.max
+    else:
+        assert out[0].startswith("max |rk4 - exact| at T=0.05: ")
+        assert float(out[0].split(": ")[1]) <= 1e-8 * 1.6e308
+    code, err = _refusal(["flow", "--times=-1", "--input", path, "--m", "1"], capsys)
+    assert (code, err) == (4, "numeric range error: evolution left floating range at t=-1.0\n")
+
+
+def test_a_column_near_float_max_flows_from_t_zero_and_integrates(tmp_path, capsys):
+    """q = [[1.7e308, 0], [1.7e308, 1], [1, 1], [0, 0]] decomposes, but
+    (n/2) alpha overflows in the plain inverse transform even at t = 0; each
+    such sample is evaluated again with its x column near one.  X(0) is q:
+    the y column bit for bit, the x column within a few eps of 1.7e308."""
+    path = _polygon_file(tmp_path, "q.json", [[1.7e308, 0.0], [1.7e308, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["flow", "--input", path, "--m", "1", "--times", "0.0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert main(["integrate", "--input", path, "--m", "1", "--T", "0.01", "--dt", "0.005"]) == 0
+    assert caught == []
+    assert rows[0] == "t,vertex_index,x1,x2" and len(rows) == 5
+    cells = np.array([[float(c) for c in row.split(",")[2:]] for row in rows[1:]])
+    assert cells[:, 1].tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert np.abs(cells[:, 0] - [1.7e308, 1.7e308, 1.0, 0.0]).max() <= 4 * np.finfo(float).eps * 1.7e308
+    summary = capsys.readouterr().out
+    assert summary.startswith("max |rk4 - exact| at T=0.01: ")
+    assert float(summary.split(": ")[1]) <= 1e-8 * 1.7e308
 
 
 @pytest.mark.parametrize("command", ["flow", "yau", "analyze"])

@@ -143,6 +143,44 @@ def test_a_coordinate_sum_past_float_max_decomposes_and_flows_as_rk4_does():
     assert (error <= 1e-8 * np.abs(NEAR_MAX_TRIANGLE.vertices).max(axis=0)).all()
 
 
+# its x column decomposes, but (n/2) alpha overflows in the plain inverse transform
+NEAR_MAX_Q = Polygon(np.array([[1.7e308, 0.0], [1.7e308, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_a_column_whose_plain_transform_overflows_is_evaluated_near_one():
+    """X(0) of q lies within 4 eps of each column's largest |entry| of q
+    (the y column is q's bit for bit), and its closed form at t = 0.01 agrees
+    with RK4 at dt = 0.005 within 1e-8 of each column's largest |entry|
+    (8.2e-13 of 1.7e308 measured).  No numpy warning."""
+    from polyflow.integrate import IntegratorConfig, PolyharmonicKind, integrate
+
+    q = NEAR_MAX_Q.vertices
+    largest = np.abs(q).max(axis=0)
+    at_zero = solve(NEAR_MAX_Q, 1, 0.0).vertices
+    assert (np.abs(at_zero - q).max(axis=0) <= 4 * np.finfo(float).eps * largest).all()
+    assert at_zero[:, 1].tobytes() == q[:, 1].tobytes()
+    exact = solve(NEAR_MAX_Q, 1, 0.01).vertices
+    rk4 = integrate(NEAR_MAX_Q, IntegratorConfig(dt=0.005, t_final=0.01, kind=PolyharmonicKind(1)))
+    assert (np.abs(exact - rk4.final().vertices).max(axis=0) <= 1e-8 * largest).all()
+
+
+def test_only_the_samples_the_plain_transform_cannot_evaluate_are_redone():
+    """x = 8e307 cos_1 + 1e-300 cos_2 and y = 1e300 cos_2: mode 2 is present
+    through y.  At t = 0 the plain transform of x overflows (4 * 8e307), so
+    that sample is evaluated with x times 2^-1023, where mode 2's x
+    coefficient underflows to 0.  At t = 1 the plain transform is finite and
+    keeps its bits, which near-zero vertices such as X(1)[1, 0] =
+    -2.5687e-301 would lose to a redo (-2.5e-301): in a schedule as alone,
+    and as the per-time oracle gives them."""
+    c1, c2 = real_basis(4, 1)[0], real_basis(4, 2)[0]
+    solution = flow_solution(Polygon(np.column_stack([8e307 * c1 + 1e-300 * c2, 1e300 * c2])), 1)
+    times = [0.0, 1.0, 0.25, 0.0]
+    scheduled = [x.vertices.tobytes() for x in solution.polygon_at(times)]
+    assert scheduled == [solution.polygon_at(t).vertices.tobytes() for t in times]
+    assert scheduled == [helpers.recomputed_accumulate(solution, t, 0.0, True).vertices.tobytes() for t in times]
+    assert solution.polygon_at(1.0).vertices[1, 0] < -2.56e-301
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 16, 17, 31, 64, 100, 127, 256, 257, 509, 512, 1021, 1024, 2039, 2048])
 def test_planar_coeffs_are_the_fft_of_z_over_n(rng, n):
     """``planar_coeffs`` agrees with ``np.fft.fft(z / n)``, z = x + iy, within
@@ -527,12 +565,16 @@ def test_ancient_evaluation_overflows_loudly():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_overflowing_evaluation_of_a_finite_decomposition_is_refused_quietly(p):
-    """The inverse transform overflows although every coefficient is finite:
-    one FlowRangeError and no numpy warning, which the suite turns into errors."""
+    """The plain inverse transform overflows although every coefficient is
+    finite.  At t = 0.05 the sample is evaluated again with the x column near
+    one and scaled back, which is finite; at t = -1 it is still not: one
+    FlowRangeError and no numpy warning, which the suite turns into errors."""
     x = Polygon(np.array([[0.0] * p] * 3 + [[1.6e308] + [0.0] * (p - 1)]))
     solution = flow_solution(x, 1)
-    with pytest.raises(FlowRangeError, match=r"evolution left floating range at t=0\.05"):
-        solution.polygon_at(0.05)
+    sample = solution.polygon_at(0.05).vertices
+    assert np.isfinite(sample).all() and sample[:, 0].max() > 1e308 and not sample[:, 1:].any()
+    with pytest.raises(FlowRangeError, match=r"evolution left floating range at t=-1\.0$"):
+        solution.polygon_at(-1.0)
 
 
 # --- self-similar classification ---------------------------------------------------
