@@ -12,6 +12,13 @@ Every number written in a table, a figure or a report is a
 :func:`polygon.format_floats` cell, made once; only the one-line
 ``integrate`` summary uses ``repr``, so that a run without ``--csv`` never
 imports orjson.
+
+A subcommand imports only the modules it runs: ``integrate`` loads the RK4
+module :mod:`polyflow.integrate`, ``yau`` and ``integrate --target`` load
+:mod:`polyflow.yau_flow`, and ``--svg`` loads :mod:`polyflow.svg`, each in
+the function that first calls it.  ``matrix``, ``flow`` and ``analyze``
+load none of the three.  Every numeric range error, ``FlowRangeError`` and
+``DivergenceError`` among them, is an ``OverflowError`` (exit 4).
 """
 from __future__ import annotations
 
@@ -26,15 +33,7 @@ import warnings
 
 import numpy as np
 
-from . import circulant, spectral_flow, svg, yau_flow
-from .integrate import (
-    DivergenceError,
-    IntegratorConfig,
-    PolyharmonicKind,
-    StiffnessWarning,
-    YauKind,
-    integrate as run_rk4,
-)
+from . import circulant, spectral_flow
 from .polygon import (
     Polygon,
     PolygonFormatError,
@@ -260,6 +259,8 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
         write_trajectory_csv(args.csv_path, times, samples, rows)
         print(f"wrote {args.csv_path}")
     if args.svg_path:
+        from . import svg
+
         document = svg.render(samples, initial, target, args.stroke_width, dash_target, rows)
         svg.write(document, args.svg_path)
         print(f"wrote {args.svg_path}")
@@ -284,9 +285,11 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def _flow_toward_target(args: argparse.Namespace, x0: Polygon):
     """Load ``--target`` and reconcile x0 with it: the problem and its exact
     solution.  Polygons of different dimensions are an input error."""
+    from .yau_flow import yau_flow_between
+
     target = load_flow_polygon(args.target_path)
     try:
-        return yau_flow.yau_flow_between(x0, target, args.m, args.strategy)
+        return yau_flow_between(x0, target, args.m, args.strategy)
     except ValueError as exc:
         raise PolygonFormatError(str(exc)) from exc
 
@@ -386,24 +389,26 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    from . import integrate
+
     if not math.isfinite(args.t_final / args.dt):
         raise CliArgumentError("the step count --T / --dt must be finite")
     x0 = load_flow_polygon(args.input_path)
-    if args.m > circulant.M_MAX:  # refused as `matrix` refuses it, before any work; run_rk4 builds M^m
+    if args.m > circulant.M_MAX:  # refused as `matrix` refuses it, before any work; the integrator builds M^m
         _power_of_m(x0.n, args.m)
     if args.target_path:
         problem, exact = _flow_toward_target(args, x0)
         x0 = problem.initial
-        kind = YauKind(m=args.m, target=problem.target)
+        kind = integrate.YauKind(m=args.m, target=problem.target)
         reference = exact.polygon_at(args.t_final)
     else:
-        kind = PolyharmonicKind(m=args.m)
+        kind = integrate.PolyharmonicKind(m=args.m)
         reference = spectral_flow.solve(x0, args.m, args.t_final)
-    config = IntegratorConfig(dt=args.dt, t_final=args.t_final, kind=kind)
+    config = integrate.IntegratorConfig(dt=args.dt, t_final=args.t_final, kind=kind)
     with warnings.catch_warnings():  # restores the filters and the display on the way out
-        warnings.simplefilter("always", StiffnessWarning)
+        warnings.simplefilter("always", integrate.StiffnessWarning)
         warnings.showwarning = _warning_line
-        trajectory = run_rk4(x0, config, keep_steps=bool(args.csv_path))
+        trajectory = integrate.integrate(x0, config, keep_steps=bool(args.csv_path))
     if args.csv_path:
         write_trajectory_csv(args.csv_path, trajectory.times, trajectory.polygons)
         print(f"wrote {args.csv_path}")
@@ -446,7 +451,7 @@ def main(argv=None) -> int:
     except (PolygonFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except (spectral_flow.FlowRangeError, DivergenceError, OverflowError) as exc:
+    except OverflowError as exc:  # FlowRangeError and DivergenceError among them
         print(f"numeric range error: {exc}", file=sys.stderr)
         return 4
     except MemoryError as exc:

@@ -54,9 +54,11 @@ class StiffnessWarning(UserWarning):
     """The chosen step is at or beyond the RK4 stability bound."""
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(OverflowError):
     """The integration state left floating range at ``step``; ``norm`` is the
-    sup norm of the state one step earlier, the last one within range."""
+    sup norm of the state one step earlier, the last one within range.  An
+    ``OverflowError``, as ``spectral_flow.FlowRangeError`` is: a state beyond
+    float range."""
 
     def __init__(self, step: int, norm: float):
         self.step = step

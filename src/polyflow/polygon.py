@@ -17,11 +17,13 @@ a bounded block at a time.
 ``Polygon(...)`` copies and checks its data; an array that a check has just
 passed (a loaded file, a flow sample, an RK4 state) is made a polygon by
 ``Polygon._checked``, which does neither.
+
+``csv`` is imported by the CSV loader and ``heapq`` by the midpoint
+reconciliation, at their first call, so that a run that reads JSON and
+reconciles nothing loads neither.
 """
 from __future__ import annotations
 
-import csv
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -261,6 +263,8 @@ def _bisected(rows: list, target: int) -> list:
     midpoint, for every remaining insertion.  Those copies are placed at once,
     so paths stay short and memory linear in ``target``.
     """
+    import heapq
+
     edges = list(zip(rows, rows[1:] + rows[:1]))
     widest = max(abs(0.5 * t - 0.5 * s) for a, b in edges for s, t in zip(a, b))
     scale = math.ldexp(1.0, min(_shift_near_one(widest), 1023))
@@ -394,6 +398,8 @@ def _first_bad_vertex(rows: list, dim: int) -> PolygonFormatError:
 def _csv_records(reader):
     """The reader's records; a malformed one, such as a field past the csv
     module's size limit, is a PolygonFormatError at the reader's line."""
+    import csv
+
     try:
         yield from reader
     except csv.Error as exc:
@@ -401,6 +407,8 @@ def _csv_records(reader):
 
 
 def load_polygon_csv(path) -> Polygon:
+    import csv
+
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         records = _csv_records(reader)

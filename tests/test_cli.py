@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polyflow import circulant, cli, spectral_flow, svg, yau_flow
+from polyflow import circulant, cli, integrate, spectral_flow, svg, yau_flow
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
@@ -497,7 +497,7 @@ def test_out_of_memory_exits_four(pentagon_file, monkeypatch, capsys):
     def exhausted(x0, config, keep_steps=True):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "run_rk4", exhausted)
+    monkeypatch.setattr(integrate, "integrate", exhausted)
     assert main(["integrate", "--input", pentagon_file, "--m", "1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -505,13 +505,13 @@ def test_out_of_memory_exits_four(pentagon_file, monkeypatch, capsys):
 
 
 def test_integrate_keeps_every_state_only_for_the_csv(tmp_path, pentagon_file, monkeypatch, capsys):
-    runs, run_rk4 = [], cli.run_rk4
+    runs, run_rk4 = [], integrate.integrate
 
     def captured_run(x0, config, keep_steps=True):
         runs.append(run_rk4(x0, config, keep_steps=keep_steps))
         return runs[-1]
 
-    monkeypatch.setattr(cli, "run_rk4", captured_run)
+    monkeypatch.setattr(integrate, "integrate", captured_run)
     base = ["integrate", "--input", pentagon_file, "--m", "1", "--dt", "0.01", "--T", "0.505"]
     assert main(base) == 0
     assert main(base + ["--csv", str(tmp_path / "rk4.csv")]) == 0
@@ -835,6 +835,30 @@ def test_stiff_integrate_warns_in_one_line_before_the_range_error(tmp_path, caps
     assert warnings.showwarning is shown
 
 
+def test_divergence_is_a_numeric_range_error(tmp_path, capsys):
+    """A state leaving float range is an OverflowError, so ``main`` exits 4
+    on it without naming the RK4 module; the stiff pentagon run's two
+    stderr lines are the same with every state kept for ``--csv``, which
+    writes nothing."""
+    assert issubclass(integrate.DivergenceError, OverflowError)
+    pentagon = [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]
+    argv = ["integrate", "--input", _polygon_file(tmp_path, "pentagon.json", pentagon),
+            "--m", "3", "--dt", "1", "--T", "100"]
+    table = tmp_path / "stiff.csv"
+    errors = []
+    for extra in ([], ["--csv", str(table)]):
+        assert main(argv + extra) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    warning, error = errors[0].splitlines(keepends=True)
+    assert warning == ("warning: dt=1.0 exceeds the RK4 stability bound for the fastest mode "
+                       "(|rate|=47.3607); use dt <= 0.00211\n")
+    assert re.fullmatch(r"numeric range error: non-finite state at step 59 \(sup norm \S+\)\n", error)
+    assert errors[1] == errors[0]
+    assert not table.exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("work done for a request that must be refused first")
 
@@ -843,7 +867,7 @@ def _refuse_work(monkeypatch, *, load=True):
     """Make decomposing, reconciling, stepping and, with ``load``, reading an input raise."""
     if load:
         monkeypatch.setattr(cli, "load_polygon", _refuse)
-    monkeypatch.setattr(cli, "run_rk4", _refuse)
+    monkeypatch.setattr(integrate, "integrate", _refuse)
     monkeypatch.setattr(spectral_flow, "decompose", _refuse)
     monkeypatch.setattr(yau_flow, "reconcile_vertex_counts", _refuse)
 

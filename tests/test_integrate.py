@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import tracemalloc
@@ -11,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyflow import circulant, spectral_flow
+from polyflow import integrate as integrate_module
 from polyflow.circulant import M_MAX, flow_eigenvalue
 from polyflow.integrate import (
     RK4_STABILITY_BOUND,
@@ -28,8 +28,6 @@ from polyflow.polygon import Polygon, eigen_polygon
 from polyflow.yau_flow import YauProblem, yau_solve
 
 import helpers
-
-integrate_module = importlib.import_module("polyflow.integrate")  # the package's `integrate` is the function
 
 # The entries of S^N, the power map, against the exact N-th power of the
 # float step map, in eps: the largest error over 4300 draws (n 3-33, m 1-3,
