@@ -164,14 +164,23 @@ def _write_trajectory_rows(fh, times, polygons, rows=None) -> None:
     """The trajectory table, one ``write`` per sample.  ``rows`` holds each
     sample's ``format_samples`` rows when they have been made already;
     without it ``format_samples`` formats the samples a block at a time as
-    they are written."""
+    they are written.  A sample's text is one join over its lines' pieces
+    (stamp, vertex index, row, newline): the index and newline pieces are
+    laid in once per vertex count, and the stamps and rows by one slice
+    assignment each per sample."""
     p = polygons[0].p
     fh.write(",".join(["t", "vertex_index"] + [f"x{i + 1}" for i in range(p)]) + "\n")
-    indices = [f",{j}," for j in range(max(poly.n for poly in polygons))]
     if rows is None:
         rows = format_samples(polygons)
+    pieces = []
     for stamp, sample in zip(format_floats(times), rows):
-        fh.write("".join([f"{stamp}{j}{row}\n" for j, row in zip(indices, sample)]))
+        k = len(sample)
+        if len(pieces) != 4 * k:
+            pieces = ["\n"] * (4 * k)
+            pieces[1::4] = [f",{j}," for j in range(k)]
+        pieces[::4] = [stamp] * k
+        pieces[2::4] = sample
+        fh.write("".join(pieces))
 
 
 def write_trajectory_csv(path, times, polygons, rows=None) -> None:

@@ -370,6 +370,17 @@ def test_fourier_matrix_rows_are_bitwise_the_whole_matrixs_rows(n):
         assert np.array_equal(block, whole[rows.start : rows.stop])
 
 
+@pytest.mark.parametrize("n", [46341, 46342])
+def test_fourier_matrix_rows_at_the_index_dtype_switch(n):
+    """The last two rows, where j * k is largest: at n = 46341 every product
+    fits int32, (n - 1)^2 < 2^31, and at 46342 it does not, so the index is
+    int64.  Both are the gather at j * k mod n taken in Python ints."""
+    rows = range(n - 2, n)
+    index = np.array([[j * k % n for k in range(n)] for j in rows])
+    expected = circulant.roots_of_unity(n)[index]
+    assert circulant.fourier_matrix(n, rows).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("rows", [range(-1, 3), range(0, 6), range(4, 6), range(3, 1), range(0, 4, 2)])
 def test_fourier_matrix_refuses_rows_outside_the_matrix(rows):
     with pytest.raises(ValueError, match="rows must be a step-1 range inside"):

@@ -187,28 +187,66 @@ def test_format_floats_at_the_edges_of_the_fixed_notation():
 
 
 def test_format_samples_formats_whole_polygons_in_bounded_blocks(monkeypatch):
-    """Each polygon's rows are its per-vertex text, and each ``format_floats``
-    call covers whole polygons: as many as fit in FORMAT_BLOCK coordinates by
-    the largest of them, or one where the largest is past that size."""
-    sizes, format_floats = [], polygon.format_floats
+    """Each polygon's rows are its per-vertex text, and each block dumped to
+    text covers whole polygons: as many as fit in FORMAT_BLOCK coordinates by
+    the largest of them, or one where the largest is past that size.  A block
+    is dumped beside a nan column; the rows made again from ``format_floats``
+    are dumped too, but hold no nan."""
+    import orjson
 
-    def recorded(values):
-        sizes.append(np.size(values))
-        return format_floats(values)
+    sizes, dumps = [], orjson.dumps
 
-    def call_sizes(polygons):
+    def recorded(value, *args, **kwargs):
+        if np.isnan(value).any():
+            sizes.append(np.count_nonzero(~np.isnan(value)))
+        return dumps(value, *args, **kwargs)
+
+    def block_sizes(polygons):
         sizes.clear()
         rows = list(polygon.format_samples(polygons))
         assert rows == [[",".join(map(repr, v)) for v in q.vertices.tolist()] for q in polygons]
         return sizes
 
-    monkeypatch.setattr(polygon, "format_floats", recorded)
+    monkeypatch.setattr(orjson, "dumps", recorded)
     small = [Polygon(awkward_vertices(i, 100 + 37 * (i % 3), 3)) for i in range(90)]
     per_block = polygon.FORMAT_BLOCK // small[2].vertices.size  # by the largest, 522 coordinates
     blocks = [small[i : i + per_block] for i in range(0, 90, per_block)]
-    assert call_sizes(small) == [sum(q.vertices.size for q in block) for block in blocks]
+    assert block_sizes(small) == [sum(q.vertices.size for q in block) for block in blocks]
     mixed = [*small[:5], Polygon(awkward_vertices(90, 3000, 3)), *small[5:9]]
-    assert call_sizes(mixed) == [q.vertices.size for q in mixed]
+    assert block_sizes(mixed) == [q.vertices.size for q in mixed]
+
+
+@pytest.mark.parametrize("odd", [1e-05, 1e16, 5e-324, -0.0])
+@pytest.mark.parametrize(
+    "place", ["table start", "first block end", "second block start", "sample start", "sample end",
+              "table end"]
+)
+def test_blob_rows_with_one_odd_cell_match_the_per_cell_writer(odd, place):
+    """Samples of a blob, whose rows all come straight from the dumped text,
+    but for one planted cell: one ``repr`` lays out differently (so its row is
+    made again), or -0.0.  It stands in the first or last row of a block or
+    of a sample inside one; the table is the same with the rows made first."""
+    n, p, count = 50, 3, 60
+    per_block = polygon.FORMAT_BLOCK // (n * p)  # 27 samples a block, 3 blocks
+    rng = np.random.default_rng(12)
+    base = rng.normal(size=(n, p)) + 3.0
+    v = np.stack([base * np.exp(-0.01 * i) + 0.5 for i in range(count)])
+    sample, row = {
+        "table start": (0, 0),
+        "first block end": (per_block - 1, n - 1),
+        "second block start": (per_block, 0),
+        "sample start": (per_block + 5, 0),
+        "sample end": (per_block + 5, n - 1),
+        "table end": (count - 1, n - 1),
+    }[place]
+    v[sample, row, 1] = odd
+    polygons = [Polygon(x) for x in v]
+    times = [0.01 * i for i in range(count)]
+    expected = cell_table(times, polygons)
+    for rows in (None, list(polygon.format_samples(polygons))):
+        fh = io.StringIO()
+        _write_trajectory_rows(fh, times, polygons, rows)
+        assert fh.getvalue().splitlines(keepends=True) == expected
 
 
 def _writer_peak(times, polygons):
