@@ -19,16 +19,19 @@ by squaring the float step map over the bits of N, each product one
 most 2^-60 / n and applies the band left, in passes of at most 64
 offsets.  A run that keeps only its final state takes all its whole steps
 as one application of S^N; one that keeps every state steps them and ends
-them on S^N of the first state, so both end on the same bits.  Steps run
-in place on vertex arrays allocated once per run.  States are
+them on S^N of the first state, so both end on the same bits.  States are
 range-checked in blocks, 64 steps or all of a final-state-only run that
-takes S^N, each block's states written into one array, checked once in
-the caller's units and kept as read-only views of it.  A block that fails
-the check is replayed from its first state, checking each step, to name
-the first bad one.
+takes S^N.  A run that keeps every state writes each step straight into
+its row of the block's (b, n, p) array, from the row before; one that
+keeps its final state steps in place.  A block is checked once in the
+caller's units and kept whole and read-only: the trajectory holds the
+blocks, and a state becomes a polygon only when asked for.  A block that
+fails the check is replayed from its first state, checking each step, to
+name the first bad one.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -99,21 +102,29 @@ class IntegratorConfig:
             raise ValueError(f"flow order must be >= 1, got {self.kind.m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Retained states (time, polygon) of one run of ``steps`` RK4 steps.
+    """Retained states of one run of ``steps`` RK4 steps, stamped ``times``.
 
     Either every state, ``steps + 1`` of them, or only the initial and the
     final state; ``final()`` is the same polygon at the same time either way.
+    ``blocks`` holds the states in order as read-only (b, n, p) arrays: the
+    initial state's vertices, then each range-checked block's kept states.
+    ``polygons`` are views of their rows, made on first access; ``final()``
+    reads the last row.
     """
 
     times: tuple[float, ...]
-    polygons: tuple[Polygon, ...]
+    blocks: tuple[np.ndarray, ...]
     steps: int
     partial_final_step: bool = field(default=False)
 
+    @functools.cached_property
+    def polygons(self) -> tuple[Polygon, ...]:
+        return tuple(Polygon._checked(v) for block in self.blocks for v in block)
+
     def final(self) -> Polygon:
-        return self.polygons[-1]
+        return Polygon._checked(self.blocks[-1][-1])
 
 
 def _step_row(n: int, m: int, h: float) -> list[tuple[int, float]]:
@@ -155,19 +166,20 @@ def _step_row(n: int, m: int, h: float) -> list[tuple[int, float]]:
 
 def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     """The circulant map of ``row``'s (offset, coefficient) pairs for states
-    of the shape of ``like``, in place: ``d <- d + sum_s q_s (d[j+s] - d[j])``
-    in ascending s, the sum started from +0.0.
+    of the shape of ``like``: ``apply(src, out)`` writes
+    ``out <- src + sum_s q_s (src[j+s] - src[j])``, in ascending s, the sum
+    started from +0.0; ``out`` may be ``src`` itself.
 
-    Each application gathers the shifted copies of d, takes the differences
-    and the products, and adds them in order with one ``np.add.reduce``.  A
-    map of at most :data:`_CHUNK` offsets, as every step map for m <= 8 is,
-    keeps its gather index and its coefficients laid out as the terms, so
-    the multiply is elementwise, its cheapest form: five numpy calls an
-    application.  A wider one, S^N applied once a run, goes in passes of
-    :data:`_CHUNK` offsets, each gathered from d written out twice and
-    summed after the running sum, so its buffers hold about that many
-    states however wide its band.  A constant state has zero differences,
-    so it stays bitwise fixed.
+    Each application gathers the shifted copies of src, takes the
+    differences and the products, and adds them in order with one
+    ``np.add.reduce``.  A map of at most :data:`_CHUNK` offsets, as every
+    step map for m <= 8 is, keeps its gather index and its coefficients laid
+    out as the terms, so the multiply is elementwise, its cheapest form: five
+    numpy calls an application.  A wider one, S^N applied once a run, goes
+    in passes of :data:`_CHUNK` offsets, each gathered from src written out
+    twice and summed after the running sum, so its buffers hold about that
+    many states however wide its band.  A constant state has zero
+    differences, so it stays bitwise fixed.
     """
     n, shape = like.shape[0], (-1,) + (1,) * like.ndim
     subtract, multiply, add, add_up = np.subtract, np.multiply, np.add, np.add.reduce
@@ -176,11 +188,11 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
         idx, (terms, coefficients) = circulant.gather_index(row, n), np.empty((2, len(row)) + like.shape)
         coefficients[...] = np.array([q for _, q in row]).reshape(shape)
 
-        def apply(d: np.ndarray) -> None:
-            d.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
-            subtract(terms, d, terms)
+        def apply(src: np.ndarray, out: np.ndarray) -> None:
+            src.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
+            subtract(terms, src, terms)
             multiply(coefficients, terms, terms)
-            add(d, add_up(terms, axis=0, initial=0.0, out=total), d)
+            add(src, add_up(terms, axis=0, initial=0.0, out=total), out)
 
         return apply
 
@@ -188,18 +200,18 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     passes = [(np.array([[s % n] for s, _ in p]), np.array([q for _, q in p]).reshape(shape)) for p in parts]
     span, idx, terms = np.arange(n), np.empty((_CHUNK, n), dtype=np.intp), np.empty((_CHUNK + 1,) + like.shape)
 
-    def apply(d: np.ndarray) -> None:
-        doubled = np.concatenate((d, d))  # row s + j is d[(s + j) mod n]
+    def apply(src: np.ndarray, out: np.ndarray) -> None:
+        doubled = np.concatenate((src, src))  # row s + j is src[(s + j) mod n]
         total.fill(0.0)
         for offsets, column in passes:
             k = offsets.shape[0]
             gathered = terms[1 : k + 1]
             doubled.take(np.add(offsets, span, out=idx[:k]), 0, gathered, "clip")
             terms[0] = total  # the sum so far, then this pass's terms
-            subtract(gathered, d, gathered)
+            subtract(gathered, src, gathered)
             multiply(column, gathered, gathered)
             add_up(terms[: k + 1], axis=0, initial=0.0, out=total)
-        add(d, total, d)
+        add(src, total, out)
 
     return apply
 
@@ -286,7 +298,7 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     lands exactly on t_final and the trajectory is flagged.  State k is
     stamped k dt, and the last one t_final.  An RK4 step of size h is the
     circulant S = ``R(hA)`` (:func:`_step_row`); the run builds one step map
-    per step size and advances the state in place with it.  A Yau run
+    per step size and applies it to each state in turn.  A Yau run
     advances the difference d = X - Y and its state is Y + d.
 
     One rule: a run with dt * |rate_max| below :data:`RK4_STABILITY_BOUND`
@@ -309,10 +321,14 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     aborts with :class:`DivergenceError`, naming the first such step and
     the sup norm, in the caller's units, of the state before it.  States
     are checked in blocks of 64 steps from step 0, or all at once in a
-    final-state-only run that takes S^N: each block writes the states it
-    keeps, all with ``keep_steps`` and otherwise its last, into one array,
-    scales it back and checks it once with ``np.isfinite``; kept rows are
-    then read-only polygons, views that share no memory.  A failed check
+    final-state-only run that takes S^N.  Each block's kept states, all
+    with ``keep_steps`` and otherwise its last, fill one (b, n, p) array:
+    with ``keep_steps`` each step maps its row's predecessor (the block's
+    first state for row 0) straight into its row, and otherwise the run
+    steps in place and the last state is copied in.  A Yau run adds its
+    target to the block once; the block is scaled back and checked once
+    with ``np.isfinite``, then kept whole and read-only in
+    ``Trajectory.blocks``, whose rows share no memory.  A failed check
     replays its block bit for bit from a copy of its first state, checking
     every step, so either retention mode names the first out-of-range step.
     (A scaled-down lean run that does not fail may pass float max in the
@@ -367,19 +383,13 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     power = _row_map(_power_row(row, x0.n, n_full), d) if powered else None  # S^N
     mapped = power is not None and not keep_steps  # the whole steps go as one application of S^N
 
-    def state(out: np.ndarray) -> np.ndarray:
-        """``out`` <- the state, still at the run's scale."""
-        np.copyto(out, d) if target is None else np.add(target, d, out)
-        return out
-
-    def advance(step: int) -> None:
-        """d <- state step + 1: one step from state step, or, for the last
-        whole state, S^N of the first state."""
+    def advance(step: int, source: np.ndarray, out: np.ndarray) -> None:
+        """out <- state step + 1: one step from ``source``, state step, or,
+        for the last whole state, S^N of the first state."""
         if step == n_full - 1 and power is not None:
-            np.copyto(d, origin)
-            power(d)
+            power(origin, out)
         else:
-            (whole if step < n_full else short)(d)
+            (whole if step < n_full else short)(source, out)
 
     def replay(first: int, last: int, checked: np.ndarray) -> None:
         """Repeats steps first + 1 .. last of the block bit for bit from its
@@ -389,14 +399,14 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         np.copyto(d, start)
         norm, v = float(np.abs(checked).max()), np.empty_like(d)
         for step in range(first, last):
-            advance(step)
-            np.abs(state(v), v)
+            advance(step, d, d)
+            np.abs(d if target is None else np.add(target, d, v), v)
             size = float((np.ldexp(v, unshifts, v) if shifted else v).max())
             if not size <= sys.float_info.max:
                 raise DivergenceError(step=step + 1, norm=norm)
             norm = size
 
-    times, polygons = [0.0], [x0]
+    times, blocks = [0.0], [x0.vertices[None]]
     checked = x0.vertices  # the last state that passed the range check
     block = n_steps if mapped else _CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
@@ -406,19 +416,25 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
             np.copyto(start, d)
             kept = range(first + 1 if keep_steps else last, last + 1)
             states = np.empty((len(kept),) + d.shape)
-            for step in range(n_full - 1 if mapped else first, last):  # mapped: S^N, then the partial step
-                advance(step)
-                if step + 1 in kept:
-                    state(states[step + 1 - kept.start])
+            if keep_steps:  # each step writes its row from the row before
+                source = d
+                for step, out in zip(range(first, last), states):
+                    advance(step, source, out)
+                    source = out
+                np.copyto(d, source)
+            else:
+                for step in range(n_full - 1 if mapped else first, last):  # mapped: S^N, then the partial step
+                    advance(step, d, d)
+                np.copyto(states[0], d)
+            if target is not None:
+                np.add(states, target, states)
             if shifted:
                 np.ldexp(states, unshifts, states)
             if not np.isfinite(states).all():
                 replay(first, last, checked)
             checked = states[-1]
             if keep_steps or last == n_steps:
-                states.flags.writeable = False  # checked: each kept state is a view of the block
+                states.flags.writeable = False  # checked: the trajectory keeps the block itself
                 times.extend(step * dt if step < n_steps else t_final for step in kept)
-                polygons.extend(map(Polygon._checked, states))
-    return Trajectory(
-        times=tuple(times), polygons=tuple(polygons), steps=n_steps, partial_final_step=partial
-    )
+                blocks.append(states)
+    return Trajectory(times=tuple(times), blocks=tuple(blocks), steps=n_steps, partial_final_step=partial)

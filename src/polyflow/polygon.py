@@ -12,13 +12,15 @@ float64, the shortest string that reads back to the same double, made for a
 whole array at once.  Only the one-line ``integrate`` summary uses ``repr``,
 so that a run without ``--csv`` never imports orjson.
 :func:`format_samples` makes the same text a row per vertex for a sequence of
-polygons, a bounded block at a time: one orjson call writes a block's rows,
-and only a row that holds a cell ``repr`` lays out differently is made again
-from :func:`format_floats`.
+polygons or of RK4 state blocks, a bounded block at a time: one orjson call
+writes a block's rows, and only a row that holds a cell ``repr`` lays out
+differently is made again from :func:`format_floats`.
 
 ``Polygon(...)`` copies and checks its data; an array that a check has just
-passed (a loaded file, a flow sample, an RK4 state) is made a polygon by
-``Polygon._checked``, which does neither.
+passed (a loaded file, a flow sample, a kept RK4 state asked for as a
+polygon) is made a polygon by ``Polygon._checked``, which does neither.
+An RK4 run keeps its states as checked blocks of floats and makes no
+polygon per state.
 
 ``csv`` is imported by the CSV loader and ``heapq`` by the midpoint
 reconciliation, at their first call, so that a run that reads JSON and
@@ -325,13 +327,16 @@ def format_floats(values) -> list[str]:
 FORMAT_BLOCK = 2**12  # the most coordinates format_samples formats at once
 
 
-def format_samples(polygons):
-    """Yield the rows of each polygon of a sequence of polygons of one
-    dimension, in turn: one string per vertex, the ``format_floats`` cells
-    of its coordinates joined by commas.  Whole polygons are formatted
-    together, as many as fit in FORMAT_BLOCK coordinates by the largest of
-    them and at least one, so the text made ahead of the reader is at most
-    one block's.
+def format_samples(samples):
+    """Yield the rows of each sample in turn: one string per vertex, the
+    ``format_floats`` cells of its coordinates joined by commas.  The
+    samples are polygons of one dimension, or the states of an RK4
+    trajectory's blocks, given as the blocks: (b, n, p) arrays of b states
+    each.  Whole samples are formatted together, as many as fit in
+    FORMAT_BLOCK coordinates by the largest of them and at least one, so
+    the text made ahead of the reader is at most one block's.  Polygons are
+    concatenated a block at a time; a block of states is read in slices of
+    its rows, with no polygon, attribute read or concatenation per state.
 
     A block's rows come from one orjson call, not from cells joined again:
     its vertices fill a (rows, p + 1) table whose last column is nan, which
@@ -342,12 +347,14 @@ def format_samples(polygons):
     notation, are made again from ``format_floats``."""
     import orjson
 
-    per_block = max(1, FORMAT_BLOCK // max((x.vertices.size for x in polygons), default=1))
-    for start in range(0, len(polygons), per_block):
-        block = polygons[start : start + per_block]
-        p, ends = block[0].p, list(accumulate(x.n for x in block))
+    if samples and isinstance(samples[0], np.ndarray):
+        parts = _state_slices(samples)
+    else:
+        parts = _polygon_blocks(samples)
+    for vertices, ends in parts:
+        p = vertices[0].shape[1]
         table = np.empty((ends[-1], p + 1))
-        np.concatenate([x.vertices for x in block], out=table[:, :p])
+        np.concatenate(vertices, out=table[:, :p])
         table[:, p] = np.nan
         text = orjson.dumps(table.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
         rows = text[1 : -len(",null]")].decode().split(",null,")
@@ -360,6 +367,26 @@ def format_samples(polygons):
                 rows[i] = row
         for first, end in zip([0, *ends], ends):
             yield rows[first:end]
+
+
+def _polygon_blocks(polygons):
+    """Each block of whole polygons as its vertex arrays and the row counts
+    that end its polygons."""
+    per_block = max(1, FORMAT_BLOCK // max((x.vertices.size for x in polygons), default=1))
+    for start in range(0, len(polygons), per_block):
+        block = polygons[start : start + per_block]
+        yield [x.vertices for x in block], list(accumulate(x.n for x in block))
+
+
+def _state_slices(blocks):
+    """Each slice of whole states of (b, n, p) state blocks as one (rows, p)
+    view and the row counts that end its states."""
+    for states in blocks:
+        b, n, p = states.shape
+        per_block = max(1, FORMAT_BLOCK // (n * p))
+        for start in range(0, b, per_block):
+            count = min(per_block, b - start)
+            yield [states[start : start + count].reshape(count * n, p)], range(n, (count + 1) * n, n)
 
 
 def load_polygon_json(path) -> Polygon:

@@ -16,7 +16,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from polyflow import cli, polygon, spectral_flow, svg, yau_flow
 from polyflow.cli import _write_trajectory_rows, main
-from polyflow.integrate import IntegratorConfig, PolyharmonicKind, integrate
+from polyflow.integrate import (
+    IntegratorConfig,
+    PolyharmonicKind,
+    Trajectory,
+    YauKind,
+    integrate,
+    stability_limit,
+)
 from polyflow.polygon import Polygon, load_polygon
 
 import helpers
@@ -283,6 +290,85 @@ def test_a_kept_integrate_csv_of_several_blocks_matches_the_per_cell_writer(tmp_
     assert csv_path.read_text().splitlines(keepends=True) == cell_table(
         trajectory.times, trajectory.polygons
     )
+
+
+def test_an_integrate_csv_builds_no_polygon_per_state(tmp_path, monkeypatch, capsys):
+    """``integrate --csv`` keeps its states as blocks and writes the table
+    from them: runs of 100 and of 800 steps construct as many polygons, by
+    ``Polygon(...)`` and by ``Polygon._checked`` alike, and neither builds
+    ``Trajectory.polygons``."""
+    path = tmp_path / "x0.json"
+    helpers.save_polygon_json(Polygon(np.random.default_rng(9).normal(size=(20, 2))), path)
+    built, checked, init = {"_checked": 0, "__init__": 0}, Polygon._checked.__func__, Polygon.__init__
+
+    def counted_checked(cls, v):
+        built["_checked"] += 1
+        return checked(cls, v)
+
+    def counted_init(self, *args, **kwargs):
+        built["__init__"] += 1
+        init(self, *args, **kwargs)
+
+    def refused(self):
+        raise AssertionError("Trajectory.polygons was built")
+
+    monkeypatch.setattr(Polygon, "_checked", classmethod(counted_checked))
+    monkeypatch.setattr(Polygon, "__init__", counted_init)
+    monkeypatch.setattr(Trajectory, "polygons", property(refused))
+    counts = []
+    for steps in (100, 800):
+        csv_path = tmp_path / f"rk4_{steps}.csv"
+        argv = ["integrate", "--input", str(path), "--m", "1", "--dt", "0.01", "--T", repr(steps / 100),
+                "--csv", str(csv_path)]
+        assert main(argv) == 0
+        assert len(csv_path.read_text().splitlines()) == 1 + 20 * (steps + 1)
+        counts.append(dict(built))
+        built.update(dict.fromkeys(built, 0))
+    assert counts[0] == counts[1]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 40),
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(1, 192),
+    st.booleans(),
+    st.booleans(),
+)
+@example(0, 9, 2, 1, False, 100, True, False)  # two blocks, a partial step; the last whole state is S^N's
+@example(1, 40, 3, 1, True, 4, False, True)  # Yau, one block of 4 steps of 8 offsets < 39: stepped
+@example(2, 33, 4, 3, True, 192, True, True)  # Yau, three whole blocks and a partial step
+@settings(max_examples=30, deadline=None)
+def test_a_kept_integrate_csv_matches_the_per_cell_table_of_its_states(
+    seed, n, p, m, yau, steps, partial, shifted
+):
+    """The table ``integrate --csv`` writes from its state blocks is the
+    per-cell table of the trajectory's polygons: plain and Yau kinds, one
+    to three check blocks, with or without a partial final step, with or
+    without a column past 2^400 (a shifted run), whether the last whole
+    state is stepped or comes from S^N."""
+    rng = np.random.default_rng(seed)
+    x0, y = rng.normal(size=(n, p)), rng.normal(size=(n, p))
+    if shifted:
+        x0[:, p - 1] *= 2.0**450
+    dt = 0.1 / stability_limit(n, m)
+    t_final = (steps + 0.375 * partial) * dt
+    with tempfile.TemporaryDirectory() as tmp:
+        x_path, y_path, csv_path = (os.path.join(tmp, name) for name in ("x0.json", "y.json", "rk4.csv"))
+        helpers.save_polygon_json(Polygon(x0), x_path)
+        helpers.save_polygon_json(Polygon(y), y_path)
+        argv = ["integrate", "--input", x_path, "--m", str(m), "--dt", repr(dt), "--T", repr(t_final),
+                "--csv", csv_path]
+        with open(os.devnull, "w") as quiet, contextlib.redirect_stdout(quiet):
+            assert main(argv + (["--target", y_path] if yau else [])) == 0
+        with open(csv_path) as fh:
+            table = fh.read()
+    kind = YauKind(m, Polygon(y)) if yau else PolyharmonicKind(m)
+    trajectory = integrate(Polygon(x0), IntegratorConfig(dt=dt, t_final=t_final, kind=kind))
+    assert trajectory.partial_final_step == partial and trajectory.steps == steps + partial
+    assert table.splitlines(keepends=True) == cell_table(trajectory.times, trajectory.polygons)
 
 
 @pytest.mark.parametrize("p, with_svg", [(3, False), (2, True)])

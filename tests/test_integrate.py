@@ -627,11 +627,11 @@ def test_a_power_of_two_scale_commutes_with_the_run(rng, k, yau, keep_steps):
 
 @pytest.mark.parametrize("exponent", [0, 500, -500])  # unscaled, and run times 2**-+500
 def test_kept_states_are_read_only_copies_of_the_oracles_states(rng, exponent):
-    """A run advances one state buffer in place; each block writes the
-    states it keeps into one array of its own, and after its range check
-    each kept state is a read-only row view of that array, so after the run
-    every kept state still holds the polynomial oracle's bits and no two
-    share memory."""
+    """Each block writes the states it keeps into one array of its own,
+    a kept run each step into its row from the row before, and after its
+    range check each kept state is a read-only row view of that array, so
+    after the run every kept state still holds the polynomial oracle's bits
+    and no two share memory."""
     x = Polygon(np.ldexp(rng.normal(size=(7, 2)), exponent))
     config = IntegratorConfig(dt=0.01, t_final=0.205, kind=PolyharmonicKind(2))
     full = integrate(x, config)
@@ -706,9 +706,9 @@ def test_a_lean_run_of_a_million_steps_applies_two_maps(rng, monkeypatch):
     def counted_map(row, like):
         apply = row_map(row, like)
 
-        def counted(d):
+        def counted(src, out):
             applied.append(len(row))
-            apply(d)
+            apply(src, out)
 
         return counted
 
