@@ -58,7 +58,9 @@ class SpectralDecomposition:
     thresholding.  :func:`decompose` decides ``present`` (the shape modes
     k >= 1, ascending) once, and ``masses`` holds the norms of the mode-k
     component polygons, k = 0..floor(n/2), in the polygon's own units: 0 for
-    a flushed pair, inf for a norm beyond float range.  Every array is
+    a flushed pair, inf for a norm beyond float range.  Column i is
+    evaluated times 2^``column_shifts[i]``, the :func:`_shift_near_one` of
+    its largest shape coefficient: 0 inside [2^-400, 2^400].  Every array is
     read-only.
     """
 
@@ -69,6 +71,7 @@ class SpectralDecomposition:
     planar_coeffs: np.ndarray | None
     masses: np.ndarray
     present: np.ndarray
+    column_shifts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -108,8 +111,9 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     One real FFT of the centered coordinates gives every k >= 1 mode, and
     pairs below the presence threshold or the centering noise floor are
     flushed to exact zero, at any scale and translation of the polygon.
-    Raises :class:`FlowRangeError`, without numpy warnings, when a
-    coefficient overflows, as it can for coordinates near float max; a
+    ``column_shifts`` is taken of the coefficients left.  Raises
+    :class:`FlowRangeError`, without numpy warnings, when a coefficient
+    overflows, as it can for coordinates near float max; a
     coordinate sum past float max alone is not refused, since
     :func:`centroid` sums such a column again near one.  The spectrum check
     covers the centroid too: a non-finite centroid makes its whole centered
@@ -141,9 +145,11 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     present = np.flatnonzero(~flushed[1:]) + 1
     with np.errstate(over="ignore"):  # a norm beyond float range is inf
         masses = np.ldexp(shifted, -shift)
-    for array in [alpha, beta, masses, present] + ([planar] if x.p == 2 else []):
+    largest = np.maximum(np.abs(alpha[1:]).max(axis=0), np.abs(beta).max(axis=0))
+    column_shifts = np.array([_shift_near_one(c) for c in largest.tolist()])
+    for array in [alpha, beta, masses, present, column_shifts] + ([planar] if x.p == 2 else []):
         array.flags.writeable = False
-    return SpectralDecomposition(x.n, x.p, alpha, beta, planar, masses, present)
+    return SpectralDecomposition(x.n, x.p, alpha, beta, planar, masses, present, column_shifts)
 
 
 def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
@@ -152,11 +158,14 @@ def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
     return Polygon(np.outer(c, dec.alpha[k]) + np.outer(s, dec.beta[k]))
 
 
-def _shape_spectrum(n: int, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The rfft spectrum of the shape modes of coefficients alpha and beta,
+def _shape_spectrum(dec: SpectralDecomposition) -> np.ndarray:
+    """The rfft spectrum of the shape modes, each column times 2^its shift,
     0 at k = 0: the mean is added exactly, and n * centroid can overflow."""
-    c_sq, s_sq = _basis_norms_sq(n)
+    c_sq, s_sq = _basis_norms_sq(dec.n)
     c_sq[0] = 0.0
+    alpha = dec.alpha.copy()
+    np.ldexp(alpha[1:], dec.column_shifts, alpha[1:])
+    beta = np.ldexp(dec.beta, dec.column_shifts)
     return c_sq[:, None] * alpha - 1j * (s_sq[:, None] * beta)
 
 
@@ -170,21 +179,16 @@ class FlowSolution:
     :meth:`from_decomposition` precomputes everything that does not depend on
     t: ``mode_rates`` (the flow eigenvalue of each mode pair) and ``spectrum``
     (the rfft spectrum that ``decompose`` projected, rebuilt from alpha and
-    beta).  The evaluators take one time or a 1-D sequence of times: each
-    block of up to 64 times costs one ``exp`` over a (times x modes) array
-    and one ``irfft`` over a (times, n//2+1, p) spectrum, and every sample
-    has the bits that evaluating its time alone gives.  The block is checked
-    once and made read-only, and its samples are views of it.  A sample that
-    is not finite, as (n/2) alpha summed by ``irfft`` before its division by
-    n can be for a column near float max even at t = 0, is evaluated again
-    with each coordinate column times the exact power of two of
-    :func:`~polyflow.polygon._shift_near_one` for its largest shape
-    coefficient, scaled back, and only then refused if still not finite; so
-    a polygon that decomposes is evaluated at every time whose sample is
-    finite, and every other sample keeps the bits of the plain transform.
-    ``offset``, an (n, p) array or None, is added to every sample of
-    :meth:`polygon_at`: the Yau flow is the flow of X0 - Y offset by its
-    target Y.
+    beta, each column times 2^``column_shifts``, so that (n/2) alpha summed
+    by ``irfft`` stays finite near float max).  The evaluators take one time
+    or a 1-D sequence of times: each block of up to 64 times costs one
+    ``exp`` over a (times x modes) array and one ``irfft`` over a
+    (times, n//2+1, p) spectrum, scaled back before the mean is added, and
+    every sample has the bits that evaluating its time alone gives.  The
+    block is checked once and made read-only, and its samples are views of
+    it.  ``offset``, an
+    (n, p) array or None, is added to every sample of :meth:`polygon_at`:
+    the Yau flow is the flow of X0 - Y offset by its target Y.
     """
 
     decomposition: SpectralDecomposition
@@ -197,7 +201,7 @@ class FlowSolution:
         return cls(
             decomposition=dec,
             mode_rates=circulant.flow_eigenvalues(dec.n, m),
-            spectrum=_shape_spectrum(dec.n, dec.alpha, dec.beta),
+            spectrum=_shape_spectrum(dec),
         )
 
     def _evaluate(self, t, rate_shift: float, include_mean: bool):
@@ -213,33 +217,23 @@ class FlowSolution:
         times = times.reshape(-1)
         dec, present = self.decomposition, self.decomposition.present
         rates = self.mode_rates[present] - rate_shift
+        unshifts = -dec.column_shifts if dec.column_shifts.any() else None
         samples = []
-
-        def sampled(factors, spectrum, unshifts=None):
-            # invert decompose's rfft with factor 0 on the mean, which is added exactly
-            out = np.fft.irfft(factors * spectrum, n=dec.n, axis=1)
-            if unshifts is not None:
-                np.ldexp(out, unshifts, out)
-            if include_mean:
-                out += dec.alpha[0]
-                if self.offset is not None:
-                    out += self.offset
-            return out
-
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             for start in range(0, len(times), _TIMES_PER_TRANSFORM):
                 exponents = np.multiply.outer(times[start : start + _TIMES_PER_TRANSFORM], rates)
                 factors = np.zeros((len(exponents), dec.n // 2 + 1, 1))
                 factors[:, present, 0] = np.exp(exponents)
-                out = sampled(factors, self.spectrum)
+                # invert decompose's rfft with factor 0 on the mean, which is added exactly
+                out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=1)
+                if unshifts is not None:
+                    np.ldexp(out, unshifts, out)
+                if include_mean:
+                    out += dec.alpha[0]
+                    if self.offset is not None:
+                        out += self.offset
                 overflowing = exponents > _EXP_LIMIT
                 failed = np.flatnonzero(overflowing.any(axis=1) | ~np.isfinite(out).all(axis=(1, 2)))
-                if failed.size:  # each failed sample again, every column near one, then scaled back
-                    largest = np.maximum(np.abs(dec.alpha[1:]).max(axis=0), np.abs(dec.beta).max(axis=0))
-                    shifts = np.array([_shift_near_one(c) for c in largest.tolist()])
-                    shifted = _shape_spectrum(dec.n, np.ldexp(dec.alpha, shifts), np.ldexp(dec.beta, shifts))
-                    out[failed] = redone = sampled(factors[failed], shifted, -shifts)
-                    failed = failed[overflowing[failed].any(axis=1) | ~np.isfinite(redone).all(axis=(1, 2))]
                 if failed.size:
                     i = failed[0]
                     t_bad = given[start + i]

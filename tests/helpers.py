@@ -545,12 +545,12 @@ def recomputed_decision(dec):
 
 
 def recomputed_accumulate(solution, t, rate_shift, include_mean):
-    """One evaluation of a ``FlowSolution`` that recomputes the present modes
-    and the basis norms from the decomposition on every call.  When the
-    sample is not finite it is evaluated again with each coordinate column
-    times 2^-e, e the binary exponent of the column's largest shape
-    coefficient where that lies beyond +-400, and scaled back before the
-    mean is added."""
+    """One evaluation of a ``FlowSolution`` that recomputes the present modes,
+    the basis norms and the column scales from the decomposition on every
+    call.  Each coordinate column is evaluated times 2^-e, e the binary
+    exponent of the column's largest shape coefficient where that lies
+    beyond +-400 (else unscaled), and scaled back before the mean is
+    added."""
     dec = solution.decomposition
     present = recomputed_decision(dec)[2]
     exponents = (solution.mode_rates[present] - rate_shift) * t
@@ -563,21 +563,16 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
     factors = np.zeros((dec.n // 2 + 1, 1))
     factors[present, 0] = np.exp(exponents)
     c_sq, s_sq = spectral_flow._basis_norms_sq(dec.n)
-
-    def evaluated(shifts):
-        alpha, beta = np.ldexp(dec.alpha, shifts), np.ldexp(dec.beta, shifts)
-        spectrum = factors * (c_sq[:, None] * alpha - 1j * (s_sq[:, None] * beta))
+    largest = [max(np.abs(dec.alpha[1:, i]).max(), np.abs(dec.beta[:, i]).max()) for i in range(dec.p)]
+    exponent = [math.frexp(float(c))[1] for c in largest]
+    shifts = np.array([-e if abs(e) > 400 else 0 for e in exponent])
+    alpha = np.vstack([dec.alpha[:1], np.ldexp(dec.alpha[1:], shifts)])  # the mean is not shifted
+    c_sq[0] = 0.0  # and is added after the transform
+    spectrum = factors * (c_sq[:, None] * alpha - 1j * (s_sq[:, None] * np.ldexp(dec.beta, shifts)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         out = np.ldexp(np.fft.irfft(spectrum, n=dec.n, axis=0), -shifts)
         if include_mean:
             out += dec.alpha[0][None, :]
-        return out
-
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        out = evaluated(np.zeros(dec.p, dtype=int))
-        if not np.isfinite(out).all():
-            largest = [max(np.abs(dec.alpha[1:, i]).max(), np.abs(dec.beta[:, i]).max()) for i in range(dec.p)]
-            exponent = [math.frexp(float(c))[1] for c in largest]
-            out = evaluated(np.array([-e if abs(e) > 400 else 0 for e in exponent]))
     if not np.isfinite(out).all():
         raise FlowRangeError(f"evolution left floating range at t={t!r}")
     return Polygon(out)

@@ -762,10 +762,10 @@ def test_overflowing_yau_set_up_exits_four_in_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("argv", [["flow", "--count", "1"], ["integrate", "--T", "0.05", "--dt", "0.01"]])
 def test_overflowing_evaluation_exits_four_in_one_line(tmp_path, argv, p, capsys):
-    """The decomposition is finite.  At t = 0.05 the plain inverse transform
-    overflows, so the sample is evaluated again with its x column near one:
-    ``flow`` writes it (largest 1.45e308) and ``integrate`` reports a finite
-    deviation.  At t = -1 no scale helps: one line, exit 4."""
+    """The decomposition is finite, and the x column is evaluated near one,
+    where an unscaled inverse transform would overflow.  At t = 0.05
+    ``flow`` writes the sample (largest 1.45e308) and ``integrate`` reports
+    a finite deviation.  At t = -1 no scale helps: one line, exit 4."""
     path = _polygon_file(tmp_path, "spike.json", [[0.0] * p] * 3 + [[1.6e308] + [0.0] * (p - 1)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -783,9 +783,9 @@ def test_overflowing_evaluation_exits_four_in_one_line(tmp_path, argv, p, capsys
 
 
 def test_a_column_near_float_max_flows_from_t_zero_and_integrates(tmp_path, capsys):
-    """q = [[1.7e308, 0], [1.7e308, 1], [1, 1], [0, 0]] decomposes, but
-    (n/2) alpha overflows in the plain inverse transform even at t = 0; each
-    such sample is evaluated again with its x column near one.  X(0) is q:
+    """q = [[1.7e308, 0], [1.7e308, 1], [1, 1], [0, 0]] decomposes, and
+    (n/2) alpha would overflow an unscaled inverse transform even at t = 0,
+    so every sample is evaluated with its x column near one.  X(0) is q:
     the y column bit for bit, the x column within a few eps of 1.7e308."""
     path = _polygon_file(tmp_path, "q.json", [[1.7e308, 0.0], [1.7e308, 1.0], [1.0, 1.0], [0.0, 0.0]])
     with warnings.catch_warnings(record=True) as caught:

@@ -143,7 +143,7 @@ def test_a_coordinate_sum_past_float_max_decomposes_and_flows_as_rk4_does():
     assert (error <= 1e-8 * np.abs(NEAR_MAX_TRIANGLE.vertices).max(axis=0)).all()
 
 
-# its x column decomposes, but (n/2) alpha overflows in the plain inverse transform
+# its x column decomposes, but (n/2) alpha would overflow an inverse transform not scaled near one
 NEAR_MAX_Q = Polygon(np.array([[1.7e308, 0.0], [1.7e308, 1.0], [1.0, 1.0], [0.0, 0.0]]))
 
 
@@ -164,21 +164,34 @@ def test_a_column_whose_plain_transform_overflows_is_evaluated_near_one():
     assert (np.abs(exact - rk4.final().vertices).max(axis=0) <= 1e-8 * largest).all()
 
 
-def test_only_the_samples_the_plain_transform_cannot_evaluate_are_redone():
+def test_every_sample_is_evaluated_once_in_the_frame_decompose_chose(monkeypatch):
     """x = 8e307 cos_1 + 1e-300 cos_2 and y = 1e300 cos_2: mode 2 is present
-    through y.  At t = 0 the plain transform of x overflows (4 * 8e307), so
-    that sample is evaluated with x times 2^-1023, where mode 2's x
-    coefficient underflows to 0.  At t = 1 the plain transform is finite and
-    keeps its bits, which near-zero vertices such as X(1)[1, 0] =
-    -2.5687e-301 would lose to a redo (-2.5e-301): in a schedule as alone,
-    and as the per-time oracle gives them."""
+    through y, and x is evaluated times 2^-1023 at every time.  A schedule
+    gives the per-time bits and the per-time oracle's; each column lies
+    within 4 eps of its largest |entry| of the 40-digit flow; and a schedule
+    of q costs one inverse transform, with no sample evaluated twice."""
+    pytest.importorskip("mpmath")
+    import mpmath
+
     c1, c2 = real_basis(4, 1)[0], real_basis(4, 2)[0]
-    solution = flow_solution(Polygon(np.column_stack([8e307 * c1 + 1e-300 * c2, 1e300 * c2])), 1)
+    x0 = Polygon(np.column_stack([8e307 * c1 + 1e-300 * c2, 1e300 * c2]))
+    solution = flow_solution(x0, 1)
+    assert solution.decomposition.column_shifts.tolist() == [-1023, -997]
     times = [0.0, 1.0, 0.25, 0.0]
     scheduled = [x.vertices.tobytes() for x in solution.polygon_at(times)]
     assert scheduled == [solution.polygon_at(t).vertices.tobytes() for t in times]
     assert scheduled == [helpers.recomputed_accumulate(solution, t, 0.0, True).vertices.tobytes() for t in times]
-    assert solution.polygon_at(1.0).vertices[1, 0] < -2.56e-301
+    for t in (0.0, 0.25, 1.0):
+        sample = solution.polygon_at(t).vertices
+        with mpmath.workdps(40):
+            for got, reference in zip(sample.T.tolist(), helpers.mp_flow(x0, 1, t)):
+                error = max(abs(mpmath.mpf(g) - r) for g, r in zip(got, reference))
+                assert error <= 4 * np.finfo(float).eps * max(abs(r) for r in reference), (t, error)
+    transforms = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: transforms.append(1) or irfft(*args, **kwargs))
+    assert len(flow_solution(NEAR_MAX_Q, 1).polygon_at([0.0, 0.01, 0.5])) == 3
+    assert len(transforms) == 1
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 16, 17, 31, 64, 100, 127, 256, 257, 509, 512, 1021, 1024, 2039, 2048])
@@ -474,12 +487,13 @@ def schedules(draw):
 
 @given(
     st.integers(3, 1100), st.sampled_from([2, 3]), st.integers(1, 3), schedules(),
-    st.sampled_from([1.0, 1e300]), st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e300, 1e-300]), st.integers(0, 2**32 - 1),
 )
 @example(1100, 2, 3, [-0.05 * 1.05**j for j in range(200)], 1.0, 0)
 @example(1024, 3, 1, [0.05 * 1.6**j for j in range(8)], 1.0, 1)
 @example(7, 2, 2, [-0.5 * 1.02**j for j in range(150)], 1e300, 2)
 @example(3, 3, 1, [0.0], 1.0, 3)
+@example(9, 3, 2, [-0.5 * 1.3**j for j in range(70)], 1e-300, 4)
 @settings(max_examples=30)
 def test_schedule_evaluation_is_bitwise_the_per_time_loop(n, p, m, times, scale, seed):
     """The schedule form of every evaluator gives each time's bits, or the
@@ -565,10 +579,10 @@ def test_ancient_evaluation_overflows_loudly():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_overflowing_evaluation_of_a_finite_decomposition_is_refused_quietly(p):
-    """The plain inverse transform overflows although every coefficient is
-    finite.  At t = 0.05 the sample is evaluated again with the x column near
-    one and scaled back, which is finite; at t = -1 it is still not: one
-    FlowRangeError and no numpy warning, which the suite turns into errors."""
+    """Every coefficient is finite, and an inverse transform not scaled near
+    one would overflow.  The x column is evaluated near one and scaled back:
+    at t = 0.05 that is finite, at t = -1 it is not: one FlowRangeError and
+    no numpy warning, which the suite turns into errors."""
     x = Polygon(np.array([[0.0] * p] * 3 + [[1.6e308] + [0.0] * (p - 1)]))
     solution = flow_solution(x, 1)
     sample = solution.polygon_at(0.05).vertices

@@ -220,8 +220,8 @@ def test_limit_beyond_float_range_raises_flow_range_error(start, target):
     """A Yau limit that leaves floating range is one FlowRangeError, with
     no numpy warning.  The centroid of X0 - Y is finite in both cases,
     though its coordinate sum is not.  In the first case the evolution is
-    not refused: X(0), whose plain inverse transform overflows, is
-    evaluated again with the x column near one and is X0 within rounding."""
+    not refused: X(0), which an unscaled inverse transform would overflow,
+    is evaluated with the x column near one and is X0 within rounding."""
     problem = YauProblem(m=1, initial=Polygon(np.array(start)), target=Polygon(np.array(target)))
     solution = yau_solution(problem)
     if start[0][0] == 1.7e308:
