@@ -30,6 +30,7 @@ import os
 import stat
 import sys
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -314,13 +315,13 @@ def _json_floats(cells, pad: str) -> str:
     return f"[\n{pad}{items}\n{pad[2:]}]"
 
 
-def _json_polygon(x: Polygon | None) -> str:
-    """A polygon, or None, as a member of the report."""
-    if x is None:
+def _json_polygon(cells: list, p: int) -> str:
+    """A polygon from its vertices' cells, or null for no cells, as a member of the report."""
+    if not cells:
         return "null"
-    vertices = map(",\n        ".join, zip(*[iter(format_floats(x.vertices))] * x.p))
+    vertices = map(",\n        ".join, zip(*[iter(cells)] * p))
     rows = "\n      ],\n      [\n        ".join(vertices)
-    return f'{{\n    "dim": {x.p},\n    "vertices": [\n      [\n        {rows}\n      ]\n    ]\n  }}'
+    return f'{{\n    "dim": {p},\n    "vertices": [\n      [\n        {rows}\n      ]\n    ]\n  }}'
 
 
 def _analyze_json(x0: Polygon, m: int, source: str) -> str:
@@ -334,9 +335,9 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
     spectrum, ``flow_eigenvalues`` raises OverflowError instead of returning
     inf and ``Polygon`` refuses non-finite vertices.
 
-    Each array is formatted once: the centroid is the first p cells of
-    alpha, and the verdict's rate is its mode's rate cell, which is bitwise
-    ``flow_eigenvalue``.
+    Every number is a cell of one ``format_floats`` call over all arrays,
+    sliced apart: the centroid is the first p cells of alpha, and the
+    verdict's rate is its mode's rate cell, bitwise ``flow_eigenvalue``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         dec = spectral_flow.decompose(x0)
@@ -352,15 +353,18 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         raise spectral_flow.FlowRangeError(
             f"the analyze report of {source} holds a number beyond float range"
         )
-    alpha_cells, rate_cells = format_floats(dec.alpha), format_floats(rates)
-    alphas, betas = (zip(*[iter(c)] * x0.p) for c in (alpha_cells, format_floats(dec.beta)))
+    limits = () if fwd is None else (fwd.vertices, anc.vertices)  # no cells: null limits
+    cells = iter(format_floats(np.concatenate((dec.alpha, dec.beta, dec.masses, rates, total, *limits), axis=None)))
+    h, p = len(rates), x0.p
+    alpha_cells, beta_cells, mass_cells, rate_cells, (energy_cell,), fwd_cells, anc_cells = (
+        list(islice(cells, size)) for size in (h * p, h * p, h, h, 1, x0.n * p, x0.n * p)
+    )
+    alphas, betas = (zip(*[iter(c)] * p) for c in (alpha_cells, beta_cells))
     modes = ",\n".join(
         f'    {{\n      "k": {k},\n      "mass": {mass},\n      "rate": {rate},\n'
         f'      "alpha": {_json_floats(alpha, " " * 8)},\n'
         f'      "beta": {_json_floats(beta, " " * 8)}\n    }}'
-        for k, (mass, rate, alpha, beta) in enumerate(
-            zip(format_floats(dec.masses), rate_cells, alphas, betas)
-        )
+        for k, (mass, rate, alpha, beta) in enumerate(zip(mass_cells, rate_cells, alphas, betas))
     )
     if verdict is not None:
         verdict = (
@@ -369,16 +373,16 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
         )
     members = (
         ("n", x0.n),
-        ("p", x0.p),
+        ("p", p),
         ("m", m),
-        ("energy", format_floats(total)[0]),
-        ("centroid", _json_floats(alpha_cells[: x0.p], "    ")),
+        ("energy", energy_cell),
+        ("centroid", _json_floats(alpha_cells[:p], "    ")),
         ("modes", f"[\n{modes}\n  ]"),
         ("self_similar", verdict),
         ("dominant_mode", k_fwd),
-        ("forward_limit", _json_polygon(fwd)),
+        ("forward_limit", _json_polygon(fwd_cells, p)),
         ("ancient_mode", k_anc),
-        ("ancient_limit", _json_polygon(anc)),
+        ("ancient_limit", _json_polygon(anc_cells, p)),
     )
     body = ",\n".join(f'  "{key}": {"null" if text is None else text}' for key, text in members)
     return f"{{\n{body}\n}}"

@@ -156,7 +156,7 @@ def difference_stack(x: Polygon, m: int) -> np.ndarray:
         raise ValueError(f"difference order must be >= 1, got {m}")
     stack = x.vertices
     for _ in range(m):
-        stack = np.roll(stack, -1, axis=0) - stack
+        stack = np.concatenate((stack[1:] - stack[:-1], stack[:1] - stack[-1:]))
     return stack
 
 
@@ -167,19 +167,19 @@ def energy(x: Polygon, m: int) -> float:
 
 
 def centroid(x: Polygon) -> np.ndarray:
-    """Vertex average.  Columns with all-equal entries return that value
-    exactly, so constant polygons stay bitwise fixed under the flows.  A
+    """Vertex average, every column summed by one reduce.  Columns with
+    all-equal entries return that value exactly, in place of a sum that may
+    overflow, so constant polygons stay bitwise fixed under the flows.  A
     column whose sum passes float max is summed again times the exact power
     of two of :func:`_shift_near_one` for its largest |entry|, and scaled
-    back after dividing by n, so a finite mean is not lost to an
-    overflowing sum; every other column keeps the bits of its plain mean.
-    No numpy warning escapes."""
+    back after dividing by n, so a finite mean is not lost to an overflowing
+    sum; every other column keeps the bits of its plain mean.  No numpy
+    warning escapes."""
     v = np.ascontiguousarray(x.vertices.T)  # a row per coordinate sums as a column's mean does
     first = v[:, 0]
     varies = (v != first[:, None]).any(axis=1)
-    out = first.copy()  # a constant column is not summed: its sum may overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        out[varies] = np.add.reduce(v[varies], axis=1) / x.n
+        out = np.where(varies, np.add.reduce(v, axis=1) / x.n, first)
         overflowed = ~np.isfinite(out)
         if overflowed.any():
             shifts = np.array([[_shift_near_one(c)] for c in np.abs(v[overflowed]).max(axis=1).tolist()])
@@ -392,9 +392,10 @@ def _state_slices(blocks):
 def load_polygon_json(path) -> Polygon:
     """Read a ``{"dim": p, "vertices": [[x1, ..., xp], ...]}`` document.
 
-    One pass over the whole vertex list checks its shape and that every
-    coordinate is a JSON number, and numpy converts it.  Only a document that
-    fails a check is walked row by row, to name its first bad vertex.
+    One pass over the vertex list checks its shape, one over the flattened
+    list that every coordinate is a JSON number, and numpy converts that.
+    Only a document that fails a check is walked row by row, to name its
+    first bad vertex.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
@@ -414,13 +415,10 @@ def load_polygon_json(path) -> Polygon:
         raise PolygonFormatError(f'"dim" must be an integer >= 2, got {dim!r}')
     if not isinstance(rows, list) or not rows:
         raise PolygonFormatError('"vertices" must be a non-empty list')
-    if (
-        set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {dim}
-        and set(map(type, chain.from_iterable(rows))) <= {int, float}  # bools are not numbers
-    ):
+    flat = set(map(type, rows)) == {list} and set(map(len, rows)) == {dim} and list(chain.from_iterable(rows))
+    if flat and set(map(type, flat)) <= {int, float}:  # bools are not numbers
         try:
-            v = np.array(rows, dtype=float)
+            v = np.array(flat, dtype=float).reshape(len(rows), dim)
         except OverflowError:  # an integer beyond float range
             pass
         else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +92,16 @@ def _basis_norms_sq(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
 
 
+@lru_cache(maxsize=64)
+def _basis_columns(n: int) -> tuple[np.ndarray, ...]:
+    """:func:`_basis_norms_sq` read-only, as is, as columns, the sine vectors' rows, c_sq with 0 at k = 0."""
+    c_sq, s_sq = _basis_norms_sq(n)
+    tables = (c_sq, s_sq, c_sq[:, None], s_sq[:, None], s_sq[:, None] > 0.0, np.append(0.0, c_sq[1:])[:, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _shifted_pair_masses(alpha, beta, c_sq, s_sq) -> tuple[np.ndarray, int]:
     """The pair masses of the coefficients times ``2**shift``, and ``shift``.
 
@@ -100,8 +111,8 @@ def _shifted_pair_masses(alpha, beta, c_sq, s_sq) -> tuple[np.ndarray, int]:
     |alpha| or |beta|; inside its band the shift is 0 and every value is as
     if unshifted.  Ratios of the shifted masses are the true ratios.
     """
-    shift = _shift_near_one(max(np.abs(alpha).max(), np.abs(beta).max()))
-    alpha, beta = np.ldexp(alpha, shift), np.ldexp(beta, shift)
+    shift = _shift_near_one(np.abs(np.concatenate((alpha, beta))).max())
+    alpha, beta = (np.ldexp(alpha, shift), np.ldexp(beta, shift)) if shift else (alpha, beta)
     return np.sqrt(c_sq * np.sum(alpha**2, axis=1) + s_sq * np.sum(beta**2, axis=1)), shift
 
 
@@ -110,10 +121,10 @@ def decompose(x: Polygon) -> SpectralDecomposition:
 
     One real FFT of the centered coordinates gives every k >= 1 mode, and
     pairs below the presence threshold or the centering noise floor are
-    flushed to exact zero, at any scale and translation of the polygon.
-    ``column_shifts`` is taken of the coefficients left.  Raises
-    :class:`FlowRangeError`, without numpy warnings, when a coefficient
-    overflows, as it can for coordinates near float max; a
+    flushed to exact zero, at any scale and translation of the polygon, and
+    ``column_shifts`` is taken of the coefficients left by one ``frexp``;
+    no step that would change no bit is run.  Raises :class:`FlowRangeError`,
+    without numpy warnings, when a coefficient overflows near float max; a
     coordinate sum past float max alone is not refused, since
     :func:`centroid` sums such a column again near one.  The spectrum check
     covers the centroid too: a non-finite centroid makes its whole centered
@@ -121,32 +132,29 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     """
     if x.n < 3:
         raise ValueError(f"decomposition needs n >= 3, got n = {x.n}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+    c_sq, s_sq, c_col, s_col, paired, _ = _basis_columns(x.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below; a mass may be inf
         mean = centroid(x)
         # rfft sums v_j exp(-2 pi i jk/n): Re projects onto cos, -Im onto sin
-        spectrum = np.fft.rfft(x.vertices - mean[None, :], axis=0)
+        spectrum = np.fft.rfft(x.vertices - mean, axis=0)
         planar = circulant.idft(x.as_complex()) if x.p == 2 else None
-    if not (np.isfinite(spectrum).all() and (planar is None or np.isfinite(planar).all())):
-        raise FlowRangeError("the mode coefficients of the polygon leave floating range")
-    c_sq, s_sq = _basis_norms_sq(x.n)
-    alpha = spectrum.real / c_sq[:, None]
-    alpha[0] = mean
-    beta = np.zeros_like(alpha)
-    np.divide(-spectrum.imag, s_sq[:, None], out=beta, where=s_sq[:, None] > 0.0)
-
-    shifted, shift = _shifted_pair_masses(alpha, beta, c_sq, s_sq)
-    floor = max(
-        PRESENCE_RELATIVE_THRESHOLD * shifted[1:].max(),
-        CENTERING_NOISE_EPS * np.finfo(float).eps * shifted[0],
-    )
-    flushed = shifted <= floor
-    flushed[0] = False
-    alpha[flushed] = beta[flushed] = shifted[flushed] = 0.0
-    present = np.flatnonzero(~flushed[1:]) + 1
-    with np.errstate(over="ignore"):  # a norm beyond float range is inf
-        masses = np.ldexp(shifted, -shift)
-    largest = np.maximum(np.abs(alpha[1:]).max(axis=0), np.abs(beta).max(axis=0))
-    column_shifts = np.array([_shift_near_one(c) for c in largest.tolist()])
+        if not (np.isfinite(spectrum).all() and (planar is None or np.isfinite(planar).all())):
+            raise FlowRangeError("the mode coefficients of the polygon leave floating range")
+        alpha = spectrum.real / c_col
+        alpha[0] = mean
+        beta = np.divide(-spectrum.imag, s_col, out=np.zeros_like(alpha), where=paired)
+        shifted, shift = _shifted_pair_masses(alpha, beta, c_sq, s_sq)
+        noise = CENTERING_NOISE_EPS * np.finfo(float).eps * shifted[0]
+        floor = max(PRESENCE_RELATIVE_THRESHOLD * shifted[1:].max(), noise)
+        flushed = shifted <= floor
+        flushed[0] = False
+        present = np.flatnonzero(~flushed)[1:]
+        if present.size < x.n // 2:
+            alpha[flushed] = beta[flushed] = shifted[flushed] = 0.0
+        masses = np.ldexp(shifted, -shift) if shift else shifted
+        largest = np.abs(np.concatenate((alpha[1:], beta))).max(axis=0)
+        exponent = np.frexp(largest)[1].astype(np.int64)  # _shift_near_one of each column
+        column_shifts = np.where(np.abs(exponent) > 400, -exponent, 0)
     for array in [alpha, beta, masses, present, column_shifts] + ([planar] if x.p == 2 else []):
         array.flags.writeable = False
     return SpectralDecomposition(x.n, x.p, alpha, beta, planar, masses, present, column_shifts)
@@ -161,12 +169,11 @@ def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
 def _shape_spectrum(dec: SpectralDecomposition) -> np.ndarray:
     """The rfft spectrum of the shape modes, each column times 2^its shift,
     0 at k = 0: the mean is added exactly, and n * centroid can overflow."""
-    c_sq, s_sq = _basis_norms_sq(dec.n)
-    c_sq[0] = 0.0
-    alpha = dec.alpha.copy()
-    np.ldexp(alpha[1:], dec.column_shifts, alpha[1:])
-    beta = np.ldexp(dec.beta, dec.column_shifts)
-    return c_sq[:, None] * alpha - 1j * (s_sq[:, None] * beta)
+    _, _, _, s_col, _, shape_c = _basis_columns(dec.n)
+    alpha, beta, shifts = dec.alpha, dec.beta, dec.column_shifts
+    if shifts.any():  # the mean is not shifted
+        alpha, beta = np.vstack([alpha[:1], np.ldexp(alpha[1:], shifts)]), np.ldexp(beta, shifts)
+    return shape_c * alpha - 1j * (s_col * beta)
 
 
 @dataclass(frozen=True)
@@ -184,10 +191,10 @@ class FlowSolution:
     or a 1-D sequence of times: each block of up to 64 times costs one
     ``exp`` over a (times x modes) array and one ``irfft`` over a
     (times, n//2+1, p) spectrum, scaled back before the mean is added, and
-    every sample has the bits that evaluating its time alone gives.  The
-    block is checked once and made read-only, and its samples are views of
-    it.  ``offset``, an
-    (n, p) array or None, is added to every sample of :meth:`polygon_at`:
+    every sample has the bits that evaluating its time alone gives.  A block
+    passing one ``max`` and one ``isfinite`` is made read-only, its samples
+    views of it; only a failing one is searched for the time that failed.
+    ``offset`` (n x p, or None) is added to every :meth:`polygon_at` sample:
     the Yau flow is the flow of X0 - Y offset by its target Y.
     """
 
@@ -216,7 +223,7 @@ class FlowSolution:
         given = [t] if scalar else list(t)  # a Python int is named in errors as passed
         times = times.reshape(-1)
         dec, present = self.decomposition, self.decomposition.present
-        rates = self.mode_rates[present] - rate_shift
+        rates = self.mode_rates[present] - rate_shift if rate_shift else self.mode_rates[present]
         unshifts = -dec.column_shifts if dec.column_shifts.any() else None
         samples = []
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
@@ -232,10 +239,10 @@ class FlowSolution:
                     out += dec.alpha[0]
                     if self.offset is not None:
                         out += self.offset
-                overflowing = exponents > _EXP_LIMIT
-                failed = np.flatnonzero(overflowing.any(axis=1) | ~np.isfinite(out).all(axis=(1, 2)))
-                if failed.size:
-                    i = failed[0]
+                if exponents.max(initial=-math.inf) > _EXP_LIMIT or not np.isfinite(out).all():
+                    overflowing = exponents > _EXP_LIMIT
+                    failed = overflowing.any(axis=1) | ~np.isfinite(out).all(axis=(1, 2))
+                    i = np.argmax(failed)  # the earliest failing time
                     t_bad = given[start + i]
                     if type(t_bad) is not int:  # numpy scalars too: named as the float held
                         t_bad = float(times[start + i])

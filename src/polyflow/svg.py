@@ -8,9 +8,9 @@ instead of being rescaled per frame.  The y axis is flipped to the usual
 mathematical orientation.  :func:`write` only writes the document.
 
 Every number in the document is a :func:`polygon.format_floats` cell, the
-``repr`` of its float64, made once: the viewBox in one call, the four stroke
-numbers (the width, the initial polygon's 1.8x width and the target's dash
-lengths) in another, and the vertex coordinates as the ``x,y`` rows that
+``repr`` of its float64, made once: the viewBox and the four stroke numbers
+(the width, the initial polygon's 1.8x width and the target's dash lengths)
+in one call, and the vertex coordinates as the ``x,y`` rows that
 :func:`polygon.format_samples` makes a block of polygons at a time.  The
 samples may come with rows already made, as the CLI's flow samples carry
 those of the trajectory CSV.  The y flip is made on that text, by toggling
@@ -60,9 +60,10 @@ def render(
     if width is None:
         width = extent / 150.0 if extent > 0.0 else 0.01
     pad = 0.05 * extent if extent > 0.0 else 1.0
-    # y axis flipped: view spans [-y_max, -y_min]
-    view = format_floats([x0 - pad, -y1 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad])
-    thin, thick, dash_on, dash_off = format_floats([width, 1.8 * width, 4.0 * width, 3.0 * width])
+    # y axis flipped: view spans [-y_max, -y_min]; then the four stroke numbers
+    *view, thin, thick, dash_on, dash_off = format_floats(
+        [x0 - pad, -y1 - pad, x1 - x0 + 2 * pad, y1 - y0 + 2 * pad, width, 1.8 * width, 4.0 * width, 3.0 * width]
+    )
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -427,6 +427,26 @@ def test_analyze_decomposes_once(tmp_path, rng, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["dominant_mode"] == 1
 
 
+@pytest.mark.parametrize("constant", [False, True])
+def test_analyze_formats_its_report_in_one_call(rng, monkeypatch, constant):
+    """Every number of the report (alpha, beta, the masses, the rates, the
+    energy and, when there are limits, their vertices) is a cell of one
+    ``format_floats`` call."""
+    calls = []
+    format_floats = cli.format_floats
+
+    def counted(values):
+        calls.append(np.size(values))
+        return format_floats(values)
+
+    n, p = 7, 2
+    x = helpers.constant_polygon([1.0, -2.0], n) if constant else helpers.random_polygon(rng, n, p)
+    monkeypatch.setattr(cli, "format_floats", counted)
+    report = json.loads(cli._analyze_json(x, 2, "counted.json"))
+    assert (report["forward_limit"] is None) == constant
+    assert calls == [(n // 2 + 1) * (2 * p + 2) + 1 + (0 if constant else 2 * n * p)]
+
+
 def test_ancient_overflow_exits_four(tmp_path, capsys):
     path = tmp_path / "hex.json"
     helpers.save_polygon_json(eigen_polygon(6, 1), path)

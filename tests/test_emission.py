@@ -137,6 +137,18 @@ def test_svg_render_refuses_a_non_planar_polygon(slot):
         svg.render(*figure)
 
 
+@pytest.mark.parametrize("with_target", [False, True])
+def test_svg_render_formats_its_figure_numbers_in_one_call(monkeypatch, with_target):
+    """The viewBox and the four stroke numbers are the cells of one
+    ``format_floats`` call; the points come from ``format_samples``."""
+    calls = []
+    format_floats = svg.format_floats
+    monkeypatch.setattr(svg, "format_floats", lambda values: calls.append(len(values)) or format_floats(values))
+    initial, sample = (Polygon(awkward_vertices(seed, 5, 2)) for seed in (0, 1))
+    svg.render([sample], initial, initial if with_target else None)
+    assert calls == [8]
+
+
 def test_the_text_flip_is_the_negation():
     """For every finite double y, ``repr(-y)`` is ``repr(y)`` with its
     leading sign toggled, so flipping the text of a row flips its y."""
