@@ -71,6 +71,9 @@ def _flow_rates(n: int, m: int, modes) -> list[float]:
     ``modes``, kk the index of mode k folded to min(k, n - k) mod n, so that
     paired modes share one float.
 
+    This is the one rate formula: :func:`flow_eigenvalue` applies it to one
+    mode and :func:`flow_eigenvalues` to k = 0..n/2.
+
     sin^2 is special-cased where it has an exact binary value (1, 3/4, 1/2,
     1/4 at kk = n/2, n/3, n/4, n/6) so that e.g. the dominant eigenvalue for
     n = 6 is exactly -1.  Raises OverflowError naming n, m and the k of the
@@ -145,7 +148,8 @@ def folded(entries, n: int) -> list[tuple[int, int | float]]:
     """Sparse (offset, value) ``entries`` of a size-n circulant's first row,
     at any integer offsets, as (offset, value) pairs in ascending offset:
     values at offsets equal mod n summed (exactly, for ints), each offset
-    folded to (-n/2, n/2], and zero sums dropped."""
+    folded to (-n/2, n/2], and zero sums dropped.  This is the one offset
+    fold: :func:`matvec` and the RK4 step and power rows read it."""
     sums = {}
     for s, c in entries:
         s %= n
@@ -170,7 +174,8 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     stencil does not wrap.  One gather makes a shifted copy of ``values``
     per nonzero entry, one elementwise multiply weights them, so zero
     entries contribute no ``0 * inf``, and one ``np.add.reduce`` sums them.
-    ``values`` with other than n rows is a ValueError.
+    The result is bitwise what one index gather per entry gives.  ``values``
+    with other than n rows is a ValueError.
     """
     values = np.asarray(values)
     n = a.n
@@ -210,8 +215,9 @@ _AXES = (1 + 0j, 1j, -1 + 0j, -1j)  # the roots at quarter turns, exact
 
 @lru_cache(maxsize=64)
 def roots_of_unity(n: int) -> np.ndarray:
-    """Read-only ``exp(2*pi*i*a/n)`` for a = 0..n-1: Fourier matrix and
-    cosine/sine basis entries are lookups at index ``j * k mod n``.
+    """Read-only ``exp(2*pi*i*a/n)`` for a = 0..n-1, the one root table:
+    Fourier matrix and cosine/sine basis entries are lookups at index
+    ``j * k mod n``.
 
     Quarter-turn multiples are exact (+-1, +-i) and the lower half plane is
     the bitwise conjugate of the upper half, so real/imaginary-part bases

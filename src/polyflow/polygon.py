@@ -5,16 +5,8 @@ be non-embedded (edges may cross, vertices may repeat); n = 1 and n = 2 are
 accepted here and rejected only by the flow solvers, which need the size-n
 difference matrix.
 
-Every number written in a table, a figure or a report (the trajectory CSV,
-the SVG, the ``analyze`` JSON and the ``matrix`` eigenvalues alike) is a cell
-of one formatter, :func:`format_floats`, made once: the ``repr`` of each
-float64, the shortest string that reads back to the same double, made for a
-whole array at once.  Only the one-line ``integrate`` summary uses ``repr``,
-so that a run without ``--csv`` never imports orjson.
-:func:`format_samples` makes the same text a row per vertex for a sequence of
-polygons or of RK4 state blocks, a bounded block at a time: one orjson call
-writes a block's rows, and only a row that holds a cell ``repr`` lays out
-differently is made again from :func:`format_floats`.
+Every number polyflow writes follows the one formatter rule, stated at
+:func:`format_floats` and :func:`format_samples`.
 
 ``Polygon(...)`` copies and checks its data; an array that a check has just
 passed (a loaded file, a flow sample, a kept RK4 state asked for as a
@@ -301,7 +293,16 @@ def _bisected(rows: list, target: int) -> list:
 
 
 def format_floats(values) -> list[str]:
-    """``repr`` of every float64 of ``values``, in C order, byte for byte.
+    """``repr`` of every float64 of ``values``, in C order, byte for byte:
+    the shortest string that reads back to the same double.
+
+    This is the one formatter.  Every number written in a table, a figure or
+    a report (the trajectory CSV's times and coordinates, the SVG's viewBox,
+    stroke widths and points, the whole ``analyze`` JSON and the ``matrix``
+    eigenvalues) is one of its cells, or of the :func:`format_samples` rows
+    made from them, and is made once.  Only the one-line ``integrate``
+    summary uses ``repr`` itself, so that a run without ``--csv`` never
+    imports orjson.
 
     One orjson call writes the shortest round-trip digits of them all.  Its
     text differs from ``repr``'s only where ``repr`` leaves fixed notation,
@@ -490,7 +491,9 @@ def load_polygon_csv(path) -> Polygon:
 
 
 def load_polygon(path) -> Polygon:
-    """Dispatch on extension: .json or .csv."""
+    """Dispatch on extension: .json or .csv.  Either is UTF-8 text, with or
+    without a leading byte-order mark; any other bytes are a
+    PolygonFormatError."""
     name = str(path)
     try:
         if name.endswith(".json"):

@@ -3,10 +3,10 @@
 The flow is a linear ODE system diagonalized by the DFT, so each cosine/sine
 mode pair evolves by a scalar exponential.  One real FFT projects a polygon in
 any dimension p >= 2 onto every pair, and one inverse real FFT evaluates the
-solution at a block of up to 64 times, each sample bitwise what evaluating
-its time alone gives.  Planar polygons also carry the complex eigenpolygon
-coefficients from the dense inverse DFT, kept as an independent cross-check
-path.
+solution at a block of up to 64 times, O(n log n) a transform of a column,
+each sample bitwise what evaluating its time alone gives.  Planar polygons
+also carry the complex eigenpolygon coefficients from the dense inverse DFT,
+kept as an independent cross-check path.
 """
 from __future__ import annotations
 
@@ -34,7 +34,10 @@ _TIMES_PER_TRANSFORM = 64
 # polygons exactly self-similar, wherever they sit.  Centering noise measured
 # on 16 000 translated pure pairs (n = 3..1024, p = 2, 3, offsets 10..1e14
 # times the shape) stayed at or below 0.32 eps times the centroid's norm: 4
-# leaves a 12x margin.
+# leaves a 12x margin.  So a random unit 7-gon keeps its modes up to an offset
+# of 1e14 and flows as its centroid from about 1e15, where float64 no longer
+# resolves its shape at that offset; a translated flow agrees with the
+# untranslated one plus the offset to within the floor.
 PRESENCE_RELATIVE_THRESHOLD = 1e-12
 CENTERING_NOISE_EPS = 4.0
 
@@ -85,17 +88,14 @@ class SelfSimilarity:
     is_trivial: bool
 
 
-def _basis_norms_sq(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms of the cosine and sine vectors for k = 0..floor(n/2)."""
-    k = np.arange(n // 2 + 1)
-    unpaired = (k == 0) | (2 * k == n)  # the sine vector is zero
-    return np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
-
-
 @lru_cache(maxsize=64)
 def _basis_columns(n: int) -> tuple[np.ndarray, ...]:
-    """:func:`_basis_norms_sq` read-only, as is, as columns, the sine vectors' rows, c_sq with 0 at k = 0."""
-    c_sq, s_sq = _basis_norms_sq(n)
+    """The squared norms c_sq and s_sq of the cosine and sine vectors for
+    k = 0..floor(n/2), read-only: as they are, as columns, the sine vectors'
+    rows (s_sq > 0) as a column, and c_sq with 0 at k = 0 as a column."""
+    k = np.arange(n // 2 + 1)
+    unpaired = (k == 0) | (2 * k == n)  # the sine vector is zero
+    c_sq, s_sq = np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
     tables = (c_sq, s_sq, c_sq[:, None], s_sq[:, None], s_sq[:, None] > 0.0, np.append(0.0, c_sq[1:])[:, None])
     for table in tables:
         table.flags.writeable = False

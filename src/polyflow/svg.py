@@ -7,16 +7,8 @@ everything drawn (5% margin), so successive flow samples visibly shrink
 instead of being rescaled per frame.  The y axis is flipped to the usual
 mathematical orientation.  :func:`write` only writes the document.
 
-Every number in the document is a :func:`polygon.format_floats` cell, the
-``repr`` of its float64, made once: the viewBox and the four stroke numbers
-(the width, the initial polygon's 1.8x width and the target's dash lengths)
-in one call, and the vertex coordinates as the ``x,y`` rows that
-:func:`polygon.format_samples` makes a block of polygons at a time.  The
-samples may come with rows already made, as the CLI's flow samples carry
-those of the trajectory CSV.  The y flip is made on that text, by toggling
-the sign after each comma.  This is exact: for every finite double y,
-``repr(-y)`` is ``repr(y)`` with a leading ``-`` added or removed, ±0.0
-included.
+Every number in the document is written by the one formatter rule of
+:func:`polygon.format_floats` and :func:`polygon.format_samples`.
 """
 from __future__ import annotations
 
@@ -30,7 +22,10 @@ TARGET_STROKE = "#c02020"
 
 
 def _flip_y(points: str) -> str:
-    """Space-separated ``x,y`` text as the ``x,-y`` text of the same doubles."""
+    """Space-separated ``x,y`` text as the ``x,-y`` text of the same doubles,
+    by toggling the sign after each comma.  This is exact: for every finite
+    double y, ``repr(-y)`` is ``repr(y)`` with a leading ``-`` added or
+    removed, ±0.0 included."""
     return points.replace(",", ",-").replace(",--", ",")
 
 
@@ -47,7 +42,11 @@ def render(
     ``dash_target``, then the initial polygon in a 1.8x stroke, then the flow
     samples.  The default width scales with the drawing.  ``sample_rows``
     holds the ``format_samples`` rows of each sample, if they have been made
-    already.  Every polygon must be planar."""
+    already, as the CLI's flow samples carry those of the trajectory CSV.
+    Every polygon must be planar.  The viewBox and the four stroke numbers
+    (the width, the initial polygon's 1.8x width and the target's two dash
+    lengths) are cells of one ``format_floats`` call, the vertex
+    coordinates ``format_samples`` rows, a block of polygons at a time."""
     drawn = ([] if target is None else [target]) + [initial, *samples]
     for q in drawn:
         if q.p != 2:
@@ -60,10 +59,10 @@ def render(
     if width is None:
         width = extent / 150.0 if extent > 0.0 else 0.01
     pad = 0.05 * extent if extent > 0.0 else 1.0
-    # y axis flipped: view spans [-y_max, -y_min]; then the four stroke numbers
-    *view, thin, thick, dash_on, dash_off = format_floats(
-        [x0 - pad, -y1 - pad, x1 - x0 + 2 * pad, y1 - y0 + 2 * pad, width, 1.8 * width, 4.0 * width, 3.0 * width]
-    )
+    # y axis flipped: view spans [-y_max, -y_min]; then the four stroke numbers.  A pad that
+    # underflows to 0.0 leaves a bound a zero of the sign min or max picked: + 0.0 writes 0.0
+    view = [x0 - pad + 0.0, -y1 - pad + 0.0, x1 - x0 + 2 * pad + 0.0, y1 - y0 + 2 * pad + 0.0]
+    *view, thin, thick, dash_on, dash_off = format_floats(view + [width, 1.8 * width, 4.0 * width, 3.0 * width])
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -506,7 +506,7 @@ def figure_svg(samples, initial, target, stroke_width, dash_target):
     if width is None:
         width = extent / 150.0 if extent > 0.0 else 0.01
     pad = 0.05 * extent if extent > 0.0 else 1.0
-    view = (x0 - pad, -y1 - pad, x1 - x0 + 2 * pad, y1 - y0 + 2 * pad)
+    view = (x0 - pad + 0.0, -y1 - pad + 0.0, x1 - x0 + 2 * pad + 0.0, y1 - y0 + 2 * pad + 0.0)  # no -0.0 bound
 
     def element(q, stroke, w, dash=""):
         return (f'<polygon points="{vertex_svg_points(q)}" stroke="{stroke}" '
@@ -562,7 +562,7 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
         )
     factors = np.zeros((dec.n // 2 + 1, 1))
     factors[present, 0] = np.exp(exponents)
-    c_sq, s_sq = spectral_flow._basis_norms_sq(dec.n)
+    c_sq, s_sq = (row.copy() for row in spectral_flow._basis_columns(dec.n)[:2])  # read-only tables
     largest = [max(np.abs(dec.alpha[1:, i]).max(), np.abs(dec.beta[:, i]).max()) for i in range(dec.p)]
     exponent = [math.frexp(float(c))[1] for c in largest]
     shifts = np.array([-e if abs(e) > 400 else 0 for e in exponent])

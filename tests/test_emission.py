@@ -2,6 +2,7 @@
 and per-vertex formatters in ``helpers``."""
 import contextlib
 import io
+import itertools
 import os
 import re
 import sys
@@ -125,6 +126,23 @@ def test_svg_document_matches_the_element_wise_writer(
     rows = list(polygon.format_samples(samples)) if with_rows else None
     document = svg.render(samples, initial, target, stroke_width, dash_target, rows)
     assert document == helpers.figure_svg(samples, initial, target, stroke_width, dash_target)
+
+
+def test_a_subnormal_figure_writes_no_negative_zero_bound():
+    """A figure a few subnormals wide pads by 0.05 * extent = 0.0, so a
+    bound is a zero of whichever sign min or max picked: numpy's and
+    Python's pick differently.  Every triangle with x in {±0.0, ±5e-324}^3
+    and y in {±0.0}^3 matches the element-wise writer, and no viewBox
+    number reads -0.0."""
+    values = itertools.product(SPECIAL[:4].tolist(), repeat=3)
+    triangles = [Polygon(np.column_stack([x, y])) for x in values for y in itertools.product([0.0, -0.0], repeat=3)]
+    assert len(triangles) == 512
+    documents = [svg.render([q], q) for q in triangles]
+    differing = [q.vertices.tolist() for q, document in zip(triangles, documents)
+                 if document != helpers.figure_svg([q], q, None, None, True)]
+    assert not differing, f"{len(differing)} of 512 differ from the oracle, first {differing[0]}"
+    views = [re.search(r'viewBox="([^"]*)"', document).group(1).split() for document in documents]
+    assert not [view for view in views if "-0.0" in view]
 
 
 @pytest.mark.parametrize("slot", ["sample", "initial", "target"])
