@@ -15,10 +15,15 @@ A subcommand imports only the modules it runs: ``integrate`` loads the RK4
 module :mod:`polyflow.integrate`, ``yau`` and ``integrate --target`` load
 :mod:`polyflow.yau_flow`, and ``--svg`` loads :mod:`polyflow.svg`, each in
 the function that first calls it.  ``matrix``, ``flow`` and ``analyze``
-load none of the three.  A job is milliseconds of numpy, so a call is
-mostly its process start-up: on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4)
-importing numpy takes 70-110 ms, and ``from polyflow import cli`` about
-38 ms without a bytecode cache and 11 ms with one.  Every numeric range
+load none of the three.  orjson is loaded by the first JSON input of a
+run that writes a float array, to parse it, or else by the first such
+array: ``integrate`` without ``--csv`` writes none, so it parses its JSON
+inputs with ``json`` alone (``json_only``) and never loads orjson.
+
+A job is milliseconds of numpy, so a call is mostly its process start-up:
+on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) importing numpy takes
+70-110 ms, and ``from polyflow import cli`` about 38 ms without a bytecode
+cache and 11 ms with one.  Every numeric range
 error, ``FlowRangeError`` and ``DivergenceError`` among them, is an
 ``OverflowError`` (exit 4).
 """
@@ -156,8 +161,11 @@ def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
     return times
 
 
-def load_flow_polygon(path) -> Polygon:
-    poly = load_polygon(path)
+def load_flow_polygon(path, json_only: bool = False) -> Polygon:
+    """The polygon at ``path``, of n >= 3 vertices.  ``json_only`` is
+    :func:`polygon.load_polygon_json`'s: a run that writes no float array
+    parses JSON with ``json`` alone, and so never imports orjson."""
+    poly = load_polygon(path, json_only=json_only)
     if poly.n < 3:
         raise PolygonFormatError(f"flows need n >= 3 vertices, got {poly.n}")
     return poly
@@ -268,16 +276,19 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
     destinations and ``cmd_flow`` that a figure's polygons are planar.  Each
     sample is formatted once: with a figure, its vertex rows are made first
     and go into both writers, so the table is the same bytes with or without
-    it; without one, the table formats a block of samples at a time."""
+    it; without one, the table formats a block of samples at a time.  The
+    figure is rendered before the table is written, so that a figure refused
+    for a number beyond float range leaves no file."""
     samples = solution.polygon_at(times)
     rows = list(format_samples(samples)) if args.svg_path else None
-    if args.csv_path:
-        write_trajectory_csv(args.csv_path, times, samples, rows)
-        print(f"wrote {args.csv_path}")
     if args.svg_path:
         from . import svg
 
         document = svg.render(samples, initial, target, args.stroke_width, dash_target, rows)
+    if args.csv_path:
+        write_trajectory_csv(args.csv_path, times, samples, rows)
+        print(f"wrote {args.csv_path}")
+    if args.svg_path:
         svg.write(document, args.svg_path)
         print(f"wrote {args.svg_path}")
     if not args.csv_path and not args.svg_path:
@@ -298,12 +309,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flow_toward_target(args: argparse.Namespace, x0: Polygon):
+def _flow_toward_target(args: argparse.Namespace, x0: Polygon, json_only: bool = False):
     """Load ``--target`` and reconcile x0 with it: the problem and its exact
     solution.  Polygons of different dimensions are an input error."""
     from .yau_flow import yau_flow_between
 
-    target = load_flow_polygon(args.target_path)
+    target = load_flow_polygon(args.target_path, json_only)
     try:
         return yau_flow_between(x0, target, args.m, args.strategy)
     except ValueError as exc:
@@ -412,11 +423,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     if not math.isfinite(args.t_final / args.dt):
         raise CliArgumentError("the step count --T / --dt must be finite")
-    x0 = load_flow_polygon(args.input_path)
+    json_only = not args.csv_path  # no table, no float array written: orjson stays unloaded
+    x0 = load_flow_polygon(args.input_path, json_only)
     if args.m > circulant.M_MAX:  # refused as `matrix` refuses it, before any work; the integrator builds M^m
         _power_of_m(x0.n, args.m)
     if args.target_path:
-        problem, exact = _flow_toward_target(args, x0)
+        problem, exact = _flow_toward_target(args, x0, json_only)
         x0 = problem.initial
         kind = integrate.YauKind(m=args.m, target=problem.target)
         reference = exact.polygon_at(args.t_final)

@@ -12,6 +12,8 @@ Every number in the document is written by the one formatter rule of
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .polygon import format_floats, format_samples
@@ -46,7 +48,10 @@ def render(
     Every polygon must be planar.  The viewBox and the four stroke numbers
     (the width, the initial polygon's 1.8x width and the target's two dash
     lengths) are cells of one ``format_floats`` call, the vertex
-    coordinates ``format_samples`` rows, a block of polygons at a time."""
+    coordinates ``format_samples`` rows, a block of polygons at a time.
+    A viewBox bound or a stroke number the document holds that is beyond
+    float range, such as the extent of vertices near -float max and float
+    max, or 1.8 times a width of 1e308, raises OverflowError."""
     drawn = ([] if target is None else [target]) + [initial, *samples]
     for q in drawn:
         if q.p != 2:
@@ -62,7 +67,11 @@ def render(
     # y axis flipped: view spans [-y_max, -y_min]; then the four stroke numbers.  A pad that
     # underflows to 0.0 leaves a bound a zero of the sign min or max picked: + 0.0 writes 0.0
     view = [x0 - pad + 0.0, -y1 - pad + 0.0, x1 - x0 + 2 * pad + 0.0, y1 - y0 + 2 * pad + 0.0]
-    *view, thin, thick, dash_on, dash_off = format_floats(view + [width, 1.8 * width, 4.0 * width, 3.0 * width])
+    numbers = view + [width, 1.8 * width, 4.0 * width, 3.0 * width]
+    held = numbers if target is not None and dash_target else numbers[:6]  # the dash lengths, if drawn
+    if not all(map(math.isfinite, held)):
+        raise OverflowError("an SVG figure number (a viewBox bound or a stroke length) is beyond float range")
+    *view, thin, thick, dash_on, dash_off = format_floats(numbers)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

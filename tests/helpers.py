@@ -7,6 +7,7 @@ fits, and the Fourier-sandwich solution are implemented from scratch.
 import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -691,3 +692,26 @@ def checked_rows(rows, dim):
             raise PolygonFormatError(f"vertex {idx} has a non-finite entry")
         out.append(coords)
     return out
+
+
+def loader_edge_documents():
+    """JSON polygon files, name and bytes, on which a fast parser could part
+    from ``json``: an extra key, duplicate keys (the last is kept), NaN, a
+    literal past float range, integers past 2^64, a 4301-digit integer (past
+    Python's int-to-str limit), a bool ``dim``, a byte-order mark, and under
+    an extra key nesting as deep as the recursion limit, which ``json``
+    refuses."""
+    triangle = "[[0, 0], [2, 0], [1, 1.6]]"
+    depth = sys.getrecursionlimit()
+    documents = {
+        "extra_key": f'{{"dim": 2, "vertices": {triangle}, "name": "triangle"}}',
+        "duplicate_keys": f'{{"dim": 3, "vertices": [[1, 2, 3]], "dim": 2, "vertices": {triangle}}}',
+        "nan": '{"dim": 2, "vertices": [[0, 0], [NaN, 0], [1, 1.6]]}',
+        "past_float_range": '{"dim": 2, "vertices": [[0, 0], [1e400, 0], [1, 1.6]]}',
+        "past_2_64": '{"dim": 2, "vertices": [[18446744073709551617, 0], [-36893488147419103233, 1], [0, 1.6]]}',
+        "digits_4301": '{"dim": 2, "vertices": [[0, 0], [1' + "0" * 4300 + ', 0], [1, 1.6]]}',
+        "bool_dim": f'{{"dim": true, "vertices": {triangle}}}',
+        "byte_order_mark": f'\ufeff{{"dim": 2, "vertices": {triangle}}}',
+        "deep_extra_key": f'{{"dim": 2, "vertices": {triangle}, "x": {"[" * depth}{"]" * depth}}}',
+    }
+    return [(f"{name}.json", text.encode()) for name, text in documents.items()]

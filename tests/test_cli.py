@@ -346,6 +346,27 @@ def test_bad_schedule_exits_two(pentagon_file, capsys):
         assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    ("rows", "options"),
+    [
+        ([[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]], ["--stroke-width", "1e308"]),
+        ([[-9e307, 0.0], [9e307, 0.0], [0.0, 1.0], [-8e307, 1.0]], ["--count", "2"]),
+    ],
+    ids=["initial_stroke_width", "view_extent"],
+)
+def test_a_figure_number_beyond_float_range_exits_four_and_writes_no_file(tmp_path, capsys, rows, options):
+    """1.8 times a stroke width of 1e308, and the extent of vertices from
+    -9e307 to 9e307, are beyond float range: the figure is refused before
+    the table is written, where it used to hold inf."""
+    path = _polygon_file(tmp_path, "in.json", rows)
+    csv_path, svg_path = tmp_path / "traj.csv", tmp_path / "fig.svg"
+    argv = ["flow", "--input", path, "--m", "1", *options, "--csv", str(csv_path), "--svg", str(svg_path)]
+    assert main(argv) == 4
+    message = "an SVG figure number (a viewBox bound or a stroke length) is beyond float range"
+    assert capsys.readouterr() == ("", f"numeric range error: {message}\n")
+    assert not csv_path.exists() and not svg_path.exists()
+
+
 def test_svg_of_non_planar_input_exits_two_before_writing(tmp_path, rng, capsys):
     threed = tmp_path / "threed.json"
     helpers.save_polygon_json(helpers.random_polygon(rng, 5, p=3), threed)
@@ -1046,10 +1067,17 @@ def _usually(draw, usual, extreme):
     return draw(st.sampled_from(usual if draw(st.integers(0, 5)) else extreme))
 
 
+LOADER_EDGE_DOCUMENTS = [data for _, data in helpers.loader_edge_documents()]
+
+
 @st.composite
 def polygon_documents(draw):
     """A JSON or CSV polygon file's name and bytes; one in four holds coordinates near
-    float max or zero, and one in four has up to three bytes deleted, inserted or replaced."""
+    float max or zero, and one in four has up to three bytes deleted, inserted or replaced.
+    One in eight is a JSON document on which orjson and json could part (see
+    ``helpers.loader_edge_documents``), so that both loader paths run."""
+    if not draw(st.integers(0, 7)):
+        return "in.json", draw(st.sampled_from(LOADER_EDGE_DOCUMENTS))
     p, n = _usually(draw, [2], [3, 4]), _usually(draw, [3, 4, 5, 7], [1, 2])
     coordinate = st.floats(-10.0, 10.0)
     if not draw(st.integers(0, 3)):

@@ -145,6 +145,17 @@ def test_a_subnormal_figure_writes_no_negative_zero_bound():
     assert not [view for view in views if "-0.0" in view]
 
 
+def test_svg_render_refuses_a_dash_length_beyond_float_range_only_where_it_is_drawn():
+    """At a width of 5e307 the dash lengths, 4 and 3 times it, are beyond
+    float range and the 1.8x initial stroke is not: only a dashed target
+    holds them."""
+    q = Polygon(awkward_vertices(0, 4, 2))
+    with pytest.raises(OverflowError, match="^an SVG figure number .* is beyond float range$"):
+        svg.render([q], q, q, 5e307, True)
+    for target, dash_target in ((q, False), (None, True)):
+        assert "inf" not in svg.render([q], q, target, 5e307, dash_target)
+
+
 @pytest.mark.parametrize("slot", ["sample", "initial", "target"])
 def test_svg_render_refuses_a_non_planar_polygon(slot):
     planar, spatial = Polygon(awkward_vertices(0, 4, 2)), Polygon(awkward_vertices(1, 4, 3))

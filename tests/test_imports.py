@@ -5,8 +5,9 @@ Package ``__init__`` modules import in order to re-export, and
 ``test_acceptance.py`` is kept exactly as written, so both are exempt from
 the import check.
 
-orjson is imported only by the first float array written as text: a run
-that writes none, such as ``integrate`` without ``--csv``, does not load it.
+orjson is imported by the first JSON input of a run that writes a float
+array as text, or else by the first such array: a run that writes none,
+such as ``integrate`` without ``--csv``, does not load it.
 Nor does the CLI's import load the RK4 module, the Yau flow, the SVG writer,
 ``csv`` or ``heapq``: each subcommand loads only what it runs.  The package
 resolves its names on first use, each read from the module defining it.
@@ -61,10 +62,10 @@ WATCHED = ("orjson", "csv", "heapq", "polyflow.integrate", "polyflow.yau_flow", 
 
 ORJSON_PROBE = """
 import json, sys
-watched = json.loads(sys.argv[1])
+watched, runs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+from polyflow import polygon
 from polyflow.cli import main
-pentagon, triangle, triangle_csv, table, figure = sys.argv[2:]
-seen = set()
+seen, parsed = set(), []
 
 
 def loaded():
@@ -73,38 +74,64 @@ def loaded():
     return new
 
 
-steps = [loaded()]
-for argv in (
-    ["integrate", "--input", pentagon, "--m", "1", "--dt", "0.01", "--T", "0.1"],
-    ["flow", "--input", pentagon, "--m", "1", "--csv", table],
-    ["flow", "--input", pentagon, "--m", "1", "--svg", figure],
-    ["yau", "--input", pentagon, "--target", triangle, "--m", "1", "--strategy", "midpoint"],
-    ["flow", "--input", triangle_csv, "--m", "1"],
-):
+def load_polygon_json(*args, load=polygon.load_polygon_json, **kwargs):
+    result = load(*args, **kwargs)
+    parsed.append("orjson" in sys.modules)
+    return result
+
+
+polygon.load_polygon_json = load_polygon_json
+steps, at_first_load = [loaded()], []
+for argv in runs:
+    parsed.clear()
     assert main(argv) == 0, argv
     steps.append(loaded())
-print(json.dumps(steps))
+    at_first_load.append(parsed[0] if parsed else None)
+print(json.dumps([steps, at_first_load]))
 """
 
 
 @pytest.fixture(scope="module")
-def loaded_per_step(tmp_path_factory):
-    """The watched modules that each step of ORJSON_PROBE loads first, in a
-    fresh interpreter: importing the CLI, a CSV-less ``integrate``,
-    ``flow --csv`` and ``flow --svg`` on a JSON pentagon, a midpoint ``yau``
-    toward a triangle, and ``flow`` on the triangle as CSV."""
+def probe(tmp_path_factory):
+    """Run ORJSON_PROBE over a list of argvs in a fresh interpreter: the
+    watched modules that importing the CLI and then each run loads first,
+    and per run whether orjson was loaded when its first JSON input had
+    been parsed (None for a run that reads no JSON).  In an argv,
+    {pentagon}, {triangle} and {triangle_csv} name input files and {out}
+    a folder for outputs."""
     folder = tmp_path_factory.mktemp("probe")
     pentagon = [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]
     triangle = [[0, 0], [2, 0], [1, 1.6]]
     (folder / "pentagon.json").write_text(json.dumps({"dim": 2, "vertices": pentagon}))
     (folder / "triangle.json").write_text(json.dumps({"dim": 2, "vertices": triangle}))
     (folder / "triangle.csv").write_text("x1,x2\n" + "".join(f"{x},{y}\n" for x, y in triangle))
+    names = {"pentagon": folder / "pentagon.json", "triangle": folder / "triangle.json",
+             "triangle_csv": folder / "triangle.csv", "out": folder}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = [sys.executable, "-c", ORJSON_PROBE, json.dumps(WATCHED), str(folder / "pentagon.json"),
-            str(folder / "triangle.json"), str(folder / "triangle.csv"), str(folder / "flow.csv"),
-            str(folder / "flow.svg")]
-    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=True)
-    return json.loads(run.stdout.splitlines()[-1])
+
+    def run(runs):
+        runs = [[arg.format(**names) for arg in argv] for argv in runs]
+        argv = [sys.executable, "-c", ORJSON_PROBE, json.dumps(WATCHED), json.dumps(runs)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def loaded_per_step(probe):
+    """The watched modules that each step loads first: importing the CLI, a
+    CSV-less ``integrate``, ``flow --csv`` and ``flow --svg`` on a JSON
+    pentagon, a midpoint ``yau`` toward a triangle, and ``flow`` on the
+    triangle as CSV."""
+    steps, _ = probe([
+        ["integrate", "--input", "{pentagon}", "--m", "1", "--dt", "0.01", "--T", "0.1"],
+        ["flow", "--input", "{pentagon}", "--m", "1", "--csv", "{out}/flow.csv"],
+        ["flow", "--input", "{pentagon}", "--m", "1", "--svg", "{out}/flow.svg"],
+        ["yau", "--input", "{pentagon}", "--target", "{triangle}", "--m", "1", "--strategy", "midpoint"],
+        ["flow", "--input", "{triangle_csv}", "--m", "1"],
+    ])
+    return steps
 
 
 def test_orjson_is_loaded_by_the_first_table_only(loaded_per_step):
@@ -116,7 +143,8 @@ def test_orjson_is_loaded_by_the_first_table_only(loaded_per_step):
 
 def test_each_subcommand_loads_only_the_modules_it_runs(loaded_per_step):
     """The CLI's import loads none of the RK4 module, the Yau flow, the SVG
-    writer, ``csv`` or ``heapq``; each is loaded by the first run that uses it."""
+    writer, ``csv`` or ``heapq``; each is loaded by the first run that uses
+    it.  Growing the triangle by two midpoints takes the heap."""
     assert loaded_per_step == [
         [],
         ["polyflow.integrate"],
@@ -125,6 +153,37 @@ def test_each_subcommand_loads_only_the_modules_it_runs(loaded_per_step):
         ["heapq", "polyflow.yau_flow"],
         ["csv"],
     ]
+
+
+INTEGRATE = ["integrate", "--input", "{pentagon}", "--m", "1", "--dt", "0.01", "--T", "0.1"]
+
+
+@pytest.mark.parametrize(
+    ("runs", "steps", "at_first_load"),
+    [
+        (  # a CSV-less integrate toward a JSON target parses both with json alone
+            [INTEGRATE + ["--target", "{triangle}"], ["analyze", "--input", "{pentagon}", "--m", "1"]],
+            [[], ["heapq", "polyflow.integrate", "polyflow.yau_flow"], ["orjson"]],
+            [False, True],
+        ),
+        (
+            [INTEGRATE + ["--target", "{triangle}", "--csv", "{out}/yau_rk4.csv"]],
+            [[], ["heapq", "orjson", "polyflow.integrate", "polyflow.yau_flow"]],
+            [True],
+        ),
+        (
+            [INTEGRATE + ["--csv", "{out}/rk4.csv"], ["flow", "--input", "{triangle_csv}", "--m", "1"]],
+            [[], ["orjson", "polyflow.integrate"], ["csv"]],
+            [True, None],
+        ),
+    ],
+    ids=["integrate_target_then_analyze", "integrate_target_csv", "integrate_csv_then_csv_input"],
+)
+def test_orjson_is_loaded_by_the_first_json_input_of_a_run_that_writes_numbers(probe, runs, steps, at_first_load):
+    """A run that writes a float array (``analyze``, ``integrate --csv``)
+    loads orjson to parse its first JSON input; a CSV-less ``integrate``,
+    with or without ``--target``, never loads it."""
+    assert probe(runs) == [steps, at_first_load]
 
 
 PACKAGE_ALL = [

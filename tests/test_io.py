@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyflow.polygon import (
@@ -160,6 +160,82 @@ def test_json_loader_matches_the_two_pass_loader(tmp_path_factory, doc):
         assert loaded.vertices.shape == expected.vertices.shape
         assert loaded.vertices.tobytes() == expected.vertices.tobytes()
         assert not loaded.vertices.flags.writeable
+
+
+EDGE_DOCUMENTS = helpers.loader_edge_documents()
+# number texts on which orjson and json could part: shortest and long digit
+# strings, integers past 2^64 and past float range, signed zeros, literals
+NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(-(2**1030), 2**1030).map(str),
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]), st.integers(0, 10**25),
+              st.integers(0, 10**25), st.integers(-340, 330)),
+    st.sampled_from(["-0", "-0.0", "-0e0", "1E2", "NaN", "Infinity", "-Infinity", "1e400", "-1e-400",
+                     "2.4703282292062328e-324", "true", "null", '"1"', "[]", "1" * 4301]),
+)
+
+
+@st.composite
+def json_polygon_files(draw):
+    """The bytes of a JSON polygon file: its members shuffled, perhaps an
+    extra or repeated key, a bad ``dim``, a byte-order mark or CRLF line
+    ends, and one in four with up to three bytes deleted, inserted or
+    replaced."""
+    dim = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(NUMBER_TEXTS, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    vertices = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    dim_text = draw(st.sampled_from([str(dim)] * 4 + ["1", "true", f"{dim}.0", f'"{dim}"', "18446744073709551618"]))
+    members = [("dim", dim_text), ("vertices", vertices)]
+    members += draw(st.lists(st.sampled_from([("name", '"pentagon"'), ("dim", "3"), ("vertices", "[[0, 0]]"),
+                                              ("x", "[[[1e400]]]")]), max_size=2))
+    members = draw(st.permutations(members))
+    text = "{" + ", ".join(f'"{key}": {value}' for key, value in members) + "}"
+    if draw(st.booleans()):
+        text = text.replace(", ", ",\r\n")
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
+    if not draw(st.integers(0, 3)):
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(data) - 1))
+            edit, byte = draw(st.sampled_from("dir")), draw(st.sampled_from(b'0-.e,[]{}" \xff'))
+            data = data[:i] + (b"" if edit == "d" else bytes([byte])) + data[i + (edit != "i"):]
+    return data
+
+
+def _loaded(path, json_only):
+    """The polygon's shape and bits, or the refusal's message."""
+    try:
+        v = load_polygon(path, json_only=json_only).vertices
+    except PolygonFormatError as exc:
+        return str(exc)
+    return v.shape, v.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.one_of(json_polygon_files(), st.sampled_from([data for _, data in EDGE_DOCUMENTS])))
+def test_json_loader_paths_give_the_same_bits_or_the_same_message(tmp_path_factory, data):
+    """orjson first, and json for what it does not take, loads what json
+    alone loads, bit for bit, and refuses what json refuses, word for word."""
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    path.write_bytes(data)
+    assert _loaded(path, json_only=False) == _loaded(path, json_only=True)
+
+
+TAKEN_FROM_ORJSON = {"duplicate_keys.json", "past_2_64.json", "byte_order_mark.json"}
+
+
+@pytest.mark.parametrize(("name", "data"), EDGE_DOCUMENTS, ids=[name for name, _ in EDGE_DOCUMENTS])
+def test_json_loader_edge_documents_load_as_json_loads_them(tmp_path, name, data, monkeypatch):
+    """Only a document of exactly "dim" and "vertices" that passes every
+    check is taken from orjson, with the last of repeated keys as json
+    keeps it; json parses every other one."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    expected = _loaded(path, json_only=True)
+    parsed = []
+    monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: parsed.append(text) or loads(text))
+    assert _loaded(path, json_only=False) == expected
+    assert bool(parsed) == (name not in TAKEN_FROM_ORJSON)
 
 
 def test_csv_rejects_bad_rows(tmp_path):
