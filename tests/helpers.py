@@ -715,3 +715,43 @@ def loader_edge_documents():
         "deep_extra_key": f'{{"dim": 2, "vertices": {triangle}, "x": {"[" * depth}{"]" * depth}}}',
     }
     return [(f"{name}.json", text.encode()) for name, text in documents.items()]
+
+
+def csv_loader_edge_documents():
+    """CSV polygon files, name and bytes, on which a plain-text reader could
+    part from the csv module: a byte-order mark, CRLF line ends, quoted
+    cells, blank and whitespace-only lines, a ragged row, a trailing comma,
+    signs and exponents, inf and nan, NUL, a field past the csv module's size
+    limit, ``float``'s digit-group underscore and Arabic-Indic digits, and
+    bad or bare headers."""
+    triangle = "0,0\n2,0\n1,1.6\n"
+    documents = {
+        "byte_order_mark": "\ufeffx1,x2\n" + triangle,
+        "two_marks": "\ufeff\ufeffx1,x2\n" + triangle,
+        "crlf": "x1,x2\r\n0,0\r\n2,0\r\n1,1.6\r\n",
+        "quoted": 'x1,x2\n"0",0\n2,"0"\n1,1.6\n',
+        "quoted_newline": 'x1,x2\n"0\n",0\n1,west\n',
+        "blank_lines": "x1,x2\n\n0,0\n\n2,0\n1,1.6\n\n\n",
+        "whitespace_line": "x1,x2\n0,0\n \n2,0\n1,1.6\n",
+        "ragged": "x1,x2\n0,0\n2\n1,1.6\n",
+        "ragged_pair": "x1,x2\n0,0,0\n2\n1,1.6\n",
+        "trailing_comma": "x1,x2\n0,0,\n2,0,\n1,1.6,\n",
+        "signs_and_exponents": "x1,x2\n+0,-0\n .5 ,1e5\n-1E-3,\t+2.5e+2\n",
+        "inf": "x1,x2\n0,0\n2,inf\n1,1.6\n",
+        "nan": "x1,x2\n0,0\n2,0\nnan,1.6\n",
+        "past_float_range": "x1,x2\n0,0\n1e400,0\n1,1.6\n",
+        "nul": "x1,x2\n0,0\n2,0\x00\n1,1.6\n",
+        "past_field_limit": "x1,x2\n0,0\n1,0." + "0" * 140_000 + "1\n1,1.6\n",
+        "underscore": "x1,x2\n0,0\n1_0,0\n1,1.6\n",
+        "arabic_indic_digit": "x1,x2\n0,0\n\u0661,0\n1,1.6\n",
+        "non_ascii_space": "x1,x2\n0,0\n\u00a02,0\n1,1.6\n",
+        "empty_cell": "x1,x2\n0,0\n,0\n1,1.6\n",
+        "bad_header": "x,y\n" + triangle,
+        "header_trailing_comma": "x1,x2,\n" + triangle,
+        "one_column": "x1\n0\n2\n1\n",
+        "three_columns": "x1,x2,x3\n0,0,0\n2,0,1\n1,1.6,-2\n",
+        "header_only": "x1,x2\n",
+        "no_newline": "x1,x2\n0,0\n2,0\n1,1.6",
+        "empty": "",
+    }
+    return [(f"{name}.csv", text.encode()) for name, text in documents.items()]

@@ -6,10 +6,12 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1042,6 +1044,15 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, pentagon_file, target_
     cli._parser.cache_clear()
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_analyze_refuses_a_csv_cell_that_only_python_reads_as_a_number(tmp_path, capsys, cell):
+    """``float`` reads ``1_0`` as 10 and the Arabic-Indic one as 1; the CSV reader does not."""
+    path = tmp_path / "spelled.csv"
+    path.write_text(f"x1,x2\n0,0\n{cell},0\n1,1.6\n", encoding="utf-8")
+    assert main(["analyze", "--input", str(path), "--m", "1"]) == 3
+    assert capsys.readouterr() == ("", "input error: line 3: non-numeric entry\n")
+
+
 # --- fuzz of main ---------------------------------------------------------------------
 
 EXTREME_NUMBERS = ["1e-320", "5e-324", "1e308", "1.7976931348623157e308", "0", "-1", "inf", "nan", "x"]
@@ -1067,17 +1078,21 @@ def _usually(draw, usual, extreme):
     return draw(st.sampled_from(usual if draw(st.integers(0, 5)) else extreme))
 
 
-LOADER_EDGE_DOCUMENTS = [data for _, data in helpers.loader_edge_documents()]
+LOADER_EDGE_DOCUMENTS = [
+    ("in." + name.rpartition(".")[2], data)
+    for name, data in helpers.loader_edge_documents() + helpers.csv_loader_edge_documents()
+]
 
 
 @st.composite
 def polygon_documents(draw):
     """A JSON or CSV polygon file's name and bytes; one in four holds coordinates near
     float max or zero, and one in four has up to three bytes deleted, inserted or replaced.
-    One in eight is a JSON document on which orjson and json could part (see
-    ``helpers.loader_edge_documents``), so that both loader paths run."""
+    One in eight is a document on which a loader's fast path could part from ``json`` or
+    the csv module (see ``helpers.loader_edge_documents`` and
+    ``helpers.csv_loader_edge_documents``), so that every loader path runs."""
     if not draw(st.integers(0, 7)):
-        return "in.json", draw(st.sampled_from(LOADER_EDGE_DOCUMENTS))
+        return draw(st.sampled_from(LOADER_EDGE_DOCUMENTS))
     p, n = _usually(draw, [2], [3, 4]), _usually(draw, [3, 4, 5, 7], [1, 2])
     coordinate = st.floats(-10.0, 10.0)
     if not draw(st.integers(0, 3)):
@@ -1099,11 +1114,59 @@ def polygon_documents(draw):
     return name, data
 
 
+ARGV_EDITS = ("equals", "abbreviate", "repeat", "missing value", "dash value", "unknown flag", "help",
+              "flag value", "drop")
+
+
+def _edited_argv(draw, argv):
+    """``argv`` with one edit of a shape that only argparse parses, or that the plain-argv
+    table must parse as argparse does: a flag in the ``--flag=value`` form or abbreviated,
+    a flag repeated, a value left out or starting with ``-``, an unknown flag, ``-h``, a
+    value after ``--solid-target``, or a flag dropped."""
+    flags = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+    edit = draw(st.sampled_from(ARGV_EDITS))
+    i = draw(st.sampled_from(flags)) if flags else None
+    valued = i is not None and i + 1 < len(argv) and not argv[i + 1].startswith("--")
+    if edit == "equals" and valued:
+        return argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    if edit == "abbreviate" and i is not None:
+        return argv[:i] + [argv[i][:draw(st.integers(3, len(argv[i])))]] + argv[i + 1:]
+    if edit == "repeat" and valued:  # a path flag only with its path: a bare name would land in the working folder
+        values = [argv[i + 1]] if argv[i + 1].startswith("@") else [argv[i + 1], "1", "2", "0.5", "x"]
+        return argv + [argv[i], draw(st.sampled_from(values))]
+    if edit == "missing value" and valued:
+        return draw(st.sampled_from([argv[:i + 1] + argv[i + 2:], argv + [argv[i]]]))
+    if edit == "dash value" and valued:  # argparse takes "-", "-1" and "-0.5" as paths: not for a path flag
+        values = ["-x", "--", "--m"] + ([] if argv[i + 1].startswith("@") else ["-1", "-0.5", "-"])
+        return argv[:i + 1] + [draw(st.sampled_from(values))] + argv[i + 2:]
+    if edit == "unknown flag":
+        return argv + draw(st.sampled_from([["--bogus", "1"], ["--n", "3"], ["-x"], ["--"], ["extra"]]))
+    if edit == "help":
+        return argv + [draw(st.sampled_from(["-h", "--help"]))]
+    if edit == "flag value":
+        return argv + ["--solid-target", draw(st.sampled_from(["x", "1", "--solid-target"]))]
+    if edit == "drop" and i is not None:
+        return argv[:i] + argv[i + 1 + valued:]
+    return argv
+
+
 @st.composite
 def cli_requests(draw):
     """An argv of any subcommand.  A path is written ``@`` and its name in the run's folder,
     where {input} and {target} stand for the input files; each output flag names one kind
-    of destination."""
+    of destination.  One in three has one or two edits of ``_edited_argv``, and one in
+    forty is an argv with no subcommand."""
+    if not draw(st.integers(0, 39)):
+        return draw(st.sampled_from([[], ["-h"], ["--help"], ["bogus"], ["--m", "1"], ["Flow"]]))
+    argv = draw(_plain_requests())
+    if not draw(st.integers(0, 2)):
+        for _ in range(draw(st.integers(1, 2))):
+            argv = _edited_argv(draw, argv)
+    return argv
+
+
+@st.composite
+def _plain_requests(draw):
     command = draw(st.sampled_from(["matrix", "flow", "yau", "analyze", "integrate"]))
     order = _usually(draw, ["1", "2", "3"], ["20", "21", "0", "x"])
     if command == "matrix":
@@ -1139,6 +1202,29 @@ def cli_requests(draw):
     return argv
 
 
+def _lay_out_request(folder, document, argv):
+    """Write the polygon ``document``, the target triangle and every kind of destination
+    into ``folder``; ``argv`` with each ``@`` path, alone or after ``=``, named in it."""
+    name, data = document
+    with open(os.path.join(folder, name), "wb") as fh:
+        fh.write(data)
+    _polygon_file(pathlib.Path(folder), "tri.json", [[0.0, 0.0], [2.0, 0.0], [1.0, 1.6]])
+    os.mkdir(os.path.join(folder, "folder"))
+    for ext in EXTENSIONS.values():
+        with open(os.path.join(folder, f"old.{ext}"), "w") as fh:
+            fh.write("old\n")
+        os.symlink(f"missing/out.{ext}", os.path.join(folder, f"dangling.{ext}"))
+        os.symlink(f"made.{ext}", os.path.join(folder, f"link.{ext}"))
+        os.symlink(f"loop.{ext}", os.path.join(folder, f"loop.{ext}"))
+    resolved = []
+    for arg in argv:
+        head, at, path = arg.partition("@")
+        if at:
+            arg = head + os.path.join(folder, path.replace("{input}", name).replace("{target}", "tri.json"))
+        resolved.append(arg)
+    return resolved
+
+
 def _tree(folder):
     """Every entry under ``folder``: a link's target, a file's bytes, None for a folder."""
     found = {}
@@ -1161,30 +1247,84 @@ def _tree(folder):
 def test_main_answers_any_request_with_a_documented_exit_code(argv, document):
     """Exit 0, 2, 3 or 4 with no traceback, and a refused request changes no file."""
     with tempfile.TemporaryDirectory() as folder:
-        name, data = document
-        with open(os.path.join(folder, name), "wb") as fh:
-            fh.write(data)
-        _polygon_file(pathlib.Path(folder), "tri.json", [[0.0, 0.0], [2.0, 0.0], [1.0, 1.6]])
-        os.mkdir(os.path.join(folder, "folder"))
-        for ext in EXTENSIONS.values():
-            with open(os.path.join(folder, f"old.{ext}"), "w") as fh:
-                fh.write("old\n")
-            os.symlink(f"missing/out.{ext}", os.path.join(folder, f"dangling.{ext}"))
-            os.symlink(f"made.{ext}", os.path.join(folder, f"link.{ext}"))
-            os.symlink(f"loop.{ext}", os.path.join(folder, f"loop.{ext}"))
-        argv = [
-            os.path.join(folder, arg[1:].replace("{input}", name).replace("{target}", "tri.json"))
-            if arg.startswith("@") else arg
-            for arg in argv
-        ]
+        argv = _lay_out_request(folder, document, argv)
         before = _tree(folder)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's refusal
-                code = exc.code
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, _, err = _answer(argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
         if code:
             assert _tree(folder) == before, argv
+
+
+def _answer(argv):
+    """``main``'s exit code, stdout and stderr; argparse's refusals and help exit by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PLAIN_ARGVS = [
+    ["matrix", "--n", "6", "--m", "2"],
+    ["flow", "--input", "p.json", "--m", "1", "--times", "0.1,0.3", "--csv", "", "--stroke-width", "2"],
+    ["flow", "--m", "1", "--input", "a.json", "--input", "p.json", "--count", "3", "--count", "4"],
+    ["yau", "--input", "p.json", "--target", "t.csv", "--m", "2", "--strategy", "duplicate", "--solid-target",
+     "--solid-target", "--svg", "out.svg", "--t0", "1e-3", "--ratio", "2"],
+    ["analyze", "--input", "p.json", "--m", "3", "--json", "r.json"],
+    ["integrate", "--input", "p.json", "--m", "1", "--target", "t.json", "--dt", "0.1", "--T", "1"],
+]
+ARGPARSE_ONLY_ARGVS = [
+    [], ["-h"], ["flow"], ["Flow", "--input", "p.json", "--m", "1"], ["flow", "-h", "--input", "p.json", "--m", "1"],
+    ["flow", "--input=p.json", "--m", "1"], ["flow", "--inp", "p.json", "--m", "1"], ["flow", "--input", "p.json"],
+    ["flow", "--input", "p.json", "--m"], ["flow", "--input", "p.json", "--m", "0"],
+    ["flow", "--input", "p.json", "--m", "x"], ["flow", "--input", "-p.json", "--m", "1"],
+    ["flow", "--input", "p.json", "--m", "1", "--times", "-0.2,0.1"],
+    ["flow", "--input", "p.json", "--m", "1", "--times", "-1"], ["flow", "--input", "p.json", "--m", "1", "--csv", "-"],
+    ["flow", "--input", "p.json", "--m", "1", "--csv", "--"], ["flow", "--input", "p.json", "--m", "1", "--", "x"],
+    ["flow", "--input", "p.json", "--m", "1", "--n", "3"], ["flow", "--input", "p.json", "--m", "1", "extra"],
+    ["yau", "--input", "p.json", "--target", "t.json", "--m", "1", "--strategy", "middle"],
+    ["yau", "--input", "p.json", "--target", "t.json", "--m", "1", "--solid-target", "x"],
+    ["yau", "--input", "p.json", "--target", "t.json", "--m", "1", "--solid-target=1"],
+    ["integrate", "--input", "p.json", "--m", "1", "--dt", "-0.1"], ["matrix", "--n", "6", "--m", "2", "--m"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS + ARGPARSE_ONLY_ARGVS, ids=" ".join)
+def test_the_argv_table_takes_only_plain_argvs(argv):
+    """The table parses each plain argv to argparse's namespace, and declines
+    every other shape, whether argparse accepts it or refuses it."""
+    parser, table = cli._parser()
+    args = cli._plain_args(table, argv)
+    if argv in PLAIN_ARGVS:
+        assert vars(args) == vars(parser.parse_args(argv))
+    else:
+        assert args is None
+
+
+@settings(max_examples=200)
+@given(cli_requests(), polygon_documents())
+@example(["yau", "--input", "@{input}", "--target", "@{target}", "--m", "1", "--m", "2", "--solid-target",
+          "--strategy", "duplicate", "--times", "0.1,0.3", "--csv", "@new.csv"],
+         ("in.json", b'{"dim": 2, "vertices": [[0, 0], [2, 0], [1, 1.6]]}'))
+@example(["flow", "--input", "@{input}", "--m", "1", "--count", "-1"], ("in.csv", b"x1,x2\n0,0\n2,0\n1,1.6\n"))
+def test_the_argv_table_answers_as_argparse_does(tmp_path_factory, argv, document):
+    """``main`` gives the same exit code, stdout, stderr and files whether or not the
+    plain-argv table may parse its argv, and where the table parses one its namespace
+    is argparse's."""
+    folder = tmp_path_factory.getbasetemp() / "argv_request"
+    outcomes = []
+    for table_declines in (False, True):
+        shutil.rmtree(folder, ignore_errors=True)
+        folder.mkdir()
+        resolved = _lay_out_request(str(folder), document, argv)
+        declined = mock.patch.object(cli, "_plain_args", lambda table, argv: None)
+        with declined if table_declines else contextlib.nullcontext():
+            outcomes.append((_answer(resolved), _tree(folder)))
+    assert outcomes[0] == outcomes[1], resolved
+    parser, table = cli._parser()
+    args = cli._plain_args(table, resolved)
+    if args is not None:
+        assert vars(args) == vars(parser.parse_args(resolved))

@@ -1,10 +1,14 @@
+import contextlib
+import csv
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyflow import polygon
 from polyflow.polygon import (
     Polygon,
     PolygonFormatError,
@@ -94,10 +98,12 @@ def test_json_loader_is_bitwise_the_rowwise_conversion(tmp_path_factory, doc):
 
 
 def test_loaders_check_and_convert_a_valid_file_once(rng, tmp_path, monkeypatch):
-    """A valid JSON or CSV file becomes a read-only polygon, bitwise
-    ``Polygon`` of its rows, without a run of ``Polygon.__post_init__``."""
+    """A valid JSON or plain CSV file is opened once and becomes a read-only
+    polygon, bitwise ``Polygon`` of its rows, without a run of
+    ``Polygon.__post_init__``; the CSV file's cells are converted once, by the
+    plain-text path, with no csv reader."""
     polygons = [helpers.random_polygon(rng, 7), helpers.random_polygon(rng, 5, p=3, scale=1e300)]
-    calls = []
+    calls, opened, readers = [], [], []
     post_init = Polygon.__post_init__
 
     def counted(x):
@@ -105,12 +111,17 @@ def test_loaders_check_and_convert_a_valid_file_once(rng, tmp_path, monkeypatch)
         post_init(x)
 
     monkeypatch.setattr(Polygon, "__post_init__", counted)
+    monkeypatch.setattr(polygon, "open", lambda path, *a, **k: opened.append(path) or open(path, *a, **k), raising=False)
+    monkeypatch.setattr(csv, "reader", lambda *a, reader=csv.reader: readers.append(a) or reader(*a))
     for i, x in enumerate(polygons):
         helpers.save_polygon_json(x, tmp_path / f"{i}.json")
         rows = [[f"x{j + 1}" for j in range(x.p)]] + [list(map(repr, row)) for row in x.vertices.tolist()]
         (tmp_path / f"{i}.csv").write_text("".join(",".join(row) + "\n" for row in rows))
-        for loaded in (load_polygon_json(tmp_path / f"{i}.json"), load_polygon_csv(tmp_path / f"{i}.csv")):
-            assert calls == []
+        for path in (tmp_path / f"{i}.json", tmp_path / f"{i}.csv"):
+            opened.clear()
+            loaded = load_polygon(path)
+            assert opened == [path]
+            assert calls == [] and readers == []
             assert loaded.vertices.dtype == x.vertices.dtype and loaded.vertices.shape == x.vertices.shape
             assert loaded.vertices.tobytes() == x.vertices.tobytes()
             assert not loaded.vertices.flags.writeable
@@ -270,14 +281,18 @@ def test_csv_rejects_bad_rows(tmp_path):
         load_polygon_csv(long_field)
     assert str(info.value) == "line 3: field larger than field limit (131072)"
 
-    # a quoted field may hold a newline: the error names the bad row's line, not its record number
+    # a quoted field may hold a newline: the error names the bad row's line, not its record number;
+    # float reads a digit-group underscore and non-ASCII digits and spaces, which JSON refuses
     for bad_row, message in (
         ("1,west", "non-numeric entry"),
+        ("1_0,0", "non-numeric entry"),
+        ("\u0661,0", "non-numeric entry"),
+        ("\u00a02,0", "non-numeric entry"),
         ("1,inf", "non-finite entry"),
         ("1", "expected 2 columns, got 1"),
     ):
         multi_line = tmp_path / "m.csv"
-        multi_line.write_text('x1,x2\n"0\n",0\n' + bad_row + "\n")
+        multi_line.write_text('x1,x2\n"0\n",0\n' + bad_row + "\n", encoding="utf-8")
         with pytest.raises(PolygonFormatError) as info:
             load_polygon_csv(multi_line)
         assert str(info.value) == f"line 4: {message}"
@@ -327,3 +342,90 @@ def test_error_carries_line_number(tmp_path):
     with pytest.raises(PolygonFormatError) as info:
         load_polygon_csv(path)
     assert info.value.line == 3
+
+
+CSV_EDGE_DOCUMENTS = helpers.csv_loader_edge_documents()
+# cells on which a plain-text reader could part from the csv module and float
+CSV_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-", "+"]), st.integers(0, 10**20),
+              st.integers(0, 10**20), st.integers(-340, 330)),
+    st.sampled_from(["+1", "-0", ".5", "1e5", "1E-3", " 2 ", "\t3", "\x0c4", "inf", "-Infinity", "nan",
+                     "1e400", "", " ", "x", "0x1", "1_0", "\u0661", "\u00a02", "1\x00", '"7"', '"1,5"',
+                     '"8\n"', "1,5"]),
+)
+
+
+@st.composite
+def csv_polygon_files(draw):
+    """The bytes of a CSV polygon file: a header, perhaps a bad one, rows of
+    drawn cells, blank, whitespace-only or ragged lines, LF, CRLF or CR line
+    ends, perhaps a byte-order mark, and one in four with up to three bytes
+    deleted, inserted or replaced."""
+    p = draw(st.integers(2, 3))
+    plain = ",".join(f"x{i + 1}" for i in range(p))
+    header = draw(st.sampled_from([plain] * 6 + ["x1", "x,y", plain + ",", '"x1",x2', " " + plain]))
+    lines = [header] + [",".join(row) for row in draw(
+        st.lists(st.lists(CSV_CELLS, min_size=p, max_size=p), max_size=6))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", " ", "0", "0,0,0", "1,2,"])))
+    end = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    data = (end.join(lines) + draw(st.sampled_from([end, ""]))).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if not draw(st.integers(0, 3)):
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(data) - 1))
+            edit, byte = draw(st.sampled_from("dir")), draw(st.sampled_from(b'0-.e,\n\r" _\x00\xd9'))
+            data = data[:i] + (b"" if edit == "d" else bytes([byte])) + data[i + (edit != "i"):]
+    return data
+
+
+def _csv_loaded(path, plain):
+    """The polygon's shape and bits, or the refusal's message and line; with
+    ``plain`` False the plain-text path declines every text."""
+    declined = mock.patch.object(polygon, "_plain_csv_vertices", lambda text, limit: None)
+    with contextlib.nullcontext() if plain else declined:
+        try:
+            v = load_polygon(path).vertices
+        except PolygonFormatError as exc:
+            return str(exc), exc.line
+    return v.shape, v.tobytes()
+
+
+@settings(max_examples=300)
+@given(st.one_of(csv_polygon_files(), st.sampled_from([data for _, data in CSV_EDGE_DOCUMENTS])))
+def test_csv_loader_paths_give_the_same_bits_or_the_same_message(tmp_path_factory, data):
+    """The plain-text path, and the csv module for what it does not take,
+    loads what the csv module alone loads, bit for bit, and refuses what it
+    refuses, word for word and at the same line."""
+    path = tmp_path_factory.getbasetemp() / "doc.csv"
+    path.write_bytes(data)
+    assert _csv_loaded(path, plain=True) == _csv_loaded(path, plain=False)
+
+
+TAKEN_AS_PLAIN = {"byte_order_mark.csv", "blank_lines.csv", "signs_and_exponents.csv", "three_columns.csv",
+                  "no_newline.csv"}
+
+
+@pytest.mark.parametrize(("name", "data"), CSV_EDGE_DOCUMENTS, ids=[name for name, _ in CSV_EDGE_DOCUMENTS])
+def test_csv_loader_edge_documents_load_as_the_csv_module_loads_them(tmp_path, name, data, monkeypatch):
+    """Only a plain text whose every cell is a finite number skips the csv
+    module; it walks every other one."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    expected = _csv_loaded(path, plain=False)
+    readers = []
+    monkeypatch.setattr(csv, "reader", lambda *a, reader=csv.reader: readers.append(a) or reader(*a))
+    assert _csv_loaded(path, plain=True) == expected
+    assert bool(readers) == (name not in TAKEN_AS_PLAIN)
+
+
+def test_csv_reads_signs_exponents_and_whitespace_around_a_number(tmp_path):
+    """Both paths: the plain text, and the same cells quoted, which the csv module reads."""
+    for text in ("x1,x2\n+1, .5\n\t1e5 ,-0\n+2.5E-1,3\n", 'x1,x2\n"+1"," .5"\n"\t1e5 ","-0"\n+2.5E-1,3\n'):
+        path = tmp_path / "spelled.csv"
+        path.write_text(text)
+        v = load_polygon(path).vertices
+        assert v.tolist() == [[1.0, 0.5], [1e5, 0.0], [0.25, 3.0]] and math.copysign(1.0, v[1, 1]) == -1.0
