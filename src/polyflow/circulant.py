@@ -149,7 +149,7 @@ def folded(entries, n: int) -> list[tuple[int, int | float]]:
     at any integer offsets, as (offset, value) pairs in ascending offset:
     values at offsets equal mod n summed (exactly, for ints), each offset
     folded to (-n/2, n/2], and zero sums dropped.  This is the one offset
-    fold: :func:`matvec` and the RK4 step and power rows read it."""
+    fold that sums: :func:`matvec` and the RK4 step rows read it."""
     sums = {}
     for s, c in entries:
         s %= n
@@ -157,11 +157,11 @@ def folded(entries, n: int) -> list[tuple[int, int | float]]:
     return sorted((s if 2 * s <= n else s - n, c) for s, c in sums.items() if c)
 
 
-def gather_index(entries, n: int) -> np.ndarray:
-    """Row k holds (j + s) mod n for j = 0 .. n - 1, s the offset of entry k
-    of the :func:`folded` ``entries``: one conditional subtract of n, not an
-    int64 modulo of all K * n entries."""
-    idx = np.array([s % n for s, _ in entries], dtype=np.intp)[:, None] + np.arange(n)
+def gather_index(offsets, n: int) -> np.ndarray:
+    """Row k holds (j + s) mod n for j = 0 .. n - 1, s the k-th of the
+    integer ``offsets``: one conditional subtract of n, not an int64 modulo
+    of all K * n entries."""
+    idx = (np.asarray(offsets, dtype=np.intp) % n)[:, None] + np.arange(n)
     return np.subtract(idx, n, out=idx, where=idx >= n)
 
 
@@ -182,7 +182,7 @@ def matvec(a: CirculantMatrix, values: np.ndarray) -> np.ndarray:
     if values.shape[0] != n:  # a gather would drop extra rows silently
         raise ValueError(f"size mismatch: matrix is {n}, data has {values.shape[0]} rows")
     entries = folded(enumerate(a.first_row), n)
-    idx = gather_index(entries, n)
+    idx = gather_index([s for s, _ in entries], n)
     column = np.array([float(c) for _, c in entries]).reshape((-1,) + (1,) * values.ndim)
     return np.add.reduce(column * values[idx], axis=0, initial=0.0)
 
@@ -221,16 +221,20 @@ def roots_of_unity(n: int) -> np.ndarray:
 
     Quarter-turn multiples are exact (+-1, +-i) and the lower half plane is
     the bitwise conjugate of the upper half, so real/imaginary-part bases
-    keep their zero and symmetry identities exactly.
+    keep their zero and symmetry identities exactly.  The upper half is
+    libm's ``cos`` and ``sin`` of ``2 pi a / n``, mapped over the angles as
+    ``math.cos`` and ``math.sin`` and written straight into the table, not
+    numpy's, whose last bit can differ.
     """
-    upper = [complex(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * a / n for a in range(n // 2 + 1))]
-    roots = np.array(
-        [
-            _AXES[4 * a // n] if 4 * a % n == 0 else upper[a] if 2 * a < n else upper[n - a].conjugate()
-            for a in range(n)
-        ],
-        dtype=complex,
-    )
+    half = n // 2 + 1
+    angles = (np.arange(half) * (2.0 * math.pi) / n).tolist()
+    roots = np.empty(n, dtype=complex)
+    roots.real[:half] = np.fromiter(map(math.cos, angles), float, half)
+    roots.imag[:half] = np.fromiter(map(math.sin, angles), float, half)
+    np.conjugate(roots[n - half : 0 : -1], out=roots[half:])  # a > n/2: the conjugate of n - a
+    for quarter, axis in enumerate(_AXES):
+        if quarter * n % 4 == 0:
+            roots[quarter * n // 4] = axis
     roots.flags.writeable = False
     return roots
 

@@ -26,8 +26,11 @@ module :mod:`polyflow.integrate`, ``yau`` and ``integrate --target`` load
 the function that first calls it.  ``matrix``, ``flow`` and ``analyze``
 load none of the three.  orjson is loaded by the first JSON input of a
 run that writes a float array, to parse it, or else by the first such
-array: ``integrate`` without ``--csv`` writes none, so it parses its JSON
-inputs with ``json`` alone (``json_only``) and never loads orjson.
+array: ``integrate`` without ``--csv`` writes none, so it never loads
+orjson.  It parses its JSON inputs with ``json`` alone (``json_only``)
+while orjson is not loaded, and with orjson once an earlier call in the
+same process, or its caller, has loaded it: the two parsers give the same
+bits and the same messages.
 
 A job is milliseconds of numpy, so a call is mostly its process start-up:
 on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) importing numpy takes
@@ -173,7 +176,8 @@ def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
 def load_flow_polygon(path, json_only: bool = False) -> Polygon:
     """The polygon at ``path``, of n >= 3 vertices.  ``json_only`` is
     :func:`polygon.load_polygon_json`'s: a run that writes no float array
-    parses JSON with ``json`` alone, and so never imports orjson."""
+    parses JSON with ``json`` alone while orjson is not loaded, and so
+    never imports it."""
     poly = load_polygon(path, json_only=json_only)
     if poly.n < 3:
         raise PolygonFormatError(f"flows need n >= 3 vertices, got {poly.n}")
@@ -381,13 +385,18 @@ def _analyze_json(x0: Polygon, m: int, source: str) -> str:
     alpha_cells, beta_cells, mass_cells, rate_cells, (energy_cell,), fwd_cells, anc_cells = (
         list(islice(cells, size)) for size in (h * p, h * p, h, h, 1, x0.n * p, x0.n * p)
     )
-    alphas, betas = (zip(*[iter(c)] * p) for c in (alpha_cells, beta_cells))
-    modes = ",\n".join(
-        f'    {{\n      "k": {k},\n      "mass": {mass},\n      "rate": {rate},\n'
-        f'      "alpha": {_json_floats(alpha, " " * 8)},\n'
-        f'      "beta": {_json_floats(beta, " " * 8)}\n    }}'
-        for k, (mass, rate, alpha, beta) in enumerate(zip(mass_cells, rate_cells, alphas, betas))
-    )
+    # one mode's pieces, its cells left empty: the template times h, filled by strided slices
+    row = ",\n        "
+    template = ['    {\n      "k": ', "", ',\n      "mass": ', "", ',\n      "rate": ', "", ',\n      "alpha": [\n        ']
+    template += ["", row] * (p - 1) + ["", '\n      ],\n      "beta": [\n        ']
+    template += ["", row] * (p - 1) + ["", "\n      ]\n    },\n"]
+    size = len(template)
+    pieces = template * h
+    pieces[1::size], pieces[3::size], pieces[5::size] = map(str, range(h)), mass_cells, rate_cells
+    for j in range(p):
+        pieces[7 + 2 * j :: size], pieces[7 + 2 * (p + j) :: size] = alpha_cells[j::p], beta_cells[j::p]
+    pieces[-1] = "\n      ]\n    }"  # the last mode is followed by no comma
+    modes = "".join(pieces)
     if verdict is not None:
         verdict = (
             f'{{\n    "mode": {verdict.mode},\n    "rate": {rate_cells[verdict.mode]},\n'
@@ -432,7 +441,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     if not math.isfinite(args.t_final / args.dt):
         raise CliArgumentError("the step count --T / --dt must be finite")
-    json_only = not args.csv_path  # no table, no float array written: orjson stays unloaded
+    # no table, no float array written: orjson stays unloaded, unless an earlier run loaded it
+    json_only = not args.csv_path and "orjson" not in sys.modules
     x0 = load_flow_polygon(args.input_path, json_only)
     if args.m > circulant.M_MAX:  # refused as `matrix` refuses it, before any work; the integrator builds M^m
         _power_of_m(x0.n, args.m)

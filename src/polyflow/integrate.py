@@ -10,9 +10,9 @@ dt <= 0.1 / |lambda_max|, not by adaptivity.  The flows are linear with
 constant coefficients, so one RK4 step of size h is exactly the circulant
 S = ``R(hA)``, R the RK4 stability function: its row is built once per step
 size from the exact powers A .. A^4 on their band of at most 8m + 1
-offsets, each entry rounded once, and a step applies it as one stencil of
-five numpy calls.  The results differ from a stage-by-stage evaluation only
-at rounding level.  N whole steps are S^N, which a non-stiff run whose N
+offsets, themselves built once per (n, m), each entry rounded once, and a
+step applies it as one stencil of five numpy calls.  The results differ
+from a stage-by-stage evaluation only at rounding level.  N whole steps are S^N, which a non-stiff run whose N
 steps of K offsets apply more than n - 1 offsets, N K > n - 1, builds once
 by squaring the float step map over the bits of N, each product one
 ``np.convolve`` of two rows' nonzero bands.  S^N drops its entries of at
@@ -20,7 +20,8 @@ most 2^-60 / n and applies the band left, in passes of at most 64
 offsets.  A run that takes S^N stays within 0.24 k eps (max|X0| + max|Y|)
 of the stepwise run at state k (the largest gap over 3000 draws,
 n <= 256).  A run that keeps only its final state takes all its whole steps
-as one application of S^N, so 10^6 steps at n = 128 take milliseconds;
+as one application of S^N, and builds no map of one step for them, so
+10^6 steps at n = 128 take milliseconds;
 one that keeps every state steps them and ends them on S^N of the first
 state, so both end on the same bits.  States are range-checked in blocks,
 64 steps or all of a final-state-only run that takes S^N.  A run that
@@ -129,46 +130,72 @@ class Trajectory:
         return Polygon._checked(self.blocks[-1][-1])
 
 
-def _step_row(n: int, m: int, h: float) -> list[tuple[int, float]]:
-    """The nonzero off-centre entries of ``R(hA) - I`` as
-    :func:`~polyflow.circulant.folded` (offset, coefficient) pairs, for the
-    flow matrix ``A = (-1)^(m+1) M^m`` of size n.
+@functools.lru_cache(maxsize=64)
+def _band_powers(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact integer powers A, A^2, A^3, A^4 of the flow matrix
+    ``A = (-1)^(m+1) M^m`` of size n off the centre: their ascending
+    :func:`~polyflow.circulant.folded` offsets and a (4, K) object array of
+    their entries there, read-only.  They do not depend on the step size,
+    so every step row of one (n, m) reads them.
 
-    ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` is the RK4 stability function:
-    one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.
     A's row, from :func:`~polyflow.circulant.power_of_m`, is nonzero only
     within m of the centre; read as a polynomial in the shift on those
     offsets, its powers are exact integer ``np.convolve`` products on at
-    most 8m + 1 offsets, folded mod n at the end.  Entry s is the rational
-    ``sum_k h^k (A^k)_s / k!`` with h taken exactly as
-    ``h.as_integer_ratio()``, its numerator summed exactly over the offsets
-    that fold onto s and divided by Python's correctly rounded int true
-    division; entries that round to 0.0 are dropped.  An entry beyond float
-    range, first reached near dt * |rate_max| = 1e77, is an OverflowError:
-    its step would turn even a constant state into nan.  Rows of A^k have zero sum, so the step needs
-    only the off-centre entries.
+    most 8m + 1 offsets.  A band wider than the polygon sums the entries at
+    offsets equal mod n; a narrower one lies within (-n/2, n/2] already.
     """
     first_row, sign = circulant.power_of_m(n, m).first_row, circulant.flow_sign(m)
     lo, hi = max(-m, -((n - 1) // 2)), min(m, n // 2)  # A's band, each entry once
     a = np.array([sign * first_row[s] for s in range(lo, hi + 1)], dtype=object)
     square = np.convolve(a, a)
+    powers = np.zeros((4, 4 * (hi - lo) + 1), dtype=object)  # on offsets 4 lo .. 4 hi
+    for k, power in enumerate((a, square, np.convolve(square, a), np.convolve(square, square))):
+        powers[k, (k - 3) * lo : (k - 3) * lo + power.size] = power
+    offsets = np.arange(4 * lo, 4 * hi + 1)
+    if offsets.size > n:  # the band wraps
+        residues = offsets % n
+        sums = np.stack([powers[:, residues == r].sum(axis=1) for r in range(n)], axis=1)
+        offsets = np.arange(n)
+        offsets[2 * offsets > n] -= n
+        order = np.argsort(offsets)
+        offsets, powers = offsets[order], sums[:, order]
+    off_centre = offsets != 0
+    offsets, powers = offsets[off_centre], powers[:, off_centre]
+    offsets.flags.writeable = powers.flags.writeable = False
+    return offsets, powers
+
+
+def _step_row(n: int, m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero off-centre entries of ``R(hA) - I`` for the flow matrix
+    ``A = (-1)^(m+1) M^m`` of size n: their ascending
+    :func:`~polyflow.circulant.folded` offsets and their coefficients.
+
+    ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` is the RK4 stability function:
+    one classical RK4 step of ``X' = A X`` is exactly ``X <- R(hA) X``.
+    Entry s is the rational ``sum_k h^k (A^k)_s / k!`` over the exact
+    powers of :func:`_band_powers`, with h taken exactly as
+    ``h.as_integer_ratio()``, its numerator summed exactly and divided by
+    Python's correctly rounded int true division; entries that round to 0.0
+    are dropped.  An entry beyond float range, first reached near
+    dt * |rate_max| = 1e77, is an OverflowError: its step would turn even a
+    constant state into nan.  Rows of A^k have zero sum, so the step needs
+    only the off-centre entries.
+    """
+    offsets, powers = _band_powers(n, m)
     num, den = h.as_integer_ratio()
-    exact = np.zeros(4 * (hi - lo) + 1, dtype=object)  # on offsets 4 lo .. 4 hi
-    for k, power in enumerate((a, square, np.convolve(square, a), np.convolve(square, square)), 1):
-        weight = num**k * den ** (4 - k) * (24 // math.factorial(k))  # h^k / k! times 24 den^4
-        exact[(k - 4) * lo : (k - 4) * lo + power.size] += weight * power
-    entries = circulant.folded(zip(range(4 * lo, 4 * hi + 1), exact), n)
-    denominator = 24 * den**4
+    # h^k / k! times 24 den^4, for k = 1 .. 4
+    weights = np.array([num**k * den ** (4 - k) * (24 // math.factorial(k)) for k in range(1, 5)], dtype=object)
     try:
-        row = [(s, v / denominator) for s, v in entries if s]  # the centre entry is left out
+        row = (weights.dot(powers) / (24 * den**4)).astype(float)
     except OverflowError:
         raise OverflowError(f"the RK4 step of size {h!r} has coefficients beyond float range") from None
-    return [(s, q) for s, q in row if q]
+    kept = row != 0.0
+    return offsets[kept], row[kept]
 
 
-def _row_map(row: list[tuple[int, float]], like: np.ndarray):
-    """The circulant map of ``row``'s (offset, coefficient) pairs for states
-    of the shape of ``like``: ``apply(src, out)`` writes
+def _row_map(row: tuple[np.ndarray, np.ndarray], like: np.ndarray):
+    """The circulant map of ``row``'s offsets and coefficients for states of
+    the shape of ``like``: ``apply(src, out)`` writes
     ``out <- src + sum_s q_s (src[j+s] - src[j])``, in ascending s, the sum
     started from +0.0; ``out`` may be ``src`` itself.
 
@@ -183,12 +210,13 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
     many states however wide its band.  A constant state has zero
     differences, so it stays bitwise fixed.
     """
+    offsets, column = row
     n, shape = like.shape[0], (-1,) + (1,) * like.ndim
     subtract, multiply, add, add_up = np.subtract, np.multiply, np.add, np.add.reduce
     total = np.empty_like(like)
-    if len(row) <= _CHUNK:
-        idx, (terms, coefficients) = circulant.gather_index(row, n), np.empty((2, len(row)) + like.shape)
-        coefficients[...] = np.array([q for _, q in row]).reshape(shape)
+    if offsets.size <= _CHUNK:
+        idx, (terms, coefficients) = circulant.gather_index(offsets, n), np.empty((2, offsets.size) + like.shape)
+        coefficients[...] = column.reshape(shape)
 
         def apply(src: np.ndarray, out: np.ndarray) -> None:
             src.take(idx, 0, terms, "clip")  # in range: "clip" skips a copy
@@ -198,30 +226,30 @@ def _row_map(row: list[tuple[int, float]], like: np.ndarray):
 
         return apply
 
-    parts = [row[i : i + _CHUNK] for i in range(0, len(row), _CHUNK)]
-    passes = [(np.array([[s % n] for s, _ in p]), np.array([q for _, q in p]).reshape(shape)) for p in parts]
+    starts = range(0, offsets.size, _CHUNK)
+    passes = [((offsets[i : i + _CHUNK] % n)[:, None], column[i : i + _CHUNK].reshape(shape)) for i in starts]
     span, idx, terms = np.arange(n), np.empty((_CHUNK, n), dtype=np.intp), np.empty((_CHUNK + 1,) + like.shape)
 
     def apply(src: np.ndarray, out: np.ndarray) -> None:
         doubled = np.concatenate((src, src))  # row s + j is src[(s + j) mod n]
         total.fill(0.0)
-        for offsets, column in passes:
-            k = offsets.shape[0]
+        for shifts, weights in passes:
+            k = shifts.shape[0]
             gathered = terms[1 : k + 1]
-            doubled.take(np.add(offsets, span, out=idx[:k]), 0, gathered, "clip")
+            doubled.take(np.add(shifts, span, out=idx[:k]), 0, gathered, "clip")
             terms[0] = total  # the sum so far, then this pass's terms
             subtract(gathered, src, gathered)
-            multiply(column, gathered, gathered)
+            multiply(weights, gathered, gathered)
             add_up(terms[: k + 1], axis=0, initial=0.0, out=total)
         add(src, total, out)
 
     return apply
 
 
-def _power_row(row: list[tuple[int, float]], n: int, steps: int) -> list[tuple[int, float]]:
+def _power_row(row: tuple[np.ndarray, np.ndarray], n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The off-centre entries of S^steps, steps >= 1, S the float step map of
-    ``row`` (a :func:`_step_row`), as banded
-    :func:`~polyflow.circulant.folded` pairs.
+    ``row`` (a :func:`_step_row`), as banded ascending
+    :func:`~polyflow.circulant.folded` offsets and their coefficients.
 
     S is I + E, E's row ``row``'s entries off the centre and, at the centre,
     minus their correctly rounded sum.  (I + E)^2 = I + (2E + E E), so the
@@ -239,7 +267,9 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int) -> list[tuple[i
     dt * |rate_max| = 0.1, the band left holds 126, 128 and 142 of the 255
     offsets for m = 1, 2, 3, and S^N's entries lie within 18 eps of the exact
     power of the float step map (the largest gap measured, n <= 33,
-    N <= 256).
+    N <= 256).  The offsets kept are distinct mod n, so folding them sums
+    nothing: a band is already in order, and a whole row is put in order
+    by one ``argsort``.
     """
 
     def whole(a):  # all n entries of row a, entry s at index s mod n
@@ -248,10 +278,10 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int) -> list[tuple[i
 
     def band(w: int, c: np.ndarray):
         """(w, c), c's entries at offsets -w .. w, cut to its nonzero ones' band."""
-        nonzero = np.flatnonzero(c)
-        v = max(w - nonzero[0], nonzero[-1] - w) if nonzero.size else 0
+        nonzero = c.nonzero()[0]
+        v = max(w - int(nonzero[0]), int(nonzero[-1]) - w) if nonzero.size else 0
         c = c[w - v : w + v + 1]
-        return (int(v), c) if 2 * v + 1 < n else (None, whole((v, c)))
+        return (v, c) if 2 * v + 1 < n else (None, whole((v, c)))
 
     def product(a, b):
         (wa, x), (wb, y) = a, b
@@ -271,10 +301,11 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int) -> list[tuple[i
         out[wb - wa : wb + wa + 1] += x
         return wb, out
 
-    w = max((abs(s) for s, _ in row), default=0)
+    offsets, q = row
+    w = int(np.abs(offsets).max(initial=0))
     c = np.zeros(2 * w + 1)
-    c[[w + s for s, _ in row]] = [q for _, q in row]
-    c[w] = -math.fsum(q for _, q in row)
+    c[w + offsets] = q
+    c[w] = -math.fsum(q.tolist())
     e = band(w, c)
     power = None  # I + power is S to the set bits of steps below the rung
     for rung in range(steps.bit_length()):
@@ -285,7 +316,11 @@ def _power_row(row: list[tuple[int, float]], n: int, steps: int) -> list[tuple[i
     w, c = power  # entry s at index s + w, or at s mod n for a whole row
     c[w or 0] = 0.0  # the difference form leaves the centre out
     kept = np.flatnonzero(np.abs(c) > sys.float_info.epsilon / 256 / n)
-    return circulant.folded(zip((kept - (w or 0)).tolist(), c[kept].tolist()), n)
+    if w is not None:
+        return kept - w, c[kept]
+    offsets = np.where(2 * kept <= n, kept, kept - n)  # folded to (-n/2, n/2]
+    order = np.argsort(offsets)
+    return offsets[order], c[kept[order]]
 
 
 def stability_limit(n: int, m: int) -> float:
@@ -303,9 +338,12 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
     remainder is more than 1e-12 max(1, t_final), one shorter final step
     lands exactly on t_final and the trajectory is flagged.  State k is
     stamped k dt, and the last one t_final.  An RK4 step of size h is the
-    circulant S = ``R(hA)`` (:func:`_step_row`); the run builds one step map
-    per step size and applies it to each state in turn.  A Yau run
-    advances the difference d = X - Y and its state is Y + d.
+    circulant S = ``R(hA)`` (:func:`_step_row`).  The step maps are built
+    on demand: a run builds the map of each step size it steps with, once,
+    and applies it to each state in turn; a run whose whole steps all go as
+    one application of S^N builds none for them, and its replay builds it
+    if its range check fails.  A Yau run advances the difference d = X - Y
+    and its state is Y + d.
 
     One rule: a run with dt * |rate_max| below :data:`RK4_STABILITY_BOUND`
     whose N whole steps of the K offsets of S apply more offsets than S^N
@@ -382,26 +420,32 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
         np.subtract(d, target, d)
     origin = d.copy()  # the first state, which S^N maps to the last whole one
     row = _step_row(x0.n, kind.m, dt)
-    whole = _row_map(row, d)
-    short = _row_map(_step_row(x0.n, kind.m, remainder), d) if partial else whole
     # S^N applies at most n - 1 offsets, so it serves a non-stiff run whose steps apply more
-    powered = dt * rate < RK4_STABILITY_BOUND and n_full * len(row) > x0.n - 1
+    powered = dt * rate < RK4_STABILITY_BOUND and n_full * row[0].size > x0.n - 1
     power = _row_map(_power_row(row, x0.n, n_full), d) if powered else None  # S^N
-    mapped = power is not None and not keep_steps  # the whole steps go as one application of S^N
+    mapped = powered and not keep_steps  # the whole steps go as one application of S^N
+    whole = None if mapped else _row_map(row, d)  # the step map, which replay builds if it needs it
+    short = _row_map(_step_row(x0.n, kind.m, remainder), d) if partial else None
+    stepped = n_full - powered  # steps 0 .. stepped - 1 apply the step map
 
     def advance(step: int, source: np.ndarray, out: np.ndarray) -> None:
         """out <- state step + 1: one step from ``source``, state step, or,
         for the last whole state, S^N of the first state."""
-        if step == n_full - 1 and power is not None:
+        if step < stepped:
+            whole(source, out)
+        elif step < n_full:
             power(origin, out)
         else:
-            (whole if step < n_full else short)(source, out)
+            short(source, out)
 
     def replay(first: int, last: int, checked: np.ndarray) -> None:
         """Repeats steps first + 1 .. last of the block bit for bit from its
         first state, ``checked`` in the caller's units, and raises at the
         first state whose sup norm there is past float max (inf, or nan for a
         nan state)."""
+        nonlocal whole
+        if whole is None:
+            whole = _row_map(row, d)
         np.copyto(d, start)
         norm, v = float(np.abs(checked).max()), np.empty_like(d)
         for step in range(first, last):
@@ -422,14 +466,22 @@ def integrate(x0: Polygon, config: IntegratorConfig, keep_steps: bool = True) ->
             np.copyto(start, d)
             kept = range(first + 1 if keep_steps else last, last + 1)
             states = np.empty((len(kept),) + d.shape)
+            # the block's steps that apply the step map, then the others; mapped: S^N, then the partial step
+            begin = n_full - 1 if mapped else first
+            plain = max(0, min(stepped, last) - begin)
             if keep_steps:  # each step writes its row from the row before
                 source = d
-                for step, out in zip(range(first, last), states):
+                for out in states[:plain]:
+                    whole(source, out)
+                    source = out
+                for step, out in zip(range(begin + plain, last), states[plain:]):
                     advance(step, source, out)
                     source = out
                 np.copyto(d, source)
             else:
-                for step in range(n_full - 1 if mapped else first, last):  # mapped: S^N, then the partial step
+                for _ in range(plain):
+                    whole(d, d)
+                for step in range(begin + plain, last):
                     advance(step, d, d)
                 np.copyto(states[0], d)
             if target is not None:

@@ -16,11 +16,12 @@ polygon per state.
 
 A JSON file is parsed by orjson, and again by ``json`` wherever orjson's
 result is not taken (:func:`load_polygon_json`); ``json_only=True`` parses
-with ``json`` alone, for a run that writes no float array and so need not
-import orjson.  ``csv`` is imported by the CSV loader, and ``heapq`` by a
-midpoint reconciliation of fewer than ``SPLIT_ORDER_MIN`` insertions (or
-one the global split order cannot tell), at their first call, so that a
-run that reads JSON and reconciles nothing loads neither.
+with ``json`` alone, for a run that writes no float array in a process
+that has not loaded orjson, and so need not import it.  ``csv`` is
+imported by the CSV loader, and ``heapq`` by a midpoint reconciliation
+of fewer than ``SPLIT_ORDER_MIN`` insertions (or one the global split
+order cannot tell), at their first call, so that a run that reads JSON
+and reconciles nothing loads neither.
 """
 from __future__ import annotations
 
@@ -527,7 +528,10 @@ def load_polygon_json(path, *, json_only: bool = False) -> Polygon:
     parsed again by ``json``, so that ``json`` words each refusal, as it
     does every document when ``json_only``.  The two paths give the same
     bits: an integer past 2^64, a float to orjson and an int to ``json``,
-    is rounded to the same nearest double by both.
+    is rounded to the same nearest double by both.  So ``json_only`` only
+    keeps orjson unimported: the CLI passes it for a run that writes no
+    float array while orjson is not yet loaded, and once it is loaded,
+    every run parses with it.
 
     One pass over the vertex list checks its shape, one over the flattened
     list that every coordinate is a JSON number, and numpy converts that.

@@ -21,6 +21,7 @@ from .polygon import Polygon, _shift_near_one, centroid, real_basis
 
 # exp() overflows float64 just above this exponent
 _EXP_LIMIT = math.log(np.finfo(float).max)
+_EPS = np.finfo(float).eps
 
 # times evaluated by one inverse transform: bounds the (times, n, p) temporaries
 _TIMES_PER_TRANSFORM = 64
@@ -91,19 +92,23 @@ class SelfSimilarity:
 @lru_cache(maxsize=64)
 def _basis_columns(n: int) -> tuple[np.ndarray, ...]:
     """The squared norms c_sq and s_sq of the cosine and sine vectors for
-    k = 0..floor(n/2), read-only: as they are, as columns, the sine vectors'
-    rows (s_sq > 0) as a column, and c_sq with 0 at k = 0 as a column."""
-    k = np.arange(n // 2 + 1)
-    unpaired = (k == 0) | (2 * k == n)  # the sine vector is zero
-    c_sq, s_sq = np.where(unpaired, float(n), n / 2.0), np.where(unpaired, 0.0, n / 2.0)
-    tables = (c_sq, s_sq, c_sq[:, None], s_sq[:, None], s_sq[:, None] > 0.0, np.append(0.0, c_sq[1:])[:, None])
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    k = 0..floor(n/2), read-only: as the rows of one (2, floor(n/2) + 1)
+    table, each as a column, the sine vectors' rows (s_sq > 0) as a column,
+    and c_sq with 0 at k = 0 as a column."""
+    weights = np.full((2, n // 2 + 1), n / 2.0)
+    unpaired = [0, -1] if n % 2 == 0 else [0]  # the sine vector is zero
+    weights[:, unpaired] = [[float(n)], [0.0]]
+    shape_c = weights[0, :, None].copy()
+    shape_c[0] = 0.0
+    paired = weights[1, :, None] > 0.0
+    weights.flags.writeable = shape_c.flags.writeable = paired.flags.writeable = False
+    return weights, weights[0, :, None], weights[1, :, None], paired, shape_c
 
 
-def _shifted_pair_masses(alpha, beta, c_sq, s_sq) -> tuple[np.ndarray, int]:
-    """The pair masses of the coefficients times ``2**shift``, and ``shift``.
+def _shifted_pair_masses(magnitudes, weights) -> tuple[np.ndarray, int]:
+    """The pair masses of the coefficients times ``2**shift``, and ``shift``:
+    ``magnitudes`` holds |alpha| and |beta| as one (2, h, p) array and
+    ``weights`` the squared norms c_sq and s_sq as one (2, h) array.
 
     The masses square the coefficients, which overflows above ~1e154 and
     underflows below ~1e-154.  So the coefficients are first brought near
@@ -111,9 +116,11 @@ def _shifted_pair_masses(alpha, beta, c_sq, s_sq) -> tuple[np.ndarray, int]:
     |alpha| or |beta|; inside its band the shift is 0 and every value is as
     if unshifted.  Ratios of the shifted masses are the true ratios.
     """
-    shift = _shift_near_one(np.abs(np.concatenate((alpha, beta))).max())
-    alpha, beta = (np.ldexp(alpha, shift), np.ldexp(beta, shift)) if shift else (alpha, beta)
-    return np.sqrt(c_sq * np.sum(alpha**2, axis=1) + s_sq * np.sum(beta**2, axis=1)), shift
+    shift = _shift_near_one(magnitudes.max())
+    if shift:
+        magnitudes = np.ldexp(magnitudes, shift)
+    alpha_sq, beta_sq = weights * np.sum(magnitudes**2, axis=2)
+    return np.sqrt(alpha_sq + beta_sq), shift
 
 
 def decompose(x: Polygon) -> SpectralDecomposition:
@@ -123,16 +130,18 @@ def decompose(x: Polygon) -> SpectralDecomposition:
     pairs below the presence threshold or the centering noise floor are
     flushed to exact zero, at any scale and translation of the polygon, and
     ``column_shifts`` is taken of the coefficients left by one ``frexp``;
-    no step that would change no bit is run.  Raises :class:`FlowRangeError`,
-    without numpy warnings, when a coefficient overflows near float max; a
-    coordinate sum past float max alone is not refused, since
-    :func:`centroid` sums such a column again near one.  The spectrum check
-    covers the centroid too: a non-finite centroid makes its whole centered
-    column, so the spectrum, non-finite.
+    no step that would change no bit is run.  alpha and beta are the two
+    halves of one (2, h, p) array, so the global shift, the masses and the
+    column shifts all read one ``abs`` of it.  Raises
+    :class:`FlowRangeError`, without numpy warnings, when a coefficient
+    overflows near float max; a coordinate sum past float max alone is not
+    refused, since :func:`centroid` sums such a column again near one.  The
+    spectrum check covers the centroid too: a non-finite centroid makes its
+    whole centered column, so the spectrum, non-finite.
     """
     if x.n < 3:
         raise ValueError(f"decomposition needs n >= 3, got n = {x.n}")
-    c_sq, s_sq, c_col, s_col, paired, _ = _basis_columns(x.n)
+    weights, c_col, s_col, paired, _ = _basis_columns(x.n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below; a mass may be inf
         mean = centroid(x)
         # rfft sums v_j exp(-2 pi i jk/n): Re projects onto cos, -Im onto sin
@@ -140,19 +149,22 @@ def decompose(x: Polygon) -> SpectralDecomposition:
         planar = circulant.idft(x.as_complex()) if x.p == 2 else None
         if not (np.isfinite(spectrum).all() and (planar is None or np.isfinite(planar).all())):
             raise FlowRangeError("the mode coefficients of the polygon leave floating range")
-        alpha = spectrum.real / c_col
+        coefficients = np.zeros((2,) + spectrum.shape)
+        alpha, beta = coefficients
+        np.divide(spectrum.real, c_col, out=alpha)
         alpha[0] = mean
-        beta = np.divide(-spectrum.imag, s_col, out=np.zeros_like(alpha), where=paired)
-        shifted, shift = _shifted_pair_masses(alpha, beta, c_sq, s_sq)
-        noise = CENTERING_NOISE_EPS * np.finfo(float).eps * shifted[0]
+        np.divide(-spectrum.imag, s_col, out=beta, where=paired)
+        magnitudes = np.abs(coefficients)
+        shifted, shift = _shifted_pair_masses(magnitudes, weights)
+        noise = CENTERING_NOISE_EPS * _EPS * shifted[0]
         floor = max(PRESENCE_RELATIVE_THRESHOLD * shifted[1:].max(), noise)
         flushed = shifted <= floor
         flushed[0] = False
         present = np.flatnonzero(~flushed)[1:]
         if present.size < x.n // 2:
-            alpha[flushed] = beta[flushed] = shifted[flushed] = 0.0
+            coefficients[:, flushed] = magnitudes[:, flushed] = shifted[flushed] = 0.0
         masses = np.ldexp(shifted, -shift) if shift else shifted
-        largest = np.abs(np.concatenate((alpha[1:], beta))).max(axis=0)
+        largest = magnitudes[:, 1:].max(axis=(0, 1))  # of the shape modes' coefficients, per column
         exponent = np.frexp(largest)[1].astype(np.int64)  # _shift_near_one of each column
         column_shifts = np.where(np.abs(exponent) > 400, -exponent, 0)
     for array in [alpha, beta, masses, present, column_shifts] + ([planar] if x.p == 2 else []):
@@ -168,12 +180,14 @@ def mode_component(dec: SpectralDecomposition, k: int) -> Polygon:
 
 def _shape_spectrum(dec: SpectralDecomposition) -> np.ndarray:
     """The rfft spectrum of the shape modes, each column times 2^its shift,
-    0 at k = 0: the mean is added exactly, and n * centroid can overflow."""
-    _, _, _, s_col, _, shape_c = _basis_columns(dec.n)
+    0 at k = 0: the mean is added exactly, and n * centroid can overflow.
+    It is laid out (p, n//2+1), one contiguous row per column, the axis the
+    inverse transform runs along."""
+    _, _, s_col, _, shape_c = _basis_columns(dec.n)
     alpha, beta, shifts = dec.alpha, dec.beta, dec.column_shifts
     if shifts.any():  # the mean is not shifted
         alpha, beta = np.vstack([alpha[:1], np.ldexp(alpha[1:], shifts)]), np.ldexp(beta, shifts)
-    return shape_c * alpha - 1j * (s_col * beta)
+    return np.ascontiguousarray((shape_c * alpha - 1j * (s_col * beta)).T)
 
 
 @dataclass(frozen=True)
@@ -187,13 +201,15 @@ class FlowSolution:
     t: ``mode_rates`` (the flow eigenvalue of each mode pair) and ``spectrum``
     (the rfft spectrum that ``decompose`` projected, rebuilt from alpha and
     beta, each column times 2^``column_shifts``, so that (n/2) alpha summed
-    by ``irfft`` stays finite near float max).  The evaluators take one time
-    or a 1-D sequence of times: each block of up to 64 times costs one
-    ``exp`` over a (times x modes) array and one ``irfft`` over a
-    (times, n//2+1, p) spectrum, scaled back before the mean is added, and
-    every sample has the bits that evaluating its time alone gives.  A block
-    passing one ``max`` and one ``isfinite`` is made read-only, its samples
-    views of it; only a failing one is searched for the time that failed.
+    by ``irfft`` stays finite near float max), laid out (p, n//2+1).  The
+    evaluators take one time or a 1-D sequence of times: each block of up
+    to 64 times costs one ``exp`` over a (times x modes) array and one
+    ``irfft`` along the contiguous last axis of a (times, p, n//2+1)
+    spectrum, copied back to (times, n, p) and scaled back before the mean
+    is added, and every sample has the bits that evaluating its time alone
+    gives.  A block passing one ``max`` and one ``isfinite`` is made
+    read-only, its samples views of it; only a failing one is searched for
+    the time that failed.
     ``offset`` (n x p, or None) is added to every :meth:`polygon_at` sample:
     the Yau flow is the flow of X0 - Y offset by its target Y.
     """
@@ -229,10 +245,10 @@ class FlowSolution:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
             for start in range(0, len(times), _TIMES_PER_TRANSFORM):
                 exponents = np.multiply.outer(times[start : start + _TIMES_PER_TRANSFORM], rates)
-                factors = np.zeros((len(exponents), dec.n // 2 + 1, 1))
-                factors[:, present, 0] = np.exp(exponents)
+                factors = np.zeros((len(exponents), 1, dec.n // 2 + 1))
+                factors[:, 0, present] = np.exp(exponents)
                 # invert decompose's rfft with factor 0 on the mean, which is added exactly
-                out = np.fft.irfft(factors * self.spectrum, n=dec.n, axis=1)
+                out = np.fft.irfft(factors * self.spectrum, n=dec.n).transpose(0, 2, 1).copy()
                 if unshifts is not None:
                     np.ldexp(out, unshifts, out)
                 if include_mean:

@@ -55,6 +55,21 @@ def root_of_unity(exponent: int, n: int) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
+def flow_rate(n: int, m: int, k: int) -> float:
+    """``(-1)^(m+1) (-4 sin^2(pi kk / n))^m`` one mode at a time, kk the
+    index of mode k folded to min(k, n - k) mod n: sin^2 is exactly 1, 3/4,
+    1/2 or 1/4 at kk = n/2, n/3, n/4, n/6, and Python's ``math.sin`` squared
+    by ``**`` elsewhere.  A rate beyond float range is an OverflowError
+    naming n, m and k."""
+    kk = min(k % n, (n - k) % n)
+    exact = {n // d: s2 for d, s2 in ((2, 1.0), (3, 0.75), (4, 0.5), (6, 0.25)) if n % d == 0}
+    s2 = exact[kk] if kk in exact else math.sin(math.pi * kk / n) ** 2
+    try:
+        return flow_sign(m) * (-4.0 * s2) ** m + 0.0
+    except OverflowError:
+        raise OverflowError(f"the order-{m} flow eigenvalue of mode {k} for n={n} is beyond float range") from None
+
+
 def dense_circulant(first_row):
     """Dense matrix from a first row, built independently of the library."""
     n = len(first_row)
@@ -563,7 +578,7 @@ def recomputed_accumulate(solution, t, rate_shift, include_mean):
         )
     factors = np.zeros((dec.n // 2 + 1, 1))
     factors[present, 0] = np.exp(exponents)
-    c_sq, s_sq = (row.copy() for row in spectral_flow._basis_columns(dec.n)[:2])  # read-only tables
+    c_sq, s_sq = spectral_flow._basis_columns(dec.n)[0].copy()  # a read-only table
     largest = [max(np.abs(dec.alpha[1:, i]).max(), np.abs(dec.beta[:, i]).max()) for i in range(dec.p)]
     exponent = [math.frexp(float(c))[1] for c in largest]
     shifts = np.array([-e if abs(e) > 400 else 0 for e in exponent])

@@ -142,6 +142,37 @@ def test_rate_tables_are_bitwise_the_scalar_eigenvalues():
             assert not rates.flags.writeable and not table.flags.writeable
 
 
+@pytest.mark.parametrize("m", range(1, circulant.M_MAX + 1))
+def test_the_rate_table_is_the_per_entry_formula_bitwise(m):
+    """Each rate of ``flow_eigenvalues`` has the bits of the scalar formula
+    evaluated one mode at a time, for n from 3 to 2048."""
+    for n in [*range(2 + m, 2049, 23), 1024, 2048]:
+        expected = np.array([helpers.flow_rate(n, m, k) for k in range(n // 2 + 1)])
+        assert circulant.flow_eigenvalues(n, m).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(("n", "m"), [(5, 1000), (9, 700), (2048, 520), (4099, 600), (3, 700), (1000, 1024)])
+def test_the_rate_table_refuses_as_the_per_entry_formula_does(n, m):
+    """The rate table raises the OverflowError, word for word, that the
+    per-entry formula raises first in ascending mode order."""
+    with pytest.raises(OverflowError) as expected:
+        for k in range(n // 2 + 1):
+            helpers.flow_rate(n, m, k)
+    with pytest.raises(OverflowError) as table:
+        circulant.flow_eigenvalues(n, m)
+    assert str(table.value) == str(expected.value)
+
+
+def test_the_root_table_is_the_per_entry_roots_bitwise():
+    """``roots_of_unity`` maps libm's ``cos`` and ``sin`` over the upper
+    half and mirrors it: each root has the bits of the one-root-at-a-time
+    oracle, quarter turns exact, for n from 1 to 2048."""
+    for n in [*range(1, 300), *range(300, 2049, 17), 1024, 2047, 2048]:
+        expected = np.array([helpers.root_of_unity(a, n) for a in range(n)], dtype=complex)
+        roots = circulant.roots_of_unity(n)
+        assert roots.tobytes() == expected.tobytes() and not roots.flags.writeable
+
+
 def test_multiply_reproduces_square_of_m():
     m1 = CirculantMatrix(6, (-2, 1, 0, 0, 0, 1))
     assert circulant_multiply(m1, m1).first_row == (6, -4, 1, 0, 1, -4)

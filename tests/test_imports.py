@@ -7,7 +7,8 @@ the import check.
 
 orjson is imported by the first JSON input of a run that writes a float
 array as text, or else by the first such array: a run that writes none,
-such as ``integrate`` without ``--csv``, does not load it.
+such as ``integrate`` without ``--csv``, does not load it, and parses
+with it only where an earlier run has loaded it.
 Nor does the CLI's import load the RK4 module, the Yau flow, the SVG writer,
 ``csv`` or ``heapq``: each subcommand loads only what it runs.  The package
 resolves its names on first use, each read from the module defining it.
@@ -76,7 +77,7 @@ def loaded():
 
 def load_polygon_json(*args, load=polygon.load_polygon_json, **kwargs):
     result = load(*args, **kwargs)
-    parsed.append("orjson" in sys.modules)
+    parsed.append("orjson" in sys.modules and not kwargs.get("json_only", False))
     return result
 
 
@@ -93,10 +94,11 @@ print(json.dumps([steps, at_first_load]))
 
 @pytest.fixture(scope="module")
 def probe(tmp_path_factory):
-    """Run ORJSON_PROBE over a list of argvs in a fresh interpreter: the
+    """Run ORJSON_PROBE over a list of argvs in one fresh interpreter: the
     watched modules that importing the CLI and then each run loads first,
-    and per run whether orjson was loaded when its first JSON input had
-    been parsed (None for a run that reads no JSON).  In an argv,
+    and per run whether orjson parsed its first JSON input, that is, orjson
+    was loaded then and the run did not ask for ``json`` alone (None for a
+    run that reads no JSON).  In an argv,
     {pentagon}, {triangle} and {triangle_csv} name input files and {out}
     a folder for outputs."""
     folder = tmp_path_factory.mktemp("probe")
@@ -176,13 +178,22 @@ INTEGRATE = ["integrate", "--input", "{pentagon}", "--m", "1", "--dt", "0.01", "
             [[], ["orjson", "polyflow.integrate"], ["csv"]],
             [True, None],
         ),
+        (  # orjson, loaded by flow --csv, parses the inputs of a later CSV-less integrate
+            [["flow", "--input", "{pentagon}", "--m", "1", "--csv", "{out}/flow_first.csv"], INTEGRATE],
+            [[], ["orjson"], ["polyflow.integrate"]],
+            [True, True],
+        ),
     ],
-    ids=["integrate_target_then_analyze", "integrate_target_csv", "integrate_csv_then_csv_input"],
+    ids=[
+        "integrate_target_then_analyze", "integrate_target_csv", "integrate_csv_then_csv_input",
+        "flow_csv_then_integrate",
+    ],
 )
 def test_orjson_is_loaded_by_the_first_json_input_of_a_run_that_writes_numbers(probe, runs, steps, at_first_load):
     """A run that writes a float array (``analyze``, ``integrate --csv``)
     loads orjson to parse its first JSON input; a CSV-less ``integrate``,
-    with or without ``--target``, never loads it."""
+    with or without ``--target``, never loads it, and parses with it once
+    an earlier run in the same process has loaded it."""
     assert probe(runs) == [steps, at_first_load]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -99,9 +100,9 @@ def test_the_step_row_is_the_oracles_row_bitwise(n, m, ratio, tiny):
     h = (1e-300 if tiny else ratio) / stability_limit(n, m)
     row = _step_row(n, m, h)
     expected = helpers.rk4_step_row(n, m, h)
-    assert [(s, q.hex()) for s, q in row] == [(s, q.hex()) for s, q in expected]
-    assert [s for s, _ in row] == sorted({s for s, _ in row})
-    assert all(-n < 2 * s <= n and s != 0 for s, _ in row)
+    assert [(s, q.hex()) for s, q in zip(*row)] == [(s, q.hex()) for s, q in expected]
+    assert row[0].tolist() == sorted(set(row[0].tolist()))
+    assert all(-n < 2 * s <= n and s != 0 for s in row[0].tolist())
 
 
 @pytest.mark.parametrize("m", [1, M_MAX])
@@ -143,7 +144,7 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
     row = _step_row(n, m, h)
     scale = float(np.abs(x0.vertices).max())
     bound = np.finfo(float).eps * scale * (
-        2 + 2 * (len(row) + 3) * sum(abs(q) for _, q in row) + 4 * m * abs(z) * abs(slope)
+        2 + 2 * (row[0].size + 3) * sum(abs(q) for q in row[1].tolist()) + 4 * m * abs(z) * abs(slope)
     )
     stepped = integrate(x0, IntegratorConfig(dt=h, t_final=h, kind=PolyharmonicKind(m))).final()
     assert np.abs(stepped.vertices - r * x0.vertices).max() <= bound
@@ -151,16 +152,23 @@ def test_one_step_scales_an_eigenpolygon_by_the_stability_function(n, m, k, rati
 
 @pytest.mark.parametrize(
     "run",
-    ["odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap", "few-offsets", "power-of-two"],
+    [
+        "odd", "even", "yau", "scaled", "replay", "partial", "short", "stiff", "past-cap", "few-offsets",
+        "power-of-two", "mapped-replay",
+    ],
 )
 def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
-    """One step map per step size serves every step and replay of a run: the
-    whole step's, and the shorter final step's when there is one.  A
-    non-stiff run whose N whole steps of K offsets apply more than n - 1
-    offsets also builds the row of S^N once, from the whole step's row, and
-    one more map from it.  At n = 7 one whole step applies 6; at n = 64, 8
-    whole steps apply 64 (S^8, at any p) and 7 apply 56 (no S^N); 128 whole
-    steps make S^128 a rung of the ladder itself."""
+    """Each map is built once, when a run first needs it: one step map per
+    step size that a run steps with, serving every step and replay, and the
+    shorter final step's when there is one.  A non-stiff run whose N whole
+    steps of K offsets apply more than n - 1 offsets also builds the row of
+    S^N once, from the whole step's row, and its map.  A lean run that takes
+    all its whole steps as S^N builds no whole-step map, unless its range
+    check fails and the replay steps.  At n = 7 one whole step applies 6; at
+    n = 64, 8 whole steps apply 64 (S^8, at any p) and 7 apply 56 (no S^N);
+    128 whole steps make S^128 a rung of the ladder itself.  At n = 5,
+    m = 2, two steps of S^2 from a column at +-float max leave float range,
+    as the first step does."""
     step_row, row_map, power_row = integrate_module._step_row, integrate_module._row_map, integrate_module._power_row
     rows, maps, powers = [], [], []
 
@@ -188,6 +196,14 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
             integrate(x, IntegratorConfig(dt=9.0, t_final=900.5, kind=kind), keep_steps=run == "stiff")
         assert [h for h, _ in rows] == [9.0, 0.5] and maps == [(7, 2)] * 2 and powers == []
         return
+    if run == "mapped-replay":
+        x = Polygon(np.array([[-1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]) * sys.float_info.max)
+        dt = 0.5 / stability_limit(5, 2)
+        with pytest.raises(DivergenceError) as info:
+            integrate(x, IntegratorConfig(dt=dt, t_final=2 * dt, kind=PolyharmonicKind(2)), keep_steps=False)
+        assert info.value.step == 1 and info.value.norm == sys.float_info.max
+        assert [h for h, _ in rows] == [dt] and powers == [(rows[0][1], 5, 2)] and maps == [(5, 2)] * 2
+        return
     if run == "scaled":
         x = Polygon(np.ldexp(x.vertices, 700))
     steps = {"short": 1, "past-cap": 8, "few-offsets": 7, "power-of-two": 128}.get(run, 150)
@@ -197,7 +213,26 @@ def test_a_run_builds_its_stencil_once(rng, monkeypatch, run):
     assert [h for h, _ in rows] == [0.01] + ([t_final - steps * 0.01] if run == "partial" else [])
     stepped = run in ("short", "few-offsets")
     assert powers == ([] if stepped else [(rows[0][1], n, steps)])
-    assert maps == [(n, p)] * (len(rows) + (not stepped))
+    assert maps == [(n, p)] * len(rows)  # the step map or S^N's, and the partial step's
+
+
+def test_the_step_rows_of_one_size_and_order_share_their_exact_powers(monkeypatch):
+    """The exact powers A .. A^4 do not depend on the step size, so the step
+    rows of one (n, m) read ``power_of_m`` once, and a row is the same bits
+    whether its powers were built for it or read again."""
+    integrate_module._band_powers.cache_clear()
+    built, power_of_m = [], circulant.power_of_m
+
+    def counted(n, m):
+        built.append((n, m))
+        return power_of_m(n, m)
+
+    monkeypatch.setattr(circulant, "power_of_m", counted)
+    rows = [_step_row(40, 3, h) for h in (0.01, 0.003, 0.01)] + [_step_row(41, 3, 0.01)]
+    assert built == [(40, 3), (41, 3)]
+    integrate_module._band_powers.cache_clear()
+    again = _step_row(40, 3, 0.01)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows[0] + rows[2], again + again))
 
 
 def test_rk4_converges_at_order_four():
@@ -316,7 +351,7 @@ def test_the_power_map_is_within_rounding_of_the_exact_power(n, m, ratio, steps)
     I + E with E's centre entry minus the exact sum of the off-centre ones,
     computed from the oracle's row."""
     dt = ratio / stability_limit(n, m)
-    entry = dict(_power_row(_step_row(n, m, dt), n, steps))
+    entry = dict(zip(*_power_row(_step_row(n, m, dt), n, steps)))
     exact = helpers.exact_step_power(helpers.rk4_step_row(n, m, dt), n, steps)
     floats = [entry.get(s if 2 * s <= n else s - n, 0.0) for s in range(n)]
     eps = Fraction(np.finfo(float).eps)
@@ -331,7 +366,7 @@ def test_the_power_map_is_banded(m):
     its 255 off-centre entries for m = 1, 2, 3, and S^800 126, 128 and 142,
     where 800 steps apply 6400 m offsets."""
     row = _step_row(256, m, 0.1 / stability_limit(256, m))
-    assert len(_power_row(row, 256, 64)) <= 80 and len(_power_row(row, 256, 800)) <= 150
+    assert _power_row(row, 256, 64)[0].size <= 80 and _power_row(row, 256, 800)[0].size <= 150
 
 
 @pytest.mark.parametrize("case", ["stiff", "few-offsets", "many-offsets"])
