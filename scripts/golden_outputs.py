@@ -8,12 +8,16 @@ is unchanged.
         --check gallery.json
 
 The job list is the benchmark's own, built by ``perfbench/workloads.py``'s
-``make_jobs`` in a temporary directory, and run in this process by the
+``make_jobs`` in a temporary directory, followed by the fixed CLI-text
+requests of :func:`cli_text_jobs` (each ``-h``, an ``=`` form, an
+abbreviation and argparse's refusals), and run in this process by the
 benchmark's ``worker.run_jobs`` through ``polyflow.cli.main``, imported from
-``--src`` (default: this checkout's ``src``).  Per job the manifest holds
-the argv and a SHA-256 of the exit code, of stdout, of stderr and of the
-bytes of every ``--csv``, ``--svg`` and ``--json`` output, with the
-temporary directory replaced by a fixed token first.
+``--src`` (default: this checkout's ``src``), with the environment's
+``COLUMNS`` set to 80, since argparse wraps its text to the terminal width.
+Per job the manifest holds the argv and a SHA-256 of the exit code, of
+stdout, of stderr and of the bytes of every ``--csv``, ``--svg`` and
+``--json`` output, with the temporary directory replaced by a fixed token
+first.
 
 The manifest also records the Python, numpy and orjson versions.  ``--check``
 exits 2 when they differ from the running ones, or when the manifest was
@@ -33,6 +37,7 @@ import shutil
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -42,6 +47,7 @@ from workloads import WORKLOADS, make_jobs  # noqa: E402
 
 TOKEN = "<work>"  # stands for the temporary directory in argv and outputs
 OUTPUT_FLAGS = ("--csv", "--svg", "--json")
+COLUMNS = "80"  # the terminal width argparse wraps help and usage text to
 
 
 class GoldenError(Exception):
@@ -91,12 +97,32 @@ def hashed_parts(argv: list[str], code, stdout: str, stderr: str, work: str) -> 
     return parts
 
 
+def cli_text_jobs(work: str) -> list[dict]:
+    """Requests whose answer is the command line's own text: the ``-h`` of
+    the command and of each subcommand, an ``=`` form and an abbreviation
+    (which argparse parses), and a bad choice, a missing subcommand, a
+    missing required flag and ``--m 0`` (which it refuses).  They read a
+    pentagon written to ``work``."""
+    pentagon = os.path.join(work, "cli_text_pentagon.json")
+    with open(pentagon, "w") as fh:
+        json.dump({"dim": 2, "vertices": [[1, 0], [0.31, 0.95], [-0.81, 0.59], [-0.81, -0.59], [0.31, -0.95]]}, fh)
+    requests = [["-h"]] + [[name, "-h"] for name in ("matrix", "flow", "yau", "analyze", "integrate")] + [
+        ["flow", f"--input={pentagon}", "--m=2", "--count=3"],
+        ["flow", "--inp", pentagon, "--m", "2", "--cou", "3"],
+        ["yau", "--input", pentagon, "--target", pentagon, "--m", "1", "--strategy", "middle"],
+        [],
+        ["flow", "--input", pentagon],
+        ["flow", "--input", pentagon, "--m", "0"],
+    ]
+    return [{"argv": argv} for argv in requests]
+
+
 def manifest(workload: str, seed: int, seconds: int, src: str) -> dict:
     cli = import_cli(src)
     work = tempfile.mkdtemp(prefix="golden-")
     try:
-        jobs = make_jobs(workload, seed, seconds, work)
-        with warnings.catch_warnings():
+        jobs = make_jobs(workload, seed, seconds, work) + cli_text_jobs(work)
+        with warnings.catch_warnings(), mock.patch.dict(os.environ, COLUMNS=COLUMNS):
             warnings.simplefilter("default")  # as in a fresh interpreter, whoever calls
             results = run_jobs(cli, jobs)
         hashed = [

@@ -11,20 +11,31 @@ after loading it.
 Every number it writes follows the one formatter rule of
 :func:`polygon.format_floats`.
 
-``main`` parses a plain argv from a table read once from the argparse tree
-(``_plain_args``): a subcommand, then exact option strings, each but
-``--solid-target`` followed by one value that does not start with ``-``,
-every value converting and among its choices, and every required flag
-given.  That takes 3-5 us where argparse takes 33-68 (2-vCPU Xeon VM,
-Python 3.11).  argparse parses every other argv (abbreviations,
-``--flag=value``, ``-h``, values that look negative, bad values, missing
-flags), so every refusal, its message and its exit code are argparse's.
+Each subcommand's options are declared once, in ``_COMMANDS``: flag,
+namespace attribute, conversion, default, whether required, choices,
+whether it names an input or an output file, and help text.  ``main``
+parses a plain argv from that declaration (``_plain_args``): a subcommand,
+then exact option strings, each but ``--solid-target`` followed by one
+value that does not start with ``-``, every value converting and among its
+choices, and every required flag given.  That takes about 5 us where
+argparse takes 33-68 (2-vCPU Xeon VM, Python 3.11).  Every other argv
+(abbreviations, ``--flag=value``, ``-h``, values that look negative, bad
+values, missing flags) goes to the argparse tree that :func:`build_parser`
+builds from the same declaration at the first such argv, and that later
+ones reuse, so every refusal, its message and its exit code are
+argparse's.  A run of plain argvs never imports argparse.  The path checks
+take the declared input and output options.
 
 A subcommand imports only the modules it runs: ``integrate`` loads the RK4
 module :mod:`polyflow.integrate`, ``yau`` and ``integrate --target`` load
 :mod:`polyflow.yau_flow`, and ``--svg`` loads :mod:`polyflow.svg`, each in
 the function that first calls it.  ``matrix``, ``flow`` and ``analyze``
-load none of the three.  orjson is loaded by the first JSON input of a
+load none of the three.  Two private modules are compiled the same way:
+``analyze`` loads its report writer :mod:`polyflow._report`, and a
+``midpoint`` reconciliation that grows a polygon loads
+:mod:`polyflow._reconcile`.  No call runs both, and without a bytecode
+cache each costs 1-1.5 and 2-3 ms to compile, against ~0.1 ms for the
+import of a module file.  orjson is loaded by the first JSON input of a
 run that writes a float array, to parse it, or else by the first such
 array: ``integrate`` without ``--csv`` writes none, so it never loads
 orjson.  It parses its JSON inputs with ``json`` alone (``json_only``)
@@ -34,14 +45,14 @@ bits and the same messages.
 
 A job is milliseconds of numpy, so a call is mostly its process start-up:
 on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) importing numpy takes
-70-110 ms, and ``from polyflow import cli`` about 38 ms without a bytecode
-cache and 11 ms with one.  Every numeric range
-error, ``FlowRangeError`` and ``DivergenceError`` among them, is an
-``OverflowError`` (exit 4).
+70-110 ms, and ``from polyflow import cli`` after it about 24 ms without a
+bytecode cache and 8.6 ms with one (medians of 15 fresh processes).  A
+plain argv then spares argparse's import and tree, 5-9 ms in a fresh
+process (12 runs).  Every numeric range error, ``FlowRangeError`` and
+``DivergenceError`` among them, is an ``OverflowError`` (exit 4).
 """
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import math
@@ -49,7 +60,8 @@ import os
 import stat
 import sys
 import warnings
-from itertools import islice
+from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,7 +69,6 @@ from . import circulant, spectral_flow
 from .polygon import (
     Polygon,
     PolygonFormatError,
-    energy,
     format_floats,
     format_samples,
     load_polygon,
@@ -79,6 +90,8 @@ def geometric_schedule(t0=T0, ratio=RATIO, count=COUNT) -> tuple[float, ...]:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
@@ -86,76 +99,110 @@ def _positive_int(text: str) -> int:
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One option of a subcommand.  ``convert`` makes its value from the text
+# after the flag; None marks a flag that takes no value and stores True.
+# ``path`` is "input" for a file the command reads and "output" for one it
+# writes.  (A typing.NamedTuple class takes 0.5 ms more to define.)
+_Option = namedtuple(
+    "_Option", "flag dest convert default required choices path help", defaults=(str, None, False, None, None, None)
+)
+_Command = namedtuple("_Command", "help options description", defaults=(None,))
+
+_INPUT = _Option("--input", "input_path", required=True, path="input")
+_ORDER = _Option("--m", "m", _positive_int, required=True)
+_SCHEDULE = (
+    _Option("--times", "times", help="comma-separated strictly increasing times; "
+            "a negative first time needs the = form, --times=-0.2,0.1"),
+    _Option("--t0", "t0", _positive_float, T0, help="first geometric time"),
+    _Option("--ratio", "ratio", _positive_float, RATIO, help="geometric ratio > 1"),
+    _Option("--count", "count", _positive_int, COUNT, help="number of samples"),
+)
+_RENDER = (
+    _Option("--csv", "csv_path", path="output", help="write the trajectory table here"),
+    _Option("--svg", "svg_path", path="output", help="write the figure here"),
+    _Option("--stroke-width", "stroke_width", _positive_float),
+)
+_STRATEGIES = ("duplicate", "midpoint")
+
+# Every subcommand and its options, in the order ``-h`` lists them: the
+# plain-argv parse, the argparse tree and the path checks all read this.
+# Inputs are declared before outputs, so a path clash names the output.
+_COMMANDS = {
+    "matrix": _Command(
+        "print the difference-matrix power, flow matrix, and eigenvalues",
+        (
+            _Option("--n", "n", _positive_int, required=True, help="vertex count"),
+            _Option("--m", "m", _positive_int, required=True, help="flow order"),
+        ),
+        "Prints three lines: the first row of M^m, the first row "
+        "of the flow matrix (-1)^(m+1) M^m, and the flow eigenvalues.",
+    ),
+    "flow": _Command("evolve a polygon by the homogeneous flow", (_INPUT, _ORDER, *_SCHEDULE, *_RENDER)),
+    "yau": _Command(
+        "flow a polygon toward a target polygon",
+        (
+            _INPUT,
+            _Option("--target", "target_path", required=True, path="input"),
+            _ORDER,
+            _Option("--strategy", "strategy", default="midpoint", choices=_STRATEGIES,
+                    help="vertex-count reconciliation strategy"),
+            _Option("--solid-target", "solid_target", None, False, help="draw the target undashed"),
+            *_SCHEDULE,
+            *_RENDER,
+        ),
+    ),
+    "analyze": _Command(
+        "spectral report for a polygon",
+        (_INPUT, _ORDER, _Option("--json", "json_path", path="output",
+                                 help="write the report here instead of stdout")),
+    ),
+    "integrate": _Command(
+        "RK4 oracle run, reports deviation from the closed form",
+        (
+            _INPUT,
+            _ORDER,
+            _Option("--target", "target_path", path="input",
+                    help="integrate the difference flow toward this polygon"),
+            _Option("--dt", "dt", _positive_float, 1e-3),
+            _Option("--T", "t_final", _positive_float, 1.0),
+            _Option("--csv", "csv_path", path="output", help="write the RK4 trajectory table here"),
+            _Option("--strategy", "strategy", default="midpoint", choices=_STRATEGIES,
+                    help="vertex-count reconciliation strategy (with --target)"),
+        ),
+    ),
+}
+_FLAGS = {name: {option.flag: option for option in command.options} for name, command in _COMMANDS.items()}
+
+
+def build_parser():
+    """The argparse tree of ``_COMMANDS``, for the argvs that
+    :func:`_plain_args` declines.  argparse is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polyflow",
         description="Semi-discrete polyharmonic and Yau difference flows on closed polygons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_matrix = sub.add_parser(
-        "matrix",
-        help="print the difference-matrix power, flow matrix, and eigenvalues",
-        description="Prints three lines: the first row of M^m, the first row "
-        "of the flow matrix (-1)^(m+1) M^m, and the flow eigenvalues.",
-    )
-    p_matrix.add_argument("--n", type=_positive_int, required=True, help="vertex count")
-    p_matrix.add_argument("--m", type=_positive_int, required=True, help="flow order")
-
-    def add_schedule(p):
-        p.add_argument("--times", help="comma-separated strictly increasing times; "
-                       "a negative first time needs the = form, --times=-0.2,0.1")
-        p.add_argument("--t0", type=_positive_float, default=T0, help="first geometric time")
-        p.add_argument("--ratio", type=_positive_float, default=RATIO, help="geometric ratio > 1")
-        p.add_argument("--count", type=_positive_int, default=COUNT, help="number of samples")
-
-    def add_render(p):
-        p.add_argument("--csv", dest="csv_path", help="write the trajectory table here")
-        p.add_argument("--svg", dest="svg_path", help="write the figure here")
-        p.add_argument("--stroke-width", type=_positive_float, default=None)
-
-    p_flow = sub.add_parser("flow", help="evolve a polygon by the homogeneous flow")
-    p_flow.add_argument("--input", dest="input_path", required=True)
-    p_flow.add_argument("--m", type=_positive_int, required=True)
-    add_schedule(p_flow)
-    add_render(p_flow)
-
-    p_yau = sub.add_parser("yau", help="flow a polygon toward a target polygon")
-    p_yau.add_argument("--input", dest="input_path", required=True)
-    p_yau.add_argument("--target", dest="target_path", required=True)
-    p_yau.add_argument("--m", type=_positive_int, required=True)
-    p_yau.add_argument(
-        "--strategy", choices=("duplicate", "midpoint"), default="midpoint",
-        help="vertex-count reconciliation strategy",
-    )
-    p_yau.add_argument("--solid-target", action="store_true", help="draw the target undashed")
-    add_schedule(p_yau)
-    add_render(p_yau)
-
-    p_analyze = sub.add_parser("analyze", help="spectral report for a polygon")
-    p_analyze.add_argument("--input", dest="input_path", required=True)
-    p_analyze.add_argument("--m", type=_positive_int, required=True)
-    p_analyze.add_argument("--json", dest="json_path", help="write the report here instead of stdout")
-
-    p_int = sub.add_parser("integrate", help="RK4 oracle run, reports deviation from the closed form")
-    p_int.add_argument("--input", dest="input_path", required=True)
-    p_int.add_argument("--m", type=_positive_int, required=True)
-    p_int.add_argument("--target", dest="target_path", help="integrate the difference flow toward this polygon")
-    p_int.add_argument("--dt", type=_positive_float, default=1e-3)
-    p_int.add_argument("--T", dest="t_final", type=_positive_float, default=1.0)
-    p_int.add_argument("--csv", dest="csv_path", help="write the RK4 trajectory table here")
-    p_int.add_argument(
-        "--strategy", choices=("duplicate", "midpoint"), default="midpoint",
-        help="vertex-count reconciliation strategy (with --target)",
-    )
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.description)
+        for option in command.options:
+            if option.convert is None:
+                p.add_argument(option.flag, dest=option.dest, action="store_true",
+                               default=option.default, help=option.help)
+            else:
+                p.add_argument(option.flag, dest=option.dest, type=option.convert, default=option.default,
+                               required=option.required, choices=option.choices, help=option.help)
     return parser
 
 
-def resolve_schedule(args: argparse.Namespace) -> tuple[float, ...]:
+def resolve_schedule(args: SimpleNamespace) -> tuple[float, ...]:
     if args.times is not None:
         try:
             times = tuple(float(tok) for tok in args.times.split(","))
@@ -224,7 +271,7 @@ def _power_of_m(n: int, m: int) -> circulant.CirculantMatrix:
         raise CliArgumentError(str(exc)) from exc
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: SimpleNamespace) -> int:
     power = _power_of_m(args.n, args.m)
     sign = circulant.flow_sign(args.m)
     eigenvalues = circulant.eigen_system(args.n, args.m)
@@ -234,20 +281,19 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-_INPUT_FLAGS = (("--input", "input_path"), ("--target", "target_path"))
-_OUTPUT_FLAGS = (("--csv", "csv_path"), ("--svg", "svg_path"), ("--json", "json_path"))
-
-
-def _check_paths(args: argparse.Namespace) -> None:
+def _check_paths(args: SimpleNamespace, options) -> None:
     """Refuse an output path that cannot be opened for writing (exit 3),
-    then one that names an input or another output (exit 2).  One lookup
+    then one that names an input or another output (exit 2), of the paths
+    that ``options`` declare.  One lookup
     per path: ``lstat``, ``stat`` where a link leads, the folder's ``stat``
     only for a file not made yet, and ``access`` for an output.  A file is
     keyed by its device and inode, one not made yet by its folder's and its
     own name, and a dangling link by the file that writing through it makes."""
     named, clash = {}, None  # file key -> the first flag and path naming that file
-    for flag, dest in _INPUT_FLAGS + _OUTPUT_FLAGS:
-        path, writes = vars(args).get(dest), (flag, dest) in _OUTPUT_FLAGS
+    for option in options:
+        if not option.path:
+            continue
+        flag, path, writes = option.flag, getattr(args, option.dest), option.path == "output"
         if path == "" and writes:
             raise FileNotFoundError("cannot write to an empty path")
         if not path:
@@ -308,7 +354,7 @@ def _emit_samples(args, times, solution, initial, target=None, dash_target=True)
         _write_trajectory_rows(sys.stdout, times, samples)
 
 
-def cmd_flow(args: argparse.Namespace) -> int:
+def cmd_flow(args: SimpleNamespace) -> int:
     """``flow``, and ``yau`` toward its ``--target``."""
     times = resolve_schedule(args)
     x0 = load_flow_polygon(args.input_path)
@@ -322,7 +368,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flow_toward_target(args: argparse.Namespace, x0: Polygon, json_only: bool = False):
+def _flow_toward_target(args: SimpleNamespace, x0: Polygon, json_only: bool = False):
     """Load ``--target`` and reconcile x0 with it: the problem and its exact
     solution.  Polygons of different dimensions are an input error."""
     from .yau_flow import yau_flow_between
@@ -334,92 +380,9 @@ def _flow_toward_target(args: argparse.Namespace, x0: Polygon, json_only: bool =
         raise PolygonFormatError(str(exc)) from exc
 
 
-def _json_floats(cells, pad: str) -> str:
-    """A non-empty list of formatted numbers in the indent-2 layout, its
-    items at ``pad``."""
-    items = f",\n{pad}".join(cells)
-    return f"[\n{pad}{items}\n{pad[2:]}]"
+def cmd_analyze(args: SimpleNamespace) -> int:
+    from ._report import _analyze_json
 
-
-def _json_polygon(cells: list, p: int) -> str:
-    """A polygon from its vertices' cells, or null for no cells, as a member of the report."""
-    if not cells:
-        return "null"
-    vertices = map(",\n        ".join, zip(*[iter(cells)] * p))
-    rows = "\n      ],\n      [\n        ".join(vertices)
-    return f'{{\n    "dim": {p},\n    "vertices": [\n      [\n        {rows}\n      ]\n    ]\n  }}'
-
-
-def _analyze_json(x0: Polygon, m: int, source: str) -> str:
-    """The ``analyze`` report of x0 as ``json.dumps(report, indent=2)`` writes
-    it, laid out by its schema: ``indent`` sends ``json`` to its pure-Python
-    encoder, which costs twice as much.
-
-    After every library error, a number beyond float range raises
-    FlowRangeError, naming the input ``source``.  Only the energy and the
-    mode masses can be one: ``decompose`` refuses a non-finite centroid or
-    spectrum, ``flow_eigenvalues`` raises OverflowError instead of returning
-    inf and ``Polygon`` refuses non-finite vertices.
-
-    Every number is a cell of one ``format_floats`` call over all arrays,
-    sliced apart: the centroid is the first p cells of alpha, and the
-    verdict's rate is its mode's rate cell, bitwise ``flow_eigenvalue``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        dec = spectral_flow.decompose(x0)
-        verdict = spectral_flow.classify_self_similar(dec, m)
-        total = energy(x0, m)
-        rates = circulant.flow_eigenvalues(x0.n, m)
-        try:
-            k_fwd, fwd = spectral_flow.rescaled_limit(dec, m, "forward")
-            k_anc, anc = spectral_flow.rescaled_limit(dec, m, "ancient")
-        except spectral_flow.DegenerateModeError:
-            k_fwd = fwd = k_anc = anc = None
-    if not (math.isfinite(total) and np.isfinite(dec.masses).all()):
-        raise spectral_flow.FlowRangeError(
-            f"the analyze report of {source} holds a number beyond float range"
-        )
-    limits = () if fwd is None else (fwd.vertices, anc.vertices)  # no cells: null limits
-    cells = iter(format_floats(np.concatenate((dec.alpha, dec.beta, dec.masses, rates, total, *limits), axis=None)))
-    h, p = len(rates), x0.p
-    alpha_cells, beta_cells, mass_cells, rate_cells, (energy_cell,), fwd_cells, anc_cells = (
-        list(islice(cells, size)) for size in (h * p, h * p, h, h, 1, x0.n * p, x0.n * p)
-    )
-    # one mode's pieces, its cells left empty: the template times h, filled by strided slices
-    row = ",\n        "
-    template = ['    {\n      "k": ', "", ',\n      "mass": ', "", ',\n      "rate": ', "", ',\n      "alpha": [\n        ']
-    template += ["", row] * (p - 1) + ["", '\n      ],\n      "beta": [\n        ']
-    template += ["", row] * (p - 1) + ["", "\n      ]\n    },\n"]
-    size = len(template)
-    pieces = template * h
-    pieces[1::size], pieces[3::size], pieces[5::size] = map(str, range(h)), mass_cells, rate_cells
-    for j in range(p):
-        pieces[7 + 2 * j :: size], pieces[7 + 2 * (p + j) :: size] = alpha_cells[j::p], beta_cells[j::p]
-    pieces[-1] = "\n      ]\n    }"  # the last mode is followed by no comma
-    modes = "".join(pieces)
-    if verdict is not None:
-        verdict = (
-            f'{{\n    "mode": {verdict.mode},\n    "rate": {rate_cells[verdict.mode]},\n'
-            f'    "trivial": {"true" if verdict.is_trivial else "false"}\n  }}'
-        )
-    members = (
-        ("n", x0.n),
-        ("p", p),
-        ("m", m),
-        ("energy", energy_cell),
-        ("centroid", _json_floats(alpha_cells[:p], "    ")),
-        ("modes", f"[\n{modes}\n  ]"),
-        ("self_similar", verdict),
-        ("dominant_mode", k_fwd),
-        ("forward_limit", _json_polygon(fwd_cells, p)),
-        ("ancient_mode", k_anc),
-        ("ancient_limit", _json_polygon(anc_cells, p)),
-    )
-    body = ",\n".join(f'  "{key}": {"null" if text is None else text}' for key, text in members)
-    return f"{{\n{body}\n}}"
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
     x0 = load_flow_polygon(args.input_path)
     text = _analyze_json(x0, args.m, args.input_path)
     if args.json_path:
@@ -436,7 +399,7 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_integrate(args: argparse.Namespace) -> int:
+def cmd_integrate(args: SimpleNamespace) -> int:
     from . import integrate
 
     if not math.isfinite(args.t_final / args.dt):
@@ -480,83 +443,57 @@ _HANDLERS = {
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argparse tree and its plain-argv table, built on the first
-    ``main`` call and reused: parsing leaves no state on either."""
-    parser = build_parser()
-    return parser, _argv_table(parser)
+def _parser():
+    """The argparse tree, built by the first ``main`` call whose argv
+    :func:`_plain_args` declines, and reused: parsing leaves no state on it."""
+    return build_parser()
 
 
-def _argv_table(parser: argparse.ArgumentParser) -> dict:
-    """Per subcommand, read from the argparse tree: each option string's
-    (dest, conversion, choices), with conversion None for a ``store_true``
-    flag, the defaults and the required dests.  A subcommand with another
-    kind of action is left out, so argparse parses it."""
-    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sub in subparsers.choices.items():
-        options, defaults, required = {}, {subparsers.dest: name}, set()
-        for action in sub._actions:
-            if type(action) is argparse._StoreTrueAction:
-                spec = (action.dest, None, None)
-            elif type(action) is argparse._StoreAction and action.nargs is None and action.option_strings:
-                spec = (action.dest, action.type or str, action.choices)
-            elif type(action) is argparse._HelpAction:
-                continue
-            else:
-                break
-            options.update(dict.fromkeys(action.option_strings, spec))
-            defaults[action.dest] = action.default
-            if action.required:
-                required.add(action.dest)
-        else:
-            table[name] = (options, defaults, required)
-    return table
-
-
-def _plain_args(table: dict, argv) -> argparse.Namespace | None:
+def _plain_args(argv) -> SimpleNamespace | None:
     """The namespace argparse makes of ``argv``, if it is plain: a
-    subcommand, then exact option strings, each but a ``store_true`` flag
-    followed by one value that does not start with ``-``, every value
-    converted and among its choices, every required flag given.  A repeated
-    flag keeps its last value.  None for any other argv."""
-    if not argv or argv[0] not in table:
+    subcommand, then exact option strings of ``_COMMANDS``, each but a flag
+    without ``convert`` followed by one value that does not start with
+    ``-``, every value converted and among its choices, every required
+    option given.  A repeated option keeps its last value.  None for any
+    other argv."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
         return None
-    options, defaults, required = table[argv[0]]
     given = {}
     tokens = iter(argv[1:])
     for flag in tokens:
-        spec = options.get(flag)
-        if spec is None:
+        option = flags.get(flag)
+        if option is None:
             return None
-        dest, convert, choices = spec
-        if convert is None:
-            given[dest] = True
+        if option.convert is None:
+            given[option.dest] = True
             continue
         value = next(tokens, None)
         if not isinstance(value, str) or value.startswith("-"):
             return None
         try:
-            value = convert(value)
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            value = option.convert(value)
+        except Exception:  # argparse repeats the conversion and words the refusal
             return None
-        if choices is not None and value not in choices:
+        if option.choices is not None and value not in option.choices:
             return None
-        given[dest] = value
-    if not required <= given.keys():
+        given[option.dest] = value
+    options = _COMMANDS[argv[0]].options
+    if not all(option.dest in given for option in options if option.required):
         return None
-    return argparse.Namespace(**{**defaults, **given})
+    args = SimpleNamespace(command=argv[0], **{option.dest: option.default for option in options})
+    vars(args).update(given)
+    return args
 
 
 def main(argv=None) -> int:
-    parser, table = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = _plain_args(table, argv)
+    args = _plain_args(argv)
     if args is None:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv, SimpleNamespace())
     try:
-        _check_paths(args)
+        _check_paths(args, _COMMANDS[args.command].options)
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, whatever its buffering, not at exit
         return code

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polyflow import circulant, cli, integrate, spectral_flow, svg, yau_flow
+from polyflow import _report, circulant, cli, integrate, polygon, spectral_flow, svg, yau_flow
 from polyflow.cli import main
 from polyflow.polygon import (
     Polygon,
@@ -270,6 +270,30 @@ def test_missing_input_exits_three(tmp_path, pentagon_file, capsys):
         assert captured.err.startswith("input error:") and through_file in captured.err
 
 
+DECLARED_OUTPUTS = [
+    (name, option.flag) for name, command in cli._COMMANDS.items()
+    for option in command.options if option.path == "output"
+]
+
+
+@pytest.mark.parametrize(("command", "flag"), DECLARED_OUTPUTS, ids=" ".join)
+def test_every_declared_output_is_checked_before_any_work(tmp_path, pentagon_file, target_file, command, flag, capsys):
+    """Every option the table declares as an output, so one added later too:
+    pointed into a missing folder it exits 3 and makes no file, and naming
+    the ``--input`` file it exits 2 and leaves that file as it was."""
+    values = {"--input": pentagon_file, "--target": target_file, "--m": "1", "--n": "6"}
+    argv = [command]
+    for option in cli._COMMANDS[command].options:
+        if option.required:
+            argv += [option.flag, values[option.flag]]
+    before = _tree(tmp_path)
+    assert main(argv + [flag, str(tmp_path / "missing" / "out.txt")]) == 3
+    assert capsys.readouterr().err.startswith("input error: cannot write")
+    assert main(argv + [flag, pentagon_file]) == 2
+    assert capsys.readouterr().err == f"error: {flag} {pentagon_file} names the same file as --input {pentagon_file}\n"
+    assert _tree(tmp_path) == before
+
+
 def test_malformed_input_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -456,7 +480,7 @@ def test_analyze_formats_its_report_in_one_call(rng, monkeypatch, constant):
     energy and, when there are limits, their vertices) is a cell of one
     ``format_floats`` call."""
     calls = []
-    format_floats = cli.format_floats
+    format_floats = polygon.format_floats
 
     def counted(values):
         calls.append(np.size(values))
@@ -464,8 +488,8 @@ def test_analyze_formats_its_report_in_one_call(rng, monkeypatch, constant):
 
     n, p = 7, 2
     x = helpers.constant_polygon([1.0, -2.0], n) if constant else helpers.random_polygon(rng, n, p)
-    monkeypatch.setattr(cli, "format_floats", counted)
-    report = json.loads(cli._analyze_json(x, 2, "counted.json"))
+    monkeypatch.setattr(polygon, "format_floats", counted)
+    report = json.loads(_report._analyze_json(x, 2, "counted.json"))
     assert (report["forward_limit"] is None) == constant
     assert calls == [(n // 2 + 1) * (2 * p + 2) + 1 + (0 if constant else 2 * n * p)]
 
@@ -606,7 +630,7 @@ def test_report_writer_is_byte_identical_to_json(data):
         assert report["forward_limit"] is None and report["self_similar"]["trivial"]
     if kind == "pure":
         assert report["self_similar"] is not None and report["ancient_limit"] is not None
-    assert cli._analyze_json(x, m, "drawn.json") == helpers.report_json(report)
+    assert _report._analyze_json(x, m, "drawn.json") == helpers.report_json(report)
 
 
 def _planted(values, index, bad):
@@ -619,7 +643,7 @@ def _plant_at_source(monkeypatch, slot, bad):
     """Make the library hand the writer ``bad`` for one slot of the report,
     at the place that slot's number is computed."""
     if slot == ("energy",):
-        monkeypatch.setattr(cli, "energy", lambda x, m: bad)
+        monkeypatch.setattr(polygon, "energy", lambda x, m: bad)
     elif slot == ("centroid", 1):
         monkeypatch.setattr(spectral_flow, "centroid", lambda x: _planted(centroid(x), 1, bad))
     elif slot == ("modes", 1, "mass"):
@@ -682,7 +706,7 @@ def test_report_writer_refuses_what_json_refuses(monkeypatch, slot, bad):
         helpers.report_json(report)
     _plant_at_source(monkeypatch, slot, bad)
     with pytest.raises((ValueError, OverflowError)):  # FlowRangeError is an OverflowError
-        cli._analyze_json(x, 3, "planted.json")
+        _report._analyze_json(x, 3, "planted.json")
 
 
 # entries up to 1.7e308: the centroid sum and the spectrum overflow
@@ -1024,12 +1048,13 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, pentagon_file, target_
         ["yau", "--input", pentagon_file, "--target", target_file, "--m", "2", "--times", "0.1"],
         ["integrate", "--input", pentagon_file, "--m", "1", "--dt", "0.01", "--T", "0.05"],
         ["flow", "--input", pentagon_file, "--m", "2"],
+        ["flow", f"--input={pentagon_file}", "--m", "2", "--count", "2"],
     ]
     fresh = []
     for argv in commands:
         cli._parser.cache_clear()
         fresh.append(_outcome(argv, capsys))
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 3, 0, 0, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 3, 0, 0, 0, 0]
 
     builds, build_parser = [], cli.build_parser
 
@@ -1039,8 +1064,13 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, pentagon_file, target_
 
     cli._parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counted_build)
-    assert [_outcome(argv, capsys) for argv in commands] == fresh
-    assert len(builds) == 1
+    outcomes, built = [], []
+    for argv in commands:
+        outcomes.append(_outcome(argv, capsys))
+        built.append(len(builds))
+    assert outcomes == fresh
+    # built once, by the first argv the plain parse declines (a missing --m), and reused by the = form
+    assert built == [0, 0, 1, 1, 1, 1, 1, 1, 1]
     cli._parser.cache_clear()
 
 
@@ -1294,12 +1324,12 @@ ARGPARSE_ONLY_ARGVS = [
 
 @pytest.mark.parametrize("argv", PLAIN_ARGVS + ARGPARSE_ONLY_ARGVS, ids=" ".join)
 def test_the_argv_table_takes_only_plain_argvs(argv):
-    """The table parses each plain argv to argparse's namespace, and declines
-    every other shape, whether argparse accepts it or refuses it."""
-    parser, table = cli._parser()
-    args = cli._plain_args(table, argv)
+    """The plain parse of the option table (``cli._COMMANDS``) parses each
+    plain argv to argparse's namespace, and declines every other shape,
+    whether argparse accepts it or refuses it."""
+    args = cli._plain_args(argv)
     if argv in PLAIN_ARGVS:
-        assert vars(args) == vars(parser.parse_args(argv))
+        assert vars(args) == vars(cli._parser().parse_args(argv))
     else:
         assert args is None
 
@@ -1312,19 +1342,18 @@ def test_the_argv_table_takes_only_plain_argvs(argv):
 @example(["flow", "--input", "@{input}", "--m", "1", "--count", "-1"], ("in.csv", b"x1,x2\n0,0\n2,0\n1,1.6\n"))
 def test_the_argv_table_answers_as_argparse_does(tmp_path_factory, argv, document):
     """``main`` gives the same exit code, stdout, stderr and files whether or not the
-    plain-argv table may parse its argv, and where the table parses one its namespace
-    is argparse's."""
+    plain parse of the option table may parse its argv, and where it parses one its
+    namespace is argparse's."""
     folder = tmp_path_factory.getbasetemp() / "argv_request"
     outcomes = []
     for table_declines in (False, True):
         shutil.rmtree(folder, ignore_errors=True)
         folder.mkdir()
         resolved = _lay_out_request(str(folder), document, argv)
-        declined = mock.patch.object(cli, "_plain_args", lambda table, argv: None)
+        declined = mock.patch.object(cli, "_plain_args", lambda argv: None)
         with declined if table_declines else contextlib.nullcontext():
             outcomes.append((_answer(resolved), _tree(folder)))
     assert outcomes[0] == outcomes[1], resolved
-    parser, table = cli._parser()
-    args = cli._plain_args(table, resolved)
+    args = cli._plain_args(resolved)
     if args is not None:
-        assert vars(args) == vars(parser.parse_args(resolved))
+        assert vars(args) == vars(cli._parser().parse_args(resolved))

@@ -2,6 +2,7 @@
 that wrote it, and a one-ulp change to one flow sample is reported."""
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 
@@ -34,15 +35,21 @@ def _argv(workload, manifest, mode):
 
 
 @pytest.mark.parametrize("workload", sorted(FIRST_JOBS))
-def test_a_manifest_checks_clean_where_it_was_written(workload, first_jobs, tmp_path, capsys):
+def test_a_manifest_checks_clean_where_it_was_written(workload, first_jobs, tmp_path, monkeypatch, capsys):
+    """Also in a terminal of another width: the CLI-text requests run at ``COLUMNS``."""
     manifest = tmp_path / "golden.json"
     assert golden.main(_argv(workload, manifest, "--write")) == 0
     jobs = json.loads(manifest.read_text())["jobs"]
-    assert len(jobs) == FIRST_JOBS[workload]
+    text_jobs = golden.cli_text_jobs(str(tmp_path))
+    assert len(jobs) == FIRST_JOBS[workload] + len(text_jobs)
+    assert [job["argv"] for job in jobs[-len(text_jobs):]] == [
+        [arg.replace(str(tmp_path), golden.TOKEN) for arg in job["argv"]] for job in text_jobs]
     assert not any(str(tmp_path) in arg for job in jobs for arg in job["argv"])
     capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "40")
     assert golden.main(_argv(workload, manifest, "--check")) == 0
     assert capsys.readouterr().out == f"0 of {len(jobs)} jobs differ\n"
+    assert os.environ["COLUMNS"] == "40"
 
 
 def test_a_one_ulp_change_to_one_sample_is_reported(first_jobs, tmp_path, monkeypatch, capsys):
@@ -63,8 +70,8 @@ def test_a_one_ulp_change_to_one_sample_is_reported(first_jobs, tmp_path, monkey
     assert golden.main(_argv("gallery", manifest, "--check")) == 1
     lines = capsys.readouterr().out.splitlines()
     jobs = json.loads(manifest.read_text())["jobs"]
-    flows = [i for i, job in enumerate(jobs) if job["argv"][0] in ("flow", "yau")
-             and job["parts"]["exit"] == golden._digest(b"0")]
+    flows = [i for i, job in enumerate(jobs) if job["argv"][:1] in (["flow"], ["yau"])
+             and "-h" not in job["argv"] and job["parts"]["exit"] == golden._digest(b"0")]
     assert flows
     assert [int(line.split(":")[0].split()[1]) for line in lines[:-1]] == flows
     assert lines[-1] == f"{len(flows)} of {len(jobs)} jobs differ"

@@ -10,8 +10,10 @@ array as text, or else by the first such array: a run that writes none,
 such as ``integrate`` without ``--csv``, does not load it, and parses
 with it only where an earlier run has loaded it.
 Nor does the CLI's import load the RK4 module, the Yau flow, the SVG writer,
-``csv`` or ``heapq``: each subcommand loads only what it runs.  The package
-resolves its names on first use, each read from the module defining it.
+the reconciliation engine, the ``analyze`` writer, ``csv``, ``heapq`` or
+argparse: each subcommand loads only what it runs, and argparse is loaded
+by the first argv that the plain parse declines.  The package resolves its
+names on first use, each read from the module defining it.
 """
 import ast
 import inspect
@@ -59,7 +61,10 @@ def test_every_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-WATCHED = ("orjson", "csv", "heapq", "polyflow.integrate", "polyflow.yau_flow", "polyflow.svg")
+WATCHED = (
+    "orjson", "csv", "heapq", "argparse", "polyflow.integrate", "polyflow.yau_flow", "polyflow.svg",
+    "polyflow._reconcile", "polyflow._report",
+)
 
 ORJSON_PROBE = """
 import json, sys
@@ -117,6 +122,7 @@ def probe(tmp_path_factory):
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60, check=True)
         return json.loads(done.stdout.splitlines()[-1])
 
+    run.out = folder
     return run
 
 
@@ -124,14 +130,20 @@ def probe(tmp_path_factory):
 def loaded_per_step(probe):
     """The watched modules that each step loads first: importing the CLI, a
     CSV-less ``integrate``, ``flow --csv`` and ``flow --svg`` on a JSON
-    pentagon, a midpoint ``yau`` toward a triangle, and ``flow`` on the
-    triangle as CSV."""
+    pentagon, a ``duplicate`` and a midpoint ``yau`` toward a triangle,
+    ``flow`` on the
+    triangle as CSV, ``analyze`` of the pentagon, ``matrix``, and the first
+    ``flow --csv`` again in the = form, which the plain parse declines."""
     steps, _ = probe([
         ["integrate", "--input", "{pentagon}", "--m", "1", "--dt", "0.01", "--T", "0.1"],
         ["flow", "--input", "{pentagon}", "--m", "1", "--csv", "{out}/flow.csv"],
         ["flow", "--input", "{pentagon}", "--m", "1", "--svg", "{out}/flow.svg"],
+        ["yau", "--input", "{pentagon}", "--target", "{triangle}", "--m", "1", "--strategy", "duplicate"],
         ["yau", "--input", "{pentagon}", "--target", "{triangle}", "--m", "1", "--strategy", "midpoint"],
         ["flow", "--input", "{triangle_csv}", "--m", "1"],
+        ["analyze", "--input", "{pentagon}", "--m", "1"],
+        ["matrix", "--n", "6", "--m", "2"],
+        ["flow", "--input={pentagon}", "--m=1", "--csv", "{out}/declined.csv"],
     ])
     return steps
 
@@ -143,18 +155,26 @@ def test_orjson_is_loaded_by_the_first_table_only(loaded_per_step):
     assert first_table == [2]
 
 
-def test_each_subcommand_loads_only_the_modules_it_runs(loaded_per_step):
-    """The CLI's import loads none of the RK4 module, the Yau flow, the SVG
-    writer, ``csv`` or ``heapq``; each is loaded by the first run that uses
-    it.  Growing the triangle by two midpoints takes the heap."""
+def test_each_subcommand_loads_only_the_modules_it_runs(loaded_per_step, probe):
+    """The CLI's import loads none of the watched modules; each is loaded by
+    the first run that uses it.  Padding the triangle by duplicates leaves
+    the reconciliation engine unloaded; growing it by two midpoints takes
+    the engine and its heap.  A plain argv of each
+    subcommand leaves argparse unloaded; the declined argv loads it, and
+    writes what the plain form wrote."""
     assert loaded_per_step == [
         [],
         ["polyflow.integrate"],
         ["orjson"],
         ["polyflow.svg"],
-        ["heapq", "polyflow.yau_flow"],
+        ["polyflow.yau_flow"],
+        ["heapq", "polyflow._reconcile"],
         ["csv"],
+        ["polyflow._report"],
+        [],
+        ["argparse"],
     ]
+    assert (probe.out / "declined.csv").read_bytes() == (probe.out / "flow.csv").read_bytes()
 
 
 INTEGRATE = ["integrate", "--input", "{pentagon}", "--m", "1", "--dt", "0.01", "--T", "0.1"]
@@ -165,12 +185,13 @@ INTEGRATE = ["integrate", "--input", "{pentagon}", "--m", "1", "--dt", "0.01", "
     [
         (  # a CSV-less integrate toward a JSON target parses both with json alone
             [INTEGRATE + ["--target", "{triangle}"], ["analyze", "--input", "{pentagon}", "--m", "1"]],
-            [[], ["heapq", "polyflow.integrate", "polyflow.yau_flow"], ["orjson"]],
+            [[], ["heapq", "polyflow._reconcile", "polyflow.integrate", "polyflow.yau_flow"],
+             ["orjson", "polyflow._report"]],
             [False, True],
         ),
         (
             [INTEGRATE + ["--target", "{triangle}", "--csv", "{out}/yau_rk4.csv"]],
-            [[], ["heapq", "orjson", "polyflow.integrate", "polyflow.yau_flow"]],
+            [[], ["heapq", "orjson", "polyflow._reconcile", "polyflow.integrate", "polyflow.yau_flow"]],
             [True],
         ),
         (

@@ -11,12 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyflow import circulant
+from polyflow._reconcile import _bisected, _length_scale, _split_forest
 from polyflow.polygon import (
     Polygon,
-    _bisected,
-    _length_scale,
     _shift_near_one,
-    _split_forest,
     centroid,
     difference_stack,
     eigen_polygon,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyflow import circulant, cli
+from polyflow import _report, circulant
 from polyflow.polygon import Polygon, centroid, eigen_polygon, energy, real_basis
 from polyflow.spectral_flow import (
     CENTERING_NOISE_EPS,
@@ -790,7 +790,7 @@ def test_verdict_is_the_single_present_pair(n, p, m, shape, k, j, contamination,
     elif len(present) == 1:
         assert verdict == SelfSimilarity(mode=present[0], rate=circulant.flow_eigenvalue(n, m, present[0]), is_trivial=False)
     try:
-        report = json.loads(cli._analyze_json(y, m, "drawn.json"))
+        report = json.loads(_report._analyze_json(y, m, "drawn.json"))
     except FlowRangeError:  # at 1e200 the energy, which squares the edges, can leave float range
         with np.errstate(over="ignore"):
             assert not math.isfinite(energy(y, m))
